@@ -59,7 +59,8 @@ predictorLoop(benchmark::State &state, MakePredictor make)
         const BranchRecord &r = trace[i];
         benchmark::DoNotOptimize(pred->predict(r.pc));
         pred->update(r.pc, r.taken);
-        i = (i + 1) % trace.size();
+        if (++i == trace.size())
+            i = 0;
     }
     state.SetItemsProcessed(state.iterations());
 }
@@ -102,7 +103,8 @@ estimatorLoop(benchmark::State &state, MakeEstimator make)
         est->update(ctx, correct, r.taken);
         pred.update(r.pc, r.taken);
         bhr.recordOutcome(r.taken);
-        i = (i + 1) % trace.size();
+        if (++i == trace.size())
+            i = 0;
     }
     state.SetItemsProcessed(state.iterations());
 }

@@ -1,9 +1,11 @@
 /**
  * @file
  * Performance-trajectory reporter: times the simulation stack —
- * predictor-only driver loop, then each paper estimator riding the
- * driver, then the full six-estimator configuration — and writes a
- * dated, schema-versioned artifact:
+ * predictor-only SimulationDriver runs (the replay kernel on the
+ * calling thread), then each paper estimator riding the predictor,
+ * then the full six-estimator configuration, then the sweep contest
+ * and the sampled pass — and writes a dated, schema-versioned
+ * artifact:
  *
  *   BENCH_<YYYY-MM-DD>.json
  *     { "schema": "confsim-bench-v1", "date": ..., build provenance,
@@ -16,8 +18,9 @@
  *
  * CI runs this (with --fast) on every push and uploads the artifact,
  * so ns/branch regressions leave a dated trail that can be diffed
- * across commits. With --telemetry, the same runs also emit the JSONL
- * event stream (driver_run + sampled estimator_update_cost events).
+ * across commits. With --telemetry the run also writes a JSONL stream:
+ * the run manifest, the span summary (with --trace-out), and the final
+ * metrics snapshot.
  *
  *   ./build/examples/perf_report --fast --out-dir reports
  */
@@ -73,7 +76,7 @@ TimedCase
 timeCase(const std::string &name, const BenchmarkProfile &profile,
          std::uint64_t branches,
          const std::vector<EstimatorConfig> &configs,
-         Telemetry *telemetry, const CancellationToken *cancel)
+         const CancellationToken *cancel)
 {
     WorkloadGenerator workload(profile, branches);
     const auto predictor = largeGshareFactory()();
@@ -84,8 +87,6 @@ timeCase(const std::string &name, const BenchmarkProfile &profile,
         raw.push_back(estimators.back().get());
     }
     DriverOptions options;
-    options.telemetry = telemetry;
-    options.telemetryLabel = name;
     options.cancel = cancel;
     SimulationDriver driver(*predictor, raw, options);
     const DriverResult result = driver.run(workload);
@@ -364,9 +365,8 @@ main(int argc, char **argv)
     TimedCase sampled;
     try {
         for (const auto &[name, configs] : cases) {
-            results.push_back(timeCase(name, profile, branches,
-                                       configs, telemetry.get(),
-                                       &root));
+            results.push_back(
+                timeCase(name, profile, branches, configs, &root));
             std::printf("%-26s %8.2f ns/branch  (%.1f ms)\n",
                         results.back().name.c_str(),
                         results.back().nsPerBranch,

@@ -51,15 +51,6 @@ EVENT_REQUIRED_FIELDS = {
     ],
     "benchmark_retry": ["benchmark", "attempt", "error"],
     "watchdog_timeout": ["benchmark", "error"],
-    "driver_run": [
-        "benchmark", "branches", "measured_branches",
-        "warmup_branches", "mispredicts", "mispredict_rate",
-        "wall_ms", "ns_per_branch",
-    ],
-    "context_switch_flush": ["benchmark", "at_branch"],
-    "estimator_update_cost": [
-        "benchmark", "estimator", "samples", "mean_ns",
-    ],
     # fault_injected comes in two shapes, dispatched on "kind" in
     # validate_event: trace-source injection carries the record index,
     # plan-based injection (kind "plan.<site>", fault/fault_plan.h)

@@ -33,11 +33,6 @@ inline constexpr const char *kBenchmarkStarted = "benchmark_started";
 inline constexpr const char *kBenchmarkFinished = "benchmark_finished";
 inline constexpr const char *kBenchmarkRetry = "benchmark_retry";
 inline constexpr const char *kWatchdogTimeout = "watchdog_timeout";
-inline constexpr const char *kDriverRun = "driver_run";
-inline constexpr const char *kContextSwitchFlush =
-    "context_switch_flush";
-inline constexpr const char *kEstimatorUpdateCost =
-    "estimator_update_cost";
 inline constexpr const char *kFaultInjected = "fault_injected";
 inline constexpr const char *kCorruptChunkSkipped =
     "corrupt_chunk_skipped";

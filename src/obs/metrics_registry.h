@@ -48,7 +48,7 @@ struct MetricsSnapshot
 /**
  * Thread-safe named-metric store. Names are free-form but the
  * convention is dotted lowercase paths ("suite.bench_wall_ms",
- * "driver.branches").
+ * "sweep.branches").
  */
 class MetricsRegistry
 {

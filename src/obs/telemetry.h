@@ -37,12 +37,6 @@ struct TelemetryOptions
     /** Heartbeat period, in finished benchmarks. */
     unsigned heartbeatEveryBenchmarks = 1;
 
-    /**
-     * Driver-side sampling stride: estimator update cost is measured
-     * on one branch in every this many (amortizes the clock reads).
-     */
-    std::uint64_t sampleStride = 8192;
-
     /** @return true iff any sink is configured. */
     bool
     enabled() const

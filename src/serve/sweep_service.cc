@@ -34,9 +34,12 @@ hasCheckpointFiles(const std::string &directory)
     fs::directory_iterator it(directory, ec);
     if (ec)
         return false;
+    // Mid-run generations are named <label>.g<n>.ckpt; a finished
+    // benchmark's <label>.done.ckpt marker is not resumable progress.
     for (const auto &entry : it) {
         if (entry.is_regular_file(ec) &&
-            entry.path().extension() == ".ckpt")
+            entry.path().extension() == ".ckpt" &&
+            entry.path().stem().extension().string().rfind(".g", 0) == 0)
             return true;
     }
     return false;

@@ -271,9 +271,10 @@ class SweepService
 };
 
 /**
- * @return true when @p directory holds any checkpoint files
- * (generation or done-marker) — the "this job is resumable" probe the
- * checkpoint-drain path and the chaos tests share.
+ * @return true when @p directory holds a mid-run checkpoint
+ * generation — the "this job is resumable" probe the checkpoint-drain
+ * path and the chaos tests share. Done-markers of finished benchmarks
+ * do not count.
  */
 bool hasCheckpointFiles(const std::string &directory);
 

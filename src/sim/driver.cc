@@ -1,438 +1,33 @@
 #include "sim/driver.h"
 
-#include <algorithm>
 #include <chrono>
-#include <limits>
-
-#include "ckpt/checkpoint.h"
-#include "ckpt/checkpoint_store.h"
-#include "obs/span.h"
-#include "obs/telemetry.h"
-#include "predictor/history_register.h"
-#include "sim/run_policy.h"
-#include "util/error.h"
-#include "util/shift_register.h"
-#include "util/status.h"
 
 namespace confsim {
-
-namespace {
-
-/** Registry names tie state to the configuration that produced it. */
-std::string
-predictorComponentName(const BranchPredictor &predictor)
-{
-    return "predictor:" + predictor.name();
-}
-
-std::string
-estimatorComponentName(std::size_t index,
-                       const ConfidenceEstimator &estimator)
-{
-    return "estimator" + std::to_string(index) + ":" + estimator.name();
-}
-
-std::string
-statsComponentName(std::size_t index)
-{
-    return "stats" + std::to_string(index);
-}
-
-} // namespace
 
 SimulationDriver::SimulationDriver(
     BranchPredictor &predictor,
     std::vector<ConfidenceEstimator *> estimators, DriverOptions options)
     : predictor_(predictor), estimators_(std::move(estimators)),
-      options_(options)
+      options_(std::move(options))
 {}
-
-void
-SimulationDriver::checkpointEvery(std::uint64_t n_branches,
-                                  CheckpointStore *store)
-{
-    if (n_branches != 0 && store == nullptr)
-        fatal(ErrorCategory::kConfig, "checkpointEvery: a period needs a CheckpointStore");
-    if (n_branches != 0 || store != nullptr) {
-        // Fail up front: an unaudited component would otherwise write
-        // checkpoints that resume into silently-wrong state.
-        if (!predictor_.checkpointable()) {
-            fatal(ErrorCategory::kConfig, "predictor '" + predictor_.name() +
-                  "' is not checkpointable");
-        }
-        for (const auto *estimator : estimators_) {
-            if (!estimator->checkpointable()) {
-                fatal(ErrorCategory::kConfig, "estimator '" + estimator->name() +
-                      "' is not checkpointable");
-            }
-        }
-    }
-    ckptEvery_ = n_branches;
-    ckptStore_ = store;
-}
 
 DriverResult
 SimulationDriver::run(TraceSource &source)
 {
-    return runImpl(source, nullptr);
-}
-
-DriverResult
-SimulationDriver::resume(TraceSource &source, const Checkpoint &from)
-{
-    return runImpl(source, &from);
-}
-
-void
-SimulationDriver::writeCheckpoint(TraceSource &source,
-                                  DriverResult &result,
-                                  std::uint64_t simulated,
-                                  std::uint64_t consumed,
-                                  std::uint64_t until_switch,
-                                  const HistoryRegister &bhr,
-                                  const ShiftRegister &gcir) const
-{
-    ScopedSpan span(options_.spans, "ckpt.write");
-    Checkpoint ckpt;
-    ckpt.label = options_.telemetryLabel;
-    ckpt.watermark = consumed;
-    ckpt.branches = simulated;
-
-    StateWriter meta;
-    meta.putU64(options_.bhrBits);
-    meta.putU64(options_.gcirBits);
-    meta.putU64(estimators_.size());
-    meta.putU64(options_.profileStatic ? 1 : 0);
-    meta.putU64(until_switch);
-    meta.putU64(bhr.value());
-    meta.putU64(gcir.value());
-    meta.putU64(result.branches);
-    meta.putU64(result.mispredicts);
-    meta.putU64(result.contextSwitches);
-    ckpt.add("driver:meta", 1, meta.take());
-
-    ckpt.addComponent(predictorComponentName(predictor_), predictor_);
-    for (std::size_t i = 0; i < estimators_.size(); ++i) {
-        ckpt.addComponent(estimatorComponentName(i, *estimators_[i]),
-                          *estimators_[i]);
-        ckpt.addState(statsComponentName(i), 1,
-                      result.estimatorStats[i]);
-    }
-    if (options_.profileStatic)
-        ckpt.addState("static_profile", 1, result.staticProfile);
-    if (source.checkpointable())
-        ckpt.addComponent("source", source);
-
-    // A failed periodic write (ENOSPC, failed fsync, injected fault)
-    // degrades checkpoint freshness, not the simulation: the atomic
-    // writer never publishes a partial file, so the previous
-    // generation stays loadable and the run carries on. Cancellation
-    // still propagates — it comes from the token, not the disk.
-    try {
-        ckptStore_->write(ckpt);
-    } catch (const std::exception &e) {
-        if (categoryOf(e) == ErrorCategory::kCancelled)
-            throw;
-        if (options_.telemetry != nullptr) {
-            options_.telemetry->registry().increment("ckpt.write_failed");
-            options_.telemetry->emit(TelemetryEvent(
-                events::kCheckpointWriteFailed,
-                {field("benchmark", options_.telemetryLabel),
-                 field("at_branch", ckpt.branches),
-                 field("error", std::string(e.what()))}));
-        }
-        return;
-    }
-    ++result.checkpointsWritten;
-}
-
-DriverResult
-SimulationDriver::runImpl(TraceSource &source,
-                          const Checkpoint *resume_from)
-{
-    DriverResult result;
-    result.estimatorStats.reserve(estimators_.size());
-    for (const auto *estimator : estimators_)
-        result.estimatorStats.emplace_back(estimator->numBuckets());
-
-    // Per-branch attribution: observation only (PC, mispredict flag,
-    // and the bucket the loop already computed), so results are
-    // bit-identical whether the profile is on or off.
-    BranchProfile *profile = nullptr;
-    if (options_.profileBranches) {
-        std::vector<BranchProfileEstimatorInfo> infos;
-        infos.reserve(estimators_.size());
-        for (const auto *estimator : estimators_) {
-            infos.push_back({estimator->name(),
-                             estimator->numBuckets(),
-                             estimator->bucketsAreOrdered()});
-        }
-        result.branchProfile.configure(options_.branchProfile,
-                                       std::move(infos));
-        profile = &result.branchProfile;
-    }
-
-    // Architectural context registers, maintained by the driver so all
-    // estimators see identical history regardless of predictor type.
-    HistoryRegister bhr(options_.bhrBits);
-    ShiftRegister gcir(options_.gcirBits, 0);
-
-    BranchRecord record;
-    BranchContext ctx;
-    ctx.bhrBits = options_.bhrBits;
-    ctx.gcirBits = options_.gcirBits;
-
-    std::uint64_t simulated = 0;
-    std::uint64_t until_switch = options_.contextSwitchInterval;
-
-    // Unconditional record watermark: how many records this run has
-    // consumed from the source, including non-conditional ones. This is
-    // the position a resumed run must regain before simulating, so it
-    // counts every record even when the watchdog (which has its own
-    // conditionally-incremented counter) is off.
-    std::uint64_t consumed = 0;
-
-    if (resume_from != nullptr) {
-        const CheckpointComponent *meta =
-            resume_from->find("driver:meta");
-        if (meta == nullptr)
-            fatal(ErrorCategory::kCheckpoint, "checkpoint has no driver:meta component");
-        if (meta->version != 1) {
-            fatal(ErrorCategory::kCheckpoint, "driver:meta is version " +
-                  std::to_string(meta->version) + ", expected 1");
-        }
-        StateReader in(meta->payload);
-        in.expectU64(options_.bhrBits, "checkpoint BHR width");
-        in.expectU64(options_.gcirBits, "checkpoint GCIR width");
-        in.expectU64(estimators_.size(), "checkpoint estimator count");
-        in.expectU64(options_.profileStatic ? 1 : 0,
-                     "checkpoint static-profile flag");
-        until_switch = in.getU64();
-        bhr.setValue(in.getU64());
-        gcir.set(in.getU64());
-        result.branches = in.getU64();
-        result.mispredicts = in.getU64();
-        result.contextSwitches = in.getU64();
-        if (!in.atEnd())
-            fatal(ErrorCategory::kCheckpoint, "driver:meta has unconsumed bytes");
-
-        resume_from->restoreComponent(
-            predictorComponentName(predictor_), predictor_);
-        for (std::size_t i = 0; i < estimators_.size(); ++i) {
-            resume_from->restoreComponent(
-                estimatorComponentName(i, *estimators_[i]),
-                *estimators_[i]);
-            resume_from->restoreState(statsComponentName(i), 1,
-                                      result.estimatorStats[i]);
-        }
-        if (options_.profileStatic) {
-            resume_from->restoreState("static_profile", 1,
-                                      result.staticProfile);
-        }
-
-        simulated = resume_from->branches;
-        if (resume_from->find("source") != nullptr) {
-            resume_from->restoreComponent("source", source);
-        } else {
-            // The source saved no position (not checkpointable), so
-            // @p source must be a fresh deterministic stream: replay
-            // and discard records up to the watermark.
-            BranchRecord skipped;
-            for (std::uint64_t i = 0; i < resume_from->watermark;
-                 ++i) {
-                if (!source.next(skipped)) {
-                    fatal(ErrorCategory::kTrace, "trace ended after " + std::to_string(i) +
-                          " record(s), before the resume watermark " +
-                          std::to_string(resume_from->watermark));
-                }
-            }
-        }
-        consumed = resume_from->watermark;
-    }
-
-    // Cooperative watchdog: amortize the clock read over a batch of
-    // records so the hot loop stays hot.
     using Clock = std::chrono::steady_clock;
-    constexpr std::uint64_t kWatchdogStride = 8192;
-    const CancellationToken *const cancel = options_.cancel;
-    const bool hasLimit = options_.wallClockLimitMs != 0;
-    const bool watchdog = hasLimit || cancel != nullptr;
-    const Clock::time_point deadline =
-        hasLimit ? Clock::now() + std::chrono::milliseconds(
-                                      options_.wallClockLimitMs)
-                 : Clock::time_point{};
-    std::uint64_t records = 0;
+    const Clock::time_point start = Clock::now();
 
-    // Telemetry: sampled estimator-cost accumulators stay local to
-    // this run (no locks in the loop); everything is merged/emitted
-    // once at the end. With telemetry off, the loop only ever tests
-    // `sample_countdown`, pre-set so the timing path is dead.
-    Telemetry *const telemetry = options_.telemetry;
-    const std::uint64_t sample_stride =
-        std::max<std::uint64_t>(1, options_.telemetrySampleStride);
-    std::uint64_t sample_countdown =
-        telemetry != nullptr
-            ? 1
-            : std::numeric_limits<std::uint64_t>::max();
-    if (telemetry != nullptr)
-        result.estimatorUpdateNs.resize(estimators_.size());
-    const Clock::time_point run_start = Clock::now();
-    ScopedSpan run_span(options_.spans, "driver.run");
+    ReplayKernel kernel(predictor_, estimators_, options_.telemetryLabel,
+                        options_);
+    const ReplayGuard guard(options_);
+    RecordBatch batch;
+    while (batch.refill(source) != 0)
+        kernel.replay(batch, guard);
 
-    while (source.next(record)) {
-        ++consumed;
-        if (watchdog && (++records % kWatchdogStride) == 0) {
-            if (cancel != nullptr)
-                cancel->throwIfCancelled("benchmark run");
-            if (hasLimit && Clock::now() > deadline) {
-                throw WatchdogTimeout(
-                    "benchmark exceeded its wall-clock budget of " +
-                    std::to_string(options_.wallClockLimitMs) +
-                    " ms after " + std::to_string(records) + " records");
-            }
-        }
-        if (!record.isConditional())
-            continue;
-
-        ctx.pc = record.pc;
-        ctx.bhr = bhr.value();
-        ctx.gcir = gcir.value();
-
-        const bool predicted = predictor_.predict(record.pc);
-        const bool correct = (predicted == record.taken);
-        const bool recording =
-            simulated >= options_.warmupBranches;
-
-        if (recording) {
-            ++result.branches;
-            if (!correct)
-                ++result.mispredicts;
-        }
-
-        // Confidence estimators: bucket is read with the pre-update
-        // context; training sees the prediction's correctness.
-        if (--sample_countdown == 0) {
-            sample_countdown = sample_stride;
-            for (std::size_t i = 0; i < estimators_.size(); ++i) {
-                const Clock::time_point t0 = Clock::now();
-                const std::uint64_t bucket =
-                    estimators_[i]->bucketOf(ctx);
-                if (recording)
-                    result.estimatorStats[i].record(bucket, !correct);
-                estimators_[i]->update(ctx, correct, record.taken);
-                result.estimatorUpdateNs[i].add(
-                    std::chrono::duration<double, std::nano>(
-                        Clock::now() - t0)
-                        .count());
-                if (profile != nullptr && recording)
-                    profile->onBucket(i, bucket, correct);
-            }
-        } else {
-            for (std::size_t i = 0; i < estimators_.size(); ++i) {
-                const std::uint64_t bucket =
-                    estimators_[i]->bucketOf(ctx);
-                if (recording)
-                    result.estimatorStats[i].record(bucket, !correct);
-                estimators_[i]->update(ctx, correct, record.taken);
-                if (profile != nullptr && recording)
-                    profile->onBucket(i, bucket, correct);
-            }
-        }
-
-        if (options_.profileStatic && recording) {
-            result.staticProfile.record(record.pc, !correct,
-                                        record.taken);
-        }
-        if (profile != nullptr && recording)
-            profile->onBranch(record.pc, !correct);
-
-        // Predictor and architectural history train on the outcome.
-        predictor_.update(record.pc, record.taken);
-        bhr.recordOutcome(record.taken);
-        gcir.shiftIn(!correct);
-        ++simulated;
-
-        // Context-switch modelling (Section 5.4): periodically restore
-        // the microarchitectural structures to their power-on state.
-        if (options_.contextSwitchInterval != 0 &&
-            --until_switch == 0) {
-            until_switch = options_.contextSwitchInterval;
-            if (options_.flushPredictorOnSwitch)
-                predictor_.reset();
-            if (options_.flushEstimatorsOnSwitch) {
-                for (auto *estimator : estimators_)
-                    estimator->reset();
-            }
-            bhr.reset();
-            gcir.clear();
-            ++result.contextSwitches;
-            if (telemetry != nullptr) {
-                telemetry->emit(TelemetryEvent(
-                    events::kContextSwitchFlush,
-                    {field("benchmark", options_.telemetryLabel),
-                     field("at_branch", simulated),
-                     field("flush_predictor",
-                           options_.flushPredictorOnSwitch),
-                     field("flush_estimators",
-                           options_.flushEstimatorsOnSwitch)}));
-            }
-        }
-
-        // Periodic checkpoint (zero cost while disabled: one compare
-        // on a member that is 0). Taken after all per-branch training,
-        // so the snapshot is exactly the state the next branch sees.
-        if (ckptEvery_ != 0 && simulated % ckptEvery_ == 0) {
-            writeCheckpoint(source, result, simulated, consumed,
-                            until_switch, bhr, gcir);
-        }
-    }
-
-    result.wallMs = std::chrono::duration<double, std::milli>(
-                        Clock::now() - run_start)
-                        .count();
-
-    if (telemetry != nullptr) {
-        const std::uint64_t warmup_consumed =
-            std::min(simulated, options_.warmupBranches);
-        const double ns_per_branch =
-            simulated == 0 ? 0.0
-                           : result.wallMs * 1e6 /
-                                 static_cast<double>(simulated);
-        telemetry->emit(TelemetryEvent(
-            events::kDriverRun,
-            {field("benchmark", options_.telemetryLabel),
-             field("branches", simulated),
-             field("measured_branches", result.branches),
-             field("warmup_branches", warmup_consumed),
-             field("mispredicts", result.mispredicts),
-             field("mispredict_rate", result.mispredictRate()),
-             field("context_switches", result.contextSwitches),
-             field("wall_ms", result.wallMs),
-             field("ns_per_branch", ns_per_branch)}));
-
-        MetricsRegistry &registry = telemetry->registry();
-        registry.increment("driver.runs");
-        registry.increment("driver.branches", simulated);
-        registry.increment("driver.mispredicts", result.mispredicts);
-        registry.observe("driver.wall_ms", result.wallMs);
-        registry.observe("driver.ns_per_branch", ns_per_branch);
-        for (std::size_t i = 0; i < estimators_.size(); ++i) {
-            const RunningStats &cost = result.estimatorUpdateNs[i];
-            if (cost.count() == 0)
-                continue;
-            telemetry->emit(TelemetryEvent(
-                events::kEstimatorUpdateCost,
-                {field("benchmark", options_.telemetryLabel),
-                 field("estimator", estimators_[i]->name()),
-                 field("samples", cost.count()),
-                 field("mean_ns", cost.mean()),
-                 field("min_ns", cost.min()),
-                 field("max_ns", cost.max())}));
-            registry.mergeStats("driver.estimator_update_ns." +
-                                    estimators_[i]->name(),
-                                cost);
-        }
-    }
+    DriverResult result{std::move(kernel.result())};
+    result.wallMs =
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count();
     return result;
 }
 

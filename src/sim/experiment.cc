@@ -355,6 +355,45 @@ buildManifest(const ExperimentEnv &env, const BenchmarkSuite &suite,
     return manifest;
 }
 
+/** A factory building fresh instances of @p estimators. */
+EstimatorSetFactory
+estimatorSetFactory(std::vector<EstimatorConfig> estimators)
+{
+    return [estimators = std::move(estimators)] {
+        std::vector<std::unique_ptr<ConfidenceEstimator>> out;
+        out.reserve(estimators.size());
+        for (const auto &estimator : estimators)
+            out.push_back(estimator.make());
+        return out;
+    };
+}
+
+/** One sweep configuration per experiment configuration. */
+std::vector<SweepConfiguration>
+sweepConfigurations(const std::vector<SweepExperimentConfig> &configs)
+{
+    std::vector<SweepConfiguration> out;
+    out.reserve(configs.size());
+    for (const auto &config : configs) {
+        out.push_back({config.label, config.makePredictor,
+                       estimatorSetFactory(config.estimators)});
+    }
+    return out;
+}
+
+/** The checkpoint/retry/deadline policy the CLI flags describe. */
+RunPolicy
+experimentPolicy(const ExperimentEnv &env)
+{
+    RunPolicy policy;
+    policy.checkpoint.directory = env.checkpointDir;
+    policy.checkpoint.everyBranches = env.checkpointEvery;
+    policy.checkpoint.resume = env.resume;
+    policy.retryBackoffMs = env.retryBackoffMs;
+    policy.deadlineMs = env.deadlineMs;
+    return policy;
+}
+
 } // namespace
 
 SuiteRunResult
@@ -373,23 +412,10 @@ runSuiteExperiment(const ExperimentEnv &env,
         telemetry->setManifest(buildManifest(
             env, runner.suite(), make_predictor, estimators, options));
         options.telemetry = telemetry;
-        options.telemetrySampleStride = env.telemetry.sampleStride;
     }
 
-    EstimatorSetFactory make_estimators = [&estimators] {
-        std::vector<std::unique_ptr<ConfidenceEstimator>> out;
-        out.reserve(estimators.size());
-        for (const auto &config : estimators)
-            out.push_back(config.make());
-        return out;
-    };
-    RunPolicy policy;
-    policy.checkpoint.directory = env.checkpointDir;
-    policy.checkpoint.everyBranches = env.checkpointEvery;
-    policy.checkpoint.resume = env.resume;
-    policy.retryBackoffMs = env.retryBackoffMs;
-    policy.deadlineMs = env.deadlineMs;
-    return runner.run(make_predictor, make_estimators, options, policy);
+    return runner.run(make_predictor, estimatorSetFactory(estimators),
+                      options, experimentPolicy(env));
 }
 
 SweepSuiteResult
@@ -414,25 +440,6 @@ runSweepSuiteExperiment(const ExperimentEnv &env,
             env, runner.suite(), configs.front().makePredictor,
             configs.front().estimators, options));
         options.telemetry = telemetry;
-        options.telemetrySampleStride = env.telemetry.sampleStride;
-    }
-
-    std::vector<SweepConfiguration> sweep_configs;
-    sweep_configs.reserve(configs.size());
-    for (const auto &config : configs) {
-        SweepConfiguration sweep_config;
-        sweep_config.label = config.label;
-        sweep_config.makePredictor = config.makePredictor;
-        const std::vector<EstimatorConfig> &estimators =
-            config.estimators;
-        sweep_config.makeEstimators = [estimators] {
-            std::vector<std::unique_ptr<ConfidenceEstimator>> out;
-            out.reserve(estimators.size());
-            for (const auto &estimator : estimators)
-                out.push_back(estimator.make());
-            return out;
-        };
-        sweep_configs.push_back(std::move(sweep_config));
     }
 
     SweepOptions sweep;
@@ -441,13 +448,8 @@ runSweepSuiteExperiment(const ExperimentEnv &env,
     sweep.decodeAhead = env.decodeAhead;
     sweep.benchParallel = env.benchParallel;
 
-    RunPolicy policy;
-    policy.checkpoint.directory = env.checkpointDir;
-    policy.checkpoint.everyBranches = env.checkpointEvery;
-    policy.checkpoint.resume = env.resume;
-    policy.retryBackoffMs = env.retryBackoffMs;
-    policy.deadlineMs = env.deadlineMs;
-    return runner.runSweep(sweep_configs, options, sweep, policy);
+    return runner.runSweep(sweepConfigurations(configs), options, sweep,
+                           experimentPolicy(env));
 }
 
 SamplingRunResult
@@ -469,25 +471,6 @@ runSampledSuiteExperiment(const ExperimentEnv &env,
             env, runner.suite(), configs.front().makePredictor,
             configs.front().estimators, options));
         options.telemetry = telemetry;
-        options.telemetrySampleStride = env.telemetry.sampleStride;
-    }
-
-    std::vector<SweepConfiguration> sweep_configs;
-    sweep_configs.reserve(configs.size());
-    for (const auto &config : configs) {
-        SweepConfiguration sweep_config;
-        sweep_config.label = config.label;
-        sweep_config.makePredictor = config.makePredictor;
-        const std::vector<EstimatorConfig> &estimators =
-            config.estimators;
-        sweep_config.makeEstimators = [estimators] {
-            std::vector<std::unique_ptr<ConfidenceEstimator>> out;
-            out.reserve(estimators.size());
-            for (const auto &estimator : estimators)
-                out.push_back(estimator.make());
-            return out;
-        };
-        sweep_configs.push_back(std::move(sweep_config));
     }
 
     SamplingOptions sampling;
@@ -501,7 +484,7 @@ runSampledSuiteExperiment(const ExperimentEnv &env,
     sampling.sweep.batchSize = env.batchSize;
     sampling.sweep.decodeAhead = env.decodeAhead;
 
-    SamplingEngine engine(std::move(sweep_configs), options, sampling);
+    SamplingEngine engine(sweepConfigurations(configs), options, sampling);
     return engine.runSuite(runner);
 }
 

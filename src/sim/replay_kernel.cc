@@ -1,0 +1,290 @@
+#include "sim/replay_kernel.h"
+
+#include <thread>
+
+#include "ckpt/checkpoint.h"
+#include "sim/run_policy.h"
+#include "util/status.h"
+
+namespace confsim {
+
+ReplayGuard::ReplayGuard(const DriverOptions &options)
+    : cancel(options.cancel), hasDeadline(options.wallClockLimitMs != 0),
+      limitMs(options.wallClockLimitMs)
+{
+    if (hasDeadline)
+        deadline = Clock::now() + std::chrono::milliseconds(limitMs);
+}
+
+void
+ReplayGuard::checkNow(std::uint64_t at_records) const
+{
+    if (cancel != nullptr)
+        cancel->throwIfCancelled("sweep shard");
+    if (hasDeadline && Clock::now() > deadline) {
+        throw WatchdogTimeout("sweep exceeded its wall-clock budget of " +
+                              std::to_string(limitMs) + " ms after " +
+                              std::to_string(at_records) + " records");
+    }
+}
+
+void
+ReplayGuard::park() const
+{
+    const Clock::time_point cap = Clock::now() + std::chrono::seconds(30);
+    for (;;) {
+        checkNow(0);
+        if (Clock::now() > cap) {
+            throw WatchdogTimeout(
+                "injected hang exceeded its 30 s safety cap with "
+                "no watchdog or cancellation configured");
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+}
+
+ReplayKernel::ReplayKernel(BranchPredictor &predictor,
+                           std::vector<ConfidenceEstimator *> estimators,
+                           std::string label, const DriverOptions &options,
+                           const SweepRecordingPlan *plan)
+    : predictor_(&predictor), estimators_(std::move(estimators)),
+      options_(options), plan_(plan), bhr_(options.bhrBits),
+      gcir_(options.gcirBits, 0),
+      untilSwitch_(options.contextSwitchInterval)
+{
+    ctx_.bhrBits = options.bhrBits;
+    ctx_.gcirBits = options.gcirBits;
+
+    result_.label = std::move(label);
+    result_.estimatorStats.reserve(estimators_.size());
+    result_.estimatorNames.reserve(estimators_.size());
+    for (const auto *estimator : estimators_) {
+        result_.estimatorStats.emplace_back(estimator->numBuckets());
+        result_.estimatorNames.push_back(estimator->name());
+    }
+    if (options.profileBranches) {
+        std::vector<BranchProfileEstimatorInfo> infos;
+        infos.reserve(estimators_.size());
+        for (const auto *estimator : estimators_) {
+            infos.push_back({estimator->name(), estimator->numBuckets(),
+                             estimator->bucketsAreOrdered()});
+        }
+        result_.branchProfile.configure(options.branchProfile,
+                                        std::move(infos));
+    }
+    if (plan_ != nullptr) {
+        result_.slotStats.resize(plan_->numSlots);
+        for (auto &slot_bank : result_.slotStats) {
+            slot_bank.estimatorStats.reserve(estimators_.size());
+            for (const auto *estimator : estimators_)
+                slot_bank.estimatorStats.emplace_back(
+                    estimator->numBuckets());
+        }
+    }
+}
+
+void
+ReplayKernel::replay(const RecordBatch &batch, const ReplayGuard &guard)
+{
+    // Amortize the guard over a stride of records so the hot loop
+    // stays hot when neither a deadline nor a token is set.
+    constexpr std::uint64_t kGuardStride = 4096;
+    const bool guarded = guard.active();
+    // Attribution profile: observation only (PC, mispredict flag, and
+    // the bucket the step already computed).
+    BranchProfile *const profile =
+        result_.branchProfile.enabled() ? &result_.branchProfile : nullptr;
+    for (const BranchRecord &record : batch) {
+        if (guarded && (++guardTick_ % kGuardStride) == 0)
+            guard.checkNow(simulated_);
+        // Non-conditional records train nothing (the paper's mechanisms
+        // concern conditional branches only).
+        if (!record.isConditional())
+            continue;
+
+        // Resolve the recording plan's mode at region boundaries (a
+        // function of `simulated_` only). Fast-forwarded regions do no
+        // predictor/estimator work; only the cursor and the
+        // context-switch phase advance.
+        if (plan_ != nullptr) {
+            if (planLeft_ == 0) {
+                planSlot_ =
+                    plan_->slotForRegion(simulated_ / plan_->regionBranches);
+                planLeft_ = plan_->regionBranches;
+            }
+            --planLeft_;
+        }
+        if (plan_ == nullptr || planSlot_ != SweepRecordingPlan::kSkip)
+            recordStep(record, profile);
+        ++simulated_;
+
+        if (options_.contextSwitchInterval != 0 && --untilSwitch_ == 0)
+            contextSwitch();
+    }
+}
+
+void
+ReplayKernel::recordStep(const BranchRecord &record, BranchProfile *profile)
+{
+    ctx_.pc = record.pc;
+    ctx_.bhr = bhr_.value();
+    ctx_.gcir = gcir_.value();
+
+    const bool predicted = predictor_->predict(record.pc);
+    const bool correct = (predicted == record.taken);
+    const bool recording =
+        simulated_ >= options_.warmupBranches &&
+        (plan_ == nullptr || planSlot_ != SweepRecordingPlan::kWarmOnly);
+    SweepSlotStats *const slot_bank =
+        recording && plan_ != nullptr ? &result_.slotStats[planSlot_]
+                                      : nullptr;
+
+    if (recording) {
+        ++result_.branches;
+        if (!correct)
+            ++result_.mispredicts;
+        if (slot_bank != nullptr) {
+            ++slot_bank->branches;
+            if (!correct)
+                ++slot_bank->mispredicts;
+        }
+    }
+
+    // Confidence estimators: the bucket is read with the pre-update
+    // context; training sees the prediction's correctness.
+    for (std::size_t i = 0; i < estimators_.size(); ++i) {
+        const std::uint64_t bucket = estimators_[i]->bucketOf(ctx_);
+        if (recording) {
+            result_.estimatorStats[i].record(bucket, !correct);
+            if (slot_bank != nullptr)
+                slot_bank->estimatorStats[i].record(bucket, !correct);
+            if (profile != nullptr)
+                profile->onBucket(i, bucket, correct);
+        }
+        estimators_[i]->update(ctx_, correct, record.taken);
+    }
+
+    if (recording) {
+        if (options_.profileStatic)
+            result_.staticProfile.record(record.pc, !correct, record.taken);
+        if (profile != nullptr)
+            profile->onBranch(record.pc, !correct);
+    }
+
+    // Predictor and architectural history train on the outcome.
+    predictor_->update(record.pc, record.taken);
+    bhr_.recordOutcome(record.taken);
+    gcir_.shiftIn(!correct);
+}
+
+void
+ReplayKernel::contextSwitch()
+{
+    // Section 5.4: restore the microarchitectural structures to their
+    // power-on state; accumulated statistics are never cleared.
+    untilSwitch_ = options_.contextSwitchInterval;
+    if (options_.flushPredictorOnSwitch)
+        predictor_->reset();
+    if (options_.flushEstimatorsOnSwitch) {
+        for (auto *estimator : estimators_)
+            estimator->reset();
+    }
+    bhr_.reset();
+    gcir_.clear();
+    ++result_.contextSwitches;
+}
+
+void
+ReplayKernel::requireCheckpointable() const
+{
+    // Fail up front: an unaudited component would otherwise write
+    // checkpoints that resume into silently-wrong state.
+    if (!predictor_->checkpointable()) {
+        fatal(ErrorCategory::kConfig, "predictor '" + predictor_->name() +
+                                          "' is not checkpointable");
+    }
+    for (const auto *estimator : estimators_) {
+        if (!estimator->checkpointable()) {
+            fatal(ErrorCategory::kConfig, "estimator '" +
+                                              estimator->name() +
+                                              "' is not checkpointable");
+        }
+    }
+}
+
+void
+ReplayKernel::save(Checkpoint &ckpt, const std::string &prefix) const
+{
+    StateWriter meta;
+    meta.putString(result_.label);
+    meta.putU64(estimators_.size());
+    meta.putU64(untilSwitch_);
+    meta.putU64(bhr_.value());
+    meta.putU64(gcir_.value());
+    meta.putU64(result_.branches);
+    meta.putU64(result_.mispredicts);
+    meta.putU64(result_.contextSwitches);
+    ckpt.add(prefix + "meta", 1, meta.take());
+
+    ckpt.addComponent(prefix + "predictor:" + predictor_->name(),
+                      *predictor_);
+    for (std::size_t i = 0; i < estimators_.size(); ++i) {
+        ckpt.addComponent(prefix + "estimator" + std::to_string(i) + ":" +
+                              estimators_[i]->name(),
+                          *estimators_[i]);
+        ckpt.addState(prefix + "stats" + std::to_string(i), 1,
+                      result_.estimatorStats[i]);
+    }
+    if (options_.profileStatic)
+        ckpt.addState(prefix + "static_profile", 1, result_.staticProfile);
+}
+
+void
+ReplayKernel::restore(const Checkpoint &ckpt, const std::string &prefix)
+{
+    const CheckpointComponent *meta = ckpt.find(prefix + "meta");
+    if (meta == nullptr) {
+        fatal(ErrorCategory::kCheckpoint,
+              "checkpoint has no " + prefix + "meta component");
+    }
+    if (meta->version != 1) {
+        fatal(ErrorCategory::kCheckpoint,
+              prefix + "meta is version " + std::to_string(meta->version) +
+                  ", expected 1");
+    }
+    StateReader in(meta->payload);
+    const std::string label = in.getString();
+    if (label != result_.label) {
+        fatal(ErrorCategory::kCheckpoint,
+              "checkpoint config " + prefix + " is '" + label +
+                  "', expected '" + result_.label + "'");
+    }
+    in.expectU64(estimators_.size(), "checkpoint estimator count");
+    untilSwitch_ = in.getU64();
+    bhr_.setValue(in.getU64());
+    gcir_.set(in.getU64());
+    result_.branches = in.getU64();
+    result_.mispredicts = in.getU64();
+    result_.contextSwitches = in.getU64();
+    if (!in.atEnd()) {
+        fatal(ErrorCategory::kCheckpoint,
+              prefix + "meta has unconsumed bytes");
+    }
+
+    ckpt.restoreComponent(prefix + "predictor:" + predictor_->name(),
+                          *predictor_);
+    for (std::size_t i = 0; i < estimators_.size(); ++i) {
+        ckpt.restoreComponent(prefix + "estimator" + std::to_string(i) +
+                                  ":" + estimators_[i]->name(),
+                              *estimators_[i]);
+        ckpt.restoreState(prefix + "stats" + std::to_string(i), 1,
+                          result_.estimatorStats[i]);
+    }
+    if (options_.profileStatic) {
+        ckpt.restoreState(prefix + "static_profile", 1,
+                          result_.staticProfile);
+    }
+    simulated_ = ckpt.branches;
+}
+
+} // namespace confsim

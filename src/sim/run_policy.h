@@ -37,9 +37,10 @@ enum class ErrorMode : std::uint8_t
  * Checkpoint/resume knobs for a suite run (see src/ckpt/). Enabled by
  * giving a directory; each benchmark then gets its own generation-
  * rotating CheckpointStore under it (label = benchmark name), the
- * driver writes a checkpoint every `everyBranches` conditional
- * branches, and a completed benchmark leaves a done-marker holding its
- * full result. With `resume` set, SuiteRunner loads finished
+ * sweep engine writes a checkpoint at the first batch boundary past
+ * every `everyBranches` conditional branches, and a completed
+ * benchmark leaves a done-marker holding every configuration's
+ * result. With `resume` set, SuiteRunner loads finished
  * benchmarks from their done-markers and restarts interrupted ones
  * from their newest intact generation (falling back one generation per
  * corrupt file).
@@ -85,7 +86,7 @@ struct RunPolicy
 
     /**
      * Per-benchmark wall-clock budget in milliseconds (0 = none). The
-     * driver checks the deadline cooperatively inside its record loop,
+     * replay kernel checks the deadline cooperatively in its record loop,
      * so the hung-benchmark thread unwinds cleanly rather than being
      * abandoned. The watchdog never fires on a benchmark that
      * finishes in time, so enabling it does not perturb results.
@@ -115,7 +116,7 @@ struct RunPolicy
 
     /**
      * Optional external cancellation. When set, the suite runner (and
-     * every driver/sweep it starts) polls the token cooperatively and
+     * every sweep pass it starts) polls the token cooperatively and
      * unwinds with Error{kCancelled} after cancel(). The token must
      * outlive the run. Owned by the caller; never cancelled by the
      * library.
@@ -140,8 +141,8 @@ struct RunPolicy
 };
 
 /**
- * Thrown by SimulationDriver (and sweep shards) when a run exceeds its
- * wall-clock budget (DriverOptions::wallClockLimitMs). A distinct type
+ * Thrown by the replay guard (sim/replay_kernel.h) when a run exceeds
+ * its wall-clock budget (DriverOptions::wallClockLimitMs). A distinct type
  * so SuiteRunner can exempt timeouts from retry; an Error with
  * category kTimeout so policy code can also dispatch on the taxonomy.
  */

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <functional>
-#include <future>
 #include <thread>
 
 #include "ckpt/checkpoint_store.h"
@@ -266,403 +265,173 @@ emitRestored(Telemetry *telemetry, const std::string &benchmark,
     telemetry->registry().increment("ckpt.restored");
 }
 
+/** Done-marker component holding configuration @p config's result. */
+std::string
+doneComponentName(std::size_t config)
+{
+    return "cfg" + std::to_string(config) + ":result";
+}
+
 /**
- * Pack a finished benchmark's full result into a checkpoint for the
- * store's done-marker, so a resumed suite run reuses it without
- * re-simulating. Everything the compositing pass reads is included.
+ * Pack a finished benchmark's per-configuration results into a
+ * checkpoint for the store's done-marker, so a resumed suite run reuses
+ * them without re-simulating. Everything the compositing pass reads is
+ * included; the configuration label guards against resuming under a
+ * different configuration list.
  */
 Checkpoint
-serializeBenchmarkResult(const BenchmarkRunResult &result)
+serializeDoneMarker(const std::vector<SweepConfiguration> &configs,
+                    const std::vector<BenchmarkRunResult> &results)
 {
     Checkpoint ckpt;
-    ckpt.label = result.name;
-    ckpt.branches = result.branches;
-    StateWriter out;
-    out.putString(result.name);
-    out.putU64(result.branches);
-    out.putU64(result.mispredicts);
-    out.putF64(result.mispredictRate);
-    out.putF64(result.wallMs);
-    out.putU64(result.attempts);
-    out.putU64(result.estimatorNames.size());
-    for (const auto &name : result.estimatorNames)
-        out.putString(name);
-    out.putU64(result.estimatorStats.size());
-    for (const auto &stats : result.estimatorStats) {
-        out.putU64(stats.numBuckets());
-        stats.saveState(out);
+    ckpt.label = results.front().name;
+    ckpt.branches = results.front().branches;
+    for (std::size_t c = 0; c < results.size(); ++c) {
+        const BenchmarkRunResult &result = results[c];
+        StateWriter out;
+        out.putString(configs[c].label);
+        out.putString(result.name);
+        out.putU64(result.branches);
+        out.putU64(result.mispredicts);
+        out.putF64(result.mispredictRate);
+        out.putU64(result.attempts);
+        out.putU64(result.estimatorNames.size());
+        for (const auto &name : result.estimatorNames)
+            out.putString(name);
+        out.putU64(result.estimatorStats.size());
+        for (const auto &stats : result.estimatorStats) {
+            out.putU64(stats.numBuckets());
+            stats.saveState(out);
+        }
+        result.staticStats.saveState(out);
+        ckpt.add(doneComponentName(c), 1, out.take());
     }
-    result.staticStats.saveState(out);
-    ckpt.add("suite:result", 1, out.take());
     return ckpt;
 }
 
-/** Unpack a serializeBenchmarkResult() done-marker; fatal() on damage. */
-BenchmarkRunResult
-deserializeBenchmarkResult(const Checkpoint &ckpt)
+/** Unpack a serializeDoneMarker() checkpoint; fatal() on any mismatch. */
+std::vector<BenchmarkRunResult>
+deserializeDoneMarker(const Checkpoint &ckpt,
+                      const std::vector<SweepConfiguration> &configs)
 {
-    const CheckpointComponent *entry = ckpt.find("suite:result");
-    if (entry == nullptr) {
+    if (ckpt.components().size() != configs.size()) {
         fatal(ErrorCategory::kCheckpoint,
-              "completed checkpoint has no suite:result component");
+              "done-marker holds " +
+                  std::to_string(ckpt.components().size()) +
+                  " component(s), expected " +
+                  std::to_string(configs.size()));
     }
-    if (entry->version != 1) {
-        fatal(ErrorCategory::kCheckpoint,
-              "suite:result is version " +
-                  std::to_string(entry->version) + ", expected 1");
-    }
-    StateReader in(entry->payload);
-    BenchmarkRunResult result;
-    result.name = in.getString();
-    result.branches = in.getU64();
-    result.mispredicts = in.getU64();
-    result.mispredictRate = in.getF64();
-    result.wallMs = in.getF64();
-    result.attempts = static_cast<unsigned>(in.getU64());
-    const std::uint64_t names = in.getU64();
-    result.estimatorNames.reserve(names);
-    for (std::uint64_t i = 0; i < names; ++i)
-        result.estimatorNames.push_back(in.getString());
-    const std::uint64_t stats_count = in.getU64();
-    result.estimatorStats.reserve(stats_count);
-    for (std::uint64_t i = 0; i < stats_count; ++i) {
-        BucketStats stats(in.getU64());
-        stats.loadState(in);
-        result.estimatorStats.push_back(std::move(stats));
-    }
-    result.staticStats.loadState(in);
-    if (!in.atEnd()) {
-        fatal(ErrorCategory::kCheckpoint,
-              "suite:result has unconsumed bytes");
-    }
-    return result;
-}
-
-/** The throwaway per-attempt simulation components of one benchmark. */
-struct BenchmarkParts
-{
-    std::unique_ptr<BranchPredictor> predictor;
-    std::vector<std::unique_ptr<ConfidenceEstimator>> estimators;
-    std::vector<ConfidenceEstimator *> raw;
-    std::unique_ptr<TraceSource> source;
-};
-
-/** Build fresh predictor/estimators/source for one attempt. */
-BenchmarkParts
-buildParts(const BenchmarkSuite &suite, std::size_t bench,
-           const PredictorFactory &make_predictor,
-           const EstimatorSetFactory &make_estimators,
-           const SourceWrapper &wrap_source, Telemetry *telemetry,
-           const std::string &bench_name)
-{
-    BenchmarkParts parts;
-    parts.predictor = make_predictor();
-    if (!parts.predictor)
-        fatal(ErrorCategory::kConfig, "predictor factory returned null");
-    parts.estimators = make_estimators();
-    parts.raw.reserve(parts.estimators.size());
-    for (auto &estimator : parts.estimators)
-        parts.raw.push_back(estimator.get());
-    parts.source = suite.makeGenerator(bench);
-    if (wrap_source) {
-        parts.source = wrap_source(bench, std::move(parts.source));
-        if (!parts.source) {
-            fatal(ErrorCategory::kConfig,
-                  "source wrapper returned null for benchmark '" +
-                      bench_name + "'");
+    std::vector<BenchmarkRunResult> results(configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        const std::string name = doneComponentName(c);
+        const CheckpointComponent *entry = ckpt.find(name);
+        if (entry == nullptr) {
+            fatal(ErrorCategory::kCheckpoint,
+                  "done-marker has no " + name + " component");
+        }
+        if (entry->version != 1) {
+            fatal(ErrorCategory::kCheckpoint,
+                  name + " is version " + std::to_string(entry->version) +
+                      ", expected 1");
+        }
+        StateReader in(entry->payload);
+        const std::string label = in.getString();
+        if (label != configs[c].label) {
+            fatal(ErrorCategory::kCheckpoint,
+                  name + " is configuration '" + label + "', expected '" +
+                      configs[c].label + "'");
+        }
+        BenchmarkRunResult &result = results[c];
+        result.name = in.getString();
+        result.branches = in.getU64();
+        result.mispredicts = in.getU64();
+        result.mispredictRate = in.getF64();
+        result.attempts = static_cast<unsigned>(in.getU64());
+        const std::uint64_t names = in.getU64();
+        result.estimatorNames.reserve(names);
+        for (std::uint64_t i = 0; i < names; ++i)
+            result.estimatorNames.push_back(in.getString());
+        const std::uint64_t stats_count = in.getU64();
+        result.estimatorStats.reserve(stats_count);
+        for (std::uint64_t i = 0; i < stats_count; ++i) {
+            BucketStats stats(in.getU64());
+            stats.loadState(in);
+            result.estimatorStats.push_back(std::move(stats));
+        }
+        result.staticStats.loadState(in);
+        if (!in.atEnd()) {
+            fatal(ErrorCategory::kCheckpoint,
+                  name + " has unconsumed bytes");
         }
     }
-    wireSourceTelemetry(*parts.source, telemetry, bench_name);
-    return parts;
-}
-
-/** Simulate one benchmark of a suite run (one attempt). */
-BenchmarkRunResult
-runOneBenchmark(const BenchmarkSuite &suite, std::size_t bench,
-                const PredictorFactory &make_predictor,
-                const EstimatorSetFactory &make_estimators,
-                const SourceWrapper &wrap_source,
-                const DriverOptions &options, const RunPolicy &policy)
-{
-    BenchmarkRunResult bench_result;
-    bench_result.name = suite.profile(bench).name;
-    Telemetry *const telemetry = options.telemetry;
-
-    std::unique_ptr<CheckpointStore> store;
-    if (policy.checkpoint.enabled()) {
-        store = std::make_unique<CheckpointStore>(
-            policy.checkpoint.directory, bench_result.name,
-            policy.checkpoint.keepGenerations);
-        wireStoreTelemetry(*store, telemetry, bench_result.name);
-        store->setSpanTracer(options.spans);
-        if (policy.checkpoint.resume) {
-            if (auto done = store->loadCompleted()) {
-                try {
-                    BenchmarkRunResult restored =
-                        deserializeBenchmarkResult(*done);
-                    emitRestored(telemetry, bench_result.name, 0,
-                                 restored.branches);
-                    return restored;
-                } catch (const std::exception &e) {
-                    // The done-marker verified its CRC but does not
-                    // decode under this configuration; re-simulate.
-                    if (telemetry != nullptr) {
-                        telemetry->emit(TelemetryEvent(
-                            events::kCheckpointCorrupt,
-                            {field("benchmark", bench_result.name),
-                             field("generation", std::uint64_t{0}),
-                             field("error", e.what())}));
-                        telemetry->registry().increment(
-                            "ckpt.corrupt");
-                    }
-                }
-            }
-        }
-    }
-
-    BenchmarkParts parts =
-        buildParts(suite, bench, make_predictor, make_estimators,
-                   wrap_source, telemetry, bench_result.name);
-    // Names come from this run's own instances, so the factories are
-    // invoked exactly once per benchmark attempt (unless a corrupt
-    // checkpoint forces a rebuild below).
-    bench_result.estimatorNames.reserve(parts.estimators.size());
-    for (const auto &estimator : parts.estimators)
-        bench_result.estimatorNames.push_back(estimator->name());
-
-    DriverOptions run_options = options;
-    run_options.telemetryLabel = bench_result.name;
-
-    DriverResult run_result;
-    bool resumed = false;
-    if (store != nullptr && policy.checkpoint.resume) {
-        // Walk generations newest-first; a file that fails CRC fires a
-        // Corrupt event from the store itself, and a file that decodes
-        // but cannot be restored (e.g. config drift) is reported here.
-        // Either way recovery falls back one generation; when no
-        // generation survives, the benchmark re-runs from scratch.
-        for (const std::uint64_t gen : store->generations()) {
-            std::optional<Checkpoint> ckpt = store->load(gen);
-            if (!ckpt.has_value())
-                continue;
-            try {
-                SimulationDriver driver(*parts.predictor, parts.raw,
-                                        run_options);
-                driver.checkpointEvery(policy.checkpoint.everyBranches,
-                                       store.get());
-                run_result = driver.resume(*parts.source, *ckpt);
-                emitRestored(telemetry, bench_result.name, gen,
-                             ckpt->branches);
-                resumed = true;
-                break;
-            } catch (const WatchdogTimeout &) {
-                throw;
-            } catch (const std::exception &e) {
-                if (telemetry != nullptr) {
-                    telemetry->emit(TelemetryEvent(
-                        events::kCheckpointCorrupt,
-                        {field("benchmark", bench_result.name),
-                         field("generation", gen),
-                         field("error", e.what())}));
-                    telemetry->registry().increment("ckpt.corrupt");
-                }
-                // A failed restore may have half-mutated the
-                // components; rebuild them before the next candidate.
-                parts = buildParts(suite, bench, make_predictor,
-                                   make_estimators, wrap_source,
-                                   telemetry, bench_result.name);
-            }
-        }
-    }
-    if (!resumed) {
-        SimulationDriver driver(*parts.predictor, parts.raw,
-                                run_options);
-        if (store != nullptr) {
-            driver.checkpointEvery(policy.checkpoint.everyBranches,
-                                   store.get());
-        }
-        run_result = driver.run(*parts.source);
-    }
-
-    bench_result.wallMs = run_result.wallMs;
-    bench_result.branches = run_result.branches;
-    bench_result.mispredicts = run_result.mispredicts;
-    bench_result.mispredictRate = run_result.mispredictRate();
-    bench_result.estimatorStats = std::move(run_result.estimatorStats);
-    bench_result.branchProfile = std::move(run_result.branchProfile);
-
-    if (options.profileStatic) {
-        // Re-key per-PC entries so distinct benchmarks never alias.
-        const std::uint64_t tag = static_cast<std::uint64_t>(bench)
-                                  << 48;
-        for (const auto &[pc, entry] :
-             run_result.staticProfile.entries()) {
-            bench_result.staticStats.recordAggregate(
-                tag | pc, static_cast<double>(entry.executions),
-                static_cast<double>(entry.mispredictions));
-        }
-    }
-
-    if (store != nullptr) {
-        // Mark the benchmark complete: the done-marker carries the
-        // full result, so a resumed suite run skips this benchmark
-        // entirely. Mid-run generations are then dead weight.
-        store->writeCompleted(serializeBenchmarkResult(bench_result));
-        store->removeGenerations();
-    }
-    return bench_result;
+    return results;
 }
 
 /**
- * Run one benchmark under the policy: exceptions become the result's
- * error field, transient failures get bounded retries with exponential
- * backoff, and terminal categories — watchdog timeouts, cancellation,
- * configuration errors (Error::retryable() == false) — fail
- * immediately regardless of maxAttempts. Never throws, so a failure
- * cannot wedge the worker pool.
+ * Turn one finished sweep pass over benchmark @p bench into its
+ * per-configuration results. Per-PC static entries are re-keyed as
+ * (bench << 48) | pc so distinct benchmarks never alias in the
+ * composite.
  */
-BenchmarkRunResult
-runGuardedImpl(const BenchmarkSuite &suite, std::size_t bench,
-               const PredictorFactory &make_predictor,
-               const EstimatorSetFactory &make_estimators,
-               const SourceWrapper &wrap_source,
-               const DriverOptions &options, const RunPolicy &policy,
-               const SuiteContext &ctx)
+std::vector<BenchmarkRunResult>
+benchmarkResults(SweepRunResult &pass, std::size_t bench,
+                 const std::string &bench_name, bool profile_static)
 {
-    Telemetry *const telemetry = options.telemetry;
-    const std::string bench_name = suite.profile(bench).name;
-    const std::string span_name = "bench:" + bench_name;
-    ScopedSpan bench_span(options.spans, span_name.c_str());
-    const auto start = std::chrono::steady_clock::now();
-    if (telemetry != nullptr) {
-        telemetry->emit(
-            TelemetryEvent(events::kBenchmarkStarted,
-                           {field("benchmark", bench_name)}));
-    }
-    const unsigned max_attempts = std::max(1u, policy.maxAttempts);
-    BenchmarkRunResult failed;
-    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-        // A benchmark the suite deadline beat to the start line is
-        // marked cancelled without consuming a simulation attempt.
-        if (ctx.hasDeadline() && ctx.remainingMs() == 0) {
-            failed = BenchmarkRunResult{};
-            failed.name = bench_name;
-            failed.error = "suite deadline of " +
-                           std::to_string(ctx.deadlineMs) +
-                           " ms exhausted";
-            failed.errorCategory = ErrorCategory::kCancelled;
-            failed.cancelled = true;
-            failed.attempts = attempt;
-            break;
+    const std::uint64_t tag = static_cast<std::uint64_t>(bench) << 48;
+    std::vector<BenchmarkRunResult> results(pass.perConfig.size());
+    for (std::size_t c = 0; c < pass.perConfig.size(); ++c) {
+        SweepConfigResult &config_result = pass.perConfig[c];
+        BenchmarkRunResult &bench_result = results[c];
+        bench_result.name = bench_name;
+        if (config_result.failed()) {
+            // Isolated per-config failure: only this configuration's
+            // composite degrades; the other configurations' results
+            // from the same pass are bit-exact.
+            bench_result.error = config_result.error;
+            bench_result.errorCategory = config_result.errorCategory;
+            continue;
         }
-        DriverOptions attempt_options = options;
-        attempt_options.cancel = &ctx.token;
-        attempt_options.wallClockLimitMs =
-            ctx.clipWatchdogMs(options.wallClockLimitMs);
-        bool retryable = false;
-        try {
-            BenchmarkRunResult ok =
-                runOneBenchmark(suite, bench, make_predictor,
-                                make_estimators, wrap_source,
-                                attempt_options, policy);
-            ok.attempts = attempt;
-            ok.wallMs = elapsedMsSince(start);
-            return ok;
-        } catch (const WatchdogTimeout &e) {
-            failed = BenchmarkRunResult{};
-            failed.name = bench_name;
-            failed.error = e.what();
-            failed.errorCategory = ErrorCategory::kTimeout;
-            failed.attempts = attempt;
-            failed.wallMs = elapsedMsSince(start);
-            if (telemetry != nullptr) {
-                telemetry->emit(TelemetryEvent(
-                    events::kWatchdogTimeout,
-                    {field("benchmark", bench_name),
-                     field("attempt",
-                           static_cast<std::uint64_t>(attempt)),
-                     field("error", failed.error)}));
-                telemetry->registry().increment(
-                    "suite.watchdog_timeouts");
+        bench_result.branches = config_result.branches;
+        bench_result.mispredicts = config_result.mispredicts;
+        bench_result.mispredictRate = config_result.mispredictRate();
+        bench_result.estimatorStats =
+            std::move(config_result.estimatorStats);
+        bench_result.estimatorNames =
+            std::move(config_result.estimatorNames);
+        bench_result.branchProfile = std::move(config_result.branchProfile);
+        if (profile_static) {
+            for (const auto &[pc, entry] :
+                 config_result.staticProfile.entries()) {
+                bench_result.staticStats.recordAggregate(
+                    tag | pc, static_cast<double>(entry.executions),
+                    static_cast<double>(entry.mispredictions));
             }
-            return failed;
-        } catch (const std::exception &e) {
-            failed = BenchmarkRunResult{};
-            failed.name = bench_name;
-            failed.error = e.what();
-            failed.errorCategory = categoryOf(e);
-            failed.cancelled =
-                failed.errorCategory == ErrorCategory::kCancelled;
-            failed.attempts = attempt;
-            retryable = isRetryable(e);
-        } catch (...) {
-            failed = BenchmarkRunResult{};
-            failed.name = bench_name;
-            failed.error = "unknown exception";
-            failed.attempts = attempt;
-            retryable = true;
-        }
-        if (!retryable)
-            break;
-        if (attempt < max_attempts) {
-            if (telemetry != nullptr) {
-                telemetry->emit(TelemetryEvent(
-                    events::kBenchmarkRetry,
-                    {field("benchmark", bench_name),
-                     field("attempt",
-                           static_cast<std::uint64_t>(attempt)),
-                     field("error", failed.error)}));
-                telemetry->registry().increment("suite.retries");
-            }
-            if (!sleepBeforeRetry(policy, ctx, attempt, bench_name,
-                                  options.spans))
-                break; // cancelled (or budget gone) mid-backoff
         }
     }
-    failed.wallMs = elapsedMsSince(start);
-    return failed;
+    return results;
 }
 
 /**
- * runGuardedImpl plus completion telemetry. The benchmark_finished
- * event is emitted here, as each benchmark completes, so progress
- * sinks (stderr heartbeat) see results live during parallel runs
- * rather than a burst after the join barrier. Telemetry::emit and
- * MetricsRegistry are thread-safe, so workers emit directly.
+ * Record a finished pass in its benchmark's store. A fully healthy
+ * pass leaves a done-marker carrying every configuration's result, so
+ * a resumed run skips the benchmark; a pass with an isolated
+ * configuration failure re-simulates on resume. Mid-run generations
+ * are dead weight either way.
  */
-BenchmarkRunResult
-runGuarded(const BenchmarkSuite &suite, std::size_t bench,
-           const PredictorFactory &make_predictor,
-           const EstimatorSetFactory &make_estimators,
-           const SourceWrapper &wrap_source,
-           const DriverOptions &options, const RunPolicy &policy,
-           const SuiteContext &ctx)
+void
+completeStore(CheckpointStore &store,
+              const std::vector<SweepConfiguration> &configs,
+              std::vector<BenchmarkRunResult> &results, unsigned attempts)
 {
-    BenchmarkRunResult bench_result =
-        runGuardedImpl(suite, bench, make_predictor, make_estimators,
-                       wrap_source, options, policy, ctx);
-    if (Telemetry *const telemetry = options.telemetry) {
-        telemetry->emit(TelemetryEvent(
-            events::kBenchmarkFinished,
-            {field("benchmark", bench_result.name),
-             field("wall_ms", bench_result.wallMs),
-             field("attempts",
-                   static_cast<std::uint64_t>(bench_result.attempts)),
-             field("branches", bench_result.branches),
-             field("mispredicts", bench_result.mispredicts),
-             field("mispredict_rate", bench_result.mispredictRate),
-             field("error", bench_result.error),
-             field("error_category",
-                   bench_result.failed()
-                       ? toString(bench_result.errorCategory)
-                       : "")}));
-        MetricsRegistry &registry = telemetry->registry();
-        registry.increment("suite.benchmarks");
-        registry.observe("suite.bench_wall_ms", bench_result.wallMs);
-        if (bench_result.failed())
-            registry.increment("suite.failures");
+    const bool healthy =
+        std::none_of(results.begin(), results.end(),
+                     [](const BenchmarkRunResult &r) { return r.failed(); });
+    if (healthy) {
+        for (auto &result : results)
+            result.attempts = attempts;
+        store.writeCompleted(serializeDoneMarker(configs, results));
     }
-    return bench_result;
+    store.removeGenerations();
 }
 
 /**
@@ -753,153 +522,16 @@ SuiteRunner::run(const PredictorFactory &make_predictor,
                  const EstimatorSetFactory &make_estimators,
                  DriverOptions options, RunPolicy policy) const
 {
-    SuiteRunResult result;
-    if (policy.watchdogMs != 0)
-        options.wallClockLimitMs = policy.watchdogMs;
-    const bool fail_fast = policy.errorMode == ErrorMode::kFailFast;
-    SuiteContext ctx(policy);
-
-    // Benchmarks are independent; fan them out. Results are collected
-    // in suite order, so output is identical to a sequential run —
-    // including which failure fail-fast reports (always the first in
-    // suite order, regardless of completion order).
-    const bool sequential =
-        std::getenv("CONFSIM_SEQUENTIAL") != nullptr ||
-        std::thread::hardware_concurrency() <= 1;
-
-    Telemetry *const telemetry = options.telemetry;
-    const auto suite_start = std::chrono::steady_clock::now();
-    if (telemetry != nullptr) {
-        telemetry->emit(TelemetryEvent(
-            events::kSuiteRunStarted,
-            {field("benchmarks",
-                   static_cast<std::uint64_t>(suite_.size())),
-             field("error_mode",
-                   fail_fast ? "fail_fast" : "continue_on_error"),
-             field("max_attempts",
-                   static_cast<std::uint64_t>(
-                       std::max(1u, policy.maxAttempts))),
-             field("watchdog_ms", options.wallClockLimitMs),
-             field("parallel", !sequential)}));
-    }
-
-    std::vector<BenchmarkRunResult> bench_results(suite_.size());
-    if (sequential) {
-        for (std::size_t bench = 0; bench < suite_.size(); ++bench) {
-            bench_results[bench] =
-                runGuarded(suite_, bench, make_predictor,
-                           make_estimators, sourceWrapper_, options,
-                           policy, ctx);
-            if (fail_fast && bench_results[bench].failed())
-                break; // the loud rethrow below picks this up
-        }
-    } else {
-        std::vector<std::future<BenchmarkRunResult>> futures;
-        futures.reserve(suite_.size());
-        for (std::size_t bench = 0; bench < suite_.size(); ++bench) {
-            futures.push_back(std::async(
-                std::launch::async, [&, bench] {
-                    BenchmarkRunResult bench_result = runGuarded(
-                        suite_, bench, make_predictor, make_estimators,
-                        sourceWrapper_, options, policy, ctx);
-                    // Fail-fast teardown: cancel the run token so
-                    // sibling benchmarks unwind at their next
-                    // cooperative poll instead of simulating to
-                    // completion only to be discarded.
-                    if (fail_fast && bench_result.failed() &&
-                        !bench_result.cancelled)
-                        ctx.token.cancel();
-                    return bench_result;
-                }));
-        }
-        for (std::size_t bench = 0; bench < suite_.size(); ++bench)
-            bench_results[bench] = futures[bench].get();
-    }
-
-    if (fail_fast) {
-        // Surface the root cause: the first non-cancelled failure in
-        // suite order. Cancelled entries are teardown collateral (or,
-        // when every failure is a cancellation, an external cancel /
-        // suite deadline — then the first of those is the cause).
-        const BenchmarkRunResult *culprit = nullptr;
-        for (const auto &bench_result : bench_results) {
-            if (bench_result.failed() && !bench_result.cancelled) {
-                culprit = &bench_result;
-                break;
-            }
-        }
-        if (culprit == nullptr) {
-            for (const auto &bench_result : bench_results) {
-                if (bench_result.failed()) {
-                    culprit = &bench_result;
-                    break;
-                }
-            }
-        }
-        if (culprit != nullptr) {
-            if (telemetry != nullptr) {
-                std::uint64_t failures = 0;
-                for (const auto &other : bench_results)
-                    failures += other.failed() ? 1 : 0;
-                telemetry->emit(TelemetryEvent(
-                    events::kSuiteRunFinished,
-                    {field("wall_ms", elapsedMsSince(suite_start)),
-                     field("degraded", true),
-                     field("failed_benchmarks", failures),
-                     field("survivors", std::uint64_t{0}),
-                     field("error", culprit->error)}));
-                // Flush now: if the caller doesn't catch the
-                // fatal() exception, std::terminate skips
-                // unwinding and buffered sink tails (including
-                // the event above) would be lost.
-                telemetry->finish();
-            }
-            fatal(culprit->errorCategory,
-                  "benchmark '" + culprit->name +
-                      "' failed: " + culprit->error);
-        }
-    }
-
-    for (auto &bench_result : bench_results)
-        result.perBenchmark.push_back(std::move(bench_result));
-    const std::size_t survivors =
-        computeComposites(result, options.profileStatic,
-                          suite_.size());
-
-    if (options.profileBranches) {
-        // Re-key per-PC entries with the same (bench << 48) tag the
-        // static composite uses, so totals are exact sums over the
-        // surviving benchmarks.
-        for (std::size_t bench = 0; bench < result.perBenchmark.size();
-             ++bench) {
-            const auto &bench_result = result.perBenchmark[bench];
-            if (!bench_result.failed()) {
-                result.branchProfile.mergeFrom(
-                    bench_result.branchProfile,
-                    static_cast<std::uint64_t>(bench) << 48);
-            }
-        }
-    }
-
-    result.wallMs = elapsedMsSince(suite_start);
-    if (telemetry != nullptr) {
-        telemetry->emit(TelemetryEvent(
-            events::kSuiteRunFinished,
-            {field("wall_ms", result.wallMs),
-             field("composite_mispredict_rate",
-                   result.compositeMispredictRate),
-             field("degraded", result.degraded),
-             field("failed_benchmarks",
-                   static_cast<std::uint64_t>(
-                       result.failedBenchmarks())),
-             field("zero_record_benchmarks",
-                   static_cast<std::uint64_t>(
-                       result.zeroRecordBenchmarks)),
-             field("survivors",
-                   static_cast<std::uint64_t>(survivors))}));
-        telemetry->registry().observe("suite.wall_ms", result.wallMs);
-    }
-    return result;
+    // One thread per benchmark, replay inline on it, synchronous
+    // refill: the suite's long-standing schedule, as a one-config sweep.
+    SweepOptions sweep;
+    sweep.threads = 1;
+    sweep.decodeAhead = 1;
+    sweep.benchParallel = static_cast<unsigned>(suite_.size());
+    SweepSuiteResult swept =
+        runSweep({{"run", make_predictor, make_estimators}},
+                 std::move(options), sweep, policy);
+    return std::move(swept.perConfig.front());
 }
 
 SweepSuiteResult
@@ -914,6 +546,7 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
     if (policy.watchdogMs != 0)
         options.wallClockLimitMs = policy.watchdogMs;
     const bool fail_fast = policy.errorMode == ErrorMode::kFailFast;
+    const unsigned max_attempts = std::max(1u, policy.maxAttempts);
     SuiteContext ctx(policy);
     Telemetry *const telemetry = options.telemetry;
     const auto sweep_start = std::chrono::steady_clock::now();
@@ -953,40 +586,42 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
         sweep.benchParallel, pool_workers, configs.size(),
         suite_.size());
 
-    // Phase 1: every benchmark's sweep pass produces an outcome —
-    // either a SweepRunResult or an error string. Error isolation,
-    // retries, watchdog handling, and checkpoint/resume are all
-    // per-benchmark, so outcomes are independent and may be computed
-    // concurrently; merging (phase 2) stays in suite order.
+    if (telemetry != nullptr) {
+        telemetry->emit(TelemetryEvent(
+            events::kSuiteRunStarted,
+            {field("benchmarks",
+                   static_cast<std::uint64_t>(suite_.size())),
+             field("configs", static_cast<std::uint64_t>(configs.size())),
+             field("error_mode",
+                   fail_fast ? "fail_fast" : "continue_on_error"),
+             field("max_attempts",
+                   static_cast<std::uint64_t>(max_attempts)),
+             field("watchdog_ms", options.wallClockLimitMs),
+             field("parallel", bench_slots > 1)}));
+    }
+
+    // Phase 1: every benchmark produces an outcome — per-configuration
+    // results, or an error. Error isolation, retries, watchdog
+    // handling, and checkpoint/resume are all per-benchmark, so
+    // outcomes are independent and may be computed concurrently;
+    // merging (phase 2) stays in suite order.
     struct BenchOutcome
     {
         std::string error;
         ErrorCategory category = ErrorCategory::kInternal;
         bool cancelled = false;
-        SweepRunResult sweep;
+        unsigned attempts = 1;
+        double wallMs = 0.0;
+        std::vector<BenchmarkRunResult> perConfig;
     };
     std::vector<BenchOutcome> outcomes(suite_.size());
 
-    const auto run_bench = [&](std::size_t bench) {
-        const std::string bench_name = suite_.profile(bench).name;
-        const std::string span_name = "bench:" + bench_name;
-        ScopedSpan bench_span(options.spans, span_name.c_str());
-        DriverOptions run_options = options;
-        run_options.telemetryLabel = bench_name;
-        run_options.cancel = &ctx.token;
-
-        std::unique_ptr<CheckpointStore> store;
-        if (policy.checkpoint.enabled()) {
-            // A distinct store label keeps sweep generations from
-            // colliding with sequential-run checkpoints of the same
-            // benchmark in a shared directory (the formats differ).
-            store = std::make_unique<CheckpointStore>(
-                policy.checkpoint.directory, bench_name + "-sweep",
-                policy.checkpoint.keepGenerations);
-            wireStoreTelemetry(*store, telemetry, bench_name);
-            store->setSpanTracer(options.spans);
-        }
-
+    // One sweep pass over @p bench, resumed from the newest generation
+    // that restores under this configuration list.
+    const auto run_pass = [&](std::size_t bench,
+                              const std::string &bench_name,
+                              const DriverOptions &run_options,
+                              CheckpointStore *store) {
         const auto build_source = [&] {
             std::unique_ptr<TraceSource> source =
                 suite_.makeGenerator(bench);
@@ -1003,83 +638,122 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
             return source;
         };
 
-        BenchOutcome &outcome = outcomes[bench];
-        std::string &error = outcome.error;
-        SweepRunResult &bench_sweep = outcome.sweep;
-        const unsigned max_attempts = std::max(1u, policy.maxAttempts);
-        for (unsigned attempt = 1; attempt <= max_attempts;
-             ++attempt) {
+        SweepEngine engine(configs, run_options, engine_sweep);
+        if (store != nullptr)
+            engine.checkpointEvery(policy.checkpoint.everyBranches, store);
+        std::unique_ptr<TraceSource> source = build_source();
+        if (store != nullptr && policy.checkpoint.resume) {
+            // Newest valid generation wins; a generation that decodes
+            // but does not restore under this configuration falls back
+            // one generation (the engine rebuilds its states on every
+            // run, so only the source needs refreshing here).
+            for (const std::uint64_t gen : store->generations()) {
+                std::optional<Checkpoint> ckpt = store->load(gen);
+                if (!ckpt.has_value())
+                    continue;
+                try {
+                    SweepRunResult pass = engine.resume(*source, *ckpt);
+                    emitRestored(telemetry, bench_name, gen,
+                                 ckpt->branches);
+                    return pass;
+                } catch (const WatchdogTimeout &) {
+                    throw;
+                } catch (const std::exception &e) {
+                    if (telemetry != nullptr) {
+                        telemetry->emit(TelemetryEvent(
+                            events::kCheckpointCorrupt,
+                            {field("benchmark", bench_name),
+                             field("generation", gen),
+                             field("error", e.what())}));
+                        telemetry->registry().increment("ckpt.corrupt");
+                    }
+                    source = build_source();
+                }
+            }
+        }
+        return engine.run(*source);
+    };
+
+    // The benchmark's attempts under the policy: exceptions become the
+    // outcome's error, transient failures get bounded retries with
+    // exponential backoff, and terminal categories — watchdog
+    // timeouts, cancellation, configuration errors — fail immediately.
+    const auto run_attempts = [&](std::size_t bench,
+                                  const std::string &bench_name,
+                                  BenchOutcome &outcome) {
+        DriverOptions run_options = options;
+        run_options.telemetryLabel = bench_name;
+        run_options.cancel = &ctx.token;
+
+        std::unique_ptr<CheckpointStore> store;
+        if (policy.checkpoint.enabled()) {
+            store = std::make_unique<CheckpointStore>(
+                policy.checkpoint.directory, bench_name,
+                policy.checkpoint.keepGenerations);
+            wireStoreTelemetry(*store, telemetry, bench_name);
+            store->setSpanTracer(options.spans);
+            if (policy.checkpoint.resume) {
+                if (auto done = store->loadCompleted()) {
+                    try {
+                        outcome.perConfig =
+                            deserializeDoneMarker(*done, configs);
+                        outcome.attempts = outcome.perConfig[0].attempts;
+                        emitRestored(telemetry, bench_name, 0,
+                                     done->branches);
+                        return;
+                    } catch (const std::exception &e) {
+                        // The done-marker verified its CRC but does not
+                        // decode under this configuration list (or was
+                        // written in an older layout); re-simulate.
+                        if (telemetry != nullptr) {
+                            telemetry->emit(TelemetryEvent(
+                                events::kCheckpointCorrupt,
+                                {field("benchmark", bench_name),
+                                 field("generation", std::uint64_t{0}),
+                                 field("error", e.what())}));
+                            telemetry->registry().increment(
+                                "ckpt.corrupt");
+                        }
+                    }
+                }
+            }
+        }
+
+        for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
+            outcome.attempts = attempt;
             // Cancelled (fail-fast teardown, external token) or
             // deadline-starved benchmarks stop before simulating.
             if (ctx.token.cancelled()) {
-                error = "sweep pass cancelled";
+                outcome.error = "sweep pass cancelled";
                 outcome.category = ErrorCategory::kCancelled;
                 outcome.cancelled = true;
                 break;
             }
             if (ctx.hasDeadline() && ctx.remainingMs() == 0) {
-                error = "suite deadline of " +
-                        std::to_string(ctx.deadlineMs) +
-                        " ms exhausted";
+                outcome.error = "suite deadline of " +
+                                std::to_string(ctx.deadlineMs) +
+                                " ms exhausted";
                 outcome.category = ErrorCategory::kCancelled;
                 outcome.cancelled = true;
                 break;
             }
             run_options.wallClockLimitMs =
                 ctx.clipWatchdogMs(options.wallClockLimitMs);
-            error.clear();
+            outcome.error.clear();
             outcome.category = ErrorCategory::kInternal;
             outcome.cancelled = false;
             bool retryable = false;
             try {
-                SweepEngine engine(configs, run_options,
-                                   engine_sweep);
-                if (store != nullptr) {
-                    engine.checkpointEvery(
-                        policy.checkpoint.everyBranches, store.get());
-                }
-                std::unique_ptr<TraceSource> source = build_source();
-                bool resumed = false;
-                if (store != nullptr && policy.checkpoint.resume) {
-                    // Newest valid generation wins; a generation that
-                    // decodes but does not restore under this
-                    // configuration falls back one generation (the
-                    // engine rebuilds its states on every attempt, so
-                    // only the source needs refreshing here).
-                    for (const std::uint64_t gen :
-                         store->generations()) {
-                        std::optional<Checkpoint> ckpt =
-                            store->load(gen);
-                        if (!ckpt.has_value())
-                            continue;
-                        try {
-                            bench_sweep =
-                                engine.resume(*source, *ckpt);
-                            emitRestored(telemetry, bench_name, gen,
-                                         ckpt->branches);
-                            resumed = true;
-                            break;
-                        } catch (const WatchdogTimeout &) {
-                            throw;
-                        } catch (const std::exception &e) {
-                            if (telemetry != nullptr) {
-                                telemetry->emit(TelemetryEvent(
-                                    events::kCheckpointCorrupt,
-                                    {field("benchmark", bench_name),
-                                     field("generation", gen),
-                                     field("error", e.what())}));
-                                telemetry->registry().increment(
-                                    "ckpt.corrupt");
-                            }
-                            source = build_source();
-                        }
-                    }
-                }
-                if (!resumed)
-                    bench_sweep = engine.run(*source);
+                SweepRunResult pass =
+                    run_pass(bench, bench_name, run_options, store.get());
+                outcome.perConfig = benchmarkResults(
+                    pass, bench, bench_name, options.profileStatic);
+                if (store != nullptr)
+                    completeStore(*store, configs, outcome.perConfig,
+                                  attempt);
                 break;
             } catch (const WatchdogTimeout &e) {
-                error = e.what();
+                outcome.error = e.what();
                 outcome.category = ErrorCategory::kTimeout;
                 if (telemetry != nullptr) {
                     telemetry->emit(TelemetryEvent(
@@ -1087,19 +761,19 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
                         {field("benchmark", bench_name),
                          field("attempt",
                                static_cast<std::uint64_t>(attempt)),
-                         field("error", error)}));
+                         field("error", outcome.error)}));
                     telemetry->registry().increment(
                         "suite.watchdog_timeouts");
                 }
                 break; // terminal: re-running a blown budget loses too
             } catch (const std::exception &e) {
-                error = e.what();
+                outcome.error = e.what();
                 outcome.category = categoryOf(e);
                 outcome.cancelled =
                     outcome.category == ErrorCategory::kCancelled;
                 retryable = isRetryable(e);
             } catch (...) {
-                error = "unknown exception";
+                outcome.error = "unknown exception";
                 retryable = true;
             }
             if (!retryable)
@@ -1111,66 +785,102 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
                         {field("benchmark", bench_name),
                          field("attempt",
                                static_cast<std::uint64_t>(attempt)),
-                         field("error", error)}));
+                         field("error", outcome.error)}));
                     telemetry->registry().increment("suite.retries");
                 }
-                if (!sleepBeforeRetry(policy, ctx, attempt,
-                                      bench_name, options.spans))
-                    break; // cancelled mid-backoff
+                if (!sleepBeforeRetry(policy, ctx, attempt, bench_name,
+                                      options.spans))
+                    break; // cancelled (or budget gone) mid-backoff
             }
-        }
-
-        if (error.empty() && store != nullptr) {
-            // The benchmark finished; its mid-run generations are dead
-            // weight (the sweep path keeps no done-markers — results
-            // live in the returned SweepSuiteResult only).
-            store->removeGenerations();
         }
     };
 
-    if (bench_slots <= 1) {
-        for (std::size_t bench = 0; bench < suite_.size(); ++bench) {
-            run_bench(bench);
-            // Fail-fast: nothing after the first failure will be
-            // merged, so don't spend time simulating it.
-            if (fail_fast && !outcomes[bench].error.empty())
-                break;
+    // Run one benchmark and report it. benchmark_finished is emitted as
+    // each benchmark completes, so progress sinks (stderr heartbeat)
+    // see results live during parallel runs; for multi-config sweeps
+    // its counts are the first configuration's.
+    const auto run_bench = [&](std::size_t bench) {
+        const std::string bench_name = suite_.profile(bench).name;
+        const std::string span_name = "bench:" + bench_name;
+        ScopedSpan bench_span(options.spans, span_name.c_str());
+        const auto start = std::chrono::steady_clock::now();
+        if (telemetry != nullptr) {
+            telemetry->emit(TelemetryEvent(
+                events::kBenchmarkStarted,
+                {field("benchmark", bench_name)}));
         }
-    } else {
-        // Benchmark pipelining: bench_slots scheduler threads pull
-        // benchmark indices; the replay work itself still runs on the
-        // shared pool. Exceptions escaping a pass (e.g. a fatal store
-        // failure) become that benchmark's error, mirroring what the
-        // sequential path would surface.
-        std::atomic<std::size_t> next{0};
-        const auto pump = [&] {
-            for (;;) {
-                const std::size_t bench =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (bench >= suite_.size())
-                    return;
-                try {
-                    run_bench(bench);
-                } catch (const std::exception &e) {
-                    outcomes[bench].error = e.what();
-                    outcomes[bench].category = categoryOf(e);
-                    outcomes[bench].cancelled =
-                        outcomes[bench].category ==
-                        ErrorCategory::kCancelled;
-                } catch (...) {
-                    outcomes[bench].error = "unknown exception";
-                }
-                // Fail-fast teardown: the first real failure cancels
-                // the run token so sibling passes (and queued ones)
-                // unwind instead of simulating doomed work.
-                if (fail_fast && !outcomes[bench].error.empty() &&
-                    !outcomes[bench].cancelled)
-                    ctx.token.cancel();
+        BenchOutcome &outcome = outcomes[bench];
+        run_attempts(bench, bench_name, outcome);
+        outcome.wallMs = elapsedMsSince(start);
+        if (telemetry == nullptr)
+            return;
+        BenchmarkRunResult summary;
+        summary.error = outcome.error;
+        summary.errorCategory = outcome.category;
+        if (outcome.error.empty()) {
+            const BenchmarkRunResult &first = outcome.perConfig.front();
+            summary.branches = first.branches;
+            summary.mispredicts = first.mispredicts;
+            summary.mispredictRate = first.mispredictRate;
+            summary.error = first.error;
+            summary.errorCategory = first.errorCategory;
+        }
+        telemetry->emit(TelemetryEvent(
+            events::kBenchmarkFinished,
+            {field("benchmark", bench_name),
+             field("wall_ms", outcome.wallMs),
+             field("attempts",
+                   static_cast<std::uint64_t>(outcome.attempts)),
+             field("branches", summary.branches),
+             field("mispredicts", summary.mispredicts),
+             field("mispredict_rate", summary.mispredictRate),
+             field("error", summary.error),
+             field("error_category",
+                   summary.failed() ? toString(summary.errorCategory)
+                                    : "")}));
+        MetricsRegistry &registry = telemetry->registry();
+        registry.increment("suite.benchmarks");
+        registry.observe("suite.bench_wall_ms", outcome.wallMs);
+        if (summary.failed())
+            registry.increment("suite.failures");
+    };
+
+    // Benchmark pipelining: bench_slots scheduler threads (just the
+    // calling thread when there is one slot) pull benchmark indices;
+    // the replay work itself runs inline on them or on the shared
+    // pool. Exceptions escaping a benchmark (e.g. a fatal store
+    // failure) become that benchmark's error.
+    std::atomic<std::size_t> next{0};
+    const auto pump = [&] {
+        for (;;) {
+            const std::size_t bench =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (bench >= suite_.size())
+                return;
+            try {
+                run_bench(bench);
+            } catch (const std::exception &e) {
+                outcomes[bench].error = e.what();
+                outcomes[bench].category = categoryOf(e);
+                outcomes[bench].cancelled =
+                    outcomes[bench].category == ErrorCategory::kCancelled;
+            } catch (...) {
+                outcomes[bench].error = "unknown exception";
             }
-        };
+            // Fail-fast teardown: the first real failure cancels the
+            // run token so sibling passes (and queued ones) unwind
+            // instead of simulating doomed work.
+            if (fail_fast && !outcomes[bench].error.empty() &&
+                !outcomes[bench].cancelled)
+                ctx.token.cancel();
+        }
+    };
+    const unsigned spawned = std::min<unsigned>(
+        bench_slots, static_cast<unsigned>(suite_.size()));
+    if (spawned <= 1) {
+        pump();
+    } else {
         std::vector<std::thread> schedulers;
-        const unsigned spawned = std::min<unsigned>(
-            bench_slots, static_cast<unsigned>(suite_.size()));
         schedulers.reserve(spawned);
         for (unsigned s = 0; s < spawned; ++s)
             schedulers.emplace_back(pump);
@@ -1201,8 +911,23 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
             }
         }
         if (culprit != nullptr) {
-            if (telemetry != nullptr)
+            if (telemetry != nullptr) {
+                std::uint64_t failures = 0;
+                for (const auto &outcome : outcomes)
+                    failures += outcome.error.empty() ? 0 : 1;
+                telemetry->emit(TelemetryEvent(
+                    events::kSuiteRunFinished,
+                    {field("wall_ms", elapsedMsSince(sweep_start)),
+                     field("degraded", true),
+                     field("failed_benchmarks", failures),
+                     field("survivors", std::uint64_t{0}),
+                     field("error", culprit->error)}));
+                // Flush now: if the caller doesn't catch the fatal()
+                // exception, std::terminate skips unwinding and
+                // buffered sink tails (including the event above)
+                // would be lost.
                 telemetry->finish();
+            }
             fatal(culprit->category,
                   "benchmark '" + suite_.profile(culprit_bench).name +
                       "' failed: " + culprit->error);
@@ -1210,95 +935,67 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
     }
 
     // Phase 2: merge outcomes in suite order — identical output
-    // ordering and fail-fast semantics at any bench_slots value.
+    // ordering and fail-fast semantics at any bench_slots value. The
+    // benchmark's wall time is shared equally across configurations,
+    // so summing over configurations recovers (not multiplies) the
+    // real cost; the un-divided time is observed once per benchmark as
+    // suite.bench_wall_ms (see docs/performance.md).
     for (std::size_t bench = 0; bench < suite_.size(); ++bench) {
-        const std::string bench_name = suite_.profile(bench).name;
         BenchOutcome &outcome = outcomes[bench];
-
+        const double wall_share =
+            outcome.wallMs / static_cast<double>(configs.size());
         if (!outcome.error.empty()) {
             // Every configuration consumed the same pass, so the
             // benchmark is failed for all of them.
-            for (auto &config_result : result.perConfig) {
-                BenchmarkRunResult failed;
-                failed.name = bench_name;
+            outcome.perConfig.assign(configs.size(), BenchmarkRunResult{});
+            for (auto &failed : outcome.perConfig) {
+                failed.name = suite_.profile(bench).name;
                 failed.error = outcome.error;
                 failed.errorCategory = outcome.category;
                 failed.cancelled = outcome.cancelled;
-                config_result.perBenchmark.push_back(
-                    std::move(failed));
             }
-            continue;
-        }
-
-        SweepRunResult &bench_sweep = outcome.sweep;
-        // The pass is shared across configurations; attribute an
-        // equal share of its wall time to each so that summing over
-        // configurations recovers (not multiplies) the real cost.
-        // The un-divided pass time is observed once per benchmark as
-        // sweep.bench_wall_ms (see docs/performance.md).
-        const double wall_share =
-            bench_sweep.wallMs /
-            static_cast<double>(configs.size());
-        if (telemetry != nullptr) {
-            telemetry->registry().observe("sweep.bench_wall_ms",
-                                          bench_sweep.wallMs);
         }
         const std::uint64_t tag = static_cast<std::uint64_t>(bench)
                                   << 48;
         for (std::size_t c = 0; c < configs.size(); ++c) {
-            SweepConfigResult &config_result =
-                bench_sweep.perConfig[c];
-            BenchmarkRunResult bench_result;
-            bench_result.name = bench_name;
-            if (config_result.failed()) {
-                // Isolated per-config failure: only this
-                // configuration's composite degrades; the other
-                // configurations' results from the same pass are
-                // bit-exact and merged normally below.
-                bench_result.error = config_result.error;
-                result.perConfig[c].perBenchmark.push_back(
-                    std::move(bench_result));
-                continue;
-            }
-            bench_result.branches = config_result.branches;
-            bench_result.mispredicts = config_result.mispredicts;
-            bench_result.mispredictRate =
-                config_result.mispredictRate();
-            bench_result.estimatorStats =
-                std::move(config_result.estimatorStats);
-            bench_result.estimatorNames =
-                std::move(config_result.estimatorNames);
-            bench_result.branchProfile =
-                std::move(config_result.branchProfile);
+            BenchmarkRunResult &bench_result = outcome.perConfig[c];
+            bench_result.attempts = outcome.attempts;
             bench_result.wallMs = wall_share;
-            if (options.profileBranches) {
+            if (options.profileBranches && !bench_result.failed()) {
                 result.perConfig[c].branchProfile.mergeFrom(
                     bench_result.branchProfile, tag);
-            }
-            if (options.profileStatic) {
-                // Re-key per-PC entries exactly as run() does.
-                for (const auto &[pc, entry] :
-                     config_result.staticProfile.entries()) {
-                    bench_result.staticStats.recordAggregate(
-                        tag | pc,
-                        static_cast<double>(entry.executions),
-                        static_cast<double>(entry.mispredictions));
-                }
             }
             result.perConfig[c].perBenchmark.push_back(
                 std::move(bench_result));
         }
     }
 
-    for (auto &config_result : result.perConfig) {
-        computeComposites(config_result, options.profileStatic,
-                          suite_.size());
-        config_result.wallMs = elapsedMsSince(sweep_start);
+    std::size_t survivors = 0;
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        const std::size_t config_survivors = computeComposites(
+            result.perConfig[c], options.profileStatic, suite_.size());
+        if (c == 0)
+            survivors = config_survivors;
+        result.perConfig[c].wallMs = elapsedMsSince(sweep_start);
     }
     result.wallMs = elapsedMsSince(sweep_start);
     if (telemetry != nullptr) {
+        // Suite-level counts are the first configuration's; per-config
+        // degradation is visible in each sweep_config_* event.
+        const SuiteRunResult &first = result.perConfig.front();
+        telemetry->emit(TelemetryEvent(
+            events::kSuiteRunFinished,
+            {field("wall_ms", result.wallMs),
+             field("composite_mispredict_rate",
+                   first.compositeMispredictRate),
+             field("degraded", result.degraded()),
+             field("failed_benchmarks",
+                   static_cast<std::uint64_t>(first.failedBenchmarks())),
+             field("zero_record_benchmarks",
+                   static_cast<std::uint64_t>(first.zeroRecordBenchmarks)),
+             field("survivors", static_cast<std::uint64_t>(survivors))}));
         MetricsRegistry &registry = telemetry->registry();
-        registry.observe("sweep.suite_wall_ms", result.wallMs);
+        registry.observe("suite.wall_ms", result.wallMs);
         registry.setGauge("sweep.pool_workers",
                           static_cast<double>(pool_workers));
         registry.setGauge("sweep.bench_parallel",

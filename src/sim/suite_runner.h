@@ -76,7 +76,8 @@ struct BenchmarkRunResult
 
     /**
      * Wall-clock time spent on this benchmark, across all attempts
-     * (trace generation + simulation, not just the driver loop).
+     * (trace generation + simulation), shared equally among the
+     * configurations of a multi-config sweep.
      */
     double wallMs = 0.0;
 
@@ -160,7 +161,7 @@ using EstimatorSetFactory =
 /**
  * Optional per-benchmark trace-source decorator. Receives the
  * benchmark index and the freshly built generator; whatever it returns
- * is what the driver consumes. Used to substitute trace-file readers
+ * is what the replay consumes. Used to substitute trace-file readers
  * for generators and to inject faults (FaultInjectingTraceSource) in
  * robustness tests. Called once per attempt, possibly concurrently —
  * must be thread-safe.
@@ -204,11 +205,11 @@ class SuiteRunner
     explicit SuiteRunner(BenchmarkSuite suite);
 
     /**
-     * Run the configuration over every benchmark.
-     *
-     * Benchmarks are independent simulations, so they execute on a
-     * thread pool (one task per benchmark); results are merged in
-     * suite order, so the output is bit-identical to a sequential
+     * Run the configuration over every benchmark: runSweep() over this
+     * one configuration, with one thread per benchmark replaying
+     * inline and refilling synchronously (SweepOptions threads = 1,
+     * decodeAhead = 1, benchParallel = suite size). Results are merged
+     * in suite order, so the output is bit-identical to a sequential
      * run. Set the CONFSIM_SEQUENTIAL environment variable to force
      * single-threaded execution (e.g. when profiling).
      *
@@ -240,17 +241,21 @@ class SuiteRunner
      * run() called once per configuration at any knob setting.
      *
      * Per-configuration BenchmarkRunResult::wallMs carries an equal
-     * 1/numConfigs share of the shared pass's wall time (so sums over
-     * configurations recover the real cost); the whole-pass time is
-     * observed once per benchmark as the sweep.bench_wall_ms metric.
+     * 1/numConfigs share of the benchmark's wall time (so sums over
+     * configurations recover the real cost); the undivided time is
+     * observed once per benchmark as the suite.bench_wall_ms metric.
      *
-     * Error isolation matches run() at benchmark granularity: a
-     * failure anywhere in a benchmark's sweep marks that benchmark
-     * failed for every configuration (all configurations consumed the
-     * same pass). Checkpointing, when enabled, snapshots the whole
-     * sweep per benchmark; resume restores from the newest valid
-     * generation (sweep stores keep no done-markers — a finished
-     * benchmark simply leaves no generations behind).
+     * Error isolation is per benchmark: a failure anywhere in a
+     * benchmark's pass outside one configuration's replay marks that
+     * benchmark failed for every configuration (all configurations
+     * consumed the same pass); under continue-on-error a failure inside
+     * one configuration's replay fails only that configuration, with
+     * its error category. Checkpointing, when enabled, snapshots the
+     * whole sweep per benchmark into a store labelled with the
+     * benchmark name; resume restores finished benchmarks from their
+     * done-markers (one `cfg<i>:result` per configuration) and
+     * interrupted ones from the newest valid generation. The
+     * suite_run_* and benchmark_* telemetry events come from here.
      *
      * @param configs Attached configurations (factories follow the
      *        same thread-safety rule as run()).

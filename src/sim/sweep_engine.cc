@@ -14,12 +14,10 @@
 #include "fault/fault_plan.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
-#include "predictor/history_register.h"
 #include "sim/run_policy.h"
 #include "util/cancellation.h"
 #include "util/error.h"
 #include "util/running_stats.h"
-#include "util/shift_register.h"
 #include "util/status.h"
 
 namespace confsim {
@@ -32,234 +30,18 @@ cfgPrefix(std::size_t config)
     return "cfg" + std::to_string(config) + ":";
 }
 
-/**
- * Cooperative unwinding inside worker shards: carries the pass's
- * cancellation token and wall-clock deadline into the per-record replay
- * loop, so a hung or cancelled configuration unwinds from inside the
- * shard (satellite of the pass-granularity check the consumer loop
- * performs between batches). Pure control flow — checking never
- * perturbs simulation results.
- */
-struct ReplayGuard
-{
-    using Clock = std::chrono::steady_clock;
-
-    const CancellationToken *cancel = nullptr;
-    bool hasDeadline = false;
-    Clock::time_point deadline{};
-    std::uint64_t limitMs = 0;
-
-    bool
-    active() const
-    {
-        return cancel != nullptr || hasDeadline;
-    }
-
-    void
-    checkNow(std::uint64_t at_records) const
-    {
-        if (cancel != nullptr)
-            cancel->throwIfCancelled("sweep shard");
-        if (hasDeadline && Clock::now() > deadline) {
-            throw WatchdogTimeout(
-                "sweep exceeded its wall-clock budget of " +
-                std::to_string(limitMs) + " ms after " +
-                std::to_string(at_records) + " records");
-        }
-    }
-
-    /**
-     * Injected hang: park until the watchdog or cancellation unwinds
-     * this shard. A 30 s safety cap turns a hang nobody is set up to
-     * interrupt into a timeout instead of a wedged test run.
-     */
-    [[noreturn]] void
-    park() const
-    {
-        const Clock::time_point cap =
-            Clock::now() + std::chrono::seconds(30);
-        for (;;) {
-            checkNow(0);
-            if (Clock::now() > cap) {
-                throw WatchdogTimeout(
-                    "injected hang exceeded its 30 s safety cap with "
-                    "no watchdog or cancellation configured");
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-    }
-};
-
 } // namespace
 
 /**
- * Everything one configuration owns: its predictor, estimator bank,
- * private replicas of the architectural context registers, and its
- * accumulating result. One worker shard touches one ConfigState at a
- * time, so no field needs synchronization.
+ * Everything one configuration owns: its predictor and estimator bank,
+ * plus the kernel that replays batches through them. One worker shard
+ * touches one ConfigState at a time, so no field needs synchronization.
  */
 struct SweepEngine::ConfigState
 {
-    ConfigState(const DriverOptions &options)
-        : bhr(options.bhrBits), gcir(options.gcirBits, 0)
-    {
-        ctx.bhrBits = options.bhrBits;
-        ctx.gcirBits = options.gcirBits;
-        until_switch = options.contextSwitchInterval;
-    }
-
     std::unique_ptr<BranchPredictor> predictor;
     std::vector<std::unique_ptr<ConfidenceEstimator>> owned;
-    std::vector<ConfidenceEstimator *> estimators;
-
-    HistoryRegister bhr;
-    ShiftRegister gcir;
-    BranchContext ctx;
-    std::uint64_t simulated = 0;
-    std::uint64_t until_switch = 0;
-    std::uint64_t guardTick = 0;
-
-    /**
-     * Recording plan (null = record everything) plus its cursor: the
-     * current region's mode and how many conditionals of the region
-     * remain. The cursor is a pure function of `simulated`, so plan
-     * resolution is batch-boundary independent — the bit-exactness
-     * contract extends to planned runs unchanged.
-     */
-    const SweepRecordingPlan *plan = nullptr;
-    std::uint32_t planSlot = SweepRecordingPlan::kWarmOnly;
-    std::uint64_t planLeft = 0;
-
-    SweepConfigResult result;
-
-    /**
-     * Replay @p batch through this configuration. This is the
-     * sequential driver's record loop verbatim (see
-     * SimulationDriver::runImpl) minus the driver-owned concerns the
-     * engine handles at batch granularity instead: the watchdog, the
-     * checkpoint cadence, and telemetry sampling. Any change here must
-     * keep tests/integration/sweep_differential_test.cc green.
-     */
-    void
-    replay(const RecordBatch &batch, const DriverOptions &options,
-           const ReplayGuard &guard)
-    {
-        // Amortize the guard over a stride of records (same idea as
-        // the sequential driver's watchdog stride) so the hot loop
-        // stays hot when neither a deadline nor a token is set.
-        constexpr std::uint64_t kGuardStride = 4096;
-        const bool guarded = guard.active();
-        // Attribution profile (observation only — same hook points,
-        // same values, as the sequential driver's loop).
-        BranchProfile *const profile =
-            result.branchProfile.enabled() ? &result.branchProfile
-                                           : nullptr;
-        for (const BranchRecord &record : batch) {
-            if (guarded && (++guardTick % kGuardStride) == 0)
-                guard.checkNow(simulated);
-            if (!record.isConditional())
-                continue;
-
-            // Resolve the recording plan's mode at region boundaries
-            // (a function of `simulated` only — see the field docs).
-            if (plan != nullptr) {
-                if (planLeft == 0) {
-                    planSlot = plan->slotForRegion(
-                        simulated / plan->regionBranches);
-                    planLeft = plan->regionBranches;
-                }
-                --planLeft;
-                if (planSlot == SweepRecordingPlan::kSkip) {
-                    // Fast-forward: no predictor/estimator work;
-                    // only the cursor and context-switch phase
-                    // advance. A kWarmOnly window ahead of each
-                    // detailed region re-converges the state.
-                    ++simulated;
-                    if (options.contextSwitchInterval != 0 &&
-                        --until_switch == 0) {
-                        until_switch = options.contextSwitchInterval;
-                        if (options.flushPredictorOnSwitch)
-                            predictor->reset();
-                        if (options.flushEstimatorsOnSwitch) {
-                            for (auto *estimator : estimators)
-                                estimator->reset();
-                        }
-                        bhr.reset();
-                        gcir.clear();
-                        ++result.contextSwitches;
-                    }
-                    continue;
-                }
-            }
-
-            ctx.pc = record.pc;
-            ctx.bhr = bhr.value();
-            ctx.gcir = gcir.value();
-
-            const bool predicted = predictor->predict(record.pc);
-            const bool correct = (predicted == record.taken);
-            const bool recording =
-                simulated >= options.warmupBranches &&
-                (plan == nullptr ||
-                 planSlot != SweepRecordingPlan::kWarmOnly);
-            SweepSlotStats *const slot_bank =
-                recording && plan != nullptr
-                    ? &result.slotStats[planSlot]
-                    : nullptr;
-
-            if (recording) {
-                ++result.branches;
-                if (!correct)
-                    ++result.mispredicts;
-                if (slot_bank != nullptr) {
-                    ++slot_bank->branches;
-                    if (!correct)
-                        ++slot_bank->mispredicts;
-                }
-            }
-
-            for (std::size_t i = 0; i < estimators.size(); ++i) {
-                const std::uint64_t bucket =
-                    estimators[i]->bucketOf(ctx);
-                if (recording) {
-                    result.estimatorStats[i].record(bucket, !correct);
-                    if (slot_bank != nullptr) {
-                        slot_bank->estimatorStats[i].record(bucket,
-                                                            !correct);
-                    }
-                }
-                estimators[i]->update(ctx, correct, record.taken);
-                if (profile != nullptr && recording)
-                    profile->onBucket(i, bucket, correct);
-            }
-
-            if (options.profileStatic && recording) {
-                result.staticProfile.record(record.pc, !correct,
-                                            record.taken);
-            }
-            if (profile != nullptr && recording)
-                profile->onBranch(record.pc, !correct);
-
-            predictor->update(record.pc, record.taken);
-            bhr.recordOutcome(record.taken);
-            gcir.shiftIn(!correct);
-            ++simulated;
-
-            if (options.contextSwitchInterval != 0 &&
-                --until_switch == 0) {
-                until_switch = options.contextSwitchInterval;
-                if (options.flushPredictorOnSwitch)
-                    predictor->reset();
-                if (options.flushEstimatorsOnSwitch) {
-                    for (auto *estimator : estimators)
-                        estimator->reset();
-                }
-                bhr.reset();
-                gcir.clear();
-                ++result.contextSwitches;
-            }
-        }
-    }
+    std::unique_ptr<ReplayKernel> kernel;
 };
 
 SweepWorkerPool::SweepWorkerPool(unsigned workers)
@@ -364,14 +146,14 @@ SweepWorkerPool::workerMain()
 namespace {
 
 /**
- * Decode-ahead batch ring. A producer thread refills slots from the
- * TraceSource while the consumer (the engine's broadcast loop) drains
- * them in order, so replay never waits on decode unless the ring runs
- * dry.
+ * Decode-ahead batch ring: the feed between the TraceSource and the
+ * engine's broadcast loop. At depth >= 2 a producer thread refills
+ * slots while the consumer drains them in order, so replay never
+ * waits on decode unless the ring runs dry. At depth 1 there is no
+ * producer: next() refills the single slot inline, between broadcasts.
  *
- * The producer owns the shared cursors (records consumed, branches
- * simulated) and computes the checkpoint cadence with the exact
- * arithmetic the synchronous loop uses, so checkpoints land on the
+ * The ring owns the shared cursors (records consumed, branches
+ * simulated) and the checkpoint cadence, so checkpoints land on the
  * same batch boundaries at any depth. A slot that crosses a
  * checkpoint multiple is flagged checkpointDue and the producer
  * *blocks before touching the source again* until the consumer has
@@ -381,8 +163,7 @@ namespace {
  * pipelined checkpoint/resume bit-exact.
  *
  * A decode error is published in order as an error slot: the consumer
- * replays every batch decoded before it, then rethrows — identical
- * observable behaviour to the synchronous loop.
+ * replays every batch decoded before it, then rethrows.
  */
 class DecodeAheadRing
 {
@@ -415,11 +196,14 @@ class DecodeAheadRing
             slot.batch = RecordBatch(batch_size);
             slots_.push_back(std::move(slot));
         }
-        producer_ = std::thread([this] { producerMain(); });
+        if (depth >= 2)
+            producer_ = std::thread([this] { producerMain(); });
     }
 
     ~DecodeAheadRing()
     {
+        if (!producer_.joinable())
+            return;
         {
             std::lock_guard<std::mutex> lock(mu_);
             stop_ = true;
@@ -438,6 +222,14 @@ class DecodeAheadRing
     Slot *
     next()
     {
+        if (!producer_.joinable()) {
+            Slot &slot = slots_.front();
+            if (!fill(slot))
+                return nullptr;
+            if (slot.error)
+                std::rethrow_exception(slot.error);
+            return &slot;
+        }
         std::unique_lock<std::mutex> lock(mu_);
         cvFilled_.wait(lock,
                        [this] { return filled_ != 0 || done_; });
@@ -457,6 +249,8 @@ class DecodeAheadRing
     void
     release(Slot &slot)
     {
+        if (!producer_.joinable())
+            return;
         bool due = false;
         {
             std::lock_guard<std::mutex> lock(mu_);
@@ -482,6 +276,43 @@ class DecodeAheadRing
     }
 
   private:
+    /**
+     * Refill @p slot from the source and advance the cursors and the
+     * checkpoint cadence. Cancellation and injected decode faults
+     * become the slot's error. @return false at end of stream.
+     */
+    bool
+    fill(Slot &slot)
+    {
+        slot.checkpointDue = false;
+        slot.error = nullptr;
+        std::size_t got = 0;
+        try {
+            ScopedSpan refill_span(spans_, "decode.refill");
+            if (cancel_ != nullptr)
+                cancel_->throwIfCancelled("sweep decode");
+            FaultInjector &injector = FaultInjector::instance();
+            if (injector.armed())
+                injector.fire(FaultSite::kDecodeBatch, scope_);
+            got = slot.batch.refill(source_);
+        } catch (...) {
+            slot.error = std::current_exception();
+            slot.batch.clear();
+            return true;
+        }
+        if (got == 0)
+            return false;
+        consumed_ += slot.batch.size();
+        simulated_ += slot.batch.conditionals();
+        slot.consumedAfter = consumed_;
+        slot.simulatedAfter = simulated_;
+        if (ckptEvery_ != 0 && simulated_ >= nextCkpt_) {
+            slot.checkpointDue = true;
+            nextCkpt_ = (simulated_ / ckptEvery_ + 1) * ckptEvery_;
+        }
+        return true;
+    }
+
     void
     producerMain()
     {
@@ -499,44 +330,13 @@ class DecodeAheadRing
             // Only this thread touches head_ and the slot until it is
             // published under the mutex below.
             Slot &slot = slots_[head_ % slots_.size()];
-            slot.checkpointDue = false;
-            slot.error = nullptr;
-
-            std::size_t got = 0;
-            try {
-                // Cancellation and injected decode faults surface as
-                // in-order error slots — identical observable behavior
-                // to the synchronous refill loop hitting them.
-                ScopedSpan refill_span(spans_, "decode.refill");
-                if (cancel_ != nullptr)
-                    cancel_->throwIfCancelled("sweep decode");
-                FaultInjector &injector = FaultInjector::instance();
-                if (injector.armed())
-                    injector.fire(FaultSite::kDecodeBatch, scope_);
-                got = slot.batch.refill(source_);
-            } catch (...) {
-                slot.error = std::current_exception();
-                slot.batch.clear();
-            }
-            if (got == 0 && !slot.error) {
+            if (!fill(slot)) {
                 std::lock_guard<std::mutex> lock(mu_);
                 done_ = true;
                 cvFilled_.notify_all();
                 return;
             }
-
-            bool due = false;
-            if (!slot.error) {
-                consumed_ += slot.batch.size();
-                simulated_ += slot.batch.conditionals();
-                slot.consumedAfter = consumed_;
-                slot.simulatedAfter = simulated_;
-                if (ckptEvery_ != 0 && simulated_ >= nextCkpt_) {
-                    slot.checkpointDue = due = true;
-                    nextCkpt_ =
-                        (simulated_ / ckptEvery_ + 1) * ckptEvery_;
-                }
-            }
+            const bool due = slot.checkpointDue;
 
             std::unique_lock<std::mutex> lock(mu_);
             ++head_;
@@ -697,43 +497,13 @@ SweepEngine::writeCheckpoint(TraceSource &source,
     meta.putU64(driver_.profileStatic ? 1 : 0);
     ckpt.add("sweep:meta", 1, meta.take());
 
-    for (std::size_t c = 0; c < states_.size(); ++c) {
-        ConfigState &state = *states_[c];
-        const std::string prefix = cfgPrefix(c);
-
-        StateWriter cfg;
-        cfg.putString(configs_[c].label);
-        cfg.putU64(state.estimators.size());
-        cfg.putU64(state.until_switch);
-        cfg.putU64(state.bhr.value());
-        cfg.putU64(state.gcir.value());
-        cfg.putU64(state.result.branches);
-        cfg.putU64(state.result.mispredicts);
-        cfg.putU64(state.result.contextSwitches);
-        ckpt.add(prefix + "meta", 1, cfg.take());
-
-        ckpt.addComponent(prefix + "predictor:" +
-                              state.predictor->name(),
-                          *state.predictor);
-        for (std::size_t i = 0; i < state.estimators.size(); ++i) {
-            ckpt.addComponent(prefix + "estimator" +
-                                  std::to_string(i) + ":" +
-                                  state.estimators[i]->name(),
-                              *state.estimators[i]);
-            ckpt.addState(prefix + "stats" + std::to_string(i), 1,
-                          state.result.estimatorStats[i]);
-        }
-        if (driver_.profileStatic) {
-            ckpt.addState(prefix + "static_profile", 1,
-                          state.result.staticProfile);
-        }
-    }
+    for (std::size_t c = 0; c < states_.size(); ++c)
+        states_[c]->kernel->save(ckpt, cfgPrefix(c));
     if (source.checkpointable())
         ckpt.addComponent("source", source);
 
-    // Same degradation contract as the sequential driver: a failed
-    // periodic write (ENOSPC, failed fsync, injected fault) loses
-    // checkpoint freshness, not the sweep — the atomic writer never
+    // A failed periodic write (ENOSPC, failed fsync, injected fault)
+    // loses checkpoint freshness, not the sweep: the atomic writer never
     // publishes a partial file, so the previous generation remains
     // loadable and resumable. Cancellation still propagates.
     try {
@@ -763,39 +533,6 @@ SweepEngine::runImpl(TraceSource &source,
 
     SweepRunResult result;
 
-    // Build every configuration's private state from its factories.
-    states_.clear();
-    states_.reserve(configs_.size());
-    for (const auto &config : configs_) {
-        auto state = std::make_unique<ConfigState>(driver_);
-        state->predictor = config.makePredictor();
-        if (state->predictor == nullptr) {
-            fatal(ErrorCategory::kConfig, "sweep configuration '" + config.label +
-                  "' produced a null predictor");
-        }
-        state->owned = config.makeEstimators();
-        state->estimators.reserve(state->owned.size());
-        state->result.label = config.label;
-        for (const auto &estimator : state->owned) {
-            state->estimators.push_back(estimator.get());
-            state->result.estimatorStats.emplace_back(
-                estimator->numBuckets());
-            state->result.estimatorNames.push_back(estimator->name());
-        }
-        if (driver_.profileBranches) {
-            std::vector<BranchProfileEstimatorInfo> infos;
-            infos.reserve(state->owned.size());
-            for (const auto &estimator : state->owned) {
-                infos.push_back({estimator->name(),
-                                 estimator->numBuckets(),
-                                 estimator->bucketsAreOrdered()});
-            }
-            state->result.branchProfile.configure(
-                driver_.branchProfile, std::move(infos));
-        }
-        states_.push_back(std::move(state));
-    }
-
     const SweepRecordingPlan *const plan = sweep_.recordingPlan;
     if (plan != nullptr) {
         if (plan->regionBranches == 0) {
@@ -815,38 +552,32 @@ SweepEngine::runImpl(TraceSource &source,
         if (ckptEvery_ != 0 || resume_from != nullptr) {
             fatal(ErrorCategory::kConfig,
                   "a recording plan composes with neither "
-                  "checkpointing nor resume: a partially recorded "
-                  "plan cannot be audited for bit-exact restoration");
-        }
-        for (auto &state : states_) {
-            state->plan = plan;
-            state->result.slotStats.resize(plan->numSlots);
-            for (auto &slot_bank : state->result.slotStats) {
-                slot_bank.estimatorStats.reserve(
-                    state->estimators.size());
-                for (const auto *estimator : state->estimators) {
-                    slot_bank.estimatorStats.emplace_back(
-                        estimator->numBuckets());
-                }
-            }
+                  "checkpointing nor resume: nothing checkpoints a "
+                  "sampled run");
         }
     }
 
-    if (ckptEvery_ != 0) {
-        // Same up-front audit the sequential driver performs: an
-        // unauditable configuration must fail loudly, not resume wrong.
-        for (const auto &state : states_) {
-            if (!state->predictor->checkpointable()) {
-                fatal(ErrorCategory::kConfig, "predictor '" + state->predictor->name() +
-                      "' is not checkpointable");
-            }
-            for (const auto *estimator : state->estimators) {
-                if (!estimator->checkpointable()) {
-                    fatal(ErrorCategory::kConfig, "estimator '" + estimator->name() +
-                          "' is not checkpointable");
-                }
-            }
+    // Build every configuration's private state from its factories.
+    states_.clear();
+    states_.reserve(configs_.size());
+    for (const auto &config : configs_) {
+        auto state = std::make_unique<ConfigState>();
+        state->predictor = config.makePredictor();
+        if (state->predictor == nullptr) {
+            fatal(ErrorCategory::kConfig, "sweep configuration '" + config.label +
+                  "' produced a null predictor");
         }
+        state->owned = config.makeEstimators();
+        std::vector<ConfidenceEstimator *> estimators;
+        estimators.reserve(state->owned.size());
+        for (const auto &estimator : state->owned)
+            estimators.push_back(estimator.get());
+        state->kernel = std::make_unique<ReplayKernel>(
+            *state->predictor, std::move(estimators), config.label,
+            driver_, plan);
+        if (ckptEvery_ != 0)
+            state->kernel->requireCheckpointable();
+        states_.push_back(std::move(state));
     }
 
     std::uint64_t simulated = 0; // conditional branches, shared cursor
@@ -870,57 +601,8 @@ SweepEngine::runImpl(TraceSource &source,
         if (!in.atEnd())
             fatal(ErrorCategory::kCheckpoint, "sweep:meta has unconsumed bytes");
 
-        for (std::size_t c = 0; c < states_.size(); ++c) {
-            ConfigState &state = *states_[c];
-            const std::string prefix = cfgPrefix(c);
-            const CheckpointComponent *cfg_meta =
-                resume_from->find(prefix + "meta");
-            if (cfg_meta == nullptr)
-                fatal(ErrorCategory::kCheckpoint, "checkpoint has no " + prefix +
-                      "meta component");
-            if (cfg_meta->version != 1) {
-                fatal(ErrorCategory::kCheckpoint, prefix + "meta is version " +
-                      std::to_string(cfg_meta->version) +
-                      ", expected 1");
-            }
-            StateReader cfg(cfg_meta->payload);
-            const std::string label = cfg.getString();
-            if (label != configs_[c].label) {
-                fatal(ErrorCategory::kCheckpoint, "checkpoint config " + std::to_string(c) +
-                      " is '" + label + "', expected '" +
-                      configs_[c].label + "'");
-            }
-            cfg.expectU64(state.estimators.size(),
-                          "checkpoint estimator count");
-            state.until_switch = cfg.getU64();
-            state.bhr.setValue(cfg.getU64());
-            state.gcir.set(cfg.getU64());
-            state.result.branches = cfg.getU64();
-            state.result.mispredicts = cfg.getU64();
-            state.result.contextSwitches = cfg.getU64();
-            if (!cfg.atEnd())
-                fatal(ErrorCategory::kCheckpoint, prefix + "meta has unconsumed bytes");
-
-            resume_from->restoreComponent(
-                prefix + "predictor:" + state.predictor->name(),
-                *state.predictor);
-            for (std::size_t i = 0; i < state.estimators.size();
-                 ++i) {
-                resume_from->restoreComponent(
-                    prefix + "estimator" + std::to_string(i) + ":" +
-                        state.estimators[i]->name(),
-                    *state.estimators[i]);
-                resume_from->restoreState(
-                    prefix + "stats" + std::to_string(i), 1,
-                    state.result.estimatorStats[i]);
-            }
-            if (driver_.profileStatic) {
-                resume_from->restoreState(
-                    prefix + "static_profile", 1,
-                    state.result.staticProfile);
-            }
-            state.simulated = resume_from->branches;
-        }
+        for (std::size_t c = 0; c < states_.size(); ++c)
+            states_[c]->kernel->restore(*resume_from, cfgPrefix(c));
 
         simulated = resume_from->branches;
         if (resume_from->find("source") != nullptr) {
@@ -981,14 +663,7 @@ SweepEngine::runImpl(TraceSource &source,
     // batch granularity, worker shards at record granularity, and the
     // producer before every refill — so watchdog expiry or a cancel()
     // unwinds the pipeline from whichever stage notices first.
-    ReplayGuard guard;
-    guard.cancel = driver_.cancel;
-    guard.limitMs = driver_.wallClockLimitMs;
-    guard.hasDeadline = driver_.wallClockLimitMs != 0;
-    if (guard.hasDeadline) {
-        guard.deadline = Clock::now() + std::chrono::milliseconds(
-                                            driver_.wallClockLimitMs);
-    }
+    const ReplayGuard guard(driver_);
 
     RunningStats batch_ns;
     RunningStats stall_ns;
@@ -1003,8 +678,8 @@ SweepEngine::runImpl(TraceSource &source,
     // bit-exact. Timeouts and cancellation always fail the pass.
     const auto replayConfig = [&](std::size_t c,
                                   const RecordBatch &batch) {
-        ConfigState &state = *states_[c];
-        if (state.result.failed())
+        ReplayKernel &kernel = *states_[c]->kernel;
+        if (kernel.result().failed())
             return;
         try {
             FaultInjector &injector = FaultInjector::instance();
@@ -1014,14 +689,15 @@ SweepEngine::runImpl(TraceSource &source,
                               c) == FaultAction::kHang) {
                 guard.park();
             }
-            state.replay(batch, driver_, guard);
+            kernel.replay(batch, guard);
         } catch (const std::exception &e) {
             const ErrorCategory category = categoryOf(e);
             if (!isolate || category == ErrorCategory::kTimeout ||
                 category == ErrorCategory::kCancelled) {
                 throw;
             }
-            state.result.error = e.what();
+            kernel.result().error = e.what();
+            kernel.result().errorCategory = category;
             config_failed.store(true, std::memory_order_relaxed);
             if (driver_.telemetry != nullptr) {
                 driver_.telemetry->registry().increment(
@@ -1030,7 +706,7 @@ SweepEngine::runImpl(TraceSource &source,
                     events::kSweepConfigFailed,
                     {field("benchmark", driver_.telemetryLabel),
                      field("config", configs_[c].label),
-                     field("at_branch", state.simulated),
+                     field("at_branch", kernel.simulated()),
                      field("category", std::string(toString(category))),
                      field("error", std::string(e.what()))}));
             }
@@ -1096,90 +772,43 @@ SweepEngine::runImpl(TraceSource &source,
         guard.checkNow(at_records);
     };
 
-    RunningStats barrier_wait_ns;
-    if (decode_ahead >= 2) {
-        // Pipelined: a producer thread keeps the ring topped up while
-        // shards replay; the ring owns cursor bookkeeping and flags
-        // checkpoint boundaries (see DecodeAheadRing).
-        DecodeAheadRing ring(source, decode_ahead, sweep_.batchSize,
-                             consumed, simulated, ckptEvery_,
-                             driver_.telemetryLabel, guard.cancel,
-                             spans);
-        for (;;) {
-            const Clock::time_point w0 = Clock::now();
-            DecodeAheadRing::Slot *slot = ring.next();
-            stall_ns.add(std::chrono::duration<double, std::nano>(
-                             Clock::now() - w0)
-                             .count());
-            if (slot == nullptr)
-                break;
+    // The ring owns cursor bookkeeping and flags checkpoint boundaries
+    // at any depth; at depth >= 2 its producer thread keeps it topped
+    // up while shards replay (see DecodeAheadRing).
+    DecodeAheadRing ring(source, decode_ahead, sweep_.batchSize, consumed,
+                         simulated, ckptEvery_, driver_.telemetryLabel,
+                         guard.cancel, spans);
+    for (;;) {
+        const Clock::time_point w0 = Clock::now();
+        DecodeAheadRing::Slot *slot = ring.next();
+        stall_ns.add(
+            std::chrono::duration<double, std::nano>(Clock::now() - w0)
+                .count());
+        if (slot == nullptr)
+            break;
 
-            const Clock::time_point t0 = Clock::now();
-            broadcast(slot->batch);
-            batch_ns.add(std::chrono::duration<double, std::nano>(
-                             Clock::now() - t0)
-                             .count());
+        const Clock::time_point t0 = Clock::now();
+        broadcast(slot->batch);
+        batch_ns.add(
+            std::chrono::duration<double, std::nano>(Clock::now() - t0)
+                .count());
 
-            consumed = slot->consumedAfter;
-            simulated = slot->simulatedAfter;
-            ++result.batches;
+        consumed = slot->consumedAfter;
+        simulated = slot->simulatedAfter;
+        ++result.batches;
 
-            checkWatchdog(consumed);
-            // Once any configuration has failed, later checkpoints
-            // would freeze a mixed-health sweep; skip them so every
-            // published generation snapshots a fully healthy pass and
-            // resuming any of them is bit-exact. The slot must still
-            // be released to unblock the producer's barrier.
-            if (slot->checkpointDue &&
-                !config_failed.load(std::memory_order_relaxed))
-                writeCheckpoint(source, result, consumed, simulated);
-            ring.release(*slot);
-        }
-        barrier_wait_ns = ring.barrierWaitStats();
-    } else {
-        // Synchronous refill between broadcasts (decodeAhead == 1).
-        // Checkpoint cadence: first batch boundary at or after each
-        // multiple of ckptEvery_ simulated branches.
-        std::uint64_t next_ckpt =
-            ckptEvery_ == 0
-                ? 0
-                : (simulated / ckptEvery_ + 1) * ckptEvery_;
-
-        RecordBatch batch(sweep_.batchSize);
-        for (;;) {
-            const Clock::time_point w0 = Clock::now();
-            {
-                FaultInjector &injector = FaultInjector::instance();
-                if (injector.armed())
-                    injector.fire(FaultSite::kDecodeBatch,
-                                  driver_.telemetryLabel);
-            }
-            const std::size_t got = batch.refill(source);
-            stall_ns.add(std::chrono::duration<double, std::nano>(
-                             Clock::now() - w0)
-                             .count());
-            if (got == 0)
-                break;
-
-            const Clock::time_point t0 = Clock::now();
-            broadcast(batch);
-            batch_ns.add(std::chrono::duration<double, std::nano>(
-                             Clock::now() - t0)
-                             .count());
-
-            consumed += batch.size();
-            simulated += batch.conditionals();
-            ++result.batches;
-
-            checkWatchdog(consumed);
-            if (ckptEvery_ != 0 && simulated >= next_ckpt) {
-                if (!config_failed.load(std::memory_order_relaxed))
-                    writeCheckpoint(source, result, consumed,
-                                    simulated);
-                next_ckpt = (simulated / ckptEvery_ + 1) * ckptEvery_;
-            }
-        }
+        checkWatchdog(consumed);
+        // Once any configuration has failed, later checkpoints would
+        // freeze a mixed-health sweep; skip them so every published
+        // generation snapshots a fully healthy pass and resuming any of
+        // them is bit-exact. The slot must still be released to unblock
+        // the producer's barrier.
+        if (slot->checkpointDue &&
+            !config_failed.load(std::memory_order_relaxed))
+            writeCheckpoint(source, result, consumed, simulated);
+        ring.release(*slot);
     }
+    const RunningStats barrier_wait_ns = ring.barrierWaitStats();
 
     // Harvest the engine-owned pool's occupancy before retiring it;
     // a shared pool's occupancy is reported by its owner instead.
@@ -1196,7 +825,7 @@ SweepEngine::runImpl(TraceSource &source,
     // inspect or serialize the final trained state.
     result.perConfig.reserve(states_.size());
     for (auto &state : states_)
-        result.perConfig.push_back(std::move(state->result));
+        result.perConfig.push_back(std::move(state->kernel->result()));
 
     result.wallMs = std::chrono::duration<double, std::milli>(
                         Clock::now() - run_start)

@@ -11,16 +11,16 @@
  * records into cache-friendly fixed-size batches (trace/record_batch.h)
  * and broadcasts every batch to N attached configurations.
  *
- * Configurations are sharded across a pool of persistent worker
- * threads. Each configuration owns private replicas of the
- * architectural context registers (BHR and global CIR) and its own
- * predictor, estimator bank, bucket statistics, and static profile, so
- * per-configuration simulation is exactly the sequential Driver's
- * record loop — results are bit-exact with running SimulationDriver
- * once per configuration (the contract
- * tests/integration/sweep_differential_test.cc enforces for every
- * estimator family). Thread count and batch size only change wall
- * time, never results.
+ * Each configuration owns its predictor and estimator bank and replays
+ * every batch through its own ReplayKernel (sim/replay_kernel.h) — the
+ * one record step SimulationDriver::run() also runs. The engine owns
+ * everything around that step: configuration ownership, sharding
+ * across a pool of persistent worker threads, decode-ahead, fault
+ * sites, and the checkpoint envelope (`sweep:meta` plus the shared
+ * trace cursor around each kernel's `cfg<i>:` components). Thread
+ * count, batch size, decode-ahead depth, and checkpoint/resume only
+ * change wall time, never results
+ * (tests/integration/sweep_differential_test.cc).
  *
  * Two pipelining layers overlap the remaining serial phases, both
  * pure performance knobs that never change results:
@@ -36,15 +36,9 @@
  *    multiple benchmarks' sweep passes concurrently instead of
  *    leaving cores idle whenever configs < hardware threads.
  *
- * Differences from the sequential driver, by design:
- *  - per-branch estimator update-cost sampling is not performed (the
- *    engine reports batch-level sweep.batch_ns instead);
- *  - context_switch_flush telemetry events are not emitted per flush
- *    (the per-config flush *count* is still reported);
- *  - checkpoints snapshot the whole sweep — shared trace cursor plus
- *    every configuration's state — and are taken at the first batch
- *    boundary at or after each checkpointEvery() multiple, not at the
- *    exact branch. Resume is bit-exact from either cadence.
+ * Checkpoints are taken at the first batch boundary at or after each
+ * checkpointEvery() multiple of simulated branches; resume is
+ * bit-exact from any generation.
  */
 
 #ifndef CONFSIM_SIM_SWEEP_ENGINE_H
@@ -60,7 +54,7 @@
 #include <thread>
 #include <vector>
 
-#include "sim/driver.h"
+#include "sim/replay_kernel.h"
 #include "sim/suite_runner.h"
 #include "trace/record_batch.h"
 #include "util/running_stats.h"
@@ -157,57 +151,6 @@ struct SweepConfiguration
     EstimatorSetFactory makeEstimators;
 };
 
-/**
- * A region-granular recording plan for statistical sampling
- * (sim/sampling_engine.h). The trace is viewed as consecutive regions
- * of regionBranches conditional branches; each region is replayed in
- * one of three modes chosen by regionSlots:
- *
- *  - a slot id < numSlots: **detailed** — predictor and estimators
- *    update AND statistics are recorded, both into the aggregate
- *    result fields and into that slot's SweepSlotStats bank (slots
- *    separate sampled regions into repeated-subsampling groups);
- *  - kWarmOnly: **functional warming** — predictor/estimator state
- *    updates normally but nothing is recorded, keeping the state a
- *    sampled region sees identical to a full replay's;
- *  - kSkip: **fast-forward** — no predictor or estimator work at all;
- *    only the branch cursor and context-switch phase advance. This is
- *    the wall-clock lever: state diverges, so plans place a kWarmOnly
- *    window before each detailed region to re-converge it.
- *
- * The plan is indexed purely by each configuration's private count of
- * simulated conditional branches, so results are bit-exact at any
- * thread count, batch size, or decode-ahead depth — the same contract
- * as every other sweep knob. Plans compose with neither checkpointing
- * nor resume (fatal at run time): a partially recorded plan cannot be
- * audited for bit-exact restoration.
- */
-struct SweepRecordingPlan
-{
-    /** Region mode: functionally warm, record nothing. */
-    static constexpr std::uint32_t kWarmOnly = 0xFFFFFFFFu;
-
-    /** Region mode: skip all predictor/estimator work. */
-    static constexpr std::uint32_t kSkip = 0xFFFFFFFEu;
-
-    /** Conditional branches per region (> 0). */
-    std::uint64_t regionBranches = 0;
-
-    /** Per-region mode: a slot id, kWarmOnly, or kSkip. */
-    std::vector<std::uint32_t> regionSlots;
-
-    /** Number of detailed slots (slot ids are < numSlots). */
-    std::uint32_t numSlots = 0;
-
-    /** @return the mode for @p region (past-the-end warms only). */
-    std::uint32_t
-    slotForRegion(std::uint64_t region) const
-    {
-        return region < regionSlots.size() ? regionSlots[region]
-                                           : kWarmOnly;
-    }
-};
-
 /** Sweep-engine knobs (simulation semantics come from DriverOptions). */
 struct SweepOptions
 {
@@ -273,71 +216,6 @@ struct SweepOptions
     const SweepRecordingPlan *recordingPlan = nullptr;
 
     static constexpr std::size_t kDefaultDecodeAhead = 3;
-};
-
-/**
- * Statistics one detailed recording-plan slot accumulated (see
- * SweepRecordingPlan): the per-subsample banks the sampling layer
- * turns into between-subsample variance.
- */
-struct SweepSlotStats
-{
-    std::uint64_t branches = 0;    //!< recorded conditional branches
-    std::uint64_t mispredicts = 0; //!< predictor misses (recorded)
-    std::vector<BucketStats> estimatorStats; //!< per estimator
-};
-
-/**
- * Everything one configuration produced — the same quantities a
- * sequential DriverResult carries, per attached configuration.
- */
-struct SweepConfigResult
-{
-    std::string label;
-    std::uint64_t branches = 0;    //!< recorded conditional branches
-    std::uint64_t mispredicts = 0; //!< predictor misses (recorded)
-    std::uint64_t contextSwitches = 0;
-    std::vector<BucketStats> estimatorStats;
-    std::vector<std::string> estimatorNames;
-    StaticBranchProfile staticProfile;
-
-    /**
-     * Per-branch attribution profile
-     * (DriverOptions::profileBranches). Collected by the replica's
-     * own replay loop, so it matches a sequential driver run of the
-     * same configuration entry for entry.
-     */
-    BranchProfile branchProfile;
-
-    /**
-     * Per-slot statistic banks, one per SweepRecordingPlan slot;
-     * empty when the sweep ran without a recording plan. Detailed
-     * records land both here and in the aggregate fields above, so a
-     * full-coverage single-slot plan reproduces a plain sweep's
-     * aggregates exactly with slotStats[0] equal to them.
-     */
-    std::vector<SweepSlotStats> slotStats;
-
-    /**
-     * Empty on success. With SweepOptions::isolateConfigFailures set,
-     * a failed configuration carries its error here (counts frozen at
-     * the last completed batch) while the other configurations'
-     * results remain bit-exact and trustworthy.
-     */
-    std::string error;
-
-    /** @return true when this configuration failed mid-sweep. */
-    bool failed() const { return !error.empty(); }
-
-    /** @return overall misprediction rate. */
-    double
-    mispredictRate() const
-    {
-        return branches == 0
-                   ? 0.0
-                   : static_cast<double>(mispredicts) /
-                         static_cast<double>(branches);
-    }
 };
 
 /** Results of one sweep pass over one trace. */

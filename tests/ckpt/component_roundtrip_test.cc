@@ -36,7 +36,8 @@
 #include "predictor/static_predictor.h"
 #include "predictor/tage.h"
 #include "predictor/two_level.h"
-#include "sim/driver.h"
+#include "sim/suite_runner.h"
+#include "sim/sweep_engine.h"
 #include "fault/fault_injection.h"
 #include "trace/vector_trace_source.h"
 #include "workload/workload_generator.h"
@@ -496,7 +497,7 @@ TEST(TraceSourceRoundTripTest, FaultInjectingSourceResumesMidStream)
 }
 
 // ---------------------------------------------------------------------
-// The driver's checkpointable gate
+// The checkpointable gate, on the one replay path every run takes
 
 /** An estimator that never audited its state (checkpointable()==false). */
 class OpaqueEstimator : public ConfidenceEstimator
@@ -520,21 +521,42 @@ TEST(DriverCheckpointGateTest, RefusesNonCheckpointableEstimator)
         ::testing::TempDir() + "/confsim_ckpt_gate";
     std::filesystem::remove_all(dir);
 
-    GsharePredictor predictor(1024, 10);
-    OpaqueEstimator opaque;
-    std::vector<ConfidenceEstimator *> estimators{&opaque};
-    DriverOptions options;
-    SimulationDriver driver(predictor, estimators, options);
+    const SweepConfiguration opaque{
+        "opaque", [] { return std::make_unique<GsharePredictor>(1024, 10); },
+        [] {
+            std::vector<std::unique_ptr<ConfidenceEstimator>> out;
+            out.push_back(std::make_unique<OpaqueEstimator>());
+            return out;
+        }};
+    std::vector<BranchRecord> records(5000);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        records[i].pc = 0x1000 + 4 * (i % 64);
+        records[i].taken = (i % 3) != 0;
+    }
     CheckpointStore store(dir, "gate", 2);
 
     // A period with no store, and a non-checkpointable estimator with
     // a period, must both be rejected up front — never mid-run.
-    EXPECT_THROW(driver.checkpointEvery(1000, nullptr),
+    SweepEngine engine({opaque});
+    EXPECT_THROW(engine.checkpointEvery(1000, nullptr),
                  std::runtime_error);
-    EXPECT_THROW(driver.checkpointEvery(1000, &store),
-                 std::runtime_error);
+    engine.checkpointEvery(1000, &store);
+    VectorTraceSource refused(records);
+    EXPECT_THROW(engine.run(refused), std::runtime_error);
+    EXPECT_TRUE(store.generations().empty());
+
     // Disabling is always allowed.
-    EXPECT_NO_THROW(driver.checkpointEvery(0, nullptr));
+    engine.checkpointEvery(0, nullptr);
+    VectorTraceSource allowed(records);
+    EXPECT_NO_THROW(engine.run(allowed));
+
+    // The suite runner's per-benchmark path refuses the same way.
+    SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg"}, 2000));
+    RunPolicy policy;
+    policy.checkpoint.directory = dir;
+    EXPECT_THROW(runner.run(opaque.makePredictor, opaque.makeEstimators,
+                            {}, policy),
+                 std::runtime_error);
 
     std::filesystem::remove_all(dir);
 }

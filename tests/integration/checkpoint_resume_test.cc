@@ -7,7 +7,8 @@
  * and for a hybrid + two-level one. Corrupting the newest generation
  * must be detected, reported through telemetry, and recovered by
  * falling back one generation; completed benchmarks must be reused
- * from their done-markers without any re-simulation.
+ * from their done-markers without any re-simulation — for every
+ * configuration of a multi-config sweep too.
  *
  * The checkpoint directory honours CONFSIM_CKPT_TEST_DIR (used by the
  * CI kill-resume job to upload the directory as an artifact when a
@@ -22,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/checkpoint_store.h"
 #include "confidence/one_level.h"
 #include "confidence/two_level.h"
 #include "obs/telemetry.h"
@@ -29,6 +31,7 @@
 #include "predictor/gshare.h"
 #include "predictor/hybrid.h"
 #include "sim/suite_runner.h"
+#include "sim/sweep_engine.h"
 #include "fault/fault_injection.h"
 
 namespace confsim {
@@ -331,6 +334,54 @@ TEST_F(CheckpointResumeTest, DoneMarkerSkipsCompletedBenchmarks)
         gshareFactory(), oneLevelFactory(), {}, checkpointed(true));
 
     expectBitExact(resumed, first);
+}
+
+TEST_F(CheckpointResumeTest, SweepDoneMarkersCarryEveryConfiguration)
+{
+    const std::vector<SweepConfiguration> configs = {
+        {"gshare-1lvl", gshareFactory(), oneLevelFactory()},
+        {"hybrid-2lvl", hybridFactory(), twoLevelFactory()}};
+    SweepOptions sweep;
+    sweep.threads = 2;
+
+    SuiteRunner first_runner(suite_);
+    first_runner.setSourceWrapper(faultWrapper(0));
+    const SweepSuiteResult first =
+        first_runner.runSweep(configs, {}, sweep, checkpointed(false));
+    for (const auto &name : names_) {
+        ASSERT_EQ(filesWithPrefix(name + ".done").size(), 1u);
+        ASSERT_TRUE(filesWithPrefix(name + ".g").empty());
+    }
+
+    // A done-marker in an older layout does not decode: that benchmark
+    // re-simulates, the other is served from its marker.
+    {
+        CheckpointStore store(dir_, "jpeg");
+        Checkpoint legacy;
+        legacy.label = "jpeg";
+        legacy.add("suite:result", 1, {});
+        store.writeCompleted(legacy);
+    }
+    SuiteRunner resumed_runner(suite_);
+    resumed_runner.setSourceWrapper(faultWrapper(0));
+    const SweepSuiteResult resumed =
+        resumed_runner.runSweep(configs, {}, sweep, checkpointed(true));
+    ASSERT_EQ(resumed.perConfig.size(), configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        SCOPED_TRACE(configs[c].label);
+        expectBitExact(resumed.perConfig[c], first.perConfig[c]);
+    }
+
+    // Every benchmark now holds a current-layout marker: a poisoned
+    // source that dies on its first record is never read.
+    SuiteRunner poisoned_runner(suite_);
+    poisoned_runner.setSourceWrapper(faultWrapper(1));
+    const SweepSuiteResult served =
+        poisoned_runner.runSweep(configs, {}, sweep, checkpointed(true));
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        SCOPED_TRACE(configs[c].label);
+        expectBitExact(served.perConfig[c], first.perConfig[c]);
+    }
 }
 
 } // namespace

@@ -55,10 +55,14 @@ class FaultToleranceTest : public ::testing::Test
     void
     SetUp() override
     {
-        // Materialize each benchmark's trace as a CBT2 file.
+        // Materialize each benchmark's trace as a CBT2 file, named per
+        // test so tests running in parallel never share a file.
+        const std::string test = ::testing::UnitTest::GetInstance()
+                                     ->current_test_info()
+                                     ->name();
         for (std::size_t bench = 0; bench < suite_.size(); ++bench) {
             paths_.push_back(::testing::TempDir() + "/confsim_ft_" +
-                             names_[bench] + ".cbt");
+                             test + "_" + names_[bench] + ".cbt");
             auto generator = suite_.makeGenerator(bench);
             writeTraceFile(*generator, paths_.back());
         }

@@ -197,7 +197,7 @@ TEST_F(TelemetryIntegrationTest, FullSuiteWithFaultsLeavesCompleteLog)
     EXPECT_NE(snapshot.find("\"faults.taken_flip\":" +
                             std::to_string(flips)),
               std::string::npos);
-    EXPECT_NE(snapshot.find("\"driver.runs\":9"), std::string::npos);
+    EXPECT_NE(snapshot.find("\"sweep.runs\":9"), std::string::npos);
 }
 
 TEST_F(TelemetryIntegrationTest, RetriesSurfaceAsEvents)

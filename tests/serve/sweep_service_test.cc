@@ -31,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/checkpoint_store.h"
 #include "confidence/one_level.h"
 #include "fault/fault_injection.h"
 #include "predictor/gshare.h"
@@ -662,6 +663,30 @@ TEST(SweepServiceTest, CheckpointDrainLeavesResumableJobThatMatches)
               direct.perConfig[0].perBenchmark[0].branches);
 
     fs::remove_all(root);
+}
+
+TEST(SweepServiceTest, CheckpointProbeCountsGenerationsNotDoneMarkers)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() / "confsim_checkpoint_probe_test";
+    fs::remove_all(dir);
+    EXPECT_FALSE(hasCheckpointFiles(dir.string()));
+
+    // A finished benchmark's done-marker is not resumable progress...
+    CheckpointStore store(dir.string(), "groff", 2);
+    Checkpoint ckpt;
+    ckpt.label = "groff";
+    store.writeCompleted(ckpt);
+    EXPECT_FALSE(hasCheckpointFiles(dir.string()));
+
+    // ...a mid-run generation is.
+    store.write(ckpt);
+    EXPECT_TRUE(hasCheckpointFiles(dir.string()));
+    store.removeGenerations();
+    EXPECT_FALSE(hasCheckpointFiles(dir.string()));
+
+    fs::remove_all(dir);
 }
 
 TEST(SweepServiceTest, SanitizePathComponentIsLexicalAndStable)

@@ -12,6 +12,7 @@
 #include "confidence/one_level.h"
 #include "predictor/gshare.h"
 #include "fault/fault_injection.h"
+#include "util/error.h"
 
 namespace confsim {
 namespace {
@@ -438,6 +439,88 @@ TEST(SuiteRunnerTest, WatchdogMarksHungBenchmarkFailed)
     EXPECT_EQ(result.perBenchmark[0].attempts, 1u);
     EXPECT_TRUE(result.degraded);
     EXPECT_EQ(result.compositeEstimatorStats.size(), 0u);
+}
+
+TEST(SuiteRunnerTest, SweepReportsAttemptsAfterRetry)
+{
+    // The first attempt's source fails; the retry succeeds. Every
+    // configuration's result must report both attempts.
+    SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg"}, 2000));
+    auto first_attempts = std::make_shared<std::atomic<int>>(0);
+    runner.setSourceWrapper(
+        [first_attempts](std::size_t,
+                         std::unique_ptr<TraceSource> inner)
+            -> std::unique_ptr<TraceSource> {
+            if (first_attempts->fetch_add(1) == 0) {
+                FaultSpec spec;
+                spec.failAfter = 100;
+                return std::make_unique<FaultInjectingTraceSource>(
+                    std::move(inner), spec);
+            }
+            return inner;
+        });
+    std::vector<SweepConfiguration> configs;
+    configs.push_back({"a", smallPredictor(), smallEstimators()});
+    configs.push_back({"b", smallPredictor(), smallEstimators()});
+
+    RunPolicy policy = RunPolicy::continueOnError();
+    policy.maxAttempts = 3;
+    const auto sweep =
+        runner.runSweep(configs, DriverOptions{}, SweepOptions{}, policy);
+    ASSERT_EQ(sweep.perConfig.size(), 2u);
+    for (const auto &config_result : sweep.perConfig) {
+        ASSERT_EQ(config_result.perBenchmark.size(), 1u);
+        EXPECT_FALSE(config_result.perBenchmark[0].failed());
+        EXPECT_EQ(config_result.perBenchmark[0].attempts, 2u);
+    }
+}
+
+/** An estimator whose table allocation fails partway through a run. */
+class ResourceFailingEstimator : public ConfidenceEstimator
+{
+  public:
+    std::uint64_t
+    bucketOf(const BranchContext &) const override
+    {
+        return 0;
+    }
+    void
+    update(const BranchContext &, bool, bool) override
+    {
+        if (++updates_ == 1000)
+            throw Error(ErrorCategory::kResource, "table allocation failed");
+    }
+    std::uint64_t numBuckets() const override { return 1; }
+    std::uint64_t storageBits() const override { return 0; }
+    std::string name() const override { return "failing"; }
+    void reset() override {}
+
+  private:
+    std::uint64_t updates_ = 0;
+};
+
+TEST(SuiteRunnerTest, SweepIsolatedConfigFailureKeepsItsCategory)
+{
+    SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg"}, 5000));
+    std::vector<SweepConfiguration> configs;
+    configs.push_back({"healthy", smallPredictor(), smallEstimators()});
+    configs.push_back(
+        {"failing", smallPredictor(), [] {
+             std::vector<std::unique_ptr<ConfidenceEstimator>> out;
+             out.push_back(std::make_unique<ResourceFailingEstimator>());
+             return out;
+         }});
+
+    const auto sweep = runner.runSweep(configs, DriverOptions{},
+                                       SweepOptions{},
+                                       RunPolicy::continueOnError());
+    ASSERT_EQ(sweep.perConfig.size(), 2u);
+    EXPECT_FALSE(sweep.perConfig[0].perBenchmark[0].failed());
+    const BenchmarkRunResult &failed = sweep.perConfig[1].perBenchmark[0];
+    EXPECT_TRUE(failed.failed());
+    EXPECT_NE(failed.error.find("table allocation failed"),
+              std::string::npos);
+    EXPECT_EQ(failed.errorCategory, ErrorCategory::kResource);
 }
 
 TEST(SuiteRunnerTest, FactoriesInvokedExactlyOncePerBenchmark)
