@@ -8,11 +8,14 @@
 #include <benchmark/benchmark.h>
 
 #include "confidence/one_level.h"
+#include "confidence/tage_confidence.h"
 #include "confidence/two_level.h"
 #include "obs/span.h"
 #include "predictor/bimodal.h"
 #include "predictor/gshare.h"
 #include "predictor/history_register.h"
+#include "predictor/perceptron.h"
+#include "predictor/tage.h"
 #include "sim/driver.h"
 #include "workload/workload_generator.h"
 
@@ -83,6 +86,21 @@ BM_GshareLarge(benchmark::State &state)
     });
 }
 BENCHMARK(BM_GshareLarge);
+
+void
+BM_Tage(benchmark::State &state)
+{
+    predictorLoop(state, [] { return std::make_unique<TagePredictor>(); });
+}
+BENCHMARK(BM_Tage);
+
+void
+BM_Perceptron(benchmark::State &state)
+{
+    predictorLoop(state,
+                  [] { return std::make_unique<PerceptronPredictor>(); });
+}
+BENCHMARK(BM_Perceptron);
 
 template <typename MakeEstimator>
 void
@@ -174,6 +192,22 @@ BM_FullDriver(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 100000);
 }
 BENCHMARK(BM_FullDriver);
+
+void
+BM_TageProviderDriver(benchmark::State &state)
+{
+    // BM_FullDriver's shape over TAGE + its provider confidence: the
+    // estimator reads the predictor's memoized lookup.
+    for (auto _ : state) {
+        WorkloadGenerator gen(ibsProfile("jpeg"), 100000);
+        TagePredictor pred;
+        TageProviderConfidence est;
+        SimulationDriver driver(pred, {&est});
+        benchmark::DoNotOptimize(driver.run(gen));
+    }
+    state.SetItemsProcessed(state.iterations() * 100000);
+}
+BENCHMARK(BM_TageProviderDriver);
 
 } // namespace
 } // namespace confsim

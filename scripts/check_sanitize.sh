@@ -7,11 +7,16 @@
 #                      trace I/O error paths and suite-runner fault
 #                      handling with memory checking.
 #   thread             TSan over the concurrency-heavy suites: the
-#                      sweep differential harness and the chaos tests,
-#                      so fault injection, cancellation, and fail-fast
-#                      teardown are checked for data races — plus the
-#                      TAGE/perceptron predictor shard, whose shadow
-#                      replicas ride every sweep shard.
+#                      sweep and sampling differential harnesses and
+#                      the chaos tests, so fault injection,
+#                      cancellation, and fail-fast teardown are checked
+#                      for data races — plus the TAGE/perceptron
+#                      predictor shard. TAGE and the perceptron memoize
+#                      their last lookup, so predict() writes: each
+#                      sweep shard must own its configurations'
+#                      predictors and their memos, which the sampling
+#                      differential's TAGE config checks across thread
+#                      counts.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -42,10 +47,10 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
 if [[ "$MODE" == "thread" && $# -eq 0 ]]; then
     # Default TSan scope: the tests that actually exercise threads,
-    # plus the predictor property wall (TAGE/perceptron state is
-    # replicated into every sweep shard).
+    # plus the predictor property wall (no predictor state is shared
+    # between shards; each shard owns its predictors and their memos).
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-        -R 'SweepDifferential|Chaos|Tage|Perceptron'
+        -R 'SweepDifferential|SamplingDifferential|Chaos|Tage|Perceptron'
 else
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" "$@"
 fi

@@ -60,6 +60,13 @@ CompositeConfidence::reset()
     second_->reset();
 }
 
+void
+CompositeConfidence::bindPredictor(const BranchPredictor &predictor)
+{
+    first_->bindPredictor(predictor);
+    second_->bindPredictor(predictor);
+}
+
 std::pair<std::uint64_t, std::uint64_t>
 CompositeConfidence::splitBucket(std::uint64_t bucket) const
 {

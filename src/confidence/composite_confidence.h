@@ -47,6 +47,8 @@ class CompositeConfidence : public ConfidenceEstimator
     std::uint64_t storageBits() const override;
     std::string name() const override;
     void reset() override;
+    /** Binds both constituents. */
+    void bindPredictor(const BranchPredictor &predictor) override;
 
     bool checkpointable() const override;
     void saveState(StateWriter &out) const override;

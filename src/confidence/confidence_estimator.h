@@ -25,6 +25,8 @@
 
 namespace confsim {
 
+class BranchPredictor;
+
 /**
  * Abstract branch-prediction confidence mechanism.
  *
@@ -69,6 +71,22 @@ class ConfidenceEstimator : public Serializable
 
     /** Restore the initial (power-on) state. */
     virtual void reset() = 0;
+
+    /**
+     * Pair this estimator with the predictor whose predictions it
+     * grades. The replay kernel calls it once per estimator before the
+     * first branch. Native estimators (TAGE provider, perceptron
+     * margin) keep a pointer and read the predictor's own lookup in
+     * bucketOf(); they throw Error{kConfig} when @p predictor is not of
+     * their family or its geometry differs from what their buckets
+     * assume. Every other estimator ignores it (the default).
+     *
+     * @param predictor Must outlive every later bucketOf() call.
+     */
+    virtual void bindPredictor(const BranchPredictor &predictor)
+    {
+        (void)predictor;
+    }
 
     /**
      * True if larger bucket ids mean *higher* confidence by

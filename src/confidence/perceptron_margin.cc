@@ -1,12 +1,15 @@
 #include "confidence/perceptron_margin.h"
 
+#include "util/error.h"
 #include "util/status.h"
 
 namespace confsim {
 
 PerceptronMarginConfidence::PerceptronMarginConfidence(
     PerceptronConfig config, unsigned num_levels)
-    : shadow_(config), numLevels_(num_levels)
+    : historyBits_(config.historyBits),
+      theta_(static_cast<std::uint64_t>(config.theta())),
+      numLevels_(num_levels)
 {
     if (num_levels < 2)
         fatal("perceptron margin confidence needs >= 2 levels");
@@ -17,35 +20,28 @@ PerceptronMarginConfidence::bucketForMargin(std::int64_t margin) const
 {
     const std::uint64_t magnitude =
         static_cast<std::uint64_t>(margin < 0 ? -margin : margin);
-    const std::uint64_t theta =
-        static_cast<std::uint64_t>(shadow_.theta());
-    const std::uint64_t level = magnitude * numLevels_ / (theta + 1);
+    const std::uint64_t level = magnitude * numLevels_ / (theta_ + 1);
     return level >= numLevels_ ? numLevels_ - 1 : level;
 }
 
 std::uint64_t
 PerceptronMarginConfidence::bucketOf(const BranchContext &ctx) const
 {
-    return bucketForMargin(shadow_.marginOf(ctx.pc));
+    if (predictor_ == nullptr)
+        return 0;
+    return bucketForMargin(predictor_->marginOf(ctx.pc));
 }
 
 void
-PerceptronMarginConfidence::update(const BranchContext &ctx,
-                                   bool /*correct*/, bool taken)
+PerceptronMarginConfidence::update(const BranchContext & /*ctx*/,
+                                   bool /*correct*/, bool /*taken*/)
 {
-    shadow_.update(ctx.pc, taken);
 }
 
 std::uint64_t
 PerceptronMarginConfidence::numBuckets() const
 {
     return numLevels_;
-}
-
-std::uint64_t
-PerceptronMarginConfidence::storageBits() const
-{
-    return shadow_.storageBits();
 }
 
 std::string
@@ -55,29 +51,40 @@ PerceptronMarginConfidence::name() const
 }
 
 void
-PerceptronMarginConfidence::reset()
+PerceptronMarginConfidence::bindPredictor(
+    const BranchPredictor &predictor)
 {
-    shadow_.reset();
+    const auto *perceptron =
+        dynamic_cast<const PerceptronPredictor *>(&predictor);
+    if (perceptron == nullptr) {
+        fatal(ErrorCategory::kConfig,
+              "perceptron-margin confidence needs a perceptron "
+              "predictor, not '" +
+                  predictor.name() + "'");
+    }
+    if (perceptron->config().historyBits != historyBits_) {
+        fatal(ErrorCategory::kConfig,
+              "perceptron-margin confidence assumes a " +
+                  std::to_string(historyBits_) +
+                  "-bit history (theta " + std::to_string(theta_) +
+                  "); '" + predictor.name() + "' has " +
+                  std::to_string(perceptron->config().historyBits));
+    }
+    predictor_ = perceptron;
 }
 
 void
 PerceptronMarginConfidence::saveState(StateWriter &out) const
 {
-    shadow_.saveState(out);
+    out.putU64(historyBits_);
     out.putU64(numLevels_);
 }
 
 void
 PerceptronMarginConfidence::loadState(StateReader &in)
 {
-    shadow_.loadState(in);
+    in.expectU64(historyBits_, "perceptron margin history length");
     in.expectU64(numLevels_, "perceptron margin levels");
-}
-
-std::int64_t
-PerceptronMarginConfidence::shadowMargin(const BranchContext &ctx) const
-{
-    return shadow_.marginOf(ctx.pc);
 }
 
 } // namespace confsim

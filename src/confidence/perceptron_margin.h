@@ -9,10 +9,10 @@
  * a natural multi-level confidence signal — level 0 is a coin-flip,
  * the top level is a margin beyond theta.
  *
- * Like TageProviderConfidence, this estimator trains a shadow replica
- * of the perceptron on branch outcomes inside update(); paired with a
- * main PerceptronPredictor of the same geometry the shadow's margins
- * are bit-identical to the real predictor's.
+ * Like TageProviderConfidence, this estimator reads the predictor it
+ * is bound to (bindPredictor()): bucketOf() takes the bound
+ * perceptron's marginOf(), the dot product predict() just memoized,
+ * and update() does nothing. An unbound estimator returns bucket 0.
  *
  * Buckets are monotone in |margin| by construction (ordered):
  * bucket = min(|margin| * levels / (theta + 1), levels - 1).
@@ -31,8 +31,9 @@ class PerceptronMarginConfidence : public ConfidenceEstimator
 {
   public:
     /**
-     * @param config Shadow perceptron geometry (match the main
-     *        predictor's for a faithful signal).
+     * @param config The geometry the buckets assume; its history
+     *        length sets theta, and bindPredictor() requires the bound
+     *        predictor's to match.
      * @param num_levels Confidence levels (buckets), >= 2.
      */
     explicit PerceptronMarginConfidence(
@@ -41,29 +42,39 @@ class PerceptronMarginConfidence : public ConfidenceEstimator
 
     std::uint64_t bucketOf(const BranchContext &ctx) const override;
 
-    /** Train the shadow perceptron on the branch outcome. */
+    /** Nothing to train: the bound predictor trains itself. */
     void update(const BranchContext &ctx, bool correct,
                 bool taken) override;
 
     std::uint64_t numBuckets() const override;
-    std::uint64_t storageBits() const override;
+
+    /** 0: the signal is the predictor's own state. */
+    std::uint64_t storageBits() const override { return 0; }
     std::string name() const override;
-    void reset() override;
+    void reset() override {}
+
+    /**
+     * Read @p predictor's margin from now on. @throws Error{kConfig}
+     * unless it is a PerceptronPredictor with this estimator's history
+     * length.
+     */
+    void bindPredictor(const BranchPredictor &predictor) override;
 
     bool checkpointable() const override { return true; }
     void saveState(StateWriter &out) const override;
     void loadState(StateReader &in) override;
+    /** 2: the payload is the geometry (1 held a perceptron replica). */
+    std::uint32_t stateVersion() const override { return 2; }
     bool bucketsAreOrdered() const override { return true; }
 
     /** Quantize a margin value to its bucket (tests). */
     std::uint64_t bucketForMargin(std::int64_t margin) const;
 
-    /** The shadow perceptron's current margin for @p ctx (tests). */
-    std::int64_t shadowMargin(const BranchContext &ctx) const;
-
   private:
-    PerceptronPredictor shadow_;
+    unsigned historyBits_;
+    std::uint64_t theta_;
     unsigned numLevels_;
+    const PerceptronPredictor *predictor_ = nullptr;
 };
 
 } // namespace confsim

@@ -1,37 +1,38 @@
 #include "confidence/tage_confidence.h"
 
+#include "util/error.h"
+#include "util/status.h"
+
 namespace confsim {
 
 TageProviderConfidence::TageProviderConfidence(TageConfig config)
-    : shadow_(std::move(config))
+    : counterBits_(config.counterBits)
 {
+    if (counterBits_ < 2 || counterBits_ > 8)
+        fatal("TAGE counter width must be in [2, 8]");
 }
 
 std::uint64_t
 TageProviderConfidence::bucketOf(const BranchContext &ctx) const
 {
-    const TagePrediction d = shadow_.predictDetail(ctx.pc);
+    if (predictor_ == nullptr)
+        return 0;
+    const TagePrediction d = predictor_->predictDetail(ctx.pc);
     const bool agree = d.providerTaken == d.altTaken;
     return 2 * d.providerStrength + (agree ? 1 : 0);
 }
 
 void
-TageProviderConfidence::update(const BranchContext &ctx, bool /*correct*/,
-                               bool taken)
+TageProviderConfidence::update(const BranchContext & /*ctx*/,
+                               bool /*correct*/, bool /*taken*/)
 {
-    shadow_.update(ctx.pc, taken);
 }
 
 std::uint64_t
 TageProviderConfidence::numBuckets() const
 {
-    return 2 * shadow_.strengthLevels();
-}
-
-std::uint64_t
-TageProviderConfidence::storageBits() const
-{
-    return shadow_.storageBits();
+    // 2^(counterBits - 1) strength levels x {disagree, agree}.
+    return std::uint64_t{1} << counterBits_;
 }
 
 std::string
@@ -41,27 +42,34 @@ TageProviderConfidence::name() const
 }
 
 void
-TageProviderConfidence::reset()
+TageProviderConfidence::bindPredictor(const BranchPredictor &predictor)
 {
-    shadow_.reset();
+    const auto *tage = dynamic_cast<const TagePredictor *>(&predictor);
+    if (tage == nullptr) {
+        fatal(ErrorCategory::kConfig,
+              "tage-provider confidence needs a TAGE predictor, not '" +
+                  predictor.name() + "'");
+    }
+    if (tage->config().counterBits != counterBits_) {
+        fatal(ErrorCategory::kConfig,
+              "tage-provider confidence assumes " +
+                  std::to_string(counterBits_) +
+                  "-bit provider counters; '" + predictor.name() +
+                  "' has " + std::to_string(tage->config().counterBits));
+    }
+    predictor_ = tage;
 }
 
 void
 TageProviderConfidence::saveState(StateWriter &out) const
 {
-    shadow_.saveState(out);
+    out.putU64(counterBits_);
 }
 
 void
 TageProviderConfidence::loadState(StateReader &in)
 {
-    shadow_.loadState(in);
-}
-
-TagePrediction
-TageProviderConfidence::shadowDetail(const BranchContext &ctx) const
-{
-    return shadow_.predictDetail(ctx.pc);
+    in.expectU64(counterBits_, "tage-provider counter width");
 }
 
 } // namespace confsim

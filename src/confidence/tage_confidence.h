@@ -8,13 +8,12 @@
  * (cf. scarab's weight_conf level mechanism, which likewise grades
  * predictions into confidence levels from predictor-internal state).
  *
- * The estimator keeps a *shadow replica* of the TAGE predictor —
- * trained on branch outcomes inside update(), exactly like
- * SelfCounterConfidence's shadow counter table — so it needs no
- * channel into the main predictor and remains an independent,
- * checkpointable hardware structure. Paired with a main TagePredictor
- * of the same geometry it sees the identical (pc, outcome) stream and
- * therefore tracks the real provider state bit-for-bit.
+ * The estimator owns no structure of its own: bindPredictor() pairs it
+ * with the TagePredictor whose predictions it grades, and bucketOf()
+ * reads that predictor's predictDetail() — the lookup predict() just
+ * memoized, so confidence costs no second TAGE lookup. update() does
+ * nothing; the predictor trains itself. An unbound estimator returns
+ * bucket 0.
  *
  * Bucket = 2 * providerStrength + (provider agrees with alt), so
  * larger buckets mean stronger, corroborated predictions (ordered).
@@ -32,30 +31,43 @@ namespace confsim {
 class TageProviderConfidence : public ConfidenceEstimator
 {
   public:
+    /**
+     * @param config The geometry the buckets assume; only its counter
+     *        width matters, and bindPredictor() requires the bound
+     *        predictor's to match.
+     */
     explicit TageProviderConfidence(
         TageConfig config = TageConfig::makeDefault());
 
     std::uint64_t bucketOf(const BranchContext &ctx) const override;
 
-    /** Train the shadow TAGE on the branch outcome. */
+    /** Nothing to train: the bound predictor trains itself. */
     void update(const BranchContext &ctx, bool correct,
                 bool taken) override;
 
     std::uint64_t numBuckets() const override;
-    std::uint64_t storageBits() const override;
+
+    /** 0: the signal is the predictor's own state. */
+    std::uint64_t storageBits() const override { return 0; }
     std::string name() const override;
-    void reset() override;
+    void reset() override {}
+
+    /**
+     * Read @p predictor's provider from now on. @throws Error{kConfig}
+     * unless it is a TagePredictor with this estimator's counter width.
+     */
+    void bindPredictor(const BranchPredictor &predictor) override;
 
     bool checkpointable() const override { return true; }
     void saveState(StateWriter &out) const override;
     void loadState(StateReader &in) override;
+    /** 2: the payload is the counter width (1 held a TAGE replica). */
+    std::uint32_t stateVersion() const override { return 2; }
     bool bucketsAreOrdered() const override { return true; }
 
-    /** The shadow predictor's full prediction breakdown (tests). */
-    TagePrediction shadowDetail(const BranchContext &ctx) const;
-
   private:
-    TagePredictor shadow_;
+    unsigned counterBits_;
+    const TagePredictor *predictor_ = nullptr;
 };
 
 } // namespace confsim

@@ -4,9 +4,12 @@
  *
  * Predictors are used sequentially: for each dynamic conditional branch
  * the driver calls predict(pc), compares with the resolved outcome, then
- * calls update(pc, taken). predict() must not mutate state, so calling it
- * multiple times for the same branch (as composite predictors do) is
- * safe; all state changes happen in update().
+ * calls update(pc, taken). predict() must not change simulated state,
+ * so calling it multiple times for the same branch (as composite
+ * predictors do) is safe; all simulated state changes happen in
+ * update(). A predictor may memoize its last lookup (TAGE and the
+ * perceptron do), so one predictor instance belongs to one thread —
+ * the sweep engine builds each configuration's predictor per run.
  */
 
 #ifndef CONFSIM_PREDICTOR_BRANCH_PREDICTOR_H

@@ -18,6 +18,8 @@ PerceptronConfig::makeSmall()
 
 PerceptronPredictor::PerceptronPredictor(PerceptronConfig config)
     : config_(config),
+      rowBits_(isPowerOfTwo(config.numRows) ? log2Exact(config.numRows)
+                                            : 0),
       history_(config.historyBits)
 {
     if (!isPowerOfTwo(config_.numRows))
@@ -35,13 +37,13 @@ PerceptronPredictor::PerceptronPredictor(PerceptronConfig config)
 std::uint64_t
 PerceptronPredictor::rowOf(std::uint64_t pc) const
 {
-    return xorFold(pc >> 2, log2Exact(config_.numRows));
+    return xorFold(pc >> 2, rowBits_);
 }
 
 std::int32_t
 PerceptronPredictor::weightAt(std::uint64_t row, unsigned i) const
 {
-    return weights_[(row & mask(log2Exact(config_.numRows))) *
+    return weights_[(row & mask(rowBits_)) *
                         (config_.historyBits + 1) +
                     i];
 }
@@ -59,6 +61,8 @@ PerceptronPredictor::clampWeight(std::int64_t w) const
 std::int64_t
 PerceptronPredictor::marginOf(std::uint64_t pc) const
 {
+    if (memoValid_ && memoPc_ == pc)
+        return memoMargin_;
     const std::size_t base = static_cast<std::size_t>(rowOf(pc)) *
                              (config_.historyBits + 1);
     // Weight 0 is the bias (an always-taken virtual history bit).
@@ -68,6 +72,9 @@ PerceptronPredictor::marginOf(std::uint64_t pc) const
         const std::int32_t w = weights_[base + 1 + i];
         sum += bitOf(hist, i) != 0 ? w : -w;
     }
+    memoPc_ = pc;
+    memoMargin_ = sum;
+    memoValid_ = true;
     return sum;
 }
 
@@ -103,6 +110,7 @@ PerceptronPredictor::update(std::uint64_t pc, bool taken)
         }
     }
     history_.recordOutcome(taken);
+    memoValid_ = false;
 }
 
 std::uint64_t
@@ -125,6 +133,7 @@ PerceptronPredictor::reset()
 {
     weights_.assign(weights_.size(), 0);
     history_.reset();
+    memoValid_ = false;
 }
 
 void
@@ -143,6 +152,7 @@ PerceptronPredictor::loadState(StateReader &in)
     for (std::int32_t &w : weights_)
         w = static_cast<std::int32_t>(in.getU32());
     history_.setValue(in.getU64());
+    memoValid_ = false;
 }
 
 } // namespace confsim

@@ -14,6 +14,11 @@
  * above theta means the weights agree emphatically, while a margin
  * near zero flags a coin-flip. confidence/perceptron_margin.h exposes
  * this to the paper's coverage/PVN methodology.
+ *
+ * The dot product is computed once per branch: marginOf() memoizes its
+ * last result keyed by PC, so predict(), wouldTrain()/update() and a
+ * bound margin estimator share one sum; update(), reset() and
+ * loadState() invalidate it.
  */
 
 #ifndef CONFSIM_PREDICTOR_PERCEPTRON_H
@@ -91,11 +96,18 @@ class PerceptronPredictor : public BranchPredictor
     std::int32_t clampWeight(std::int64_t w) const;
 
     PerceptronConfig config_;
+    unsigned rowBits_; //!< log2(numRows)
     /** Flattened rows of (bias + historyBits) weights each. */
     std::vector<std::int32_t> weights_;
     HistoryRegister history_;
     std::int32_t weightMax_;
     std::int32_t weightMin_;
+
+    /** The last marginOf() result. Memoizing makes predict() write,
+     *  so one predictor instance belongs to one thread. */
+    mutable std::uint64_t memoPc_ = 0;
+    mutable std::int64_t memoMargin_ = 0;
+    mutable bool memoValid_ = false;
 };
 
 } // namespace confsim

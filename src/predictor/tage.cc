@@ -31,11 +31,15 @@ TageConfig::makeSmall()
 
 TagePredictor::TagePredictor(TageConfig config)
     : config_(std::move(config)),
+      indexBits_(isPowerOfTwo(config_.taggedEntries)
+                     ? log2Exact(config_.taggedEntries)
+                     : 0),
       bimodal_(config_.bimodalEntries, weaklyTakenBimodal(), 2),
       history_(config_.historyLengths.empty()
                    ? 1
                    : config_.historyLengths.back()),
       useAltOnNa_(static_cast<std::uint32_t>(mask(config_.useAltBits)), 0),
+      untilAging_(config_.agingPeriod),
       ctrMax_(static_cast<std::uint8_t>(mask(config_.counterBits))),
       uMax_(static_cast<std::uint8_t>(mask(config_.usefulBits)))
 {
@@ -58,6 +62,13 @@ TagePredictor::TagePredictor(TageConfig config)
     }
     tables_.assign(config_.historyLengths.size(),
                    std::vector<TageEntry>(config_.taggedEntries));
+    for (unsigned len : config_.historyLengths) {
+        indexFold_.emplace_back(len, indexBits_);
+        tagFold_.emplace_back(len, config_.tagBits);
+        tagFold2_.emplace_back(len, config_.tagBits - 1);
+    }
+    memo_.index.resize(tables_.size());
+    memo_.tag.resize(tables_.size());
 }
 
 bool
@@ -88,46 +99,49 @@ TagePredictor::bimodalIndex(std::uint64_t pc) const
 std::uint64_t
 TagePredictor::indexOf(std::size_t table, std::uint64_t pc) const
 {
-    const unsigned bits = log2Exact(config_.taggedEntries);
-    const std::uint64_t pc_field = pc >> 2;
-    const std::uint64_t hist =
-        history_.value() & mask(config_.historyLengths[table]);
-    return (xorFold(pc_field, bits) ^
-            xorFold(pc_field >> (table + 1), bits) ^
-            xorFold(hist, bits)) &
-           mask(bits);
+    return lookup(pc).index[table];
 }
 
 std::uint16_t
 TagePredictor::tagOf(std::size_t table, std::uint64_t pc) const
 {
-    const unsigned bits = config_.tagBits;
-    const std::uint64_t pc_field = pc >> 2;
-    const std::uint64_t hist =
-        history_.value() & mask(config_.historyLengths[table]);
-    // The classic double-folded tag hash: two history folds at widths
-    // (bits, bits - 1) decorrelate the tag from the index fold.
-    const std::uint64_t tag = xorFold(pc_field, bits) ^
-                              xorFold(hist, bits) ^
-                              (xorFold(hist, bits - 1) << 1);
-    return static_cast<std::uint16_t>(tag & mask(bits));
+    return lookup(pc).tag[table];
 }
 
 const TageEntry &
 TagePredictor::entryAt(std::size_t table, std::uint64_t index) const
 {
-    return tables_[table][index & mask(log2Exact(config_.taggedEntries))];
+    return tables_[table][index & mask(indexBits_)];
 }
 
-TagePrediction
-TagePredictor::predictDetail(std::uint64_t pc) const
+const TagePredictor::Lookup &
+TagePredictor::lookup(std::uint64_t pc) const
 {
-    TagePrediction d;
+    if (memo_.valid && memo_.pc == pc)
+        return memo_;
+
+    // Index: two PC folds XOR the table's history fold. Tag: a PC fold
+    // XOR the classic double-folded history hash, whose two widths
+    // (bits, bits - 1) decorrelate the tag from the index fold.
+    const std::uint64_t pc_field = pc >> 2;
+    const std::uint64_t pc_index = xorFold(pc_field, indexBits_);
+    const std::uint64_t pc_tag = xorFold(pc_field, config_.tagBits);
+    const std::uint64_t tag_mask = mask(config_.tagBits);
+    for (std::size_t t = 0; t < tables_.size(); ++t) {
+        memo_.index[t] = pc_index ^
+                         xorFold(pc_field >> (t + 1), indexBits_) ^
+                         indexFold_[t].value();
+        memo_.tag[t] = static_cast<std::uint16_t>(
+            (pc_tag ^ tagFold_[t].value() ^ (tagFold2_[t].value() << 1)) &
+            tag_mask);
+    }
+
+    // Provider: the longest-history tag match; alternate: the next.
     int provider = -1;
     int alt = -1;
     for (int t = static_cast<int>(tables_.size()) - 1; t >= 0; --t) {
         const auto table = static_cast<std::size_t>(t);
-        if (tables_[table][indexOf(table, pc)].tag != tagOf(table, pc))
+        if (tables_[table][memo_.index[table]].tag != memo_.tag[table])
             continue;
         if (provider < 0) {
             provider = t;
@@ -137,6 +151,8 @@ TagePredictor::predictDetail(std::uint64_t pc) const
         }
     }
 
+    TagePrediction &d = memo_.detail;
+    d = TagePrediction{};
     const auto &base = bimodal_[bimodalIndex(pc)];
     const bool bimodal_taken = base.predictsTaken();
     if (provider < 0) {
@@ -148,26 +164,34 @@ TagePredictor::predictDetail(std::uint64_t pc) const
                                                  : mid - 1 - base.value();
         d.altTaken = bimodal_taken;
         d.taken = bimodal_taken;
-        return d;
-    }
-
-    const auto ptable = static_cast<std::size_t>(provider);
-    const TageEntry &entry = tables_[ptable][indexOf(ptable, pc)];
-    d.providerTable = provider;
-    d.providerCtr = entry.ctr;
-    d.providerTaken = ctrTaken(entry.ctr);
-    d.providerStrength = ctrStrength(entry.ctr);
-    d.newlyAllocated = entry.u == 0 && d.providerStrength == 0;
-    if (alt >= 0) {
-        const auto atable = static_cast<std::size_t>(alt);
-        d.altTable = alt;
-        d.altTaken = ctrTaken(tables_[atable][indexOf(atable, pc)].ctr);
     } else {
-        d.altTaken = bimodal_taken;
+        const auto ptable = static_cast<std::size_t>(provider);
+        const TageEntry &entry = tables_[ptable][memo_.index[ptable]];
+        d.providerTable = provider;
+        d.providerCtr = entry.ctr;
+        d.providerTaken = ctrTaken(entry.ctr);
+        d.providerStrength = ctrStrength(entry.ctr);
+        d.newlyAllocated = entry.u == 0 && d.providerStrength == 0;
+        if (alt >= 0) {
+            const auto atable = static_cast<std::size_t>(alt);
+            d.altTable = alt;
+            d.altTaken =
+                ctrTaken(tables_[atable][memo_.index[atable]].ctr);
+        } else {
+            d.altTaken = bimodal_taken;
+        }
+        d.usedAlt = d.newlyAllocated && useAltOnNa_.predictsTaken();
+        d.taken = d.usedAlt ? d.altTaken : d.providerTaken;
     }
-    d.usedAlt = d.newlyAllocated && useAltOnNa_.predictsTaken();
-    d.taken = d.usedAlt ? d.altTaken : d.providerTaken;
-    return d;
+    memo_.pc = pc;
+    memo_.valid = true;
+    return memo_;
+}
+
+TagePrediction
+TagePredictor::predictDetail(std::uint64_t pc) const
+{
+    return lookup(pc).detail;
 }
 
 bool
@@ -179,11 +203,12 @@ TagePredictor::predict(std::uint64_t pc) const
 void
 TagePredictor::update(std::uint64_t pc, bool taken)
 {
-    const TagePrediction d = predictDetail(pc);
+    const Lookup &l = lookup(pc);
+    const TagePrediction &d = l.detail;
 
     if (d.providerTable >= 0) {
         const auto ptable = static_cast<std::size_t>(d.providerTable);
-        TageEntry &entry = tables_[ptable][indexOf(ptable, pc)];
+        TageEntry &entry = tables_[ptable][l.index[ptable]];
 
         // Useful counter: evidence only when provider and alternate
         // disagree — the provider was the tie-breaker.
@@ -226,15 +251,15 @@ TagePredictor::update(std::uint64_t pc, bool taken)
         int victim = -1;
         for (std::size_t t = static_cast<std::size_t>(d.providerTable + 1);
              t < tables_.size(); ++t) {
-            if (tables_[t][indexOf(t, pc)].u == 0) {
+            if (tables_[t][l.index[t]].u == 0) {
                 victim = static_cast<int>(t);
                 break;
             }
         }
         if (victim >= 0) {
             const auto vtable = static_cast<std::size_t>(victim);
-            TageEntry &entry = tables_[vtable][indexOf(vtable, pc)];
-            entry.tag = tagOf(vtable, pc);
+            TageEntry &entry = tables_[vtable][l.index[vtable]];
+            entry.tag = l.tag[vtable];
             const auto mid = static_cast<std::uint8_t>((ctrMax_ + 1u) / 2);
             entry.ctr = taken ? mid : static_cast<std::uint8_t>(mid - 1);
             entry.u = 0;
@@ -242,7 +267,7 @@ TagePredictor::update(std::uint64_t pc, bool taken)
             for (std::size_t t =
                      static_cast<std::size_t>(d.providerTable + 1);
                  t < tables_.size(); ++t) {
-                TageEntry &entry = tables_[t][indexOf(t, pc)];
+                TageEntry &entry = tables_[t][l.index[t]];
                 if (entry.u > 0)
                     --entry.u;
             }
@@ -250,10 +275,31 @@ TagePredictor::update(std::uint64_t pc, bool taken)
     }
 
     ++updates_;
-    if (config_.agingPeriod != 0 && updates_ % config_.agingPeriod == 0)
+    if (config_.agingPeriod != 0 && --untilAging_ == 0) {
         ageUsefulCounters();
+        untilAging_ = config_.agingPeriod;
+    }
 
+    memo_.valid = false;
+    const std::uint64_t before = history_.value();
+    for (std::size_t t = 0; t < tables_.size(); ++t) {
+        const bool evicted =
+            bitOf(before, config_.historyLengths[t] - 1) != 0;
+        indexFold_[t].update(taken, evicted);
+        tagFold_[t].update(taken, evicted);
+        tagFold2_[t].update(taken, evicted);
+    }
     history_.recordOutcome(taken);
+}
+
+void
+TagePredictor::rebuildFolds()
+{
+    for (std::size_t t = 0; t < tables_.size(); ++t) {
+        indexFold_[t].rebuild(history_.value());
+        tagFold_[t].rebuild(history_.value());
+        tagFold2_[t].rebuild(history_.value());
+    }
 }
 
 void
@@ -290,8 +336,11 @@ TagePredictor::reset()
         for (auto &entry : table)
             entry = TageEntry{};
     history_.reset();
+    rebuildFolds();
     useAltOnNa_.set(0);
     updates_ = 0;
+    untilAging_ = config_.agingPeriod;
+    memo_.valid = false;
 }
 
 void
@@ -326,8 +375,12 @@ TagePredictor::loadState(StateReader &in)
     }
     loadCounterTable(in, bimodal_);
     history_.setValue(in.getU64());
+    rebuildFolds();
     useAltOnNa_.set(in.getU32());
     updates_ = in.getU64();
+    if (config_.agingPeriod != 0)
+        untilAging_ = config_.agingPeriod - updates_ % config_.agingPeriod;
+    memo_.valid = false;
 }
 
 } // namespace confsim

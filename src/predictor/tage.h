@@ -14,10 +14,18 @@
  * counters are periodically aged (halved) so stale entries can be
  * reclaimed by allocation.
  *
+ * One lookup per branch: a branch's per-table indices and tags, its
+ * provider and its alternate are computed once and memoized, keyed by
+ * PC, so predict(), predictDetail() and update() (allocation and decay
+ * included) share them; update(), reset() and loadState() invalidate
+ * the memo. Each table's index fold and two tag folds are incremental
+ * FoldedHistory registers, O(1) per outcome.
+ *
  * TAGE matters to this repo because its provider counter magnitude and
  * provider-vs-alternate agreement are a *built-in* confidence signal
- * (exposed by confidence/tage_confidence.h) that the paper's CIR
- * estimators can be compared against head-to-head.
+ * (exposed by confidence/tage_confidence.h, which reads the bound
+ * predictor's memoized lookup) that the paper's CIR estimators can be
+ * compared against head-to-head.
  */
 
 #ifndef CONFSIM_PREDICTOR_TAGE_H
@@ -132,19 +140,44 @@ class TagePredictor : public BranchPredictor
     std::uint64_t historyValue() const { return history_.value(); }
 
   private:
+    /** One branch's lookup: everything predict and update need. */
+    struct Lookup
+    {
+        std::uint64_t pc = 0;
+        bool valid = false;
+        std::vector<std::uint64_t> index; //!< per tagged table
+        std::vector<std::uint16_t> tag;   //!< per tagged table
+        TagePrediction detail;
+    };
+
+    /** The memoized lookup for @p pc, computed on a miss. */
+    const Lookup &lookup(std::uint64_t pc) const;
+    void rebuildFolds();
     bool ctrTaken(std::uint8_t ctr) const;
     std::uint64_t ctrStrength(std::uint8_t ctr) const;
     std::uint64_t bimodalIndex(std::uint64_t pc) const;
     void ageUsefulCounters();
 
     TageConfig config_;
+    unsigned indexBits_; //!< log2(taggedEntries)
     FixedVectorTable<SaturatingCounter> bimodal_;
     std::vector<std::vector<TageEntry>> tables_;
     HistoryRegister history_;
+    /** Per table: the index fold and the (tagBits, tagBits - 1) tag
+     *  folds of that table's history length. */
+    std::vector<FoldedHistory> indexFold_;
+    std::vector<FoldedHistory> tagFold_;
+    std::vector<FoldedHistory> tagFold2_;
     SaturatingCounter useAltOnNa_;
     std::uint64_t updates_ = 0;
+    /** Updates left until the next aging (a countdown, so update()
+     *  divides nothing); derived from updates_ on load. */
+    std::uint64_t untilAging_;
     std::uint8_t ctrMax_;
     std::uint8_t uMax_;
+    /** The last lookup. Memoizing makes predict() write, so one
+     *  predictor instance belongs to one thread. */
+    mutable Lookup memo_;
 };
 
 } // namespace confsim

@@ -390,9 +390,10 @@ SweepConfiguration
 makeNamedConfiguration(const std::string &name,
                        const std::string &predictor)
 {
-    // Native-confidence configs default to their matching predictor
-    // so the estimator's shadow replica mirrors the real structure;
-    // everything else defaults to the paper's large gshare.
+    // Native-confidence configs default to their matching predictor,
+    // whose own lookup the estimator reads (another family fails the
+    // job with kConfig); everything else defaults to the paper's
+    // large gshare.
     std::string predictor_name = predictor;
     if (predictor_name.empty()) {
         if (name == "tage-provider")

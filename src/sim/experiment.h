@@ -225,16 +225,18 @@ twoLevelConfig(IndexScheme first_scheme, SecondLevelIndex second_index,
                unsigned second_cir_bits = paper::kCirBits);
 
 /**
- * TAGE's built-in provider confidence. Pair with tageFactory() of the
- * same geometry so the estimator's shadow replica tracks the real
- * predictor bit-for-bit.
+ * TAGE's built-in provider confidence, read from the configuration's
+ * own TAGE predictor. Pair with tageFactory(); a predictor of another
+ * family or counter width fails with Error{kConfig} at run time.
  */
 EstimatorConfig
 tageProviderConfig(TageConfig config = TageConfig::makeDefault());
 
 /**
- * Perceptron |margin|-vs-theta confidence. Pair with
- * perceptronFactory() of the same geometry.
+ * Perceptron |margin|-vs-theta confidence, read from the
+ * configuration's own perceptron. Pair with perceptronFactory() of the
+ * same history length (which sets theta); anything else fails with
+ * Error{kConfig} at run time.
  */
 EstimatorConfig
 perceptronMarginConfig(

@@ -119,8 +119,9 @@ estimatorFamilyRegistry()
                  std::make_unique<SelfCounterConfidence>(
                      IndexScheme::Pc, 1024, 3));
          })});
-    // Native-confidence estimators pair with their own predictor so
-    // the estimator's shadow replica is a bit-exact mirror of it.
+    // Native-confidence estimators pair with their own predictor: they
+    // read its lookup, and binding to any other family is a kConfig
+    // error.
     families.push_back(
         {"tage_provider",
          [] {

@@ -38,8 +38,8 @@ struct DifferentialFamily
 /**
  * Every estimator family in src/confidence/, each over the reference
  * small-gshare predictor. Native-confidence estimators (TAGE
- * provider, perceptron margin) ride their matching predictor instead
- * so the shadow replica tracks the real structure.
+ * provider, perceptron margin) ride their matching predictor instead,
+ * whose own lookup they read.
  */
 std::vector<DifferentialFamily> estimatorFamilyRegistry();
 

@@ -4,9 +4,41 @@
 
 #include "ckpt/checkpoint.h"
 #include "sim/run_policy.h"
+#include "util/crc32.h"
 #include "util/status.h"
 
 namespace confsim {
+
+namespace {
+
+/** Version of the `<prefix>meta` payload (2 added the fingerprint). */
+constexpr std::uint32_t kMetaVersion = 2;
+
+} // namespace
+
+std::uint32_t
+configFingerprint(const BranchPredictor &predictor,
+                  const std::vector<ConfidenceEstimator *> &estimators,
+                  const DriverOptions &options)
+{
+    StateWriter out;
+    out.putU64(options.bhrBits);
+    out.putU64(options.gcirBits);
+    out.putBool(options.profileStatic);
+    out.putU64(options.warmupBranches);
+    out.putU64(options.contextSwitchInterval);
+    out.putBool(options.flushPredictorOnSwitch);
+    out.putBool(options.flushEstimatorsOnSwitch);
+    out.putString(predictor.name());
+    predictor.saveState(out);
+    out.putU64(estimators.size());
+    for (const auto *estimator : estimators) {
+        out.putString(estimator->name());
+        out.putU64(estimator->numBuckets());
+        estimator->saveState(out);
+    }
+    return crc32(out.bytes().data(), out.bytes().size());
+}
 
 ReplayGuard::ReplayGuard(const DriverOptions &options)
     : cancel(options.cancel), hasDeadline(options.wallClockLimitMs != 0),
@@ -58,7 +90,9 @@ ReplayKernel::ReplayKernel(BranchPredictor &predictor,
     result_.label = std::move(label);
     result_.estimatorStats.reserve(estimators_.size());
     result_.estimatorNames.reserve(estimators_.size());
-    for (const auto *estimator : estimators_) {
+    for (auto *estimator : estimators_) {
+        // Native estimators read this predictor's own lookup.
+        estimator->bindPredictor(predictor);
         result_.estimatorStats.emplace_back(estimator->numBuckets());
         result_.estimatorNames.push_back(estimator->name());
     }
@@ -213,10 +247,12 @@ ReplayKernel::requireCheckpointable() const
 }
 
 void
-ReplayKernel::save(Checkpoint &ckpt, const std::string &prefix) const
+ReplayKernel::save(Checkpoint &ckpt, const std::string &prefix,
+                   std::uint32_t fingerprint) const
 {
     StateWriter meta;
     meta.putString(result_.label);
+    meta.putU32(fingerprint);
     meta.putU64(estimators_.size());
     meta.putU64(untilSwitch_);
     meta.putU64(bhr_.value());
@@ -224,7 +260,7 @@ ReplayKernel::save(Checkpoint &ckpt, const std::string &prefix) const
     meta.putU64(result_.branches);
     meta.putU64(result_.mispredicts);
     meta.putU64(result_.contextSwitches);
-    ckpt.add(prefix + "meta", 1, meta.take());
+    ckpt.add(prefix + "meta", kMetaVersion, meta.take());
 
     ckpt.addComponent(prefix + "predictor:" + predictor_->name(),
                       *predictor_);
@@ -240,17 +276,18 @@ ReplayKernel::save(Checkpoint &ckpt, const std::string &prefix) const
 }
 
 void
-ReplayKernel::restore(const Checkpoint &ckpt, const std::string &prefix)
+ReplayKernel::restore(const Checkpoint &ckpt, const std::string &prefix,
+                      std::uint32_t fingerprint)
 {
     const CheckpointComponent *meta = ckpt.find(prefix + "meta");
     if (meta == nullptr) {
         fatal(ErrorCategory::kCheckpoint,
               "checkpoint has no " + prefix + "meta component");
     }
-    if (meta->version != 1) {
+    if (meta->version != kMetaVersion) {
         fatal(ErrorCategory::kCheckpoint,
               prefix + "meta is version " + std::to_string(meta->version) +
-                  ", expected 1");
+                  ", expected " + std::to_string(kMetaVersion));
     }
     StateReader in(meta->payload);
     const std::string label = in.getString();
@@ -258,6 +295,11 @@ ReplayKernel::restore(const Checkpoint &ckpt, const std::string &prefix)
         fatal(ErrorCategory::kCheckpoint,
               "checkpoint config " + prefix + " is '" + label +
                   "', expected '" + result_.label + "'");
+    }
+    if (in.getU32() != fingerprint) {
+        fatal(ErrorCategory::kCheckpoint,
+              "checkpoint config " + prefix + " '" + label +
+                  "' was written by a different configuration");
     }
     in.expectU64(estimators_.size(), "checkpoint estimator count");
     untilSwitch_ = in.getU64();

@@ -287,11 +287,31 @@ struct ReplayGuard
     [[noreturn]] void park() const;
 };
 
+/**
+ * CRC-32 fingerprint of one configuration's identity: the predictor's
+ * and every estimator's name, the estimators' bucket counts, the
+ * components' saveState() bytes, and the DriverOptions fields that
+ * shape simulated statistics (BHR/GCIR widths, static profiling,
+ * warmup, the context-switch interval and its flush flags). Call it on
+ * freshly built components. Checkpoint entries carry it, so a store
+ * shared by configurations with the same label (every
+ * SuiteRunner::run() is labelled `run`) never restores one
+ * configuration's state or results into another.
+ */
+std::uint32_t
+configFingerprint(const BranchPredictor &predictor,
+                  const std::vector<ConfidenceEstimator *> &estimators,
+                  const DriverOptions &options);
+
 /** One configuration's record step and replay state. */
 class ReplayKernel
 {
   public:
     /**
+     * Binds every estimator to @p predictor
+     * (ConfidenceEstimator::bindPredictor), so a mismatched native
+     * estimator throws Error{kConfig} here.
+     *
      * @param predictor The configuration's predictor (not owned).
      * @param estimators Attached estimators (not owned; may be empty).
      * @param label Configuration label (results and checkpoints).
@@ -309,18 +329,22 @@ class ReplayKernel
 
     /**
      * Add this configuration's checkpoint components under @p prefix:
-     * `<prefix>meta`, `<prefix>predictor:<name>`,
-     * `<prefix>estimator<i>:<name>`, `<prefix>stats<i>`, and (with
-     * static profiling) `<prefix>static_profile`.
+     * `<prefix>meta` (which carries @p fingerprint, the
+     * configFingerprint() of this configuration),
+     * `<prefix>predictor:<name>`, `<prefix>estimator<i>:<name>`,
+     * `<prefix>stats<i>`, and (with static profiling)
+     * `<prefix>static_profile`.
      */
-    void save(Checkpoint &ckpt, const std::string &prefix) const;
+    void save(Checkpoint &ckpt, const std::string &prefix,
+              std::uint32_t fingerprint) const;
 
     /**
      * Restore a save() snapshot; @p ckpt.branches becomes the
-     * simulated-branch cursor. fatal() on any label, component,
-     * version, or geometry mismatch.
+     * simulated-branch cursor. fatal() on any label, fingerprint,
+     * component, version, or geometry mismatch.
      */
-    void restore(const Checkpoint &ckpt, const std::string &prefix);
+    void restore(const Checkpoint &ckpt, const std::string &prefix,
+                 std::uint32_t fingerprint);
 
     /** fatal() unless every component can be checkpointed. */
     void requireCheckpointable() const;

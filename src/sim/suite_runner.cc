@@ -272,15 +272,39 @@ doneComponentName(std::size_t config)
     return "cfg" + std::to_string(config) + ":result";
 }
 
+/** Version of a `cfg<i>:result` payload (2 added the fingerprint). */
+constexpr std::uint32_t kDoneVersion = 2;
+
+/** configFingerprint() of @p config over freshly built components. */
+std::uint32_t
+fingerprintOf(const SweepConfiguration &config, const DriverOptions &options)
+{
+    const std::unique_ptr<BranchPredictor> predictor =
+        config.makePredictor();
+    if (predictor == nullptr) {
+        fatal(ErrorCategory::kConfig, "sweep configuration '" +
+                                          config.label +
+                                          "' produced a null predictor");
+    }
+    const auto owned = config.makeEstimators();
+    std::vector<ConfidenceEstimator *> estimators;
+    estimators.reserve(owned.size());
+    for (const auto &estimator : owned)
+        estimators.push_back(estimator.get());
+    return configFingerprint(*predictor, estimators, options);
+}
+
 /**
  * Pack a finished benchmark's per-configuration results into a
  * checkpoint for the store's done-marker, so a resumed suite run reuses
  * them without re-simulating. Everything the compositing pass reads is
- * included; the configuration label guards against resuming under a
- * different configuration list.
+ * included; each configuration's label and configFingerprint() guard
+ * against resuming under a different configuration list, or under a
+ * different configuration with the same label.
  */
 Checkpoint
 serializeDoneMarker(const std::vector<SweepConfiguration> &configs,
+                    const std::vector<std::uint32_t> &fingerprints,
                     const std::vector<BenchmarkRunResult> &results)
 {
     Checkpoint ckpt;
@@ -290,6 +314,7 @@ serializeDoneMarker(const std::vector<SweepConfiguration> &configs,
         const BenchmarkRunResult &result = results[c];
         StateWriter out;
         out.putString(configs[c].label);
+        out.putU32(fingerprints[c]);
         out.putString(result.name);
         out.putU64(result.branches);
         out.putU64(result.mispredicts);
@@ -304,7 +329,7 @@ serializeDoneMarker(const std::vector<SweepConfiguration> &configs,
             stats.saveState(out);
         }
         result.staticStats.saveState(out);
-        ckpt.add(doneComponentName(c), 1, out.take());
+        ckpt.add(doneComponentName(c), kDoneVersion, out.take());
     }
     return ckpt;
 }
@@ -312,7 +337,8 @@ serializeDoneMarker(const std::vector<SweepConfiguration> &configs,
 /** Unpack a serializeDoneMarker() checkpoint; fatal() on any mismatch. */
 std::vector<BenchmarkRunResult>
 deserializeDoneMarker(const Checkpoint &ckpt,
-                      const std::vector<SweepConfiguration> &configs)
+                      const std::vector<SweepConfiguration> &configs,
+                      const std::vector<std::uint32_t> &fingerprints)
 {
     if (ckpt.components().size() != configs.size()) {
         fatal(ErrorCategory::kCheckpoint,
@@ -329,10 +355,10 @@ deserializeDoneMarker(const Checkpoint &ckpt,
             fatal(ErrorCategory::kCheckpoint,
                   "done-marker has no " + name + " component");
         }
-        if (entry->version != 1) {
+        if (entry->version != kDoneVersion) {
             fatal(ErrorCategory::kCheckpoint,
                   name + " is version " + std::to_string(entry->version) +
-                      ", expected 1");
+                      ", expected " + std::to_string(kDoneVersion));
         }
         StateReader in(entry->payload);
         const std::string label = in.getString();
@@ -340,6 +366,11 @@ deserializeDoneMarker(const Checkpoint &ckpt,
             fatal(ErrorCategory::kCheckpoint,
                   name + " is configuration '" + label + "', expected '" +
                       configs[c].label + "'");
+        }
+        if (in.getU32() != fingerprints[c]) {
+            fatal(ErrorCategory::kCheckpoint,
+                  name + " ('" + label +
+                      "') was written by a different configuration");
         }
         BenchmarkRunResult &result = results[c];
         result.name = in.getString();
@@ -421,6 +452,7 @@ benchmarkResults(SweepRunResult &pass, std::size_t bench,
 void
 completeStore(CheckpointStore &store,
               const std::vector<SweepConfiguration> &configs,
+              const std::vector<std::uint32_t> &fingerprints,
               std::vector<BenchmarkRunResult> &results, unsigned attempts)
 {
     const bool healthy =
@@ -429,7 +461,8 @@ completeStore(CheckpointStore &store,
     if (healthy) {
         for (auto &result : results)
             result.attempts = attempts;
-        store.writeCompleted(serializeDoneMarker(configs, results));
+        store.writeCompleted(
+            serializeDoneMarker(configs, fingerprints, results));
     }
     store.removeGenerations();
 }
@@ -686,7 +719,10 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
         run_options.cancel = &ctx.token;
 
         std::unique_ptr<CheckpointStore> store;
+        std::vector<std::uint32_t> fingerprints;
         if (policy.checkpoint.enabled()) {
+            for (const auto &config : configs)
+                fingerprints.push_back(fingerprintOf(config, options));
             store = std::make_unique<CheckpointStore>(
                 policy.checkpoint.directory, bench_name,
                 policy.checkpoint.keepGenerations);
@@ -695,16 +731,17 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
             if (policy.checkpoint.resume) {
                 if (auto done = store->loadCompleted()) {
                     try {
-                        outcome.perConfig =
-                            deserializeDoneMarker(*done, configs);
+                        outcome.perConfig = deserializeDoneMarker(
+                            *done, configs, fingerprints);
                         outcome.attempts = outcome.perConfig[0].attempts;
                         emitRestored(telemetry, bench_name, 0,
                                      done->branches);
                         return;
                     } catch (const std::exception &e) {
                         // The done-marker verified its CRC but does not
-                        // decode under this configuration list (or was
-                        // written in an older layout); re-simulate.
+                        // decode under this configuration list (another
+                        // configuration's marker, or an older layout);
+                        // re-simulate.
                         if (telemetry != nullptr) {
                             telemetry->emit(TelemetryEvent(
                                 events::kCheckpointCorrupt,
@@ -749,8 +786,8 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
                 outcome.perConfig = benchmarkResults(
                     pass, bench, bench_name, options.profileStatic);
                 if (store != nullptr)
-                    completeStore(*store, configs, outcome.perConfig,
-                                  attempt);
+                    completeStore(*store, configs, fingerprints,
+                                  outcome.perConfig, attempt);
                 break;
             } catch (const WatchdogTimeout &e) {
                 outcome.error = e.what();

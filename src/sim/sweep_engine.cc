@@ -42,6 +42,9 @@ struct SweepEngine::ConfigState
     std::unique_ptr<BranchPredictor> predictor;
     std::vector<std::unique_ptr<ConfidenceEstimator>> owned;
     std::unique_ptr<ReplayKernel> kernel;
+    /** configFingerprint() of the fresh components; computed only
+     *  when the run writes or resumes checkpoints. */
+    std::uint32_t fingerprint = 0;
 };
 
 SweepWorkerPool::SweepWorkerPool(unsigned workers)
@@ -498,7 +501,8 @@ SweepEngine::writeCheckpoint(TraceSource &source,
     ckpt.add("sweep:meta", 1, meta.take());
 
     for (std::size_t c = 0; c < states_.size(); ++c)
-        states_[c]->kernel->save(ckpt, cfgPrefix(c));
+        states_[c]->kernel->save(ckpt, cfgPrefix(c),
+                                 states_[c]->fingerprint);
     if (source.checkpointable())
         ckpt.addComponent("source", source);
 
@@ -572,6 +576,10 @@ SweepEngine::runImpl(TraceSource &source,
         estimators.reserve(state->owned.size());
         for (const auto &estimator : state->owned)
             estimators.push_back(estimator.get());
+        if (ckptEvery_ != 0 || resume_from != nullptr) {
+            state->fingerprint =
+                configFingerprint(*state->predictor, estimators, driver_);
+        }
         state->kernel = std::make_unique<ReplayKernel>(
             *state->predictor, std::move(estimators), config.label,
             driver_, plan);
@@ -602,7 +610,8 @@ SweepEngine::runImpl(TraceSource &source,
             fatal(ErrorCategory::kCheckpoint, "sweep:meta has unconsumed bytes");
 
         for (std::size_t c = 0; c < states_.size(); ++c)
-            states_[c]->kernel->restore(*resume_from, cfgPrefix(c));
+            states_[c]->kernel->restore(*resume_from, cfgPrefix(c),
+                                        states_[c]->fingerprint);
 
         simulated = resume_from->branches;
         if (resume_from->find("source") != nullptr) {

@@ -144,10 +144,12 @@ struct SweepConfiguration
     /** Label used in results, telemetry, and checkpoint components. */
     std::string label;
 
-    /** Fresh-predictor factory (invoked once per run()). */
+    /** Fresh-predictor factory (invoked once per run(); a
+     *  checkpointed suite run invokes it once more per benchmark for
+     *  configFingerprint()). */
     PredictorFactory makePredictor;
 
-    /** Fresh-estimator-set factory (invoked once per run()). */
+    /** Fresh-estimator-set factory (invoked like makePredictor). */
     EstimatorSetFactory makeEstimators;
 };
 

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/checkpoint.h"
 #include "ckpt/checkpoint_store.h"
 #include "ckpt/state_io.h"
 #include "confidence/associative_ct.h"
@@ -40,6 +41,7 @@
 #include "sim/sweep_engine.h"
 #include "fault/fault_injection.h"
 #include "trace/vector_trace_source.h"
+#include "util/error.h"
 #include "workload/workload_generator.h"
 
 namespace confsim {
@@ -382,22 +384,129 @@ TEST(EstimatorRoundTripTest, Composite)
     });
 }
 
+/** A native estimator bound to its own predictor. */
+struct NativePair
+{
+    std::unique_ptr<BranchPredictor> predictor;
+    std::unique_ptr<ConfidenceEstimator> estimator;
+};
+
+/** Train a bound pair in the replay kernel's order. */
+void
+trainNative(NativePair &pair, std::uint64_t seed, int steps)
+{
+    Xorshift rng(seed);
+    for (int i = 0; i < steps; ++i) {
+        const Step step = makeStep(rng);
+        (void)pair.predictor->predict(step.pc);
+        (void)pair.estimator->bucketOf(step.ctx);
+        pair.estimator->update(step.ctx, step.correct, step.taken);
+        pair.predictor->update(step.pc, step.taken);
+    }
+}
+
+/**
+ * The round-trip property for an estimator that reads its predictor:
+ * its state lives in the predictor, so snapshot both, restore both into
+ * a desynchronized fresh pair, and require the same bucket stream.
+ */
+void
+expectNativeRoundTrip(const std::function<NativePair()> &make)
+{
+    NativePair a = make();
+    SCOPED_TRACE(a.estimator->name());
+    ASSERT_TRUE(a.estimator->checkpointable());
+    a.estimator->bindPredictor(*a.predictor);
+    trainNative(a, 0xA11CE, 5000);
+
+    StateWriter predictor_out;
+    StateWriter estimator_out;
+    a.predictor->saveState(predictor_out);
+    a.estimator->saveState(estimator_out);
+
+    NativePair b = make();
+    b.estimator->bindPredictor(*b.predictor);
+    trainNative(b, 0xB0B, 1234); // desynchronize before restore
+    StateReader predictor_in(predictor_out.bytes());
+    StateReader estimator_in(estimator_out.bytes());
+    b.predictor->loadState(predictor_in);
+    b.estimator->loadState(estimator_in);
+    EXPECT_TRUE(predictor_in.atEnd());
+    EXPECT_TRUE(estimator_in.atEnd());
+
+    Xorshift rng(0xC0FFEE);
+    std::uint64_t distinct = 0;
+    std::uint64_t first = 0;
+    for (int i = 0; i < 5000; ++i) {
+        const Step step = makeStep(rng);
+        (void)a.predictor->predict(step.pc);
+        (void)b.predictor->predict(step.pc);
+        const std::uint64_t bucket = a.estimator->bucketOf(step.ctx);
+        ASSERT_EQ(bucket, b.estimator->bucketOf(step.ctx))
+            << "diverged at step " << i;
+        if (i == 0)
+            first = bucket;
+        distinct += bucket != first ? 1 : 0;
+        a.predictor->update(step.pc, step.taken);
+        b.predictor->update(step.pc, step.taken);
+    }
+    EXPECT_GT(distinct, 0u) << "the bound bucket stream never moved";
+}
+
 TEST(EstimatorRoundTripTest, TageProvider)
 {
-    // The estimator is a full shadow TAGE replica; its state is the
-    // predictor's state and must restore to the same bucket stream.
-    expectEstimatorRoundTrip([] {
-        return std::make_unique<TageProviderConfidence>(
-            TageConfig::makeSmall());
+    expectNativeRoundTrip([] {
+        return NativePair{
+            std::make_unique<TagePredictor>(TageConfig::makeSmall()),
+            std::make_unique<TageProviderConfidence>(
+                TageConfig::makeSmall())};
     });
 }
 
 TEST(EstimatorRoundTripTest, PerceptronMargin)
 {
-    expectEstimatorRoundTrip([] {
-        return std::make_unique<PerceptronMarginConfidence>(
-            PerceptronConfig::makeSmall(), 8);
+    expectNativeRoundTrip([] {
+        return NativePair{
+            std::make_unique<PerceptronPredictor>(
+                PerceptronConfig::makeSmall()),
+            std::make_unique<PerceptronMarginConfidence>(
+                PerceptronConfig::makeSmall(), 8)};
     });
+}
+
+TEST(EstimatorRoundTripTest, NativeParentFormatIsRejected)
+{
+    // The native estimators once carried a whole predictor replica as
+    // their state (version 1). Such a component must be refused as a
+    // checkpoint error, never decoded as the new geometry payload.
+    TagePredictor tage(TageConfig::makeSmall());
+    PerceptronPredictor perceptron(PerceptronConfig::makeSmall());
+    StateWriter tage_replica;
+    tage.saveState(tage_replica);
+    StateWriter perceptron_replica;
+    perceptron.saveState(perceptron_replica);
+    perceptron_replica.putU64(8);
+
+    Checkpoint ckpt;
+    ckpt.add("estimator:tage-provider", 1, tage_replica.take());
+    ckpt.add("estimator:perceptron-margin", 1, perceptron_replica.take());
+
+    const auto expect_checkpoint_error = [&ckpt](const std::string &name,
+                                                 ConfidenceEstimator &e) {
+        try {
+            ckpt.restoreComponent(name, e);
+            ADD_FAILURE() << name << " restored from the parent format";
+        } catch (const Error &error) {
+            EXPECT_EQ(error.category(), ErrorCategory::kCheckpoint)
+                << error.what();
+        }
+    };
+    TageProviderConfidence tage_conf(TageConfig::makeSmall());
+    PerceptronMarginConfidence perceptron_conf(
+        PerceptronConfig::makeSmall(), 8);
+    expect_checkpoint_error("estimator:tage-provider", tage_conf);
+    expect_checkpoint_error("estimator:perceptron-margin",
+                            perceptron_conf);
 }
 
 TEST(EstimatorRoundTripTest, StaticProfile)

@@ -37,7 +37,6 @@
 
 #include "ckpt/checkpoint.h"
 #include "confidence/one_level.h"
-#include "confidence/tage_confidence.h"
 #include "predictor/gshare.h"
 #include "predictor/tage.h"
 #include "trace/trace_io.h"
@@ -332,22 +331,16 @@ TEST(CheckpointCorruptionFuzz, TageStateSingleByteFlipIsRejected)
 {
     // Same contract over the richest component layout we serialize: a
     // trained TAGE predictor (tagged tables + bimodal + history +
-    // use_alt counter) and its provider-confidence shadow replica.
+    // use_alt counter).
     TagePredictor predictor(TageConfig::makeSmall());
-    TageProviderConfidence estimator(TageConfig::makeSmall());
     {
         const auto suite = BenchmarkSuite::ibsSmall(4'000);
         const auto source = suite.makeGenerator(2);
         BranchRecord record;
-        BranchContext ctx;
         while (source->next(record)) {
             if (!record.isConditional())
                 continue;
-            ctx.pc = record.pc;
-            const bool correct =
-                predictor.predict(record.pc) == record.taken;
-            estimator.bucketOf(ctx);
-            estimator.update(ctx, correct, record.taken);
+            (void)predictor.predict(record.pc);
             predictor.update(record.pc, record.taken);
         }
     }
@@ -356,7 +349,6 @@ TEST(CheckpointCorruptionFuzz, TageStateSingleByteFlipIsRejected)
     ckpt.watermark = 8'765;
     ckpt.branches = 4'000;
     ckpt.addComponent("predictor:" + predictor.name(), predictor);
-    ckpt.addComponent("estimator:" + estimator.name(), estimator);
 
     const auto path = tempPath("fuzz_tage_ckpt.csk1");
     writeCheckpointFile(path.string(), ckpt);

@@ -17,14 +17,20 @@
 
 #include "confidence/one_level.h"
 #include "predictor/gshare.h"
+#include "sim/experiment.h"
 #include "sim/sampling_engine.h"
 #include "sim/suite_runner.h"
 
 namespace confsim {
 namespace {
 
+/**
+ * Two gshare + CIR configurations and a small TAGE + provider one: a
+ * predictor that memoizes its lookup, read by a bound estimator, under
+ * the skip and warm-only plan modes.
+ */
 std::vector<SweepConfiguration>
-twoConfigs()
+sampledConfigs()
 {
     std::vector<SweepConfiguration> configs;
     for (const char *label : {"large", "small"}) {
@@ -44,6 +50,17 @@ twoConfigs()
         };
         configs.push_back(std::move(config));
     }
+    SweepConfiguration tage;
+    tage.label = "tage";
+    tage.makePredictor = tageFactory(TageConfig::makeSmall());
+    tage.makeEstimators = [make = tageProviderConfig(
+                               TageConfig::makeSmall())
+                                      .make] {
+        std::vector<std::unique_ptr<ConfidenceEstimator>> out;
+        out.push_back(make());
+        return out;
+    };
+    configs.push_back(std::move(tage));
     return configs;
 }
 
@@ -64,7 +81,7 @@ runSampled(const SamplingOptions &options)
 {
     SuiteRunner runner(
         BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"}, 100000));
-    SamplingEngine engine(twoConfigs(), DriverOptions{}, options);
+    SamplingEngine engine(sampledConfigs(), DriverOptions{}, options);
     return engine.runSuite(runner);
 }
 
@@ -152,9 +169,9 @@ TEST(SamplingDifferentialTest, CiContainsExactGroundTruth)
         BenchmarkSuite::ibsSubset({"jpeg", "real_gcc", "groff"},
                                   100000));
     const SweepSuiteResult exact =
-        runner.runSweep(twoConfigs(), DriverOptions{}, SweepOptions{});
+        runner.runSweep(sampledConfigs(), DriverOptions{}, SweepOptions{});
 
-    SamplingEngine engine(twoConfigs(), DriverOptions{},
+    SamplingEngine engine(sampledConfigs(), DriverOptions{},
                           baseOptions());
     const SamplingRunResult sampled = engine.runSuite(runner);
 

@@ -4,15 +4,18 @@
  * confidence estimator. The load-bearing invariants: the prediction is
  * exactly the sign of the margin, training fires iff the prediction
  * was wrong or |margin| <= theta (and moves every weight by exactly
- * +/-1 toward agreement, clamped to the weight range), the confidence
- * bucket is monotone in |margin|, and the estimator's shadow replica
- * reproduces a main predictor's margins bit-for-bit.
+ * +/-1 toward agreement, clamped to the weight range), the memoized
+ * margin always equals the dot product recomputed from the weights,
+ * the confidence bucket is monotone in |margin|, and a bound estimator
+ * reads its predictor's margin.
  */
 
 #include "predictor/perceptron.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -20,6 +23,8 @@
 
 #include "ckpt/state_io.h"
 #include "confidence/perceptron_margin.h"
+#include "predictor/gshare.h"
+#include "util/error.h"
 
 namespace confsim {
 namespace {
@@ -153,6 +158,61 @@ TEST(PerceptronTest, WeightsStayClampedUnderConstantOutcome)
         << "saturated weights should clear the training threshold";
 }
 
+/** The dot product for @p pc, recomputed from the weights. */
+std::int64_t
+recomputedMargin(const PerceptronPredictor &pred, std::uint64_t pc)
+{
+    const std::uint64_t row = pred.rowOf(pc);
+    const std::uint64_t hist = pred.historyValue();
+    std::int64_t sum = pred.weightAt(row, 0);
+    for (unsigned i = 0; i < pred.config().historyBits; ++i) {
+        const std::int32_t w = pred.weightAt(row, i + 1);
+        sum += ((hist >> i) & 1) != 0 ? w : -w;
+    }
+    return sum;
+}
+
+TEST(PerceptronTest, MemoizedMarginMatchesRecomputedDotProduct)
+{
+    // After every update, the reset, and the load (into a predictor
+    // whose memo holds the PC checked next), marginOf() must be the
+    // dot product of the current weights and history, for the PC just
+    // trained and for another one.
+    const PerceptronConfig config = PerceptronConfig::makeSmall();
+    auto pred = std::make_unique<PerceptronPredictor>(config);
+    Xorshift rng(0x9EC50004u);
+    std::uint64_t pc = 0;
+    for (int i = 0; i < 50'000; ++i) {
+        const std::uint64_t r = rng.next();
+        pc = ((r >> 8) & 0xFF) * 4;
+        const std::uint64_t other = ((r >> 16) & 0xFF) * 4;
+        (void)pred->predict(pc);
+        pred->update(pc, (r & 1) != 0);
+        ASSERT_EQ(pred->marginOf(pc), recomputedMargin(*pred, pc))
+            << "after update at step " << i;
+        ASSERT_EQ(pred->marginOf(other), recomputedMargin(*pred, other))
+            << "another PC at step " << i;
+        (void)pred->marginOf(pc);
+        if (i == 20'000) {
+            pred->reset();
+            ASSERT_EQ(pred->marginOf(pc), recomputedMargin(*pred, pc))
+                << "after reset";
+        }
+        if (i == 40'000) {
+            StateWriter out;
+            pred->saveState(out);
+            auto restored = std::make_unique<PerceptronPredictor>(config);
+            ASSERT_EQ(restored->marginOf(pc), 0);
+            StateReader in(out.bytes());
+            restored->loadState(in);
+            ASSERT_NE(recomputedMargin(*restored, pc), 0);
+            ASSERT_EQ(restored->marginOf(pc), recomputedMargin(*restored, pc))
+                << "after loadState";
+            pred = std::move(restored);
+        }
+    }
+}
+
 TEST(PerceptronTest, LoadStateRejectsMismatchedGeometry)
 {
     PerceptronPredictor small(PerceptronConfig::makeSmall());
@@ -194,28 +254,63 @@ TEST(PerceptronMarginConfidenceTest, RejectsDegenerateLevelCount)
         std::runtime_error);
 }
 
-TEST(PerceptronMarginConfidenceTest, ShadowTracksMainPredictorBitExactly)
+TEST(PerceptronMarginConfidenceTest, BoundBucketFollowsPredictorMargin)
 {
-    PerceptronPredictor main(PerceptronConfig::makeSmall());
+    PerceptronPredictor pred(PerceptronConfig::makeSmall());
     PerceptronMarginConfidence conf(PerceptronConfig::makeSmall(), 8);
+    conf.bindPredictor(pred);
 
     Xorshift rng(0x9EC50003u);
     BranchContext ctx;
+    std::vector<bool> seen(conf.numBuckets(), false);
     for (int i = 0; i < 50'000; ++i) {
         const std::uint64_t r = rng.next();
         const std::uint64_t pc = ((r >> 8) & 0xFF) * 4;
         const bool taken = (r & 1) != 0;
         ctx.pc = pc;
 
-        const std::int64_t margin = main.marginOf(pc);
-        ASSERT_EQ(conf.shadowMargin(ctx), margin) << "step " << i;
-        ASSERT_EQ(conf.bucketOf(ctx), conf.bucketForMargin(margin))
-            << "step " << i;
-
-        const bool correct = main.predict(pc) == taken;
+        // The replay kernel's order: predict, bucket, train.
+        const bool correct = pred.predict(pc) == taken;
+        const std::uint64_t want =
+            conf.bucketForMargin(recomputedMargin(pred, pc));
+        const std::uint64_t bucket = conf.bucketOf(ctx);
+        ASSERT_EQ(bucket, want) << "step " << i;
+        seen[bucket] = true;
         conf.update(ctx, correct, taken);
-        main.update(pc, taken);
+        pred.update(pc, taken);
     }
+    EXPECT_GE(std::count(seen.begin(), seen.end(), true), 4);
+}
+
+TEST(PerceptronMarginConfidenceTest, UnboundEstimatorReturnsBucketZero)
+{
+    PerceptronMarginConfidence conf(PerceptronConfig::makeSmall(), 8);
+    Xorshift rng(0x9EC50005u);
+    BranchContext ctx;
+    for (int i = 0; i < 1'000; ++i) {
+        const std::uint64_t r = rng.next();
+        ctx.pc = ((r >> 8) & 0xFF) * 4;
+        ASSERT_EQ(conf.bucketOf(ctx), 0u);
+        conf.update(ctx, (r & 2) != 0, (r & 1) != 0);
+    }
+    EXPECT_EQ(conf.storageBits(), 0u);
+}
+
+TEST(PerceptronMarginConfidenceTest, BindRejectsOtherFamilyOrHistoryLength)
+{
+    const auto expect_config_error = [](const BranchPredictor &pred) {
+        PerceptronMarginConfidence conf(PerceptronConfig::makeSmall(), 8);
+        try {
+            conf.bindPredictor(pred);
+            ADD_FAILURE() << "bound to " << pred.name();
+        } catch (const Error &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
+        }
+    };
+    expect_config_error(GsharePredictor(4096, 12));
+    PerceptronConfig longer = PerceptronConfig::makeSmall();
+    longer.historyBits = 16; // a different theta
+    expect_config_error(PerceptronPredictor(longer));
 }
 
 } // namespace

@@ -5,14 +5,17 @@
  * relies on: useful counters move only on provider-vs-alternate
  * disagreement outcomes, periodic aging halves every useful counter,
  * allocation on a mispredict claims the first u == 0 candidate (or
- * decays all candidates when none is free), and the shadow replica in
- * TageProviderConfidence stays bit-identical to a main predictor fed
- * the same outcome stream.
+ * decays all candidates when none is free), the incremental history
+ * folds and the memoized lookup always agree with hashes recomputed
+ * from the history register, and a bound TageProviderConfidence reads
+ * its predictor's provider.
  */
 
 #include "predictor/tage.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -20,6 +23,9 @@
 
 #include "ckpt/state_io.h"
 #include "confidence/tage_confidence.h"
+#include "predictor/gshare.h"
+#include "util/bits.h"
+#include "util/error.h"
 
 namespace confsim {
 namespace {
@@ -285,42 +291,185 @@ TEST(TageTest, LoadStateRejectsMismatchedGeometry)
     EXPECT_THROW(large.loadState(in), std::runtime_error);
 }
 
-TEST(TageProviderConfidenceTest, ShadowTracksMainPredictorBitExactly)
+/** The index hash of table @p t, folded directly from the history. */
+std::uint64_t
+recomputedIndex(const TagePredictor &pred, std::size_t t, std::uint64_t pc)
 {
-    // The estimator's whole design premise: fed the same (pc, outcome)
-    // stream, the shadow replica reproduces the main predictor's
-    // provider state exactly.
-    TagePredictor main(TageConfig::makeSmall());
+    const unsigned bits = log2Exact(pred.config().taggedEntries);
+    const std::uint64_t pc_field = pc >> 2;
+    const std::uint64_t hist =
+        pred.historyValue() & mask(pred.config().historyLengths[t]);
+    return (xorFold(pc_field, bits) ^ xorFold(pc_field >> (t + 1), bits) ^
+            xorFold(hist, bits)) &
+           mask(bits);
+}
+
+/** The tag hash of table @p t, folded directly from the history. */
+std::uint16_t
+recomputedTag(const TagePredictor &pred, std::size_t t, std::uint64_t pc)
+{
+    const unsigned bits = pred.config().tagBits;
+    const std::uint64_t hist =
+        pred.historyValue() & mask(pred.config().historyLengths[t]);
+    return static_cast<std::uint16_t>(
+        (xorFold(pc >> 2, bits) ^ xorFold(hist, bits) ^
+         (xorFold(hist, bits - 1) << 1)) &
+        mask(bits));
+}
+
+void
+expectRecomputedHashes(const TagePredictor &pred, std::uint64_t pc, int step)
+{
+    for (std::size_t t = 0; t < pred.numTables(); ++t) {
+        ASSERT_EQ(pred.indexOf(t, pc), recomputedIndex(pred, t, pc))
+            << "table " << t << " index at step " << step;
+        ASSERT_EQ(pred.tagOf(t, pc), recomputedTag(pred, t, pc))
+            << "table " << t << " tag at step " << step;
+    }
+}
+
+/**
+ * Drive 100k random branches and check every table's index and tag
+ * against folds recomputed from the history after every update, across
+ * one reset() and one saveState -> loadState round trip into a
+ * predictor whose memo holds a stale lookup for the very PC checked
+ * next.
+ */
+void
+expectFoldsMatchRecomputed(const TageConfig &config, std::uint64_t seed)
+{
+    auto pred = std::make_unique<TagePredictor>(config);
+    Xorshift rng(seed);
+    std::uint64_t pc = 0;
+    for (int i = 0; i < 100'000; ++i) {
+        const std::uint64_t r = rng.next();
+        pc = ((r >> 8) & 0xFFFFF) * 4;
+        (void)pred->predict(pc);
+        pred->update(pc, (r & 1) != 0);
+        ASSERT_NO_FATAL_FAILURE(expectRecomputedHashes(*pred, pc, i));
+        if (i == 30'000) {
+            pred->reset();
+            ASSERT_NO_FATAL_FAILURE(expectRecomputedHashes(*pred, pc, i));
+        }
+        if (i == 60'000) {
+            StateWriter out;
+            pred->saveState(out);
+            auto restored = std::make_unique<TagePredictor>(config);
+            (void)restored->predict(pc); // a memo for the next check
+            StateReader in(out.bytes());
+            restored->loadState(in);
+            ASSERT_NE(restored->historyValue(), 0u);
+            ASSERT_NO_FATAL_FAILURE(expectRecomputedHashes(*restored, pc, i));
+            pred = std::move(restored);
+        }
+    }
+}
+
+TEST(TageTest, IncrementalFoldsMatchRecomputedHashes)
+{
+    // makeSmall()'s first table folds 4 history bits into a 7-bit
+    // index and tag: a history shorter than the fold.
+    ASSERT_NO_FATAL_FAILURE(
+        expectFoldsMatchRecomputed(TageConfig::makeSmall(), 0x7A6E0006u));
+    expectFoldsMatchRecomputed(TageConfig::makeDefault(), 0x7A6E0007u);
+}
+
+TEST(TageTest, InterleavedLookupsNeverChangeTheUpdate)
+{
+    // predict(a), predictDetail(b), update(a) must see b's own lookup
+    // and train exactly like update(a) alone: the memo is keyed by PC.
+    TagePredictor probed(TageConfig::makeSmall());
+    TagePredictor twin(TageConfig::makeSmall());
+    Xorshift rng(0x7A6E0008u);
+    for (int i = 0; i < 50'000; ++i) {
+        const std::uint64_t r = rng.next();
+        const std::uint64_t a = ((r >> 8) & 0xFF) * 4;
+        const std::uint64_t b = ((r >> 16) & 0xFF) * 4;
+        const bool taken = (r & 1) != 0;
+        (void)probed.predict(a);
+        const TagePrediction got = probed.predictDetail(b);
+        const TagePrediction want = twin.predictDetail(b);
+        ASSERT_EQ(got.taken, want.taken) << "step " << i;
+        ASSERT_EQ(got.providerTable, want.providerTable) << "step " << i;
+        ASSERT_EQ(got.altTable, want.altTable) << "step " << i;
+        ASSERT_EQ(got.providerCtr, want.providerCtr) << "step " << i;
+        probed.update(a, taken);
+        twin.update(a, taken);
+        if (i % 97 == 0 || i == 49'999) {
+            StateWriter probed_state;
+            StateWriter twin_state;
+            probed.saveState(probed_state);
+            twin.saveState(twin_state);
+            ASSERT_EQ(probed_state.bytes(), twin_state.bytes())
+                << "step " << i;
+        }
+    }
+}
+
+TEST(TageProviderConfidenceTest, BoundBucketFollowsPredictorDetail)
+{
+    TagePredictor pred(TageConfig::makeSmall());
     TageProviderConfidence conf(TageConfig::makeSmall());
+    conf.bindPredictor(pred);
 
     Xorshift rng(0x7A6E0005u);
     BranchContext ctx;
+    std::vector<bool> seen(conf.numBuckets(), false);
     for (int i = 0; i < 50'000; ++i) {
         const std::uint64_t r = rng.next();
         const std::uint64_t pc = ((r >> 8) & 0xFF) * 4;
         const bool taken = (r & 1) != 0;
         ctx.pc = pc;
 
-        const TagePrediction expect = main.predictDetail(pc);
-        const TagePrediction got = conf.shadowDetail(ctx);
-        ASSERT_EQ(got.taken, expect.taken) << "step " << i;
-        ASSERT_EQ(got.providerTable, expect.providerTable)
-            << "step " << i;
-        ASSERT_EQ(got.providerStrength, expect.providerStrength)
-            << "step " << i;
-        ASSERT_EQ(got.altTaken, expect.altTaken) << "step " << i;
-
-        const std::uint64_t bucket = conf.bucketOf(ctx);
+        // The replay kernel's order: predict, bucket, train.
+        const bool correct = pred.predict(pc) == taken;
+        const TagePrediction d = pred.predictDetail(pc);
         const std::uint64_t want =
-            2 * expect.providerStrength +
-            (expect.providerTaken == expect.altTaken ? 1 : 0);
+            2 * d.providerStrength +
+            (d.providerTaken == d.altTaken ? 1 : 0);
+        const std::uint64_t bucket = conf.bucketOf(ctx);
         ASSERT_EQ(bucket, want) << "step " << i;
         ASSERT_LT(bucket, conf.numBuckets());
-
-        const bool correct = main.predict(pc) == taken;
+        seen[bucket] = true;
         conf.update(ctx, correct, taken);
-        main.update(pc, taken);
+        pred.update(pc, taken);
     }
+    EXPECT_GE(std::count(seen.begin(), seen.end(), true), 4);
+}
+
+TEST(TageProviderConfidenceTest, UnboundEstimatorReturnsBucketZero)
+{
+    TageProviderConfidence conf(TageConfig::makeSmall());
+    Xorshift rng(0x7A6E0009u);
+    BranchContext ctx;
+    for (int i = 0; i < 1'000; ++i) {
+        const std::uint64_t r = rng.next();
+        ctx.pc = ((r >> 8) & 0xFF) * 4;
+        ASSERT_EQ(conf.bucketOf(ctx), 0u);
+        conf.update(ctx, (r & 2) != 0, (r & 1) != 0);
+    }
+}
+
+TEST(TageProviderConfidenceTest, BindRejectsOtherFamilyOrCounterWidth)
+{
+    const auto expect_config_error = [](const BranchPredictor &pred) {
+        TageProviderConfidence conf(TageConfig::makeSmall());
+        try {
+            conf.bindPredictor(pred);
+            ADD_FAILURE() << "bound to " << pred.name();
+        } catch (const Error &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
+        }
+    };
+    expect_config_error(GsharePredictor(4096, 12));
+    TageConfig wide = TageConfig::makeSmall();
+    wide.counterBits = 4;
+    expect_config_error(TagePredictor(wide));
+
+    // Only the counter width matters to the buckets.
+    const TagePredictor reference_geometry;
+    TageProviderConfidence conf(TageConfig::makeSmall());
+    EXPECT_NO_THROW(conf.bindPredictor(reference_geometry));
 }
 
 TEST(TageProviderConfidenceTest, BucketCountAndOrdering)
@@ -331,6 +480,7 @@ TEST(TageProviderConfidenceTest, BucketCountAndOrdering)
     EXPECT_TRUE(conf.bucketsAreOrdered());
     EXPECT_EQ(conf.name(), "tage-provider");
     EXPECT_TRUE(conf.checkpointable());
+    EXPECT_EQ(conf.storageBits(), 0u);
 }
 
 } // namespace

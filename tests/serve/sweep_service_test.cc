@@ -35,6 +35,7 @@
 #include "confidence/one_level.h"
 #include "fault/fault_injection.h"
 #include "predictor/gshare.h"
+#include "serve/job_protocol.h"
 #include "serve/sweep_service.h"
 #include "sim/suite_runner.h"
 #include "util/error.h"
@@ -389,6 +390,27 @@ TEST(SweepServiceTest, RejectsUnrunnableSpecsAsConfig)
     const ServiceStatus status = service.serviceStatus();
     EXPECT_EQ(status.rejected, 3u);
     expectExactAccounting(status, true);
+}
+
+TEST(SweepServiceTest, NativeConfigOnForeignPredictorFailsAsConfig)
+{
+    // The provider estimator reads its own predictor; over gshare it
+    // has nothing to read, so the job fails as a configuration error.
+    ServiceOptions options;
+    options.poolWorkers = 1;
+    options.jobSlots = 1;
+    SweepService service(options);
+    ProtocolRequest request = parseProtocolRequest(
+        R"({"op":"submit","configs":["tage-provider"],)"
+        R"("predictor":"gshare-large","benchmarks":["groff"],)"
+        R"("branches":2000})");
+    const JobStatus status =
+        service.wait(service.submit(std::move(request.spec)));
+    EXPECT_EQ(status.state, JobState::kFailed);
+    EXPECT_EQ(status.errorCategory, ErrorCategory::kConfig)
+        << status.error;
+    EXPECT_EQ(status.result, nullptr);
+    service.drain(DrainMode::kWait);
 }
 
 TEST(SweepServiceTest, FaultedJobNeverPerturbsItsSibling)

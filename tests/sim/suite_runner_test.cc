@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 
 #include "sim/sweep_engine.h"
 
@@ -12,6 +13,8 @@
 #include "confidence/one_level.h"
 #include "predictor/gshare.h"
 #include "fault/fault_injection.h"
+#include "sim/experiment.h"
+#include "trace/vector_trace_source.h"
 #include "util/error.h"
 
 namespace confsim {
@@ -547,6 +550,97 @@ TEST(SuiteRunnerTest, FactoriesInvokedExactlyOncePerBenchmark)
     EXPECT_EQ(estimator_calls->load(), 2);
     ASSERT_EQ(result.estimatorNames.size(), 1u);
     EXPECT_EQ(result.estimatorNames[0], "1lvl-PCxorBHR-reset16-4096");
+}
+
+/** Exact per-benchmark equality of two suite results. */
+void
+expectSameResults(const SuiteRunResult &actual,
+                  const SuiteRunResult &expected)
+{
+    ASSERT_EQ(actual.perBenchmark.size(), expected.perBenchmark.size());
+    EXPECT_EQ(actual.compositeMispredictRate,
+              expected.compositeMispredictRate);
+    for (std::size_t b = 0; b < expected.perBenchmark.size(); ++b) {
+        const BenchmarkRunResult &got = actual.perBenchmark[b];
+        const BenchmarkRunResult &want = expected.perBenchmark[b];
+        SCOPED_TRACE(want.name);
+        EXPECT_EQ(got.branches, want.branches);
+        EXPECT_EQ(got.mispredicts, want.mispredicts);
+        ASSERT_EQ(got.estimatorStats.size(), want.estimatorStats.size());
+        for (std::size_t e = 0; e < want.estimatorStats.size(); ++e) {
+            const BucketStats &g = got.estimatorStats[e];
+            const BucketStats &w = want.estimatorStats[e];
+            ASSERT_EQ(g.numBuckets(), w.numBuckets());
+            for (std::uint64_t k = 0; k < w.numBuckets(); ++k) {
+                EXPECT_EQ(g[k].refs, w[k].refs) << "bucket " << k;
+                EXPECT_EQ(g[k].mispredicts, w[k].mispredicts);
+            }
+        }
+    }
+}
+
+TEST(SuiteRunnerTest, SharedCheckpointDirectoryKeepsRunsApart)
+{
+    // Every run() labels its configuration `run`, so two runs over
+    // different geometries that share a checkpoint directory write
+    // done-markers under the same names. A resumed run must still
+    // reproduce its own configuration, never the other run's results.
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        "suite_runner_shared_ckpt";
+    std::filesystem::remove_all(dir);
+    SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"},
+                                                 5000));
+    RunPolicy policy;
+    policy.checkpoint.directory = dir.string();
+    DriverOptions options;
+    options.profileStatic = true;
+    const PredictorFactory other_predictor = [] {
+        return std::make_unique<GsharePredictor>(1024, 10);
+    };
+    const EstimatorSetFactory other_estimators = [] {
+        std::vector<std::unique_ptr<ConfidenceEstimator>> out;
+        out.push_back(std::make_unique<OneLevelCounterConfidence>(
+            IndexScheme::Pc, 1024, CounterKind::Saturating, 7, 0));
+        return out;
+    };
+
+    (void)runner.run(other_predictor, other_estimators, options, policy);
+    const SuiteRunResult fresh =
+        runner.run(smallPredictor(), smallEstimators(), options);
+    policy.checkpoint.resume = true;
+    const SuiteRunResult resumed =
+        runner.run(smallPredictor(), smallEstimators(), options, policy);
+    expectSameResults(resumed, fresh);
+
+    // Its own markers, once written, are served back unchanged.
+    const SuiteRunResult served =
+        runner.run(smallPredictor(), smallEstimators(), options, policy);
+    expectSameResults(served, fresh);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SweepEngineTest, NativeEstimatorOnForeignPredictorIsConfigError)
+{
+    // A shadow-free native estimator grades only its own family's
+    // predictions: pairing TAGE provider confidence with gshare is a
+    // configuration error, not a run that grades gshare with TAGE.
+    SweepConfiguration config;
+    config.label = "mismatched";
+    config.makePredictor = largeGshareFactory();
+    config.makeEstimators = [make = tageProviderConfig().make] {
+        std::vector<std::unique_ptr<ConfidenceEstimator>> out;
+        out.push_back(make());
+        return out;
+    };
+    SweepEngine engine({config});
+    VectorTraceSource source(std::vector<BranchRecord>(16));
+    try {
+        (void)engine.run(source);
+        ADD_FAILURE() << "the mismatched configuration ran";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
+    }
 }
 
 } // namespace
