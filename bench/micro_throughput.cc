@@ -17,6 +17,7 @@
 #include "predictor/perceptron.h"
 #include "predictor/tage.h"
 #include "sim/driver.h"
+#include "sim/sampling_engine.h"
 #include "workload/workload_generator.h"
 
 namespace confsim {
@@ -208,6 +209,49 @@ BM_TageProviderDriver(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 100000);
 }
 BENCHMARK(BM_TageProviderDriver);
+
+void
+BM_SampledRunTrace(benchmark::State &state)
+{
+    // One benchmark of a sampled suite: gshare-large with the PC, BHR
+    // and PCxorBHR 64K-bucket ideal CIR estimators, 10% of 200 regions
+    // in 4 strata x 5 subsamples, a 2-region warming window, on the
+    // calling thread with synchronous refill. Covers the pre-pass,
+    // kernel construction, the planned replay and the estimates.
+    static constexpr std::uint64_t kBranches = 200000;
+    SweepConfiguration config;
+    config.label = "gshare+CIR";
+    config.makePredictor = [] {
+        return std::make_unique<GsharePredictor>(
+            GsharePredictor::makeLargePaperConfig());
+    };
+    config.makeEstimators = [] {
+        std::vector<std::unique_ptr<ConfidenceEstimator>> out;
+        for (const IndexScheme scheme :
+             {IndexScheme::Pc, IndexScheme::Bhr, IndexScheme::PcXorBhr}) {
+            out.push_back(std::make_unique<OneLevelCirConfidence>(
+                scheme, 1 << 16, 16, CirReduction::RawPattern));
+        }
+        return out;
+    };
+    SamplingOptions options;
+    options.sampleRate = 0.1;
+    options.regionBranches = kBranches / 200;
+    options.strata = 4;
+    options.subsamples = 5;
+    options.warmupRegions = 2;
+    options.sweep.threads = 1;
+    options.sweep.decodeAhead = 1;
+    SamplingEngine engine({config}, DriverOptions{}, options);
+    const SamplingEngine::SourceFactory jpeg = [] {
+        return std::make_unique<WorkloadGenerator>(ibsProfile("jpeg"),
+                                                   kBranches);
+    };
+    for (auto _ : state)
+        benchmark::DoNotOptimize(engine.runTrace("jpeg", jpeg));
+    state.SetItemsProcessed(state.iterations() * kBranches);
+}
+BENCHMARK(BM_SampledRunTrace)->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace confsim

@@ -128,8 +128,18 @@ main(int argc, char **argv)
                     sampled.recordedBranches),
                 static_cast<unsigned long long>(
                     sampled.totalBranches));
-    std::printf("wall clock: exact %.0f ms, sampled %.0f ms\n",
-                exact.wallMs, sampled.wallMs);
+    double prepass_ms = 0.0;
+    double replay_ms = 0.0;
+    double estimate_ms = 0.0;
+    for (const SamplingBenchmarkResult &bench : sampled.perBenchmark) {
+        prepass_ms += bench.prePassMs;
+        replay_ms += bench.replayMs;
+        estimate_ms += bench.estimateMs;
+    }
+    std::printf("wall clock: exact %.0f ms, sampled %.0f ms (pre-pass "
+                "%.0f, replay %.0f, estimates %.0f)\n",
+                exact.wallMs, sampled.wallMs, prepass_ms, replay_ms,
+                estimate_ms);
 
     if (check) {
         bool ok = true;

@@ -10,13 +10,15 @@
 namespace confsim {
 
 OperatingPoint
-operatingPointAt(const BucketStats &stats, double ref_fraction)
+operatingPointAt(std::vector<KeyedBucketCounts> keyed, double ref_fraction)
 {
+    std::erase_if(keyed, [](const KeyedBucketCounts &k) {
+        return k.counts.refs <= 0.0;
+    });
     OperatingPoint point;
-    point.coverage = ConfidenceCurve::fromBucketStats(stats)
-                         .mispredCoverageAt(ref_fraction);
+    point.coverage =
+        ConfidenceCurve::fromCounts(keyed).mispredCoverageAt(ref_fraction);
 
-    std::vector<KeyedBucketCounts> keyed = stats.nonEmpty();
     std::sort(keyed.begin(), keyed.end(),
               [](const KeyedBucketCounts &a,
                  const KeyedBucketCounts &b) {

@@ -14,6 +14,8 @@
 #ifndef CONFSIM_METRICS_OPERATING_POINT_H
 #define CONFSIM_METRICS_OPERATING_POINT_H
 
+#include <vector>
+
 #include "metrics/bucket_stats.h"
 
 namespace confsim {
@@ -33,16 +35,25 @@ struct OperatingPoint
 };
 
 /**
- * Score @p stats at the @p ref_fraction operating point. The discrete
- * low set grows worst-bucket-first toward the target, stopping at
- * whichever side of the boundary is closer — a single huge bucket
- * (the all-weak state) must not balloon the set to most of the trace.
- * Empty stats score zero everywhere. Weighted stats (e.g. composite
- * or stratified banks) are fine: only rates and relative masses
- * matter.
+ * Score per-bucket counts at the @p ref_fraction operating point. The
+ * discrete low set grows worst-bucket-first toward the target,
+ * stopping at whichever side of the boundary is closer — a single huge
+ * bucket (the all-weak state) must not balloon the set to most of the
+ * trace. Zero-ref entries are dropped, and empty counts score zero
+ * everywhere. Bucket ids must be distinct; their order does not
+ * matter, because ties in rate break on bucket id. Weighted counts
+ * (e.g. composite or stratified masses) are fine: only rates and
+ * relative masses matter.
  */
-OperatingPoint operatingPointAt(const BucketStats &stats,
+OperatingPoint operatingPointAt(std::vector<KeyedBucketCounts> keyed,
                                 double ref_fraction);
+
+/** Score @p stats' non-empty buckets (see the keyed overload). */
+inline OperatingPoint
+operatingPointAt(const BucketStats &stats, double ref_fraction)
+{
+    return operatingPointAt(stats.nonEmpty(), ref_fraction);
+}
 
 /** The paper's canonical 20%-of-branches operating point. */
 inline OperatingPoint

@@ -108,12 +108,8 @@ ReplayKernel::ReplayKernel(BranchPredictor &predictor,
     }
     if (plan_ != nullptr) {
         result_.slotStats.resize(plan_->numSlots);
-        for (auto &slot_bank : result_.slotStats) {
-            slot_bank.estimatorStats.reserve(estimators_.size());
-            for (const auto *estimator : estimators_)
-                slot_bank.estimatorStats.emplace_back(
-                    estimator->numBuckets());
-        }
+        for (auto &slot : result_.slotStats)
+            slot.estimatorLogs.resize(estimators_.size());
     }
 }
 
@@ -169,7 +165,7 @@ ReplayKernel::recordStep(const BranchRecord &record, BranchProfile *profile)
     const bool recording =
         simulated_ >= options_.warmupBranches &&
         (plan_ == nullptr || planSlot_ != SweepRecordingPlan::kWarmOnly);
-    SweepSlotStats *const slot_bank =
+    SweepSlotStats *const slot =
         recording && plan_ != nullptr ? &result_.slotStats[planSlot_]
                                       : nullptr;
 
@@ -177,10 +173,10 @@ ReplayKernel::recordStep(const BranchRecord &record, BranchProfile *profile)
         ++result_.branches;
         if (!correct)
             ++result_.mispredicts;
-        if (slot_bank != nullptr) {
-            ++slot_bank->branches;
+        if (slot != nullptr) {
+            ++slot->branches;
             if (!correct)
-                ++slot_bank->mispredicts;
+                ++slot->mispredicts;
         }
     }
 
@@ -190,8 +186,8 @@ ReplayKernel::recordStep(const BranchRecord &record, BranchProfile *profile)
         const std::uint64_t bucket = estimators_[i]->bucketOf(ctx_);
         if (recording) {
             result_.estimatorStats[i].record(bucket, !correct);
-            if (slot_bank != nullptr)
-                slot_bank->estimatorStats[i].record(bucket, !correct);
+            if (slot != nullptr)
+                slot->estimatorLogs[i].push_back((bucket << 1) | !correct);
             if (profile != nullptr)
                 profile->onBucket(i, bucket, correct);
         }

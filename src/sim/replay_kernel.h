@@ -15,8 +15,8 @@
  *
  * A ReplayKernel holds one configuration's replay state: the borrowed
  * predictor and estimators, private BHR/GCIR replicas, the
- * context-switch clock, the recording-plan cursor, and the result and
- * slot banks. It is single-threaded; the sweep engine gives each worker
+ * context-switch clock, the recording-plan cursor, the result, and the
+ * slot logs. It is single-threaded; the sweep engine gives each worker
  * shard its own kernels.
  */
 
@@ -150,7 +150,7 @@ struct DriverOptions
  *
  *  - a slot id < numSlots: **detailed** — predictor and estimators
  *    update AND statistics are recorded, both into the aggregate
- *    result fields and into that slot's SweepSlotStats bank (slots
+ *    result fields and into that slot's SweepSlotStats logs (slots
  *    separate sampled regions into repeated-subsampling groups);
  *  - kWarmOnly: **functional warming** — predictor/estimator state
  *    updates normally but nothing is recorded, keeping the state a
@@ -193,15 +193,18 @@ struct SweepRecordingPlan
 };
 
 /**
- * Statistics one detailed recording-plan slot accumulated (see
- * SweepRecordingPlan): the per-subsample banks the sampling layer
- * turns into between-subsample variance.
+ * The records one detailed recording-plan slot received (see
+ * SweepRecordingPlan), which the sampling layer turns into
+ * between-subsample variance. Each estimator's log holds one entry per
+ * recorded branch, in record order: `(bucket << 1) | mispredicted`.
+ * A slot therefore costs 8 B per recorded branch and estimator,
+ * however large the estimators' bucket spaces are.
  */
 struct SweepSlotStats
 {
     std::uint64_t branches = 0;    //!< recorded conditional branches
     std::uint64_t mispredicts = 0; //!< predictor misses (recorded)
-    std::vector<BucketStats> estimatorStats; //!< per estimator
+    std::vector<std::vector<std::uint64_t>> estimatorLogs; //!< per estimator
 };
 
 /** Everything one configuration's replay produced. */
@@ -219,11 +222,12 @@ struct SweepConfigResult
     BranchProfile branchProfile;
 
     /**
-     * Per-slot statistic banks, one per SweepRecordingPlan slot;
-     * empty when the replay ran without a recording plan. Detailed
-     * records land both here and in the aggregate fields above, so a
+     * Per-slot record logs, one per SweepRecordingPlan slot; empty
+     * when the replay ran without a recording plan. Detailed records
+     * land both here and in the aggregate fields above, so a
      * full-coverage single-slot plan reproduces a plain replay's
-     * aggregates exactly with slotStats[0] equal to them.
+     * aggregates exactly, and slotStats[0]'s logs, counted per bucket,
+     * replay to its estimatorStats.
      */
     std::vector<SweepSlotStats> slotStats;
 

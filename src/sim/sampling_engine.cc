@@ -255,6 +255,66 @@ selectRegions(const std::vector<RegionFeatures> &regions,
     return sel;
 }
 
+/** One bucket's scratch while stratifiedMass() walks slot logs. */
+struct BucketScratch
+{
+    std::uint64_t refs = 0;        //!< the current slot's records
+    std::uint64_t mispredicts = 0; //!< ... of which mispredicted
+    std::size_t listed = 0; //!< 1 + index in the output; 0 = unlisted
+};
+
+/**
+ * Stratified bucket mass of subsample @p r for @p estimator: each
+ * covered stratum's slot log is counted per bucket, normalized to unit
+ * mass, and weighted by the stratum's branch share renormalized over
+ * @p covered. Buckets are listed in first-touch order. Per bucket, the
+ * arithmetic is what BucketStats::addWeighted does over one dense bank
+ * per slot, in the same stratum order, so every mass is bit-identical
+ * to that formulation; only touched buckets are visited. @p scratch
+ * spans the bucket space and is all zero on entry and on return.
+ */
+std::vector<KeyedBucketCounts>
+stratifiedMass(const std::vector<SweepSlotStats> &slots,
+               const Selection &sel, std::uint32_t r, double covered,
+               std::size_t estimator, std::vector<BucketScratch> &scratch)
+{
+    std::vector<KeyedBucketCounts> keyed;
+    std::vector<std::uint64_t> touched;
+    for (std::uint32_t s = 0; s < sel.strata; ++s) {
+        const SweepSlotStats &slot = slots[s * sel.subsamples + r];
+        if (slot.branches == 0)
+            continue;
+        const std::vector<std::uint64_t> &log =
+            slot.estimatorLogs[estimator];
+        for (const std::uint64_t entry : log) {
+            BucketScratch &bucket = scratch[entry >> 1];
+            if (bucket.refs++ == 0)
+                touched.push_back(entry >> 1);
+            bucket.mispredicts += entry & 1;
+        }
+        // Unit mass: the log's length is the slot's reference count.
+        const double weight =
+            (sel.weights[s] / covered) / static_cast<double>(log.size());
+        for (const std::uint64_t id : touched) {
+            BucketScratch &bucket = scratch[id];
+            if (bucket.listed == 0) {
+                keyed.push_back({id, BucketCounts{}});
+                bucket.listed = keyed.size();
+            }
+            BucketCounts &mass = keyed[bucket.listed - 1].counts;
+            mass.refs += static_cast<double>(bucket.refs) * weight;
+            mass.mispredicts +=
+                static_cast<double>(bucket.mispredicts) * weight;
+            bucket.refs = 0;
+            bucket.mispredicts = 0;
+        }
+        touched.clear();
+    }
+    for (const KeyedBucketCounts &k : keyed)
+        scratch[k.bucket].listed = 0;
+    return keyed;
+}
+
 /** Per-benchmark deterministic selection seed. */
 std::uint64_t
 benchSeed(std::uint64_t seed, const std::string &name)
@@ -294,6 +354,14 @@ SamplingEngine::SamplingEngine(std::vector<SweepConfiguration> configs,
         fatal(ErrorCategory::kConfig,
               "the sampling engine owns the recording plan; "
               "SamplingOptions::sweep.recordingPlan must be null");
+    }
+    if (options_.sweep.isolateConfigFailures) {
+        // A failed configuration keeps the slot logs it recorded up to
+        // the failure; estimates built from them would pass as valid.
+        fatal(ErrorCategory::kConfig,
+              "sampled runs cannot isolate configuration failures; "
+              "SamplingOptions::sweep.isolateConfigFailures must be "
+              "false");
     }
 }
 
@@ -369,10 +437,17 @@ SamplingEngine::runTrace(const std::string &name,
     }
     out.replayMs = elapsedMsSince(replay_start);
 
-    // Stratified estimates per configuration.
+    // Stratified estimates per configuration, from the slot logs.
+    const Clock::time_point estimate_start = Clock::now();
     out.recordedBranches = replay.perConfig.empty()
                                ? 0
                                : replay.perConfig[0].branches;
+    std::uint64_t bucket_space = 0;
+    for (const SweepConfigResult &config : replay.perConfig) {
+        for (const BucketStats &stats : config.estimatorStats)
+            bucket_space = std::max(bucket_space, stats.numBuckets());
+    }
+    std::vector<BucketScratch> scratch(bucket_space);
     for (const SweepConfigResult &config : replay.perConfig) {
         SamplingConfigEstimate est;
         est.label = config.label;
@@ -388,9 +463,9 @@ SamplingEngine::runTrace(const std::string &name,
             // smaller than R).
             double covered = 0.0;
             for (std::uint32_t s = 0; s < sel.strata; ++s) {
-                const SweepSlotStats &bank =
+                const SweepSlotStats &slot =
                     config.slotStats[s * r_eff + r];
-                if (bank.branches > 0)
+                if (slot.branches > 0)
                     covered += sel.weights[s];
             }
             if (covered <= 0.0)
@@ -398,37 +473,21 @@ SamplingEngine::runTrace(const std::string &name,
 
             double rate = 0.0;
             for (std::uint32_t s = 0; s < sel.strata; ++s) {
-                const SweepSlotStats &bank =
+                const SweepSlotStats &slot =
                     config.slotStats[s * r_eff + r];
-                if (bank.branches == 0)
+                if (slot.branches == 0)
                     continue;
                 rate += (sel.weights[s] / covered) *
-                        (static_cast<double>(bank.mispredicts) /
-                         static_cast<double>(bank.branches));
+                        (static_cast<double>(slot.mispredicts) /
+                         static_cast<double>(slot.branches));
             }
             est.rateSubsamples.push_back(rate);
 
             for (std::size_t e = 0; e < num_estimators; ++e) {
-                // Stratified bucket mass: each covered stratum's
-                // bank normalized to unit mass, then weighted by
-                // its renormalized branch share.
-                BucketStats weighted(
-                    config.estimatorStats[e].numBuckets());
-                for (std::uint32_t s = 0; s < sel.strata; ++s) {
-                    const SweepSlotStats &bank =
-                        config.slotStats[s * r_eff + r];
-                    if (bank.branches == 0)
-                        continue;
-                    const double refs =
-                        bank.estimatorStats[e].totalRefs();
-                    if (refs <= 0.0)
-                        continue;
-                    weighted.addWeighted(
-                        bank.estimatorStats[e],
-                        (sel.weights[s] / covered) / refs);
-                }
-                const OperatingPoint point =
-                    operatingPointAt20(weighted);
+                const OperatingPoint point = operatingPointAt(
+                    stratifiedMass(config.slotStats, sel, r, covered, e,
+                                   scratch),
+                    0.2);
                 est.coverageSubsamples[e].push_back(point.coverage);
                 est.pvnSubsamples[e].push_back(point.pvn);
             }
@@ -446,6 +505,7 @@ SamplingEngine::runTrace(const std::string &name,
         }
         out.perConfig.push_back(std::move(est));
     }
+    out.estimateMs = elapsedMsSince(estimate_start);
     return out;
 }
 
@@ -477,6 +537,8 @@ SamplingEngine::runSuite(const SuiteRunner &runner)
                              bench_result.prePassMs);
             registry.observe("sampling.replay_ms",
                              bench_result.replayMs);
+            registry.observe("sampling.estimate_ms",
+                             bench_result.estimateMs);
             registry.observe("sampling.sampled_regions",
                              static_cast<double>(
                                  bench_result.sampledRegions));

@@ -30,8 +30,8 @@
  *     same quantity, and their spread IS the sampling error
  *     (metrics/interval_estimate.h) — no analytic variance model.
  *  5. **Replay** once through the SweepEngine under a
- *     SweepRecordingPlan: sampled regions record into per-(stratum,
- *     subsample) slot banks, regions ahead of a sample warm
+ *     SweepRecordingPlan: sampled regions log their records into
+ *     per-(stratum, subsample) slots, regions ahead of a sample warm
  *     functionally, and (when warmupRegions is bounded) everything
  *     else fast-forwards.
  *
@@ -98,7 +98,9 @@ struct SamplingOptions
     std::uint64_t warmupRegions = kWarmAll;
 
     /** Replay tuning (threads/batch/decode-ahead); recordingPlan is
-     *  owned by the engine and must be left null. */
+     *  owned by the engine and must be left null, and
+     *  isolateConfigFailures must stay false (a failed configuration
+     *  would leave partial slot logs behind). */
     SweepOptions sweep;
 };
 
@@ -132,8 +134,11 @@ struct SamplingBenchmarkResult
     std::uint64_t sampledRegions = 0;
     std::vector<std::uint64_t> sampledRegionIds; //!< ascending
     std::vector<SamplingConfigEstimate> perConfig;
-    double prePassMs = 0.0;
+    double prePassMs = 0.0; //!< feature pre-pass wall time
+    /** Planned replay wall time, including building the
+     *  configurations' replay kernels. */
     double replayMs = 0.0;
+    double estimateMs = 0.0; //!< stratified estimates from slot logs
 
     /** @return totalBranches / recordedBranches (0 when nothing
      *  recorded). */
@@ -187,7 +192,8 @@ class SamplingEngine
      * @param configs Attached configurations (as SweepEngine's).
      * @param driver Simulation knobs shared by all configurations.
      * @param options Sampling knobs; fatal(kConfig) on invalid values
-     *        at construction.
+     *        at construction, on a caller-owned recording plan, and on
+     *        isolateConfigFailures.
      */
     SamplingEngine(std::vector<SweepConfiguration> configs,
                    DriverOptions driver, SamplingOptions options);

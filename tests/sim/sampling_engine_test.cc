@@ -2,14 +2,21 @@
 
 #include "sim/sampling_engine.h"
 
+#include <bit>
+#include <cinttypes>
+#include <cstdio>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "confidence/one_level.h"
 #include "metrics/operating_point.h"
 #include "predictor/gshare.h"
+#include "util/error.h"
 #include "workload/workload_generator.h"
 
 namespace confsim {
@@ -88,6 +95,106 @@ TEST(SamplingEngineTest, FullRateSingleSubsampleIsExact)
     ASSERT_EQ(est.coverageAt20.size(), 1u);
     EXPECT_NEAR(est.coverageAt20[0].mean, exact_point.coverage, 1e-9);
     EXPECT_NEAR(est.pvnAt20[0].mean, exact_point.pvn, 1e-9);
+}
+
+/** A 64K-bucket CIR and a 17-bucket counter on one gshare-4K. */
+std::vector<SweepConfiguration>
+twoEstimatorConfig()
+{
+    SweepConfiguration config;
+    config.label = "gshare+CIR+sat";
+    config.makePredictor = [] {
+        return std::make_unique<GsharePredictor>(4096, 12);
+    };
+    config.makeEstimators = [] {
+        std::vector<std::unique_ptr<ConfidenceEstimator>> out;
+        out.push_back(std::make_unique<OneLevelCirConfidence>(
+            IndexScheme::PcXorBhr, 1 << 16, 16,
+            CirReduction::RawPattern));
+        out.push_back(std::make_unique<OneLevelCounterConfidence>(
+            IndexScheme::Pc, 4096, CounterKind::Saturating, 16, 0));
+        return out;
+    };
+    std::vector<SweepConfiguration> configs;
+    configs.push_back(std::move(config));
+    return configs;
+}
+
+/** A named estimate and the bit pattern of its value. */
+struct PinnedValue
+{
+    const char *name;
+    std::uint64_t bits;
+};
+
+TEST(SamplingEngineTest, EstimatesMatchRecordedBitPatterns)
+{
+    // 60 regions at a 20% rate give 12 picks for 4 strata x 5
+    // subsamples = 20 slots, so subsample 0 misses a stratum and its
+    // weights are renormalized over the strata it covers.
+    SamplingOptions options;
+    options.sampleRate = 0.2;
+    options.regionBranches = 1000;
+    options.strata = 4;
+    options.subsamples = 5;
+    options.warmupRegions = 2;
+    SamplingEngine engine(twoEstimatorConfig(), DriverOptions{},
+                          options);
+    const SamplingBenchmarkResult result =
+        engine.runTrace("jpeg", jpegSource(60000));
+    ASSERT_EQ(result.sampledRegions, 12u);
+    ASSERT_EQ(result.perConfig.size(), 1u);
+    const SamplingConfigEstimate &est = result.perConfig[0];
+    ASSERT_EQ(est.rateSubsamples.size(), 5u);
+    ASSERT_EQ(est.coverageAt20.size(), 2u);
+
+    std::vector<std::pair<std::string, double>> actual = {
+        {"rate.mean", est.mispredictRate.mean},
+        {"rate.ciHalf", est.mispredictRate.ciHalf}};
+    for (std::size_t e = 0; e < est.coverageAt20.size(); ++e) {
+        const std::string prefix = "est" + std::to_string(e) + ".";
+        actual.push_back({prefix + "coverage.mean",
+                          est.coverageAt20[e].mean});
+        actual.push_back({prefix + "coverage.ciHalf",
+                          est.coverageAt20[e].ciHalf});
+        actual.push_back({prefix + "pvn.mean", est.pvnAt20[e].mean});
+        actual.push_back({prefix + "pvn.ciHalf", est.pvnAt20[e].ciHalf});
+    }
+
+    // Recorded from the implementation that kept a dense BucketStats
+    // per slot and estimator (commit 614fffb), with this table empty:
+    //   build/tests/sim_test
+    //     --gtest_filter=SamplingEngineTest.EstimatesMatchRecordedBitPatterns
+    // A mismatch prints the current values in this table's format.
+    const std::vector<PinnedValue> recorded = {
+        {"rate.mean", 0x3fadfc733bf02982},
+        {"rate.ciHalf", 0x3f8ca68ab4224979},
+        {"est0.coverage.mean", 0x3feecf694d64b40d},
+        {"est0.coverage.ciHalf", 0x3f9ef2ad409f1a97},
+        {"est0.pvn.mean", 0x3fdcfa1062c8a206},
+        {"est0.pvn.ciHalf", 0x3fcbfedbf945d69f},
+        {"est1.coverage.mean", 0x3fd40759ff56fffe},
+        {"est1.coverage.ciHalf", 0x3fbfb147e992bd56},
+        {"est1.pvn.mean", 0x3fcebde65fd601e8},
+        {"est1.pvn.ciHalf", 0x3fbee2958edd1b3d},
+    };
+
+    std::string table;
+    for (const auto &[name, value] : actual) {
+        char line[96];
+        std::snprintf(line, sizeof(line),
+                      "        {\"%s\", 0x%016" PRIx64 "},\n",
+                      name.c_str(), std::bit_cast<std::uint64_t>(value));
+        table += line;
+    }
+    ASSERT_EQ(actual.size(), recorded.size()) << table;
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+        EXPECT_EQ(actual[i].first, recorded[i].name);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[i].second),
+                  recorded[i].bits)
+            << actual[i].first << " = " << actual[i].second << "\n"
+            << table;
+    }
 }
 
 TEST(SamplingEngineTest, SelectionAndEstimatesAreDeterministic)
@@ -208,6 +315,20 @@ TEST(SamplingEngineTest, InvalidOptionsAreFatal)
     EXPECT_THROW(SamplingEngine({}, DriverOptions{},
                                 SamplingOptions{}),
                  std::runtime_error);
+}
+
+TEST(SamplingEngineTest, RejectsIsolatedConfigFailures)
+{
+    // An isolated failure keeps the slot data recorded up to the
+    // throw; estimates built from it would look like a valid result.
+    SamplingOptions options;
+    options.sweep.isolateConfigFailures = true;
+    try {
+        SamplingEngine engine(oneConfig(), DriverOptions{}, options);
+        FAIL() << "isolateConfigFailures was accepted";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
+    }
 }
 
 } // namespace
