@@ -118,8 +118,9 @@ estimatorLoop(benchmark::State &state, MakeEstimator make)
         ctx.pc = r.pc;
         ctx.bhr = bhr.value();
         const bool correct = pred.predict(r.pc) == r.taken;
-        benchmark::DoNotOptimize(est->bucketOf(ctx));
-        est->update(ctx, correct, r.taken);
+        // One call, as in the replay kernel's record step: update()
+        // trains and returns the pre-update bucket.
+        benchmark::DoNotOptimize(est->update(ctx, correct, r.taken));
         pred.update(r.pc, r.taken);
         bhr.recordOutcome(r.taken);
         if (++i == trace.size())

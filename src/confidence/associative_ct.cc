@@ -82,14 +82,16 @@ AssociativeCounterConfidence::bucketOf(const BranchContext &ctx) const
     return entries_[set * ways_ + way].counter;
 }
 
-void
+std::uint64_t
 AssociativeCounterConfidence::update(const BranchContext &ctx,
                                      bool correct, bool)
 {
+    ++lookups_;
     const auto [set, tag] = locate(ctx);
     unsigned way = findWay(set, tag);
     const std::size_t base = set * ways_;
     if (way == ways_) {
+        ++tagMisses_;
         // Allocate: evict the LRU way.
         way = 0;
         for (unsigned w = 1; w < ways_; ++w) {
@@ -107,34 +109,11 @@ AssociativeCounterConfidence::update(const BranchContext &ctx,
     }
 
     Entry &entry = entries_[base + way];
-    switch (kind_) {
-      case CounterKind::Saturating:
-        if (correct) {
-            if (entry.counter < maxValue_)
-                ++entry.counter;
-        } else {
-            if (entry.counter > 0)
-                --entry.counter;
-        }
-        break;
-      case CounterKind::Resetting:
-        if (correct) {
-            if (entry.counter < maxValue_)
-                ++entry.counter;
-        } else {
-            entry.counter = 0;
-        }
-        break;
-      case CounterKind::HalfReset:
-        if (correct) {
-            if (entry.counter < maxValue_)
-                ++entry.counter;
-        } else {
-            entry.counter /= 2;
-        }
-        break;
-    }
+    const std::uint8_t before = entry.counter;
+    entry.counter = static_cast<std::uint8_t>(
+        stepCounter(kind_, before, maxValue_, correct));
     touch(set, way);
+    return before;
 }
 
 std::uint64_t

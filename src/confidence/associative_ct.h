@@ -48,9 +48,16 @@ class AssociativeCounterConfidence : public ConfidenceEstimator
                                  unsigned tag_bits, CounterKind kind,
                                  std::uint32_t max_value = 16);
 
+    /** Counts one lookup (and a tag miss when no way matches). */
     std::uint64_t bucketOf(const BranchContext &ctx) const override;
-    void update(const BranchContext &ctx, bool correct,
-                bool taken) override;
+
+    /**
+     * Counts one lookup too, since it reads the bucket it returns: a
+     * replay counts one lookup per branch, and a caller that also calls
+     * bucketOf() counts two with the same miss ratio.
+     */
+    std::uint64_t update(const BranchContext &ctx, bool correct,
+                         bool taken) override;
     std::uint64_t numBuckets() const override;
     std::uint64_t storageBits() const override;
     std::string name() const override;

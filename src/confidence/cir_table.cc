@@ -2,6 +2,7 @@
 
 #include "ckpt/state_io.h"
 
+#include "util/error.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -25,9 +26,11 @@ CirTable::CirTable(std::size_t num_entries, unsigned cir_bits,
 {
     if (!isPowerOfTwo(num_entries))
         fatal("CIR table size must be a power of two");
-    if (cir_bits == 0 || cir_bits > 64)
-        fatal("CIR width must be in [1, 64]");
+    if (cir_bits == 0 || cir_bits > 16)
+        fatal("CIR width must be in [1, 16]");
+    cirMask_ = static_cast<unsigned>(mask(cir_bits));
     indexBits_ = log2Exact(num_entries);
+    indexMask_ = mask(indexBits_);
     entries_.resize(num_entries);
     reset();
 }
@@ -61,9 +64,11 @@ CirTable::reset()
 void
 CirTable::saveState(StateWriter &out) const
 {
+    // Entries travel as u64 so checkpoints written by 64-bit tables
+    // still restore.
     out.putU64(entries_.size());
     out.putU64(cirBits_);
-    for (const std::uint64_t entry : entries_)
+    for (const std::uint16_t entry : entries_)
         out.putU64(entry);
 }
 
@@ -72,8 +77,16 @@ CirTable::loadState(StateReader &in)
 {
     in.expectU64(entries_.size(), "CIR table size");
     in.expectU64(cirBits_, "CIR width");
-    for (std::uint64_t &entry : entries_)
-        entry = in.getU64();
+    for (std::uint16_t &entry : entries_) {
+        const std::uint64_t pattern = in.getU64();
+        if (pattern > cirMask_) {
+            fatal(ErrorCategory::kCheckpoint,
+                  "checkpoint CIR pattern " + std::to_string(pattern) +
+                      " exceeds the " + std::to_string(cirBits_) +
+                      "-bit width");
+        }
+        entry = static_cast<std::uint16_t>(pattern);
+    }
 }
 
 } // namespace confsim

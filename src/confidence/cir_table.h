@@ -35,17 +35,19 @@ enum class CtInit
 const char *toString(CtInit init);
 
 /**
- * Direct-mapped table of n-bit CIRs stored as packed integers.
+ * Direct-mapped table of n-bit CIRs stored as packed 16-bit integers.
  *
  * Stored packed (rather than as ShiftRegister objects) because the
- * 2^16-entry tables of the paper are hot simulation state.
+ * 2^16-entry tables of the paper are hot simulation state: 2 B per
+ * entry, so the paper's 64K-entry CT spans 128 KiB. Widths are capped
+ * at 16, the paper's CIR length and the widest any configuration uses.
  */
 class CirTable
 {
   public:
     /**
      * @param num_entries Table size (power of two).
-     * @param cir_bits CIR width n, 1..64 (16 in the paper).
+     * @param cir_bits CIR width n, 1..16 (16 in the paper).
      * @param init Initialization policy.
      * @param seed Seed for the Random policy.
      */
@@ -56,21 +58,26 @@ class CirTable
     std::uint64_t
     read(std::uint64_t index) const
     {
-        return entries_[index & mask(indexBits_)];
+        return entries_[index & indexMask_];
     }
 
     /**
-     * Shift the latest correctness indication into entry @p index.
+     * Shift the latest correctness indication into entry @p index; the
+     * oldest bit falls off.
      *
      * @param index Table index.
      * @param correct true iff the prediction was correct; stored as a 0
      *        bit (the paper's convention: 1 = incorrect).
+     * @return the entry's pattern before the shift (what read() saw).
      */
-    void
+    std::uint64_t
     update(std::uint64_t index, bool correct)
     {
-        auto &entry = entries_[index & mask(indexBits_)];
-        entry = ((entry << 1) | (correct ? 0 : 1)) & mask(cirBits_);
+        std::uint16_t &entry = entries_[index & indexMask_];
+        const std::uint16_t before = entry;
+        entry = static_cast<std::uint16_t>(
+            ((unsigned{before} << 1) | unsigned{!correct}) & cirMask_);
+        return before;
     }
 
     /** @return number of entries. */
@@ -99,9 +106,11 @@ class CirTable
     void loadState(StateReader &in);
 
   private:
-    std::vector<std::uint64_t> entries_;
+    std::vector<std::uint16_t> entries_;
     unsigned cirBits_;
+    unsigned cirMask_;
     unsigned indexBits_;
+    std::uint64_t indexMask_;
     CtInit init_;
     std::uint64_t seed_;
 };

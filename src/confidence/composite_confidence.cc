@@ -27,12 +27,15 @@ CompositeConfidence::bucketOf(const BranchContext &ctx) const
            second_->bucketOf(ctx);
 }
 
-void
+std::uint64_t
 CompositeConfidence::update(const BranchContext &ctx, bool correct,
                             bool taken)
 {
-    first_->update(ctx, correct, taken);
-    second_->update(ctx, correct, taken);
+    // The constituents train independent state, so each returns the
+    // bucket its bucketOf() would have read.
+    const std::uint64_t first = first_->update(ctx, correct, taken);
+    const std::uint64_t second = second_->update(ctx, correct, taken);
+    return first * second_->numBuckets() + second;
 }
 
 std::uint64_t

@@ -41,8 +41,8 @@ class CompositeConfidence : public ConfidenceEstimator
                         std::unique_ptr<ConfidenceEstimator> second);
 
     std::uint64_t bucketOf(const BranchContext &ctx) const override;
-    void update(const BranchContext &ctx, bool correct,
-                bool taken) override;
+    std::uint64_t update(const BranchContext &ctx, bool correct,
+                         bool taken) override;
     std::uint64_t numBuckets() const override;
     std::uint64_t storageBits() const override;
     std::string name() const override;

@@ -45,20 +45,28 @@ class ConfidenceEstimator : public Serializable
     virtual std::uint64_t bucketOf(const BranchContext &ctx) const = 0;
 
     /**
-     * Train with the resolved branch. Must be called exactly once per
-     * dynamic branch, after bucketOf(), with the same context.
+     * Train with the resolved branch and return the bucket the branch
+     * read. Must be called exactly once per dynamic branch, with the
+     * context the prediction saw.
+     *
+     * The return value is exactly what bucketOf(ctx) returns just
+     * before this call: the replay kernel's record step calls update()
+     * alone, so an estimator reads its table entry once and trains it
+     * in place. Callers that also call bucketOf() first get the same
+     * value twice.
      *
      * Both the prediction's correctness and the branch outcome are
      * supplied — hardware has both at resolution time. CIR/counter
      * estimators use only @p correct; direction-sensitive estimators
      * (e.g. SelfCounterConfidence) use @p taken.
      *
-     * @param ctx The same context used for bucketOf().
+     * @param ctx The context the prediction saw (the bucketOf() one).
      * @param correct true iff the underlying prediction was correct.
      * @param taken the branch's resolved direction.
+     * @return the pre-update bucket, < numBuckets().
      */
-    virtual void update(const BranchContext &ctx, bool correct,
-                        bool taken) = 0;
+    virtual std::uint64_t update(const BranchContext &ctx, bool correct,
+                                 bool taken) = 0;
 
     /** @return one past the largest bucket id this estimator produces. */
     virtual std::uint64_t numBuckets() const = 0;
@@ -77,11 +85,13 @@ class ConfidenceEstimator : public Serializable
      * grades. The replay kernel calls it once per estimator before the
      * first branch. Native estimators (TAGE provider, perceptron
      * margin) keep a pointer and read the predictor's own lookup in
-     * bucketOf(); they throw Error{kConfig} when @p predictor is not of
-     * their family or its geometry differs from what their buckets
-     * assume. Every other estimator ignores it (the default).
+     * bucketOf() and update(); they throw Error{kConfig} when
+     * @p predictor is not of their family or its geometry differs from
+     * what their buckets assume. Every other estimator ignores it (the
+     * default).
      *
-     * @param predictor Must outlive every later bucketOf() call.
+     * @param predictor Must outlive every later bucketOf() and
+     *        update() call.
      */
     virtual void bindPredictor(const BranchPredictor &predictor)
     {

@@ -2,6 +2,7 @@
 
 #include "ckpt/state_io.h"
 
+#include "util/error.h"
 #include "util/status.h"
 
 namespace confsim {
@@ -35,8 +36,8 @@ OneLevelCirConfidence::OneLevelCirConfidence(IndexScheme scheme,
     : scheme_(scheme), table_(num_entries, cir_bits, init),
       reduction_(reduction)
 {
-    if (reduction == CirReduction::RawPattern && cir_bits > 24)
-        fatal("raw-pattern bucket space too large; use <= 24-bit CIRs");
+    // The table caps CIRs at 16 bits, so even raw patterns form at
+    // most a 64K-bucket space.
 }
 
 std::uint64_t
@@ -46,24 +47,23 @@ OneLevelCirConfidence::readCir(const BranchContext &ctx) const
 }
 
 std::uint64_t
-OneLevelCirConfidence::bucketOf(const BranchContext &ctx) const
+OneLevelCirConfidence::reduce(std::uint64_t cir) const
 {
-    const std::uint64_t cir = readCir(ctx);
-    switch (reduction_) {
-      case CirReduction::RawPattern:
-        return cir;
-      case CirReduction::OnesCount:
-        return popcount(cir);
-    }
-    panic("unknown CirReduction");
+    return reduction_ == CirReduction::OnesCount ? popcount(cir) : cir;
 }
 
-void
+std::uint64_t
+OneLevelCirConfidence::bucketOf(const BranchContext &ctx) const
+{
+    return reduce(readCir(ctx));
+}
+
+std::uint64_t
 OneLevelCirConfidence::update(const BranchContext &ctx, bool correct,
                               bool)
 {
-    table_.update(computeIndex(scheme_, ctx, table_.indexBits()),
-                  correct);
+    return reduce(table_.update(
+        computeIndex(scheme_, ctx, table_.indexBits()), correct));
 }
 
 std::uint64_t
@@ -120,13 +120,14 @@ OneLevelCounterConfidence::OneLevelCounterConfidence(
 {
     if (!isPowerOfTwo(num_entries))
         fatal("confidence counter table size must be a power of two");
-    if (max_value == 0)
-        fatal("confidence counter max must be >= 1");
+    if (max_value == 0 || max_value > 255)
+        fatal("confidence counter max must be in [1, 255]");
     indexBits_ = log2Exact(num_entries);
     // Hardware stores ceil(log2(max + 1)) bits per counter.
     bitsPerCounter_ = log2Exact(ceilPowerOfTwo(
         static_cast<std::uint64_t>(max_value) + 1));
-    counters_.assign(num_entries, initialValue_);
+    counters_.assign(num_entries,
+                     static_cast<std::uint8_t>(initialValue_));
 }
 
 std::uint64_t
@@ -135,38 +136,16 @@ OneLevelCounterConfidence::bucketOf(const BranchContext &ctx) const
     return counters_[computeIndex(scheme_, ctx, indexBits_)];
 }
 
-void
+std::uint64_t
 OneLevelCounterConfidence::update(const BranchContext &ctx,
                                   bool correct, bool)
 {
-    auto &counter = counters_[computeIndex(scheme_, ctx, indexBits_)];
-    switch (kind_) {
-      case CounterKind::Saturating:
-        if (correct) {
-            if (counter < maxValue_)
-                ++counter;
-        } else {
-            if (counter > 0)
-                --counter;
-        }
-        break;
-      case CounterKind::Resetting:
-        if (correct) {
-            if (counter < maxValue_)
-                ++counter;
-        } else {
-            counter = 0;
-        }
-        break;
-      case CounterKind::HalfReset:
-        if (correct) {
-            if (counter < maxValue_)
-                ++counter;
-        } else {
-            counter /= 2;
-        }
-        break;
-    }
+    std::uint8_t &counter =
+        counters_[computeIndex(scheme_, ctx, indexBits_)];
+    const std::uint8_t before = counter;
+    counter = static_cast<std::uint8_t>(
+        stepCounter(kind_, before, maxValue_, correct));
+    return before;
 }
 
 std::uint64_t
@@ -212,8 +191,10 @@ OneLevelCirConfidence::loadState(StateReader &in)
 void
 OneLevelCounterConfidence::saveState(StateWriter &out) const
 {
+    // Counters travel as u32 so checkpoints written by 32-bit tables
+    // still restore.
     out.putU64(counters_.size());
-    for (const std::uint32_t counter : counters_)
+    for (const std::uint8_t counter : counters_)
         out.putU32(counter);
 }
 
@@ -221,8 +202,16 @@ void
 OneLevelCounterConfidence::loadState(StateReader &in)
 {
     in.expectU64(counters_.size(), "counter CT size");
-    for (std::uint32_t &counter : counters_)
-        counter = in.getU32();
+    for (std::uint8_t &counter : counters_) {
+        const std::uint32_t value = in.getU32();
+        if (value > maxValue_) {
+            fatal(ErrorCategory::kCheckpoint,
+                  "checkpoint confidence counter " +
+                      std::to_string(value) + " exceeds its max " +
+                      std::to_string(maxValue_));
+        }
+        counter = static_cast<std::uint8_t>(value);
+    }
 }
 
 } // namespace confsim

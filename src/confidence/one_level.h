@@ -43,7 +43,7 @@ class OneLevelCirConfidence : public ConfidenceEstimator
     /**
      * @param scheme CT index formation.
      * @param num_entries CT size (power of two); 2^16 in the paper.
-     * @param cir_bits CIR width; 16 in the paper.
+     * @param cir_bits CIR width, 1..16; 16 in the paper.
      * @param reduction Bucket function.
      * @param init CT initialization (paper default: all ones).
      */
@@ -52,8 +52,8 @@ class OneLevelCirConfidence : public ConfidenceEstimator
                           CtInit init = CtInit::Ones);
 
     std::uint64_t bucketOf(const BranchContext &ctx) const override;
-    void update(const BranchContext &ctx, bool correct,
-                bool taken) override;
+    std::uint64_t update(const BranchContext &ctx, bool correct,
+                         bool taken) override;
     std::uint64_t numBuckets() const override;
     std::uint64_t storageBits() const override;
     std::string name() const override;
@@ -68,6 +68,9 @@ class OneLevelCirConfidence : public ConfidenceEstimator
     std::uint64_t readCir(const BranchContext &ctx) const;
 
   private:
+    /** @return @p cir's bucket under the configured reduction. */
+    std::uint64_t reduce(std::uint64_t cir) const;
+
     IndexScheme scheme_;
     CirTable table_;
     CirReduction reduction_;
@@ -89,9 +92,30 @@ enum class CounterKind
 const char *toString(CounterKind kind);
 
 /**
+ * One training step of a @p kind confidence counter with ceiling @p max:
+ * up (saturating) on a correct prediction; down, reset or halved on an
+ * incorrect one. Both outcomes are formed and one is selected, so the
+ * host does not branch on the simulated prediction's correctness.
+ *
+ * @return the counter's new value.
+ */
+inline unsigned
+stepCounter(CounterKind kind, unsigned value, unsigned max, bool correct)
+{
+    const unsigned up = value + (value < max);
+    unsigned down = 0; // Resetting
+    if (kind == CounterKind::Saturating)
+        down = value - (value > 0);
+    else if (kind == CounterKind::HalfReset)
+        down = value / 2;
+    return correct ? up : down;
+}
+
+/**
  * One-level confidence mechanism with embedded counters in the table.
  * Bucket = counter value in [0, max]; larger means more recent correct
- * predictions, i.e. higher confidence.
+ * predictions, i.e. higher confidence. Counters are stored one byte
+ * each.
  */
 class OneLevelCounterConfidence : public ConfidenceEstimator
 {
@@ -100,8 +124,8 @@ class OneLevelCounterConfidence : public ConfidenceEstimator
      * @param scheme CT index formation.
      * @param num_entries CT size (power of two).
      * @param kind Counter style.
-     * @param max_value Saturation ceiling; 16 in the paper (matching
-     *        16-bit CIRs; a 0..15 counter would be cheaper).
+     * @param max_value Saturation ceiling in [1, 255]; 16 in the paper
+     *        (matching 16-bit CIRs; a 0..15 counter would be cheaper).
      * @param initial_value Power-on counter value. 0 corresponds to the
      *        paper's recommended all-ones CIR initialization (a counter
      *        that has seen no correct predictions yet).
@@ -112,8 +136,8 @@ class OneLevelCounterConfidence : public ConfidenceEstimator
                               std::uint32_t initial_value = 0);
 
     std::uint64_t bucketOf(const BranchContext &ctx) const override;
-    void update(const BranchContext &ctx, bool correct,
-                bool taken) override;
+    std::uint64_t update(const BranchContext &ctx, bool correct,
+                         bool taken) override;
     std::uint64_t numBuckets() const override;
     std::uint64_t storageBits() const override;
     std::string name() const override;
@@ -134,7 +158,7 @@ class OneLevelCounterConfidence : public ConfidenceEstimator
     std::uint32_t initialValue_;
     unsigned indexBits_;
     unsigned bitsPerCounter_;
-    std::vector<std::uint32_t> counters_;
+    std::vector<std::uint8_t> counters_; //!< one byte per counter
 };
 
 } // namespace confsim

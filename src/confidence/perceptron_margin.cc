@@ -32,10 +32,11 @@ PerceptronMarginConfidence::bucketOf(const BranchContext &ctx) const
     return bucketForMargin(predictor_->marginOf(ctx.pc));
 }
 
-void
-PerceptronMarginConfidence::update(const BranchContext & /*ctx*/,
+std::uint64_t
+PerceptronMarginConfidence::update(const BranchContext &ctx,
                                    bool /*correct*/, bool /*taken*/)
 {
+    return bucketOf(ctx);
 }
 
 std::uint64_t

@@ -42,9 +42,12 @@ class PerceptronMarginConfidence : public ConfidenceEstimator
 
     std::uint64_t bucketOf(const BranchContext &ctx) const override;
 
-    /** Nothing to train: the bound predictor trains itself. */
-    void update(const BranchContext &ctx, bool correct,
-                bool taken) override;
+    /**
+     * Nothing to train: the bound predictor trains itself. Returns
+     * bucketOf(), so it must run before the predictor's own update.
+     */
+    std::uint64_t update(const BranchContext &ctx, bool correct,
+                         bool taken) override;
 
     std::uint64_t numBuckets() const override;
 

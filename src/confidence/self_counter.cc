@@ -52,18 +52,15 @@ SelfCounterConfidence::shadowPredictsTaken(const BranchContext &ctx)
     return counters_[indexOf(ctx)] >= (maxValue_ + 1) / 2;
 }
 
-void
+std::uint64_t
 SelfCounterConfidence::update(const BranchContext &ctx, bool,
                               bool taken)
 {
-    auto &counter = counters_[indexOf(ctx)];
-    if (taken) {
-        if (counter < maxValue_)
-            ++counter;
-    } else {
-        if (counter > 0)
-            --counter;
-    }
+    std::uint32_t &counter = counters_[indexOf(ctx)];
+    const std::uint32_t before = counter;
+    counter = taken ? before + (before < maxValue_)
+                    : before - (before > 0);
+    return strengthOf(before);
 }
 
 std::uint64_t

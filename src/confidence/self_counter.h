@@ -51,8 +51,8 @@ class SelfCounterConfidence : public ConfidenceEstimator
      * estimator learns from the branch *outcome* (@p taken), not from
      * the main predictor's correctness.
      */
-    void update(const BranchContext &ctx, bool correct,
-                bool taken) override;
+    std::uint64_t update(const BranchContext &ctx, bool correct,
+                         bool taken) override;
 
     std::uint64_t numBuckets() const override;
     std::uint64_t storageBits() const override;

@@ -3,8 +3,42 @@
 #include "ckpt/state_helpers.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
+
+#include "util/bits.h"
 
 namespace confsim {
+
+const StaticBranchProfile::Entry &
+StaticBranchProfile::Table::at(std::uint64_t pc) const
+{
+    const std::uint32_t at = lookup(pc);
+    if (at == 0) {
+        throw std::out_of_range("static profile has no branch at pc " +
+                                std::to_string(pc));
+    }
+    return slots_[at - 1].second;
+}
+
+StaticBranchProfile::Entry &
+StaticBranchProfile::Table::insert(std::uint64_t pc)
+{
+    // Keep the index at most half full (64 buckets at first).
+    if (2 * (slots_.size() + 1) > index_.size()) {
+        const std::size_t buckets =
+            std::max<std::size_t>(64, 2 * index_.size());
+        index_.assign(buckets, 0);
+        shift_ = 64 - log2Exact(buckets);
+        for (std::size_t i = 0; i < slots_.size(); ++i)
+            index_[bucketOf(slots_[i].first)] =
+                static_cast<std::uint32_t>(i + 1);
+    }
+    const std::size_t bucket = bucketOf(pc);
+    slots_.emplace_back(pc, Entry{});
+    index_[bucket] = static_cast<std::uint32_t>(slots_.size());
+    return slots_.back().second;
+}
 
 std::uint64_t
 StaticBranchProfile::totalExecutions() const
@@ -83,10 +117,11 @@ StaticConfidence::bucketOf(const BranchContext &ctx) const
     return lowSet_.count(ctx.pc) ? 0 : 1;
 }
 
-void
-StaticConfidence::update(const BranchContext &, bool, bool)
+std::uint64_t
+StaticConfidence::update(const BranchContext &ctx, bool, bool)
 {
     // Static confidence never adapts online.
+    return bucketOf(ctx);
 }
 
 std::uint64_t
@@ -112,13 +147,15 @@ StaticBranchProfile::saveState(StateWriter &out) const
 void
 StaticBranchProfile::loadState(StateReader &in)
 {
-    loadMap(in, entries_, [](StateReader &r) {
-        Entry entry;
-        entry.executions = r.getU64();
-        entry.mispredictions = r.getU64();
-        entry.takenCount = r.getU64();
-        return entry;
-    });
+    entries_ = Table{};
+    const std::uint64_t count = in.getU64();
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::uint64_t pc = in.getU64();
+        Entry &entry = entries_.findOrInsert(pc);
+        entry.executions = in.getU64();
+        entry.mispredictions = in.getU64();
+        entry.takenCount = in.getU64();
+    }
 }
 
 } // namespace confsim

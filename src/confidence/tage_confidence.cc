@@ -22,10 +22,11 @@ TageProviderConfidence::bucketOf(const BranchContext &ctx) const
     return 2 * d.providerStrength + (agree ? 1 : 0);
 }
 
-void
-TageProviderConfidence::update(const BranchContext & /*ctx*/,
+std::uint64_t
+TageProviderConfidence::update(const BranchContext &ctx,
                                bool /*correct*/, bool /*taken*/)
 {
+    return bucketOf(ctx);
 }
 
 std::uint64_t

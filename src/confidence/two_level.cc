@@ -32,19 +32,14 @@ TwoLevelConfidence::TwoLevelConfidence(IndexScheme first_scheme,
                    init),
       reduction_(reduction)
 {
-    if (first_cir_bits > 24)
-        fatal("level-1 CIR width > 24 would need a > 16M-entry level-2 "
-              "table");
-    if (reduction == CirReduction::RawPattern && second_cir_bits > 24)
-        fatal("raw-pattern bucket space too large; use <= 24-bit level-2 "
-              "CIRs");
+    // Both tables cap CIRs at 16 bits, so the level-2 table has at
+    // most 64K entries and raw patterns at most 64K buckets.
 }
 
 std::uint64_t
-TwoLevelConfidence::secondIndexOf(const BranchContext &ctx) const
+TwoLevelConfidence::secondIndexOf(const BranchContext &ctx,
+                                  std::uint64_t first_cir) const
 {
-    const std::uint64_t first_cir = firstTable_.read(
-        computeIndex(firstScheme_, ctx, firstTable_.indexBits()));
     const unsigned bits = secondTable_.indexBits();
     switch (secondIndex_) {
       case SecondLevelIndex::Cir:
@@ -63,28 +58,30 @@ TwoLevelConfidence::secondIndexOf(const BranchContext &ctx) const
 }
 
 std::uint64_t
-TwoLevelConfidence::bucketOf(const BranchContext &ctx) const
+TwoLevelConfidence::reduce(std::uint64_t cir) const
 {
-    const std::uint64_t cir = secondTable_.read(secondIndexOf(ctx));
-    switch (reduction_) {
-      case CirReduction::RawPattern:
-        return cir;
-      case CirReduction::OnesCount:
-        return popcount(cir);
-    }
-    panic("unknown CirReduction");
+    return reduction_ == CirReduction::OnesCount ? popcount(cir) : cir;
 }
 
-void
+std::uint64_t
+TwoLevelConfidence::bucketOf(const BranchContext &ctx) const
+{
+    const std::uint64_t first_cir = firstTable_.read(
+        computeIndex(firstScheme_, ctx, firstTable_.indexBits()));
+    return reduce(secondTable_.read(secondIndexOf(ctx, first_cir)));
+}
+
+std::uint64_t
 TwoLevelConfidence::update(const BranchContext &ctx, bool correct,
                            bool)
 {
-    // The level-2 index must be computed from the PRE-update level-1
-    // CIR (the same value bucketOf() saw), so update level 2 first.
-    secondTable_.update(secondIndexOf(ctx), correct);
-    firstTable_.update(
+    // Level 1 shifts after its pre-update pattern has formed the
+    // level-2 index (the one bucketOf() saw).
+    const std::uint64_t first_cir = firstTable_.update(
         computeIndex(firstScheme_, ctx, firstTable_.indexBits()),
         correct);
+    return reduce(
+        secondTable_.update(secondIndexOf(ctx, first_cir), correct));
 }
 
 std::uint64_t

@@ -46,10 +46,10 @@ class TwoLevelConfidence : public ConfidenceEstimator
     /**
      * @param first_scheme Level-1 CT index formation.
      * @param first_entries Level-1 CT size (2^m).
-     * @param first_cir_bits Level-1 CIR width n; the level-2 CT has 2^n
-     *        entries.
+     * @param first_cir_bits Level-1 CIR width n, 1..16; the level-2 CT
+     *        has 2^n entries.
      * @param second_index Level-2 index formation.
-     * @param second_cir_bits Level-2 CIR width p.
+     * @param second_cir_bits Level-2 CIR width p, 1..16.
      * @param reduction Bucket function over the level-2 CIR.
      * @param init Initialization for both tables.
      */
@@ -62,8 +62,8 @@ class TwoLevelConfidence : public ConfidenceEstimator
                        CtInit init = CtInit::Ones);
 
     std::uint64_t bucketOf(const BranchContext &ctx) const override;
-    void update(const BranchContext &ctx, bool correct,
-                bool taken) override;
+    std::uint64_t update(const BranchContext &ctx, bool correct,
+                         bool taken) override;
     std::uint64_t numBuckets() const override;
     std::uint64_t storageBits() const override;
     std::string name() const override;
@@ -74,7 +74,12 @@ class TwoLevelConfidence : public ConfidenceEstimator
     void loadState(StateReader &in) override;
 
   private:
-    std::uint64_t secondIndexOf(const BranchContext &ctx) const;
+    /** @return the level-2 index for level-1 pattern @p first_cir. */
+    std::uint64_t secondIndexOf(const BranchContext &ctx,
+                                std::uint64_t first_cir) const;
+
+    /** @return @p cir's bucket under the configured reduction. */
+    std::uint64_t reduce(std::uint64_t cir) const;
 
     IndexScheme firstScheme_;
     CirTable firstTable_;

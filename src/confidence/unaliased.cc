@@ -33,38 +33,15 @@ UnaliasedCounterConfidence::bucketOf(const BranchContext &ctx) const
     return it == counters_.end() ? 0 : it->second;
 }
 
-void
+std::uint64_t
 UnaliasedCounterConfidence::update(const BranchContext &ctx,
                                    bool correct, bool)
 {
-    auto &counter = counters_[keyOf(ctx)];
-    switch (kind_) {
-      case CounterKind::Saturating:
-        if (correct) {
-            if (counter < maxValue_)
-                ++counter;
-        } else {
-            if (counter > 0)
-                --counter;
-        }
-        break;
-      case CounterKind::Resetting:
-        if (correct) {
-            if (counter < maxValue_)
-                ++counter;
-        } else {
-            counter = 0;
-        }
-        break;
-      case CounterKind::HalfReset:
-        if (correct) {
-            if (counter < maxValue_)
-                ++counter;
-        } else {
-            counter /= 2;
-        }
-        break;
-    }
+    // An unseen context enters at the power-on value 0.
+    std::uint32_t &counter = counters_[keyOf(ctx)];
+    const std::uint32_t before = counter;
+    counter = stepCounter(kind_, before, maxValue_, correct);
+    return before;
 }
 
 std::uint64_t

@@ -41,8 +41,8 @@ class UnaliasedCounterConfidence : public ConfidenceEstimator
                                std::uint32_t max_value = 16);
 
     std::uint64_t bucketOf(const BranchContext &ctx) const override;
-    void update(const BranchContext &ctx, bool correct,
-                bool taken) override;
+    std::uint64_t update(const BranchContext &ctx, bool correct,
+                         bool taken) override;
     std::uint64_t numBuckets() const override;
     std::uint64_t storageBits() const override;
     std::string name() const override;

@@ -54,14 +54,17 @@ class BucketStats
     /** @param num_buckets One past the largest bucket id. */
     explicit BucketStats(std::uint64_t num_buckets);
 
-    /** Record one prediction in @p bucket. */
+    /**
+     * Record one prediction in @p bucket. Adds the flag (0.0 or 1.0)
+     * rather than branching on it: the sums are the same, and the host
+     * does not branch on the simulated outcome.
+     */
     void
     record(std::uint64_t bucket, bool mispredicted)
     {
         auto &entry = counts_[bucket];
         entry.refs += 1.0;
-        if (mispredicted)
-            entry.mispredicts += 1.0;
+        entry.mispredicts += static_cast<double>(mispredicted);
     }
 
     /** Merge @p other scaled by @p weight (for compositing). */
@@ -114,14 +117,13 @@ class BucketStats
 class SparseBucketStats
 {
   public:
-    /** Record one prediction in @p bucket. */
+    /** Record one prediction in @p bucket (as BucketStats::record). */
     void
     record(std::uint64_t bucket, bool mispredicted)
     {
         auto &entry = counts_[bucket];
         entry.refs += 1.0;
-        if (mispredicted)
-            entry.mispredicts += 1.0;
+        entry.mispredicts += static_cast<double>(mispredicted);
     }
 
     /** Add pre-aggregated counts to @p bucket. */

@@ -13,8 +13,8 @@
  *
  * Wiring is **bit-exact-neutral** by construction: the profile only
  * *observes* values the simulation already computed (PC, mispredict
- * flag, the estimator bucket returned by `bucketOf` before `update`)
- * and never touches predictor or estimator state. The differential
+ * flag, the pre-update estimator bucket `update` returns) and never
+ * touches predictor or estimator state. The differential
  * harness (`tests/integration/branch_profile_test.cc`) pins that a
  * run with profiling on is bit-identical to one with it off, and
  * that sequential-driver and sweep-replica profiles agree exactly.
@@ -131,7 +131,7 @@ class BranchProfile
 
     /**
      * Observe estimator @p estimator's bucket for the current branch
-     * (the `bucketOf` value, read before `update`). Call once per
+     * (the pre-update bucket `update` returns). Call once per
      * estimator per retired conditional branch, then onBranch().
      */
     void onBucket(std::size_t estimator, std::uint64_t bucket,

@@ -162,6 +162,7 @@ ReplayKernel::recordStep(const BranchRecord &record, BranchProfile *profile)
 
     const bool predicted = predictor_->predict(record.pc);
     const bool correct = (predicted == record.taken);
+    const bool mispredicted = !correct;
     const bool recording =
         simulated_ >= options_.warmupBranches &&
         (plan_ == nullptr || planSlot_ != SweepRecordingPlan::kWarmOnly);
@@ -169,42 +170,47 @@ ReplayKernel::recordStep(const BranchRecord &record, BranchProfile *profile)
         recording && plan_ != nullptr ? &result_.slotStats[planSlot_]
                                       : nullptr;
 
+    // Counts add the flag: the host never branches on the simulated
+    // outcome, which it cannot learn.
     if (recording) {
         ++result_.branches;
-        if (!correct)
-            ++result_.mispredicts;
+        result_.mispredicts += mispredicted;
         if (slot != nullptr) {
             ++slot->branches;
-            if (!correct)
-                ++slot->mispredicts;
+            slot->mispredicts += mispredicted;
         }
     }
 
-    // Confidence estimators: the bucket is read with the pre-update
-    // context; training sees the prediction's correctness.
+    // Confidence estimators: one call each trains on the prediction's
+    // correctness and returns the bucket read with the pre-update
+    // context.
     for (std::size_t i = 0; i < estimators_.size(); ++i) {
-        const std::uint64_t bucket = estimators_[i]->bucketOf(ctx_);
+        const std::uint64_t bucket =
+            estimators_[i]->update(ctx_, correct, record.taken);
         if (recording) {
-            result_.estimatorStats[i].record(bucket, !correct);
-            if (slot != nullptr)
-                slot->estimatorLogs[i].push_back((bucket << 1) | !correct);
+            result_.estimatorStats[i].record(bucket, mispredicted);
+            if (slot != nullptr) {
+                slot->estimatorLogs[i].push_back((bucket << 1) |
+                                                 mispredicted);
+            }
             if (profile != nullptr)
                 profile->onBucket(i, bucket, correct);
         }
-        estimators_[i]->update(ctx_, correct, record.taken);
     }
 
     if (recording) {
-        if (options_.profileStatic)
-            result_.staticProfile.record(record.pc, !correct, record.taken);
+        if (options_.profileStatic) {
+            result_.staticProfile.record(record.pc, mispredicted,
+                                         record.taken);
+        }
         if (profile != nullptr)
-            profile->onBranch(record.pc, !correct);
+            profile->onBranch(record.pc, mispredicted);
     }
 
     // Predictor and architectural history train on the outcome.
     predictor_->update(record.pc, record.taken);
     bhr_.recordOutcome(record.taken);
-    gcir_.shiftIn(!correct);
+    gcir_.shiftIn(mispredicted);
 }
 
 void

@@ -5,10 +5,11 @@
  * Every simulation path in confsim — SimulationDriver::run(), each
  * SweepEngine configuration, and the sampling engine's planned replay —
  * runs this one step per conditional branch: query the predictor,
- * snapshot the architectural context (PC, global BHR, global CIR), read
- * every attached estimator's bucket with that pre-update context,
- * record the bucket against the prediction's correctness, train the
- * estimators on correctness and the predictor on the outcome, then
+ * snapshot the architectural context (PC, global BHR, global CIR), make
+ * one ConfidenceEstimator::update() call per attached estimator (it
+ * trains on the prediction's correctness and returns the bucket read
+ * with the pre-update context), record each bucket against the
+ * prediction's correctness, train the predictor on the outcome, then
  * shift the architectural histories (paper Sections 1.2 and 3-5). A
  * context switch (Section 5.4) restores the modelled hardware to its
  * power-on state after the triggering branch has fully trained.
@@ -307,8 +308,15 @@ configFingerprint(const BranchPredictor &predictor,
                   const std::vector<ConfidenceEstimator *> &estimators,
                   const DriverOptions &options);
 
-/** One configuration's record step and replay state. */
-class ReplayKernel
+/**
+ * One configuration's record step and replay state.
+ *
+ * Cache-line aligned: the record step writes the kernel's fields on
+ * every branch, and a sweep's shards replay their kernels on different
+ * threads, so no two kernels (or a kernel and another configuration's
+ * state) may share a 64-byte line.
+ */
+class alignas(64) ReplayKernel
 {
   public:
     /**

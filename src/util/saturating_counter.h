@@ -23,28 +23,30 @@ namespace confsim {
  *
  * The maximum is a runtime parameter (not a template parameter) because
  * the paper sweeps counter ranges (0..15 vs 0..16) and experiments
- * configure them dynamically.
+ * configure them dynamically. Value and ceiling are one byte each, so a
+ * 64K-entry predictor table spans 128 KiB; every counter in the paper
+ * (and every configured one) is at most 8 bits wide.
  */
 class SaturatingCounter
 {
   public:
     /**
-     * @param max Saturation ceiling (inclusive); must be >= 1.
+     * @param max Saturation ceiling (inclusive); must be in [1, 255].
      * @param initial Starting value; clamped to [0, max].
      */
     explicit SaturatingCounter(std::uint32_t max, std::uint32_t initial = 0)
-        : max_(max), value_(initial > max ? max : initial)
+        : max_(static_cast<std::uint8_t>(max)),
+          value_(static_cast<std::uint8_t>(initial > max ? max : initial))
     {
-        if (max == 0)
-            fatal("SaturatingCounter requires max >= 1");
+        if (max == 0 || max > 255)
+            fatal("SaturatingCounter max must be in [1, 255]");
     }
 
     /** Increment, saturating at max. @return the new value. */
     std::uint32_t
     increment()
     {
-        if (value_ < max_)
-            ++value_;
+        value_ += value_ < max_;
         return value_;
     }
 
@@ -52,8 +54,7 @@ class SaturatingCounter
     std::uint32_t
     decrement()
     {
-        if (value_ > 0)
-            --value_;
+        value_ -= value_ > 0;
         return value_;
     }
 
@@ -73,7 +74,7 @@ class SaturatingCounter
     void
     set(std::uint32_t value)
     {
-        value_ = value > max_ ? max_ : value;
+        value_ = static_cast<std::uint8_t>(value > max_ ? max_ : value);
     }
 
     /**
@@ -84,8 +85,8 @@ class SaturatingCounter
     bool predictsTaken() const { return value_ >= (max_ + 1) / 2; }
 
   private:
-    std::uint32_t max_;
-    std::uint32_t value_;
+    std::uint8_t max_;
+    std::uint8_t value_;
 };
 
 } // namespace confsim

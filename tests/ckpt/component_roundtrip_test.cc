@@ -617,7 +617,11 @@ class OpaqueEstimator : public ConfidenceEstimator
     {
         return 0;
     }
-    void update(const BranchContext &, bool, bool) override {}
+    std::uint64_t
+    update(const BranchContext &, bool, bool) override
+    {
+        return 0;
+    }
     std::uint64_t numBuckets() const override { return 1; }
     std::uint64_t storageBits() const override { return 0; }
     std::string name() const override { return "opaque"; }

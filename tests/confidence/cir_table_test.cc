@@ -108,6 +108,38 @@ TEST(CirTableTest, BadGeometryIsFatal)
     EXPECT_THROW(CirTable(100, 16, CtInit::Ones), std::runtime_error);
     EXPECT_THROW(CirTable(64, 0, CtInit::Ones), std::runtime_error);
     EXPECT_THROW(CirTable(64, 65, CtInit::Ones), std::runtime_error);
+    // Entries are 16 bits wide: 16 is the widest CIR.
+    EXPECT_THROW(CirTable(64, 17, CtInit::Ones), std::runtime_error);
+    EXPECT_NO_THROW(CirTable(64, 16, CtInit::Ones));
+}
+
+TEST(CirTableTest, SixteenBitCirDropsItsOldestBit)
+{
+    // A miss followed by 15 hits leaves it in the oldest bit; one more
+    // hit shifts it out of the 16-bit entry instead of wrapping.
+    CirTable table(4, 16, CtInit::Zeros);
+    table.update(0, false);
+    for (int i = 0; i < 15; ++i)
+        table.update(0, true);
+    EXPECT_EQ(table.read(0), 0x8000u);
+    table.update(0, true);
+    EXPECT_EQ(table.read(0), 0u);
+
+    CirTable ones(4, 16, CtInit::Ones);
+    ones.update(0, true);
+    EXPECT_EQ(ones.read(0), 0xFFFEu);
+    CirTable lastbit(4, 16, CtInit::LastBit);
+    lastbit.update(0, false);
+    EXPECT_EQ(lastbit.read(0), 1u);
+}
+
+TEST(CirTableTest, UpdateReturnsThePreShiftPattern)
+{
+    CirTable table(16, 8, CtInit::Zeros);
+    EXPECT_EQ(table.update(3, false), 0u);
+    EXPECT_EQ(table.update(3, true), 1u);
+    EXPECT_EQ(table.update(3 + 16, false), 2u); // same entry
+    EXPECT_EQ(table.read(3), 5u);
 }
 
 TEST(CirTableTest, InitNames)

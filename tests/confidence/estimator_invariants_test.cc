@@ -8,7 +8,11 @@
  *  1. Bucket ceiling: bucketOf() never reaches numBuckets(), and for
  *     the CIR/counter families numBuckets() equals the bit-width or
  *     counter-range ceiling the geometry implies (a b-bit CIR can only
- *     produce 2^b raw patterns; a max-M counter only M+1 values).
+ *     produce 2^b raw patterns; a max-M counter only M+1 values). On
+ *     the same stream, update() returns exactly the bucketOf() value
+ *     read just before it: the replay kernel records update()'s
+ *     return alone, so a family whose two methods disagreed would
+ *     change results silently.
  *  2. Conservation: the driver's per-estimator bucket totals sum
  *     exactly to the number of recorded conditional branches — every
  *     prediction lands in exactly one bucket.
@@ -133,8 +137,8 @@ TEST(EstimatorInvariants, GeometryCeilingsMatchBitWidths)
 TEST(EstimatorInvariants, BucketsNeverExceedCeiling)
 {
     // Drive every estimator with a realistic predictor-correctness
-    // stream and assert the emitted bucket stays below numBuckets()
-    // on every single branch.
+    // stream and assert the emitted bucket stays below numBuckets(),
+    // and that update() returns it, on every single branch.
     for (auto &named : allEstimators()) {
         SCOPED_TRACE(named.label);
         ConfidenceEstimator &estimator = *named.estimator;
@@ -157,8 +161,9 @@ TEST(EstimatorInvariants, BucketsNeverExceedCeiling)
             ctx.gcir = gcir.value();
             const bool correct =
                 predictor.predict(record.pc) == record.taken;
-            ASSERT_LT(estimator.bucketOf(ctx), ceiling);
-            estimator.update(ctx, correct, record.taken);
+            const std::uint64_t bucket = estimator.bucketOf(ctx);
+            ASSERT_LT(bucket, ceiling);
+            ASSERT_EQ(estimator.update(ctx, correct, record.taken), bucket);
             predictor.update(record.pc, record.taken);
             bhr.recordOutcome(record.taken);
             gcir.shiftIn(!correct);

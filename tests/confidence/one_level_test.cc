@@ -60,6 +60,31 @@ TEST(OneLevelCirTest, WideRawCirIsFatal)
     EXPECT_THROW(OneLevelCirConfidence(IndexScheme::Pc, 256, 32,
                                        CirReduction::RawPattern),
                  std::runtime_error);
+    // CIR tables hold 16-bit entries, for either reduction.
+    EXPECT_THROW(OneLevelCirConfidence(IndexScheme::Pc, 256, 17,
+                                       CirReduction::RawPattern),
+                 std::runtime_error);
+    EXPECT_THROW(OneLevelCirConfidence(IndexScheme::Pc, 256, 17,
+                                       CirReduction::OnesCount),
+                 std::runtime_error);
+    EXPECT_NO_THROW(OneLevelCirConfidence(IndexScheme::Pc, 256, 16,
+                                          CirReduction::OnesCount));
+}
+
+TEST(OneLevelCirTest, UpdateReturnsThePreUpdateBucket)
+{
+    OneLevelCirConfidence raw(IndexScheme::Pc, 256, 8,
+                              CirReduction::RawPattern, CtInit::Zeros);
+    OneLevelCirConfidence ones(IndexScheme::Pc, 256, 8,
+                               CirReduction::OnesCount, CtInit::Ones);
+    const auto ctx = context(0x1000);
+    EXPECT_EQ(raw.update(ctx, false, true), 0u);
+    EXPECT_EQ(raw.update(ctx, true, true), 1u);
+    EXPECT_EQ(raw.update(ctx, true, true), 2u);
+    EXPECT_EQ(raw.bucketOf(ctx), 4u);
+    EXPECT_EQ(ones.update(ctx, true, true), 8u);
+    EXPECT_EQ(ones.update(ctx, true, true), 7u);
+    EXPECT_EQ(ones.bucketOf(ctx), 6u);
 }
 
 TEST(OneLevelCirTest, IndexSchemeSelectsDifferentEntries)
@@ -228,6 +253,53 @@ TEST(CounterEstimatorTest, BadGeometryIsFatal)
     EXPECT_THROW(OneLevelCounterConfidence(IndexScheme::Pc, 256,
                                            CounterKind::Resetting, 0),
                  std::runtime_error);
+    // Counters are one byte each.
+    EXPECT_THROW(OneLevelCounterConfidence(IndexScheme::Pc, 256,
+                                           CounterKind::Saturating, 256),
+                 std::runtime_error);
+}
+
+TEST(CounterEstimatorTest, ByteCountersSaturateAt255)
+{
+    // The widest ceiling a one-byte counter holds: every kind must
+    // clamp at 255 rather than wrap to 0, and step down from there.
+    const auto ctx = context(0x1000);
+    for (const CounterKind kind :
+         {CounterKind::Saturating, CounterKind::Resetting,
+          CounterKind::HalfReset}) {
+        SCOPED_TRACE(toString(kind));
+        OneLevelCounterConfidence est(IndexScheme::Pc, 64, kind, 255, 250);
+        EXPECT_EQ(est.numBuckets(), 256u);
+        EXPECT_EQ(est.storageBits(), 64u * 8u);
+        for (int i = 0; i < 300; ++i)
+            est.update(ctx, true, true);
+        EXPECT_EQ(est.bucketOf(ctx), 255u);
+        EXPECT_EQ(est.update(ctx, false, true), 255u);
+    }
+    OneLevelCounterConfidence sat(IndexScheme::Pc, 64,
+                                  CounterKind::Saturating, 255, 255);
+    sat.update(ctx, false, true);
+    EXPECT_EQ(sat.bucketOf(ctx), 254u);
+    OneLevelCounterConfidence half(IndexScheme::Pc, 64,
+                                   CounterKind::HalfReset, 255, 255);
+    half.update(ctx, false, true);
+    EXPECT_EQ(half.bucketOf(ctx), 127u);
+    OneLevelCounterConfidence reset(IndexScheme::Pc, 64,
+                                    CounterKind::Resetting, 255, 255);
+    reset.update(ctx, false, true);
+    EXPECT_EQ(reset.bucketOf(ctx), 0u);
+}
+
+TEST(CounterEstimatorTest, UpdateReturnsThePreUpdateCounter)
+{
+    OneLevelCounterConfidence est(IndexScheme::Pc, 256,
+                                  CounterKind::Resetting, 16, 3);
+    const auto ctx = context(0x1000);
+    EXPECT_EQ(est.update(ctx, true, true), 3u);
+    EXPECT_EQ(est.update(ctx, true, true), 4u);
+    EXPECT_EQ(est.update(ctx, false, true), 5u);
+    EXPECT_EQ(est.update(ctx, true, true), 0u);
+    EXPECT_EQ(est.bucketOf(ctx), 1u);
 }
 
 

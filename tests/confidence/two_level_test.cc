@@ -131,6 +131,34 @@ TEST(TwoLevelConfidenceTest, BadGeometryIsFatal)
     EXPECT_THROW(TwoLevelConfidence(IndexScheme::Pc, 256, 8,
                                     SecondLevelIndex::Cir, 32),
                  std::runtime_error);
+    // Both levels hold 16-bit CIRs, for either reduction.
+    EXPECT_THROW(TwoLevelConfidence(IndexScheme::Pc, 256, 17,
+                                    SecondLevelIndex::Cir, 8),
+                 std::runtime_error);
+    EXPECT_THROW(TwoLevelConfidence(IndexScheme::Pc, 256, 8,
+                                    SecondLevelIndex::Cir, 17),
+                 std::runtime_error);
+    EXPECT_THROW(TwoLevelConfidence(IndexScheme::Pc, 256, 8,
+                                    SecondLevelIndex::Cir, 17,
+                                    CirReduction::OnesCount),
+                 std::runtime_error);
+    EXPECT_NO_THROW(TwoLevelConfidence(IndexScheme::Pc, 256, 16,
+                                       SecondLevelIndex::Cir, 16));
+}
+
+TEST(TwoLevelConfidenceTest, UpdateReturnsThePreUpdateBucket)
+{
+    // Level 2 is indexed by the level-1 CIR before it shifts, and the
+    // returned bucket is that level-2 entry before it shifts.
+    TwoLevelConfidence est(IndexScheme::Pc, 256, 4,
+                           SecondLevelIndex::Cir, 4,
+                           CirReduction::RawPattern, CtInit::Zeros);
+    const auto ctx = context(0x1000);
+    for (int i = 0; i < 20; ++i) {
+        const std::uint64_t bucket = est.bucketOf(ctx);
+        ASSERT_EQ(est.update(ctx, i % 3 != 0, true), bucket)
+            << "step " << i;
+    }
 }
 
 TEST(TwoLevelConfidenceTest, NamesMatchPaperNotation)

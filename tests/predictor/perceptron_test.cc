@@ -276,7 +276,9 @@ TEST(PerceptronMarginConfidenceTest, BoundBucketFollowsPredictorMargin)
         const std::uint64_t bucket = conf.bucketOf(ctx);
         ASSERT_EQ(bucket, want) << "step " << i;
         seen[bucket] = true;
-        conf.update(ctx, correct, taken);
+        // The kernel records update()'s return alone.
+        ASSERT_EQ(conf.update(ctx, correct, taken), bucket)
+            << "step " << i;
         pred.update(pc, taken);
     }
     EXPECT_GE(std::count(seen.begin(), seen.end(), true), 4);

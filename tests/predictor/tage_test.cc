@@ -431,7 +431,9 @@ TEST(TageProviderConfidenceTest, BoundBucketFollowsPredictorDetail)
         ASSERT_EQ(bucket, want) << "step " << i;
         ASSERT_LT(bucket, conf.numBuckets());
         seen[bucket] = true;
-        conf.update(ctx, correct, taken);
+        // The kernel records update()'s return alone.
+        ASSERT_EQ(conf.update(ctx, correct, taken), bucket)
+            << "step " << i;
         pred.update(pc, taken);
     }
     EXPECT_GE(std::count(seen.begin(), seen.end(), true), 4);

@@ -487,11 +487,12 @@ class ResourceFailingEstimator : public ConfidenceEstimator
     {
         return 0;
     }
-    void
+    std::uint64_t
     update(const BranchContext &, bool, bool) override
     {
         if (++updates_ == 1000)
             throw Error(ErrorCategory::kResource, "table allocation failed");
+        return 0;
     }
     std::uint64_t numBuckets() const override { return 1; }
     std::uint64_t storageBits() const override { return 0; }

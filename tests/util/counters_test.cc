@@ -70,6 +70,33 @@ TEST(SaturatingCounterTest, ZeroToSixteenRange)
     EXPECT_EQ(c.value(), 16u);
 }
 
+TEST(SaturatingCounterTest, ByteStorageSaturatesAt255)
+{
+    // Value and ceiling are one byte each: 255 is the widest ceiling,
+    // and the value must clamp there rather than wrap to 0.
+    SaturatingCounter c(255, 250);
+    for (int i = 0; i < 10; ++i)
+        c.increment();
+    EXPECT_EQ(c.value(), 255u);
+    EXPECT_TRUE(c.isMax());
+    EXPECT_TRUE(c.predictsTaken());
+    c.set(1000);
+    EXPECT_EQ(c.value(), 255u);
+    for (int i = 0; i < 300; ++i)
+        c.decrement();
+    EXPECT_EQ(c.value(), 0u);
+    EXPECT_TRUE(c.isMin());
+    EXPECT_EQ(SaturatingCounter(255, 999).value(), 255u);
+    EXPECT_EQ(sizeof(SaturatingCounter), 2u);
+}
+
+TEST(SaturatingCounterTest, RejectsCeilingOutsideOneByte)
+{
+    EXPECT_THROW(SaturatingCounter(0), std::runtime_error);
+    EXPECT_THROW(SaturatingCounter(256), std::runtime_error);
+    EXPECT_THROW(SaturatingCounter(1u << 20, 3), std::runtime_error);
+}
+
 TEST(ResettingCounterTest, IncrementsOnCorrect)
 {
     ResettingCounter c(16, 0);
