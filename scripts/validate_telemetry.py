@@ -90,23 +90,6 @@ EVENT_REQUIRED_FIELDS = {
         "total_branches", "recorded_branches", "reduction",
         "composite_mispredict_rate", "wall_ms",
     ],
-    # Sweep-service lifecycle (serve/sweep_service.h): one admitted/
-    # rejected per submit, started/finished-or-failed per admitted
-    # job, and exactly one service_drained summary per service.
-    "job_admitted": ["job", "tenant", "label", "queue_depth"],
-    "job_rejected": ["tenant", "label", "reason", "category"],
-    "job_started": ["job", "tenant", "label", "queue_ms"],
-    "job_finished": [
-        "job", "tenant", "label", "run_ms", "configs", "degraded",
-    ],
-    "job_failed": [
-        "job", "tenant", "label", "state", "error", "category",
-        "checkpointed",
-    ],
-    "service_drained": [
-        "mode", "submitted", "admitted", "rejected", "finished",
-        "failed", "cancelled", "drained",
-    ],
     "span_summary": ["path", "events", "threads", "dropped"],
     "branch_profile_written": [
         "path", "format", "branches", "executions", "mispredictions",

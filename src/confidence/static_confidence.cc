@@ -58,82 +58,6 @@ StaticBranchProfile::totalMispredictions() const
     return total;
 }
 
-std::vector<std::uint64_t>
-StaticBranchProfile::sortedByRate() const
-{
-    std::vector<std::uint64_t> pcs;
-    pcs.reserve(entries_.size());
-    for (const auto &[pc, entry] : entries_)
-        pcs.push_back(pc);
-    std::sort(pcs.begin(), pcs.end(),
-              [this](std::uint64_t a, std::uint64_t b) {
-                  const double ra = entries_.at(a).rate();
-                  const double rb = entries_.at(b).rate();
-                  if (ra != rb)
-                      return ra > rb;
-                  return a < b; // deterministic tie break
-              });
-    return pcs;
-}
-
-std::unordered_set<std::uint64_t>
-StaticBranchProfile::lowSetByRefFraction(double ref_fraction) const
-{
-    std::unordered_set<std::uint64_t> low;
-    const auto total =
-        static_cast<double>(totalExecutions());
-    if (total == 0.0)
-        return low;
-    double accumulated = 0.0;
-    for (std::uint64_t pc : sortedByRate()) {
-        if (accumulated / total >= ref_fraction)
-            break;
-        low.insert(pc);
-        accumulated +=
-            static_cast<double>(entries_.at(pc).executions);
-    }
-    return low;
-}
-
-std::unordered_set<std::uint64_t>
-StaticBranchProfile::lowSetByRateThreshold(double rate_threshold) const
-{
-    std::unordered_set<std::uint64_t> low;
-    for (const auto &[pc, entry] : entries_) {
-        if (entry.rate() >= rate_threshold)
-            low.insert(pc);
-    }
-    return low;
-}
-
-StaticConfidence::StaticConfidence(
-    std::unordered_set<std::uint64_t> low_set)
-    : lowSet_(std::move(low_set))
-{}
-
-std::uint64_t
-StaticConfidence::bucketOf(const BranchContext &ctx) const
-{
-    return lowSet_.count(ctx.pc) ? 0 : 1;
-}
-
-std::uint64_t
-StaticConfidence::update(const BranchContext &ctx, bool, bool)
-{
-    // Static confidence never adapts online.
-    return bucketOf(ctx);
-}
-
-std::uint64_t
-StaticConfidence::storageBits() const
-{
-    // One tag bit per low-confidence static branch (e.g. in the
-    // instruction encoding or an i-cache bit, like the S-1 and
-    // PowerPC 601 schemes cited in Section 1.1).
-    return lowSet_.size();
-}
-
-
 void
 StaticBranchProfile::saveState(StateWriter &out) const
 {

@@ -2,12 +2,11 @@
  * @file
  * Profile-based static confidence (paper Section 2).
  *
- * Pass 1 profiles each static branch's prediction accuracy under the
- * chosen dynamic predictor (StaticBranchProfile, filled by the
- * simulation driver). The profile is then cut — by misprediction-rate
- * threshold or by a target fraction of dynamic branches — into low- and
- * high-confidence static branch sets, and pass 2 can consult the
- * resulting StaticConfidence estimator online.
+ * The simulation driver profiles each static branch's prediction
+ * accuracy under the chosen dynamic predictor (StaticBranchProfile).
+ * Ranking static branches by misprediction rate then gives the
+ * method's confidence curve: ConfidenceCurve::fromSparseStats over
+ * the profile's per-branch counts (fig02's "static" series).
  *
  * The paper treats this method as an optimistic baseline ("perfect
  * profiling": the profile input equals the evaluation input), and so do
@@ -19,12 +18,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "ckpt/state_io.h"
-#include "confidence/confidence_estimator.h"
 
 namespace confsim {
 
@@ -168,52 +165,8 @@ class StaticBranchProfile
     /** @return total mispredictions across all branches. */
     std::uint64_t totalMispredictions() const;
 
-    /**
-     * Select the low-confidence set: static branches, taken in
-     * decreasing misprediction-rate order, until they account for at
-     * least @p ref_fraction of dynamic executions.
-     */
-    std::unordered_set<std::uint64_t>
-    lowSetByRefFraction(double ref_fraction) const;
-
-    /**
-     * Select the low-confidence set: every static branch whose
-     * misprediction rate is >= @p rate_threshold.
-     */
-    std::unordered_set<std::uint64_t>
-    lowSetByRateThreshold(double rate_threshold) const;
-
   private:
-    /** PCs sorted by misprediction rate, highest first. */
-    std::vector<std::uint64_t> sortedByRate() const;
-
     Table entries_;
-};
-
-/**
- * Online static confidence estimator: bucket 0 = low confidence,
- * bucket 1 = high confidence, decided purely by static branch identity.
- */
-class StaticConfidence : public ConfidenceEstimator
-{
-  public:
-    /** @param low_set PCs tagged low-confidence by the profile. */
-    explicit StaticConfidence(std::unordered_set<std::uint64_t> low_set);
-
-    std::uint64_t bucketOf(const BranchContext &ctx) const override;
-    std::uint64_t update(const BranchContext &ctx, bool correct,
-                         bool taken) override;
-    std::uint64_t numBuckets() const override { return 2; }
-    std::uint64_t storageBits() const override;
-    std::string name() const override { return "static-profile"; }
-    void reset() override {}
-
-    /** The low set is profile configuration, not run state. */
-    bool checkpointable() const override { return true; }
-    bool bucketsAreOrdered() const override { return true; }
-
-  private:
-    std::unordered_set<std::uint64_t> lowSet_;
 };
 
 } // namespace confsim

@@ -53,12 +53,6 @@ inline constexpr const char *kBranchProfileWritten =
     "branch_profile_written";
 inline constexpr const char *kSamplingRunFinished =
     "sampling_run_finished";
-inline constexpr const char *kJobAdmitted = "job_admitted";
-inline constexpr const char *kJobRejected = "job_rejected";
-inline constexpr const char *kJobStarted = "job_started";
-inline constexpr const char *kJobFinished = "job_finished";
-inline constexpr const char *kJobFailed = "job_failed";
-inline constexpr const char *kServiceDrained = "service_drained";
 
 } // namespace events
 

@@ -31,19 +31,6 @@ MetricsRegistry::mergeStats(const std::string &name,
     stats_[name].merge(other);
 }
 
-void
-MetricsRegistry::observeHistogram(const std::string &name, double value,
-                                  double lo, double hi,
-                                  std::size_t bins)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-        it = histograms_.emplace(name, Histogram(lo, hi, bins)).first;
-    }
-    it->second.add(value);
-}
-
 std::uint64_t
 MetricsRegistry::counter(const std::string &name) const
 {
@@ -78,7 +65,6 @@ MetricsRegistry::snapshot() const
     snap.counters.assign(counters_.begin(), counters_.end());
     snap.gauges.assign(gauges_.begin(), gauges_.end());
     snap.stats.assign(stats_.begin(), stats_.end());
-    snap.histograms.assign(histograms_.begin(), histograms_.end());
     return snap;
 }
 

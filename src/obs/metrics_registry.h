@@ -1,8 +1,8 @@
 /**
  * @file
  * A process-local registry of named metrics: monotonic counters,
- * last-value gauges, streaming statistics (util/running_stats.h
- * Welford accumulators), and fixed-bucket histograms. The registry is
+ * last-value gauges, and streaming statistics (util/running_stats.h
+ * Welford accumulators). The registry is
  * the aggregation point of the telemetry layer: hot paths accumulate
  * into *local* RunningStats (lock-free) and merge them in at the end
  * of a run, while coarse-grained call sites (suite runner, examples)
@@ -29,20 +29,19 @@ namespace confsim {
 /**
  * A point-in-time copy of everything a registry holds.
  *
- * Ordering contract: every vector — counters, gauges, stats, *and*
- * histograms — is sorted by name, ascending, byte-wise
+ * Ordering contract: every vector — counters, gauges and stats — is
+ * sorted by name, ascending, byte-wise
  * (std::string::operator<). snapshot() builds each from a std::map
  * walk, so consumers (the metrics_snapshot telemetry event, CSV
  * exports, tests diffing two snapshots) may rely on deterministic,
  * insertion-order-independent output. Pinned by
- * `MetricsRegistryTest.SnapshotIsNameSortedIncludingHistograms`.
+ * `MetricsRegistryTest.SnapshotSectionsAreByteWiseNameSorted`.
  */
 struct MetricsSnapshot
 {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     std::vector<std::pair<std::string, double>> gauges;
     std::vector<std::pair<std::string, RunningStats>> stats;
-    std::vector<std::pair<std::string, Histogram>> histograms;
 };
 
 /**
@@ -65,14 +64,6 @@ class MetricsRegistry
     /** Merge a locally accumulated RunningStats into stat @p name. */
     void mergeStats(const std::string &name, const RunningStats &other);
 
-    /**
-     * Record one observation into histogram @p name, created with the
-     * given shape on first use (the shape of an existing histogram is
-     * not changed by later calls).
-     */
-    void observeHistogram(const std::string &name, double value,
-                          double lo, double hi, std::size_t bins);
-
     /** @return counter value (0 when absent). */
     std::uint64_t counter(const std::string &name) const;
 
@@ -90,7 +81,6 @@ class MetricsRegistry
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, double> gauges_;
     std::map<std::string, RunningStats> stats_;
-    std::map<std::string, Histogram> histograms_;
 };
 
 /**

@@ -72,9 +72,6 @@ ExperimentEnv::fromCli(int argc, const char *const *argv,
                   "completion markers)");
     cli.addFlag("resume",
                 "resume prior progress from --checkpoint-dir");
-    cli.addOption("predictor", "gshare-large",
-                  "predictor family: gshare-large, gshare-small, "
-                  "tage, perceptron");
     cli.addOption("sweep-threads", "0",
                   "sweep worker threads (0 = hardware concurrency)");
     cli.addOption("batch-size", "4096",
@@ -133,8 +130,6 @@ ExperimentEnv::fromCli(int argc, const char *const *argv,
     if (env.resume && env.checkpointDir.empty())
         fatal(ErrorCategory::kConfig,
               "--resume requires --checkpoint-dir");
-    env.predictor = cli.getString("predictor");
-    makeNamedPredictorFactory(env.predictor); // validate early
     env.sweepThreads =
         static_cast<unsigned>(cli.getUnsigned("sweep-threads"));
     env.batchSize = cli.getUnsigned("batch-size");
@@ -209,32 +204,6 @@ perceptronFactory(PerceptronConfig config)
     return [config] {
         return std::make_unique<PerceptronPredictor>(config);
     };
-}
-
-std::vector<std::string>
-knownPredictorNames()
-{
-    return {"gshare-large", "gshare-small", "tage", "perceptron"};
-}
-
-PredictorFactory
-makeNamedPredictorFactory(const std::string &name)
-{
-    if (name == "gshare-large")
-        return largeGshareFactory();
-    if (name == "gshare-small")
-        return smallGshareFactory();
-    if (name == "tage")
-        return tageFactory();
-    if (name == "perceptron")
-        return perceptronFactory();
-    fatal(ErrorCategory::kConfig, "unknown predictor name: " + name);
-}
-
-PredictorFactory
-ExperimentEnv::predictorFactory() const
-{
-    return makeNamedPredictorFactory(predictor);
 }
 
 EstimatorConfig

@@ -111,13 +111,6 @@ struct ExperimentEnv
      */
     std::uint64_t deadlineMs = 0;
 
-    /**
-     * Predictor family name (--predictor); one of
-     * knownPredictorNames(). Benches that honor it build their
-     * predictor with predictorFactory().
-     */
-    std::string predictor = "gshare-large";
-
     /** Sampled-replay region fraction (--sample-rate), in (0, 1]. */
     double sampleRate = 0.1;
 
@@ -161,9 +154,6 @@ struct ExperimentEnv
 
     /** @return the configured IBS suite (full or reduced). */
     BenchmarkSuite makeSuite() const;
-
-    /** @return makeNamedPredictorFactory(predictor). */
-    PredictorFactory predictorFactory() const;
 };
 
 /** A labelled estimator configuration. */
@@ -185,18 +175,6 @@ PredictorFactory tageFactory(TageConfig config = TageConfig::makeDefault());
 /** Factory for the reference-scale perceptron predictor. */
 PredictorFactory perceptronFactory(
     PerceptronConfig config = PerceptronConfig::makeDefault());
-
-/**
- * The CLI predictor-name registry shared by --predictor and the sweep
- * server: "gshare-large", "gshare-small", "tage", "perceptron".
- */
-std::vector<std::string> knownPredictorNames();
-
-/**
- * Build the predictor factory named @p name.
- * @throws Error{kConfig} on an unknown name.
- */
-PredictorFactory makeNamedPredictorFactory(const std::string &name);
 
 /** One-level CT with full CIRs and raw-pattern (ideal-ready) buckets. */
 EstimatorConfig

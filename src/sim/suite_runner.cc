@@ -576,6 +576,11 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
         fatal(ErrorCategory::kConfig,
               "runSweep needs at least one configuration");
     }
+    if (sweep.pool != nullptr) {
+        fatal(ErrorCategory::kConfig,
+              "runSweep builds its own worker pool; leave "
+              "SweepOptions::pool unset");
+    }
     if (policy.watchdogMs != 0)
         options.wallClockLimitMs = policy.watchdogMs;
     const bool fail_fast = policy.errorMode == ErrorMode::kFailFast;
@@ -595,23 +600,14 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
     // min(pool, configs) workers; when that leaves workers idle,
     // additional benchmarks run their passes concurrently on the
     // same pool (bench_slots > 1) instead of leaving cores idle.
-    // A caller-provided SweepOptions::pool (e.g. the sweep service
-    // running many tenants' jobs over one host-sized pool) is used
-    // as-is and never destroyed here; otherwise runSweep owns a pool
-    // sized from sweep.threads.
-    SweepWorkerPool *const shared_pool = sweep.pool;
-    const unsigned pool_workers =
-        shared_pool != nullptr
-            ? std::max(1u, shared_pool->workers())
-            : resolveSweepPoolWorkers(sweep.threads);
+    const unsigned pool_workers = resolveSweepPoolWorkers(sweep.threads);
     std::unique_ptr<SweepWorkerPool> pool;
     SweepOptions engine_sweep = sweep;
-    engine_sweep.pool = shared_pool;
     // Continue-on-error isolates failures at configuration granularity
     // too: one configuration's fault freezes only that configuration
     // while the rest of the pass stays bit-exact (sweep_engine.h).
     engine_sweep.isolateConfigFailures = !fail_fast;
-    if (shared_pool == nullptr && pool_workers > 1) {
+    if (pool_workers > 1) {
         pool = std::make_unique<SweepWorkerPool>(pool_workers);
         engine_sweep.pool = pool.get();
     }

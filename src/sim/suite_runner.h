@@ -260,12 +260,10 @@ class SuiteRunner
      * @param configs Attached configurations (factories follow the
      *        same thread-safety rule as run()).
      * @param options Driver knobs shared by all configurations.
-     * @param sweep Sweep thread/batch/pipelining tuning knobs. When
-     *        SweepOptions::pool is set the pass runs on that external
-     *        pool (the caller owns its lifetime and its occupancy
-     *        reporting — e.g. the sweep service multiplexing many
-     *        jobs over one host-sized pool); otherwise runSweep
-     *        creates and owns a pool sized from SweepOptions::threads.
+     * @param sweep Sweep thread/batch/pipelining tuning knobs.
+     *        runSweep creates and owns a worker pool sized from
+     *        SweepOptions::threads; a caller-set SweepOptions::pool
+     *        is rejected with Error{kConfig}.
      * @param policy Fault-tolerance policy (see run()).
      */
     SweepSuiteResult

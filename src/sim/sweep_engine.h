@@ -194,6 +194,8 @@ struct SweepOptions
      * broadcasts batches through it instead of creating a private
      * pool, so several engines can share globally sized parallelism.
      * The pool must outlive every run()/resume() call.
+     * SuiteRunner::runSweep() sets this to the pool it owns and
+     * rejects a caller-set one with Error{kConfig}.
      */
     SweepWorkerPool *pool = nullptr;
 

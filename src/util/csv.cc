@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "util/string_utils.h"
-
 namespace confsim {
 
 CsvWriter::CsvWriter(const std::string &path)
@@ -19,16 +17,6 @@ CsvWriter::writeRow(const std::vector<std::string> &cells)
         out_.stream() << escapeCell(cells[i]);
     }
     out_.stream() << '\n';
-}
-
-void
-CsvWriter::writeNumericRow(const std::vector<double> &cells, int decimals)
-{
-    std::vector<std::string> formatted;
-    formatted.reserve(cells.size());
-    for (double c : cells)
-        formatted.push_back(formatFixed(c, decimals));
-    writeRow(formatted);
 }
 
 void

@@ -31,10 +31,6 @@ class CsvWriter
     /** Write a row of pre-formatted cells. */
     void writeRow(const std::vector<std::string> &cells);
 
-    /** Write a row of doubles with @p decimals precision. */
-    void writeNumericRow(const std::vector<double> &cells,
-                         int decimals = 6);
-
     /** Publish the file atomically; also performed by the destructor. */
     void close();
 

@@ -1,20 +1,17 @@
 /**
  * @file
- * Streaming summary statistics (Welford's algorithm) and a simple
- * fixed-width histogram. Used by the robustness harnesses
- * (bench/ablation_seed_sensitivity) and available to applications that
- * aggregate per-run metrics.
+ * Streaming summary statistics (Welford's algorithm). Used by the
+ * metrics registry, the sweep engine's pool-occupancy accounting and
+ * the seed-sensitivity harness (bench/ablation_seed_sensitivity).
  */
 
 #ifndef CONFSIM_UTIL_RUNNING_STATS_H
 #define CONFSIM_UTIL_RUNNING_STATS_H
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <vector>
-
-#include "util/status.h"
 
 namespace confsim {
 
@@ -94,78 +91,6 @@ class RunningStats
     double m2_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/** Fixed-width histogram over [lo, hi) with under/overflow bins. */
-class Histogram
-{
-  public:
-    /**
-     * @param lo Inclusive lower bound of the tracked range.
-     * @param hi Exclusive upper bound; must be > lo.
-     * @param bins Number of equal-width bins (>= 1).
-     */
-    Histogram(double lo, double hi, std::size_t bins)
-        : lo_(lo), hi_(hi), counts_(bins, 0)
-    {
-        if (!(hi > lo))
-            fatal("histogram range must be non-empty");
-        if (bins == 0)
-            fatal("histogram needs at least one bin");
-    }
-
-    /** Record one observation. */
-    void
-    add(double value)
-    {
-        ++total_;
-        if (value < lo_) {
-            ++underflow_;
-            return;
-        }
-        if (value >= hi_) {
-            ++overflow_;
-            return;
-        }
-        const auto bin = static_cast<std::size_t>(
-            (value - lo_) / (hi_ - lo_) *
-            static_cast<double>(counts_.size()));
-        ++counts_[std::min(bin, counts_.size() - 1)];
-    }
-
-    /** @return count in bin @p index. */
-    std::uint64_t binCount(std::size_t index) const
-    {
-        return counts_.at(index);
-    }
-
-    /** @return inclusive lower edge of bin @p index. */
-    double
-    binLow(std::size_t index) const
-    {
-        return lo_ + (hi_ - lo_) * static_cast<double>(index) /
-                         static_cast<double>(counts_.size());
-    }
-
-    /** @return number of bins. */
-    std::size_t numBins() const { return counts_.size(); }
-
-    /** @return observations below the range. */
-    std::uint64_t underflow() const { return underflow_; }
-
-    /** @return observations at/above the upper bound. */
-    std::uint64_t overflow() const { return overflow_; }
-
-    /** @return all observations ever recorded. */
-    std::uint64_t total() const { return total_; }
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 } // namespace confsim

@@ -30,8 +30,8 @@ installSignalCancellation(CancellationToken &token)
     struct sigaction action = {};
     action.sa_handler = onCancellationSignal;
     sigemptyset(&action.sa_mask);
-    // No SA_RESTART: blocking reads must wake with EINTR so the
-    // caller's loop can poll the token and start its drain.
+    // No SA_RESTART: an interrupted blocking call returns EINTR
+    // instead of resuming, so its caller can poll the token.
     action.sa_flags = 0;
     sigaction(SIGINT, &action, nullptr);
     sigaction(SIGTERM, &action, nullptr);

@@ -5,17 +5,18 @@
  * installSignalCancellation() registers handlers for SIGINT and SIGTERM
  * that cancel one process-wide CancellationToken. Every cooperative
  * poll site already threaded through the simulator (driver record
- * loops, sweep shards, decode producers, retry backoff sleeps, the
- * sweep service's admission/drain machinery) then unwinds with
- * Error{kCancelled}, so Ctrl-C produces a clean teardown — telemetry
- * sinks flushed, atomic-file temporaries cleaned up, checkpoints left
- * in a resumable state — instead of an abrupt exit mid-write.
+ * loops, sweep shards, decode producers, retry backoff sleeps) then
+ * unwinds with Error{kCancelled}, so Ctrl-C produces a clean
+ * teardown — telemetry sinks flushed, atomic-file temporaries cleaned
+ * up, checkpoints left in a resumable state — instead of an abrupt
+ * exit mid-write.
  *
  * The handler itself only performs async-signal-safe work: a relaxed
  * atomic load of the registered token pointer, the token's own atomic
  * cancel() store, and recording which signal fired. Handlers are
- * installed without SA_RESTART so blocking reads (the sweep server's
- * stdin/socket loop) return EINTR and observe the token promptly.
+ * installed without SA_RESTART, so a blocking call the signal
+ * interrupts returns EINTR instead of resuming, and its caller can
+ * poll the token promptly.
  */
 
 #ifndef CONFSIM_UTIL_SIGNAL_CANCELLATION_H

@@ -24,7 +24,6 @@
 #include "confidence/one_level.h"
 #include "confidence/perceptron_margin.h"
 #include "confidence/self_counter.h"
-#include "confidence/static_confidence.h"
 #include "confidence/tage_confidence.h"
 #include "confidence/two_level.h"
 #include "confidence/unaliased.h"
@@ -507,14 +506,6 @@ TEST(EstimatorRoundTripTest, NativeParentFormatIsRejected)
     expect_checkpoint_error("estimator:tage-provider", tage_conf);
     expect_checkpoint_error("estimator:perceptron-margin",
                             perceptron_conf);
-}
-
-TEST(EstimatorRoundTripTest, StaticProfile)
-{
-    expectEstimatorRoundTrip([] {
-        return std::make_unique<StaticConfidence>(
-            std::unordered_set<std::uint64_t>{0x10, 0x40, 0x100});
-    });
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,7 @@
-/** @file Unit tests for the profile-based static confidence method. */
+/** @file Unit tests for the per-static-branch accuracy profile. */
 
 #include "confidence/static_confidence.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -46,40 +45,6 @@ TEST(StaticProfileTest, EntryRates)
     const auto profile = sampleProfile();
     EXPECT_DOUBLE_EQ(profile.entries().at(0x100).rate(), 0.5);
     EXPECT_DOUBLE_EQ(profile.entries().at(0x300).rate(), 0.01);
-}
-
-TEST(StaticProfileTest, LowSetByRefFractionTakesWorstFirst)
-{
-    const auto profile = sampleProfile();
-    // 10% of 1000 execs: only the worst branch (0x100, 100 execs).
-    const auto low10 = profile.lowSetByRefFraction(0.10);
-    EXPECT_EQ(low10.size(), 1u);
-    EXPECT_TRUE(low10.count(0x100));
-    // 40%: worst two.
-    const auto low40 = profile.lowSetByRefFraction(0.40);
-    EXPECT_EQ(low40.size(), 2u);
-    EXPECT_TRUE(low40.count(0x200));
-    // 100%: everything.
-    EXPECT_EQ(profile.lowSetByRefFraction(1.0).size(), 3u);
-    // 0%: nothing.
-    EXPECT_TRUE(profile.lowSetByRefFraction(0.0).empty());
-}
-
-TEST(StaticProfileTest, LowSetByRateThreshold)
-{
-    const auto profile = sampleProfile();
-    const auto low = profile.lowSetByRateThreshold(0.10);
-    EXPECT_EQ(low.size(), 2u);
-    EXPECT_TRUE(low.count(0x100));
-    EXPECT_TRUE(low.count(0x200));
-    EXPECT_TRUE(profile.lowSetByRateThreshold(0.9).empty());
-}
-
-TEST(StaticProfileTest, EmptyProfileYieldsEmptySets)
-{
-    StaticBranchProfile profile;
-    EXPECT_TRUE(profile.lowSetByRefFraction(0.5).empty());
-    EXPECT_TRUE(profile.lowSetByRateThreshold(0.0).empty());
 }
 
 /** Expected counts per PC, kept in an ordered std::map. */
@@ -196,47 +161,6 @@ TEST(StaticProfileTest, CheckpointIsTheSortedKeyEncoding)
     StateWriter again;
     restored.saveState(again);
     EXPECT_EQ(again.bytes(), expected.bytes());
-}
-
-TEST(StaticConfidenceTest, BucketsByMembership)
-{
-    StaticConfidence est({0x100, 0x200});
-    BranchContext ctx;
-    ctx.pc = 0x100;
-    EXPECT_EQ(est.bucketOf(ctx), 0u); // low confidence
-    ctx.pc = 0x300;
-    EXPECT_EQ(est.bucketOf(ctx), 1u); // high confidence
-    EXPECT_EQ(est.numBuckets(), 2u);
-    EXPECT_TRUE(est.bucketsAreOrdered());
-}
-
-TEST(StaticConfidenceTest, UpdateIsANoop)
-{
-    StaticConfidence est({0x100});
-    BranchContext ctx;
-    ctx.pc = 0x100;
-    est.update(ctx, true, true);
-    est.update(ctx, false, true);
-    EXPECT_EQ(est.bucketOf(ctx), 0u);
-}
-
-TEST(StaticConfidenceTest, StorageCountsTagBits)
-{
-    StaticConfidence est({0x100, 0x200, 0x300});
-    EXPECT_EQ(est.storageBits(), 3u);
-}
-
-TEST(StaticConfidenceTest, EndToEndFromProfile)
-{
-    const auto profile = sampleProfile();
-    StaticConfidence est(profile.lowSetByRefFraction(0.40));
-    BranchContext ctx;
-    ctx.pc = 0x100;
-    EXPECT_EQ(est.bucketOf(ctx), 0u);
-    ctx.pc = 0x200;
-    EXPECT_EQ(est.bucketOf(ctx), 0u);
-    ctx.pc = 0x300;
-    EXPECT_EQ(est.bucketOf(ctx), 1u);
 }
 
 } // namespace

@@ -31,6 +31,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -336,12 +337,29 @@ TEST(ChaosSweep, DecodeFaultFailsPassButCheckpointsResume)
     }
 }
 
-TEST(ChaosSweep, HangUnwindsViaWatchdog)
+/** What unwinds a parked hang in expectHangUnwinds(). */
+enum class HangTrigger
+{
+    kWatchdog,       //!< the 300 ms wall-clock watchdog
+    kCancelledToken, //!< a token cancelled ~100 ms into the run
+};
+
+/**
+ * Park config 0's second batch with an injected hang, unwind it with
+ * @p trigger, and expect Error{@p expected} well inside the 30 s cap
+ * ReplayGuard::park() puts on a hang nothing unwinds.
+ */
+void
+expectHangUnwinds(HangTrigger trigger, ErrorCategory expected)
 {
     const std::vector<Family> families = {chaosFamilies()[0],
                                           chaosFamilies()[1]};
+    CancellationToken token;
     DriverOptions options;
-    options.wallClockLimitMs = 300;
+    if (trigger == HangTrigger::kWatchdog)
+        options.wallClockLimitMs = 300;
+    else
+        options.cancel = &token;
     SweepOptions sweep;
     sweep.threads = 1;
 
@@ -349,17 +367,39 @@ TEST(ChaosSweep, HangUnwindsViaWatchdog)
     SweepEngine engine(familyConfigs(families), options, sweep);
     auto source = freshSource();
     const auto start = std::chrono::steady_clock::now();
+    std::jthread canceller;
+    if (trigger == HangTrigger::kCancelledToken) {
+        canceller = std::jthread([&token] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+            token.cancel();
+        });
+    }
     try {
         engine.run(*source);
-        FAIL() << "expected the injected hang to hit the watchdog";
+        ADD_FAILURE() << "expected the injected hang to unwind the pass";
     } catch (const Error &e) {
-        EXPECT_EQ(e.category(), ErrorCategory::kTimeout);
+        EXPECT_EQ(e.category(), expected) << e.what();
     }
     const auto elapsed =
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - start);
-    // Unwound at the watchdog deadline, not the 30 s parking cap.
+    // The hang fired and parked; the trigger, not the cap, ended it.
+    EXPECT_EQ(FaultInjector::instance().injectedCount(), 1u);
+    EXPECT_GE(elapsed.count(), 100);
     EXPECT_LT(elapsed.count(), 10'000);
+}
+
+TEST(ChaosSweep, HangUnwindsViaWatchdog)
+{
+    expectHangUnwinds(HangTrigger::kWatchdog, ErrorCategory::kTimeout);
+}
+
+TEST(ChaosSweep, HangUnwindsViaCancelledToken)
+{
+    // The token is cancelled while the shard is parked, not before
+    // the run starts (ExternalCancellationUnwindsSweep covers that).
+    expectHangUnwinds(HangTrigger::kCancelledToken,
+                      ErrorCategory::kCancelled);
 }
 
 TEST(ChaosSweep, ExternalCancellationUnwindsSweep)

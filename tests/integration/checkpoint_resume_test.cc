@@ -1,10 +1,11 @@
 /**
  * @file
  * End-to-end checkpoint/resume acceptance tests: a suite run is killed
- * mid-benchmark (via fault injection), then resumed from its on-disk
- * checkpoints, and the recovered results must be BIT-EXACT against an
- * uninterrupted reference run — for a gshare + one-level configuration
- * and for a hybrid + two-level one. Corrupting the newest generation
+ * mid-benchmark (by an injected source fault, or by cancelling its
+ * RunPolicy token), then resumed from its on-disk checkpoints, and the
+ * recovered results must be BIT-EXACT against an uninterrupted
+ * reference run — for a gshare + one-level configuration and for a
+ * hybrid + two-level one. Corrupting the newest generation
  * must be detected, reported through telemetry, and recovered by
  * falling back one generation; completed benchmarks must be reused
  * from their done-markers without any re-simulation — for every
@@ -33,6 +34,7 @@
 #include "sim/suite_runner.h"
 #include "sim/sweep_engine.h"
 #include "fault/fault_injection.h"
+#include "util/cancellation.h"
 
 namespace confsim {
 namespace {
@@ -75,6 +77,65 @@ twoLevelFactory()
         return out;
     };
 }
+
+/**
+ * Delivers the wrapped source's records and cancels @p token once
+ * @p after of them have gone out. Serialization delegates to the
+ * wrapped source, so a cancelled run's checkpoints resume through the
+ * wrapped source alone.
+ */
+class CancelAfterSource : public TraceSource
+{
+  public:
+    CancelAfterSource(std::unique_ptr<TraceSource> inner,
+                      CancellationToken &token, std::uint64_t after)
+        : inner_(std::move(inner)), token_(&token), after_(after)
+    {}
+
+    bool
+    next(BranchRecord &record) override
+    {
+        if (!inner_->next(record))
+            return false;
+        if (++delivered_ == after_)
+            token_->cancel();
+        return true;
+    }
+
+    void
+    reset() override
+    {
+        inner_->reset();
+        delivered_ = 0;
+    }
+
+    bool checkpointable() const override
+    {
+        return inner_->checkpointable();
+    }
+    void saveState(StateWriter &out) const override
+    {
+        inner_->saveState(out);
+    }
+    void loadState(StateReader &in) override { inner_->loadState(in); }
+    std::uint32_t stateVersion() const override
+    {
+        return inner_->stateVersion();
+    }
+
+  private:
+    std::unique_ptr<TraceSource> inner_;
+    CancellationToken *token_;
+    std::uint64_t after_;
+    std::uint64_t delivered_ = 0;
+};
+
+/** How runKillResume() stops the checkpointed run. */
+enum class Interruption
+{
+    kSourceFault, //!< the source throws after kKillAfter records
+    kCancel,      //!< the run's RunPolicy::cancel token is cancelled then
+};
 
 class CheckpointResumeTest : public ::testing::Test
 {
@@ -125,6 +186,22 @@ class CheckpointResumeTest : public ::testing::Test
             spec.failAfter = fail_after;
             return std::make_unique<FaultInjectingTraceSource>(
                 std::move(inner), spec);
+        };
+    }
+
+    /**
+     * faultWrapper(0), with a CancelAfterSource on top that cancels
+     * @p token after kKillAfter records.
+     */
+    static SourceWrapper
+    cancelWrapper(CancellationToken &token)
+    {
+        return [&token](std::size_t bench,
+                        std::unique_ptr<TraceSource> inner)
+                   -> std::unique_ptr<TraceSource> {
+            return std::make_unique<CancelAfterSource>(
+                faultWrapper(0)(bench, std::move(inner)), token,
+                kKillAfter);
         };
     }
 
@@ -206,10 +283,14 @@ class CheckpointResumeTest : public ::testing::Test
         EXPECT_FALSE(got.degraded);
     }
 
-    /** Kill mid-run, resume, and compare against the clean reference. */
+    /**
+     * Stop a checkpointed run mid-benchmark by @p interruption, resume
+     * it, and compare against the clean reference.
+     */
     void
     runKillResume(const PredictorFactory &make_predictor,
-                  const EstimatorSetFactory &make_estimators)
+                  const EstimatorSetFactory &make_estimators,
+                  Interruption interruption = Interruption::kSourceFault)
     {
         // Uninterrupted reference (no checkpointing at all).
         SuiteRunner reference_runner(suite_);
@@ -217,14 +298,25 @@ class CheckpointResumeTest : public ::testing::Test
         const SuiteRunResult reference =
             reference_runner.run(make_predictor, make_estimators);
 
-        // Killed run: every benchmark dies after kKillAfter records,
+        // Killed run: every benchmark stops after kKillAfter records,
         // leaving rotating checkpoint generations behind.
+        CancellationToken token;
+        RunPolicy policy = checkpointed(false, ErrorMode::kContinueOnError);
         SuiteRunner killed_runner(suite_);
-        killed_runner.setSourceWrapper(faultWrapper(kKillAfter));
+        if (interruption == Interruption::kSourceFault) {
+            killed_runner.setSourceWrapper(faultWrapper(kKillAfter));
+        } else {
+            killed_runner.setSourceWrapper(cancelWrapper(token));
+            policy.cancel = &token;
+        }
         const SuiteRunResult killed = killed_runner.run(
-            make_predictor, make_estimators, {},
-            checkpointed(false, ErrorMode::kContinueOnError));
+            make_predictor, make_estimators, {}, policy);
         EXPECT_EQ(killed.failedBenchmarks(), names_.size());
+        for (const auto &bench : killed.perBenchmark) {
+            EXPECT_EQ(bench.cancelled,
+                      interruption == Interruption::kCancel)
+                << bench.name;
+        }
         for (const auto &name : names_)
             ASSERT_FALSE(filesWithPrefix(name + ".g").empty())
                 << "killed run left no checkpoints for " << name;
@@ -253,6 +345,15 @@ TEST_F(CheckpointResumeTest, BitExactResumeGshareOneLevel)
 TEST_F(CheckpointResumeTest, BitExactResumeHybridTwoLevel)
 {
     runKillResume(hybridFactory(), twoLevelFactory());
+}
+
+TEST_F(CheckpointResumeTest, CancelledRunResumesBitExact)
+{
+    // One benchmark, so the cancel lands at a fixed record count.
+    names_ = {"groff"};
+    suite_ = BenchmarkSuite::ibsSubset(names_, kBranches);
+    runKillResume(gshareFactory(), oneLevelFactory(),
+                  Interruption::kCancel);
 }
 
 TEST_F(CheckpointResumeTest, CorruptGenerationFallsBackAndReports)

@@ -527,6 +527,24 @@ TEST(SuiteRunnerTest, SweepIsolatedConfigFailureKeepsItsCategory)
     EXPECT_EQ(failed.errorCategory, ErrorCategory::kResource);
 }
 
+TEST(SuiteRunnerTest, SweepRejectsCallerSetPool)
+{
+    // runSweep always builds and owns its worker pool; a pool handed
+    // in through SweepOptions is a configuration error, not used.
+    SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg"}, 2000));
+    SweepWorkerPool pool(2);
+    SweepOptions sweep;
+    sweep.pool = &pool;
+    try {
+        runner.runSweep({{"a", smallPredictor(), smallEstimators()}},
+                        DriverOptions{}, sweep);
+        FAIL() << "runSweep accepted a caller-set pool";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kConfig);
+    }
+    EXPECT_EQ(pool.occupancyStats().count(), 0u);
+}
+
 TEST(SuiteRunnerTest, FactoriesInvokedExactlyOncePerBenchmark)
 {
     SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"},

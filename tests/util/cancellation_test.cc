@@ -1,13 +1,15 @@
 /**
  * @file
  * CancellationToken semantics: parent->child chaining (the mechanism
- * the sweep service uses to fan one SIGTERM out to every job), child
- * isolation, concurrent cancel/poll safety, throwIfCancelled's error
- * category, and interruptibleSleepMs wakeup latency.
+ * the suite runner uses to layer its own teardown over a caller's
+ * token), child isolation, concurrent cancel/poll safety,
+ * throwIfCancelled's error category, interruptibleSleepMs wakeup
+ * latency, and the SIGTERM bridge of util/signal_cancellation.h.
  */
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -16,6 +18,7 @@
 
 #include "util/cancellation.h"
 #include "util/error.h"
+#include "util/signal_cancellation.h"
 
 namespace confsim {
 namespace {
@@ -69,12 +72,12 @@ TEST(CancellationTokenTest, ChildCancelNeverPropagatesUp)
 TEST(CancellationTokenTest, GrandchildChainsThroughBothAncestors)
 {
     CancellationToken root;
-    CancellationToken service(&root);
-    CancellationToken job(&service);
-    EXPECT_FALSE(job.cancelled());
+    CancellationToken child(&root);
+    CancellationToken grandchild(&child);
+    EXPECT_FALSE(grandchild.cancelled());
     root.cancel();
-    EXPECT_TRUE(service.cancelled());
-    EXPECT_TRUE(job.cancelled());
+    EXPECT_TRUE(child.cancelled());
+    EXPECT_TRUE(grandchild.cancelled());
 }
 
 TEST(CancellationTokenTest, NullParentBehavesLikeRoot)
@@ -163,6 +166,20 @@ TEST(CancellationTokenTest, SleepReturnsImmediatelyWhenPreCancelled)
                              std::chrono::steady_clock::now() - start)
                              .count();
     EXPECT_LT(elapsed, 1'000);
+}
+
+TEST(CancellationTokenTest, SigtermCancelsTheInstalledToken)
+{
+    // Static: the handler keeps the token's address once installed.
+    static CancellationToken token;
+    installSignalCancellation(token);
+    EXPECT_EQ(std::raise(SIGTERM), 0);
+    EXPECT_TRUE(token.cancelled());
+    EXPECT_EQ(lastCancellationSignal(), SIGTERM);
+    EXPECT_EQ(exitCodeForSignal(SIGTERM), 143);
+    // Later tests in this process get the default dispositions back.
+    std::signal(SIGINT, SIG_DFL);
+    std::signal(SIGTERM, SIG_DFL);
 }
 
 } // namespace

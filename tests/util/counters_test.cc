@@ -1,6 +1,5 @@
-/** @file Unit tests for saturating and resetting counters. */
+/** @file Unit tests for the saturating counter. */
 
-#include "util/resetting_counter.h"
 #include "util/saturating_counter.h"
 
 #include <gtest/gtest.h>
@@ -95,57 +94,6 @@ TEST(SaturatingCounterTest, RejectsCeilingOutsideOneByte)
     EXPECT_THROW(SaturatingCounter(0), std::runtime_error);
     EXPECT_THROW(SaturatingCounter(256), std::runtime_error);
     EXPECT_THROW(SaturatingCounter(1u << 20, 3), std::runtime_error);
-}
-
-TEST(ResettingCounterTest, IncrementsOnCorrect)
-{
-    ResettingCounter c(16, 0);
-    EXPECT_EQ(c.record(true), 1u);
-    EXPECT_EQ(c.record(true), 2u);
-}
-
-TEST(ResettingCounterTest, ResetsToZeroOnIncorrect)
-{
-    ResettingCounter c(16, 0);
-    for (int i = 0; i < 10; ++i)
-        c.record(true);
-    EXPECT_EQ(c.value(), 10u);
-    EXPECT_EQ(c.record(false), 0u);
-}
-
-TEST(ResettingCounterTest, SaturatesAtMax)
-{
-    ResettingCounter c(16, 0);
-    for (int i = 0; i < 40; ++i)
-        c.record(true);
-    EXPECT_EQ(c.value(), 16u);
-    EXPECT_TRUE(c.isMax());
-}
-
-TEST(ResettingCounterTest, ValueCountsCorrectStreakExactly)
-{
-    // Value = min(correct predictions since last mispredict, max).
-    ResettingCounter c(16, 16);
-    c.record(false);
-    for (int i = 1; i <= 5; ++i) {
-        c.record(true);
-        EXPECT_EQ(c.value(), static_cast<std::uint32_t>(i));
-    }
-}
-
-TEST(ResettingCounterTest, PaperSequenceMatchesCirSemantics)
-{
-    // 3 correct, 1 incorrect, 4 correct (the paper's CIR example
-    // 00010000): a resetting counter ends at 4 — the position of the
-    // most recent misprediction.
-    ResettingCounter c(16, 0);
-    c.record(true);
-    c.record(true);
-    c.record(true);
-    c.record(false);
-    for (int i = 0; i < 4; ++i)
-        c.record(true);
-    EXPECT_EQ(c.value(), 4u);
 }
 
 } // namespace

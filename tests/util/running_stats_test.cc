@@ -1,4 +1,4 @@
-/** @file Unit tests for streaming statistics and histograms. */
+/** @file Unit tests for streaming statistics. */
 
 #include "util/running_stats.h"
 
@@ -85,31 +85,6 @@ TEST(RunningStatsTest, MergeWithEmptySides)
     a.merge(c); // nonempty <- empty
     EXPECT_EQ(a.count(), 1u);
     EXPECT_DOUBLE_EQ(a.mean(), 3.0);
-}
-
-TEST(HistogramTest, BinningAndEdges)
-{
-    Histogram hist(0.0, 10.0, 5); // bins of width 2
-    hist.add(0.0);   // bin 0 (inclusive low edge)
-    hist.add(1.99);  // bin 0
-    hist.add(2.0);   // bin 1
-    hist.add(9.99);  // bin 4
-    hist.add(10.0);  // overflow (exclusive upper bound)
-    hist.add(-0.01); // underflow
-    EXPECT_EQ(hist.binCount(0), 2u);
-    EXPECT_EQ(hist.binCount(1), 1u);
-    EXPECT_EQ(hist.binCount(4), 1u);
-    EXPECT_EQ(hist.overflow(), 1u);
-    EXPECT_EQ(hist.underflow(), 1u);
-    EXPECT_EQ(hist.total(), 6u);
-    EXPECT_DOUBLE_EQ(hist.binLow(1), 2.0);
-}
-
-TEST(HistogramTest, BadParametersAreFatal)
-{
-    EXPECT_THROW(Histogram(1.0, 1.0, 4), std::runtime_error);
-    EXPECT_THROW(Histogram(2.0, 1.0, 4), std::runtime_error);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), std::runtime_error);
 }
 
 } // namespace

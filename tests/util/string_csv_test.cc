@@ -112,15 +112,6 @@ TEST_F(CsvWriterTest, QuotesSpecialCells)
     EXPECT_EQ(readBack(), "\"with,comma\",\"with\"\"quote\",plain\n");
 }
 
-TEST_F(CsvWriterTest, NumericRows)
-{
-    {
-        CsvWriter csv(path_);
-        csv.writeNumericRow({1.5, 2.25}, 2);
-    }
-    EXPECT_EQ(readBack(), "1.50,2.25\n");
-}
-
 TEST_F(CsvWriterTest, UnwritablePathIsFatal)
 {
     // The writer creates missing parent directories, so an unwritable
