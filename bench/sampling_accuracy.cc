@@ -128,6 +128,8 @@ main(int argc, char **argv)
                     sampled.recordedBranches),
                 static_cast<unsigned long long>(
                     sampled.totalBranches));
+    // Benchmarks' passes overlap, so their phase times add up to more
+    // than the sampled wall time: they are work, not a split of it.
     double prepass_ms = 0.0;
     double replay_ms = 0.0;
     double estimate_ms = 0.0;
@@ -136,8 +138,9 @@ main(int argc, char **argv)
         replay_ms += bench.replayMs;
         estimate_ms += bench.estimateMs;
     }
-    std::printf("wall clock: exact %.0f ms, sampled %.0f ms (pre-pass "
-                "%.0f, replay %.0f, estimates %.0f)\n",
+    std::printf("wall clock: exact %.0f ms, sampled %.0f ms (summed over "
+                "benchmarks: pre-pass %.0f, replay %.0f, estimates "
+                "%.0f)\n",
                 exact.wallMs, sampled.wallMs, prepass_ms, replay_ms,
                 estimate_ms);
 

@@ -452,6 +452,7 @@ runSampledSuiteExperiment(const ExperimentEnv &env,
     sampling.sweep.threads = env.sweepThreads;
     sampling.sweep.batchSize = env.batchSize;
     sampling.sweep.decodeAhead = env.decodeAhead;
+    sampling.sweep.benchParallel = env.benchParallel;
 
     SamplingEngine engine(sweepConfigurations(configs), options, sampling);
     return engine.runSuite(runner);

@@ -258,8 +258,10 @@ runSweepSuiteExperiment(const ExperimentEnv &env,
  * yielding misprediction-rate / coverage@20% / PVN estimates with
  * standard errors and 95% CIs. Sampling knobs come from env.sampleRate
  * / env.regionBranches / env.strata / env.subsamples / env.sampleSeed
- * / env.warmupRegions; replay tuning reuses the sweep knobs. Emits the
- * sampling_run_finished telemetry event when telemetry is attached.
+ * / env.warmupRegions; scheduling and replay tuning reuse the sweep
+ * knobs (env.sweepThreads / env.batchSize / env.decodeAhead /
+ * env.benchParallel). Emits the sampling_run_finished telemetry event
+ * when telemetry is attached.
  */
 SamplingRunResult
 runSampledSuiteExperiment(const ExperimentEnv &env,

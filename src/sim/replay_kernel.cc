@@ -14,6 +14,9 @@ namespace {
 /** Version of the `<prefix>meta` payload (2 added the fingerprint). */
 constexpr std::uint32_t kMetaVersion = 2;
 
+/** Largest bucket space whose ids fit a slot log entry's 31 bits. */
+constexpr std::uint64_t kMaxPlannedBuckets = std::uint64_t{1} << 31;
+
 } // namespace
 
 std::uint32_t
@@ -88,13 +91,20 @@ ReplayKernel::ReplayKernel(BranchPredictor &predictor,
     ctx_.gcirBits = options.gcirBits;
 
     result_.label = std::move(label);
-    result_.estimatorStats.reserve(estimators_.size());
     result_.estimatorNames.reserve(estimators_.size());
     for (auto *estimator : estimators_) {
         // Native estimators read this predictor's own lookup.
         estimator->bindPredictor(predictor);
-        result_.estimatorStats.emplace_back(estimator->numBuckets());
         result_.estimatorNames.push_back(estimator->name());
+        if (plan_ == nullptr) {
+            result_.estimatorStats.emplace_back(estimator->numBuckets());
+        } else if (estimator->numBuckets() > kMaxPlannedBuckets) {
+            fatal(ErrorCategory::kConfig,
+                  "estimator '" + estimator->name() + "' has " +
+                      std::to_string(estimator->numBuckets()) +
+                      " buckets; a recording plan's 4-byte slot log "
+                      "holds bucket ids of at most 31 bits");
+        }
     }
     if (options.profileBranches) {
         std::vector<BranchProfileEstimatorInfo> infos;
@@ -188,10 +198,12 @@ ReplayKernel::recordStep(const BranchRecord &record, BranchProfile *profile)
         const std::uint64_t bucket =
             estimators_[i]->update(ctx_, correct, record.taken);
         if (recording) {
-            result_.estimatorStats[i].record(bucket, mispredicted);
             if (slot != nullptr) {
-                slot->estimatorLogs[i].push_back((bucket << 1) |
-                                                 mispredicted);
+                slot->estimatorLogs[i].push_back(
+                    static_cast<std::uint32_t>((bucket << 1) |
+                                               mispredicted));
+            } else {
+                result_.estimatorStats[i].record(bucket, mispredicted);
             }
             if (profile != nullptr)
                 profile->onBucket(i, bucket, correct);

@@ -150,9 +150,11 @@ struct DriverOptions
  * one of three modes chosen by regionSlots:
  *
  *  - a slot id < numSlots: **detailed** — predictor and estimators
- *    update AND statistics are recorded, both into the aggregate
- *    result fields and into that slot's SweepSlotStats logs (slots
- *    separate sampled regions into repeated-subsampling groups);
+ *    update AND the record is counted in the aggregate branch and
+ *    mispredict counts and logged in that slot's SweepSlotStats
+ *    (slots separate sampled regions into repeated-subsampling
+ *    groups). A planned replay keeps no dense per-estimator bank:
+ *    the slot logs are all the estimates read;
  *  - kWarmOnly: **functional warming** — predictor/estimator state
  *    updates normally but nothing is recorded, keeping the state a
  *    sampled region sees identical to a full replay's;
@@ -198,14 +200,16 @@ struct SweepRecordingPlan
  * SweepRecordingPlan), which the sampling layer turns into
  * between-subsample variance. Each estimator's log holds one entry per
  * recorded branch, in record order: `(bucket << 1) | mispredicted`.
- * A slot therefore costs 8 B per recorded branch and estimator,
- * however large the estimators' bucket spaces are.
+ * A slot therefore costs 4 B per recorded branch and estimator,
+ * however large the estimators' bucket spaces are; a planned replay
+ * rejects an estimator whose bucket ids need more than 31 bits
+ * (ReplayKernel).
  */
 struct SweepSlotStats
 {
     std::uint64_t branches = 0;    //!< recorded conditional branches
     std::uint64_t mispredicts = 0; //!< predictor misses (recorded)
-    std::vector<std::vector<std::uint64_t>> estimatorLogs; //!< per estimator
+    std::vector<std::vector<std::uint32_t>> estimatorLogs; //!< per estimator
 };
 
 /** Everything one configuration's replay produced. */
@@ -215,7 +219,10 @@ struct SweepConfigResult
     std::uint64_t branches = 0;    //!< recorded conditional branches
     std::uint64_t mispredicts = 0; //!< predictor misses (recorded)
     std::uint64_t contextSwitches = 0; //!< modelled switches
-    std::vector<BucketStats> estimatorStats; //!< per attached estimator
+
+    /** Per attached estimator; empty under a recording plan, whose
+     *  records land in slotStats instead. */
+    std::vector<BucketStats> estimatorStats;
     std::vector<std::string> estimatorNames;
     StaticBranchProfile staticProfile; //!< when profileStatic
 
@@ -225,10 +232,10 @@ struct SweepConfigResult
     /**
      * Per-slot record logs, one per SweepRecordingPlan slot; empty
      * when the replay ran without a recording plan. Detailed records
-     * land both here and in the aggregate fields above, so a
-     * full-coverage single-slot plan reproduces a plain replay's
-     * aggregates exactly, and slotStats[0]'s logs, counted per bucket,
-     * replay to its estimatorStats.
+     * are counted in `branches` and `mispredicts` and logged here, so
+     * a full-coverage single-slot plan reproduces a plain replay's
+     * counts exactly, and slotStats[0]'s logs, counted per bucket,
+     * equal a plain replay's estimatorStats.
      */
     std::vector<SweepSlotStats> slotStats;
 
@@ -329,7 +336,9 @@ class alignas(64) ReplayKernel
      * @param label Configuration label (results and checkpoints).
      * @param options Simulation knobs; must outlive the kernel.
      * @param plan Optional recording plan (not owned); null records
-     *        every branch past warmup.
+     *        every branch past warmup into dense estimatorStats. Under
+     *        a plan an estimator with more than 2^31 buckets throws
+     *        Error{kConfig}: its ids would not fit a 4-byte slot log.
      */
     ReplayKernel(BranchPredictor &predictor,
                  std::vector<ConfidenceEstimator *> estimators,

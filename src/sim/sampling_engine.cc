@@ -258,9 +258,9 @@ selectRegions(const std::vector<RegionFeatures> &regions,
 /** One bucket's scratch while stratifiedMass() walks slot logs. */
 struct BucketScratch
 {
-    std::uint64_t refs = 0;        //!< the current slot's records
-    std::uint64_t mispredicts = 0; //!< ... of which mispredicted
-    std::size_t listed = 0; //!< 1 + index in the output; 0 = unlisted
+    std::uint32_t refs = 0;        //!< the current slot's records
+    std::uint32_t mispredicts = 0; //!< ... of which mispredicted
+    std::uint32_t listed = 0; //!< 1 + index in the output; 0 = unlisted
 };
 
 /**
@@ -271,7 +271,7 @@ struct BucketScratch
  * arithmetic is what BucketStats::addWeighted does over one dense bank
  * per slot, in the same stratum order, so every mass is bit-identical
  * to that formulation; only touched buckets are visited. @p scratch
- * spans the bucket space and is all zero on entry and on return.
+ * spans every logged bucket id and is all zero on entry and on return.
  */
 std::vector<KeyedBucketCounts>
 stratifiedMass(const std::vector<SweepSlotStats> &slots,
@@ -279,14 +279,14 @@ stratifiedMass(const std::vector<SweepSlotStats> &slots,
                std::size_t estimator, std::vector<BucketScratch> &scratch)
 {
     std::vector<KeyedBucketCounts> keyed;
-    std::vector<std::uint64_t> touched;
+    std::vector<std::uint32_t> touched;
     for (std::uint32_t s = 0; s < sel.strata; ++s) {
         const SweepSlotStats &slot = slots[s * sel.subsamples + r];
         if (slot.branches == 0)
             continue;
-        const std::vector<std::uint64_t> &log =
+        const std::vector<std::uint32_t> &log =
             slot.estimatorLogs[estimator];
-        for (const std::uint64_t entry : log) {
+        for (const std::uint32_t entry : log) {
             BucketScratch &bucket = scratch[entry >> 1];
             if (bucket.refs++ == 0)
                 touched.push_back(entry >> 1);
@@ -295,11 +295,11 @@ stratifiedMass(const std::vector<SweepSlotStats> &slots,
         // Unit mass: the log's length is the slot's reference count.
         const double weight =
             (sel.weights[s] / covered) / static_cast<double>(log.size());
-        for (const std::uint64_t id : touched) {
+        for (const std::uint32_t id : touched) {
             BucketScratch &bucket = scratch[id];
             if (bucket.listed == 0) {
                 keyed.push_back({id, BucketCounts{}});
-                bucket.listed = keyed.size();
+                bucket.listed = static_cast<std::uint32_t>(keyed.size());
             }
             BucketCounts &mass = keyed[bucket.listed - 1].counts;
             mass.refs += static_cast<double>(bucket.refs) * weight;
@@ -326,96 +326,55 @@ benchSeed(std::uint64_t seed, const std::string &name)
     return seed ^ h;
 }
 
-} // namespace
-
-SamplingEngine::SamplingEngine(std::vector<SweepConfiguration> configs,
-                               DriverOptions driver,
-                               SamplingOptions options)
-    : configs_(std::move(configs)), driver_(driver),
-      options_(options)
+/**
+ * Plan one trace: pre-pass @p source, select its regions into @p sel,
+ * and build the recording plan its replay runs under. Sampled regions
+ * record into their (stratum, subsample) slot; everything else warms —
+ * or, with a bounded warm window, fast-forwards until the window
+ * before the next sample. Fills @p out's pre-pass and selection
+ * fields; an empty trace leaves out.regions 0 and a plan without
+ * regions.
+ */
+SweepRecordingPlan
+planTrace(TraceSource &source, const SamplingOptions &options,
+          Selection &sel, SamplingBenchmarkResult &out)
 {
-    if (configs_.empty()) {
-        fatal(ErrorCategory::kConfig,
-              "SamplingEngine needs at least one configuration");
-    }
-    if (!(options_.sampleRate > 0.0) || options_.sampleRate > 1.0) {
-        fatal(ErrorCategory::kConfig,
-              "--sample-rate must be in (0, 1]");
-    }
-    if (options_.regionBranches == 0)
-        fatal(ErrorCategory::kConfig, "region size must be > 0");
-    if (options_.strata == 0)
-        fatal(ErrorCategory::kConfig, "--strata must be >= 1");
-    if (options_.subsamples == 0)
-        fatal(ErrorCategory::kConfig, "--subsamples must be >= 1");
-    if (options_.rankSetSize == 0)
-        fatal(ErrorCategory::kConfig, "rank-set size must be >= 1");
-    if (options_.sweep.recordingPlan != nullptr) {
-        fatal(ErrorCategory::kConfig,
-              "the sampling engine owns the recording plan; "
-              "SamplingOptions::sweep.recordingPlan must be null");
-    }
-    if (options_.sweep.isolateConfigFailures) {
-        // A failed configuration keeps the slot logs it recorded up to
-        // the failure; estimates built from them would pass as valid.
-        fatal(ErrorCategory::kConfig,
-              "sampled runs cannot isolate configuration failures; "
-              "SamplingOptions::sweep.isolateConfigFailures must be "
-              "false");
-    }
-}
-
-SamplingBenchmarkResult
-SamplingEngine::runTrace(const std::string &name,
-                         const SourceFactory &make_source)
-{
-    SamplingBenchmarkResult out;
-    out.name = name;
-
-    // Pass 1: features. A fresh source guarantees the replay pass
-    // sees the identical stream.
+    // Pass 1: features.
     const Clock::time_point prepass_start = Clock::now();
-    std::vector<RegionFeatures> features;
-    {
-        auto source = make_source();
-        features = prePass(*source, options_.regionBranches,
-                           out.totalBranches);
-    }
+    const std::vector<RegionFeatures> features =
+        prePass(source, options.regionBranches, out.totalBranches);
     out.prePassMs = elapsedMsSince(prepass_start);
     out.regions = features.size();
-    if (features.empty())
-        return out; // empty trace: zero estimates, nothing to replay
 
-    const Selection sel = selectRegions(
-        features, options_, benchSeed(options_.seed, name));
+    SweepRecordingPlan plan;
+    plan.regionBranches = options.regionBranches;
+    if (features.empty())
+        return plan; // empty trace: zero estimates, nothing to record
+
+    sel = selectRegions(features, options,
+                        benchSeed(options.seed, out.name));
     out.sampledRegions = sel.picks.size();
     for (const Pick &pick : sel.picks)
         out.sampledRegionIds.push_back(pick.region);
     std::sort(out.sampledRegionIds.begin(),
               out.sampledRegionIds.end());
 
-    // Build the recording plan: sampled regions record into their
-    // (stratum, subsample) slot; everything else warms — or, with a
-    // bounded warm window, fast-forwards until the window before the
-    // next sample.
     const std::uint32_t r_eff = sel.subsamples;
-    SweepRecordingPlan plan;
-    plan.regionBranches = options_.regionBranches;
     plan.numSlots = sel.strata * r_eff;
     plan.regionSlots.assign(
         features.size(),
-        options_.warmupRegions == SamplingOptions::kWarmAll
+        options.warmupRegions == SamplingOptions::kWarmAll
             ? SweepRecordingPlan::kWarmOnly
             : SweepRecordingPlan::kSkip);
     for (const Pick &pick : sel.picks) {
         plan.regionSlots[pick.region] =
             pick.stratum * r_eff + pick.subsample;
     }
-    if (options_.warmupRegions != SamplingOptions::kWarmAll) {
+    if (options.warmupRegions != SamplingOptions::kWarmAll) {
         for (const Pick &pick : sel.picks) {
             const std::uint64_t lo =
-                pick.region >= options_.warmupRegions
-                    ? pick.region - options_.warmupRegions
+                pick.region >= options.warmupRegions
+                    ? pick.region - options.warmupRegions
                     : 0;
             for (std::uint64_t j = lo; j < pick.region; ++j) {
                 if (plan.regionSlots[j] == SweepRecordingPlan::kSkip)
@@ -424,30 +383,39 @@ SamplingEngine::runTrace(const std::string &name,
             }
         }
     }
+    return plan;
+}
 
-    // Pass 2: one planned sweep replay.
-    const Clock::time_point replay_start = Clock::now();
-    SweepOptions sweep = options_.sweep;
-    sweep.recordingPlan = &plan;
-    SweepEngine engine(configs_, driver_, sweep);
-    SweepRunResult replay;
-    {
-        auto source = make_source();
-        replay = engine.run(*source);
-    }
-    out.replayMs = elapsedMsSince(replay_start);
-
-    // Stratified estimates per configuration, from the slot logs.
+/**
+ * Stratified estimates per configuration of one trace, from the slot
+ * logs its planned @p replay left under selection @p sel.
+ */
+void
+estimateTrace(const Selection &sel, const SweepRunResult &replay,
+              SamplingBenchmarkResult &out)
+{
     const Clock::time_point estimate_start = Clock::now();
+    out.replayMs = replay.wallMs;
     out.recordedBranches = replay.perConfig.empty()
                                ? 0
                                : replay.perConfig[0].branches;
-    std::uint64_t bucket_space = 0;
+    // The scratch spans the largest bucket id any slot logged.
+    std::uint32_t max_entry = 0;
     for (const SweepConfigResult &config : replay.perConfig) {
-        for (const BucketStats &stats : config.estimatorStats)
-            bucket_space = std::max(bucket_space, stats.numBuckets());
+        for (const SweepSlotStats &slot : config.slotStats) {
+            for (const std::vector<std::uint32_t> &log :
+                 slot.estimatorLogs) {
+                if (!log.empty()) {
+                    max_entry = std::max(
+                        max_entry, *std::max_element(log.begin(),
+                                                     log.end()));
+                }
+            }
+        }
     }
-    std::vector<BucketScratch> scratch(bucket_space);
+    std::vector<BucketScratch> scratch((std::size_t{max_entry} >> 1) + 1);
+
+    const std::uint32_t r_eff = sel.subsamples;
     for (const SweepConfigResult &config : replay.perConfig) {
         SamplingConfigEstimate est;
         est.label = config.label;
@@ -506,6 +474,71 @@ SamplingEngine::runTrace(const std::string &name,
         out.perConfig.push_back(std::move(est));
     }
     out.estimateMs = elapsedMsSince(estimate_start);
+}
+
+} // namespace
+
+SamplingEngine::SamplingEngine(std::vector<SweepConfiguration> configs,
+                               DriverOptions driver,
+                               SamplingOptions options)
+    : configs_(std::move(configs)), driver_(driver),
+      options_(options)
+{
+    if (configs_.empty()) {
+        fatal(ErrorCategory::kConfig,
+              "SamplingEngine needs at least one configuration");
+    }
+    if (!(options_.sampleRate > 0.0) || options_.sampleRate > 1.0) {
+        fatal(ErrorCategory::kConfig,
+              "--sample-rate must be in (0, 1]");
+    }
+    if (options_.regionBranches == 0)
+        fatal(ErrorCategory::kConfig, "region size must be > 0");
+    if (options_.strata == 0)
+        fatal(ErrorCategory::kConfig, "--strata must be >= 1");
+    if (options_.subsamples == 0)
+        fatal(ErrorCategory::kConfig, "--subsamples must be >= 1");
+    if (options_.rankSetSize == 0)
+        fatal(ErrorCategory::kConfig, "rank-set size must be >= 1");
+    if (options_.sweep.recordingPlan != nullptr) {
+        fatal(ErrorCategory::kConfig,
+              "the sampling engine owns the recording plan; "
+              "SamplingOptions::sweep.recordingPlan must be null");
+    }
+    if (options_.sweep.isolateConfigFailures) {
+        // A failed configuration keeps the slot logs it recorded up to
+        // the failure; estimates built from them would pass as valid.
+        fatal(ErrorCategory::kConfig,
+              "sampled runs cannot isolate configuration failures; "
+              "SamplingOptions::sweep.isolateConfigFailures must be "
+              "false");
+    }
+    if (options_.sweep.pool != nullptr) {
+        fatal(ErrorCategory::kConfig,
+              "the sampling engine schedules its own passes; "
+              "SamplingOptions::sweep.pool must be null");
+    }
+}
+
+SamplingBenchmarkResult
+SamplingEngine::runTrace(const std::string &name,
+                         const SourceFactory &make_source)
+{
+    SamplingBenchmarkResult out;
+    out.name = name;
+    // A fresh source per pass guarantees the replay sees the stream
+    // the pre-pass planned.
+    Selection sel;
+    const SweepRecordingPlan plan =
+        planTrace(*make_source(), options_, sel, out);
+    if (out.regions == 0)
+        return out;
+
+    // Pass 2: one planned sweep replay.
+    SweepOptions sweep = options_.sweep;
+    sweep.recordingPlan = &plan;
+    SweepEngine engine(configs_, driver_, sweep);
+    estimateTrace(sel, engine.run(*make_source()), out);
     return out;
 }
 
@@ -515,19 +548,31 @@ SamplingEngine::runSuite(const SuiteRunner &runner)
     const Clock::time_point suite_start = Clock::now();
     SamplingRunResult result;
     const BenchmarkSuite &suite = runner.suite();
-    const SourceWrapper &wrapper = runner.sourceWrapper();
 
-    for (std::size_t bench = 0; bench < suite.size(); ++bench) {
-        const std::string name = suite.profile(bench).name;
-        auto make_source = [&, bench]() -> std::unique_ptr<TraceSource> {
-            std::unique_ptr<TraceSource> inner =
-                suite.makeGenerator(bench);
-            if (wrapper)
-                return wrapper(bench, std::move(inner));
-            return inner;
-        };
-        SamplingBenchmarkResult bench_result =
-            runTrace(name, make_source);
+    // Each benchmark is one pass on the suite runner's scheduler: the
+    // plan hook pre-passes and selects, the replay records, and the
+    // finish hook estimates. Passes overlap; each touches only its own
+    // benchmark's entries below.
+    result.perBenchmark.resize(suite.size());
+    std::vector<Selection> selections(suite.size());
+    SuiteRunner::PassHooks hooks;
+    hooks.plan = [&](std::size_t bench, TraceSource &source) {
+        SamplingBenchmarkResult &out = result.perBenchmark[bench];
+        out.name = suite.profile(bench).name;
+        return planTrace(source, options_, selections[bench], out);
+    };
+    hooks.finish = [&](std::size_t bench, const SweepRunResult &pass) {
+        if (result.perBenchmark[bench].regions != 0)
+            estimateTrace(selections[bench], pass, result.perBenchmark[bench]);
+    };
+    // Fail-fast, and cancellable through the caller's token.
+    RunPolicy policy;
+    policy.cancel = driver_.cancel;
+    (void)runner.runPasses(configs_, driver_, options_.sweep, policy,
+                           hooks);
+
+    for (const SamplingBenchmarkResult &bench_result :
+         result.perBenchmark) {
         result.totalBranches += bench_result.totalBranches;
         result.recordedBranches += bench_result.recordedBranches;
         if (driver_.telemetry != nullptr) {
@@ -543,7 +588,6 @@ SamplingEngine::runSuite(const SuiteRunner &runner)
                              static_cast<double>(
                                  bench_result.sampledRegions));
         }
-        result.perBenchmark.push_back(std::move(bench_result));
     }
 
     // Equal-weight composites, estimated per subsample then
@@ -628,6 +672,15 @@ SamplingEngine::runSuite(const SuiteRunner &runner)
             result.composite.empty()
                 ? 0.0
                 : result.composite[0].mispredictRate.mean;
+        // Close the scheduler's suite_run_started: a failed run threw
+        // from runPasses, which closed it already.
+        driver_.telemetry->emit(TelemetryEvent(
+            events::kSuiteRunFinished,
+            {field("wall_ms", result.wallMs),
+             field("composite_mispredict_rate", composite_rate),
+             field("degraded", false),
+             field("failed_benchmarks", std::uint64_t{0}),
+             field("survivors", static_cast<std::uint64_t>(suite.size()))}));
         driver_.telemetry->emit(TelemetryEvent(
             events::kSamplingRunFinished,
             {field("benchmarks",

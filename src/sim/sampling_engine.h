@@ -33,7 +33,17 @@
  *     SweepRecordingPlan: sampled regions log their records into
  *     per-(stratum, subsample) slots, regions ahead of a sample warm
  *     functionally, and (when warmupRegions is bounded) everything
- *     else fast-forwards.
+ *     else fast-forwards. The replay keeps only the slot logs and the
+ *     recorded counts (sim/replay_kernel.h), and the estimates are
+ *     built from the logs as soon as the replay ends.
+ *
+ * A sampled suite (runSuite) runs each benchmark as one pass on
+ * SuiteRunner::runPasses, the scheduler under runSweep: a plan hook
+ * does steps 1-4 on the pass's thread, the pass replays, and a finish
+ * hook turns the slot logs into the benchmark's estimates. Benchmarks
+ * therefore overlap, pre-pass and estimates included, on one worker
+ * budget (SweepOptions::threads and benchParallel), and share the
+ * scheduler's fail-fast teardown and telemetry.
  *
  * Estimates are stratified means — per subsample, stratum rates are
  * combined with pre-pass branch-count weights, renormalized over the
@@ -43,9 +53,10 @@
  *
  * Everything is deterministic given SamplingOptions::seed: the
  * pre-pass is a fixed function of the trace, selection uses a private
- * Rng, and replay inherits the sweep engine's bit-exactness contract,
- * so selections AND estimates are bit-identical at any thread count,
- * batch size, or decode-ahead depth (pinned by
+ * Rng seeded per benchmark, and replay inherits the sweep engine's
+ * bit-exactness contract, so selections AND estimates are
+ * bit-identical at any thread count, benchmark overlap, batch size,
+ * or decode-ahead depth (pinned by
  * tests/integration/sampling_differential_test.cc).
  */
 
@@ -97,10 +108,13 @@ struct SamplingOptions
      */
     std::uint64_t warmupRegions = kWarmAll;
 
-    /** Replay tuning (threads/batch/decode-ahead); recordingPlan is
-     *  owned by the engine and must be left null, and
-     *  isolateConfigFailures must stay false (a failed configuration
-     *  would leave partial slot logs behind). */
+    /** Scheduling and replay tuning: runTrace() reads threads as
+     *  one replay's shard count, runSuite() as the suite's worker
+     *  budget, which benchParallel divides between benchmark passes
+     *  (SweepOptions). recordingPlan and pool are owned by the
+     *  engine and must be left null, and isolateConfigFailures must
+     *  stay false (a failed configuration would leave partial slot
+     *  logs behind). */
     SweepOptions sweep;
 };
 
@@ -192,21 +206,30 @@ class SamplingEngine
      * @param configs Attached configurations (as SweepEngine's).
      * @param driver Simulation knobs shared by all configurations.
      * @param options Sampling knobs; fatal(kConfig) on invalid values
-     *        at construction, on a caller-owned recording plan, and on
-     *        isolateConfigFailures.
+     *        at construction, on a caller-owned recording plan or
+     *        worker pool, and on isolateConfigFailures.
      */
     SamplingEngine(std::vector<SweepConfiguration> configs,
                    DriverOptions driver, SamplingOptions options);
 
-    /** Sample one trace. @p name labels telemetry and results. */
+    /**
+     * Sample one trace on the calling thread: plan (pre-pass and
+     * selection), one SweepEngine replay, then the estimates. @p name
+     * labels the results and seeds the selection.
+     */
     SamplingBenchmarkResult runTrace(const std::string &name,
                                      const SourceFactory &make_source);
 
     /**
      * Sample every benchmark of @p runner's suite (honouring its
-     * source wrapper) and composite the estimates. Emits the
-     * sampling_run_finished telemetry event and sampling.* metrics
-     * when DriverOptions::telemetry is attached.
+     * source wrapper) as concurrent passes on
+     * SuiteRunner::runPasses, then composite the estimates. Fail-fast:
+     * the first benchmark failure in suite order throws with its
+     * category, and DriverOptions::cancel cancels the run (kCancelled).
+     * With DriverOptions::telemetry attached, emits the scheduler's
+     * suite_run_started and benchmark_* events, then
+     * suite_run_finished and sampling_run_finished, and the
+     * sampling.* metrics.
      */
     SamplingRunResult runSuite(const SuiteRunner &runner);
 

@@ -128,10 +128,10 @@ sleepBeforeRetry(const RunPolicy &policy, const SuiteContext &ctx,
 }
 
 /**
- * Size runSweep's shared worker pool. Unlike a lone engine's thread
- * resolution this is NOT capped at the configuration count: surplus
- * workers serve other benchmarks' concurrent sweep passes, which is
- * what fixes the under-subscription when configs < hardware threads.
+ * Resolve the run's worker budget W from SweepOptions::threads: 0
+ * means one per hardware thread, and CONFSIM_SEQUENTIAL forces 1.
+ * Unlike a lone engine's thread resolution this is NOT capped at the
+ * configuration count: the budget serves concurrent benchmark passes.
  */
 unsigned
 resolveSweepPoolWorkers(unsigned requested)
@@ -147,34 +147,42 @@ resolveSweepPoolWorkers(unsigned requested)
     return workers;
 }
 
+/** How a run divides its worker budget. */
+struct PassSchedule
+{
+    unsigned passes = 1; //!< benchmark passes in flight
+    bool shard = false;  //!< passes shard over one shared W-worker pool
+};
+
 /**
- * How many benchmarks' sweep passes run concurrently. 0 auto-sizes:
- * enough slots that `slots * shards_per_benchmark` covers the pool.
- * CONFSIM_BENCH_PARALLEL overrides, CONFSIM_SEQUENTIAL forces 1.
+ * Divide the worker budget W (@p workers) between benchmark passes
+ * and configuration shards. Auto (0) overlaps whole benchmarks first:
+ * min(W, benchmarks) passes, which replay inline when they fill the
+ * budget and otherwise shard. An explicit count runs that many passes
+ * (at most one per benchmark), which shard whenever W > 1. A sharding
+ * pass splits its configurations over min(W, configs) workers of the
+ * shared pool. CONFSIM_BENCH_PARALLEL overrides the count,
+ * CONFSIM_SEQUENTIAL forces one inline pass.
  */
-unsigned
-resolveBenchParallel(unsigned requested, unsigned pool_workers,
-                     std::size_t configs, std::size_t benchmarks)
+PassSchedule
+resolveSchedule(unsigned requested, unsigned workers,
+                std::size_t benchmarks)
 {
     if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
-        return 1;
+        return {};
     if (const char *env = std::getenv("CONFSIM_BENCH_PARALLEL")) {
         char *end = nullptr;
         const long value = std::strtol(env, &end, 10);
         if (end != env && value >= 1)
             requested = static_cast<unsigned>(value);
     }
-    unsigned slots = requested;
-    if (slots == 0) {
-        const unsigned per_bench = std::max(
-            1u, std::min(pool_workers,
-                         static_cast<unsigned>(configs)));
-        slots = std::max(1u, pool_workers / per_bench);
-    }
-    if (benchmarks != 0 &&
-        static_cast<std::size_t>(slots) > benchmarks)
-        slots = static_cast<unsigned>(benchmarks);
-    return std::max(1u, slots);
+    unsigned passes = requested == 0 ? workers : requested;
+    if (benchmarks != 0 && static_cast<std::size_t>(passes) > benchmarks)
+        passes = static_cast<unsigned>(benchmarks);
+    passes = std::max(1u, passes);
+    if (requested != 0)
+        return {passes, workers > 1};
+    return {passes, passes < workers};
 }
 
 /**
@@ -567,10 +575,10 @@ SuiteRunner::run(const PredictorFactory &make_predictor,
     return std::move(swept.perConfig.front());
 }
 
-SweepSuiteResult
-SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
-                      DriverOptions options, SweepOptions sweep,
-                      RunPolicy policy) const
+std::vector<SuiteRunner::PassOutcome>
+SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
+                       DriverOptions options, SweepOptions sweep,
+                       RunPolicy policy, const PassHooks &hooks) const
 {
     if (configs.empty()) {
         fatal(ErrorCategory::kConfig,
@@ -581,39 +589,37 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
               "runSweep builds its own worker pool; leave "
               "SweepOptions::pool unset");
     }
+    const bool fail_fast = policy.errorMode == ErrorMode::kFailFast;
+    if (hooks.plan && (!fail_fast || policy.checkpoint.enabled())) {
+        fatal(ErrorCategory::kConfig,
+              "planned passes run fail-fast and without checkpoints");
+    }
     if (policy.watchdogMs != 0)
         options.wallClockLimitMs = policy.watchdogMs;
-    const bool fail_fast = policy.errorMode == ErrorMode::kFailFast;
     const unsigned max_attempts = std::max(1u, policy.maxAttempts);
     SuiteContext ctx(policy);
     Telemetry *const telemetry = options.telemetry;
-    const auto sweep_start = std::chrono::steady_clock::now();
 
-    SweepSuiteResult result;
-    result.labels.reserve(configs.size());
-    for (const auto &config : configs)
-        result.labels.push_back(config.label);
-    result.perConfig.resize(configs.size());
-
-    // One globally sized worker pool is shared by every benchmark's
-    // sweep pass. Each pass shards its configurations over at most
-    // min(pool, configs) workers; when that leaves workers idle,
-    // additional benchmarks run their passes concurrently on the
-    // same pool (bench_slots > 1) instead of leaving cores idle.
+    // One worker budget for the whole run (resolveSchedule): by
+    // default whole benchmarks overlap first, and passes shard their
+    // configurations over one pool they share only when fewer passes
+    // than workers are in flight. An inline pass replays on its
+    // benchmark thread: no pool task, no per-batch barrier.
     const unsigned pool_workers = resolveSweepPoolWorkers(sweep.threads);
+    const PassSchedule schedule = resolveSchedule(
+        sweep.benchParallel, pool_workers, suite_.size());
     std::unique_ptr<SweepWorkerPool> pool;
     SweepOptions engine_sweep = sweep;
     // Continue-on-error isolates failures at configuration granularity
     // too: one configuration's fault freezes only that configuration
     // while the rest of the pass stays bit-exact (sweep_engine.h).
     engine_sweep.isolateConfigFailures = !fail_fast;
-    if (pool_workers > 1) {
+    if (schedule.shard) {
         pool = std::make_unique<SweepWorkerPool>(pool_workers);
         engine_sweep.pool = pool.get();
+    } else {
+        engine_sweep.threads = 1;
     }
-    const unsigned bench_slots = resolveBenchParallel(
-        sweep.benchParallel, pool_workers, configs.size(),
-        suite_.size());
 
     if (telemetry != nullptr) {
         telemetry->emit(TelemetryEvent(
@@ -626,24 +632,15 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
              field("max_attempts",
                    static_cast<std::uint64_t>(max_attempts)),
              field("watchdog_ms", options.wallClockLimitMs),
-             field("parallel", bench_slots > 1)}));
+             field("parallel", schedule.passes > 1)}));
     }
 
-    // Phase 1: every benchmark produces an outcome — per-configuration
-    // results, or an error. Error isolation, retries, watchdog
-    // handling, and checkpoint/resume are all per-benchmark, so
-    // outcomes are independent and may be computed concurrently;
-    // merging (phase 2) stays in suite order.
-    struct BenchOutcome
-    {
-        std::string error;
-        ErrorCategory category = ErrorCategory::kInternal;
-        bool cancelled = false;
-        unsigned attempts = 1;
-        double wallMs = 0.0;
-        std::vector<BenchmarkRunResult> perConfig;
-    };
-    std::vector<BenchOutcome> outcomes(suite_.size());
+    // Every benchmark produces an outcome — per-configuration results,
+    // or an error. Error isolation, retries, watchdog handling, and
+    // checkpoint/resume are all per-benchmark, so outcomes are
+    // independent and may be computed concurrently; runSweep merges
+    // them in suite order.
+    std::vector<PassOutcome> outcomes(suite_.size());
 
     // One sweep pass over @p bench, resumed from the newest generation
     // that restores under this configuration list.
@@ -667,7 +664,13 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
             return source;
         };
 
-        SweepEngine engine(configs, run_options, engine_sweep);
+        SweepOptions pass_sweep = engine_sweep;
+        SweepRecordingPlan plan;
+        if (hooks.plan) {
+            plan = hooks.plan(bench, *build_source());
+            pass_sweep.recordingPlan = &plan;
+        }
+        SweepEngine engine(configs, run_options, pass_sweep);
         if (store != nullptr)
             engine.checkpointEvery(policy.checkpoint.everyBranches, store);
         std::unique_ptr<TraceSource> source = build_source();
@@ -709,7 +712,7 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
     // timeouts, cancellation, configuration errors — fail immediately.
     const auto run_attempts = [&](std::size_t bench,
                                   const std::string &bench_name,
-                                  BenchOutcome &outcome) {
+                                  PassOutcome &outcome) {
         DriverOptions run_options = options;
         run_options.telemetryLabel = bench_name;
         run_options.cancel = &ctx.token;
@@ -779,6 +782,8 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
             try {
                 SweepRunResult pass =
                     run_pass(bench, bench_name, run_options, store.get());
+                if (hooks.finish)
+                    hooks.finish(bench, pass);
                 outcome.perConfig = benchmarkResults(
                     pass, bench, bench_name, options.profileStatic);
                 if (store != nullptr)
@@ -842,7 +847,7 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
                 events::kBenchmarkStarted,
                 {field("benchmark", bench_name)}));
         }
-        BenchOutcome &outcome = outcomes[bench];
+        PassOutcome &outcome = outcomes[bench];
         run_attempts(bench, bench_name, outcome);
         outcome.wallMs = elapsedMsSince(start);
         if (telemetry == nullptr)
@@ -878,11 +883,11 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
             registry.increment("suite.failures");
     };
 
-    // Benchmark pipelining: bench_slots scheduler threads (just the
-    // calling thread when there is one slot) pull benchmark indices;
-    // the replay work itself runs inline on them or on the shared
-    // pool. Exceptions escaping a benchmark (e.g. a fatal store
-    // failure) become that benchmark's error.
+    // Benchmark pipelining: schedule.passes scheduler threads (just
+    // the calling thread for one pass) pull benchmark indices; the
+    // replay work itself runs inline on them or on the shared pool.
+    // Exceptions escaping a benchmark (e.g. a fatal store failure)
+    // become that benchmark's error.
     std::atomic<std::size_t> next{0};
     const auto pump = [&] {
         for (;;) {
@@ -909,7 +914,7 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
         }
     };
     const unsigned spawned = std::min<unsigned>(
-        bench_slots, static_cast<unsigned>(suite_.size()));
+        schedule.passes, static_cast<unsigned>(suite_.size()));
     if (spawned <= 1) {
         pump();
     } else {
@@ -921,12 +926,24 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
             thread.join();
     }
 
+    if (telemetry != nullptr) {
+        MetricsRegistry &registry = telemetry->registry();
+        registry.setGauge("sweep.pool_workers",
+                          static_cast<double>(pool_workers));
+        registry.setGauge("sweep.bench_parallel",
+                          static_cast<double>(schedule.passes));
+        if (pool != nullptr) {
+            registry.mergeStats("sweep.pool_occupancy",
+                                pool->occupancyStats());
+        }
+    }
+
     // Fail-fast surfaces the root cause: the first non-cancelled
     // failure in suite order (cancelled entries are teardown
     // collateral; when every failure is a cancellation — external
     // cancel or suite deadline — the first of those is the cause).
     if (fail_fast) {
-        const BenchOutcome *culprit = nullptr;
+        const PassOutcome *culprit = nullptr;
         std::size_t culprit_bench = 0;
         for (std::size_t bench = 0;
              bench < suite_.size() && culprit == nullptr; ++bench) {
@@ -950,7 +967,7 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
                     failures += outcome.error.empty() ? 0 : 1;
                 telemetry->emit(TelemetryEvent(
                     events::kSuiteRunFinished,
-                    {field("wall_ms", elapsedMsSince(sweep_start)),
+                    {field("wall_ms", elapsedMsSince(ctx.start)),
                      field("degraded", true),
                      field("failed_benchmarks", failures),
                      field("survivors", std::uint64_t{0}),
@@ -967,14 +984,32 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
         }
     }
 
-    // Phase 2: merge outcomes in suite order — identical output
-    // ordering and fail-fast semantics at any bench_slots value. The
-    // benchmark's wall time is shared equally across configurations,
-    // so summing over configurations recovers (not multiplies) the
-    // real cost; the un-divided time is observed once per benchmark as
-    // suite.bench_wall_ms (see docs/performance.md).
+    return outcomes;
+}
+
+SweepSuiteResult
+SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
+                      DriverOptions options, SweepOptions sweep,
+                      RunPolicy policy) const
+{
+    const auto sweep_start = std::chrono::steady_clock::now();
+    std::vector<PassOutcome> outcomes =
+        runPasses(configs, options, std::move(sweep), std::move(policy));
+    Telemetry *const telemetry = options.telemetry;
+
+    SweepSuiteResult result;
+    result.labels.reserve(configs.size());
+    for (const auto &config : configs)
+        result.labels.push_back(config.label);
+    result.perConfig.resize(configs.size());
+
+    // Merge outcomes in suite order — identical output ordering at
+    // any schedule. The benchmark's wall time is shared equally across
+    // configurations, so summing over configurations recovers (not
+    // multiplies) the real cost; the un-divided time is observed once
+    // per benchmark as suite.bench_wall_ms (see docs/performance.md).
     for (std::size_t bench = 0; bench < suite_.size(); ++bench) {
-        BenchOutcome &outcome = outcomes[bench];
+        PassOutcome &outcome = outcomes[bench];
         const double wall_share =
             outcome.wallMs / static_cast<double>(configs.size());
         if (!outcome.error.empty()) {
@@ -1027,16 +1062,7 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
              field("zero_record_benchmarks",
                    static_cast<std::uint64_t>(first.zeroRecordBenchmarks)),
              field("survivors", static_cast<std::uint64_t>(survivors))}));
-        MetricsRegistry &registry = telemetry->registry();
-        registry.observe("suite.wall_ms", result.wallMs);
-        registry.setGauge("sweep.pool_workers",
-                          static_cast<double>(pool_workers));
-        registry.setGauge("sweep.bench_parallel",
-                          static_cast<double>(bench_slots));
-        if (pool != nullptr) {
-            registry.mergeStats("sweep.pool_occupancy",
-                                pool->occupancyStats());
-        }
+        telemetry->registry().observe("suite.wall_ms", result.wallMs);
     }
     return result;
 }

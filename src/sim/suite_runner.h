@@ -163,14 +163,16 @@ using EstimatorSetFactory =
  * benchmark index and the freshly built generator; whatever it returns
  * is what the replay consumes. Used to substitute trace-file readers
  * for generators and to inject faults (FaultInjectingTraceSource) in
- * robustness tests. Called once per attempt, possibly concurrently —
- * must be thread-safe.
+ * robustness tests. Called once per trace pass of an attempt (twice
+ * for a sampled benchmark: pre-pass and replay), possibly
+ * concurrently — must be thread-safe.
  */
 using SourceWrapper = std::function<std::unique_ptr<TraceSource>(
     std::size_t bench, std::unique_ptr<TraceSource> inner)>;
 
 struct SweepConfiguration;
 struct SweepOptions;
+struct SweepRunResult;
 
 /**
  * Results of a multi-configuration sweep over a suite: one full
@@ -201,6 +203,42 @@ struct SweepSuiteResult
 class SuiteRunner
 {
   public:
+    /** What one benchmark's pass left behind (see runPasses()). */
+    struct PassOutcome
+    {
+        std::string error; //!< empty on success
+        ErrorCategory category = ErrorCategory::kInternal;
+        bool cancelled = false; //!< see BenchmarkRunResult::cancelled
+        unsigned attempts = 1;
+        double wallMs = 0.0; //!< across all attempts
+
+        /** Per-configuration results; empty when the pass failed. */
+        std::vector<BenchmarkRunResult> perConfig;
+    };
+
+    /**
+     * Per-benchmark hooks that turn runPasses() into a sampled suite
+     * run (SamplingEngine::runSuite). Both run on the benchmark's pass
+     * thread once per attempt, concurrently for different benchmarks;
+     * an exception from either fails the attempt like a replay error.
+     */
+    struct PassHooks
+    {
+        /**
+         * Before the replay: read @p source, a fresh stream of
+         * benchmark @p bench, and return the recording plan the pass
+         * replays under.
+         */
+        std::function<SweepRecordingPlan(std::size_t bench,
+                                         TraceSource &source)>
+            plan;
+
+        /** After the replay: read the pass's results (its slot
+         *  logs) before runPasses() keeps their counts. */
+        std::function<void(std::size_t bench, const SweepRunResult &pass)>
+            finish;
+    };
+
     /** @param suite Benchmarks to run (copied). */
     explicit SuiteRunner(BenchmarkSuite suite);
 
@@ -229,16 +267,16 @@ class SuiteRunner
 
     /**
      * Run many configurations over the suite in one decode pass per
-     * benchmark (sim/sweep_engine.h). Within each benchmark the
-     * configurations shard across a worker pool, so the trace is
-     * generated/decoded exactly once regardless of configuration
-     * count. The pool is shared and globally sized (never capped at
-     * the configuration count): when a benchmark's pass cannot use
-     * every worker, additional benchmarks' passes run concurrently
-     * on the same pool (SweepOptions::benchParallel slots; decode
-     * runs ahead of replay per SweepOptions::decodeAhead). Results —
-     * including output order and composites — are bit-exact with
-     * run() called once per configuration at any knob setting.
+     * benchmark (sim/sweep_engine.h): runPasses(), then the merge of
+     * its outcomes in suite order and the Section 1.2 composites. The
+     * trace is generated/decoded exactly once per benchmark regardless
+     * of configuration count. SweepOptions::threads is the whole run's
+     * worker budget; SweepOptions::benchParallel divides it between
+     * concurrent benchmark passes and each pass's configuration
+     * shards (decode runs ahead of replay per
+     * SweepOptions::decodeAhead). Results — including output order
+     * and composites — are bit-exact with run() called once per
+     * configuration at any knob setting.
      *
      * Per-configuration BenchmarkRunResult::wallMs carries an equal
      * 1/numConfigs share of the benchmark's wall time (so sums over
@@ -261,15 +299,35 @@ class SuiteRunner
      *        same thread-safety rule as run()).
      * @param options Driver knobs shared by all configurations.
      * @param sweep Sweep thread/batch/pipelining tuning knobs.
-     *        runSweep creates and owns a worker pool sized from
-     *        SweepOptions::threads; a caller-set SweepOptions::pool
-     *        is rejected with Error{kConfig}.
+     *        When passes shard, runSweep creates and owns one worker
+     *        pool sized from SweepOptions::threads; a caller-set
+     *        SweepOptions::pool is rejected with Error{kConfig}.
      * @param policy Fault-tolerance policy (see run()).
      */
     SweepSuiteResult
     runSweep(const std::vector<SweepConfiguration> &configs,
              DriverOptions options, SweepOptions sweep,
              RunPolicy policy = {}) const;
+
+    /**
+     * The pass scheduler under runSweep(): one sweep pass per
+     * benchmark, with its retries, checkpoint store, deadline and
+     * watchdog, the suite_run_started and benchmark_* events, and the
+     * sweep.pool_workers / sweep.bench_parallel gauges. Passes run
+     * concurrently per SweepOptions::benchParallel. Under a fail-fast
+     * policy the first failure in suite order (its root cause, not
+     * the teardown it triggered) throws with its category.
+     *
+     * @param hooks Optional per-benchmark plan and finish hooks; a
+     *        plan hook requires a fail-fast policy without
+     *        checkpointing (Error{kConfig}), since a sampled pass can
+     *        neither isolate a failed configuration nor resume.
+     * @return one outcome per benchmark, in suite order.
+     */
+    std::vector<PassOutcome>
+    runPasses(const std::vector<SweepConfiguration> &configs,
+              DriverOptions options, SweepOptions sweep,
+              RunPolicy policy = {}, const PassHooks &hooks = {}) const;
 
     /**
      * Install a trace-source decorator applied to every benchmark's
@@ -283,9 +341,6 @@ class SuiteRunner
 
     /** @return the suite being run. */
     const BenchmarkSuite &suite() const { return suite_; }
-
-    /** @return the installed decorator (empty when none). */
-    const SourceWrapper &sourceWrapper() const { return sourceWrapper_; }
 
   private:
     BenchmarkSuite suite_;

@@ -33,8 +33,8 @@
  *    synchronous engine's.
  *  - **Shared worker pool**: engines can share one globally sized
  *    SweepWorkerPool, letting SuiteRunner::runSweep() pipeline
- *    multiple benchmarks' sweep passes concurrently instead of
- *    leaving cores idle whenever configs < hardware threads.
+ *    multiple benchmarks' sharded sweep passes concurrently instead
+ *    of leaving cores idle whenever configs < hardware threads.
  *
  * Checkpoints are taken at the first batch boundary at or after each
  * checkpointEvery() multiple of simulated branches; resume is
@@ -162,6 +162,10 @@ struct SweepOptions
      * inline on the calling thread. Thread count never changes
      * results. Ignored when @ref pool is set (the shared pool's size
      * governs; shards are still capped at the configuration count).
+     *
+     * SuiteRunner::runSweep() and SamplingEngine::runSuite() read it
+     * as the whole run's worker budget W instead (CONFSIM_SEQUENTIAL
+     * forces 1), which benchParallel divides among benchmark passes.
      */
     unsigned threads = 0;
 
@@ -180,10 +184,16 @@ struct SweepOptions
     std::size_t decodeAhead = kDefaultDecodeAhead;
 
     /**
-     * SuiteRunner::runSweep() only: how many benchmarks' sweep passes
-     * may run concurrently on the shared pool. 0 sizes automatically
-     * (pool workers / shards per benchmark). 1 runs benchmarks
-     * sequentially. Never changes results; per-benchmark error
+     * SuiteRunner::runSweep() and SamplingEngine::runSuite() only: how
+     * many benchmarks' passes run concurrently. 0 sizes automatically
+     * from the worker budget W (@ref threads): min(W, benchmarks)
+     * passes, so whole benchmarks overlap before any pass shards.
+     * Passes that fill the budget replay inline on their benchmark
+     * threads; fewer passes than W shard. An explicit value runs that
+     * many passes (at most one per benchmark), which shard whenever
+     * W > 1; 1 runs benchmarks sequentially. A sharding pass splits
+     * its configurations over min(W, configurations) workers of one
+     * shared W-worker pool. Never changes results; per-benchmark error
      * isolation and suite-order merging are preserved.
      * CONFSIM_BENCH_PARALLEL overrides, CONFSIM_SEQUENTIAL forces 1.
      */

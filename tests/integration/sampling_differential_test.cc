@@ -5,6 +5,7 @@
  * The sampling engine inherits the sweep engine's bit-exactness
  * contract: given one seed, region selections AND estimates must be
  * bit-identical however the replay is parallelized (worker threads,
+ * which set how many benchmark passes overlap and how each shards,
  * decode-ahead depth, batch size). And against the differential
  * harness's exact ground truth, the 95% CIs must do their job: contain
  * the full-replay misprediction rate, per benchmark and composite.
@@ -76,11 +77,26 @@ baseOptions()
     return options;
 }
 
-SamplingRunResult
-runSampled(const SamplingOptions &options)
+/** Two benchmarks: at 4 threads, two passes sharding over one pool. */
+BenchmarkSuite
+twoBenchmarks()
 {
-    SuiteRunner runner(
-        BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"}, 100000));
+    return BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"}, 100000);
+}
+
+/** Three benchmarks: at 3 threads, three inline passes. */
+BenchmarkSuite
+threeBenchmarks()
+{
+    return BenchmarkSuite::ibsSubset({"jpeg", "real_gcc", "groff"},
+                                     100000);
+}
+
+SamplingRunResult
+runSampled(const SamplingOptions &options,
+           const BenchmarkSuite &suite = twoBenchmarks())
+{
+    SuiteRunner runner(suite);
     SamplingEngine engine(sampledConfigs(), DriverOptions{}, options);
     return engine.runSuite(runner);
 }
@@ -128,6 +144,10 @@ TEST(SamplingDifferentialTest, ThreadCountNeverChangesEstimates)
     SamplingOptions many = baseOptions();
     many.sweep.threads = 4;
     expectIdentical(runSampled(one), runSampled(many));
+    SamplingOptions three = baseOptions();
+    three.sweep.threads = 3;
+    expectIdentical(runSampled(one, threeBenchmarks()),
+                    runSampled(three, threeBenchmarks()));
 }
 
 TEST(SamplingDifferentialTest, DecodeAheadNeverChangesEstimates)
@@ -158,6 +178,11 @@ TEST(SamplingDifferentialTest,
     many.warmupRegions = 2;
     many.sweep.threads = 4;
     expectIdentical(runSampled(one), runSampled(many));
+    SamplingOptions three = baseOptions();
+    three.warmupRegions = 2;
+    three.sweep.threads = 3;
+    expectIdentical(runSampled(one, threeBenchmarks()),
+                    runSampled(three, threeBenchmarks()));
 }
 
 TEST(SamplingDifferentialTest, CiContainsExactGroundTruth)

@@ -609,7 +609,7 @@ TEST(SweepDifferential, BenchParallelScheduleNeverChangesResults)
     const SweepSuiteResult reference = runner.runSweep(
         familyConfigs(families), options, sequential, RunPolicy{});
 
-    for (const unsigned slots : {2u, 3u}) {
+    for (const unsigned slots : {0u, 2u, 3u}) {
         SweepOptions pipelined;
         pipelined.threads = 4;
         pipelined.decodeAhead = 3;

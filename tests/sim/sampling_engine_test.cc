@@ -5,6 +5,7 @@
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -14,9 +15,14 @@
 #include <gtest/gtest.h>
 
 #include "confidence/one_level.h"
+#include "fault/fault_injection.h"
 #include "metrics/operating_point.h"
+#include "obs/telemetry.h"
 #include "predictor/gshare.h"
+#include "sim/suite_runner.h"
+#include "util/cancellation.h"
 #include "util/error.h"
+#include "workload/suite.h"
 #include "workload/workload_generator.h"
 
 namespace confsim {
@@ -312,6 +318,10 @@ TEST(SamplingEngineTest, InvalidOptionsAreFatal)
     bad = SamplingOptions{};
     bad.sweep.recordingPlan = &plan;
     EXPECT_THROW(build(bad), std::runtime_error);
+    SweepWorkerPool pool(1);
+    bad = SamplingOptions{};
+    bad.sweep.pool = &pool;
+    EXPECT_THROW(build(bad), std::runtime_error);
     EXPECT_THROW(SamplingEngine({}, DriverOptions{},
                                 SamplingOptions{}),
                  std::runtime_error);
@@ -329,6 +339,97 @@ TEST(SamplingEngineTest, RejectsIsolatedConfigFailures)
     } catch (const Error &e) {
         EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
     }
+}
+
+/** Options that sample a few 500-branch regions of short traces. */
+SamplingOptions
+smallSuiteOptions(unsigned threads)
+{
+    SamplingOptions options;
+    options.sampleRate = 0.2;
+    options.regionBranches = 500;
+    options.sweep.threads = threads;
+    return options;
+}
+
+TEST(SamplingEngineTest, SuiteHonoursTheDriverCancellationToken)
+{
+    SuiteRunner runner(
+        BenchmarkSuite::ibsSubset({"jpeg", "real_gcc", "groff"}, 5000));
+    CancellationToken cancel;
+    cancel.cancel();
+    DriverOptions driver;
+    driver.cancel = &cancel;
+    SamplingEngine engine(oneConfig(), driver, smallSuiteOptions(3));
+    try {
+        (void)engine.runSuite(runner);
+        FAIL() << "a cancelled sampled suite returned";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kCancelled) << e.what();
+    }
+}
+
+TEST(SamplingEngineTest, SuiteThrowsTheFailingBenchmarksCategory)
+{
+    // Benchmark 1's stream breaks in the pre-pass while its siblings
+    // run concurrently; their teardown must not mask the cause.
+    SuiteRunner runner(
+        BenchmarkSuite::ibsSubset({"jpeg", "real_gcc", "groff"}, 5000));
+    runner.setSourceWrapper([](std::size_t bench,
+                               std::unique_ptr<TraceSource> inner)
+                                -> std::unique_ptr<TraceSource> {
+        if (bench != 1)
+            return inner;
+        FaultSpec spec;
+        spec.failAfter = 500;
+        return std::make_unique<FaultInjectingTraceSource>(
+            std::move(inner), spec);
+    });
+    SamplingEngine engine(oneConfig(), DriverOptions{},
+                          smallSuiteOptions(3));
+    try {
+        (void)engine.runSuite(runner);
+        FAIL() << "a failing sampled suite returned";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kTrace) << e.what();
+        EXPECT_NE(std::string(e.what()).find("injected fault"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(SamplingEngineTest, SuiteClosesTheSchedulersSuiteRunEvent)
+{
+    const std::string log = ::testing::TempDir() +
+                            "/confsim_sampled_suite_events.jsonl";
+    {
+        TelemetryOptions telemetry_options;
+        telemetry_options.jsonlPath = log;
+        Telemetry telemetry(telemetry_options);
+        DriverOptions driver;
+        driver.telemetry = &telemetry;
+        SuiteRunner runner(
+            BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"}, 5000));
+        SamplingEngine engine(oneConfig(), driver, smallSuiteOptions(2));
+        (void)engine.runSuite(runner);
+        telemetry.finish();
+    }
+    std::vector<std::string> types;
+    std::ifstream in(log);
+    for (std::string line; std::getline(in, line);) {
+        for (const char *type :
+             {"suite_run_started", "suite_run_finished",
+              "sampling_run_finished"}) {
+            if (line.find(std::string("\"type\":\"") + type + "\"") !=
+                std::string::npos)
+                types.push_back(type);
+        }
+    }
+    std::remove(log.c_str());
+    EXPECT_EQ(types,
+              (std::vector<std::string>{"suite_run_started",
+                                        "suite_run_finished",
+                                        "sampling_run_finished"}));
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 
 #include "sim/sweep_engine.h"
@@ -13,6 +14,7 @@
 #include "confidence/one_level.h"
 #include "predictor/gshare.h"
 #include "fault/fault_injection.h"
+#include "obs/telemetry.h"
 #include "sim/experiment.h"
 #include "trace/vector_trace_source.h"
 #include "util/error.h"
@@ -543,6 +545,69 @@ TEST(SuiteRunnerTest, SweepRejectsCallerSetPool)
         EXPECT_EQ(e.category(), ErrorCategory::kConfig);
     }
     EXPECT_EQ(pool.occupancyStats().count(), 0u);
+}
+
+TEST(SuiteRunnerTest, AutoScheduleOverlapsBenchmarksBeforeShards)
+{
+    // The worker budget W goes to whole-benchmark passes first: auto
+    // runs min(W, benchmarks) passes whatever the configuration count;
+    // an explicit count is kept.
+    if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr ||
+        std::getenv("CONFSIM_BENCH_PARALLEL") != nullptr)
+        GTEST_SKIP() << "an environment override replaces the rule";
+    const std::vector<SweepConfiguration> configs = {
+        {"a", smallPredictor(), smallEstimators()},
+        {"b", smallPredictor(), smallEstimators()},
+        {"c", smallPredictor(), smallEstimators()}};
+    const auto passes = [&configs](const BenchmarkSuite &suite,
+                                   unsigned threads,
+                                   unsigned bench_parallel) {
+        Telemetry telemetry{TelemetryOptions{}};
+        DriverOptions options;
+        options.telemetry = &telemetry;
+        SweepOptions sweep;
+        sweep.threads = threads;
+        sweep.benchParallel = bench_parallel;
+        (void)SuiteRunner(suite).runSweep(configs, options, sweep);
+        return telemetry.registry().gauge("sweep.bench_parallel");
+    };
+    const BenchmarkSuite nine = BenchmarkSuite::ibs(2000);
+    ASSERT_EQ(nine.size(), 9u);
+    EXPECT_EQ(passes(nine, 3, 0), 3.0);
+    EXPECT_EQ(passes(BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"}, 2000),
+                     4, 0),
+              2.0);
+    EXPECT_EQ(passes(nine, 4, 1), 1.0);
+}
+
+TEST(SuiteRunnerTest, PlannedPassesRejectIsolationAndCheckpoints)
+{
+    // A planned pass's slot logs survive neither an isolated
+    // configuration failure nor a resume, so runPasses refuses those
+    // policies before any plan hook runs.
+    SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg"}, 2000));
+    bool planned = false;
+    SuiteRunner::PassHooks hooks;
+    hooks.plan = [&planned](std::size_t, TraceSource &) {
+        planned = true;
+        SweepRecordingPlan plan;
+        plan.regionBranches = 1000;
+        return plan;
+    };
+    RunPolicy checkpointed;
+    checkpointed.checkpoint.directory = ::testing::TempDir();
+    for (const RunPolicy &policy :
+         {RunPolicy::continueOnError(), checkpointed}) {
+        try {
+            (void)runner.runPasses(
+                {{"a", smallPredictor(), smallEstimators()}},
+                DriverOptions{}, SweepOptions{}, policy, hooks);
+            ADD_FAILURE() << "a planned pass accepted the policy";
+        } catch (const Error &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
+        }
+    }
+    EXPECT_FALSE(planned);
 }
 
 TEST(SuiteRunnerTest, FactoriesInvokedExactlyOncePerBenchmark)
