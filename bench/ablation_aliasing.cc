@@ -77,8 +77,9 @@ main(int argc, char **argv)
         configs.push_back(std::move(config));
     }
 
-    const auto result =
-        runSuiteExperiment(env, smallGshareFactory(), configs);
+    const auto swept =
+        runSuiteExperiment(env, {{"run", smallGshareFactory(), configs}});
+    const SuiteRunResult &result = swept.perConfig.front();
     printMispredictionRates(result);
 
     std::vector<NamedCurve> curves;

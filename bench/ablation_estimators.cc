@@ -62,8 +62,9 @@ main(int argc, char **argv)
         configs.push_back(std::move(config));
     }
 
-    const auto result =
-        runSuiteExperiment(env, largeGshareFactory(), configs);
+    const auto swept =
+        runSuiteExperiment(env, {{"run", largeGshareFactory(), configs}});
+    const SuiteRunResult &result = swept.perConfig.front();
     printMispredictionRates(result);
 
     std::vector<NamedCurve> curves;

@@ -39,8 +39,9 @@ main(int argc, char **argv)
     std::vector<EstimatorConfig> configs;
     for (auto scheme : schemes)
         configs.push_back(oneLevelIdealConfig(scheme));
-    const auto result =
-        runSuiteExperiment(env, largeGshareFactory(), configs);
+    const auto swept =
+        runSuiteExperiment(env, {{"run", largeGshareFactory(), configs}});
+    const SuiteRunResult &result = swept.perConfig.front();
     printMispredictionRates(result);
 
     std::vector<NamedCurve> curves;

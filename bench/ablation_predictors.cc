@@ -77,7 +77,7 @@ main(int argc, char **argv)
 
     // All nine predictors share one decode pass per benchmark: the
     // sweep engine broadcasts each trace batch to every configuration,
-    // bit-exact with running runSuiteExperiment() nine times.
+    // bit-exact with running each configuration alone.
     std::vector<SweepExperimentConfig> sweep_configs;
     for (const auto &[label, factory] : predictors) {
         sweep_configs.push_back(
@@ -85,8 +85,7 @@ main(int argc, char **argv)
              {oneLevelCounterConfig(IndexScheme::PcXorBhr,
                                     CounterKind::Resetting)}});
     }
-    const SweepSuiteResult sweep =
-        runSweepSuiteExperiment(env, sweep_configs);
+    const SweepSuiteResult sweep = runSuiteExperiment(env, sweep_configs);
 
     std::printf("%-12s %10s %8s %14s %14s\n", "predictor", "mispred",
                 "@20%", "zero-bkt refs", "zero-bkt miss");

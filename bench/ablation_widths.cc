@@ -35,8 +35,9 @@ main(int argc, char **argv)
             config.label = "cir" + std::to_string(bits);
             configs.push_back(std::move(config));
         }
-        const auto result =
-            runSuiteExperiment(env, largeGshareFactory(), configs);
+        const auto swept =
+            runSuiteExperiment(env, {{"run", largeGshareFactory(), configs}});
+        const SuiteRunResult &result = swept.perConfig.front();
         std::vector<NamedCurve> curves;
         for (std::size_t i = 0; i < configs.size(); ++i)
             curves.push_back(
@@ -65,8 +66,9 @@ main(int argc, char **argv)
             config.label = "halfreset16";
             configs.push_back(std::move(config));
         }
-        const auto result =
-            runSuiteExperiment(env, largeGshareFactory(), configs);
+        const auto swept =
+            runSuiteExperiment(env, {{"run", largeGshareFactory(), configs}});
+        const SuiteRunResult &result = swept.perConfig.front();
         std::vector<NamedCurve> curves;
         for (std::size_t i = 0; i < configs.size(); ++i)
             curves.push_back(

@@ -29,8 +29,9 @@ main(int argc, char **argv)
 
     std::printf("=== Fig. 2: ideal static (profile-based) confidence "
                 "===\n\n");
-    const auto result =
-        runSuiteExperiment(env, largeGshareFactory(), {});
+    const auto swept =
+        runSuiteExperiment(env, {{"run", largeGshareFactory(), {}}});
+    const SuiteRunResult &result = swept.perConfig.front();
     printMispredictionRates(result);
 
     std::vector<NamedCurve> curves;

@@ -45,8 +45,7 @@ main(int argc, char **argv)
         {"tage", tageFactory(), {tageProviderConfig()}},
         {"perceptron", perceptronFactory(), {perceptronMarginConfig()}},
     };
-    const SweepSuiteResult sweep =
-        runSweepSuiteExperiment(env, sweep_configs);
+    const SweepSuiteResult sweep = runSuiteExperiment(env, sweep_configs);
     const SuiteRunResult &result = sweep.perConfig[0];
     printMispredictionRates(result);
 

@@ -33,8 +33,9 @@ main(int argc, char **argv)
         twoLevelConfig(IndexScheme::PcXorBhr,
                        SecondLevelIndex::CirXorPcXorBhr),
     };
-    const auto result =
-        runSuiteExperiment(env, largeGshareFactory(), configs);
+    const auto swept =
+        runSuiteExperiment(env, {{"run", largeGshareFactory(), configs}});
+    const SuiteRunResult &result = swept.perConfig.front();
     printMispredictionRates(result);
 
     std::vector<NamedCurve> curves;

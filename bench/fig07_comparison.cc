@@ -33,8 +33,9 @@ main(int argc, char **argv)
         oneLevelIdealConfig(IndexScheme::PcXorBhr),
         twoLevelConfig(IndexScheme::PcXorBhr, SecondLevelIndex::Cir),
     };
-    const auto result =
-        runSuiteExperiment(env, largeGshareFactory(), configs);
+    const auto swept =
+        runSuiteExperiment(env, {{"run", largeGshareFactory(), configs}});
+    const SuiteRunResult &result = swept.perConfig.front();
     printMispredictionRates(result);
 
     std::vector<NamedCurve> curves;

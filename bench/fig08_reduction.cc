@@ -38,8 +38,9 @@ main(int argc, char **argv)
         oneLevelCounterConfig(IndexScheme::PcXorBhr,
                               CounterKind::Resetting),
     };
-    const auto result =
-        runSuiteExperiment(env, largeGshareFactory(), configs);
+    const auto swept =
+        runSuiteExperiment(env, {{"run", largeGshareFactory(), configs}});
+    const SuiteRunResult &result = swept.perConfig.front();
     printMispredictionRates(result);
 
     std::vector<NamedCurve> curves;

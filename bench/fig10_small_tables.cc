@@ -38,8 +38,9 @@ main(int argc, char **argv)
         config.label = std::to_string(entries);
         configs.push_back(std::move(config));
     }
-    const auto result =
-        runSuiteExperiment(env, smallGshareFactory(), configs);
+    const auto swept =
+        runSuiteExperiment(env, {{"run", smallGshareFactory(), configs}});
+    const SuiteRunResult &result = swept.perConfig.front();
     printMispredictionRates(result);
     std::printf("(paper: 8.6%% composite misprediction rate for the 4K "
                 "gshare)\n\n");

@@ -43,8 +43,7 @@ main(int argc, char **argv)
         {"tage", tageFactory(), {tageProviderConfig()}},
         {"perceptron", perceptronFactory(), {perceptronMarginConfig()}},
     };
-    const SweepSuiteResult sweep =
-        runSweepSuiteExperiment(env, sweep_configs);
+    const SweepSuiteResult sweep = runSuiteExperiment(env, sweep_configs);
 
     std::printf("per-benchmark, at a ~20%%-of-branches low-confidence "
                 "set:\n");

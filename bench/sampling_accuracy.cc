@@ -67,8 +67,7 @@ main(int argc, char **argv)
                 100.0 * env.sampleRate, env.strata, env.subsamples,
                 static_cast<unsigned long long>(env.regionBranches));
 
-    const SweepSuiteResult exact =
-        runSweepSuiteExperiment(env, configs);
+    const SweepSuiteResult exact = runSuiteExperiment(env, configs);
     const SamplingRunResult sampled =
         runSampledSuiteExperiment(env, configs);
 

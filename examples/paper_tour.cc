@@ -76,8 +76,9 @@ main(int argc, char **argv)
         oneLevelCounterConfig(IndexScheme::PcXorBhr,
                               CounterKind::Resetting),
     };
-    const auto result =
-        runSuiteExperiment(env, largeGshareFactory(), configs);
+    const auto swept =
+        runSuiteExperiment(env, {{"run", largeGshareFactory(), configs}});
+    const SuiteRunResult &result = swept.perConfig.front();
     printMispredictionRates(result);
     std::printf("(the paper reports 3.85%% composite for this "
                 "predictor on the real IBS traces)\n");

@@ -1,6 +1,7 @@
 #include "obs/telemetry_sink.h"
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "fault/fault_plan.h"
 #include "util/status.h"
@@ -138,13 +139,17 @@ StderrProgressSink::writeManifest(const RunManifest &manifest)
     std::fprintf(stderr, "[confsim] %s: suite '%s', %zu benchmark(s)\n",
                  manifest.tool.c_str(), manifest.suite.c_str(),
                  manifest.benchmarks.size());
-    total_ = manifest.benchmarks.size();
 }
 
 void
 StderrProgressSink::writeEvent(const TelemetryEvent &event)
 {
-    if (event.type == events::kBenchmarkFinished) {
+    if (event.type == events::kSuiteRunStarted) {
+        // One process may run several suites; each counts its own.
+        finished_ = 0;
+        total_ = std::strtoull(event.fieldValue("benchmarks").c_str(),
+                               nullptr, 10);
+    } else if (event.type == events::kBenchmarkFinished) {
         ++finished_;
         if (finished_ % every_ != 0 && finished_ != total_)
             return;

@@ -13,7 +13,8 @@
  *    per event field) for awk/pandas consumption without a JSON
  *    parser.
  *  - StderrProgressSink — human heartbeat for long suite runs: one
- *    stderr line every N finished benchmarks plus retry/timeout/fault
+ *    stderr line every N finished benchmarks, counted per suite run
+ *    from its suite_run_started event, plus retry/timeout/fault
  *    notices.
  *
  * Sinks are driven by Telemetry (obs/telemetry.h), which serializes

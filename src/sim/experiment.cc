@@ -73,15 +73,8 @@ ExperimentEnv::fromCli(int argc, const char *const *argv,
     cli.addFlag("resume",
                 "resume prior progress from --checkpoint-dir");
     cli.addOption("sweep-threads", "0",
-                  "sweep worker threads (0 = hardware concurrency)");
-    cli.addOption("batch-size", "4096",
-                  "records per sweep broadcast batch");
-    cli.addOption("decode-ahead", "3",
-                  "sweep decode-ahead ring depth (1 = synchronous "
-                  "refill)");
-    cli.addOption("bench-parallel", "0",
-                  "concurrent benchmark sweep passes (0 = auto-size "
-                  "to the worker pool)");
+                  "suite worker budget: min(N, benchmarks) passes run "
+                  "at once (0 = hardware concurrency)");
     cli.addOption("sample-rate", "0.1",
                   "sampled-replay region fraction in (0, 1]");
     cli.addOption("region-branches", "10000",
@@ -101,9 +94,6 @@ ExperimentEnv::fromCli(int argc, const char *const *argv,
                   "'ckpt:write=1:enospc;shard:cfg=2:throw' (env "
                   "CONFSIM_FAULT_PLAN when unset; see "
                   "fault/fault_plan.h)");
-    cli.addOption("retry-backoff-ms", "0",
-                  "base exponential backoff between benchmark "
-                  "retries (0 = retry immediately)");
     cli.addOption("deadline-ms", "0",
                   "suite wall-clock budget; in-flight work is "
                   "cancelled cooperatively on expiry (0 = unlimited)");
@@ -132,15 +122,6 @@ ExperimentEnv::fromCli(int argc, const char *const *argv,
               "--resume requires --checkpoint-dir");
     env.sweepThreads =
         static_cast<unsigned>(cli.getUnsigned("sweep-threads"));
-    env.batchSize = cli.getUnsigned("batch-size");
-    if (env.batchSize == 0)
-        fatal(ErrorCategory::kConfig, "--batch-size must be at least 1");
-    env.decodeAhead = cli.getUnsigned("decode-ahead");
-    if (env.decodeAhead == 0)
-        fatal(ErrorCategory::kConfig,
-              "--decode-ahead must be at least 1");
-    env.benchParallel =
-        static_cast<unsigned>(cli.getUnsigned("bench-parallel"));
     env.sampleRate = cli.getDouble("sample-rate");
     env.regionBranches = cli.getUnsigned("region-branches");
     env.strata = static_cast<std::uint32_t>(cli.getUnsigned("strata"));
@@ -149,7 +130,6 @@ ExperimentEnv::fromCli(int argc, const char *const *argv,
     env.sampleSeed = cli.getUnsigned("sample-seed");
     if (!cli.getString("warmup-regions").empty())
         env.warmupRegions = cli.getUnsigned("warmup-regions");
-    env.retryBackoffMs = cli.getUnsigned("retry-backoff-ms");
     env.deadlineMs = cli.getUnsigned("deadline-ms");
     env.faultPlan = cli.getString("fault-plan");
     if (env.faultPlan.empty()) {
@@ -289,23 +269,35 @@ perceptronMarginConfig(PerceptronConfig config, unsigned num_levels)
 namespace {
 
 /**
- * Build the reproducibility manifest for one suite experiment: suite
- * identity with per-benchmark stream checksums, predictor/estimator
- * names (from throwaway instances), driver knobs, build provenance.
+ * The paper's driver knobs for one suite experiment over @p suite,
+ * with telemetry wired in and the reproducibility manifest set: suite
+ * identity with per-benchmark stream checksums, the first
+ * configuration's predictor/estimator names (from throwaway instances;
+ * the sweep_* events carry the rest), driver knobs, build provenance.
  */
-RunManifest
-buildManifest(const ExperimentEnv &env, const BenchmarkSuite &suite,
-              const PredictorFactory &make_predictor,
-              const std::vector<EstimatorConfig> &estimators,
-              const DriverOptions &options)
+DriverOptions
+experimentOptions(const ExperimentEnv &env, const BenchmarkSuite &suite,
+                  const std::vector<SweepExperimentConfig> &configs)
 {
+    if (configs.empty()) {
+        fatal(ErrorCategory::kConfig,
+              "a suite experiment needs at least one configuration");
+    }
+    DriverOptions options;
+    options.bhrBits = paper::kLargeHistoryBits;
+    options.gcirBits = paper::kCirBits;
+    Telemetry *const telemetry = env.telemetryContext.get();
+    if (telemetry == nullptr)
+        return options;
+    options.telemetry = telemetry;
+
     RunManifest manifest = RunManifest::withBuildInfo();
     manifest.tool = env.tool;
     manifest.suite = env.fullSuite ? "ibs-full" : "ibs-small";
-    const auto predictor = make_predictor();
+    const auto predictor = configs.front().makePredictor();
     manifest.predictor = predictor->name();
     manifest.predictorStorageBits = predictor->storageBits();
-    for (const auto &config : estimators)
+    for (const auto &config : configs.front().estimators)
         manifest.estimators.push_back(config.make()->name());
     manifest.bhrBits = options.bhrBits;
     manifest.gcirBits = options.gcirBits;
@@ -321,127 +313,69 @@ buildManifest(const ExperimentEnv &env, const BenchmarkSuite &suite,
         bench.traceChecksum = streamChecksum(*source, kChecksumRecords);
         manifest.benchmarks.push_back(std::move(bench));
     }
-    return manifest;
+    telemetry->setManifest(std::move(manifest));
+    return options;
 }
 
-/** A factory building fresh instances of @p estimators. */
-EstimatorSetFactory
-estimatorSetFactory(std::vector<EstimatorConfig> estimators)
-{
-    return [estimators = std::move(estimators)] {
-        std::vector<std::unique_ptr<ConfidenceEstimator>> out;
-        out.reserve(estimators.size());
-        for (const auto &estimator : estimators)
-            out.push_back(estimator.make());
-        return out;
-    };
-}
-
-/** One sweep configuration per experiment configuration. */
+/** One sweep configuration per experiment configuration; its
+ *  estimator factory builds fresh instances on every call. */
 std::vector<SweepConfiguration>
 sweepConfigurations(const std::vector<SweepExperimentConfig> &configs)
 {
-    std::vector<SweepConfiguration> out;
-    out.reserve(configs.size());
+    std::vector<SweepConfiguration> sweep;
+    sweep.reserve(configs.size());
     for (const auto &config : configs) {
-        out.push_back({config.label, config.makePredictor,
-                       estimatorSetFactory(config.estimators)});
+        EstimatorSetFactory make_estimators = [set = config.estimators] {
+            std::vector<std::unique_ptr<ConfidenceEstimator>> out;
+            out.reserve(set.size());
+            for (const auto &estimator : set)
+                out.push_back(estimator.make());
+            return out;
+        };
+        sweep.push_back({config.label, config.makePredictor,
+                         std::move(make_estimators)});
     }
-    return out;
-}
-
-/** The checkpoint/retry/deadline policy the CLI flags describe. */
-RunPolicy
-experimentPolicy(const ExperimentEnv &env)
-{
-    RunPolicy policy;
-    policy.checkpoint.directory = env.checkpointDir;
-    policy.checkpoint.everyBranches = env.checkpointEvery;
-    policy.checkpoint.resume = env.resume;
-    policy.retryBackoffMs = env.retryBackoffMs;
-    policy.deadlineMs = env.deadlineMs;
-    return policy;
+    return sweep;
 }
 
 } // namespace
 
-SuiteRunResult
-runSuiteExperiment(const ExperimentEnv &env,
-                   const PredictorFactory &make_predictor,
-                   const std::vector<EstimatorConfig> &estimators)
-{
-    SuiteRunner runner(env.makeSuite());
-    DriverOptions options;
-    options.bhrBits = paper::kLargeHistoryBits;
-    options.gcirBits = paper::kCirBits;
-    options.profileStatic = true;
-
-    Telemetry *const telemetry = env.telemetryContext.get();
-    if (telemetry != nullptr) {
-        telemetry->setManifest(buildManifest(
-            env, runner.suite(), make_predictor, estimators, options));
-        options.telemetry = telemetry;
-    }
-
-    return runner.run(make_predictor, estimatorSetFactory(estimators),
-                      options, experimentPolicy(env));
-}
-
 SweepSuiteResult
-runSweepSuiteExperiment(const ExperimentEnv &env,
-                        const std::vector<SweepExperimentConfig> &configs)
+runSuiteExperiment(const ExperimentEnv &env,
+                   const std::vector<SweepExperimentConfig> &configs)
 {
-    if (configs.empty())
-        fatal(ErrorCategory::kConfig,
-              "runSweepSuiteExperiment needs at least one "
-              "configuration");
-    SuiteRunner runner(env.makeSuite());
-    DriverOptions options;
-    options.bhrBits = paper::kLargeHistoryBits;
-    options.gcirBits = paper::kCirBits;
+    const SuiteRunner runner(env.makeSuite());
+    DriverOptions options = experimentOptions(env, runner.suite(), configs);
     options.profileStatic = true;
-
-    Telemetry *const telemetry = env.telemetryContext.get();
-    if (telemetry != nullptr) {
-        // The manifest's predictor/estimator identity comes from the
-        // first configuration; the sweep_* events carry the rest.
-        telemetry->setManifest(buildManifest(
-            env, runner.suite(), configs.front().makePredictor,
-            configs.front().estimators, options));
-        options.telemetry = telemetry;
-    }
-
     SweepOptions sweep;
     sweep.threads = env.sweepThreads;
-    sweep.batchSize = env.batchSize;
-    sweep.decodeAhead = env.decodeAhead;
-    sweep.benchParallel = env.benchParallel;
-
+    RunPolicy policy;
+    policy.checkpoint.directory = env.checkpointDir;
+    policy.checkpoint.everyBranches = env.checkpointEvery;
+    policy.checkpoint.resume = env.resume;
+    policy.deadlineMs = env.deadlineMs;
     return runner.runSweep(sweepConfigurations(configs), options, sweep,
-                           experimentPolicy(env));
+                           policy);
 }
 
 SamplingRunResult
 runSampledSuiteExperiment(const ExperimentEnv &env,
                           const std::vector<SweepExperimentConfig> &configs)
 {
-    if (configs.empty())
-        fatal(ErrorCategory::kConfig,
-              "runSampledSuiteExperiment needs at least one "
-              "configuration");
-    SuiteRunner runner(env.makeSuite());
-    DriverOptions options;
-    options.bhrBits = paper::kLargeHistoryBits;
-    options.gcirBits = paper::kCirBits;
-
-    Telemetry *const telemetry = env.telemetryContext.get();
-    if (telemetry != nullptr) {
-        telemetry->setManifest(buildManifest(
-            env, runner.suite(), configs.front().makePredictor,
-            configs.front().estimators, options));
-        options.telemetry = telemetry;
+    // A sampled suite runs fail-fast without checkpoints or a deadline
+    // (SamplingEngine::runSuite): refuse the flags instead of dropping
+    // them.
+    const std::pair<bool, const char *> unsupported[] = {
+        {!env.checkpointDir.empty(), "--checkpoint-dir"},
+        {env.resume, "--resume"},
+        {env.deadlineMs != 0, "--deadline-ms"}};
+    for (const auto &[set, flag] : unsupported) {
+        if (set) {
+            fatal(ErrorCategory::kConfig,
+                  std::string(flag) + " does not apply to a sampled run");
+        }
     }
-
+    const SuiteRunner runner(env.makeSuite());
     SamplingOptions sampling;
     sampling.sampleRate = env.sampleRate;
     sampling.regionBranches = env.regionBranches;
@@ -450,11 +384,10 @@ runSampledSuiteExperiment(const ExperimentEnv &env,
     sampling.seed = env.sampleSeed;
     sampling.warmupRegions = env.warmupRegions;
     sampling.sweep.threads = env.sweepThreads;
-    sampling.sweep.batchSize = env.batchSize;
-    sampling.sweep.decodeAhead = env.decodeAhead;
-    sampling.sweep.benchParallel = env.benchParallel;
 
-    SamplingEngine engine(sweepConfigurations(configs), options, sampling);
+    SamplingEngine engine(sweepConfigurations(configs),
+                          experimentOptions(env, runner.suite(), configs),
+                          sampling);
     return engine.runSuite(runner);
 }
 

@@ -68,26 +68,11 @@ struct ExperimentEnv
     std::string tool;
 
     /**
-     * Worker threads for sweep-engine runs (--sweep-threads); 0 = one
-     * per hardware thread. Thread count never changes results.
+     * The suite's worker budget W (--sweep-threads); 0 = one per
+     * hardware thread. The only scheduling input (see
+     * SweepOptions::threads); it never changes results.
      */
     unsigned sweepThreads = 0;
-
-    /** Records per sweep broadcast batch (--batch-size). */
-    std::size_t batchSize = RecordBatch::kDefaultCapacity;
-
-    /**
-     * Sweep decode-ahead ring depth (--decode-ahead); 1 = refill
-     * synchronously between broadcasts, >= 2 = decode batches ahead
-     * on a producer thread. Never changes results.
-     */
-    std::size_t decodeAhead = SweepOptions::kDefaultDecodeAhead;
-
-    /**
-     * Concurrent benchmark sweep passes (--bench-parallel); 0 =
-     * auto-size to the worker pool. Never changes results.
-     */
-    unsigned benchParallel = 0;
 
     /**
      * Deterministic fault schedule (--fault-plan, or the
@@ -98,12 +83,6 @@ struct ExperimentEnv
      * and emits fault_injected telemetry events.
      */
     std::string faultPlan;
-
-    /**
-     * Base exponential retry backoff in milliseconds
-     * (--retry-backoff-ms); see RunPolicy::retryBackoffMs.
-     */
-    std::uint64_t retryBackoffMs = 0;
 
     /**
      * Suite wall-clock budget in milliseconds (--deadline-ms, 0 =
@@ -139,7 +118,7 @@ struct ExperimentEnv
     /**
      * Shared telemetry context, or null when no sink is enabled.
      * Created by fromCli(); shared so copies of the env feed one
-     * stream. runSuiteExperiment() wires it into the driver.
+     * stream. The suite entry points wire it into the driver.
      */
     std::shared_ptr<Telemetry> telemetryContext;
 
@@ -221,16 +200,7 @@ perceptronMarginConfig(
     PerceptronConfig config = PerceptronConfig::makeDefault(),
     unsigned num_levels = 8);
 
-/**
- * Run the configurations over the environment's suite with static
- * profiling enabled.
- */
-SuiteRunResult
-runSuiteExperiment(const ExperimentEnv &env,
-                   const PredictorFactory &make_predictor,
-                   const std::vector<EstimatorConfig> &estimators);
-
-/** One labelled (predictor, estimator set) sweep configuration. */
+/** One labelled (predictor, estimator set) suite configuration. */
 struct SweepExperimentConfig
 {
     std::string label;
@@ -239,17 +209,18 @@ struct SweepExperimentConfig
 };
 
 /**
- * Run many configurations over the environment's suite in one decode
- * pass per benchmark (SuiteRunner::runSweep), with static profiling
- * enabled and the same checkpoint/telemetry wiring as
- * runSuiteExperiment. Per-config results are bit-exact with running
- * runSuiteExperiment once per configuration; only the wall clock
- * differs. Sweep knobs come from env.sweepThreads / env.batchSize /
- * env.decodeAhead / env.benchParallel.
+ * Run the configurations over the environment's suite exactly, with
+ * static profiling enabled: SuiteRunner::runSweep, one decode pass per
+ * benchmark whatever the configuration count. The worker budget is
+ * env.sweepThreads; checkpointing, resume and the suite deadline come
+ * from env. Per-config results are bit-exact with running each
+ * configuration alone; only the wall clock differs. A one-config run
+ * labelled "run" is what SuiteRunner::run computes, and shares its
+ * checkpoints.
  */
 SweepSuiteResult
-runSweepSuiteExperiment(const ExperimentEnv &env,
-                        const std::vector<SweepExperimentConfig> &configs);
+runSuiteExperiment(const ExperimentEnv &env,
+                   const std::vector<SweepExperimentConfig> &configs);
 
 /**
  * Statistically sample the environment's suite instead of replaying it
@@ -258,10 +229,11 @@ runSweepSuiteExperiment(const ExperimentEnv &env,
  * yielding misprediction-rate / coverage@20% / PVN estimates with
  * standard errors and 95% CIs. Sampling knobs come from env.sampleRate
  * / env.regionBranches / env.strata / env.subsamples / env.sampleSeed
- * / env.warmupRegions; scheduling and replay tuning reuse the sweep
- * knobs (env.sweepThreads / env.batchSize / env.decodeAhead /
- * env.benchParallel). Emits the sampling_run_finished telemetry event
- * when telemetry is attached.
+ * / env.warmupRegions; the worker budget is env.sweepThreads, spent by
+ * runSuiteExperiment's rule. A sampled run neither checkpoints nor
+ * keeps a deadline, so env.checkpointDir, env.resume or
+ * env.deadlineMs fails with Error{kConfig} naming the flag. Emits the
+ * sampling_run_finished telemetry event when telemetry is attached.
  */
 SamplingRunResult
 runSampledSuiteExperiment(const ExperimentEnv &env,

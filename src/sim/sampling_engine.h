@@ -42,8 +42,8 @@
  * does steps 1-4 on the pass's thread, the pass replays, and a finish
  * hook turns the slot logs into the benchmark's estimates. Benchmarks
  * therefore overlap, pre-pass and estimates included, on one worker
- * budget (SweepOptions::threads and benchParallel), and share the
- * scheduler's fail-fast teardown and telemetry.
+ * budget (SweepOptions::threads, runSweep's schedule rule), and share
+ * the scheduler's fail-fast teardown and telemetry.
  *
  * Estimates are stratified means — per subsample, stratum rates are
  * combined with pre-pass branch-count weights, renormalized over the
@@ -110,8 +110,8 @@ struct SamplingOptions
 
     /** Scheduling and replay tuning: runTrace() reads threads as
      *  one replay's shard count, runSuite() as the suite's worker
-     *  budget, which benchParallel divides between benchmark passes
-     *  (SweepOptions). recordingPlan and pool are owned by the
+     *  budget W, which runSweep's rule spends on min(W, benchmarks)
+     *  passes (SweepOptions). recordingPlan and pool are owned by the
      *  engine and must be left null, and isolateConfigFailures must
      *  stay false (a failed configuration would leave partial slot
      *  logs behind). */

@@ -127,62 +127,37 @@ sleepBeforeRetry(const RunPolicy &policy, const SuiteContext &ctx,
     return interruptibleSleepMs(&ctx.token, delay);
 }
 
-/**
- * Resolve the run's worker budget W from SweepOptions::threads: 0
- * means one per hardware thread, and CONFSIM_SEQUENTIAL forces 1.
- * Unlike a lone engine's thread resolution this is NOT capped at the
- * configuration count: the budget serves concurrent benchmark passes.
- */
-unsigned
-resolveSweepPoolWorkers(unsigned requested)
-{
-    if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
-        return 1;
-    unsigned workers = requested;
-    if (workers == 0) {
-        workers = std::thread::hardware_concurrency();
-        if (workers == 0)
-            workers = 1;
-    }
-    return workers;
-}
-
-/** How a run divides its worker budget. */
+/** How a run spends its worker budget. */
 struct PassSchedule
 {
-    unsigned passes = 1; //!< benchmark passes in flight
-    bool shard = false;  //!< passes shard over one shared W-worker pool
+    unsigned workers = 1; //!< the budget W
+    unsigned passes = 1;  //!< benchmark passes in flight
+    bool shard = false;   //!< passes shard over one shared W-worker pool
 };
 
 /**
- * Divide the worker budget W (@p workers) between benchmark passes
- * and configuration shards. Auto (0) overlaps whole benchmarks first:
- * min(W, benchmarks) passes, which replay inline when they fill the
- * budget and otherwise shard. An explicit count runs that many passes
- * (at most one per benchmark), which shard whenever W > 1. A sharding
- * pass splits its configurations over min(W, configs) workers of the
- * shared pool. CONFSIM_BENCH_PARALLEL overrides the count,
- * CONFSIM_SEQUENTIAL forces one inline pass.
+ * The one schedule rule. W is SweepOptions::threads (0 = one per
+ * hardware thread; CONFSIM_SEQUENTIAL forces 1) and, unlike a lone
+ * engine's thread count, is not capped at the configuration count.
+ * min(W, benchmarks) passes run at once, so whole benchmarks overlap
+ * first. Passes that fill the budget replay inline on their benchmark
+ * threads; fewer passes than W shard a multi-configuration sweep over
+ * one shared W-worker pool, min(W, configs) shards each.
  */
 PassSchedule
-resolveSchedule(unsigned requested, unsigned workers,
-                std::size_t benchmarks)
+resolveSchedule(unsigned threads, std::size_t benchmarks,
+                std::size_t configs)
 {
+    PassSchedule schedule;
     if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
-        return {};
-    if (const char *env = std::getenv("CONFSIM_BENCH_PARALLEL")) {
-        char *end = nullptr;
-        const long value = std::strtol(env, &end, 10);
-        if (end != env && value >= 1)
-            requested = static_cast<unsigned>(value);
-    }
-    unsigned passes = requested == 0 ? workers : requested;
-    if (benchmarks != 0 && static_cast<std::size_t>(passes) > benchmarks)
-        passes = static_cast<unsigned>(benchmarks);
-    passes = std::max(1u, passes);
-    if (requested != 0)
-        return {passes, workers > 1};
-    return {passes, passes < workers};
+        return schedule;
+    schedule.workers =
+        threads != 0 ? threads
+                     : std::max(1u, std::thread::hardware_concurrency());
+    schedule.passes = static_cast<unsigned>(
+        std::clamp<std::size_t>(benchmarks, 1, schedule.workers));
+    schedule.shard = schedule.passes < schedule.workers && configs >= 2;
+    return schedule;
 }
 
 /**
@@ -563,15 +538,9 @@ SuiteRunner::run(const PredictorFactory &make_predictor,
                  const EstimatorSetFactory &make_estimators,
                  DriverOptions options, RunPolicy policy) const
 {
-    // One thread per benchmark, replay inline on it, synchronous
-    // refill: the suite's long-standing schedule, as a one-config sweep.
-    SweepOptions sweep;
-    sweep.threads = 1;
-    sweep.decodeAhead = 1;
-    sweep.benchParallel = static_cast<unsigned>(suite_.size());
     SweepSuiteResult swept =
         runSweep({{"run", make_predictor, make_estimators}},
-                 std::move(options), sweep, policy);
+                 std::move(options), SweepOptions{}, std::move(policy));
     return std::move(swept.perConfig.front());
 }
 
@@ -600,14 +569,10 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
     SuiteContext ctx(policy);
     Telemetry *const telemetry = options.telemetry;
 
-    // One worker budget for the whole run (resolveSchedule): by
-    // default whole benchmarks overlap first, and passes shard their
-    // configurations over one pool they share only when fewer passes
-    // than workers are in flight. An inline pass replays on its
-    // benchmark thread: no pool task, no per-batch barrier.
-    const unsigned pool_workers = resolveSweepPoolWorkers(sweep.threads);
-    const PassSchedule schedule = resolveSchedule(
-        sweep.benchParallel, pool_workers, suite_.size());
+    // An inline pass replays on its benchmark thread: no pool task, no
+    // per-batch barrier.
+    const PassSchedule schedule =
+        resolveSchedule(sweep.threads, suite_.size(), configs.size());
     std::unique_ptr<SweepWorkerPool> pool;
     SweepOptions engine_sweep = sweep;
     // Continue-on-error isolates failures at configuration granularity
@@ -615,7 +580,7 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
     // while the rest of the pass stays bit-exact (sweep_engine.h).
     engine_sweep.isolateConfigFailures = !fail_fast;
     if (schedule.shard) {
-        pool = std::make_unique<SweepWorkerPool>(pool_workers);
+        pool = std::make_unique<SweepWorkerPool>(schedule.workers);
         engine_sweep.pool = pool.get();
     } else {
         engine_sweep.threads = 1;
@@ -913,14 +878,12 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
                 ctx.token.cancel();
         }
     };
-    const unsigned spawned = std::min<unsigned>(
-        schedule.passes, static_cast<unsigned>(suite_.size()));
-    if (spawned <= 1) {
+    if (schedule.passes == 1) {
         pump();
     } else {
         std::vector<std::thread> schedulers;
-        schedulers.reserve(spawned);
-        for (unsigned s = 0; s < spawned; ++s)
+        schedulers.reserve(schedule.passes);
+        for (unsigned s = 0; s < schedule.passes; ++s)
             schedulers.emplace_back(pump);
         for (auto &thread : schedulers)
             thread.join();
@@ -929,7 +892,7 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
     if (telemetry != nullptr) {
         MetricsRegistry &registry = telemetry->registry();
         registry.setGauge("sweep.pool_workers",
-                          static_cast<double>(pool_workers));
+                          static_cast<double>(schedule.workers));
         registry.setGauge("sweep.bench_parallel",
                           static_cast<double>(schedule.passes));
         if (pool != nullptr) {

@@ -244,12 +244,13 @@ class SuiteRunner
 
     /**
      * Run the configuration over every benchmark: runSweep() over this
-     * one configuration, with one thread per benchmark replaying
-     * inline and refilling synchronously (SweepOptions threads = 1,
-     * decodeAhead = 1, benchParallel = suite size). Results are merged
-     * in suite order, so the output is bit-identical to a sequential
-     * run. Set the CONFSIM_SEQUENTIAL environment variable to force
-     * single-threaded execution (e.g. when profiling).
+     * one configuration, labelled "run", with default SweepOptions, so
+     * it is scheduled by the same rule as every sweep (one pass per
+     * benchmark, min(W, benchmarks) at once, W = hardware threads).
+     * Results are merged in suite order, so the output is
+     * bit-identical to a sequential run. Set the CONFSIM_SEQUENTIAL
+     * environment variable to force single-threaded execution (e.g.
+     * when profiling).
      *
      * @param make_predictor Fresh-predictor factory (called once per
      *        benchmark attempt, possibly concurrently — must be
@@ -271,9 +272,10 @@ class SuiteRunner
      * its outcomes in suite order and the Section 1.2 composites. The
      * trace is generated/decoded exactly once per benchmark regardless
      * of configuration count. SweepOptions::threads is the whole run's
-     * worker budget; SweepOptions::benchParallel divides it between
-     * concurrent benchmark passes and each pass's configuration
-     * shards (decode runs ahead of replay per
+     * worker budget W and the only input to the schedule: min(W,
+     * benchmarks) passes run at once, replaying inline when they fill
+     * the budget; fewer passes shard a multi-configuration sweep over
+     * one shared W-worker pool (decode runs ahead of replay per
      * SweepOptions::decodeAhead). Results — including output order
      * and composites — are bit-exact with run() called once per
      * configuration at any knob setting.
@@ -314,7 +316,7 @@ class SuiteRunner
      * benchmark, with its retries, checkpoint store, deadline and
      * watchdog, the suite_run_started and benchmark_* events, and the
      * sweep.pool_workers / sweep.bench_parallel gauges. Passes run
-     * concurrently per SweepOptions::benchParallel. Under a fail-fast
+     * concurrently by runSweep()'s rule. Under a fail-fast
      * policy the first failure in suite order (its root cause, not
      * the teardown it triggered) throws with its category.
      *

@@ -431,12 +431,6 @@ resolveDecodeAhead(std::size_t requested)
 {
     if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
         return 1;
-    if (const char *env = std::getenv("CONFSIM_DECODE_AHEAD")) {
-        char *end = nullptr;
-        const long value = std::strtol(env, &end, 10);
-        if (end != env && value >= 1)
-            return static_cast<std::size_t>(value);
-    }
     return requested == 0 ? SweepOptions::kDefaultDecodeAhead
                           : requested;
 }

@@ -164,8 +164,11 @@ struct SweepOptions
      * governs; shards are still capped at the configuration count).
      *
      * SuiteRunner::runSweep() and SamplingEngine::runSuite() read it
-     * as the whole run's worker budget W instead (CONFSIM_SEQUENTIAL
-     * forces 1), which benchParallel divides among benchmark passes.
+     * as the whole run's worker budget W instead, the only input to
+     * their schedule (CONFSIM_SEQUENTIAL forces 1): min(W, benchmarks)
+     * passes run at once, inline when they fill the budget, otherwise
+     * sharding a multi-configuration sweep over one shared W-worker
+     * pool.
      */
     unsigned threads = 0;
 
@@ -179,25 +182,9 @@ struct SweepOptions
      * synchronously between broadcasts (the pre-pipelining engine);
      * 0 = default depth. Pure performance knob — results, checkpoint
      * cadence, and resume behaviour are bit-identical at any depth.
-     * CONFSIM_DECODE_AHEAD overrides, CONFSIM_SEQUENTIAL forces 1.
+     * CONFSIM_SEQUENTIAL forces 1.
      */
     std::size_t decodeAhead = kDefaultDecodeAhead;
-
-    /**
-     * SuiteRunner::runSweep() and SamplingEngine::runSuite() only: how
-     * many benchmarks' passes run concurrently. 0 sizes automatically
-     * from the worker budget W (@ref threads): min(W, benchmarks)
-     * passes, so whole benchmarks overlap before any pass shards.
-     * Passes that fill the budget replay inline on their benchmark
-     * threads; fewer passes than W shard. An explicit value runs that
-     * many passes (at most one per benchmark), which shard whenever
-     * W > 1; 1 runs benchmarks sequentially. A sharding pass splits
-     * its configurations over min(W, configurations) workers of one
-     * shared W-worker pool. Never changes results; per-benchmark error
-     * isolation and suite-order merging are preserved.
-     * CONFSIM_BENCH_PARALLEL overrides, CONFSIM_SEQUENTIAL forces 1.
-     */
-    unsigned benchParallel = 0;
 
     /**
      * Optional shared worker pool (non-owning). When set, the engine

@@ -133,8 +133,7 @@ TEST(GoldenOutputs, Fig05OneLevelCsvIsFrozen)
         {"tage", tageFactory(), {tageProviderConfig()}},
         {"perceptron", perceptronFactory(), {perceptronMarginConfig()}},
     };
-    const SweepSuiteResult sweep =
-        runSweepSuiteExperiment(env, sweep_configs);
+    const SweepSuiteResult sweep = runSuiteExperiment(env, sweep_configs);
     const SuiteRunResult &result = sweep.perConfig[0];
 
     std::vector<NamedCurve> curves;
@@ -170,8 +169,7 @@ TEST(GoldenOutputs, Fig09BenchmarksCsvIsFrozen)
         {"tage", tageFactory(), {tageProviderConfig()}},
         {"perceptron", perceptronFactory(), {perceptronMarginConfig()}},
     };
-    const SweepSuiteResult sweep =
-        runSweepSuiteExperiment(env, sweep_configs);
+    const SweepSuiteResult sweep = runSuiteExperiment(env, sweep_configs);
     const SuiteRunResult &result = sweep.perConfig[0];
 
     std::vector<NamedCurve> figure_curves;

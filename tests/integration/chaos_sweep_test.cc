@@ -20,9 +20,9 @@
  * The seeded schedule test runs 20 randomized fault plans over the
  * pipelined engine; the deterministic tests pin each fault site,
  * cancellation path, retry interaction, and the suite deadline budget
- * individually. Benchmarks are scheduled serially (benchParallel=1)
- * wherever a plan must fire in a known scope — the one-shot rule
- * semantics documented in fault_plan.h.
+ * individually. Benchmarks are scheduled serially (a worker budget
+ * of 1 runs one pass at a time) wherever a plan must fire in a known
+ * scope — the one-shot rule semantics documented in fault_plan.h.
  */
 
 #include <algorithm>
@@ -565,7 +565,6 @@ serialSweep()
     SweepOptions sweep;
     sweep.threads = 1;
     sweep.decodeAhead = 1;
-    sweep.benchParallel = 1;
     return sweep;
 }
 
@@ -581,7 +580,7 @@ TEST(ChaosSuite, ContinueOnErrorDegradesOnlyFaultedConfig)
     ASSERT_FALSE(reference.degraded());
 
     // The one-shot rule fires in the first scheduled benchmark
-    // (suite order, benchParallel=1): config 1's first batch.
+    // (suite order, one pass at a time): config 1's first batch.
     ScopedFaultPlan scoped("shard:cfg=1,batch=1:throw");
     const SweepSuiteResult result =
         runner.runSweep(familyConfigs(families), DriverOptions{},

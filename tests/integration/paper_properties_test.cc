@@ -37,18 +37,20 @@ class OneLevelProperties : public ::testing::Test
     result()
     {
         static const SuiteRunResult r = runSuiteExperiment(
-            smallEnv(), largeGshareFactory(),
-            {
-                oneLevelIdealConfig(IndexScheme::Pc),
-                oneLevelIdealConfig(IndexScheme::Bhr),
-                oneLevelIdealConfig(IndexScheme::PcXorBhr),
-                oneLevelIdealConfig(IndexScheme::Gcir),
-                oneLevelCounterConfig(IndexScheme::PcXorBhr,
-                                      CounterKind::Resetting),
-                oneLevelCounterConfig(IndexScheme::PcXorBhr,
-                                      CounterKind::Saturating),
-                oneLevelOnesCountConfig(IndexScheme::PcXorBhr),
-            });
+            smallEnv(),
+            {{"run", largeGshareFactory(),
+              {
+                  oneLevelIdealConfig(IndexScheme::Pc),
+                  oneLevelIdealConfig(IndexScheme::Bhr),
+                  oneLevelIdealConfig(IndexScheme::PcXorBhr),
+                  oneLevelIdealConfig(IndexScheme::Gcir),
+                  oneLevelCounterConfig(IndexScheme::PcXorBhr,
+                                        CounterKind::Resetting),
+                  oneLevelCounterConfig(IndexScheme::PcXorBhr,
+                                        CounterKind::Saturating),
+                  oneLevelOnesCountConfig(IndexScheme::PcXorBhr),
+              }}})
+            .perConfig.front();
         return r;
     }
 };
@@ -150,12 +152,14 @@ class TwoLevelProperties : public ::testing::Test
     result()
     {
         static const SuiteRunResult r = runSuiteExperiment(
-            smallEnv(), largeGshareFactory(),
-            {
-                oneLevelIdealConfig(IndexScheme::PcXorBhr),
-                twoLevelConfig(IndexScheme::PcXorBhr,
-                               SecondLevelIndex::Cir),
-            });
+            smallEnv(),
+            {{"run", largeGshareFactory(),
+              {
+                  oneLevelIdealConfig(IndexScheme::PcXorBhr),
+                  twoLevelConfig(IndexScheme::PcXorBhr,
+                                 SecondLevelIndex::Cir),
+              }}})
+            .perConfig.front();
         return r;
     }
 };
@@ -178,18 +182,20 @@ TEST(InitializationProperties, ZerosInitIsWorst)
     // ones / random / lastbit are similar.
     ExperimentEnv env = smallEnv();
     const auto result = runSuiteExperiment(
-        env, largeGshareFactory(),
-        {
-            oneLevelIdealConfig(IndexScheme::PcXorBhr,
-                                paper::kLargeCtEntries,
-                                paper::kCirBits, CtInit::Ones),
-            oneLevelIdealConfig(IndexScheme::PcXorBhr,
-                                paper::kLargeCtEntries,
-                                paper::kCirBits, CtInit::Zeros),
-            oneLevelIdealConfig(IndexScheme::PcXorBhr,
-                                paper::kLargeCtEntries,
-                                paper::kCirBits, CtInit::LastBit),
-        });
+        env,
+        {{"run", largeGshareFactory(),
+          {
+              oneLevelIdealConfig(IndexScheme::PcXorBhr,
+                                  paper::kLargeCtEntries,
+                                  paper::kCirBits, CtInit::Ones),
+              oneLevelIdealConfig(IndexScheme::PcXorBhr,
+                                  paper::kLargeCtEntries,
+                                  paper::kCirBits, CtInit::Zeros),
+              oneLevelIdealConfig(IndexScheme::PcXorBhr,
+                                  paper::kLargeCtEntries,
+                                  paper::kCirBits, CtInit::LastBit),
+          }}})
+        .perConfig.front();
     const double ones = coverageAt20(compositeCurve(result, 0, "1"));
     const double zeros = coverageAt20(compositeCurve(result, 1, "0"));
     const double lastbit =
@@ -205,15 +211,17 @@ TEST(SmallTableProperties, AliasingDegradesGracefully)
     ExperimentEnv env = smallEnv();
     env.branchesPerBenchmark = 100000;
     const auto result = runSuiteExperiment(
-        env, smallGshareFactory(),
-        {
-            oneLevelCounterConfig(IndexScheme::PcXorBhr,
-                                  CounterKind::Resetting, 4096),
-            oneLevelCounterConfig(IndexScheme::PcXorBhr,
-                                  CounterKind::Resetting, 512),
-            oneLevelCounterConfig(IndexScheme::PcXorBhr,
-                                  CounterKind::Resetting, 128),
-        });
+        env,
+        {{"run", smallGshareFactory(),
+          {
+              oneLevelCounterConfig(IndexScheme::PcXorBhr,
+                                    CounterKind::Resetting, 4096),
+              oneLevelCounterConfig(IndexScheme::PcXorBhr,
+                                    CounterKind::Resetting, 512),
+              oneLevelCounterConfig(IndexScheme::PcXorBhr,
+                                    CounterKind::Resetting, 128),
+          }}})
+        .perConfig.front();
     const double big = coverageAt20(compositeCurve(result, 0, "4096"));
     const double mid = coverageAt20(compositeCurve(result, 1, "512"));
     const double tiny = coverageAt20(compositeCurve(result, 2, "128"));

@@ -590,33 +590,33 @@ expectSuiteResultsIdentical(const SweepSuiteResult &expected,
     }
 }
 
-TEST(SweepDifferential, BenchParallelScheduleNeverChangesResults)
+TEST(SweepDifferential, WorkerBudgetScheduleNeverChangesResults)
 {
-    // Concurrent benchmark passes on a shared pool vs strictly
-    // sequential single-threaded passes: identical outputs, identical
-    // suite ordering, identical composites.
+    // Every worker budget W over the three-benchmark suite against one
+    // synchronous single-threaded pass at a time: W = 2-3 runs inline
+    // passes, W = 4 and 8 shard three passes over a shared pool.
+    // Identical outputs, identical suite ordering, identical
+    // composites.
     const std::vector<Family> families = {
         differentialFamilyNamed("counter_resetting"),
         differentialFamilyNamed("tage_provider")};
     DriverOptions options;
     options.profileStatic = true;
     SuiteRunner runner(BenchmarkSuite::ibsSmall(20'000));
+    ASSERT_EQ(runner.suite().size(), 3u);
 
     SweepOptions sequential;
     sequential.threads = 1;
     sequential.decodeAhead = 1;
-    sequential.benchParallel = 1;
     const SweepSuiteResult reference = runner.runSweep(
         familyConfigs(families), options, sequential, RunPolicy{});
 
-    for (const unsigned slots : {0u, 2u, 3u}) {
-        SweepOptions pipelined;
-        pipelined.threads = 4;
-        pipelined.decodeAhead = 3;
-        pipelined.benchParallel = slots;
+    for (const unsigned budget : {2u, 3u, 4u, 8u}) {
+        SweepOptions scheduled;
+        scheduled.threads = budget;
         const SweepSuiteResult result = runner.runSweep(
-            familyConfigs(families), options, pipelined, RunPolicy{});
-        SCOPED_TRACE("bench-parallel " + std::to_string(slots));
+            familyConfigs(families), options, scheduled, RunPolicy{});
+        SCOPED_TRACE("worker budget " + std::to_string(budget));
         expectSuiteResultsIdentical(reference, result);
     }
 }

@@ -12,6 +12,8 @@
 
 #include "obs/event.h"
 #include "obs/run_manifest.h"
+#include "predictor/gshare.h"
+#include "sim/suite_runner.h"
 
 namespace confsim {
 namespace {
@@ -189,6 +191,41 @@ TEST_F(SinkFileTest, FinishSnapshotCarriesRegistryMetrics)
               std::string::npos);
     EXPECT_NE(lines[0].find("\"demo.count\":42"), std::string::npos);
     EXPECT_NE(lines[0].find("\"demo.ms.mean\":2"), std::string::npos);
+}
+
+TEST(StderrProgressSinkTest, CountRestartsAtEachSuiteRun)
+{
+    // A harness may run several suites in one process: each run's
+    // heartbeat counts its own benchmarks against its own size, not
+    // the manifest's (one benchmark here).
+    ::testing::internal::CaptureStderr();
+    {
+        TelemetryOptions options;
+        options.progress = true;
+        Telemetry telemetry(options);
+        telemetry.setManifest(sampleManifest());
+        DriverOptions driver;
+        driver.telemetry = &telemetry;
+        const SuiteRunner runner(BenchmarkSuite::ibsSmall(2000));
+        for (int run = 0; run < 2; ++run) {
+            (void)runner.run(
+                [] { return std::make_unique<GsharePredictor>(4096, 12); },
+                [] {
+                    return std::vector<
+                        std::unique_ptr<ConfidenceEstimator>>{};
+                },
+                driver);
+        }
+    }
+    // Heartbeat lines read "[confsim] <done>/<total> benchmarks done".
+    std::istringstream err(::testing::internal::GetCapturedStderr());
+    std::string counts;
+    for (std::string line; std::getline(err, line);) {
+        const std::size_t end = line.find(" benchmarks done");
+        if (end != std::string::npos)
+            counts += line.substr(10, end - 10) + " ";
+    }
+    EXPECT_EQ(counts, "1/3 2/3 3/3 1/3 2/3 3/3 ");
 }
 
 TEST(RunManifestTest, BuildInfoIsPopulated)

@@ -3,9 +3,12 @@
 #include "sim/experiment.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include <gtest/gtest.h>
+
+#include "util/error.h"
 
 namespace confsim {
 namespace {
@@ -23,6 +26,24 @@ TEST(ExperimentEnvTest, CliDefaultsAndFast)
     ASSERT_TRUE(ExperimentEnv::fromCli(2, argv2, "test", fast));
     EXPECT_FALSE(fast.fullSuite);
     EXPECT_LE(fast.branchesPerBenchmark, 200'000u);
+}
+
+TEST(ExperimentEnvTest, RetiredSchedulingFlagsAreUnknown)
+{
+    // --sweep-threads is the one scheduling flag left.
+    for (const std::string flag : {"--bench-parallel", "--decode-ahead",
+                                   "--batch-size", "--retry-backoff-ms"}) {
+        ExperimentEnv env;
+        const char *argv[] = {"bench", flag.c_str(), "2"};
+        try {
+            (void)ExperimentEnv::fromCli(3, argv, "test", env);
+            ADD_FAILURE() << flag << " was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("unknown option " + flag),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(ExperimentEnvTest, SuiteSizeFollowsFullFlag)
@@ -74,21 +95,48 @@ TEST(ExperimentConfigTest, LabelsMatchPaperFigureKeys)
 class ExperimentRunTest : public ::testing::Test
 {
   protected:
-    static const SuiteRunResult &
-    sharedResult()
+    /** A one-configuration run on a worker budget of 2, with its
+     *  telemetry context. */
+    static const ExperimentEnv &
+    sharedEnv()
     {
-        static const SuiteRunResult result = [] {
+        static const ExperimentEnv env = [] {
             ExperimentEnv env;
             env.branchesPerBenchmark = 30000;
             env.fullSuite = false;
-            return runSuiteExperiment(
-                env, smallGshareFactory(),
-                {oneLevelCounterConfig(IndexScheme::PcXorBhr,
-                                       CounterKind::Resetting, 4096)});
+            env.sweepThreads = 2;
+            env.telemetryContext =
+                std::make_shared<Telemetry>(TelemetryOptions{});
+            return env;
         }();
+        return env;
+    }
+
+    static const SuiteRunResult &
+    sharedResult()
+    {
+        static const SuiteRunResult result =
+            runSuiteExperiment(
+                sharedEnv(),
+                {{"run", smallGshareFactory(),
+                  {oneLevelCounterConfig(IndexScheme::PcXorBhr,
+                                         CounterKind::Resetting, 4096)}}})
+                .perConfig.front();
         return result;
     }
 };
+
+TEST_F(ExperimentRunTest, OneConfigRunSpendsTheWorkerBudget)
+{
+    // A one-configuration run is scheduled like any sweep: its budget
+    // is --sweep-threads, not a fixed single thread.
+    if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
+        GTEST_SKIP() << "CONFSIM_SEQUENTIAL forces a budget of 1";
+    (void)sharedResult();
+    EXPECT_EQ(sharedEnv().telemetryContext->registry().gauge(
+                  "sweep.pool_workers"),
+              2.0);
+}
 
 TEST_F(ExperimentRunTest, ProducesCurvesWithMassAtOne)
 {
@@ -135,6 +183,48 @@ TEST_F(ExperimentRunTest, CsvHasHeaderAndRows)
         ++rows;
     EXPECT_GT(rows, 0);
     std::remove(path.c_str());
+}
+
+/** A sampled run refuses, rather than drops, the flags it cannot
+ *  honour: Error{kConfig} naming the flag. */
+class SampledExperimentTest : public ::testing::Test
+{
+  protected:
+    void
+    expectRefused(const std::string &flag)
+    {
+        try {
+            (void)runSampledSuiteExperiment(
+                env_, {{"run", smallGshareFactory(),
+                        {oneLevelIdealConfig(IndexScheme::PcXorBhr, 4096,
+                                             8)}}});
+            ADD_FAILURE() << "a sampled run accepted " << flag;
+        } catch (const Error &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::kConfig);
+            EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+                << e.what();
+        }
+    }
+
+    ExperimentEnv env_;
+};
+
+TEST_F(SampledExperimentTest, RefusesCheckpointDir)
+{
+    env_.checkpointDir = ::testing::TempDir();
+    expectRefused("--checkpoint-dir");
+}
+
+TEST_F(SampledExperimentTest, RefusesResume)
+{
+    env_.resume = true;
+    expectRefused("--resume");
+}
+
+TEST_F(SampledExperimentTest, RefusesDeadline)
+{
+    env_.deadlineMs = 60'000;
+    expectRefused("--deadline-ms");
 }
 
 } // namespace

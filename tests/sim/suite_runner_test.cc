@@ -549,35 +549,43 @@ TEST(SuiteRunnerTest, SweepRejectsCallerSetPool)
 
 TEST(SuiteRunnerTest, AutoScheduleOverlapsBenchmarksBeforeShards)
 {
-    // The worker budget W goes to whole-benchmark passes first: auto
-    // runs min(W, benchmarks) passes whatever the configuration count;
-    // an explicit count is kept.
-    if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr ||
-        std::getenv("CONFSIM_BENCH_PARALLEL") != nullptr)
-        GTEST_SKIP() << "an environment override replaces the rule";
+    // The worker budget W goes to whole-benchmark passes first:
+    // min(W, benchmarks) passes whatever the configuration count, and
+    // run() follows the same rule as a default runSweep.
+    if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
+        GTEST_SKIP() << "CONFSIM_SEQUENTIAL replaces the rule";
     const std::vector<SweepConfiguration> configs = {
         {"a", smallPredictor(), smallEstimators()},
         {"b", smallPredictor(), smallEstimators()},
         {"c", smallPredictor(), smallEstimators()}};
-    const auto passes = [&configs](const BenchmarkSuite &suite,
-                                   unsigned threads,
-                                   unsigned bench_parallel) {
+    // (sweep.bench_parallel, sweep.pool_workers) after @p run.
+    const auto gauges = [](const auto &run) {
         Telemetry telemetry{TelemetryOptions{}};
         DriverOptions options;
         options.telemetry = &telemetry;
-        SweepOptions sweep;
-        sweep.threads = threads;
-        sweep.benchParallel = bench_parallel;
-        (void)SuiteRunner(suite).runSweep(configs, options, sweep);
-        return telemetry.registry().gauge("sweep.bench_parallel");
+        run(options);
+        const MetricsRegistry &registry = telemetry.registry();
+        return std::make_pair(registry.gauge("sweep.bench_parallel"),
+                              registry.gauge("sweep.pool_workers"));
+    };
+    const auto sweep = [&](const BenchmarkSuite &suite, unsigned threads) {
+        return gauges([&](const DriverOptions &options) {
+            SweepOptions knobs;
+            knobs.threads = threads;
+            (void)SuiteRunner(suite).runSweep(configs, options, knobs);
+        });
     };
     const BenchmarkSuite nine = BenchmarkSuite::ibs(2000);
     ASSERT_EQ(nine.size(), 9u);
-    EXPECT_EQ(passes(nine, 3, 0), 3.0);
-    EXPECT_EQ(passes(BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"}, 2000),
-                     4, 0),
-              2.0);
-    EXPECT_EQ(passes(nine, 4, 1), 1.0);
+    EXPECT_EQ(sweep(nine, 3), std::make_pair(3.0, 3.0));
+    EXPECT_EQ(sweep(BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"}, 2000),
+                    4),
+              std::make_pair(2.0, 4.0));
+    EXPECT_EQ(gauges([&](const DriverOptions &options) {
+                  (void)SuiteRunner(nine).run(smallPredictor(),
+                                              smallEstimators(), options);
+              }),
+              sweep(nine, 0));
 }
 
 TEST(SuiteRunnerTest, PlannedPassesRejectIsolationAndCheckpoints)
