@@ -23,6 +23,8 @@ fi
 cmake --build "$BUILD_DIR" -j
 "./$BUILD_DIR/bench/fig05_one_level" --fast --csv-dir tests/golden
 "./$BUILD_DIR/bench/fig09_benchmarks" --fast --csv-dir tests/golden
+"./$BUILD_DIR/bench/native_confidence" --fast --csv-dir tests/golden
+"./$BUILD_DIR/bench/ablation_predictors" --fast --csv-dir tests/golden
 ctest --test-dir "$BUILD_DIR" -L golden --output-on-failure
 
 echo ""

@@ -5,11 +5,8 @@
 
 namespace confsim {
 
-PerceptronMarginConfidence::PerceptronMarginConfidence(
-    PerceptronConfig config, unsigned num_levels)
-    : historyBits_(config.historyBits),
-      theta_(static_cast<std::uint64_t>(config.theta())),
-      numLevels_(num_levels)
+PerceptronMarginConfidence::PerceptronMarginConfidence(unsigned num_levels)
+    : numLevels_(num_levels)
 {
     if (num_levels < 2)
         fatal("perceptron margin confidence needs >= 2 levels");
@@ -20,7 +17,8 @@ PerceptronMarginConfidence::bucketForMargin(std::int64_t margin) const
 {
     const std::uint64_t magnitude =
         static_cast<std::uint64_t>(margin < 0 ? -margin : margin);
-    const std::uint64_t level = magnitude * numLevels_ / (theta_ + 1);
+    const std::uint64_t level =
+        magnitude * numLevels_ / (PerceptronPredictor::kTheta + 1);
     return level >= numLevels_ ? numLevels_ - 1 : level;
 }
 
@@ -63,28 +61,21 @@ PerceptronMarginConfidence::bindPredictor(
               "predictor, not '" +
                   predictor.name() + "'");
     }
-    if (perceptron->config().historyBits != historyBits_) {
-        fatal(ErrorCategory::kConfig,
-              "perceptron-margin confidence assumes a " +
-                  std::to_string(historyBits_) +
-                  "-bit history (theta " + std::to_string(theta_) +
-                  "); '" + predictor.name() + "' has " +
-                  std::to_string(perceptron->config().historyBits));
-    }
     predictor_ = perceptron;
 }
 
 void
 PerceptronMarginConfidence::saveState(StateWriter &out) const
 {
-    out.putU64(historyBits_);
+    out.putU64(PerceptronPredictor::kHistoryBits);
     out.putU64(numLevels_);
 }
 
 void
 PerceptronMarginConfidence::loadState(StateReader &in)
 {
-    in.expectU64(historyBits_, "perceptron margin history length");
+    in.expectU64(PerceptronPredictor::kHistoryBits,
+                 "perceptron margin history length");
     in.expectU64(numLevels_, "perceptron margin levels");
 }
 

@@ -30,15 +30,8 @@ namespace confsim {
 class PerceptronMarginConfidence : public ConfidenceEstimator
 {
   public:
-    /**
-     * @param config The geometry the buckets assume; its history
-     *        length sets theta, and bindPredictor() requires the bound
-     *        predictor's to match.
-     * @param num_levels Confidence levels (buckets), >= 2.
-     */
-    explicit PerceptronMarginConfidence(
-        PerceptronConfig config = PerceptronConfig::makeDefault(),
-        unsigned num_levels = 8);
+    /** @param num_levels Confidence levels (buckets), >= 2. */
+    explicit PerceptronMarginConfidence(unsigned num_levels = 8);
 
     std::uint64_t bucketOf(const BranchContext &ctx) const override;
 
@@ -58,8 +51,7 @@ class PerceptronMarginConfidence : public ConfidenceEstimator
 
     /**
      * Read @p predictor's margin from now on. @throws Error{kConfig}
-     * unless it is a PerceptronPredictor with this estimator's history
-     * length.
+     * unless it is a PerceptronPredictor.
      */
     void bindPredictor(const BranchPredictor &predictor) override;
 
@@ -74,8 +66,6 @@ class PerceptronMarginConfidence : public ConfidenceEstimator
     std::uint64_t bucketForMargin(std::int64_t margin) const;
 
   private:
-    unsigned historyBits_;
-    std::uint64_t theta_;
     unsigned numLevels_;
     const PerceptronPredictor *predictor_ = nullptr;
 };

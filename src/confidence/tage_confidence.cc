@@ -1,16 +1,8 @@
 #include "confidence/tage_confidence.h"
 
 #include "util/error.h"
-#include "util/status.h"
 
 namespace confsim {
-
-TageProviderConfidence::TageProviderConfidence(TageConfig config)
-    : counterBits_(config.counterBits)
-{
-    if (counterBits_ < 2 || counterBits_ > 8)
-        fatal("TAGE counter width must be in [2, 8]");
-}
 
 std::uint64_t
 TageProviderConfidence::bucketOf(const BranchContext &ctx) const
@@ -32,8 +24,8 @@ TageProviderConfidence::update(const BranchContext &ctx,
 std::uint64_t
 TageProviderConfidence::numBuckets() const
 {
-    // 2^(counterBits - 1) strength levels x {disagree, agree}.
-    return std::uint64_t{1} << counterBits_;
+    // The provider's strength levels x {disagree, agree}.
+    return 2 * TagePredictor::strengthLevels();
 }
 
 std::string
@@ -51,26 +43,20 @@ TageProviderConfidence::bindPredictor(const BranchPredictor &predictor)
               "tage-provider confidence needs a TAGE predictor, not '" +
                   predictor.name() + "'");
     }
-    if (tage->config().counterBits != counterBits_) {
-        fatal(ErrorCategory::kConfig,
-              "tage-provider confidence assumes " +
-                  std::to_string(counterBits_) +
-                  "-bit provider counters; '" + predictor.name() +
-                  "' has " + std::to_string(tage->config().counterBits));
-    }
     predictor_ = tage;
 }
 
 void
 TageProviderConfidence::saveState(StateWriter &out) const
 {
-    out.putU64(counterBits_);
+    out.putU64(TagePredictor::kCounterBits);
 }
 
 void
 TageProviderConfidence::loadState(StateReader &in)
 {
-    in.expectU64(counterBits_, "tage-provider counter width");
+    in.expectU64(TagePredictor::kCounterBits,
+                 "tage-provider counter width");
 }
 
 } // namespace confsim

@@ -31,14 +31,6 @@ namespace confsim {
 class TageProviderConfidence : public ConfidenceEstimator
 {
   public:
-    /**
-     * @param config The geometry the buckets assume; only its counter
-     *        width matters, and bindPredictor() requires the bound
-     *        predictor's to match.
-     */
-    explicit TageProviderConfidence(
-        TageConfig config = TageConfig::makeDefault());
-
     std::uint64_t bucketOf(const BranchContext &ctx) const override;
 
     /**
@@ -57,7 +49,7 @@ class TageProviderConfidence : public ConfidenceEstimator
 
     /**
      * Read @p predictor's provider from now on. @throws Error{kConfig}
-     * unless it is a TagePredictor with this estimator's counter width.
+     * unless it is a TagePredictor.
      */
     void bindPredictor(const BranchPredictor &predictor) override;
 
@@ -69,7 +61,6 @@ class TageProviderConfidence : public ConfidenceEstimator
     bool bucketsAreOrdered() const override { return true; }
 
   private:
-    unsigned counterBits_;
     const TagePredictor *predictor_ = nullptr;
 };
 

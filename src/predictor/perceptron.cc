@@ -1,61 +1,62 @@
 #include "predictor/perceptron.h"
 
-#include "ckpt/state_io.h"
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <string>
 
+#include "ckpt/state_io.h"
 #include "util/bits.h"
-#include "util/status.h"
+#include "util/error.h"
 
 namespace confsim {
 
-PerceptronConfig
-PerceptronConfig::makeSmall()
+namespace {
+
+constexpr int kWeightMax =
+    static_cast<int>(mask(PerceptronPredictor::kWeightBits - 1));
+constexpr int kWeightMin = -kWeightMax - 1;
+constexpr std::uint64_t kHistoryMask =
+    mask(PerceptronPredictor::kHistoryBits);
+constexpr std::size_t kWeightsPerRow = PerceptronPredictor::kHistoryBits + 1;
+
+/** Per history byte: its eight sign bytes, k-th = bit k ? +1 : -1. */
+constexpr std::array<std::array<std::int8_t, 8>, 256> kSignBytes = [] {
+    std::array<std::array<std::int8_t, 8>, 256> table{};
+    for (unsigned byte = 0; byte < table.size(); ++byte) {
+        for (unsigned k = 0; k < 8; ++k)
+            table[byte][k] = bitOf(byte, k) != 0 ? 1 : -1;
+    }
+    return table;
+}();
+
+/** The history's sign vector: signs[i] = bit i ? +1 : -1, newest
+ *  first. Read from kSignBytes, never from a just-written buffer, so
+ *  the next branch's dot product need not wait on this one's stores. */
+std::array<std::int8_t, PerceptronPredictor::kHistoryBits>
+signsOf(std::uint64_t history)
 {
-    PerceptronConfig c;
-    c.numRows = std::size_t{1} << 7;
-    c.historyBits = 12;
-    return c;
+    static_assert(PerceptronPredictor::kHistoryBits % 8 == 0);
+    std::array<std::int8_t, PerceptronPredictor::kHistoryBits> signs;
+    for (std::size_t k = 0; k < signs.size() / 8; ++k) {
+        std::memcpy(&signs[8 * k],
+                    kSignBytes[(history >> (8 * k)) & 0xFF].data(), 8);
+    }
+    return signs;
 }
 
-PerceptronPredictor::PerceptronPredictor(PerceptronConfig config)
-    : config_(config),
-      rowBits_(isPowerOfTwo(config.numRows) ? log2Exact(config.numRows)
-                                            : 0),
-      history_(config.historyBits)
-{
-    if (!isPowerOfTwo(config_.numRows))
-        fatal("perceptron row count must be a power of two");
-    if (config_.historyBits < 1 || config_.historyBits > 64)
-        fatal("perceptron history depth must be in [1, 64]");
-    if (config_.weightBits < 2 || config_.weightBits > 16)
-        fatal("perceptron weight width must be in [2, 16]");
-    weightMax_ = static_cast<std::int32_t>(
-                     mask(config_.weightBits - 1));
-    weightMin_ = -weightMax_ - 1;
-    weights_.assign(config_.numRows * (config_.historyBits + 1), 0);
-}
+} // namespace
 
 std::uint64_t
 PerceptronPredictor::rowOf(std::uint64_t pc) const
 {
-    return xorFold(pc >> 2, rowBits_);
+    return xorFold(pc >> 2, kRowBits);
 }
 
 std::int32_t
 PerceptronPredictor::weightAt(std::uint64_t row, unsigned i) const
 {
-    return weights_[(row & mask(rowBits_)) *
-                        (config_.historyBits + 1) +
-                    i];
-}
-
-std::int32_t
-PerceptronPredictor::clampWeight(std::int64_t w) const
-{
-    if (w > weightMax_)
-        return weightMax_;
-    if (w < weightMin_)
-        return weightMin_;
-    return static_cast<std::int32_t>(w);
+    return rows_[row & (kRows - 1)][i];
 }
 
 std::int64_t
@@ -63,16 +64,15 @@ PerceptronPredictor::marginOf(std::uint64_t pc) const
 {
     if (memoValid_ && memoPc_ == pc)
         return memoMargin_;
-    const std::size_t base = static_cast<std::size_t>(rowOf(pc)) *
-                             (config_.historyBits + 1);
-    // Weight 0 is the bias (an always-taken virtual history bit).
-    std::int64_t sum = weights_[base];
-    const std::uint64_t hist = history_.value();
-    for (unsigned i = 0; i < config_.historyBits; ++i) {
-        const std::int32_t w = weights_[base + 1 + i];
-        sum += bitOf(hist, i) != 0 ? w : -w;
-    }
+    const auto row = static_cast<std::uint16_t>(rowOf(pc));
+    const Row &w = rows_[row];
+    const auto signs = signsOf(history_);
+    // Weight 0 is the bias (an always-taken virtual input).
+    std::int32_t sum = w[0];
+    for (std::size_t i = 0; i < kHistoryBits; ++i)
+        sum += w[1 + i] * signs[i];
     memoPc_ = pc;
+    memoRow_ = row;
     memoMargin_ = sum;
     memoValid_ = true;
     return sum;
@@ -90,68 +90,78 @@ PerceptronPredictor::wouldTrain(std::uint64_t pc, bool taken) const
     const std::int64_t margin = marginOf(pc);
     const bool predicted = margin >= 0;
     const std::int64_t magnitude = margin < 0 ? -margin : margin;
-    return predicted != taken || magnitude <= theta();
+    return predicted != taken || magnitude <= kTheta;
 }
 
 void
 PerceptronPredictor::update(std::uint64_t pc, bool taken)
 {
-    if (wouldTrain(pc, taken)) {
-        const std::size_t base = static_cast<std::size_t>(rowOf(pc)) *
-                                 (config_.historyBits + 1);
-        const std::uint64_t hist = history_.value();
-        weights_[base] = clampWeight(
-            static_cast<std::int64_t>(weights_[base]) + (taken ? 1 : -1));
-        for (unsigned i = 0; i < config_.historyBits; ++i) {
-            const bool agrees = (bitOf(hist, i) != 0) == taken;
-            weights_[base + 1 + i] = clampWeight(
-                static_cast<std::int64_t>(weights_[base + 1 + i]) +
-                (agrees ? 1 : -1));
-        }
+    // The bias moves by t toward the outcome, and weight i + 1 by
+    // signs[i] * t toward agreement between history bit i and the
+    // outcome; t = 0 leaves the row as it was.
+    const int t = wouldTrain(pc, taken) ? (taken ? 1 : -1) : 0;
+    const auto signs = signsOf(history_);
+    Row &w = rows_[memoRow_];
+    w[0] = static_cast<std::int8_t>(
+        std::clamp(w[0] + t, kWeightMin, kWeightMax));
+    for (std::size_t i = 0; i < kHistoryBits; ++i) {
+        w[1 + i] = static_cast<std::int8_t>(
+            std::clamp(w[1 + i] + signs[i] * t, kWeightMin, kWeightMax));
     }
-    history_.recordOutcome(taken);
+    history_ = ((history_ << 1) | (taken ? 1 : 0)) & kHistoryMask;
     memoValid_ = false;
 }
 
 std::uint64_t
 PerceptronPredictor::storageBits() const
 {
-    return static_cast<std::uint64_t>(weights_.size()) *
-               config_.weightBits +
-           history_.width();
+    return kRows * kWeightsPerRow * kWeightBits + kHistoryBits;
 }
 
 std::string
 PerceptronPredictor::name() const
 {
-    return "perceptron-" + std::to_string(config_.numRows) + "x" +
-           std::to_string(config_.historyBits) + "h";
+    return "perceptron-" + std::to_string(kRows) + "x" +
+           std::to_string(kHistoryBits) + "h";
 }
 
 void
 PerceptronPredictor::reset()
 {
-    weights_.assign(weights_.size(), 0);
-    history_.reset();
+    for (Row &row : rows_)
+        row.fill(0);
+    history_ = 0;
     memoValid_ = false;
 }
 
 void
 PerceptronPredictor::saveState(StateWriter &out) const
 {
-    out.putU64(weights_.size());
-    for (const std::int32_t w : weights_)
-        out.putU32(static_cast<std::uint32_t>(w));
-    out.putU64(history_.value());
+    // Each weight as a sign-extended 32-bit word, rows in order.
+    out.putU64(kRows * kWeightsPerRow);
+    for (const Row &row : rows_) {
+        for (std::size_t j = 0; j < kWeightsPerRow; ++j)
+            out.putU32(static_cast<std::uint32_t>(std::int32_t{row[j]}));
+    }
+    out.putU64(history_);
 }
 
 void
 PerceptronPredictor::loadState(StateReader &in)
 {
-    in.expectU64(weights_.size(), "perceptron weight count");
-    for (std::int32_t &w : weights_)
-        w = static_cast<std::int32_t>(in.getU32());
-    history_.setValue(in.getU64());
+    in.expectU64(kRows * kWeightsPerRow, "perceptron weight count");
+    for (Row &row : rows_) {
+        for (std::size_t j = 0; j < kWeightsPerRow; ++j) {
+            const auto w = static_cast<std::int32_t>(in.getU32());
+            if (w < kWeightMin || w > kWeightMax) {
+                fatal(ErrorCategory::kCheckpoint,
+                      "perceptron weight " + std::to_string(w) +
+                          " outside the 8-bit range");
+            }
+            row[j] = static_cast<std::int8_t>(w);
+        }
+    }
+    history_ = in.getU64() & kHistoryMask;
     memoValid_ = false;
 }
 

@@ -1,105 +1,89 @@
 #include "predictor/tage.h"
 
-#include "ckpt/state_helpers.h"
+#include <algorithm>
+#include <bit>
+#include <string>
 
+#include "ckpt/state_io.h"
 #include "util/bits.h"
-#include "util/status.h"
 
 namespace confsim {
 
 namespace {
 
-SaturatingCounter
-weaklyTakenBimodal()
+constexpr std::uint8_t kCtrMax = mask(TagePredictor::kCounterBits);
+constexpr std::uint8_t kCtrWeakTaken = (kCtrMax + 1) / 2;
+constexpr std::uint8_t kUsefulMax = mask(TagePredictor::kUsefulBits);
+constexpr std::uint8_t kUseAltMax = mask(TagePredictor::kUseAltBits);
+constexpr std::uint8_t kBimodalMax = 3;
+constexpr std::uint8_t kBimodalWeakTaken = 2;
+constexpr std::uint64_t kHistoryMask =
+    mask(TagePredictor::kHistoryLengths.back());
+
+/** If @p enable, step a saturating counter in [0, max] toward @p up;
+ *  branch-free. */
+inline void
+step(std::uint8_t &counter, bool up, std::uint8_t max, bool enable = true)
 {
-    return SaturatingCounter(3, 2);
+    counter += enable & up & (counter < max);
+    counter -= enable & !up & (counter > 0);
+}
+
+/** Per tag-hit mask (bit t: table t hit), the highest hit table and
+ *  the next-highest one, -1 for none: the provider and the alternate. */
+struct Matches
+{
+    std::array<std::int8_t, 1u << TagePredictor::kTables> provider{};
+    std::array<std::int8_t, 1u << TagePredictor::kTables> alt{};
+};
+
+constexpr Matches kMatches = [] {
+    Matches m;
+    for (unsigned hits = 0; hits < m.provider.size(); ++hits) {
+        const unsigned below = hits & ~std::bit_floor(hits);
+        m.provider[hits] =
+            static_cast<std::int8_t>(static_cast<int>(std::bit_width(hits)) - 1);
+        m.alt[hits] =
+            static_cast<std::int8_t>(static_cast<int>(std::bit_width(below)) - 1);
+    }
+    return m;
+}();
+
+/** A counter's distance from the weak boundary at @p weak_taken. */
+constexpr std::uint32_t
+strength(std::uint32_t ctr, std::uint32_t weak_taken)
+{
+    return ctr >= weak_taken ? ctr - weak_taken : weak_taken - 1 - ctr;
+}
+
+/**
+ * Shift one outcome into an XOR fold of the newest @p length history
+ * bits kept in @p width bits. @p evicted is bit length - 1 of the
+ * history before the shift: the bit that leaves the window, and that
+ * sits at length mod width once shifted. The bit pushed to position
+ * width wraps to 0.
+ */
+constexpr std::uint16_t
+foldIn(std::uint16_t fold, unsigned length, unsigned width,
+       std::uint32_t newest, std::uint32_t evicted)
+{
+    std::uint32_t v = (std::uint32_t{fold} << 1) | newest;
+    v ^= evicted << (length % width);
+    v ^= v >> width;
+    return static_cast<std::uint16_t>(v & mask(width));
 }
 
 } // namespace
 
-TageConfig
-TageConfig::makeSmall()
+TagePredictor::TagePredictor()
 {
-    TageConfig c;
-    c.bimodalEntries = std::size_t{1} << 8;
-    c.taggedEntries = std::size_t{1} << 7;
-    c.tagBits = 7;
-    c.historyLengths = {4, 9, 18};
-    c.agingPeriod = 8192;
-    return c;
-}
-
-TagePredictor::TagePredictor(TageConfig config)
-    : config_(std::move(config)),
-      indexBits_(isPowerOfTwo(config_.taggedEntries)
-                     ? log2Exact(config_.taggedEntries)
-                     : 0),
-      bimodal_(config_.bimodalEntries, weaklyTakenBimodal(), 2),
-      history_(config_.historyLengths.empty()
-                   ? 1
-                   : config_.historyLengths.back()),
-      useAltOnNa_(static_cast<std::uint32_t>(mask(config_.useAltBits)), 0),
-      untilAging_(config_.agingPeriod),
-      ctrMax_(static_cast<std::uint8_t>(mask(config_.counterBits))),
-      uMax_(static_cast<std::uint8_t>(mask(config_.usefulBits)))
-{
-    if (config_.historyLengths.empty())
-        fatal("TAGE requires at least one tagged table");
-    if (!isPowerOfTwo(config_.taggedEntries))
-        fatal("TAGE tagged-table size must be a power of two");
-    if (config_.tagBits < 2 || config_.tagBits > 16)
-        fatal("TAGE tag width must be in [2, 16]");
-    if (config_.counterBits < 2 || config_.counterBits > 8)
-        fatal("TAGE counter width must be in [2, 8]");
-    if (config_.usefulBits < 1 || config_.usefulBits > 8)
-        fatal("TAGE useful-counter width must be in [1, 8]");
-    unsigned prev = 0;
-    for (unsigned len : config_.historyLengths) {
-        if (len <= prev || len > 64)
-            fatal("TAGE history lengths must be strictly increasing "
-                  "and <= 64");
-        prev = len;
-    }
-    tables_.assign(config_.historyLengths.size(),
-                   std::vector<TageEntry>(config_.taggedEntries));
-    for (unsigned len : config_.historyLengths) {
-        indexFold_.emplace_back(len, indexBits_);
-        tagFold_.emplace_back(len, config_.tagBits);
-        tagFold2_.emplace_back(len, config_.tagBits - 1);
-    }
-    memo_.index.resize(tables_.size());
-    memo_.tag.resize(tables_.size());
-}
-
-bool
-TagePredictor::ctrTaken(std::uint8_t ctr) const
-{
-    return ctr >= (ctrMax_ + 1u) / 2;
-}
-
-std::uint64_t
-TagePredictor::ctrStrength(std::uint8_t ctr) const
-{
-    const std::uint32_t mid = (ctrMax_ + 1u) / 2;
-    return ctr >= mid ? ctr - mid : mid - 1u - ctr;
-}
-
-std::uint64_t
-TagePredictor::strengthLevels() const
-{
-    return (std::uint64_t{ctrMax_} + 1) / 2;
-}
-
-std::uint64_t
-TagePredictor::bimodalIndex(std::uint64_t pc) const
-{
-    return bitsOf(pc, bimodal_.indexBits() + 1, 2);
+    bimodal_.fill(kBimodalWeakTaken);
 }
 
 std::uint64_t
 TagePredictor::indexOf(std::size_t table, std::uint64_t pc) const
 {
-    return lookup(pc).index[table];
+    return lookup(pc).slot[table] & (kEntries - 1);
 }
 
 std::uint16_t
@@ -111,7 +95,7 @@ TagePredictor::tagOf(std::size_t table, std::uint64_t pc) const
 const TageEntry &
 TagePredictor::entryAt(std::size_t table, std::uint64_t index) const
 {
-    return tables_[table][index & mask(indexBits_)];
+    return tables_[table * kEntries + (index & (kEntries - 1))];
 }
 
 const TagePredictor::Lookup &
@@ -124,65 +108,48 @@ TagePredictor::lookup(std::uint64_t pc) const
     // XOR the classic double-folded history hash, whose two widths
     // (bits, bits - 1) decorrelate the tag from the index fold.
     const std::uint64_t pc_field = pc >> 2;
-    const std::uint64_t pc_index = xorFold(pc_field, indexBits_);
-    const std::uint64_t pc_tag = xorFold(pc_field, config_.tagBits);
-    const std::uint64_t tag_mask = mask(config_.tagBits);
-    for (std::size_t t = 0; t < tables_.size(); ++t) {
-        memo_.index[t] = pc_index ^
-                         xorFold(pc_field >> (t + 1), indexBits_) ^
-                         indexFold_[t].value();
-        memo_.tag[t] = static_cast<std::uint16_t>(
-            (pc_tag ^ tagFold_[t].value() ^ (tagFold2_[t].value() << 1)) &
-            tag_mask);
+    const std::uint64_t pc_index = xorFold(pc_field, kIndexBits);
+    const std::uint64_t pc_tag = xorFold(pc_field, kTagBits);
+    unsigned hits = 0; // bit t: table t's entry carries this tag
+    for (unsigned t = 0; t < kTables; ++t) {
+        // xorFold(pc_field >> s, kIndexBits) is pc_index without the
+        // low s field bits, rotated right by s within kIndexBits.
+        const unsigned s = t + 1;
+        const std::uint64_t kept = pc_index ^ (pc_field & mask(s));
+        const std::uint64_t shifted =
+            ((kept >> s) | (kept << (kIndexBits - s))) & mask(kIndexBits);
+        const std::uint64_t index = pc_index ^ shifted ^ indexFold_[t];
+        const auto tag = static_cast<std::uint16_t>(
+            (pc_tag ^ tagFold_[t] ^ (tagFold2_[t] << 1)) & mask(kTagBits));
+        memo_.slot[t] = static_cast<std::uint16_t>(t * kEntries + index);
+        memo_.tag[t] = tag;
+        hits |= unsigned{tables_[memo_.slot[t]].tag == tag} << t;
     }
 
     // Provider: the longest-history tag match; alternate: the next.
-    int provider = -1;
-    int alt = -1;
-    for (int t = static_cast<int>(tables_.size()) - 1; t >= 0; --t) {
-        const auto table = static_cast<std::size_t>(t);
-        if (tables_[table][memo_.index[table]].tag != memo_.tag[table])
-            continue;
-        if (provider < 0) {
-            provider = t;
-        } else {
-            alt = t;
-            break;
-        }
-    }
+    // Without a tagged provider the bimodal counter provides, and its
+    // strength is the confidence. Selects, not branches: which table
+    // provides is data the host cannot predict.
+    const int provider = kMatches.provider[hits];
+    const int alt = kMatches.alt[hits];
+    const bool tagged = provider >= 0;
+    const TageEntry &p = tables_[memo_.slot[provider & (kTables - 1)]];
+    const TageEntry &a = tables_[memo_.slot[alt & (kTables - 1)]];
+    const std::uint8_t base = bimodal_[bitsOf(pc, kBimodalBits + 1, 2)];
+    const bool bimodal_taken = base >= kBimodalWeakTaken;
+    const std::uint32_t ctr = tagged ? p.ctr : base;
+    const std::uint32_t weak = tagged ? kCtrWeakTaken : kBimodalWeakTaken;
 
     TagePrediction &d = memo_.detail;
-    d = TagePrediction{};
-    const auto &base = bimodal_[bimodalIndex(pc)];
-    const bool bimodal_taken = base.predictsTaken();
-    if (provider < 0) {
-        // Bimodal provides; its counter strength is the confidence.
-        const std::uint32_t mid = (base.max() + 1) / 2;
-        d.providerCtr = base.value();
-        d.providerTaken = bimodal_taken;
-        d.providerStrength = base.value() >= mid ? base.value() - mid
-                                                 : mid - 1 - base.value();
-        d.altTaken = bimodal_taken;
-        d.taken = bimodal_taken;
-    } else {
-        const auto ptable = static_cast<std::size_t>(provider);
-        const TageEntry &entry = tables_[ptable][memo_.index[ptable]];
-        d.providerTable = provider;
-        d.providerCtr = entry.ctr;
-        d.providerTaken = ctrTaken(entry.ctr);
-        d.providerStrength = ctrStrength(entry.ctr);
-        d.newlyAllocated = entry.u == 0 && d.providerStrength == 0;
-        if (alt >= 0) {
-            const auto atable = static_cast<std::size_t>(alt);
-            d.altTable = alt;
-            d.altTaken =
-                ctrTaken(tables_[atable][memo_.index[atable]].ctr);
-        } else {
-            d.altTaken = bimodal_taken;
-        }
-        d.usedAlt = d.newlyAllocated && useAltOnNa_.predictsTaken();
-        d.taken = d.usedAlt ? d.altTaken : d.providerTaken;
-    }
+    d.providerTable = provider;
+    d.altTable = alt;
+    d.providerCtr = ctr;
+    d.providerTaken = ctr >= weak;
+    d.providerStrength = strength(ctr, weak);
+    d.altTaken = alt >= 0 ? a.ctr >= kCtrWeakTaken : bimodal_taken;
+    d.newlyAllocated = tagged & (p.u == 0) & (d.providerStrength == 0);
+    d.usedAlt = d.newlyAllocated & (useAlt_ >= (kUseAltMax + 1) / 2);
+    d.taken = d.usedAlt ? d.altTaken : d.providerTaken;
     memo_.pc = pc;
     memo_.valid = true;
     return memo_;
@@ -197,7 +164,7 @@ TagePredictor::predictDetail(std::uint64_t pc) const
 bool
 TagePredictor::predict(std::uint64_t pc) const
 {
-    return predictDetail(pc).taken;
+    return lookup(pc).detail.taken;
 }
 
 void
@@ -206,180 +173,150 @@ TagePredictor::update(std::uint64_t pc, bool taken)
     const Lookup &l = lookup(pc);
     const TagePrediction &d = l.detail;
 
-    if (d.providerTable >= 0) {
-        const auto ptable = static_cast<std::size_t>(d.providerTable);
-        TageEntry &entry = tables_[ptable][l.index[ptable]];
-
-        // Useful counter: evidence only when provider and alternate
-        // disagree — the provider was the tie-breaker.
-        if (d.providerTaken != d.altTaken) {
-            if (d.providerTaken == taken) {
-                if (entry.u < uMax_)
-                    ++entry.u;
-            } else if (entry.u > 0) {
-                --entry.u;
-            }
-        }
-
-        // Learn whether newly allocated entries should defer to alt.
-        if (d.newlyAllocated && d.providerTaken != d.altTaken) {
-            if (d.altTaken == taken)
-                useAltOnNa_.increment();
-            else
-                useAltOnNa_.decrement();
-        }
-
-        if (taken) {
-            if (entry.ctr < ctrMax_)
-                ++entry.ctr;
-        } else if (entry.ctr > 0) {
-            --entry.ctr;
-        }
-    } else {
-        auto &base = bimodal_[bimodalIndex(pc)];
-        if (taken)
-            base.increment();
-        else
-            base.decrement();
-    }
+    // Useful counter: evidence only when a tagged provider and the
+    // alternate disagree — the provider was the tie-breaker. The same
+    // disagreement teaches use_alt_on_na whether newly allocated
+    // entries should defer to the alternate. Then the provider's
+    // counter, tagged or bimodal, learns the outcome.
+    const bool tagged = d.providerTable >= 0;
+    const bool disagree = d.providerTaken != d.altTaken;
+    TageEntry &entry = tables_[l.slot[d.providerTable & (kTables - 1)]];
+    step(entry.u, d.providerTaken == taken, kUsefulMax, tagged & disagree);
+    step(useAlt_, d.altTaken == taken, kUseAltMax,
+         d.newlyAllocated & disagree);
+    std::uint8_t &base = bimodal_[bitsOf(pc, kBimodalBits + 1, 2)];
+    step(tagged ? entry.ctr : base, taken, tagged ? kCtrMax : kBimodalMax);
 
     // On a mispredict, allocate a fresh entry in a longer-history
     // table: the first candidate with u == 0, weakly initialized;
     // if all candidates are useful, decay them instead.
-    if (d.taken != taken &&
-        d.providerTable + 1 < static_cast<int>(tables_.size())) {
-        int victim = -1;
-        for (std::size_t t = static_cast<std::size_t>(d.providerTable + 1);
-             t < tables_.size(); ++t) {
-            if (tables_[t][l.index[t]].u == 0) {
-                victim = static_cast<int>(t);
-                break;
-            }
-        }
-        if (victim >= 0) {
-            const auto vtable = static_cast<std::size_t>(victim);
-            TageEntry &entry = tables_[vtable][l.index[vtable]];
-            entry.tag = l.tag[vtable];
-            const auto mid = static_cast<std::uint8_t>((ctrMax_ + 1u) / 2);
-            entry.ctr = taken ? mid : static_cast<std::uint8_t>(mid - 1);
+    if (d.taken != taken) {
+        const auto first = static_cast<unsigned>(d.providerTable + 1);
+        unsigned victim = first;
+        while (victim < kTables && tables_[l.slot[victim]].u != 0)
+            ++victim;
+        if (victim < kTables) {
+            TageEntry &entry = tables_[l.slot[victim]];
+            entry.tag = l.tag[victim];
+            entry.ctr = taken ? kCtrWeakTaken : kCtrWeakTaken - 1;
             entry.u = 0;
         } else {
-            for (std::size_t t =
-                     static_cast<std::size_t>(d.providerTable + 1);
-                 t < tables_.size(); ++t) {
-                TageEntry &entry = tables_[t][l.index[t]];
-                if (entry.u > 0)
-                    --entry.u;
-            }
+            for (unsigned t = first; t < kTables; ++t)
+                step(tables_[l.slot[t]].u, false, kUsefulMax);
         }
     }
 
     ++updates_;
-    if (config_.agingPeriod != 0 && --untilAging_ == 0) {
+    if (--untilAging_ == 0) {
         ageUsefulCounters();
-        untilAging_ = config_.agingPeriod;
+        untilAging_ = kAgingPeriod;
     }
 
     memo_.valid = false;
-    const std::uint64_t before = history_.value();
-    for (std::size_t t = 0; t < tables_.size(); ++t) {
-        const bool evicted =
-            bitOf(before, config_.historyLengths[t] - 1) != 0;
-        indexFold_[t].update(taken, evicted);
-        tagFold_[t].update(taken, evicted);
-        tagFold2_[t].update(taken, evicted);
+    const std::uint64_t before = history_;
+    const std::uint32_t newest = taken ? 1 : 0;
+    for (unsigned t = 0; t < kTables; ++t) {
+        const unsigned length = kHistoryLengths[t];
+        const auto evicted =
+            static_cast<std::uint32_t>(bitOf(before, length - 1));
+        indexFold_[t] =
+            foldIn(indexFold_[t], length, kIndexBits, newest, evicted);
+        tagFold_[t] = foldIn(tagFold_[t], length, kTagBits, newest, evicted);
+        tagFold2_[t] =
+            foldIn(tagFold2_[t], length, kTagBits - 1, newest, evicted);
     }
-    history_.recordOutcome(taken);
+    history_ = ((before << 1) | newest) & kHistoryMask;
 }
 
 void
 TagePredictor::rebuildFolds()
 {
-    for (std::size_t t = 0; t < tables_.size(); ++t) {
-        indexFold_[t].rebuild(history_.value());
-        tagFold_[t].rebuild(history_.value());
-        tagFold2_[t].rebuild(history_.value());
+    for (unsigned t = 0; t < kTables; ++t) {
+        const std::uint64_t recent = history_ & mask(kHistoryLengths[t]);
+        indexFold_[t] = static_cast<std::uint16_t>(xorFold(recent, kIndexBits));
+        tagFold_[t] = static_cast<std::uint16_t>(xorFold(recent, kTagBits));
+        tagFold2_[t] =
+            static_cast<std::uint16_t>(xorFold(recent, kTagBits - 1));
     }
 }
 
 void
 TagePredictor::ageUsefulCounters()
 {
-    for (auto &table : tables_)
-        for (auto &entry : table)
-            entry.u = static_cast<std::uint8_t>(entry.u >> 1);
+    for (TageEntry &entry : tables_)
+        entry.u = static_cast<std::uint8_t>(entry.u >> 1);
 }
 
 std::uint64_t
 TagePredictor::storageBits() const
 {
-    const std::uint64_t per_entry =
-        config_.tagBits + config_.counterBits + config_.usefulBits;
-    return bimodal_.storageBits() +
-           tables_.size() * config_.taggedEntries * per_entry +
-           history_.width() + config_.useAltBits + 64;
+    constexpr std::uint64_t per_entry =
+        kTagBits + kCounterBits + kUsefulBits;
+    return kBimodalEntries * 2 + kTables * kEntries * per_entry +
+           kHistoryLengths.back() + kUseAltBits + 64;
 }
 
 std::string
 TagePredictor::name() const
 {
-    return "tage-" + std::to_string(tables_.size()) + "x" +
-           std::to_string(config_.taggedEntries) + "-h" +
-           std::to_string(config_.historyLengths.back());
+    return "tage-" + std::to_string(kTables) + "x" +
+           std::to_string(kEntries) + "-h" +
+           std::to_string(kHistoryLengths.back());
 }
 
 void
 TagePredictor::reset()
 {
-    bimodal_.fill(weaklyTakenBimodal());
-    for (auto &table : tables_)
-        for (auto &entry : table)
-            entry = TageEntry{};
-    history_.reset();
+    tables_.fill(TageEntry{});
+    bimodal_.fill(kBimodalWeakTaken);
+    history_ = 0;
     rebuildFolds();
-    useAltOnNa_.set(0);
+    useAlt_ = 0;
     updates_ = 0;
-    untilAging_ = config_.agingPeriod;
+    untilAging_ = kAgingPeriod;
     memo_.valid = false;
 }
 
 void
 TagePredictor::saveState(StateWriter &out) const
 {
-    out.putU64(tables_.size());
-    out.putU64(config_.taggedEntries);
-    for (const auto &table : tables_) {
-        for (const auto &entry : table) {
-            out.putU16(entry.tag);
-            out.putU8(entry.ctr);
-            out.putU8(entry.u);
-        }
+    out.putU64(kTables);
+    out.putU64(kEntries);
+    for (const TageEntry &entry : tables_) {
+        out.putU16(entry.tag);
+        out.putU8(entry.ctr);
+        out.putU8(entry.u);
     }
-    saveCounterTable(out, bimodal_);
-    out.putU64(history_.value());
-    out.putU32(useAltOnNa_.value());
+    // The base table in saveCounterTable()'s layout.
+    out.putU64(kBimodalEntries);
+    for (const std::uint8_t counter : bimodal_)
+        out.putU32(counter);
+    out.putU64(history_);
+    out.putU32(useAlt_);
     out.putU64(updates_);
 }
 
 void
 TagePredictor::loadState(StateReader &in)
 {
-    in.expectU64(tables_.size(), "TAGE table count");
-    in.expectU64(config_.taggedEntries, "TAGE entries per table");
-    for (auto &table : tables_) {
-        for (auto &entry : table) {
-            entry.tag = in.getU16();
-            entry.ctr = in.getU8();
-            entry.u = in.getU8();
-        }
+    in.expectU64(kTables, "TAGE table count");
+    in.expectU64(kEntries, "TAGE entries per table");
+    for (TageEntry &entry : tables_) {
+        entry.tag = in.getU16();
+        entry.ctr = in.getU8();
+        entry.u = in.getU8();
     }
-    loadCounterTable(in, bimodal_);
-    history_.setValue(in.getU64());
+    in.expectU64(kBimodalEntries, "counter table size");
+    for (std::uint8_t &counter : bimodal_) {
+        counter = static_cast<std::uint8_t>(
+            std::min<std::uint32_t>(in.getU32(), kBimodalMax));
+    }
+    history_ = in.getU64() & kHistoryMask;
     rebuildFolds();
-    useAltOnNa_.set(in.getU32());
+    useAlt_ = static_cast<std::uint8_t>(
+        std::min<std::uint32_t>(in.getU32(), kUseAltMax));
     updates_ = in.getU64();
-    if (config_.agingPeriod != 0)
-        untilAging_ = config_.agingPeriod - updates_ % config_.agingPeriod;
+    untilAging_ = kAgingPeriod - updates_ % kAgingPeriod;
     memo_.valid = false;
 }
 

@@ -14,12 +14,22 @@
  * counters are periodically aged (halved) so stale entries can be
  * reclaimed by allocation.
  *
- * One lookup per branch: a branch's per-table indices and tags, its
- * provider and its alternate are computed once and memoized, keyed by
- * PC, so predict(), predictDetail() and update() (allocation and decay
- * included) share them; update(), reset() and loadState() invalidate
- * the memo. Each table's index fold and two tag folds are incremental
- * FoldedHistory registers, O(1) per outcome.
+ * Fixed geometry: the reference design's 4 tagged tables of 1,024
+ * entries, 9-bit tags, history lengths 5/11/24/52, 3-bit prediction
+ * and 2-bit useful counters, a 4-bit use_alt_on_na counter and 4,096
+ * two-bit bimodal counters, as compile-time constants. Every caller
+ * builds this one geometry, and constant widths let each step compile
+ * to its arithmetic. The tagged entries live in one flat array, table
+ * t's entry i at t * kEntries + i.
+ *
+ * One lookup per branch: a branch's per-table slots and tags, its
+ * provider and its alternate are computed once into a fixed-size
+ * record, memoized by PC, so predict(), predictDetail() and update()
+ * (allocation and decay included) share them; update(), reset() and
+ * loadState() invalidate the memo. Each table's index fold and two tag
+ * folds are kept incrementally, O(1) per outcome, with constant
+ * out-points and masks; they always equal the folds recomputed from
+ * the history register.
  *
  * TAGE matters to this repo because its provider counter magnitude and
  * provider-vs-alternate agreement are a *built-in* confidence signal
@@ -31,57 +41,12 @@
 #ifndef CONFSIM_PREDICTOR_TAGE_H
 #define CONFSIM_PREDICTOR_TAGE_H
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "predictor/branch_predictor.h"
-#include "predictor/history_register.h"
-#include "util/fixed_vector_table.h"
-#include "util/saturating_counter.h"
 
 namespace confsim {
-
-/** Geometry and policy knobs for TagePredictor. */
-struct TageConfig
-{
-    /** Base bimodal table entries (power of two). */
-    std::size_t bimodalEntries = std::size_t{1} << 12;
-
-    /** Entries per tagged table (power of two). */
-    std::size_t taggedEntries = std::size_t{1} << 10;
-
-    /** Partial-tag width in bits (1..16). */
-    unsigned tagBits = 9;
-
-    /** Tagged-table prediction counter width; taken iff value is in
-     *  the upper half. 3 bits in the reference design. */
-    unsigned counterBits = 3;
-
-    /** Useful-counter width (2 bits in the reference design). */
-    unsigned usefulBits = 2;
-
-    /**
-     * Per-table global-history depths, strictly increasing, each
-     * <= 64 so the whole history fits one register. The reference
-     * series is geometric (ratio ~2.2).
-     */
-    std::vector<unsigned> historyLengths = {5, 11, 24, 52};
-
-    /** use_alt_on_na counter width. */
-    unsigned useAltBits = 4;
-
-    /**
-     * Updates between useful-counter agings; every agingPeriod-th
-     * update halves every u counter. 0 disables aging.
-     */
-    std::uint64_t agingPeriod = 262'144;
-
-    /** The default paper-scale configuration. */
-    static TageConfig makeDefault() { return TageConfig{}; }
-
-    /** A small geometry for unit/differential tests. */
-    static TageConfig makeSmall();
-};
 
 /** Everything TAGE knows about one prediction, for confidence
  *  estimation and white-box tests. */
@@ -110,7 +75,30 @@ struct TageEntry
 class TagePredictor : public BranchPredictor
 {
   public:
-    explicit TagePredictor(TageConfig config = TageConfig::makeDefault());
+    /** Tagged tables. */
+    static constexpr unsigned kTables = 4;
+    /** log2 of the entries per tagged table. */
+    static constexpr unsigned kIndexBits = 10;
+    static constexpr std::size_t kEntries = std::size_t{1} << kIndexBits;
+    /** Partial-tag width. */
+    static constexpr unsigned kTagBits = 9;
+    /** Per-table global-history depths: a geometric series (ratio
+     *  ~2.2), the longest within one 64-bit history register. */
+    static constexpr std::array<unsigned, kTables> kHistoryLengths = {
+        5, 11, 24, 52};
+    /** Tagged prediction counter width; taken iff in the upper half. */
+    static constexpr unsigned kCounterBits = 3;
+    /** Useful-counter width. */
+    static constexpr unsigned kUsefulBits = 2;
+    /** use_alt_on_na counter width. */
+    static constexpr unsigned kUseAltBits = 4;
+    /** log2 of the base table's two-bit counters (weakly taken at
+     *  power-on). */
+    static constexpr unsigned kBimodalBits = 12;
+    /** Every kAgingPeriod-th update halves every useful counter. */
+    static constexpr std::uint64_t kAgingPeriod = 262'144;
+
+    TagePredictor();
 
     bool predict(std::uint64_t pc) const override;
     void update(std::uint64_t pc, bool taken) override;
@@ -126,55 +114,55 @@ class TagePredictor : public BranchPredictor
     TagePrediction predictDetail(std::uint64_t pc) const;
 
     /** @return the number of confidence-strength levels the provider
-     *  counter distinguishes: 2^(counterBits-1). */
-    std::uint64_t strengthLevels() const;
+     *  counter distinguishes: 2^(kCounterBits-1). */
+    static constexpr std::uint64_t strengthLevels()
+    {
+        return std::uint64_t{1} << (kCounterBits - 1);
+    }
 
     // --- white-box introspection (property tests) -------------------
-    const TageConfig &config() const { return config_; }
-    std::size_t numTables() const { return tables_.size(); }
     const TageEntry &entryAt(std::size_t table, std::uint64_t index) const;
     std::uint64_t indexOf(std::size_t table, std::uint64_t pc) const;
     std::uint16_t tagOf(std::size_t table, std::uint64_t pc) const;
-    std::uint32_t useAltValue() const { return useAltOnNa_.value(); }
+    std::uint32_t useAltValue() const { return useAlt_; }
     std::uint64_t updateCount() const { return updates_; }
-    std::uint64_t historyValue() const { return history_.value(); }
+    std::uint64_t historyValue() const { return history_; }
 
   private:
+    static constexpr std::size_t kBimodalEntries = std::size_t{1}
+                                                   << kBimodalBits;
+
     /** One branch's lookup: everything predict and update need. */
     struct Lookup
     {
         std::uint64_t pc = 0;
         bool valid = false;
-        std::vector<std::uint64_t> index; //!< per tagged table
-        std::vector<std::uint16_t> tag;   //!< per tagged table
+        /** Per tagged table: the entry's slot in tables_, and the tag. */
+        std::array<std::uint16_t, kTables> slot{};
+        std::array<std::uint16_t, kTables> tag{};
         TagePrediction detail;
     };
 
     /** The memoized lookup for @p pc, computed on a miss. */
     const Lookup &lookup(std::uint64_t pc) const;
     void rebuildFolds();
-    bool ctrTaken(std::uint8_t ctr) const;
-    std::uint64_t ctrStrength(std::uint8_t ctr) const;
-    std::uint64_t bimodalIndex(std::uint64_t pc) const;
     void ageUsefulCounters();
 
-    TageConfig config_;
-    unsigned indexBits_; //!< log2(taggedEntries)
-    FixedVectorTable<SaturatingCounter> bimodal_;
-    std::vector<std::vector<TageEntry>> tables_;
-    HistoryRegister history_;
-    /** Per table: the index fold and the (tagBits, tagBits - 1) tag
-     *  folds of that table's history length. */
-    std::vector<FoldedHistory> indexFold_;
-    std::vector<FoldedHistory> tagFold_;
-    std::vector<FoldedHistory> tagFold2_;
-    SaturatingCounter useAltOnNa_;
+    alignas(64) std::array<TageEntry, kTables * kEntries> tables_;
+    std::array<std::uint8_t, kBimodalEntries> bimodal_;
+    /** Global history, newest outcome in bit 0, the longest table's
+     *  kHistoryLengths.back() bits. */
+    std::uint64_t history_ = 0;
+    /** Per table: the kIndexBits index fold and the (kTagBits,
+     *  kTagBits - 1) tag folds of that table's history length. */
+    std::array<std::uint16_t, kTables> indexFold_{};
+    std::array<std::uint16_t, kTables> tagFold_{};
+    std::array<std::uint16_t, kTables> tagFold2_{};
+    std::uint8_t useAlt_ = 0;
     std::uint64_t updates_ = 0;
     /** Updates left until the next aging (a countdown, so update()
      *  divides nothing); derived from updates_ on load. */
-    std::uint64_t untilAging_;
-    std::uint8_t ctrMax_;
-    std::uint8_t uMax_;
+    std::uint64_t untilAging_ = kAgingPeriod;
     /** The last lookup. Memoizing makes predict() write, so one
      *  predictor instance belongs to one thread. */
     mutable Lookup memo_;

@@ -173,17 +173,15 @@ smallGshareFactory()
 }
 
 PredictorFactory
-tageFactory(TageConfig config)
+tageFactory()
 {
-    return [config] { return std::make_unique<TagePredictor>(config); };
+    return [] { return std::make_unique<TagePredictor>(); };
 }
 
 PredictorFactory
-perceptronFactory(PerceptronConfig config)
+perceptronFactory()
 {
-    return [config] {
-        return std::make_unique<PerceptronPredictor>(config);
-    };
+    return [] { return std::make_unique<PerceptronPredictor>(); };
 }
 
 EstimatorConfig
@@ -244,24 +242,21 @@ twoLevelConfig(IndexScheme first_scheme, SecondLevelIndex second_index,
 }
 
 EstimatorConfig
-tageProviderConfig(TageConfig config)
+tageProviderConfig()
 {
     EstimatorConfig out;
     out.label = "TAGE.Prov";
-    out.make = [config] {
-        return std::make_unique<TageProviderConfidence>(config);
-    };
+    out.make = [] { return std::make_unique<TageProviderConfidence>(); };
     return out;
 }
 
 EstimatorConfig
-perceptronMarginConfig(PerceptronConfig config, unsigned num_levels)
+perceptronMarginConfig(unsigned num_levels)
 {
     EstimatorConfig out;
     out.label = "Perc.Margin";
-    out.make = [config, num_levels] {
-        return std::make_unique<PerceptronMarginConfidence>(config,
-                                                            num_levels);
+    out.make = [num_levels] {
+        return std::make_unique<PerceptronMarginConfidence>(num_levels);
     };
     return out;
 }

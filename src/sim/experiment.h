@@ -149,11 +149,10 @@ PredictorFactory largeGshareFactory();
 PredictorFactory smallGshareFactory();
 
 /** Factory for the reference-scale TAGE predictor. */
-PredictorFactory tageFactory(TageConfig config = TageConfig::makeDefault());
+PredictorFactory tageFactory();
 
 /** Factory for the reference-scale perceptron predictor. */
-PredictorFactory perceptronFactory(
-    PerceptronConfig config = PerceptronConfig::makeDefault());
+PredictorFactory perceptronFactory();
 
 /** One-level CT with full CIRs and raw-pattern (ideal-ready) buckets. */
 EstimatorConfig
@@ -184,21 +183,17 @@ twoLevelConfig(IndexScheme first_scheme, SecondLevelIndex second_index,
 /**
  * TAGE's built-in provider confidence, read from the configuration's
  * own TAGE predictor. Pair with tageFactory(); a predictor of another
- * family or counter width fails with Error{kConfig} at run time.
+ * family fails with Error{kConfig} at run time.
  */
-EstimatorConfig
-tageProviderConfig(TageConfig config = TageConfig::makeDefault());
+EstimatorConfig tageProviderConfig();
 
 /**
- * Perceptron |margin|-vs-theta confidence, read from the
- * configuration's own perceptron. Pair with perceptronFactory() of the
- * same history length (which sets theta); anything else fails with
+ * Perceptron |margin|-vs-theta confidence in @p num_levels levels,
+ * read from the configuration's own perceptron. Pair with
+ * perceptronFactory(); a predictor of another family fails with
  * Error{kConfig} at run time.
  */
-EstimatorConfig
-perceptronMarginConfig(
-    PerceptronConfig config = PerceptronConfig::makeDefault(),
-    unsigned num_levels = 8);
+EstimatorConfig perceptronMarginConfig(unsigned num_levels = 8);
 
 /** One labelled (predictor, estimator set) suite configuration. */
 struct SweepExperimentConfig

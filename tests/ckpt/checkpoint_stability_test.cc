@@ -8,9 +8,15 @@
  * profile was a std::unordered_map. The narrower in-memory tables
  * must encode exactly as those did, so checkpoints and done-markers
  * written before still resume.
+ *
+ * The native configurations (TAGE with provider confidence, the
+ * perceptron with margin confidence) are pinned the same way, to
+ * values recorded when TAGE kept a vector per tagged table and the
+ * perceptron 32-bit weights.
  */
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -77,6 +83,102 @@ TEST(ConfigFingerprintTest, TrainedFigureStateMatchesRecordedBytes)
 
     EXPECT_EQ(out.bytes().size(), 2'141'768u);
     EXPECT_EQ(crc32(out.bytes().data(), out.bytes().size()), 0x7F7F10BEu);
+}
+
+/** A native configuration as runSuiteExperiment builds it. */
+struct NativeConfiguration
+{
+    std::unique_ptr<BranchPredictor> predictor;
+    std::unique_ptr<ConfidenceEstimator> estimator;
+    std::vector<ConfidenceEstimator *> estimators;
+    DriverOptions options;
+
+    NativeConfiguration(const PredictorFactory &make_predictor,
+                        const EstimatorConfig &config)
+        : predictor(make_predictor()), estimator(config.make()),
+          estimators{estimator.get()}
+    {
+        options.bhrBits = paper::kLargeHistoryBits;
+        options.gcirBits = paper::kCirBits;
+        options.profileStatic = true;
+    }
+};
+
+NativeConfiguration
+tageConfiguration()
+{
+    return NativeConfiguration(tageFactory(), tageProviderConfig());
+}
+
+NativeConfiguration
+perceptronConfiguration()
+{
+    return NativeConfiguration(perceptronFactory(),
+                               perceptronMarginConfig());
+}
+
+/** The size and CRC-32 of a component's saveState bytes. */
+struct Encoding
+{
+    std::size_t size;
+    std::uint32_t crc;
+};
+
+template <typename Component>
+Encoding
+encodingOf(const Component &component)
+{
+    StateWriter out;
+    component.saveState(out);
+    return {out.bytes().size(),
+            crc32(out.bytes().data(), out.bytes().size())};
+}
+
+TEST(ConfigFingerprintTest, NativeConfigurationsMatchRecordedValues)
+{
+    const NativeConfiguration tage = tageConfiguration();
+    EXPECT_EQ(configFingerprint(*tage.predictor, tage.estimators,
+                                tage.options),
+              0x48FD51D9u);
+    const NativeConfiguration perceptron = perceptronConfiguration();
+    EXPECT_EQ(configFingerprint(*perceptron.predictor,
+                                perceptron.estimators, perceptron.options),
+              0xED9D700Eu);
+}
+
+TEST(ConfigFingerprintTest, TrainedNativeStateMatchesRecordedBytes)
+{
+    struct Recorded
+    {
+        std::string label;
+        NativeConfiguration configuration;
+        Encoding predictor;
+        Encoding estimator;
+    };
+    Recorded recorded[] = {
+        {"tage", tageConfiguration(), {32'812u, 0xCC6DF299u},
+         {8u, 0xEBADD88Au}},
+        {"perceptron", perceptronConfiguration(), {51'216u, 0x58BE8263u},
+         {16u, 0xAA6AF131u}},
+    };
+    for (Recorded &r : recorded) {
+        SCOPED_TRACE(r.label);
+        NativeConfiguration &c = r.configuration;
+        ReplayKernel kernel(*c.predictor, c.estimators, r.label, c.options);
+        const ReplayGuard guard(c.options);
+        const auto source =
+            BenchmarkSuite::ibsSmall(20'000).makeGenerator(0);
+        RecordBatch batch;
+        while (batch.refill(*source) != 0)
+            kernel.replay(batch, guard);
+
+        const Encoding predictor = encodingOf(*c.predictor);
+        const Encoding estimator = encodingOf(*c.estimator);
+        EXPECT_EQ(predictor.size, r.predictor.size);
+        EXPECT_EQ(predictor.crc, r.predictor.crc);
+        EXPECT_EQ(estimator.size, r.estimator.size);
+        EXPECT_EQ(estimator.crc, r.estimator.crc);
+    }
 }
 
 } // namespace

@@ -208,16 +208,14 @@ TEST(PredictorRoundTripTest, Tage)
     // global history all have to survive the trip for the provider
     // selection to stay bit-exact.
     expectPredictorRoundTrip([] {
-        return std::make_unique<TagePredictor>(
-            TageConfig::makeSmall());
+        return std::make_unique<TagePredictor>();
     });
 }
 
 TEST(PredictorRoundTripTest, Perceptron)
 {
     expectPredictorRoundTrip([] {
-        return std::make_unique<PerceptronPredictor>(
-            PerceptronConfig::makeSmall());
+        return std::make_unique<PerceptronPredictor>();
     });
 }
 
@@ -455,21 +453,16 @@ expectNativeRoundTrip(const std::function<NativePair()> &make)
 TEST(EstimatorRoundTripTest, TageProvider)
 {
     expectNativeRoundTrip([] {
-        return NativePair{
-            std::make_unique<TagePredictor>(TageConfig::makeSmall()),
-            std::make_unique<TageProviderConfidence>(
-                TageConfig::makeSmall())};
+        return NativePair{std::make_unique<TagePredictor>(),
+                          std::make_unique<TageProviderConfidence>()};
     });
 }
 
 TEST(EstimatorRoundTripTest, PerceptronMargin)
 {
     expectNativeRoundTrip([] {
-        return NativePair{
-            std::make_unique<PerceptronPredictor>(
-                PerceptronConfig::makeSmall()),
-            std::make_unique<PerceptronMarginConfidence>(
-                PerceptronConfig::makeSmall(), 8)};
+        return NativePair{std::make_unique<PerceptronPredictor>(),
+                          std::make_unique<PerceptronMarginConfidence>(8)};
     });
 }
 
@@ -478,8 +471,8 @@ TEST(EstimatorRoundTripTest, NativeParentFormatIsRejected)
     // The native estimators once carried a whole predictor replica as
     // their state (version 1). Such a component must be refused as a
     // checkpoint error, never decoded as the new geometry payload.
-    TagePredictor tage(TageConfig::makeSmall());
-    PerceptronPredictor perceptron(PerceptronConfig::makeSmall());
+    TagePredictor tage;
+    PerceptronPredictor perceptron;
     StateWriter tage_replica;
     tage.saveState(tage_replica);
     StateWriter perceptron_replica;
@@ -500,9 +493,8 @@ TEST(EstimatorRoundTripTest, NativeParentFormatIsRejected)
                 << error.what();
         }
     };
-    TageProviderConfidence tage_conf(TageConfig::makeSmall());
-    PerceptronMarginConfidence perceptron_conf(
-        PerceptronConfig::makeSmall(), 8);
+    TageProviderConfidence tage_conf;
+    PerceptronMarginConfidence perceptron_conf(8);
     expect_checkpoint_error("estimator:tage-provider", tage_conf);
     expect_checkpoint_error("estimator:perceptron-margin",
                             perceptron_conf);

@@ -332,7 +332,7 @@ TEST(CheckpointCorruptionFuzz, TageStateSingleByteFlipIsRejected)
     // Same contract over the richest component layout we serialize: a
     // trained TAGE predictor (tagged tables + bimodal + history +
     // use_alt counter).
-    TagePredictor predictor(TageConfig::makeSmall());
+    TagePredictor predictor;
     {
         const auto suite = BenchmarkSuite::ibsSmall(4'000);
         const auto source = suite.makeGenerator(2);
@@ -359,7 +359,7 @@ TEST(CheckpointCorruptionFuzz, TageStateSingleByteFlipIsRejected)
     // byte-identical state back out.
     {
         const Checkpoint reread = readCheckpointFile(path.string());
-        TagePredictor restored(TageConfig::makeSmall());
+        TagePredictor restored;
         reread.restoreComponent("predictor:" + predictor.name(),
                                 restored);
         StateWriter original_state;

@@ -53,10 +53,8 @@ sampledConfigs()
     }
     SweepConfiguration tage;
     tage.label = "tage";
-    tage.makePredictor = tageFactory(TageConfig::makeSmall());
-    tage.makeEstimators = [make = tageProviderConfig(
-                               TageConfig::makeSmall())
-                                      .make] {
+    tage.makePredictor = tageFactory();
+    tage.makeEstimators = [make = tageProviderConfig().make] {
         std::vector<std::unique_ptr<ConfidenceEstimator>> out;
         out.push_back(make());
         return out;

@@ -8,7 +8,7 @@
  * branch counts, same per-bucket reference/misprediction doubles, same
  * reduction curves, same serialized component bytes. These tests run
  * every (predictor, estimator) family in the shared registry
- * (sim/family_registry.h) through both paths and compare without
+ * (family_registry.h) through both paths and compare without
  * tolerance — a family added to the registry can never silently skip
  * this wall. Thread count and batch size are varied to prove they
  * never leak into results, and sweep checkpoints are round-tripped to
@@ -26,8 +26,8 @@
 #include "ckpt/checkpoint.h"
 #include "ckpt/checkpoint_store.h"
 #include "metrics/confidence_curve.h"
+#include "family_registry.h"
 #include "sim/driver.h"
-#include "sim/family_registry.h"
 #include "sim/suite_runner.h"
 #include "sim/sweep_engine.h"
 #include "workload/suite.h"

@@ -50,26 +50,13 @@ class Xorshift
     std::uint64_t state_;
 };
 
-TEST(PerceptronTest, ConfigValidationAndTheta)
-{
-    PerceptronConfig non_pow2 = PerceptronConfig::makeSmall();
-    non_pow2.numRows = 100;
-    EXPECT_THROW(PerceptronPredictor{non_pow2}, std::runtime_error);
-
-    PerceptronConfig deep = PerceptronConfig::makeSmall();
-    deep.historyBits = 65;
-    EXPECT_THROW(PerceptronPredictor{deep}, std::runtime_error);
-
-    // Jimenez's tuned threshold: floor(1.93 h + 14).
-    EXPECT_EQ(PerceptronConfig::makeSmall().theta(),
-              static_cast<std::int64_t>(1.93 * 12 + 14.0));
-    EXPECT_EQ(PerceptronConfig::makeDefault().theta(),
-              static_cast<std::int64_t>(1.93 * 24 + 14.0));
-}
+constexpr std::int32_t kWeightMax =
+    (1 << (PerceptronPredictor::kWeightBits - 1)) - 1;
+constexpr std::int32_t kWeightMin = -kWeightMax - 1;
 
 TEST(PerceptronTest, PredictionIsSignOfMargin)
 {
-    PerceptronPredictor pred(PerceptronConfig::makeSmall());
+    PerceptronPredictor pred;
     Xorshift rng(0x9EC50001u);
     for (int i = 0; i < 50'000; ++i) {
         const std::uint64_t r = rng.next();
@@ -83,11 +70,9 @@ TEST(PerceptronTest, PredictionIsSignOfMargin)
 
 TEST(PerceptronTest, TrainsIffMispredictOrMarginWithinTheta)
 {
-    const PerceptronConfig config = PerceptronConfig::makeSmall();
-    PerceptronPredictor pred(config);
-    const auto weight_max =
-        static_cast<std::int32_t>((1 << (config.weightBits - 1)) - 1);
-    const std::int32_t weight_min = -weight_max - 1;
+    PerceptronPredictor pred;
+    // Jimenez's tuned threshold: floor(1.93 h + 14) for h = 24.
+    ASSERT_EQ(PerceptronPredictor::kTheta, 60);
 
     Xorshift rng(0x9EC50002u);
     int trained = 0;
@@ -100,19 +85,19 @@ TEST(PerceptronTest, TrainsIffMispredictOrMarginWithinTheta)
         const std::int64_t margin = pred.marginOf(pc);
         const bool mispredict = (margin >= 0) != taken;
         const bool should_train =
-            mispredict || std::llabs(margin) <= pred.theta();
+            mispredict || std::llabs(margin) <= PerceptronPredictor::kTheta;
         ASSERT_EQ(pred.wouldTrain(pc, taken), should_train)
             << "step " << i;
 
         const std::uint64_t row = pred.rowOf(pc);
         const std::uint64_t history = pred.historyValue();
         std::vector<std::int32_t> before;
-        for (unsigned w = 0; w <= config.historyBits; ++w)
+        for (unsigned w = 0; w <= PerceptronPredictor::kHistoryBits; ++w)
             before.push_back(pred.weightAt(row, w));
 
         pred.update(pc, taken);
 
-        for (unsigned w = 0; w <= config.historyBits; ++w) {
+        for (unsigned w = 0; w <= PerceptronPredictor::kHistoryBits; ++w) {
             std::int32_t expected = before[w];
             if (should_train) {
                 // Bias trains on the outcome itself; weight i trains
@@ -121,10 +106,10 @@ TEST(PerceptronTest, TrainsIffMispredictOrMarginWithinTheta)
                     w == 0 ? taken
                            : (((history >> (w - 1)) & 1) != 0) == taken;
                 expected += agree ? 1 : -1;
-                if (expected > weight_max)
-                    expected = weight_max;
-                if (expected < weight_min)
-                    expected = weight_min;
+                if (expected > kWeightMax)
+                    expected = kWeightMax;
+                if (expected < kWeightMin)
+                    expected = kWeightMin;
             }
             ASSERT_EQ(pred.weightAt(row, w), expected)
                 << "weight " << w << " at step " << i
@@ -139,22 +124,18 @@ TEST(PerceptronTest, TrainsIffMispredictOrMarginWithinTheta)
 
 TEST(PerceptronTest, WeightsStayClampedUnderConstantOutcome)
 {
-    const PerceptronConfig config = PerceptronConfig::makeSmall();
-    PerceptronPredictor pred(config);
-    const auto weight_max =
-        static_cast<std::int32_t>((1 << (config.weightBits - 1)) - 1);
-    const std::int32_t weight_min = -weight_max - 1;
+    PerceptronPredictor pred;
 
     // A single always-taken branch drives its bias to saturation.
-    for (int i = 0; i < 4 * weight_max; ++i)
+    for (int i = 0; i < 4 * kWeightMax; ++i)
         pred.update(0x40, true);
     const std::uint64_t row = pred.rowOf(0x40);
-    for (unsigned w = 0; w <= config.historyBits; ++w) {
-        ASSERT_LE(pred.weightAt(row, w), weight_max);
-        ASSERT_GE(pred.weightAt(row, w), weight_min);
+    for (unsigned w = 0; w <= PerceptronPredictor::kHistoryBits; ++w) {
+        ASSERT_LE(pred.weightAt(row, w), kWeightMax);
+        ASSERT_GE(pred.weightAt(row, w), kWeightMin);
     }
     EXPECT_TRUE(pred.predict(0x40));
-    EXPECT_GT(pred.marginOf(0x40), pred.theta())
+    EXPECT_GT(pred.marginOf(0x40), PerceptronPredictor::kTheta)
         << "saturated weights should clear the training threshold";
 }
 
@@ -165,7 +146,7 @@ recomputedMargin(const PerceptronPredictor &pred, std::uint64_t pc)
     const std::uint64_t row = pred.rowOf(pc);
     const std::uint64_t hist = pred.historyValue();
     std::int64_t sum = pred.weightAt(row, 0);
-    for (unsigned i = 0; i < pred.config().historyBits; ++i) {
+    for (unsigned i = 0; i < PerceptronPredictor::kHistoryBits; ++i) {
         const std::int32_t w = pred.weightAt(row, i + 1);
         sum += ((hist >> i) & 1) != 0 ? w : -w;
     }
@@ -178,8 +159,7 @@ TEST(PerceptronTest, MemoizedMarginMatchesRecomputedDotProduct)
     // whose memo holds the PC checked next), marginOf() must be the
     // dot product of the current weights and history, for the PC just
     // trained and for another one.
-    const PerceptronConfig config = PerceptronConfig::makeSmall();
-    auto pred = std::make_unique<PerceptronPredictor>(config);
+    auto pred = std::make_unique<PerceptronPredictor>();
     Xorshift rng(0x9EC50004u);
     std::uint64_t pc = 0;
     for (int i = 0; i < 50'000; ++i) {
@@ -201,7 +181,7 @@ TEST(PerceptronTest, MemoizedMarginMatchesRecomputedDotProduct)
         if (i == 40'000) {
             StateWriter out;
             pred->saveState(out);
-            auto restored = std::make_unique<PerceptronPredictor>(config);
+            auto restored = std::make_unique<PerceptronPredictor>();
             ASSERT_EQ(restored->marginOf(pc), 0);
             StateReader in(out.bytes());
             restored->loadState(in);
@@ -215,23 +195,52 @@ TEST(PerceptronTest, MemoizedMarginMatchesRecomputedDotProduct)
 
 TEST(PerceptronTest, LoadStateRejectsMismatchedGeometry)
 {
-    PerceptronPredictor small(PerceptronConfig::makeSmall());
+    // A payload of one row too few.
+    constexpr std::size_t kWeights =
+        (PerceptronPredictor::kRows - 1) *
+        (PerceptronPredictor::kHistoryBits + 1);
     StateWriter out;
-    small.saveState(out);
+    out.putU64(kWeights);
+    for (std::size_t w = 0; w < kWeights; ++w)
+        out.putU32(0);
+    out.putU64(0);
 
-    PerceptronPredictor large(PerceptronConfig::makeDefault());
+    PerceptronPredictor pred;
     StateReader in(out.bytes());
-    EXPECT_THROW(large.loadState(in), std::runtime_error);
+    EXPECT_THROW(pred.loadState(in), std::runtime_error);
+}
+
+TEST(PerceptronTest, LoadStateRejectsWeightOutsideEightBits)
+{
+    // A checkpoint holds each weight as a sign-extended 32-bit word; a
+    // value no 8-bit weight can hold is a corrupt payload.
+    constexpr std::size_t kWeights =
+        PerceptronPredictor::kRows * (PerceptronPredictor::kHistoryBits + 1);
+    for (const std::int32_t bad : {kWeightMax + 1, kWeightMin - 1}) {
+        StateWriter out;
+        out.putU64(kWeights);
+        for (std::size_t w = 0; w < kWeights; ++w)
+            out.putU32(static_cast<std::uint32_t>(w == 7 ? bad : 0));
+        out.putU64(0);
+
+        PerceptronPredictor pred;
+        StateReader in(out.bytes());
+        try {
+            pred.loadState(in);
+            ADD_FAILURE() << "loaded weight " << bad;
+        } catch (const Error &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::kCheckpoint) << e.what();
+        }
+    }
 }
 
 TEST(PerceptronMarginConfidenceTest, BucketIsMonotoneInMargin)
 {
-    const PerceptronConfig config = PerceptronConfig::makeSmall();
-    PerceptronMarginConfidence conf(config, 8);
+    PerceptronMarginConfidence conf(8);
     EXPECT_EQ(conf.numBuckets(), 8u);
     EXPECT_TRUE(conf.bucketsAreOrdered());
 
-    const std::int64_t theta = config.theta();
+    const std::int64_t theta = PerceptronPredictor::kTheta;
     std::uint64_t prev = 0;
     for (std::int64_t m = 0; m <= theta + 16; ++m) {
         const std::uint64_t bucket = conf.bucketForMargin(m);
@@ -249,15 +258,13 @@ TEST(PerceptronMarginConfidenceTest, BucketIsMonotoneInMargin)
 
 TEST(PerceptronMarginConfidenceTest, RejectsDegenerateLevelCount)
 {
-    EXPECT_THROW(
-        PerceptronMarginConfidence(PerceptronConfig::makeSmall(), 1),
-        std::runtime_error);
+    EXPECT_THROW(PerceptronMarginConfidence(1), std::runtime_error);
 }
 
 TEST(PerceptronMarginConfidenceTest, BoundBucketFollowsPredictorMargin)
 {
-    PerceptronPredictor pred(PerceptronConfig::makeSmall());
-    PerceptronMarginConfidence conf(PerceptronConfig::makeSmall(), 8);
+    PerceptronPredictor pred;
+    PerceptronMarginConfidence conf(8);
     conf.bindPredictor(pred);
 
     Xorshift rng(0x9EC50003u);
@@ -286,7 +293,7 @@ TEST(PerceptronMarginConfidenceTest, BoundBucketFollowsPredictorMargin)
 
 TEST(PerceptronMarginConfidenceTest, UnboundEstimatorReturnsBucketZero)
 {
-    PerceptronMarginConfidence conf(PerceptronConfig::makeSmall(), 8);
+    PerceptronMarginConfidence conf(8);
     Xorshift rng(0x9EC50005u);
     BranchContext ctx;
     for (int i = 0; i < 1'000; ++i) {
@@ -298,21 +305,18 @@ TEST(PerceptronMarginConfidenceTest, UnboundEstimatorReturnsBucketZero)
     EXPECT_EQ(conf.storageBits(), 0u);
 }
 
-TEST(PerceptronMarginConfidenceTest, BindRejectsOtherFamilyOrHistoryLength)
+TEST(PerceptronMarginConfidenceTest, BindRejectsOtherFamily)
 {
-    const auto expect_config_error = [](const BranchPredictor &pred) {
-        PerceptronMarginConfidence conf(PerceptronConfig::makeSmall(), 8);
-        try {
-            conf.bindPredictor(pred);
-            ADD_FAILURE() << "bound to " << pred.name();
-        } catch (const Error &e) {
-            EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
-        }
-    };
-    expect_config_error(GsharePredictor(4096, 12));
-    PerceptronConfig longer = PerceptronConfig::makeSmall();
-    longer.historyBits = 16; // a different theta
-    expect_config_error(PerceptronPredictor(longer));
+    PerceptronMarginConfidence conf(8);
+    try {
+        conf.bindPredictor(GsharePredictor(4096, 12));
+        ADD_FAILURE() << "bound to gshare";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
+    }
+
+    const PerceptronPredictor perceptron;
+    EXPECT_NO_THROW(conf.bindPredictor(perceptron));
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -51,43 +52,15 @@ class Xorshift
     std::uint64_t state_;
 };
 
-/** makeSmall with aging disabled so u deltas are fully attributable. */
-TageConfig
-noAgingConfig()
-{
-    TageConfig config = TageConfig::makeSmall();
-    config.agingPeriod = 0;
-    return config;
-}
-
-TEST(TageTest, ConfigValidation)
-{
-    TageConfig no_tables = TageConfig::makeSmall();
-    no_tables.historyLengths.clear();
-    EXPECT_THROW(TagePredictor{no_tables}, std::runtime_error);
-
-    TageConfig non_pow2 = TageConfig::makeSmall();
-    non_pow2.taggedEntries = 100;
-    EXPECT_THROW(TagePredictor{non_pow2}, std::runtime_error);
-
-    TageConfig wide_tag = TageConfig::makeSmall();
-    wide_tag.tagBits = 17;
-    EXPECT_THROW(TagePredictor{wide_tag}, std::runtime_error);
-
-    TageConfig non_increasing = TageConfig::makeSmall();
-    non_increasing.historyLengths = {4, 4, 18};
-    EXPECT_THROW(TagePredictor{non_increasing}, std::runtime_error);
-
-    TageConfig too_deep = TageConfig::makeSmall();
-    too_deep.historyLengths = {4, 9, 65};
-    EXPECT_THROW(TagePredictor{too_deep}, std::runtime_error);
-}
+/** Streams shorter than this never reach an aging boundary, so their
+ *  u deltas are fully attributable. */
+static_assert(TagePredictor::kAgingPeriod > 200'000);
 
 TEST(TageTest, NameAndStorageReflectGeometry)
 {
-    TagePredictor pred(TageConfig::makeSmall());
-    EXPECT_EQ(pred.name(), "tage-3x128-h18");
-    EXPECT_EQ(pred.numTables(), 3u);
+    TagePredictor pred;
+    EXPECT_EQ(pred.name(), "tage-4x1024-h52");
+    EXPECT_EQ(TagePredictor::kTables, 4u);
     // 3-bit counters (values 0..7, midpoint 4) distinguish 4
     // strength levels per direction.
     EXPECT_EQ(pred.strengthLevels(), 4u);
@@ -96,7 +69,7 @@ TEST(TageTest, NameAndStorageReflectGeometry)
 
 TEST(TageTest, UsefulCounterMovesOnlyOnProviderAltDisagreement)
 {
-    TagePredictor pred(noAgingConfig());
+    TagePredictor pred;
     const std::uint8_t u_max = 3; // 2-bit useful counters
 
     Xorshift rng(0x7A6E0001u);
@@ -143,13 +116,11 @@ TEST(TageTest, UsefulCounterMovesOnlyOnProviderAltDisagreement)
 
 TEST(TageTest, PeriodicAgingHalvesUsefulCounters)
 {
-    TageConfig config = TageConfig::makeSmall();
-    config.agingPeriod = 4096;
-    TagePredictor pred(config);
+    TagePredictor pred;
 
     Xorshift rng(0x7A6E0002u);
     // Stop one update short of the aging boundary.
-    while (pred.updateCount() < config.agingPeriod - 1) {
+    while (pred.updateCount() < TagePredictor::kAgingPeriod - 1) {
         const std::uint64_t r = rng.next();
         pred.update(((r >> 8) & 0x3F) * 4, (r & 1) != 0);
     }
@@ -160,12 +131,12 @@ TEST(TageTest, PeriodicAgingHalvesUsefulCounters)
     const std::uint64_t r = rng.next();
     const std::uint64_t pc = ((r >> 8) & 0x3F) * 4;
     const bool taken = (r & 1) != 0;
-    std::vector<std::vector<std::uint8_t>> before(pred.numTables());
-    std::vector<std::uint64_t> touched(pred.numTables());
+    std::vector<std::vector<std::uint8_t>> before(TagePredictor::kTables);
+    std::vector<std::uint64_t> touched(TagePredictor::kTables);
     std::uint64_t nonzero = 0;
-    for (std::size_t t = 0; t < pred.numTables(); ++t) {
+    for (std::size_t t = 0; t < TagePredictor::kTables; ++t) {
         touched[t] = pred.indexOf(t, pc);
-        for (std::uint64_t e = 0; e < config.taggedEntries; ++e) {
+        for (std::uint64_t e = 0; e < TagePredictor::kEntries; ++e) {
             before[t].push_back(pred.entryAt(t, e).u);
             if (pred.entryAt(t, e).u != 0)
                 ++nonzero;
@@ -174,9 +145,9 @@ TEST(TageTest, PeriodicAgingHalvesUsefulCounters)
     ASSERT_GT(nonzero, 0u) << "training left no useful counters set";
 
     pred.update(pc, taken);
-    ASSERT_EQ(pred.updateCount(), config.agingPeriod);
-    for (std::size_t t = 0; t < pred.numTables(); ++t) {
-        for (std::uint64_t e = 0; e < config.taggedEntries; ++e) {
+    ASSERT_EQ(pred.updateCount(), TagePredictor::kAgingPeriod);
+    for (std::size_t t = 0; t < TagePredictor::kTables; ++t) {
+        for (std::uint64_t e = 0; e < TagePredictor::kEntries; ++e) {
             if (e == touched[t])
                 continue;
             ASSERT_EQ(pred.entryAt(t, e).u,
@@ -189,7 +160,7 @@ TEST(TageTest, PeriodicAgingHalvesUsefulCounters)
 
 TEST(TageTest, MispredictAllocatesFirstFreeCandidateOrDecaysAll)
 {
-    TagePredictor pred(noAgingConfig());
+    TagePredictor pred;
     const std::uint8_t ctr_mid = 4; // 3-bit counter midpoint
 
     Xorshift rng(0x7A6E0003u);
@@ -204,7 +175,7 @@ TEST(TageTest, MispredictAllocatesFirstFreeCandidateOrDecaysAll)
         const auto first =
             static_cast<std::size_t>(d.providerTable + 1);
         const bool mispredicted = d.taken != taken;
-        if (!mispredicted || first >= pred.numTables()) {
+        if (!mispredicted || first >= TagePredictor::kTables) {
             pred.update(pc, taken);
             continue;
         }
@@ -217,7 +188,7 @@ TEST(TageTest, MispredictAllocatesFirstFreeCandidateOrDecaysAll)
         };
         std::vector<Candidate> candidates;
         int victim = -1;
-        for (std::size_t t = first; t < pred.numTables(); ++t) {
+        for (std::size_t t = first; t < TagePredictor::kTables; ++t) {
             Candidate c;
             c.index = pred.indexOf(t, pc);
             c.tag = pred.tagOf(t, pc);
@@ -266,8 +237,8 @@ TEST(TageTest, MispredictAllocatesFirstFreeCandidateOrDecaysAll)
 
 TEST(TageTest, ResetRestoresInitialPredictions)
 {
-    TagePredictor pred(noAgingConfig());
-    TagePredictor fresh(noAgingConfig());
+    TagePredictor pred;
+    TagePredictor fresh;
     Xorshift rng(0x7A6E0004u);
     for (int i = 0; i < 20'000; ++i) {
         const std::uint64_t r = rng.next();
@@ -282,23 +253,34 @@ TEST(TageTest, ResetRestoresInitialPredictions)
 
 TEST(TageTest, LoadStateRejectsMismatchedGeometry)
 {
-    TagePredictor small(TageConfig::makeSmall());
-    StateWriter out;
-    small.saveState(out);
-
-    TagePredictor large(TageConfig::makeDefault());
-    StateReader in(out.bytes());
-    EXPECT_THROW(large.loadState(in), std::runtime_error);
+    // A payload that claims one table too few, then one with too few
+    // entries per table.
+    for (const auto &[tables, entries] :
+         {std::pair{TagePredictor::kTables - 1, TagePredictor::kEntries},
+          std::pair{TagePredictor::kTables, TagePredictor::kEntries / 8}}) {
+        StateWriter out;
+        out.putU64(tables);
+        out.putU64(entries);
+        for (std::size_t e = 0; e < tables * entries; ++e) {
+            out.putU16(0);
+            out.putU8(0);
+            out.putU8(0);
+        }
+        TagePredictor pred;
+        StateReader in(out.bytes());
+        EXPECT_THROW(pred.loadState(in), std::runtime_error)
+            << tables << " tables of " << entries;
+    }
 }
 
 /** The index hash of table @p t, folded directly from the history. */
 std::uint64_t
 recomputedIndex(const TagePredictor &pred, std::size_t t, std::uint64_t pc)
 {
-    const unsigned bits = log2Exact(pred.config().taggedEntries);
+    const unsigned bits = TagePredictor::kIndexBits;
     const std::uint64_t pc_field = pc >> 2;
     const std::uint64_t hist =
-        pred.historyValue() & mask(pred.config().historyLengths[t]);
+        pred.historyValue() & mask(TagePredictor::kHistoryLengths[t]);
     return (xorFold(pc_field, bits) ^ xorFold(pc_field >> (t + 1), bits) ^
             xorFold(hist, bits)) &
            mask(bits);
@@ -308,9 +290,9 @@ recomputedIndex(const TagePredictor &pred, std::size_t t, std::uint64_t pc)
 std::uint16_t
 recomputedTag(const TagePredictor &pred, std::size_t t, std::uint64_t pc)
 {
-    const unsigned bits = pred.config().tagBits;
+    const unsigned bits = TagePredictor::kTagBits;
     const std::uint64_t hist =
-        pred.historyValue() & mask(pred.config().historyLengths[t]);
+        pred.historyValue() & mask(TagePredictor::kHistoryLengths[t]);
     return static_cast<std::uint16_t>(
         (xorFold(pc >> 2, bits) ^ xorFold(hist, bits) ^
          (xorFold(hist, bits - 1) << 1)) &
@@ -320,7 +302,7 @@ recomputedTag(const TagePredictor &pred, std::size_t t, std::uint64_t pc)
 void
 expectRecomputedHashes(const TagePredictor &pred, std::uint64_t pc, int step)
 {
-    for (std::size_t t = 0; t < pred.numTables(); ++t) {
+    for (std::size_t t = 0; t < TagePredictor::kTables; ++t) {
         ASSERT_EQ(pred.indexOf(t, pc), recomputedIndex(pred, t, pc))
             << "table " << t << " index at step " << step;
         ASSERT_EQ(pred.tagOf(t, pc), recomputedTag(pred, t, pc))
@@ -336,9 +318,9 @@ expectRecomputedHashes(const TagePredictor &pred, std::uint64_t pc, int step)
  * next.
  */
 void
-expectFoldsMatchRecomputed(const TageConfig &config, std::uint64_t seed)
+expectFoldsMatchRecomputed(std::uint64_t seed)
 {
-    auto pred = std::make_unique<TagePredictor>(config);
+    auto pred = std::make_unique<TagePredictor>();
     Xorshift rng(seed);
     std::uint64_t pc = 0;
     for (int i = 0; i < 100'000; ++i) {
@@ -354,7 +336,7 @@ expectFoldsMatchRecomputed(const TageConfig &config, std::uint64_t seed)
         if (i == 60'000) {
             StateWriter out;
             pred->saveState(out);
-            auto restored = std::make_unique<TagePredictor>(config);
+            auto restored = std::make_unique<TagePredictor>();
             (void)restored->predict(pc); // a memo for the next check
             StateReader in(out.bytes());
             restored->loadState(in);
@@ -367,19 +349,17 @@ expectFoldsMatchRecomputed(const TageConfig &config, std::uint64_t seed)
 
 TEST(TageTest, IncrementalFoldsMatchRecomputedHashes)
 {
-    // makeSmall()'s first table folds 4 history bits into a 7-bit
-    // index and tag: a history shorter than the fold.
-    ASSERT_NO_FATAL_FAILURE(
-        expectFoldsMatchRecomputed(TageConfig::makeSmall(), 0x7A6E0006u));
-    expectFoldsMatchRecomputed(TageConfig::makeDefault(), 0x7A6E0007u);
+    // The first table folds 5 history bits into a 10-bit index and a
+    // 9-bit tag: a history shorter than the fold. The last folds 52.
+    expectFoldsMatchRecomputed(0x7A6E0007u);
 }
 
 TEST(TageTest, InterleavedLookupsNeverChangeTheUpdate)
 {
     // predict(a), predictDetail(b), update(a) must see b's own lookup
     // and train exactly like update(a) alone: the memo is keyed by PC.
-    TagePredictor probed(TageConfig::makeSmall());
-    TagePredictor twin(TageConfig::makeSmall());
+    TagePredictor probed;
+    TagePredictor twin;
     Xorshift rng(0x7A6E0008u);
     for (int i = 0; i < 50'000; ++i) {
         const std::uint64_t r = rng.next();
@@ -408,8 +388,8 @@ TEST(TageTest, InterleavedLookupsNeverChangeTheUpdate)
 
 TEST(TageProviderConfidenceTest, BoundBucketFollowsPredictorDetail)
 {
-    TagePredictor pred(TageConfig::makeSmall());
-    TageProviderConfidence conf(TageConfig::makeSmall());
+    TagePredictor pred;
+    TageProviderConfidence conf;
     conf.bindPredictor(pred);
 
     Xorshift rng(0x7A6E0005u);
@@ -441,7 +421,7 @@ TEST(TageProviderConfidenceTest, BoundBucketFollowsPredictorDetail)
 
 TEST(TageProviderConfidenceTest, UnboundEstimatorReturnsBucketZero)
 {
-    TageProviderConfidence conf(TageConfig::makeSmall());
+    TageProviderConfidence conf;
     Xorshift rng(0x7A6E0009u);
     BranchContext ctx;
     for (int i = 0; i < 1'000; ++i) {
@@ -452,31 +432,23 @@ TEST(TageProviderConfidenceTest, UnboundEstimatorReturnsBucketZero)
     }
 }
 
-TEST(TageProviderConfidenceTest, BindRejectsOtherFamilyOrCounterWidth)
+TEST(TageProviderConfidenceTest, BindRejectsOtherFamily)
 {
-    const auto expect_config_error = [](const BranchPredictor &pred) {
-        TageProviderConfidence conf(TageConfig::makeSmall());
-        try {
-            conf.bindPredictor(pred);
-            ADD_FAILURE() << "bound to " << pred.name();
-        } catch (const Error &e) {
-            EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
-        }
-    };
-    expect_config_error(GsharePredictor(4096, 12));
-    TageConfig wide = TageConfig::makeSmall();
-    wide.counterBits = 4;
-    expect_config_error(TagePredictor(wide));
+    TageProviderConfidence conf;
+    try {
+        conf.bindPredictor(GsharePredictor(4096, 12));
+        ADD_FAILURE() << "bound to gshare";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
+    }
 
-    // Only the counter width matters to the buckets.
-    const TagePredictor reference_geometry;
-    TageProviderConfidence conf(TageConfig::makeSmall());
-    EXPECT_NO_THROW(conf.bindPredictor(reference_geometry));
+    const TagePredictor tage;
+    EXPECT_NO_THROW(conf.bindPredictor(tage));
 }
 
 TEST(TageProviderConfidenceTest, BucketCountAndOrdering)
 {
-    TageProviderConfidence conf(TageConfig::makeSmall());
+    TageProviderConfidence conf;
     // 4 strength levels x {disagree, agree} corroboration.
     EXPECT_EQ(conf.numBuckets(), 8u);
     EXPECT_TRUE(conf.bucketsAreOrdered());

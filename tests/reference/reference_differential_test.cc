@@ -5,7 +5,9 @@
  * predictor and estimator geometry, warmup length, and context-switch
  * interval from its seed, runs both SimulationDriver and the model over
  * the same records, and requires identical branch, misprediction,
- * context-switch, and per-bucket counts.
+ * context-switch, and per-bucket counts. The native predictors (TAGE,
+ * the perceptron) and their confidence estimators are checked branch
+ * by branch against the model's scalar TAGE and perceptron.
  */
 
 #include <cstdint>
@@ -15,12 +17,18 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/state_io.h"
 #include "confidence/one_level.h"
+#include "confidence/perceptron_margin.h"
+#include "confidence/tage_confidence.h"
 #include "confidence/two_level.h"
 #include "predictor/gshare.h"
+#include "predictor/perceptron.h"
+#include "predictor/tage.h"
 #include "reference_model.h"
 #include "sim/driver.h"
 #include "trace/vector_trace_source.h"
+#include "workload/suite.h"
 
 namespace confsim {
 namespace {
@@ -224,6 +232,164 @@ TEST(ReferenceDifferential, KernelMatchesReferenceModelOnRandomCases)
                     << "bucket " << b;
             }
         }
+    }
+}
+
+/** One conditional branch of a native-predictor stream. */
+struct Outcome
+{
+    std::uint64_t pc;
+    bool taken;
+};
+
+/** The conditional branches of IBS benchmark @p index, short. */
+std::vector<Outcome>
+ibsOutcomes(std::size_t index)
+{
+    const auto source =
+        BenchmarkSuite::ibs(20'000).makeGenerator(index);
+    std::vector<Outcome> out;
+    BranchRecord record;
+    while (source->next(record)) {
+        if (record.isConditional())
+            out.push_back({record.pc, record.taken});
+    }
+    return out;
+}
+
+/**
+ * Branches over 4,096 random full-width PCs, so every PC bit reaches
+ * the folds: per-PC biases, some outcomes copying the previous one.
+ */
+std::vector<Outcome>
+randomPcOutcomes()
+{
+    Stream rng(0x7A6EC0DEull);
+    std::vector<std::uint64_t> pcs(4096);
+    std::vector<unsigned> bias(pcs.size());
+    for (std::size_t s = 0; s < pcs.size(); ++s) {
+        pcs[s] = rng.next() & ~std::uint64_t{3};
+        bias[s] = static_cast<unsigned>(rng.range(0, 100));
+    }
+    std::vector<Outcome> out(40'000);
+    bool last = false;
+    for (Outcome &o : out) {
+        const std::size_t s = rng.chance(80) ? rng.range(0, 63)
+                                             : rng.range(0, pcs.size() - 1);
+        o.pc = pcs[s];
+        o.taken = bias[s] < 15 ? last : rng.chance(bias[s]);
+        last = o.taken;
+    }
+    return out;
+}
+
+/** TAGE and its provider confidence against the reference, per branch,
+ *  then the final tables through the checkpoint encoding. */
+void
+expectTageMatches(const std::vector<Outcome> &stream)
+{
+    TagePredictor tage;
+    TageProviderConfidence confidence;
+    confidence.bindPredictor(tage);
+    reference::Tage model;
+    BranchContext ctx;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        const auto [pc, taken] = stream[i];
+        const reference::Tage::Detail want = model.lookup(pc);
+        const bool predicted = tage.predict(pc);
+        const TagePrediction got = tage.predictDetail(pc);
+        ASSERT_EQ(predicted, want.taken) << "branch " << i;
+        ASSERT_EQ(got.taken, want.taken) << "branch " << i;
+        ASSERT_EQ(got.providerTaken, want.providerTaken) << "branch " << i;
+        ASSERT_EQ(got.altTaken, want.altTaken) << "branch " << i;
+        ASSERT_EQ(got.providerTable, want.providerTable) << "branch " << i;
+        ASSERT_EQ(got.altTable, want.altTable) << "branch " << i;
+        ASSERT_EQ(got.providerCtr, want.providerCtr) << "branch " << i;
+        ASSERT_EQ(got.providerStrength, want.providerStrength)
+            << "branch " << i;
+        ASSERT_EQ(got.newlyAllocated, want.newlyAllocated)
+            << "branch " << i;
+        ASSERT_EQ(got.usedAlt, want.usedAlt) << "branch " << i;
+        ctx.pc = pc;
+        ASSERT_EQ(confidence.update(ctx, predicted == taken, taken),
+                  reference::Tage::bucket(want))
+            << "branch " << i;
+        tage.update(pc, taken);
+        model.train(pc, taken);
+    }
+
+    StateWriter out;
+    tage.saveState(out);
+    StateReader in(out.bytes());
+    ASSERT_EQ(in.getU64(), reference::Tage::kTables);
+    ASSERT_EQ(in.getU64(), model.tables[0].size());
+    for (std::size_t t = 0; t < model.tables.size(); ++t) {
+        for (std::size_t e = 0; e < model.tables[t].size(); ++e) {
+            const reference::Tage::Entry &entry = model.tables[t][e];
+            ASSERT_EQ(in.getU16(), entry.tag) << "table " << t << " " << e;
+            ASSERT_EQ(in.getU8(), entry.ctr) << "table " << t << " " << e;
+            ASSERT_EQ(in.getU8(), entry.u) << "table " << t << " " << e;
+        }
+    }
+    ASSERT_EQ(in.getU64(), model.base.size());
+    for (std::size_t e = 0; e < model.base.size(); ++e)
+        ASSERT_EQ(in.getU32(), model.base[e]) << "base " << e;
+    EXPECT_EQ(in.getU64(),
+              model.history & reference::lowBits(reference::Tage::kLengths[3]));
+    EXPECT_EQ(in.getU32(), model.useAlt);
+    EXPECT_EQ(in.getU64(), model.updates);
+}
+
+/** The perceptron and its margin confidence against the reference,
+ *  per branch, then the final weights through the checkpoint
+ *  encoding. */
+void
+expectPerceptronMatches(const std::vector<Outcome> &stream)
+{
+    PerceptronPredictor perceptron;
+    PerceptronMarginConfidence confidence;
+    confidence.bindPredictor(perceptron);
+    reference::Perceptron model;
+    BranchContext ctx;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        const auto [pc, taken] = stream[i];
+        const int want = model.margin(pc);
+        const bool predicted = perceptron.predict(pc);
+        ASSERT_EQ(predicted, want >= 0) << "branch " << i;
+        ASSERT_EQ(perceptron.marginOf(pc), want) << "branch " << i;
+        ctx.pc = pc;
+        ASSERT_EQ(confidence.update(ctx, predicted == taken, taken),
+                  reference::Perceptron::bucket(want,
+                                                confidence.numBuckets()))
+            << "branch " << i;
+        perceptron.update(pc, taken);
+        model.train(pc, taken);
+    }
+
+    StateWriter out;
+    perceptron.saveState(out);
+    StateReader in(out.bytes());
+    ASSERT_EQ(in.getU64(),
+              model.rows.size() * (reference::Perceptron::kHistory + 1));
+    for (std::size_t r = 0; r < model.rows.size(); ++r) {
+        for (std::size_t w = 0; w < model.rows[r].size(); ++w) {
+            ASSERT_EQ(static_cast<std::int32_t>(in.getU32()),
+                      model.rows[r][w])
+                << "row " << r << " weight " << w;
+        }
+    }
+    EXPECT_EQ(in.getU64(), model.history);
+}
+
+TEST(ReferenceDifferential, NativePredictorsMatchReferenceModel)
+{
+    const BenchmarkSuite suite = BenchmarkSuite::ibs();
+    for (std::size_t b = 0; b <= suite.size(); ++b) {
+        SCOPED_TRACE(b < suite.size() ? suite.names()[b] : "random PCs");
+        const std::vector<Outcome> stream =
+            b < suite.size() ? ibsOutcomes(b) : randomPcOutcomes();
+        ASSERT_NO_FATAL_FAILURE(expectTageMatches(stream));
+        ASSERT_NO_FATAL_FAILURE(expectPerceptronMatches(stream));
     }
 }
 

@@ -24,6 +24,11 @@
  *    context switch after every `interval` conditional branches
  *    (warmup included) restores the chosen structures to power-on
  *    state and clears the BHR.
+ *  - The native predictors the repo compares against the paper's
+ *    estimators, TAGE and the perceptron, and their built-in
+ *    confidence buckets: see Tage and Perceptron below, written from
+ *    their papers and the conventions stated in predictor/tage.h and
+ *    predictor/perceptron.h.
  */
 
 #ifndef CONFSIM_TESTS_REFERENCE_REFERENCE_MODEL_H
@@ -31,6 +36,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "trace/branch_record.h"
@@ -267,6 +273,288 @@ simulate(const std::vector<BranchRecord> &trace, Gshare predictor,
     }
     return result;
 }
+
+/**
+ * XOR-fold @p value into @p width bits: bit i of the value lands on
+ * bit i mod width of the result.
+ */
+inline std::uint64_t
+foldBits(std::uint64_t value, unsigned width)
+{
+    std::uint64_t out = 0;
+    for (unsigned i = 0; value != 0; ++i, value >>= 1)
+        out ^= (value & 1) << (i % width);
+    return out;
+}
+
+/**
+ * TAGE [Seznec & Michaud 2006] at the repo's paper geometry, from the
+ * method text and the conventions stated in predictor/tage.h:
+ *  - a base table of 4,096 two-bit counters, power-on 2 (weakly
+ *    taken), indexed by bits 2..13 of the PC; taken iff >= 2;
+ *  - four tagged tables of 1,024 entries over the newest 5, 11, 24
+ *    and 52 history bits (newest outcome in bit 0). Entry index:
+ *    fold10(pc >> 2) ^ fold10(pc >> (3 + t)) ^ fold10(history). Tag:
+ *    fold9(pc >> 2) ^ fold9(history) ^ (fold8(history) << 1), kept to
+ *    9 bits;
+ *  - each entry holds a 3-bit counter (taken iff >= 4) and a 2-bit
+ *    useful counter u; entries power on as tag 0, counter 0, u 0;
+ *  - the provider is the matching table with the longest history;
+ *    the alternate is the next-longest match, or the base table;
+ *  - strength is the counter's distance from its weak boundary. A
+ *    provider with u == 0 and strength 0 is newly allocated; then the
+ *    alternate is used iff the 4-bit use-alt counter (power-on 0) is
+ *    >= 8;
+ *  - training: on provider/alternate disagreement, u steps toward the
+ *    provider being right and the use-alt counter (newly allocated
+ *    providers only) toward the alternate being right; the provider's
+ *    counter steps toward the outcome. On a misprediction, the first
+ *    longer table whose entry has u == 0 is claimed (tag set, counter
+ *    4 if taken else 3, u 0); if none has, every longer entry's u
+ *    steps down. Every 262,144th update halves every u.
+ */
+struct Tage
+{
+    static constexpr unsigned kTables = 4;
+    static constexpr unsigned kIndexBits = 10;
+    static constexpr unsigned kTagBits = 9;
+    static constexpr unsigned kBaseBits = 12;
+    static constexpr unsigned kLengths[kTables] = {5, 11, 24, 52};
+    static constexpr std::uint64_t kAgingPeriod = 262'144;
+
+    struct Entry
+    {
+        unsigned tag = 0;
+        unsigned ctr = 0;
+        unsigned u = 0;
+    };
+
+    /** What a lookup decides (tage.h's TagePrediction). */
+    struct Detail
+    {
+        bool taken = false;
+        bool providerTaken = false;
+        bool altTaken = false;
+        int providerTable = -1;
+        int altTable = -1;
+        unsigned providerCtr = 0;
+        unsigned providerStrength = 0;
+        bool newlyAllocated = false;
+        bool usedAlt = false;
+    };
+
+    std::vector<std::vector<Entry>> tables;
+    std::vector<unsigned> base;
+    std::uint64_t history = 0;
+    unsigned useAlt = 0;
+    std::uint64_t updates = 0;
+
+    Tage()
+        : tables(kTables, std::vector<Entry>(std::size_t{1} << kIndexBits)),
+          base(std::size_t{1} << kBaseBits, 2)
+    {}
+
+    std::uint64_t
+    recent(unsigned t) const
+    {
+        return history & lowBits(kLengths[t]);
+    }
+
+    std::size_t
+    index(unsigned t, std::uint64_t pc) const
+    {
+        return foldBits(pc >> 2, kIndexBits) ^
+               foldBits(pc >> (3 + t), kIndexBits) ^
+               foldBits(recent(t), kIndexBits);
+    }
+
+    unsigned
+    tag(unsigned t, std::uint64_t pc) const
+    {
+        const std::uint64_t h = recent(t);
+        return static_cast<unsigned>(
+            (foldBits(pc >> 2, kTagBits) ^ foldBits(h, kTagBits) ^
+             (foldBits(h, kTagBits - 1) << 1)) &
+            lowBits(kTagBits));
+    }
+
+    std::size_t
+    baseSlot(std::uint64_t pc) const
+    {
+        return (pc >> 2) & lowBits(kBaseBits);
+    }
+
+    static unsigned
+    strength(unsigned ctr, unsigned weak_taken)
+    {
+        return ctr >= weak_taken ? ctr - weak_taken : weak_taken - 1 - ctr;
+    }
+
+    Detail
+    lookup(std::uint64_t pc) const
+    {
+        Detail d;
+        for (int t = kTables - 1; t >= 0; --t) {
+            const auto table = static_cast<unsigned>(t);
+            if (tables[table][index(table, pc)].tag != tag(table, pc))
+                continue;
+            if (d.providerTable < 0) {
+                d.providerTable = t;
+            } else {
+                d.altTable = t;
+                break;
+            }
+        }
+        const unsigned base_ctr = base[baseSlot(pc)];
+        const bool base_taken = base_ctr >= 2;
+        d.altTaken = base_taken;
+        if (d.altTable >= 0) {
+            const auto table = static_cast<unsigned>(d.altTable);
+            d.altTaken = tables[table][index(table, pc)].ctr >= 4;
+        }
+        if (d.providerTable < 0) {
+            d.providerCtr = base_ctr;
+            d.providerTaken = base_taken;
+            d.providerStrength = strength(base_ctr, 2);
+            d.taken = base_taken;
+            return d;
+        }
+        const auto table = static_cast<unsigned>(d.providerTable);
+        const Entry &entry = tables[table][index(table, pc)];
+        d.providerCtr = entry.ctr;
+        d.providerTaken = entry.ctr >= 4;
+        d.providerStrength = strength(entry.ctr, 4);
+        d.newlyAllocated = entry.u == 0 && d.providerStrength == 0;
+        d.usedAlt = d.newlyAllocated && useAlt >= 8;
+        d.taken = d.usedAlt ? d.altTaken : d.providerTaken;
+        return d;
+    }
+
+    static void
+    step(unsigned &counter, bool up, unsigned max)
+    {
+        if (up && counter < max)
+            ++counter;
+        if (!up && counter > 0)
+            --counter;
+    }
+
+    void
+    train(std::uint64_t pc, bool taken)
+    {
+        const Detail d = lookup(pc);
+        if (d.providerTable >= 0) {
+            const auto table = static_cast<unsigned>(d.providerTable);
+            Entry &entry = tables[table][index(table, pc)];
+            if (d.providerTaken != d.altTaken) {
+                step(entry.u, d.providerTaken == taken, 3);
+                if (d.newlyAllocated)
+                    step(useAlt, d.altTaken == taken, 15);
+            }
+            step(entry.ctr, taken, 7);
+        } else {
+            step(base[baseSlot(pc)], taken, 3);
+        }
+
+        if (d.taken != taken) {
+            const auto first = static_cast<unsigned>(d.providerTable + 1);
+            bool claimed = false;
+            for (unsigned t = first; t < kTables && !claimed; ++t) {
+                Entry &entry = tables[t][index(t, pc)];
+                if (entry.u == 0) {
+                    entry.tag = tag(t, pc);
+                    entry.ctr = taken ? 4 : 3;
+                    claimed = true;
+                }
+            }
+            for (unsigned t = first; t < kTables && !claimed; ++t)
+                step(tables[t][index(t, pc)].u, false, 3);
+        }
+
+        if (++updates % kAgingPeriod == 0) {
+            for (auto &table : tables)
+                for (Entry &entry : table)
+                    entry.u /= 2;
+        }
+        history = (history << 1) | (taken ? 1 : 0);
+    }
+
+    /** tage-provider's bucket: 2 x strength + (provider agrees with
+     *  the alternate). */
+    static std::uint64_t
+    bucket(const Detail &d)
+    {
+        return 2 * std::uint64_t{d.providerStrength} +
+               (d.providerTaken == d.altTaken ? 1 : 0);
+    }
+};
+
+/**
+ * The perceptron predictor [Jiménez & Lin 2001] at the repo's paper
+ * geometry, from the method text and predictor/perceptron.h:
+ *  - 512 rows of 25 weights (a bias, then one per history bit),
+ *    power-on 0, the row chosen by fold9(pc >> 2);
+ *  - margin = bias + sum over the 24 newest outcomes of +w for a
+ *    taken outcome and -w for a not-taken one; predict taken iff
+ *    margin >= 0;
+ *  - train iff the prediction was wrong or |margin| <= theta, with
+ *    theta = floor(1.93 x 24 + 14) = 60: the bias steps toward the
+ *    outcome, and weight i steps up iff history bit i equals the
+ *    outcome, each clamped to [-128, 127];
+ *  - perceptron-margin's bucket with L levels is
+ *    min(|margin| x L / (theta + 1), L - 1).
+ */
+struct Perceptron
+{
+    static constexpr unsigned kRowBits = 9;
+    static constexpr unsigned kHistory = 24;
+    static constexpr int kTheta = 60;
+
+    std::vector<std::vector<int>> rows;
+    std::uint64_t history = 0;
+
+    Perceptron()
+        : rows(std::size_t{1} << kRowBits, std::vector<int>(kHistory + 1))
+    {}
+
+    std::size_t row(std::uint64_t pc) const
+    {
+        return foldBits(pc >> 2, kRowBits);
+    }
+
+    int
+    margin(std::uint64_t pc) const
+    {
+        const std::vector<int> &w = rows[row(pc)];
+        int sum = w[0];
+        for (unsigned i = 0; i < kHistory; ++i)
+            sum += ((history >> i) & 1) != 0 ? w[i + 1] : -w[i + 1];
+        return sum;
+    }
+
+    void
+    train(std::uint64_t pc, bool taken)
+    {
+        const int m = margin(pc);
+        if ((m >= 0) != taken || std::abs(m) <= kTheta) {
+            std::vector<int> &w = rows[row(pc)];
+            const auto nudge = [](int &weight, bool up) {
+                weight = std::clamp(weight + (up ? 1 : -1), -128, 127);
+            };
+            nudge(w[0], taken);
+            for (unsigned i = 0; i < kHistory; ++i)
+                nudge(w[i + 1], (((history >> i) & 1) != 0) == taken);
+        }
+        history = ((history << 1) | (taken ? 1 : 0)) & lowBits(kHistory);
+    }
+
+    static std::uint64_t
+    bucket(int margin, std::uint64_t levels)
+    {
+        const auto magnitude = static_cast<std::uint64_t>(std::abs(margin));
+        return std::min(magnitude * levels / (kTheta + 1), levels - 1);
+    }
+};
 
 } // namespace confsim::reference
 
