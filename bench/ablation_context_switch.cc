@@ -22,9 +22,19 @@ using namespace confsim;
 
 namespace {
 
-double
-coverageAt20(const ExperimentEnv &env, std::uint64_t interval,
-             CtInit init)
+const std::vector<std::pair<const char *, CtInit>> kInits = {
+    {"ones", CtInit::Ones},
+    {"zeros", CtInit::Zeros},
+    {"lastbit", CtInit::LastBit},
+};
+
+/**
+ * Coverage at 20% of each kInits estimator, all three riding one
+ * gshare over the suite with a context switch every @p interval
+ * branches.
+ */
+std::vector<double>
+coverageAt20(const ExperimentEnv &env, std::uint64_t interval)
 {
     SuiteRunner runner(env.makeSuite());
     DriverOptions options;
@@ -33,17 +43,22 @@ coverageAt20(const ExperimentEnv &env, std::uint64_t interval,
 
     const auto result = runner.run(
         largeGshareFactory(),
-        [init] {
+        [] {
             std::vector<std::unique_ptr<ConfidenceEstimator>> out;
-            out.push_back(std::make_unique<OneLevelCirConfidence>(
-                IndexScheme::PcXorBhr, paper::kLargeCtEntries,
-                paper::kCirBits, CirReduction::RawPattern, init));
+            for (const auto &[name, init] : kInits) {
+                out.push_back(std::make_unique<OneLevelCirConfidence>(
+                    IndexScheme::PcXorBhr, paper::kLargeCtEntries,
+                    paper::kCirBits, CirReduction::RawPattern, init));
+            }
             return out;
         },
         options);
-    return ConfidenceCurve::fromBucketStats(
-               result.compositeEstimatorStats[0])
-        .mispredCoverageAt(0.20);
+    std::vector<double> coverage;
+    for (const BucketStats &stats : result.compositeEstimatorStats) {
+        coverage.push_back(ConfidenceCurve::fromBucketStats(stats)
+                               .mispredCoverageAt(0.20));
+    }
+    return coverage;
 }
 
 } // namespace
@@ -64,27 +79,23 @@ main(int argc, char **argv)
                 "operating point)\n\n");
     const std::vector<std::uint64_t> intervals = {0, 500'000, 100'000,
                                                   20'000};
-    const std::vector<std::pair<const char *, CtInit>> inits = {
-        {"ones", CtInit::Ones},
-        {"zeros", CtInit::Zeros},
-        {"lastbit", CtInit::LastBit},
-    };
 
     CsvWriter csv(env.csvDir + "/ablation_context_switch.csv");
     csv.writeRow({"switch_interval", "init", "coverage_at_20pct"});
 
     std::printf("%-16s", "interval");
-    for (const auto &[name, init] : inits)
+    for (const auto &[name, init] : kInits)
         std::printf(" %9s", name);
     std::printf("\n");
     for (std::uint64_t interval : intervals) {
         const std::string label =
             interval == 0 ? "never" : std::to_string(interval);
         std::printf("%-16s", label.c_str());
-        for (const auto &[name, init] : inits) {
-            const double coverage = coverageAt20(env, interval, init);
-            std::printf(" %8.1f%%", 100.0 * coverage);
-            csv.writeRow({label, name, formatFixed(coverage, 5)});
+        const std::vector<double> coverage = coverageAt20(env, interval);
+        for (std::size_t i = 0; i < kInits.size(); ++i) {
+            std::printf(" %8.1f%%", 100.0 * coverage[i]);
+            csv.writeRow(
+                {label, kInits[i].first, formatFixed(coverage[i], 5)});
         }
         std::printf("\n");
     }

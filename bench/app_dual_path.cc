@@ -14,7 +14,6 @@
 #include <cstdio>
 
 #include "apps/dual_path.h"
-#include "predictor/gshare.h"
 #include "sim/experiment.h"
 #include "util/csv.h"
 #include "util/string_utils.h"
@@ -23,52 +22,26 @@ using namespace confsim;
 
 namespace {
 
-struct SweepRow
+/** One forking policy: its low-confidence mask and fork slots. */
+struct Policy
 {
     std::string label;
-    double forkRate = 0.0;
-    double coverage = 0.0;
-    double speedup = 0.0;
+    std::vector<bool> low;
+    unsigned forkSlots = 1;
 };
 
-SweepRow
-runThreshold(const BenchmarkSuite &suite, std::uint64_t threshold,
-             bool blind, unsigned fork_slots = 1)
+/** Counter values 0..@p threshold (of 0..16) trigger a fork. */
+Policy
+thresholdPolicy(std::uint64_t buckets, std::uint64_t threshold,
+                unsigned fork_slots = 1)
 {
-    SweepRow row;
-    row.label = blind ? "blind" : "reset<=" + std::to_string(threshold);
+    Policy policy{"reset<=" + std::to_string(threshold),
+                  std::vector<bool>(buckets, false), fork_slots};
+    for (std::uint64_t v = 0; v <= threshold; ++v)
+        policy.low[v] = true;
     if (fork_slots != 1)
-        row.label += " x" + std::to_string(fork_slots);
-    double fork_sum = 0.0;
-    double cover_sum = 0.0;
-    double base_sum = 0.0;
-    double dual_sum = 0.0;
-    for (std::size_t b = 0; b < suite.size(); ++b) {
-        auto gen = suite.makeGenerator(b);
-        GsharePredictor pred =
-            GsharePredictor::makeLargePaperConfig();
-        OneLevelCounterConfidence est(IndexScheme::PcXorBhr,
-                                      paper::kLargeCtEntries,
-                                      CounterKind::Resetting,
-                                      paper::kCounterMax, 0);
-        std::vector<bool> low(est.numBuckets(), blind);
-        if (!blind) {
-            for (std::uint64_t v = 0; v <= threshold; ++v)
-                low[v] = true;
-        }
-        DualPathConfig config;
-        config.maxForks = fork_slots;
-        const auto result = runDualPath(*gen, pred, est, low, config);
-        fork_sum += result.forkRate();
-        cover_sum += result.coverage();
-        base_sum += result.baselineCycles;
-        dual_sum += result.dualPathCycles;
-    }
-    const auto n = static_cast<double>(suite.size());
-    row.forkRate = fork_sum / n;
-    row.coverage = cover_sum / n;
-    row.speedup = base_sum / dual_sum;
-    return row;
+        policy.label += " x" + std::to_string(fork_slots);
+    return policy;
 }
 
 } // namespace
@@ -86,28 +59,60 @@ main(int argc, char **argv)
 
     std::printf("=== Application 1: selective dual-path execution "
                 "===\n\n");
-    const auto suite = env.makeSuite();
 
     std::printf("%-12s %10s %10s %9s\n", "policy", "fork-rate",
                 "coverage", "speedup");
     CsvWriter csv(env.csvDir + "/app_dual_path.csv");
     csv.writeRow({"policy", "fork_rate", "coverage", "speedup"});
 
-    std::vector<SweepRow> rows;
+    const EstimatorConfig reset16 =
+        oneLevelCounterConfig(IndexScheme::PcXorBhr, CounterKind::Resetting);
+    const auto shape = reset16.make();
+    const std::uint64_t buckets = shape->numBuckets();
+    std::vector<Policy> policies;
     for (std::uint64_t threshold : {0u, 1u, 3u, 7u, 15u})
-        rows.push_back(runThreshold(suite, threshold, false));
+        policies.push_back(thresholdPolicy(buckets, threshold));
     // Eager-execution-style hardware: more simultaneous fork slots.
-    rows.push_back(runThreshold(suite, 15, false, 2));
-    rows.push_back(runThreshold(suite, 15, false, 4));
-    rows.push_back(runThreshold(suite, 0, true));
+    policies.push_back(thresholdPolicy(buckets, 15, 2));
+    policies.push_back(thresholdPolicy(buckets, 15, 4));
+    policies.push_back({"blind", std::vector<bool>(buckets, true), 1});
 
-    for (const auto &row : rows) {
-        std::printf("%-12s %9.1f%% %9.1f%% %8.3fx\n", row.label.c_str(),
-                    100.0 * row.forkRate, 100.0 * row.coverage,
-                    row.speedup);
-        csv.writeRow({row.label, formatFixed(row.forkRate, 4),
-                      formatFixed(row.coverage, 4),
-                      formatFixed(row.speedup, 4)});
+    // One replay per benchmark; every policy reads its branch log.
+    const std::size_t num_benchmarks = env.makeSuite().size();
+    std::vector<std::vector<DualPathResult>> results(
+        num_benchmarks, std::vector<DualPathResult>(policies.size()));
+    runSuiteExperiment(
+        env, {{"gshare64K+reset16", largeGshareFactory(), {reset16}}},
+        branchLogHooks([&](std::size_t bench, const SweepRunResult &pass) {
+            const BranchLog log = branchLog(pass, 0, 0, *shape);
+            for (std::size_t p = 0; p < policies.size(); ++p) {
+                DualPathConfig config;
+                config.maxForks = policies[p].forkSlots;
+                results[bench][p] =
+                    runDualPath(log, policies[p].low, config);
+            }
+        }));
+
+    const auto n = static_cast<double>(num_benchmarks);
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+        double fork_sum = 0.0;
+        double cover_sum = 0.0;
+        double base_sum = 0.0;
+        double dual_sum = 0.0;
+        for (const auto &bench : results) {
+            fork_sum += bench[p].forkRate();
+            cover_sum += bench[p].coverage();
+            base_sum += bench[p].baselineCycles;
+            dual_sum += bench[p].dualPathCycles;
+        }
+        const double fork_rate = fork_sum / n;
+        const double coverage = cover_sum / n;
+        const double speedup = base_sum / dual_sum;
+        std::printf("%-12s %9.1f%% %9.1f%% %8.3fx\n",
+                    policies[p].label.c_str(), 100.0 * fork_rate,
+                    100.0 * coverage, speedup);
+        csv.writeRow({policies[p].label, formatFixed(fork_rate, 4),
+                      formatFixed(coverage, 4), formatFixed(speedup, 4)});
     }
     std::printf("\npaper Section 6: forking after ~20%% of predictions "
                 "captures >80%% of mispredictions.\n");

@@ -14,11 +14,8 @@
 #include <memory>
 
 #include "apps/hybrid_selector.h"
-#include "confidence/one_level.h"
 #include "predictor/bimodal.h"
-#include "predictor/gshare.h"
 #include "predictor/hybrid.h"
-#include "sim/driver.h"
 #include "sim/experiment.h"
 #include "util/csv.h"
 #include "util/string_utils.h"
@@ -36,47 +33,58 @@ main(int argc, char **argv)
     }
 
     std::printf("=== Application 3: hybrid predictor selection ===\n\n");
-    const auto suite = env.makeSuite();
     std::printf("%-12s %9s %9s %9s %9s %9s\n", "benchmark", "bimodal",
                 "gshare", "chooser", "confsel", "oracle");
     CsvWriter csv(env.csvDir + "/app_hybrid.csv");
     csv.writeRow({"benchmark", "bimodal", "gshare", "chooser",
                   "confsel", "oracle"});
 
-    double sums[5] = {};
-    for (std::size_t b = 0; b < suite.size(); ++b) {
-        // Confidence-arbitrated hybrid.
-        auto gen = suite.makeGenerator(b);
-        BimodalPredictor bimodal(4096);
-        GsharePredictor gshare(4096, 12);
-        OneLevelCounterConfidence conf_bimodal(
-            IndexScheme::Pc, 4096, CounterKind::Resetting, 16, 0);
-        OneLevelCounterConfidence conf_gshare(
-            IndexScheme::PcXorBhr, 4096, CounterKind::Resetting, 16,
-            0);
-        const auto sel = runHybridSelector(*gen, bimodal, conf_bimodal,
-                                           gshare, conf_gshare);
-
-        // McFarling chooser baseline over the identical trace.
-        auto gen2 = suite.makeGenerator(b);
-        HybridPredictor chooser(
+    // Three configurations over one replay per benchmark: the two
+    // constituents, each with its own resetting-counter estimator, and
+    // the McFarling chooser over the same pair.
+    const EstimatorConfig bimodal_conf =
+        oneLevelCounterConfig(IndexScheme::Pc, CounterKind::Resetting, 4096);
+    const EstimatorConfig gshare_conf = oneLevelCounterConfig(
+        IndexScheme::PcXorBhr, CounterKind::Resetting, 4096);
+    const auto bimodal_shape = bimodal_conf.make();
+    const auto gshare_shape = gshare_conf.make();
+    const PredictorFactory bimodal = [] {
+        return std::make_unique<BimodalPredictor>(4096);
+    };
+    const PredictorFactory chooser = [] {
+        return std::make_unique<HybridPredictor>(
             std::make_unique<BimodalPredictor>(4096),
             std::make_unique<GsharePredictor>(4096, 12), 4096);
-        SimulationDriver driver(chooser, {});
-        const auto chooser_run = driver.run(*gen2);
+    };
+    std::vector<HybridSelectorResult> selections(env.makeSuite().size());
+    const SweepSuiteResult swept = runSuiteExperiment(
+        env,
+        {{"bimodal", bimodal, {bimodal_conf}},
+         {"gshare", smallGshareFactory(), {gshare_conf}},
+         {"chooser", chooser, {}}},
+        branchLogHooks([&](std::size_t bench, const SweepRunResult &pass) {
+            selections[bench] =
+                runHybridSelector(branchLog(pass, 0, 0, *bimodal_shape),
+                                  branchLog(pass, 1, 0, *gshare_shape));
+        }));
 
+    double sums[5] = {};
+    for (std::size_t b = 0; b < selections.size(); ++b) {
+        const HybridSelectorResult &sel = selections[b];
+        const BenchmarkRunResult &chooser_run =
+            swept.perConfig[2].perBenchmark[b];
         const double rates[5] = {
             sel.rate(sel.firstMispredicts),
             sel.rate(sel.secondMispredicts),
-            chooser_run.mispredictRate(),
+            chooser_run.mispredictRate,
             sel.rate(sel.selectedMispredicts),
             sel.rate(sel.oracleMispredicts),
         };
         std::printf("%-12s %8.2f%% %8.2f%% %8.2f%% %8.2f%% %8.2f%%\n",
-                    suite.profile(b).name.c_str(), 100.0 * rates[0],
+                    chooser_run.name.c_str(), 100.0 * rates[0],
                     100.0 * rates[1], 100.0 * rates[2],
                     100.0 * rates[3], 100.0 * rates[4]);
-        csv.writeRow({suite.profile(b).name, formatFixed(rates[0], 5),
+        csv.writeRow({chooser_run.name, formatFixed(rates[0], 5),
                       formatFixed(rates[1], 5),
                       formatFixed(rates[2], 5),
                       formatFixed(rates[3], 5),
@@ -84,7 +92,7 @@ main(int argc, char **argv)
         for (int i = 0; i < 5; ++i)
             sums[i] += rates[i];
     }
-    const auto n = static_cast<double>(suite.size());
+    const auto n = static_cast<double>(selections.size());
     std::printf("%-12s %8.2f%% %8.2f%% %8.2f%% %8.2f%% %8.2f%%  "
                 "(equal-weight)\n",
                 "composite", 100.0 * sums[0] / n, 100.0 * sums[1] / n,

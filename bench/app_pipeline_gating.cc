@@ -16,8 +16,6 @@
 #include <cstdio>
 
 #include "apps/pipeline_gating.h"
-#include "confidence/one_level.h"
-#include "predictor/gshare.h"
 #include "sim/experiment.h"
 #include "util/csv.h"
 #include "util/string_utils.h"
@@ -26,52 +24,31 @@ using namespace confsim;
 
 namespace {
 
+/** One gating policy and its suite means. */
 struct Row
 {
     std::string label;
+    GatingConfig config;
+    std::vector<bool> low; //!< counter values that count as low
     double ipc = 0.0;
     double wasted = 0.0;
     double gatedFrac = 0.0;
 };
 
+/** Counter values 0..@p low_max (of @p buckets) are low confidence. */
 Row
-runPolicy(const BenchmarkSuite &suite, bool gate, unsigned threshold,
-          std::uint64_t branches, std::uint32_t low_max = 15)
+policy(std::uint64_t buckets, bool gate, unsigned threshold,
+       std::uint32_t low_max = 15)
 {
     Row row;
     row.label = gate ? "low<=" + std::to_string(low_max) + ",gate>" +
                            std::to_string(threshold)
                      : "no-gating";
-    double ipc_sum = 0.0;
-    double waste_sum = 0.0;
-    double gated_sum = 0.0;
-    for (std::size_t b = 0; b < suite.size(); ++b) {
-        auto gen = suite.makeGenerator(b);
-        GsharePredictor pred = GsharePredictor::makeLargePaperConfig();
-        OneLevelCounterConfidence est(IndexScheme::PcXorBhr,
-                                      paper::kLargeCtEntries,
-                                      CounterKind::Resetting,
-                                      paper::kCounterMax, 0);
-        std::vector<bool> low(est.numBuckets(), false);
-        for (std::uint32_t v = 0; v <= low_max; ++v)
-            low[v] = true;
-        GatingConfig config;
-        config.enableGating = gate;
-        config.gateThreshold = threshold;
-        config.branches = branches;
-        const auto result =
-            runPipelineGating(*gen, pred, est, low, config);
-        ipc_sum += result.ipc();
-        waste_sum += result.wastedFraction();
-        gated_sum += result.cycles == 0
-                         ? 0.0
-                         : static_cast<double>(result.gatedCycles) /
-                               result.cycles;
-    }
-    const auto n = static_cast<double>(suite.size());
-    row.ipc = ipc_sum / n;
-    row.wasted = waste_sum / n;
-    row.gatedFrac = gated_sum / n;
+    row.config.enableGating = gate;
+    row.config.gateThreshold = threshold;
+    row.low.assign(buckets, false);
+    for (std::uint32_t v = 0; v <= low_max; ++v)
+        row.low[v] = true;
     return row;
 }
 
@@ -88,8 +65,10 @@ main(int argc, char **argv)
 
     std::printf("=== Application: pipeline gating (speculation "
                 "control) ===\n\n");
-    const auto suite = env.makeSuite();
-    const std::uint64_t branches =
+    // The model fetches at most this many branches per benchmark, so
+    // the suite is replayed to that prefix only.
+    ExperimentEnv capped = env;
+    capped.branchesPerBenchmark =
         std::min<std::uint64_t>(env.branchesPerBenchmark, 1'000'000);
 
     std::printf("%-12s %8s %10s %12s\n", "policy", "IPC", "wasted%",
@@ -100,13 +79,52 @@ main(int argc, char **argv)
     // Sweep both knobs: which counter values count as low confidence
     // (low<=V) and how many unresolved low-confidence branches are
     // tolerated before fetch stalls (gate>N).
+    const EstimatorConfig reset16 =
+        oneLevelCounterConfig(IndexScheme::PcXorBhr, CounterKind::Resetting);
+    const auto shape = reset16.make();
+    const std::uint64_t buckets = shape->numBuckets();
     std::vector<Row> rows;
-    rows.push_back(runPolicy(suite, false, 0, branches));
+    rows.push_back(policy(buckets, false, 0));
     for (unsigned threshold : {0u, 1u, 2u})
-        rows.push_back(runPolicy(suite, true, threshold, branches, 15));
+        rows.push_back(policy(buckets, true, threshold, 15));
     for (unsigned threshold : {0u, 1u})
-        rows.push_back(runPolicy(suite, true, threshold, branches, 3));
-    rows.push_back(runPolicy(suite, true, 0, branches, 1));
+        rows.push_back(policy(buckets, true, threshold, 3));
+    rows.push_back(policy(buckets, true, 0, 1));
+    for (Row &row : rows)
+        row.config.branches = capped.branchesPerBenchmark;
+
+    // One replay per benchmark; every policy reads its branch log.
+    const std::size_t num_benchmarks = capped.makeSuite().size();
+    std::vector<std::vector<GatingResult>> results(
+        num_benchmarks, std::vector<GatingResult>(rows.size()));
+    runSuiteExperiment(
+        capped, {{"gshare64K+reset16", largeGshareFactory(), {reset16}}},
+        branchLogHooks([&](std::size_t bench, const SweepRunResult &pass) {
+            const BranchLog log = branchLog(pass, 0, 0, *shape);
+            for (std::size_t r = 0; r < rows.size(); ++r) {
+                results[bench][r] =
+                    runPipelineGating(log, rows[r].low, rows[r].config);
+            }
+        }));
+
+    const auto n = static_cast<double>(num_benchmarks);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        double ipc_sum = 0.0;
+        double waste_sum = 0.0;
+        double gated_sum = 0.0;
+        for (const auto &bench : results) {
+            const GatingResult &result = bench[r];
+            ipc_sum += result.ipc();
+            waste_sum += result.wastedFraction();
+            gated_sum += result.cycles == 0
+                             ? 0.0
+                             : static_cast<double>(result.gatedCycles) /
+                                   result.cycles;
+        }
+        rows[r].ipc = ipc_sum / n;
+        rows[r].wasted = waste_sum / n;
+        rows[r].gatedFrac = gated_sum / n;
+    }
 
     const double base_ipc = rows[0].ipc;
     const double base_waste = rows[0].wasted;

@@ -2,9 +2,9 @@
  * @file
  * Branch prediction reverser study (paper Section 1 application 4).
  *
- * Runs the two-pass reverser (profile bucket accuracies, invert
- * predictions in buckets measured above 50% misprediction) per IBS
- * benchmark under three configurations:
+ * Runs the reverser (profile bucket accuracies, invert predictions in
+ * buckets measured above 50% misprediction) per IBS benchmark under
+ * three configurations, from one replay of the suite:
  *  - the paper's resetting-counter estimator over the large gshare
  *    (finding: no bucket exceeds 50% — Table 1 row 0 is 37.6% — so
  *    reversal never triggers),
@@ -17,42 +17,34 @@
 #include <memory>
 
 #include "apps/reverser.h"
-#include "confidence/one_level.h"
 #include "predictor/bimodal.h"
-#include "predictor/gshare.h"
 #include "sim/experiment.h"
 #include "util/csv.h"
 #include "util/string_utils.h"
-#include "workload/workload_generator.h"
 
 using namespace confsim;
 
 namespace {
 
+/** Report the reverser over estimator @p estimator's statistics for
+ *  every benchmark of @p run. */
 void
-runConfig(const char *label, const BenchmarkSuite &suite,
-          const std::function<std::unique_ptr<BranchPredictor>()>
-              &make_pred,
-          const std::function<std::unique_ptr<ConfidenceEstimator>()>
-              &make_est,
-          CsvWriter &csv)
+reportConfig(const char *label, const SuiteRunResult &run,
+             std::size_t estimator, CsvWriter &csv)
 {
     double base_sum = 0.0;
     double rev_sum = 0.0;
     std::uint64_t buckets_total = 0;
     std::uint64_t reversals_total = 0;
-    for (std::size_t b = 0; b < suite.size(); ++b) {
-        auto gen = suite.makeGenerator(b);
-        auto pred = make_pred();
-        auto est = make_est();
+    for (const BenchmarkRunResult &bench : run.perBenchmark) {
         const auto result =
-            runReverser(*gen, *pred, *est, 0.5, 200.0);
+            runReverser(bench.estimatorStats.at(estimator), 0.5, 200.0);
         base_sum += result.baseRate();
         rev_sum += result.reversedRate();
         buckets_total += result.reversalBuckets.size();
         reversals_total += result.reversals;
     }
-    const auto n = static_cast<double>(suite.size());
+    const auto n = static_cast<double>(run.perBenchmark.size());
     std::printf("%-28s %9.2f%% %9.2f%% %10llu %12llu\n", label,
                 100.0 * base_sum / n, 100.0 * rev_sum / n,
                 static_cast<unsigned long long>(buckets_total),
@@ -76,45 +68,28 @@ main(int argc, char **argv)
     }
 
     std::printf("=== Application 4: branch prediction reverser ===\n\n");
-    const auto suite = env.makeSuite();
     std::printf("%-28s %10s %10s %10s %12s\n", "configuration",
                 "base", "reversed", "buckets", "reversals");
     CsvWriter csv(env.csvDir + "/app_reverser.csv");
     csv.writeRow({"configuration", "base_rate", "reversed_rate",
                   "reversal_buckets", "reversals"});
 
-    runConfig(
-        "gshare64K + reset16", suite,
-        [] {
-            return std::make_unique<GsharePredictor>(
-                GsharePredictor::makeLargePaperConfig());
-        },
-        [] {
-            return std::make_unique<OneLevelCounterConfidence>(
-                IndexScheme::PcXorBhr, paper::kLargeCtEntries,
-                CounterKind::Resetting, 16, 0);
-        },
-        csv);
-
-    runConfig(
-        "bimodal1K + reset16", suite,
-        [] { return std::make_unique<BimodalPredictor>(1024); },
-        [] {
-            return std::make_unique<OneLevelCounterConfidence>(
-                IndexScheme::PcXorBhr, 4096, CounterKind::Resetting,
-                16, 0);
-        },
-        csv);
-
-    runConfig(
-        "bimodal1K + rawCIR", suite,
-        [] { return std::make_unique<BimodalPredictor>(1024); },
-        [] {
-            return std::make_unique<OneLevelCirConfidence>(
-                IndexScheme::PcXorBhr, 4096, 12,
-                CirReduction::RawPattern, CtInit::Ones);
-        },
-        csv);
+    // The weak predictor carries both of its estimators.
+    const PredictorFactory bimodal1k = [] {
+        return std::make_unique<BimodalPredictor>(1024);
+    };
+    const SweepSuiteResult swept = runSuiteExperiment(
+        env,
+        {{"gshare64K", largeGshareFactory(),
+          {oneLevelCounterConfig(IndexScheme::PcXorBhr,
+                                 CounterKind::Resetting)}},
+         {"bimodal1K", bimodal1k,
+          {oneLevelCounterConfig(IndexScheme::PcXorBhr,
+                                 CounterKind::Resetting, 4096),
+           oneLevelIdealConfig(IndexScheme::PcXorBhr, 4096, 12)}}});
+    reportConfig("gshare64K + reset16", swept.perConfig[0], 0, csv);
+    reportConfig("bimodal1K + reset16", swept.perConfig[1], 0, csv);
+    reportConfig("bimodal1K + rawCIR", swept.perConfig[1], 1, csv);
 
     std::printf("\npaper conjecture (Section 6): 'the reverser "
                 "application looks promising, but a key issue will be "

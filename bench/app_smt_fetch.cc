@@ -8,61 +8,13 @@
  */
 
 #include <cstdio>
-#include <memory>
 
 #include "apps/smt_fetch.h"
-#include "confidence/one_level.h"
-#include "predictor/gshare.h"
 #include "sim/experiment.h"
 #include "util/csv.h"
 #include "util/string_utils.h"
-#include "workload/workload_generator.h"
 
 using namespace confsim;
-
-namespace {
-
-struct ThreadBundle
-{
-    std::unique_ptr<WorkloadGenerator> source;
-    std::unique_ptr<GsharePredictor> predictor;
-    std::unique_ptr<OneLevelCounterConfidence> estimator;
-};
-
-SmtFetchResult
-runPolicy(bool gate, std::uint64_t threshold, std::uint64_t slots)
-{
-    const std::vector<std::string> programs = {"real_gcc", "gs",
-                                               "jpeg", "sdet"};
-    std::vector<ThreadBundle> bundles;
-    std::vector<SmtThreadSpec> specs;
-    for (const auto &name : programs) {
-        ThreadBundle bundle;
-        bundle.source = std::make_unique<WorkloadGenerator>(
-            ibsProfile(name), 4'000'000);
-        bundle.predictor = std::make_unique<GsharePredictor>(
-            GsharePredictor::makeSmallPaperConfig());
-        bundle.estimator =
-            std::make_unique<OneLevelCounterConfidence>(
-                IndexScheme::PcXorBhr, 4096, CounterKind::Resetting,
-                16, 0);
-        SmtThreadSpec spec;
-        spec.source = bundle.source.get();
-        spec.predictor = bundle.predictor.get();
-        spec.estimator = bundle.estimator.get();
-        spec.lowBuckets.assign(bundle.estimator->numBuckets(), false);
-        for (std::uint64_t v = 0; v <= threshold; ++v)
-            spec.lowBuckets[v] = true;
-        specs.push_back(std::move(spec));
-        bundles.push_back(std::move(bundle));
-    }
-    SmtFetchConfig config;
-    config.gateOnLowConfidence = gate;
-    config.fetchSlots = slots;
-    return runSmtFetch(specs, config);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -94,9 +46,37 @@ main(int argc, char **argv)
         {"gate<=3", true, 3},     {"gate<=7", true, 7},
         {"gate<=15", true, 15},
     };
+
+    // One replay per thread's program, long enough for any policy.
+    SmtFetchConfig config;
+    config.fetchSlots = slots;
+    const BenchmarkSuite programs = BenchmarkSuite::ibsSubset(
+        {"real_gcc", "gs", "jpeg", "sdet"}, smtBranchesPerThread(config));
+    const EstimatorConfig reset16 = oneLevelCounterConfig(
+        IndexScheme::PcXorBhr, CounterKind::Resetting, 4096);
+    const auto shape = reset16.make();
+    std::vector<std::vector<std::uint32_t>> logs(programs.size());
+    runSuiteExperiment(
+        env, {{"gshare4K+reset16", smallGshareFactory(), {reset16}}},
+        branchLogHooks([&](std::size_t bench, const SweepRunResult &pass) {
+            const BranchLog log = branchLog(pass, 0, 0, *shape);
+            logs[bench].assign(log.entries.begin(), log.entries.end());
+        }),
+        programs);
+
     for (const auto &policy : policies) {
-        const auto result =
-            runPolicy(policy.gate, policy.threshold, slots);
+        std::vector<SmtThreadSpec> threads;
+        for (const auto &log : logs) {
+            SmtThreadSpec thread;
+            thread.log = {log, shape->numBuckets(),
+                          shape->bucketsAreOrdered()};
+            thread.lowBuckets.assign(shape->numBuckets(), false);
+            for (std::uint64_t v = 0; v <= policy.threshold; ++v)
+                thread.lowBuckets[v] = true;
+            threads.push_back(std::move(thread));
+        }
+        config.gateOnLowConfidence = policy.gate;
+        const auto result = runSmtFetch(threads, config);
         std::printf("%-14s %11.2f%% %12.3f %12llu %14llu\n",
                     policy.label.c_str(),
                     100.0 * result.wastedFraction(),

@@ -17,10 +17,8 @@
 #include <cstdio>
 
 #include "apps/dual_path.h"
-#include "confidence/one_level.h"
-#include "predictor/gshare.h"
+#include "sim/experiment.h"
 #include "util/cli.h"
-#include "workload/workload_generator.h"
 
 using namespace confsim;
 
@@ -62,23 +60,34 @@ main(int argc, char **argv)
     std::printf("%-12s %10s %10s %10s %9s\n", "policy", "forks",
                 "fork-rate", "coverage", "speedup");
 
+    // One replay logs every branch's bucket; each policy reads the log.
+    const EstimatorConfig reset16 =
+        oneLevelCounterConfig(IndexScheme::PcXorBhr, CounterKind::Resetting);
+    const auto shape = reset16.make();
+    std::vector<std::uint32_t> entries;
+    runSuiteExperiment(
+        ExperimentEnv{},
+        {{"gshare64K+reset16", largeGshareFactory(), {reset16}}},
+        branchLogHooks([&](std::size_t, const SweepRunResult &pass) {
+            const BranchLog log = branchLog(pass, 0, 0, *shape);
+            entries.assign(log.entries.begin(), log.entries.end());
+        }),
+        BenchmarkSuite::ibsSubset({profile.name}, branches));
+    const BranchLog log{entries, shape->numBuckets(),
+                        shape->bucketsAreOrdered()};
+
     // A policy is the set of low-confidence (fork-triggering) counter
     // values.
     auto run_policy = [&](const char *label,
                           const std::vector<bool> &low_template) {
-        WorkloadGenerator gen(profile, branches);
-        GsharePredictor pred = GsharePredictor::makeLargePaperConfig();
-        OneLevelCounterConfidence est(IndexScheme::PcXorBhr, 1 << 16,
-                                      CounterKind::Resetting, 16, 0);
-        const auto result =
-            runDualPath(gen, pred, est, low_template, config);
+        const auto result = runDualPath(log, low_template, config);
         std::printf("%-12s %10llu %9.2f%% %9.1f%% %8.3fx\n", label,
                     static_cast<unsigned long long>(result.forks),
                     100.0 * result.forkRate(),
                     100.0 * result.coverage(), result.speedup());
     };
 
-    const std::size_t buckets = 17; // resetting counter 0..16
+    const std::uint64_t buckets = log.numBuckets; // counter 0..16
     run_policy("never", std::vector<bool>(buckets, false));
     for (std::uint64_t threshold : {0u, 1u, 3u, 7u, 15u}) {
         std::vector<bool> low(buckets, false);

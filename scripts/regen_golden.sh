@@ -23,8 +23,11 @@ fi
 cmake --build "$BUILD_DIR" -j
 "./$BUILD_DIR/bench/fig05_one_level" --fast --csv-dir tests/golden
 "./$BUILD_DIR/bench/fig09_benchmarks" --fast --csv-dir tests/golden
-"./$BUILD_DIR/bench/native_confidence" --fast --csv-dir tests/golden
-"./$BUILD_DIR/bench/ablation_predictors" --fast --csv-dir tests/golden
+for harness in native_confidence ablation_predictors app_dual_path \
+        app_pipeline_gating app_smt_fetch app_reverser app_hybrid \
+        ablation_context_switch; do
+    "./$BUILD_DIR/bench/$harness" --fast --csv-dir tests/golden
+done
 ctest --test-dir "$BUILD_DIR" -L golden --output-on-failure
 
 echo ""

@@ -1,56 +1,30 @@
 #include "apps/dual_path.h"
 
-#include <vector>
-
-#include "predictor/history_register.h"
-#include "util/shift_register.h"
 #include "util/status.h"
 
 namespace confsim {
 
 DualPathResult
-runDualPath(TraceSource &source, BranchPredictor &predictor,
-            ConfidenceEstimator &estimator,
-            const std::vector<bool> &low_buckets,
+runDualPath(const BranchLog &log, const std::vector<bool> &low_buckets,
             const DualPathConfig &config)
 {
-    if (low_buckets.size() != estimator.numBuckets())
-        fatal("dual-path low-bucket mask does not match estimator");
-
+    requireMaskFits(low_buckets, log, "dual-path");
     if (config.maxForks == 0)
         fatal("dual-path model requires at least one fork slot");
 
     DualPathResult result;
-    HistoryRegister bhr(16);
-    ShiftRegister gcir(16, 0);
 
     // Fork-slot occupancy: each active slot holds the number of
     // further branches until its forked branch resolves.
     std::vector<unsigned> fork_slots(config.maxForks, 0);
-    bool fork_armed = false; // a fork belongs to the current branch
 
-    BranchRecord record;
-    BranchContext ctx;
-    while (source.next(record)) {
-        if (!record.isConditional())
-            continue;
-
-        ctx.pc = record.pc;
-        ctx.bhr = bhr.value();
-        ctx.gcir = gcir.value();
-
-        const bool predicted = predictor.predict(record.pc);
-        const bool correct = (predicted == record.taken);
-        const std::uint64_t bucket = estimator.bucketOf(ctx);
-        const bool low_confidence =
-            bucket < low_buckets.size() && low_buckets[bucket];
-
+    for (const std::uint32_t entry : log.entries) {
         ++result.branches;
         result.baselineCycles += config.baseCyclesPerBranch;
         result.dualPathCycles += config.baseCyclesPerBranch;
 
-        fork_armed = false;
-        if (low_confidence) {
+        bool fork_armed = false; // a fork belongs to this branch
+        if (BranchLog::low(low_buckets, entry)) {
             ++result.forkRequests;
             for (auto &slot : fork_slots) {
                 if (slot == 0) {
@@ -63,7 +37,7 @@ runDualPath(TraceSource &source, BranchPredictor &predictor,
             }
         }
 
-        if (!correct) {
+        if (BranchLog::missed(entry)) {
             ++result.mispredicts;
             result.baselineCycles += config.mispredictPenalty;
             if (fork_armed) {
@@ -82,11 +56,6 @@ runDualPath(TraceSource &source, BranchPredictor &predictor,
                     --slot;
             }
         }
-
-        estimator.update(ctx, correct, record.taken);
-        predictor.update(record.pc, record.taken);
-        bhr.recordOutcome(record.taken);
-        gcir.shiftIn(!correct);
     }
     return result;
 }

@@ -9,10 +9,11 @@
  * those instances when a branch prediction is made with relatively low
  * confidence."
  *
- * The model is trace-driven: a fork may be initiated on a low-confidence
- * prediction when no fork is outstanding; an outstanding fork occupies
- * the second-thread resource until its branch resolves (approximated by
- * a fixed branch-count resolution window). A mispredicted branch that
+ * The model reads one configuration's branch log (apps/branch_log.h): a
+ * fork may be initiated on a low-confidence prediction when no fork is
+ * outstanding; an outstanding fork occupies the second-thread resource
+ * until its branch resolves (approximated by a fixed branch-count
+ * resolution window). A mispredicted branch that
  * was forked costs only a small squash/switch penalty; an unforked
  * misprediction costs the full pipeline-refill penalty.
  */
@@ -21,12 +22,9 @@
 #define CONFSIM_APPS_DUAL_PATH_H
 
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <vector>
 
-#include "confidence/binary_signal.h"
-#include "predictor/branch_predictor.h"
-#include "trace/trace_source.h"
+#include "apps/branch_log.h"
 
 namespace confsim {
 
@@ -94,20 +92,16 @@ struct DualPathResult
 };
 
 /**
- * Run the dual-path model.
+ * Run the dual-path model over a branch log.
  *
- * @param source Branch trace (consumed from its current position).
- * @param predictor Underlying predictor (trained online).
- * @param estimator Confidence estimator (trained online).
+ * @param log The estimator's branch log, one entry per branch.
  * @param low_buckets Buckets treated as low confidence (fork trigger),
- *        sized to estimator.numBuckets().
+ *        sized to log.numBuckets.
  * @param config Cost model.
  */
-DualPathResult
-runDualPath(TraceSource &source, BranchPredictor &predictor,
-            ConfidenceEstimator &estimator,
-            const std::vector<bool> &low_buckets,
-            const DualPathConfig &config = {});
+DualPathResult runDualPath(const BranchLog &log,
+                           const std::vector<bool> &low_buckets,
+                           const DualPathConfig &config = {});
 
 } // namespace confsim
 

@@ -1,68 +1,38 @@
 #include "apps/hybrid_selector.h"
 
-#include "predictor/history_register.h"
-#include "util/shift_register.h"
 #include "util/status.h"
 
 namespace confsim {
 
 HybridSelectorResult
-runHybridSelector(TraceSource &source, BranchPredictor &first,
-                  ConfidenceEstimator &first_confidence,
-                  BranchPredictor &second,
-                  ConfidenceEstimator &second_confidence)
+runHybridSelector(const BranchLog &first, const BranchLog &second)
 {
-    if (!first_confidence.bucketsAreOrdered() ||
-        !second_confidence.bucketsAreOrdered()) {
+    if (!first.bucketsOrdered || !second.bucketsOrdered) {
         fatal("hybrid selection requires ordered-bucket (counter) "
               "confidence estimators");
     }
+    if (first.entries.size() != second.entries.size())
+        fatal("hybrid selection needs two logs of the same trace");
 
     HybridSelectorResult result;
-    HistoryRegister bhr(16);
-    ShiftRegister gcir(16, 0);
-    BranchRecord record;
-    BranchContext ctx;
-
-    while (source.next(record)) {
-        if (!record.isConditional())
-            continue;
-        ctx.pc = record.pc;
-        ctx.bhr = bhr.value();
-        ctx.gcir = gcir.value();
-
-        const bool p1 = first.predict(record.pc);
-        const bool p2 = second.predict(record.pc);
-        const std::uint64_t c1 = first_confidence.bucketOf(ctx);
-        const std::uint64_t c2 = second_confidence.bucketOf(ctx);
+    for (std::size_t i = 0; i < first.entries.size(); ++i) {
+        const std::uint32_t entry1 = first.entries[i];
+        const std::uint32_t entry2 = second.entries[i];
+        const bool miss1 = BranchLog::missed(entry1);
+        const bool miss2 = BranchLog::missed(entry2);
 
         // Confidence arbitration: the more confident constituent wins;
         // ties go to the second constituent.
-        const bool selected = (c1 > c2) ? p1 : p2;
-
-        const bool correct1 = (p1 == record.taken);
-        const bool correct2 = (p2 == record.taken);
-        const bool correct_sel = (selected == record.taken);
+        const bool miss_selected =
+            BranchLog::bucket(entry1) > BranchLog::bucket(entry2) ? miss1
+                                                                  : miss2;
 
         ++result.branches;
-        if (!correct1)
-            ++result.firstMispredicts;
-        if (!correct2)
-            ++result.secondMispredicts;
-        if (!correct_sel)
-            ++result.selectedMispredicts;
-        if (p1 != p2)
-            ++result.disagreements;
-        if (!correct1 && !correct2)
-            ++result.oracleMispredicts;
-
-        // Each estimator tracks its own constituent's correctness.
-        first_confidence.update(ctx, correct1, record.taken);
-        second_confidence.update(ctx, correct2, record.taken);
-        first.update(record.pc, record.taken);
-        second.update(record.pc, record.taken);
-        bhr.recordOutcome(record.taken);
-        gcir.shiftIn(!correct1); // GCIR convention: track constituent 1
+        result.firstMispredicts += miss1;
+        result.secondMispredicts += miss2;
+        result.selectedMispredicts += miss_selected;
+        result.disagreements += miss1 != miss2;
+        result.oracleMispredicts += miss1 && miss2;
     }
     return result;
 }

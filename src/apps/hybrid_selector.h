@@ -10,11 +10,14 @@
  * By studying confidence mechanisms in general, we may be able to
  * arrive at more accurate hybrid selectors."
  *
- * This model runs two constituent predictors, each with its own
- * confidence estimator (ordered-bucket counters); on disagreement the
- * prediction of the higher-confidence constituent wins. The bench
- * compares against each constituent alone and against the classic
- * McFarling chooser (predictor/hybrid.h).
+ * This model reads two constituent predictors' branch logs
+ * (apps/branch_log.h), each from its own confidence estimator
+ * (ordered-bucket counters) over the same trace; the prediction of the
+ * higher-confidence constituent wins. Two binary predictions disagree
+ * exactly when one of them is mispredicted, so the logged
+ * (bucket, mispredicted) pairs decide every count. The bench compares
+ * against each constituent alone and against the classic McFarling
+ * chooser (predictor/hybrid.h).
  */
 
 #ifndef CONFSIM_APPS_HYBRID_SELECTOR_H
@@ -22,9 +25,7 @@
 
 #include <cstdint>
 
-#include "confidence/confidence_estimator.h"
-#include "predictor/branch_predictor.h"
-#include "trace/trace_source.h"
+#include "apps/branch_log.h"
 
 namespace confsim {
 
@@ -47,21 +48,19 @@ struct HybridSelectorResult
 };
 
 /**
- * Run the confidence-based selector.
+ * Run the confidence-based selector over two logs of the same trace.
  *
- * Both estimators must have ordered buckets (bucketsAreOrdered()), so
- * "higher bucket = higher confidence" is meaningful; ties go to the
- * second constituent (by convention the more accurate one).
+ * Both logs must come from ordered-bucket estimators
+ * (BranchLog::bucketsOrdered), so "higher bucket = higher confidence"
+ * is meaningful; ties go to the second constituent (by convention the
+ * more accurate one).
  *
- * @param source Trace (consumed from current position).
- * @param first Constituent 1 (e.g. bimodal) and its estimator.
- * @param second Constituent 2 (e.g. gshare) and its estimator.
+ * @param first Constituent 1's log (e.g. bimodal's).
+ * @param second Constituent 2's log (e.g. gshare's), as long as
+ *        @p first.
  */
-HybridSelectorResult
-runHybridSelector(TraceSource &source, BranchPredictor &first,
-                  ConfidenceEstimator &first_confidence,
-                  BranchPredictor &second,
-                  ConfidenceEstimator &second_confidence);
+HybridSelectorResult runHybridSelector(const BranchLog &first,
+                                       const BranchLog &second);
 
 } // namespace confsim
 

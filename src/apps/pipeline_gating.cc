@@ -2,8 +2,6 @@
 
 #include <deque>
 
-#include "predictor/history_register.h"
-#include "util/shift_register.h"
 #include "util/status.h"
 
 namespace confsim {
@@ -21,28 +19,21 @@ struct InFlightBranch
 } // namespace
 
 GatingResult
-runPipelineGating(TraceSource &source, BranchPredictor &predictor,
-                  ConfidenceEstimator &estimator,
+runPipelineGating(const BranchLog &log,
                   const std::vector<bool> &low_buckets,
                   const GatingConfig &config)
 {
-    if (low_buckets.size() != estimator.numBuckets())
-        fatal("pipeline-gating low-bucket mask does not match "
-              "estimator");
+    requireMaskFits(low_buckets, log, "pipeline-gating");
     if (config.fetchWidth == 0)
         fatal("fetch width must be >= 1");
 
     GatingResult result;
-    HistoryRegister bhr(16);
-    ShiftRegister gcir(16, 0);
     std::deque<InFlightBranch> inflight;
     unsigned low_outstanding = 0;
     bool wrong_path = false;
-    bool trace_done = false;
+    bool log_done = false;
     unsigned until_branch = config.instrsPerBranch;
-
-    BranchRecord record;
-    BranchContext ctx;
+    std::size_t next_entry = 0;
 
     for (std::uint64_t cycle = 0;; ++cycle) {
         // 1. Resolve branches whose latency elapsed (FIFO order).
@@ -60,8 +51,8 @@ runPipelineGating(TraceSource &source, BranchPredictor &predictor,
             }
         }
 
-        // Termination: trace consumed and the pipeline drained.
-        if ((trace_done || result.branches >= config.branches) &&
+        // Termination: log consumed and the pipeline drained.
+        if ((log_done || result.branches >= config.branches) &&
             inflight.empty()) {
             result.cycles = cycle;
             break;
@@ -69,7 +60,7 @@ runPipelineGating(TraceSource &source, BranchPredictor &predictor,
 
         // 2. Gating decision for this cycle's fetch.
         const bool fetch_ended =
-            trace_done || result.branches >= config.branches;
+            log_done || result.branches >= config.branches;
         if (fetch_ended)
             continue; // draining: no more fetch, just resolutions
         if (config.enableGating &&
@@ -92,33 +83,24 @@ runPipelineGating(TraceSource &source, BranchPredictor &predictor,
             }
 
             // This instruction is the next conditional branch.
-            if (!source.next(record)) {
-                trace_done = true;
+            if (next_entry == log.entries.size()) {
+                log_done = true;
                 until_branch = config.instrsPerBranch;
                 break;
             }
-            ctx.pc = record.pc;
-            ctx.bhr = bhr.value();
-            ctx.gcir = gcir.value();
-
-            const bool predicted = predictor.predict(record.pc);
-            const bool correct = (predicted == record.taken);
-            const std::uint64_t bucket = estimator.bucketOf(ctx);
-            const bool low = low_buckets[bucket];
+            const std::uint32_t entry = log.entries[next_entry++];
+            const bool mispredicted = BranchLog::missed(entry);
+            const bool low = BranchLog::low(low_buckets, entry);
 
             ++result.branches;
-            if (!correct)
+            if (mispredicted)
                 ++result.mispredicts;
-            estimator.update(ctx, correct, record.taken);
-            predictor.update(record.pc, record.taken);
-            bhr.recordOutcome(record.taken);
-            gcir.shiftIn(!correct);
 
             inflight.push_back(
-                {cycle + config.resolveLatency, !correct, low});
+                {cycle + config.resolveLatency, mispredicted, low});
             if (low)
                 ++low_outstanding;
-            if (!correct)
+            if (mispredicted)
                 wrong_path = true; // the rest of fetch is junk
             until_branch = config.instrsPerBranch;
 

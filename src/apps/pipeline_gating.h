@@ -12,7 +12,8 @@
  * small performance loss for a large reduction in wasted (wrong-path)
  * work — an energy win.
  *
- * This is a cycle-level in-order front-end model: instructions are
+ * This is a cycle-level in-order front-end model over one
+ * configuration's branch log (apps/branch_log.h): instructions are
  * fetched fetchWidth per cycle; each conditional branch resolves a
  * fixed latency after fetch; a mispredicted branch squashes everything
  * fetched behind it. The gating policy counts unresolved
@@ -25,9 +26,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "confidence/confidence_estimator.h"
-#include "predictor/branch_predictor.h"
-#include "trace/trace_source.h"
+#include "apps/branch_log.h"
 
 namespace confsim {
 
@@ -90,22 +89,18 @@ struct GatingResult
 };
 
 /**
- * Run the model.
+ * Run the model over a branch log.
  *
- * @param source Branch trace (consumed from its current position; the
- *        run ends after config.branches conditional branches or trace
- *        exhaustion, whichever comes first).
- * @param predictor Underlying predictor, trained online.
- * @param estimator Confidence estimator, trained online.
+ * @param log The estimator's branch log; fetch ends after
+ *        config.branches branches or at the log's end, whichever comes
+ *        first.
  * @param low_buckets Buckets treated as low confidence, sized to
- *        estimator.numBuckets().
+ *        log.numBuckets.
  * @param config Model parameters.
  */
-GatingResult
-runPipelineGating(TraceSource &source, BranchPredictor &predictor,
-                  ConfidenceEstimator &estimator,
-                  const std::vector<bool> &low_buckets,
-                  const GatingConfig &config = {});
+GatingResult runPipelineGating(const BranchLog &log,
+                               const std::vector<bool> &low_buckets,
+                               const GatingConfig &config = {});
 
 } // namespace confsim
 

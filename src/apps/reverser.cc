@@ -1,97 +1,30 @@
 #include "apps/reverser.h"
 
-#include "predictor/history_register.h"
-#include "util/shift_register.h"
-
 namespace confsim {
 
-namespace {
-
-/** One pass over the trace; optionally reversing flagged buckets. */
-struct PassResult
-{
-    std::uint64_t branches = 0;
-    std::uint64_t effectiveMispredicts = 0;
-    std::uint64_t reversals = 0;
-    BucketStats stats;
-};
-
-PassResult
-runPass(TraceSource &source, BranchPredictor &predictor,
-        ConfidenceEstimator &estimator,
-        const std::vector<bool> *reverse_mask)
-{
-    PassResult pass{0, 0, 0, BucketStats(estimator.numBuckets())};
-    HistoryRegister bhr(16);
-    ShiftRegister gcir(16, 0);
-    BranchRecord record;
-    BranchContext ctx;
-
-    while (source.next(record)) {
-        if (!record.isConditional())
-            continue;
-        ctx.pc = record.pc;
-        ctx.bhr = bhr.value();
-        ctx.gcir = gcir.value();
-
-        const bool predicted = predictor.predict(record.pc);
-        const std::uint64_t bucket = estimator.bucketOf(ctx);
-        const bool base_correct = (predicted == record.taken);
-
-        bool effective = predicted;
-        if (reverse_mask && (*reverse_mask)[bucket]) {
-            effective = !predicted;
-            ++pass.reversals;
-        }
-        const bool effective_correct = (effective == record.taken);
-
-        ++pass.branches;
-        if (!effective_correct)
-            ++pass.effectiveMispredicts;
-        pass.stats.record(bucket, !base_correct);
-
-        // All training uses the base prediction's correctness so the
-        // underlying structures behave identically in both passes.
-        estimator.update(ctx, base_correct, record.taken);
-        predictor.update(record.pc, record.taken);
-        bhr.recordOutcome(record.taken);
-        gcir.shiftIn(!base_correct);
-    }
-    return pass;
-}
-
-} // namespace
-
 ReverserResult
-runReverser(TraceSource &source, BranchPredictor &predictor,
-            ConfidenceEstimator &estimator, double rate_threshold,
+runReverser(const BucketStats &stats, double rate_threshold,
             double min_bucket_refs)
 {
-    // Pass 1: profile per-bucket accuracy.
-    PassResult profile = runPass(source, predictor, estimator, nullptr);
-
-    std::vector<bool> reverse_mask(estimator.numBuckets(), false);
     ReverserResult result;
-    for (std::uint64_t b = 0; b < estimator.numBuckets(); ++b) {
-        const BucketCounts &counts = profile.stats[b];
-        if (counts.refs >= min_bucket_refs &&
-            counts.rate() > rate_threshold) {
-            reverse_mask[b] = true;
-            result.reversalBuckets.push_back(b);
-        }
+    result.branches = static_cast<std::uint64_t>(stats.totalRefs());
+    result.baseMispredicts =
+        static_cast<std::uint64_t>(stats.totalMispredicts());
+    result.reversedMispredicts = result.baseMispredicts;
+    for (std::uint64_t b = 0; b < stats.numBuckets(); ++b) {
+        const BucketCounts &counts = stats[b];
+        if (counts.refs < min_bucket_refs ||
+            counts.rate() <= rate_threshold)
+            continue;
+        // Reversal turns the bucket's misses into hits and its hits
+        // into misses.
+        const auto refs = static_cast<std::uint64_t>(counts.refs);
+        const auto misses = static_cast<std::uint64_t>(counts.mispredicts);
+        result.reversalBuckets.push_back(b);
+        result.reversals += refs;
+        result.reversedMispredicts =
+            result.reversedMispredicts - misses + (refs - misses);
     }
-
-    // Pass 2: identical replay with reversal applied.
-    source.reset();
-    predictor.reset();
-    estimator.reset();
-    PassResult reversed =
-        runPass(source, predictor, estimator, &reverse_mask);
-
-    result.branches = reversed.branches;
-    result.baseMispredicts = profile.effectiveMispredicts;
-    result.reversedMispredicts = reversed.effectiveMispredicts;
-    result.reversals = reversed.reversals;
     return result;
 }
 

@@ -5,10 +5,14 @@
  * "If the confidence in a branch prediction can be determined to be
  * less than 50%, then the prediction should be reversed."
  *
- * Two-pass study: pass 1 profiles per-bucket accuracy of a confidence
- * estimator; buckets whose measured misprediction rate exceeds 50% form
- * the reversal set; pass 2 re-runs the trace inverting predictions in
- * those buckets and reports the accuracy delta.
+ * A profile of per-bucket accuracy of a confidence estimator picks the
+ * reversal set: the buckets whose measured misprediction rate exceeds
+ * 50%. Inverting the predictions in those buckets changes nothing the
+ * predictor or estimator learns (both train on the outcome and on the
+ * base prediction's correctness), so a second replay with reversal
+ * would see the same buckets: each reversed bucket's misses become
+ * hits and its hits misses. The study is therefore arithmetic over
+ * the bucket statistics of one plain replay.
  *
  * The paper conjectures this application and our Table-1 data shows why
  * it is hard: even the least-confident resetting-counter bucket
@@ -23,10 +27,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "confidence/confidence_estimator.h"
 #include "metrics/bucket_stats.h"
-#include "predictor/branch_predictor.h"
-#include "trace/trace_source.h"
 
 namespace confsim {
 
@@ -34,8 +35,8 @@ namespace confsim {
 struct ReverserResult
 {
     std::uint64_t branches = 0;
-    std::uint64_t baseMispredicts = 0;     //!< pass-2 without reversal
-    std::uint64_t reversedMispredicts = 0; //!< pass-2 with reversal
+    std::uint64_t baseMispredicts = 0;     //!< without reversal
+    std::uint64_t reversedMispredicts = 0; //!< with reversal
     std::uint64_t reversals = 0;           //!< predictions inverted
     std::vector<std::uint64_t> reversalBuckets; //!< buckets inverted
 
@@ -55,20 +56,18 @@ struct ReverserResult
 };
 
 /**
- * Run the two-pass reverser study.
+ * Run the reverser study over one estimator's bucket statistics.
  *
- * @param source Trace; reset() is called between passes.
- * @param predictor Underlying predictor; reset() between passes.
- * @param estimator Confidence estimator; reset() between passes.
- * @param rate_threshold Buckets with pass-1 misprediction rate strictly
+ * @param stats Per-bucket references and mispredictions of a plain
+ *        replay (every branch recorded once).
+ * @param rate_threshold Buckets with a misprediction rate strictly
  *        above this are reversed (0.5 per the paper's rule).
- * @param min_bucket_refs Ignore buckets with fewer pass-1 references
- *        (noise guard).
+ * @param min_bucket_refs Ignore buckets with fewer references (noise
+ *        guard).
  */
-ReverserResult
-runReverser(TraceSource &source, BranchPredictor &predictor,
-            ConfidenceEstimator &estimator, double rate_threshold = 0.5,
-            double min_bucket_refs = 100.0);
+ReverserResult runReverser(const BucketStats &stats,
+                           double rate_threshold = 0.5,
+                           double min_bucket_refs = 100.0);
 
 } // namespace confsim
 

@@ -1,9 +1,8 @@
 #include "apps/smt_fetch.h"
 
 #include <algorithm>
+#include <string>
 
-#include "predictor/history_register.h"
-#include "util/shift_register.h"
 #include "util/status.h"
 
 namespace confsim {
@@ -13,8 +12,7 @@ namespace {
 /** Per-thread microstate of the fetch model. */
 struct ThreadState
 {
-    HistoryRegister bhr{16};
-    ShiftRegister gcir{16, 0};
+    std::size_t nextEntry = 0;            //!< next branch in the log
     std::uint64_t wrongPathUntilSlot = 0; //!< fetching junk before this
     std::uint64_t gateUntilSlot = 0;      //!< deprioritized before this
     unsigned untilNextBranch = 0;         //!< correct-path countdown
@@ -22,17 +20,24 @@ struct ThreadState
 
 } // namespace
 
+std::uint64_t
+smtBranchesPerThread(const SmtFetchConfig &config)
+{
+    return config.fetchSlots * config.fetchBlock /
+               (config.instrsPerBranch + 1) +
+           1;
+}
+
 SmtFetchResult
-runSmtFetch(std::vector<SmtThreadSpec> &threads,
+runSmtFetch(const std::vector<SmtThreadSpec> &threads,
             const SmtFetchConfig &config)
 {
     if (threads.empty())
         fatal("SMT fetch model needs at least one thread");
     for (const auto &spec : threads) {
-        if (!spec.source || !spec.predictor || !spec.estimator)
-            fatal("SMT thread spec is missing a component");
-        if (spec.lowBuckets.size() != spec.estimator->numBuckets())
-            fatal("SMT thread low-bucket mask does not match estimator");
+        if (spec.log.entries.empty())
+            fatal("SMT thread has an empty branch log");
+        requireMaskFits(spec.lowBuckets, spec.log, "SMT thread");
     }
 
     const std::uint64_t latency_slots = std::max<std::uint64_t>(
@@ -44,8 +49,6 @@ runSmtFetch(std::vector<SmtThreadSpec> &threads,
         ts.untilNextBranch = config.instrsPerBranch;
 
     std::size_t rr = 0; // round-robin pointer
-    BranchRecord record;
-    BranchContext ctx;
 
     for (std::uint64_t slot = 0; slot < config.fetchSlots; ++slot) {
         // Pick the next eligible thread round-robin; count every
@@ -67,7 +70,7 @@ runSmtFetch(std::vector<SmtThreadSpec> &threads,
         rr = (chosen + 1) % threads.size();
 
         ThreadState &ts = state[chosen];
-        SmtThreadSpec &spec = threads[chosen];
+        const SmtThreadSpec &spec = threads[chosen];
 
         if (slot < ts.wrongPathUntilSlot) {
             // The whole block is wrong-path junk.
@@ -84,31 +87,18 @@ runSmtFetch(std::vector<SmtThreadSpec> &threads,
             }
 
             // Fetch reached the next conditional branch.
-            if (!spec.source->next(record)) {
-                spec.source->reset(); // loop the trace
-                if (!spec.source->next(record))
-                    fatal("SMT thread trace is empty");
-            }
-            ctx.pc = record.pc;
-            ctx.bhr = ts.bhr.value();
-            ctx.gcir = ts.gcir.value();
-
-            const bool predicted = spec.predictor->predict(record.pc);
-            const bool correct = (predicted == record.taken);
-            const std::uint64_t bucket = spec.estimator->bucketOf(ctx);
-            const bool low = spec.lowBuckets[bucket];
+            if (ts.nextEntry == spec.log.entries.size())
+                fatal("SMT thread " + std::to_string(chosen) +
+                      "'s branch log ran out");
+            const std::uint32_t entry = spec.log.entries[ts.nextEntry++];
 
             ++result.branches;
-            spec.estimator->update(ctx, correct, record.taken);
-            spec.predictor->update(record.pc, record.taken);
-            ts.bhr.recordOutcome(record.taken);
-            ts.gcir.shiftIn(!correct);
             ts.untilNextBranch = config.instrsPerBranch;
 
-            if (low)
+            if (BranchLog::low(spec.lowBuckets, entry))
                 ts.gateUntilSlot = slot + 1 + latency_slots;
 
-            if (!correct) {
+            if (BranchLog::missed(entry)) {
                 ++result.mispredicts;
                 ts.wrongPathUntilSlot = slot + 1 + latency_slots;
                 // The rest of this block is already wrong-path.

@@ -7,10 +7,11 @@
  * instructions only down predicted paths that have a high likelihood of
  * being correctly predicted."
  *
- * Model: N hardware threads, each running its own benchmark trace with
- * a private predictor and confidence estimator. Each fetch slot goes to
- * one thread (round-robin over eligible threads). When a thread's most
- * recent prediction was low confidence, a gating policy deprioritizes
+ * Model: N hardware threads, each running its own benchmark with a
+ * private predictor and confidence estimator, read as that benchmark's
+ * branch log (apps/branch_log.h). Each fetch slot goes to one thread
+ * (round-robin over eligible threads). When a thread's most recent
+ * prediction was low confidence, a gating policy deprioritizes
  * it until that branch resolves. Fetched instructions between a
  * mispredicted branch and its resolution are wrong-path (wasted). The
  * bench compares wasted-fetch fractions with gating off/on, reproducing
@@ -21,12 +22,9 @@
 #define CONFSIM_APPS_SMT_FETCH_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "confidence/confidence_estimator.h"
-#include "predictor/branch_predictor.h"
-#include "trace/trace_source.h"
+#include "apps/branch_log.h"
 
 namespace confsim {
 
@@ -52,12 +50,15 @@ struct SmtFetchConfig
     std::uint64_t fetchSlots = 500'000;
 };
 
+/** @return the most branches one thread can fetch under @p config:
+ *  fetchSlots x fetchBlock instructions, instrsPerBranch + 1 each. */
+std::uint64_t smtBranchesPerThread(const SmtFetchConfig &config);
+
 /** One thread of the SMT model. */
 struct SmtThreadSpec
 {
-    TraceSource *source = nullptr;             //!< not owned
-    BranchPredictor *predictor = nullptr;      //!< not owned
-    ConfidenceEstimator *estimator = nullptr;  //!< not owned
+    /** The thread's branch log; the view must outlive the run. */
+    BranchLog log;
     /** Buckets treated as low confidence for gating. */
     std::vector<bool> lowBuckets;
 };
@@ -90,8 +91,9 @@ struct SmtFetchResult
     }
 };
 
-/** Run the SMT fetch model over the given threads. */
-SmtFetchResult runSmtFetch(std::vector<SmtThreadSpec> &threads,
+/** Run the SMT fetch model over the given threads; fatal() when a
+ *  log is empty or shorter than the run needs (see above). */
+SmtFetchResult runSmtFetch(const std::vector<SmtThreadSpec> &threads,
                            const SmtFetchConfig &config = {});
 
 } // namespace confsim

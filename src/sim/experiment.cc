@@ -272,7 +272,8 @@ namespace {
  */
 DriverOptions
 experimentOptions(const ExperimentEnv &env, const BenchmarkSuite &suite,
-                  const std::vector<SweepExperimentConfig> &configs)
+                  const std::vector<SweepExperimentConfig> &configs,
+                  bool env_suite = true)
 {
     if (configs.empty()) {
         fatal(ErrorCategory::kConfig,
@@ -288,7 +289,9 @@ experimentOptions(const ExperimentEnv &env, const BenchmarkSuite &suite,
 
     RunManifest manifest = RunManifest::withBuildInfo();
     manifest.tool = env.tool;
-    manifest.suite = env.fullSuite ? "ibs-full" : "ibs-small";
+    manifest.suite = !env_suite      ? "ibs-subset"
+                     : env.fullSuite ? "ibs-full"
+                                     : "ibs-small";
     const auto predictor = configs.front().makePredictor();
     manifest.predictor = predictor->name();
     manifest.predictorStorageBits = predictor->storageBits();
@@ -333,15 +336,42 @@ sweepConfigurations(const std::vector<SweepExperimentConfig> &configs)
     return sweep;
 }
 
+/**
+ * Refuse, instead of dropping, the flags a @p run cannot honour: it
+ * runs fail-fast without checkpoints or a deadline, as every planned
+ * pass does (SuiteRunner::runPasses).
+ */
+void
+refuseCheckpointAndDeadline(const ExperimentEnv &env, const char *run)
+{
+    const std::pair<bool, const char *> unsupported[] = {
+        {!env.checkpointDir.empty(), "--checkpoint-dir"},
+        {env.resume, "--resume"},
+        {env.deadlineMs != 0, "--deadline-ms"}};
+    for (const auto &[set, flag] : unsupported) {
+        if (set) {
+            fatal(ErrorCategory::kConfig,
+                  std::string(flag) + " does not apply to " + run);
+        }
+    }
+}
+
 } // namespace
 
 SweepSuiteResult
 runSuiteExperiment(const ExperimentEnv &env,
-                   const std::vector<SweepExperimentConfig> &configs)
+                   const std::vector<SweepExperimentConfig> &configs,
+                   const SuiteRunner::PassHooks &hooks,
+                   std::optional<BenchmarkSuite> suite)
 {
-    const SuiteRunner runner(env.makeSuite());
-    DriverOptions options = experimentOptions(env, runner.suite(), configs);
-    options.profileStatic = true;
+    const bool planned = static_cast<bool>(hooks.plan);
+    if (planned)
+        refuseCheckpointAndDeadline(env, "a planned run");
+    const bool env_suite = !suite.has_value();
+    const SuiteRunner runner(env_suite ? env.makeSuite() : std::move(*suite));
+    DriverOptions options =
+        experimentOptions(env, runner.suite(), configs, env_suite);
+    options.profileStatic = !planned;
     SweepOptions sweep;
     sweep.threads = env.sweepThreads;
     RunPolicy policy;
@@ -350,26 +380,14 @@ runSuiteExperiment(const ExperimentEnv &env,
     policy.checkpoint.resume = env.resume;
     policy.deadlineMs = env.deadlineMs;
     return runner.runSweep(sweepConfigurations(configs), options, sweep,
-                           policy);
+                           policy, hooks);
 }
 
 SamplingRunResult
 runSampledSuiteExperiment(const ExperimentEnv &env,
                           const std::vector<SweepExperimentConfig> &configs)
 {
-    // A sampled suite runs fail-fast without checkpoints or a deadline
-    // (SamplingEngine::runSuite): refuse the flags instead of dropping
-    // them.
-    const std::pair<bool, const char *> unsupported[] = {
-        {!env.checkpointDir.empty(), "--checkpoint-dir"},
-        {env.resume, "--resume"},
-        {env.deadlineMs != 0, "--deadline-ms"}};
-    for (const auto &[set, flag] : unsupported) {
-        if (set) {
-            fatal(ErrorCategory::kConfig,
-                  std::string(flag) + " does not apply to a sampled run");
-        }
-    }
+    refuseCheckpointAndDeadline(env, "a sampled run");
     const SuiteRunner runner(env.makeSuite());
     SamplingOptions sampling;
     sampling.sampleRate = env.sampleRate;

@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -212,10 +213,18 @@ struct SweepExperimentConfig
  * configuration alone; only the wall clock differs. A one-config run
  * labelled "run" is what SuiteRunner::run computes, and shares its
  * checkpoints.
+ *
+ * @param hooks Per-benchmark hooks (SuiteRunner::runSweep). A planned
+ *        run records only slot logs, for the finish hook, and refuses
+ *        env.checkpointDir, env.resume and env.deadlineMs with
+ *        Error{kConfig} naming the flag, as a sampled run does.
+ * @param suite The benchmarks; unset = env.makeSuite().
  */
 SweepSuiteResult
 runSuiteExperiment(const ExperimentEnv &env,
-                   const std::vector<SweepExperimentConfig> &configs);
+                   const std::vector<SweepExperimentConfig> &configs,
+                   const SuiteRunner::PassHooks &hooks = {},
+                   std::optional<BenchmarkSuite> suite = std::nullopt);
 
 /**
  * Statistically sample the environment's suite instead of replaying it

@@ -501,7 +501,8 @@ computeComposites(SuiteRunResult &result, bool profile_static,
         return survivors;
 
     result.estimatorNames = first_ok->estimatorNames;
-    const std::size_t num_estimators = result.estimatorNames.size();
+    // Empty after a planned pass, whose records went to slot logs.
+    const std::size_t num_estimators = first_ok->estimatorStats.size();
     for (std::size_t e = 0; e < num_estimators; ++e) {
         EqualWeightComposite composite(
             first_ok->estimatorStats[e].numBuckets());
@@ -953,11 +954,11 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
 SweepSuiteResult
 SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
                       DriverOptions options, SweepOptions sweep,
-                      RunPolicy policy) const
+                      RunPolicy policy, const PassHooks &hooks) const
 {
     const auto sweep_start = std::chrono::steady_clock::now();
-    std::vector<PassOutcome> outcomes =
-        runPasses(configs, options, std::move(sweep), std::move(policy));
+    std::vector<PassOutcome> outcomes = runPasses(
+        configs, options, std::move(sweep), std::move(policy), hooks);
     Telemetry *const telemetry = options.telemetry;
 
     SweepSuiteResult result;

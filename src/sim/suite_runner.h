@@ -305,11 +305,13 @@ class SuiteRunner
      *        pool sized from SweepOptions::threads; a caller-set
      *        SweepOptions::pool is rejected with Error{kConfig}.
      * @param policy Fault-tolerance policy (see run()).
+     * @param hooks Per-benchmark hooks (runPasses()); under a plan
+     *        hook the results carry no estimator statistics.
      */
     SweepSuiteResult
     runSweep(const std::vector<SweepConfiguration> &configs,
              DriverOptions options, SweepOptions sweep,
-             RunPolicy policy = {}) const;
+             RunPolicy policy = {}, const PassHooks &hooks = {}) const;
 
     /**
      * The pass scheduler under runSweep(): one sweep pass per

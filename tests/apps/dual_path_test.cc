@@ -4,14 +4,17 @@
 
 #include <gtest/gtest.h>
 
-#include "confidence/one_level.h"
-#include "predictor/gshare.h"
-#include "predictor/static_predictor.h"
-#include "trace/vector_trace_source.h"
+#include "kernel_log.h"
 #include "workload/workload_generator.h"
 
 namespace confsim {
 namespace {
+
+using testing_apps::entries;
+using testing_apps::logOf;
+
+/** A resetting counter of 0..4: five buckets. */
+constexpr std::uint64_t kBuckets = 5;
 
 BenchmarkProfile
 testProfile()
@@ -24,20 +27,24 @@ testProfile()
     return p;
 }
 
+/** The shared test configuration's log of @p branches of
+ *  testProfile(). */
+std::vector<std::uint32_t>
+workloadLog(std::uint64_t branches)
+{
+    WorkloadGenerator gen(testProfile(), branches);
+    return testing_apps::gshareCounterLog(gen);
+}
+
 TEST(DualPathTest, AllLowConfidenceForksEverywhereWithinResources)
 {
     // With every bucket low-confidence and a 1-branch window, a fork
     // fires whenever the slot is free.
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    OneLevelCounterConfidence est(IndexScheme::Pc, 64,
-                                  CounterKind::Resetting, 4, 0);
-    VectorTraceSource source(std::vector<BranchRecord>(
-        100, {0x1000, 0x2000, true, BranchType::Conditional}));
+    const auto log = entries(100, 2, false);
     DualPathConfig config;
     config.resolutionWindow = 1;
     const auto result = runDualPath(
-        source, pred, est, std::vector<bool>(est.numBuckets(), true),
-        config);
+        logOf(log, kBuckets), std::vector<bool>(kBuckets, true), config);
     EXPECT_EQ(result.branches, 100u);
     EXPECT_EQ(result.forkRequests, 100u);
     // With window 1, a fork is held for one subsequent branch, so at
@@ -47,13 +54,9 @@ TEST(DualPathTest, AllLowConfidenceForksEverywhereWithinResources)
 
 TEST(DualPathTest, NoLowConfidenceNeverForks)
 {
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    OneLevelCounterConfidence est(IndexScheme::Pc, 64,
-                                  CounterKind::Resetting, 4, 0);
-    VectorTraceSource source(std::vector<BranchRecord>(
-        100, {0x1000, 0x2000, false, BranchType::Conditional}));
-    const auto result = runDualPath(
-        source, pred, est, std::vector<bool>(est.numBuckets(), false));
+    const auto log = entries(100, 0, true);
+    const auto result = runDualPath(logOf(log, kBuckets),
+                                    std::vector<bool>(kBuckets, false));
     EXPECT_EQ(result.forks, 0u);
     EXPECT_EQ(result.coveredMispredicts, 0u);
     EXPECT_EQ(result.mispredicts, 100u);
@@ -64,19 +67,13 @@ TEST(DualPathTest, NoLowConfidenceNeverForks)
 
 TEST(DualPathTest, CoveredMispredictsPayReducedPenalty)
 {
-    // Deterministic single-branch trace: always-taken predictor on an
-    // always-not-taken branch with everything low confidence and a
-    // 1-wide window: every branch forks and every miss is covered.
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    OneLevelCounterConfidence est(IndexScheme::Pc, 64,
-                                  CounterKind::Resetting, 4, 0);
-    VectorTraceSource source(std::vector<BranchRecord>(
-        50, {0x1000, 0x2000, false, BranchType::Conditional}));
+    // Every branch mispredicted at low confidence with a 1-wide
+    // window: every branch forks and every miss is covered.
+    const auto log = entries(50, 0, true);
     DualPathConfig config;
     config.resolutionWindow = 1;
     const auto result = runDualPath(
-        source, pred, est, std::vector<bool>(est.numBuckets(), true),
-        config);
+        logOf(log, kBuckets), std::vector<bool>(kBuckets, true), config);
     // Every miss resets the fork slot, so the fork is always free at
     // the next branch: full coverage.
     EXPECT_EQ(result.mispredicts, 50u);
@@ -97,14 +94,11 @@ TEST(DualPathTest, ConfidenceGuidedForkingBeatsBlindForkingOnBudget)
     // On a realistic workload, forking on the resetting counter's low
     // buckets must cover a disproportionate share of mispredictions
     // relative to the forks spent.
-    WorkloadGenerator gen(testProfile(), 150000);
-    GsharePredictor pred(4096, 12);
-    OneLevelCounterConfidence est(IndexScheme::PcXorBhr, 4096,
-                                  CounterKind::Resetting, 16, 0);
-    std::vector<bool> low(est.numBuckets(), false);
+    const auto log = workloadLog(150000);
+    std::vector<bool> low(17, false);
     for (std::uint64_t b = 0; b <= 3; ++b)
         low[b] = true; // fork only on the least-confident buckets
-    const auto result = runDualPath(gen, pred, est, low);
+    const auto result = runDualPath(logOf(log, 17), low);
     EXPECT_GT(result.mispredicts, 0u);
     // Coverage should exceed fork rate substantially (the whole point
     // of confidence-guided forking).
@@ -114,12 +108,9 @@ TEST(DualPathTest, ConfidenceGuidedForkingBeatsBlindForkingOnBudget)
 
 TEST(DualPathTest, MismatchedMaskIsFatal)
 {
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    OneLevelCounterConfidence est(IndexScheme::Pc, 64,
-                                  CounterKind::Resetting, 4, 0);
-    VectorTraceSource source({});
+    const std::vector<std::uint32_t> log;
     EXPECT_THROW(
-        runDualPath(source, pred, est, std::vector<bool>(2, true)),
+        runDualPath(logOf(log, kBuckets), std::vector<bool>(2, true)),
         std::runtime_error);
 }
 
@@ -128,17 +119,14 @@ TEST(DualPathTest, MoreForkSlotsIncreaseCoverage)
 {
     // Eager-execution-style hardware: with more simultaneous forks,
     // coverage can only improve (same trigger policy).
-    auto run = [](unsigned slots) {
-        WorkloadGenerator gen(testProfile(), 100000);
-        GsharePredictor pred(4096, 12);
-        OneLevelCounterConfidence est(IndexScheme::PcXorBhr, 4096,
-                                      CounterKind::Resetting, 16, 0);
-        std::vector<bool> low(est.numBuckets(), false);
+    const auto log = workloadLog(100000);
+    auto run = [&](unsigned slots) {
+        std::vector<bool> low(17, false);
         for (std::uint64_t b = 0; b <= 7; ++b)
             low[b] = true;
         DualPathConfig config;
         config.maxForks = slots;
-        return runDualPath(gen, pred, est, low, config);
+        return runDualPath(logOf(log, 17), low, config);
     };
     const auto one = run(1);
     const auto four = run(4);
@@ -148,15 +136,11 @@ TEST(DualPathTest, MoreForkSlotsIncreaseCoverage)
 
 TEST(DualPathTest, ZeroForkSlotsIsFatal)
 {
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    OneLevelCounterConfidence est(IndexScheme::Pc, 64,
-                                  CounterKind::Resetting, 4, 0);
-    VectorTraceSource source({});
+    const std::vector<std::uint32_t> log;
     DualPathConfig config;
     config.maxForks = 0;
-    EXPECT_THROW(runDualPath(source, pred, est,
-                             std::vector<bool>(est.numBuckets(), true),
-                             config),
+    EXPECT_THROW(runDualPath(logOf(log, kBuckets),
+                             std::vector<bool>(kBuckets, true), config),
                  std::runtime_error);
 }
 } // namespace

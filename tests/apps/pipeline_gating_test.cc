@@ -5,21 +5,17 @@
 
 #include <gtest/gtest.h>
 
-#include "confidence/one_level.h"
-#include "predictor/gshare.h"
-#include "predictor/static_predictor.h"
-#include "trace/vector_trace_source.h"
+#include "kernel_log.h"
 #include "workload/workload_generator.h"
 
 namespace confsim {
 namespace {
 
-std::vector<BranchRecord>
-repeated(std::uint64_t pc, std::size_t n, bool taken)
-{
-    return std::vector<BranchRecord>(
-        n, {pc, pc + 16, taken, BranchType::Conditional});
-}
+using testing_apps::entries;
+using testing_apps::logOf;
+
+/** A resetting counter of 0..4: five buckets. */
+constexpr std::uint64_t kBuckets = 5;
 
 GatingConfig
 smallConfig(bool gate, unsigned threshold = 0)
@@ -30,19 +26,27 @@ smallConfig(bool gate, unsigned threshold = 0)
     config.instrsPerBranch = 3;
     config.enableGating = gate;
     config.gateThreshold = threshold;
-    config.branches = 1'000'000; // run to trace exhaustion
+    config.branches = 1'000'000; // run to the log's end
     return config;
+}
+
+/** Counter values 0..7 of 17 are low confidence. */
+std::vector<bool>
+lowUpTo7()
+{
+    std::vector<bool> low(17, false);
+    for (std::uint64_t b = 0; b <= 7; ++b)
+        low[b] = true;
+    return low;
 }
 
 TEST(PipelineGatingTest, PerfectPredictionFetchesNoJunk)
 {
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    OneLevelCounterConfidence est(IndexScheme::Pc, 64,
-                                  CounterKind::Resetting, 4, 0);
-    VectorTraceSource source(repeated(0x1000, 200, true));
-    const auto result = runPipelineGating(
-        source, pred, est, std::vector<bool>(est.numBuckets(), false),
-        smallConfig(false));
+    const auto log = entries(200, 4, false);
+    const auto result =
+        runPipelineGating(logOf(log, kBuckets),
+                          std::vector<bool>(kBuckets, false),
+                          smallConfig(false));
     EXPECT_EQ(result.branches, 200u);
     EXPECT_EQ(result.mispredicts, 0u);
     EXPECT_EQ(result.wrongPathInstructions, 0u);
@@ -56,13 +60,11 @@ TEST(PipelineGatingTest, PerfectPredictionFetchesNoJunk)
 
 TEST(PipelineGatingTest, MispredictsCostWrongPathWork)
 {
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    OneLevelCounterConfidence est(IndexScheme::Pc, 64,
-                                  CounterKind::Resetting, 4, 0);
-    VectorTraceSource source(repeated(0x1000, 100, false));
-    const auto result = runPipelineGating(
-        source, pred, est, std::vector<bool>(est.numBuckets(), false),
-        smallConfig(false));
+    const auto log = entries(100, 0, true);
+    const auto result =
+        runPipelineGating(logOf(log, kBuckets),
+                          std::vector<bool>(kBuckets, false),
+                          smallConfig(false));
     EXPECT_EQ(result.mispredicts, 100u);
     EXPECT_GT(result.wrongPathInstructions, 0u);
     EXPECT_GT(result.wastedFraction(), 0.3);
@@ -73,13 +75,11 @@ TEST(PipelineGatingTest, GatingOnAlwaysLowStopsWrongPathFetch)
     // Every prediction low-confidence + threshold 0: after fetching a
     // branch, fetch stalls until it resolves, so no wrong-path
     // instruction is ever fetched.
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    OneLevelCounterConfidence est(IndexScheme::Pc, 64,
-                                  CounterKind::Resetting, 4, 0);
-    VectorTraceSource source(repeated(0x1000, 100, false));
-    const auto result = runPipelineGating(
-        source, pred, est, std::vector<bool>(est.numBuckets(), true),
-        smallConfig(true, 0));
+    const auto log = entries(100, 0, true);
+    const auto result =
+        runPipelineGating(logOf(log, kBuckets),
+                          std::vector<bool>(kBuckets, true),
+                          smallConfig(true, 0));
     EXPECT_EQ(result.mispredicts, 100u);
     EXPECT_EQ(result.wrongPathInstructions, 0u);
     EXPECT_GT(result.gatedCycles, 0u);
@@ -89,19 +89,14 @@ TEST(PipelineGatingTest, GatingTradesCyclesForWaste)
 {
     // On a realistic workload: gating must reduce the wasted fraction;
     // the IPC cost must be bounded (that's the entire selling point).
-    const auto run = [](bool gate) {
-        WorkloadGenerator gen(ibsProfile("groff"), 200000);
-        GsharePredictor pred(4096, 12);
-        OneLevelCounterConfidence est(IndexScheme::PcXorBhr, 4096,
-                                      CounterKind::Resetting, 16, 0);
-        std::vector<bool> low(est.numBuckets(), false);
-        for (std::uint64_t b = 0; b <= 7; ++b)
-            low[b] = true;
+    WorkloadGenerator gen(ibsProfile("groff"), 200000);
+    const auto log = testing_apps::gshareCounterLog(gen);
+    const auto run = [&](bool gate) {
         GatingConfig config;
         config.enableGating = gate;
         config.gateThreshold = 1;
         config.branches = 200000;
-        return runPipelineGating(gen, pred, est, low, config);
+        return runPipelineGating(logOf(log, 17), lowUpTo7(), config);
     };
     const auto baseline = run(false);
     const auto gated = run(true);
@@ -114,40 +109,57 @@ TEST(PipelineGatingTest, GatingTradesCyclesForWaste)
               baseline.committedInstructions);
 }
 
+TEST(PipelineGatingTest, NonConditionalRecordsAreNotBranches)
+{
+    // Calls, returns and jumps mixed into the trace are not branches
+    // the model fetches: its result equals the one over the same
+    // conditional stream without them.
+    const auto run = [](bool emit_non_conditional) {
+        BenchmarkProfile profile = ibsProfile("jpeg");
+        profile.emitNonConditional = emit_non_conditional;
+        WorkloadGenerator gen(profile, 50000);
+        const auto log = testing_apps::gshareCounterLog(gen);
+        GatingConfig config;
+        config.branches = 50000;
+        return runPipelineGating(logOf(log, 17), lowUpTo7(), config);
+    };
+    const GatingResult plain = run(false);
+    const GatingResult mixed = run(true);
+    EXPECT_EQ(mixed.branches, 50000u);
+    EXPECT_EQ(mixed.branches, plain.branches);
+    EXPECT_EQ(mixed.mispredicts, plain.mispredicts);
+    EXPECT_EQ(mixed.cycles, plain.cycles);
+    EXPECT_EQ(mixed.fetchedInstructions, plain.fetchedInstructions);
+    EXPECT_EQ(mixed.wrongPathInstructions, plain.wrongPathInstructions);
+    EXPECT_EQ(mixed.committedInstructions, plain.committedInstructions);
+    EXPECT_EQ(mixed.gatedCycles, plain.gatedCycles);
+}
+
 TEST(PipelineGatingTest, HighThresholdNeverGates)
 {
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    OneLevelCounterConfidence est(IndexScheme::Pc, 64,
-                                  CounterKind::Resetting, 4, 0);
-    VectorTraceSource source(repeated(0x1000, 100, true));
-    GatingConfig config = smallConfig(true, 1000);
-    const auto result = runPipelineGating(
-        source, pred, est, std::vector<bool>(est.numBuckets(), true),
-        config);
+    const auto log = entries(100, 4, false);
+    const auto result =
+        runPipelineGating(logOf(log, kBuckets),
+                          std::vector<bool>(kBuckets, true),
+                          smallConfig(true, 1000));
     EXPECT_EQ(result.gatedCycles, 0u);
 }
 
 TEST(PipelineGatingTest, BranchBudgetStopsEarly)
 {
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    OneLevelCounterConfidence est(IndexScheme::Pc, 64,
-                                  CounterKind::Resetting, 4, 0);
-    VectorTraceSource source(repeated(0x1000, 1000, true));
+    const auto log = entries(1000, 4, false);
     GatingConfig config = smallConfig(false);
     config.branches = 50;
-    const auto result = runPipelineGating(
-        source, pred, est, std::vector<bool>(est.numBuckets(), false),
-        config);
+    const auto result =
+        runPipelineGating(logOf(log, kBuckets),
+                          std::vector<bool>(kBuckets, false), config);
     EXPECT_EQ(result.branches, 50u);
 }
 
 TEST(PipelineGatingTest, MismatchedMaskIsFatal)
 {
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    OneLevelCounterConfidence est(IndexScheme::Pc, 64,
-                                  CounterKind::Resetting, 4, 0);
-    VectorTraceSource source({});
-    EXPECT_THROW(runPipelineGating(source, pred, est,
+    const std::vector<std::uint32_t> log;
+    EXPECT_THROW(runPipelineGating(logOf(log, kBuckets),
                                    std::vector<bool>(2, true)),
                  std::runtime_error);
 }

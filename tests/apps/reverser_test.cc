@@ -5,26 +5,35 @@
 #include <gtest/gtest.h>
 
 #include "confidence/one_level.h"
+#include "kernel_log.h"
+#include "predictor/bimodal.h"
 #include "predictor/gshare.h"
-#include "predictor/static_predictor.h"
-#include "trace/vector_trace_source.h"
+#include "predictor/history_register.h"
+#include "util/shift_register.h"
 #include "workload/workload_generator.h"
 
 namespace confsim {
 namespace {
 
+/** A resetting counter of 0..4: five buckets. */
+constexpr std::uint64_t kBuckets = 5;
+
+/** @p n records of @p miss in @p bucket, added to @p stats. */
+void
+recordN(BucketStats &stats, std::size_t n, std::uint64_t bucket, bool miss)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        stats.record(bucket, miss);
+}
+
 TEST(ReverserTest, ReversesPersistentlyWrongBucket)
 {
-    // Always-taken predictor on an always-not-taken branch: the
-    // resetting counter pins at 0 with a 100% misprediction rate, so
-    // bucket 0 enters the reversal set and pass 2 fixes every miss
-    // after warmup.
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    OneLevelCounterConfidence est(IndexScheme::Pc, 64,
-                                  CounterKind::Resetting, 4, 0);
-    VectorTraceSource source(std::vector<BranchRecord>(
-        500, {0x1000, 0x2000, false, BranchType::Conditional}));
-    const auto result = runReverser(source, pred, est, 0.5, 10.0);
+    // A branch mispredicted every time pins its resetting counter at 0
+    // with a 100% misprediction rate, so bucket 0 enters the reversal
+    // set and reversal fixes every miss.
+    BucketStats stats(kBuckets);
+    recordN(stats, 500, 0, true);
+    const auto result = runReverser(stats, 0.5, 10.0);
     EXPECT_EQ(result.branches, 500u);
     EXPECT_EQ(result.baseMispredicts, 500u);
     ASSERT_FALSE(result.reversalBuckets.empty());
@@ -35,14 +44,11 @@ TEST(ReverserTest, ReversesPersistentlyWrongBucket)
 
 TEST(ReverserTest, NoBucketAboveThresholdMeansNoChange)
 {
-    // Always-taken predictor on an always-taken branch: zero misses,
-    // no bucket qualifies, pass 2 must be bit-identical to pass 1.
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    OneLevelCounterConfidence est(IndexScheme::Pc, 64,
-                                  CounterKind::Resetting, 4, 0);
-    VectorTraceSource source(std::vector<BranchRecord>(
-        200, {0x1000, 0x2000, true, BranchType::Conditional}));
-    const auto result = runReverser(source, pred, est);
+    // Zero misses: no bucket qualifies and nothing changes.
+    BucketStats stats(kBuckets);
+    recordN(stats, 1, 0, false);
+    recordN(stats, 199, 4, false);
+    const auto result = runReverser(stats);
     EXPECT_TRUE(result.reversalBuckets.empty());
     EXPECT_EQ(result.reversals, 0u);
     EXPECT_EQ(result.baseMispredicts, result.reversedMispredicts);
@@ -52,15 +58,10 @@ TEST(ReverserTest, MinRefsGuardSuppressesNoisyBuckets)
 {
     // A single mispredicted execution would give a 100% rate but with
     // refs below the guard the bucket must not be reversed.
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    OneLevelCounterConfidence est(IndexScheme::Pc, 64,
-                                  CounterKind::Resetting, 4, 0);
-    std::vector<BranchRecord> records(
-        50, {0x1000, 0x2000, true, BranchType::Conditional});
-    records.push_back({0x2000, 0x3000, false,
-                       BranchType::Conditional});
-    VectorTraceSource source(records);
-    const auto result = runReverser(source, pred, est, 0.5, 100.0);
+    BucketStats stats(kBuckets);
+    recordN(stats, 50, 4, false);
+    recordN(stats, 1, 0, true);
+    const auto result = runReverser(stats, 0.5, 100.0);
     EXPECT_TRUE(result.reversalBuckets.empty());
 }
 
@@ -71,25 +72,76 @@ TEST(ReverserTest, PaperFindingStrongPredictorHasNoReversibleBucket)
     // mispredicted (Table 1 row 0: 37.6%), so the reverser finds
     // nothing to do. Our synthetic suite reproduces that conclusion.
     WorkloadGenerator gen(ibsProfile("groff"), 200000);
-    GsharePredictor pred(4096, 12);
-    OneLevelCounterConfidence est(IndexScheme::PcXorBhr, 4096,
-                                  CounterKind::Resetting, 16, 0);
-    const auto result = runReverser(gen, pred, est, 0.5, 500.0);
+    const SweepConfigResult replay = testing_apps::kernelReplay(
+        gen, [] { return std::make_unique<GsharePredictor>(4096, 12); },
+        [] {
+            return std::make_unique<OneLevelCounterConfidence>(
+                IndexScheme::PcXorBhr, 4096, CounterKind::Resetting, 16,
+                0);
+        });
+    const auto result = runReverser(replay.estimatorStats.at(0), 0.5, 500.0);
     EXPECT_TRUE(result.reversalBuckets.empty());
     EXPECT_EQ(result.baseMispredicts, result.reversedMispredicts);
 }
 
 TEST(ReverserTest, PassesAreDeterministicallyIdentical)
 {
-    // Pass 2 without any reversal must reproduce pass 1's miss count
-    // exactly (the training paths are identical).
+    // The reversal is arithmetic over one replay's bucket statistics.
+    // Check it against a second pass that really inverts the
+    // predictions in the reversal set, written out here: the weak
+    // bimodal with raw CIR patterns has reversible buckets on jpeg.
+    const auto make_predictor = [] {
+        return std::make_unique<BimodalPredictor>(1024);
+    };
+    const auto make_estimator = [] {
+        return std::make_unique<OneLevelCirConfidence>(
+            IndexScheme::PcXorBhr, 4096, 12, CirReduction::RawPattern,
+            CtInit::Ones);
+    };
     WorkloadGenerator gen(ibsProfile("jpeg"), 50000);
-    GsharePredictor pred(4096, 12);
-    OneLevelCounterConfidence est(IndexScheme::PcXorBhr, 4096,
-                                  CounterKind::Resetting, 16, 0);
-    // Threshold 1.01 is unreachable: reversal set provably empty.
-    const auto result = runReverser(gen, pred, est, 1.01, 1.0);
-    EXPECT_EQ(result.baseMispredicts, result.reversedMispredicts);
+    const SweepConfigResult replay =
+        testing_apps::kernelReplay(gen, make_predictor, make_estimator);
+    const auto result = runReverser(replay.estimatorStats.at(0), 0.5, 20.0);
+    ASSERT_FALSE(result.reversalBuckets.empty());
+    EXPECT_LT(result.reversedMispredicts, result.baseMispredicts);
+
+    const auto predictor = make_predictor();
+    const auto estimator = make_estimator();
+    std::vector<bool> reverse(estimator->numBuckets(), false);
+    for (const std::uint64_t bucket : result.reversalBuckets)
+        reverse[bucket] = true;
+    HistoryRegister bhr(16);
+    ShiftRegister gcir(16, 0);
+    BranchContext ctx;
+    BranchRecord record;
+    std::uint64_t branches = 0;
+    std::uint64_t base_misses = 0;
+    std::uint64_t reversed_misses = 0;
+    std::uint64_t reversals = 0;
+    gen.reset();
+    while (gen.next(record)) {
+        if (!record.isConditional())
+            continue;
+        ctx.pc = record.pc;
+        ctx.bhr = bhr.value();
+        ctx.gcir = gcir.value();
+        const bool predicted = predictor->predict(record.pc);
+        const bool correct = predicted == record.taken;
+        const bool reversed = reverse[estimator->bucketOf(ctx)];
+        ++branches;
+        base_misses += !correct;
+        reversals += reversed;
+        reversed_misses += (reversed ? !predicted : predicted) != record.taken;
+        // Training follows the base prediction, reversed or not.
+        estimator->update(ctx, correct, record.taken);
+        predictor->update(record.pc, record.taken);
+        bhr.recordOutcome(record.taken);
+        gcir.shiftIn(!correct);
+    }
+    EXPECT_EQ(result.branches, branches);
+    EXPECT_EQ(result.baseMispredicts, base_misses);
+    EXPECT_EQ(result.reversals, reversals);
+    EXPECT_EQ(result.reversedMispredicts, reversed_misses);
 }
 
 } // namespace

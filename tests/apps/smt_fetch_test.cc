@@ -2,16 +2,19 @@
 
 #include "apps/smt_fetch.h"
 
-#include <memory>
-
 #include <gtest/gtest.h>
 
-#include "confidence/one_level.h"
-#include "predictor/gshare.h"
+#include "kernel_log.h"
 #include "workload/workload_generator.h"
 
 namespace confsim {
 namespace {
+
+using testing_apps::entries;
+using testing_apps::logOf;
+
+/** Fetch slots the longest model run below simulates. */
+constexpr std::uint64_t kMaxSlots = 200000;
 
 BenchmarkProfile
 threadProfile(std::uint64_t seed)
@@ -24,49 +27,49 @@ threadProfile(std::uint64_t seed)
     return p;
 }
 
-/** Bundled ownership for one model thread. */
-struct ThreadBundle
+/**
+ * Four threads' branch logs (testing_apps::gshareCounterLog), each
+ * long enough for kMaxSlots slots. Shared by every model run below.
+ */
+const std::vector<std::vector<std::uint32_t>> &
+threadLogs()
 {
-    std::unique_ptr<WorkloadGenerator> source;
-    std::unique_ptr<GsharePredictor> predictor;
-    std::unique_ptr<OneLevelCounterConfidence> estimator;
-
-    explicit ThreadBundle(std::uint64_t seed)
-        : source(std::make_unique<WorkloadGenerator>(
-              threadProfile(seed), 1'000'000)),
-          predictor(std::make_unique<GsharePredictor>(4096, 12)),
-          estimator(std::make_unique<OneLevelCounterConfidence>(
-              IndexScheme::PcXorBhr, 4096, CounterKind::Resetting, 16,
-              0))
-    {}
-
-    SmtThreadSpec
-    spec(std::uint64_t low_threshold) const
-    {
-        SmtThreadSpec s;
-        s.source = source.get();
-        s.predictor = predictor.get();
-        s.estimator = estimator.get();
-        s.lowBuckets.assign(estimator->numBuckets(), false);
-        for (std::uint64_t b = 0;
-             b <= low_threshold && b < s.lowBuckets.size(); ++b) {
-            s.lowBuckets[b] = true;
+    static const std::vector<std::vector<std::uint32_t>> logs = [] {
+        SmtFetchConfig config;
+        config.fetchSlots = kMaxSlots;
+        std::vector<std::vector<std::uint32_t>> out;
+        for (std::uint64_t t = 0; t < 4; ++t) {
+            WorkloadGenerator gen(threadProfile(100 + t),
+                                  smtBranchesPerThread(config));
+            out.push_back(testing_apps::gshareCounterLog(gen));
         }
-        return s;
+        return out;
+    }();
+    return logs;
+}
+
+/** A thread over @p log with counter values 0..@p low_threshold low. */
+SmtThreadSpec
+threadSpec(const std::vector<std::uint32_t> &log,
+           std::uint64_t low_threshold)
+{
+    SmtThreadSpec s;
+    s.log = logOf(log, 17);
+    s.lowBuckets.assign(17, false);
+    for (std::uint64_t b = 0;
+         b <= low_threshold && b < s.lowBuckets.size(); ++b) {
+        s.lowBuckets[b] = true;
     }
-};
+    return s;
+}
 
 SmtFetchResult
 runModel(bool gate, std::uint64_t low_threshold,
-         std::uint64_t slots = 200000)
+         std::uint64_t slots = kMaxSlots)
 {
-    std::vector<ThreadBundle> bundles;
-    bundles.reserve(4);
-    for (std::uint64_t t = 0; t < 4; ++t)
-        bundles.emplace_back(100 + t);
     std::vector<SmtThreadSpec> specs;
-    for (const auto &bundle : bundles)
-        specs.push_back(bundle.spec(low_threshold));
+    for (const auto &log : threadLogs())
+        specs.push_back(threadSpec(log, low_threshold));
     SmtFetchConfig config;
     config.gateOnLowConfidence = gate;
     config.fetchSlots = slots;
@@ -97,7 +100,7 @@ TEST(SmtFetchTest, GatingImprovesUsefulThroughput)
     // instructions per fetch slot. A mild threshold gates only the
     // least-confident predictions, trading a little fetch bandwidth
     // for much less wrong-path work.
-    const std::uint64_t slots = 200000;
+    const std::uint64_t slots = kMaxSlots;
     const auto ungated = runModel(false, 2, slots);
     const auto gated = runModel(true, 2, slots);
     EXPECT_GT(gated.usefulPerSlot(slots),
@@ -127,11 +130,21 @@ TEST(SmtFetchTest, IncompleteSpecIsFatal)
 
 TEST(SmtFetchTest, MismatchedMaskIsFatal)
 {
-    ThreadBundle bundle(7);
-    auto spec = bundle.spec(8);
+    auto spec = threadSpec(threadLogs()[0], 8);
     spec.lowBuckets.resize(3);
     std::vector<SmtThreadSpec> specs = {spec};
     EXPECT_THROW(runSmtFetch(specs), std::runtime_error);
+}
+
+TEST(SmtFetchTest, ExhaustedLogIsFatal)
+{
+    // 10 branches cannot feed 1,000 fetch slots; the model refuses to
+    // invent the rest of the stream.
+    const auto log = entries(10, 16, false);
+    std::vector<SmtThreadSpec> specs = {threadSpec(log, 0)};
+    SmtFetchConfig config;
+    config.fetchSlots = 1000;
+    EXPECT_THROW(runSmtFetch(specs, config), std::runtime_error);
 }
 
 } // namespace

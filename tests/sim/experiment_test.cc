@@ -190,15 +190,21 @@ TEST_F(ExperimentRunTest, CsvHasHeaderAndRows)
 class SampledExperimentTest : public ::testing::Test
 {
   protected:
+    /** The run under test. */
+    virtual void
+    run()
+    {
+        (void)runSampledSuiteExperiment(
+            env_, {{"run", smallGshareFactory(),
+                    {oneLevelIdealConfig(IndexScheme::PcXorBhr, 4096, 8)}}});
+    }
+
     void
     expectRefused(const std::string &flag)
     {
         try {
-            (void)runSampledSuiteExperiment(
-                env_, {{"run", smallGshareFactory(),
-                        {oneLevelIdealConfig(IndexScheme::PcXorBhr, 4096,
-                                             8)}}});
-            ADD_FAILURE() << "a sampled run accepted " << flag;
+            run();
+            ADD_FAILURE() << "the run accepted " << flag;
         } catch (const Error &e) {
             EXPECT_EQ(e.category(), ErrorCategory::kConfig);
             EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
@@ -225,6 +231,84 @@ TEST_F(SampledExperimentTest, RefusesDeadline)
 {
     env_.deadlineMs = 60'000;
     expectRefused("--deadline-ms");
+}
+
+/** An exact run under a plan hook (the application harnesses) refuses
+ *  the same flags, for the same reason. */
+class PlannedExperimentTest : public SampledExperimentTest
+{
+  protected:
+    void
+    run() override
+    {
+        SuiteRunner::PassHooks hooks;
+        hooks.plan = [](std::size_t, TraceSource &) {
+            SweepRecordingPlan plan;
+            plan.regionBranches = 1000;
+            plan.regionSlots = {0};
+            plan.numSlots = 1;
+            return plan;
+        };
+        (void)runSuiteExperiment(
+            env_,
+            {{"run", smallGshareFactory(),
+              {oneLevelIdealConfig(IndexScheme::PcXorBhr, 4096, 8)}}},
+            hooks);
+    }
+};
+
+TEST_F(PlannedExperimentTest, RefusesCheckpointDir)
+{
+    env_.checkpointDir = ::testing::TempDir();
+    expectRefused("--checkpoint-dir");
+}
+
+TEST_F(PlannedExperimentTest, RefusesResume)
+{
+    env_.resume = true;
+    expectRefused("--resume");
+}
+
+TEST_F(PlannedExperimentTest, RefusesDeadline)
+{
+    env_.deadlineMs = 60'000;
+    expectRefused("--deadline-ms");
+}
+
+TEST_F(PlannedExperimentTest, RunsEveryPassUnderThePlan)
+{
+    // The hooks see each benchmark's planned pass, and the merged
+    // result keeps counts and rates without estimator statistics.
+    env_.fullSuite = false;
+    env_.branchesPerBenchmark = 5000;
+    env_.sweepThreads = 2;
+    std::vector<std::uint64_t> logged(env_.makeSuite().size(), 0);
+    SuiteRunner::PassHooks hooks;
+    hooks.plan = [](std::size_t, TraceSource &) {
+        SweepRecordingPlan plan;
+        plan.regionBranches = 1000;
+        plan.regionSlots.assign(5, 0);
+        plan.numSlots = 1;
+        return plan;
+    };
+    hooks.finish = [&](std::size_t bench, const SweepRunResult &pass) {
+        logged[bench] =
+            pass.perConfig.at(0).slotStats.at(0).estimatorLogs.at(0).size();
+    };
+    const SweepSuiteResult result = runSuiteExperiment(
+        env_,
+        {{"run", smallGshareFactory(),
+          {oneLevelIdealConfig(IndexScheme::PcXorBhr, 4096, 8)}}},
+        hooks);
+    const SuiteRunResult &run = result.perConfig.at(0);
+    ASSERT_EQ(run.perBenchmark.size(), logged.size());
+    for (std::size_t b = 0; b < logged.size(); ++b) {
+        EXPECT_EQ(logged[b], 5000u);
+        EXPECT_EQ(run.perBenchmark[b].branches, 5000u);
+        EXPECT_TRUE(run.perBenchmark[b].estimatorStats.empty());
+    }
+    EXPECT_TRUE(run.compositeEstimatorStats.empty());
+    EXPECT_GT(run.compositeMispredictRate, 0.0);
 }
 
 } // namespace
