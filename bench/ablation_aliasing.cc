@@ -20,16 +20,11 @@
 
 using namespace confsim;
 
-int
-main(int argc, char **argv)
-{
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(argc, argv,
-                                "Ablation: aliasing in small tables",
-                                env)) {
-        return 0;
-    }
+namespace {
 
+int
+run(const ExperimentEnv &env)
+{
     std::printf("=== Ablation: finite CT vs alias-free reference (4K "
                 "gshare) ===\n\n");
     std::vector<EstimatorConfig> configs;
@@ -161,4 +156,12 @@ main(int argc, char **argv)
 
     writeCurvesCsv(env.csvDir + "/ablation_aliasing.csv", curves);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv, "Ablation: aliasing in small tables", run);
 }

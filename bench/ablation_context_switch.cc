@@ -61,18 +61,9 @@ coverageAt20(const ExperimentEnv &env, std::uint64_t interval)
     return coverage;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(const ExperimentEnv &env)
 {
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(
-            argc, argv, "Ablation: context switches and CT reinit",
-            env)) {
-        return 0;
-    }
-
     std::printf("=== Ablation: context-switch interval x CT "
                 "reinitialization ===\n");
     std::printf("(cells: %% of mispredictions captured at the 20%% "
@@ -106,4 +97,14 @@ main(int argc, char **argv)
     std::printf("wrote %s/ablation_context_switch.csv\n",
                 env.csvDir.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv,
+                      "Ablation: context switches and CT reinit",
+                      run);
 }

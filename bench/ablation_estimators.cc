@@ -24,16 +24,11 @@
 
 using namespace confsim;
 
-int
-main(int argc, char **argv)
-{
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(argc, argv,
-                                "Ablation: estimator design space",
-                                env)) {
-        return 0;
-    }
+namespace {
 
+int
+run(const ExperimentEnv &env)
+{
     std::printf("=== Ablation: resetting counter vs counter-strength "
                 "vs composite ===\n\n");
     std::vector<EstimatorConfig> configs;
@@ -103,4 +98,12 @@ main(int argc, char **argv)
 
     writeCurvesCsv(env.csvDir + "/ablation_estimators.csv", curves);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv, "Ablation: estimator design space", run);
 }

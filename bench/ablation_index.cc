@@ -15,15 +15,11 @@
 
 using namespace confsim;
 
-int
-main(int argc, char **argv)
-{
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(argc, argv,
-                                "Ablation: CT index schemes", env)) {
-        return 0;
-    }
+namespace {
 
+int
+run(const ExperimentEnv &env)
+{
     std::printf("=== Ablation: one-level CT index schemes (ideal "
                 "reduction) ===\n\n");
     const std::vector<IndexScheme> schemes = {
@@ -64,4 +60,12 @@ main(int argc, char **argv)
 
     writeCurvesCsv(env.csvDir + "/ablation_index.csv", curves);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv, "Ablation: CT index schemes", run);
 }

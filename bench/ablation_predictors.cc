@@ -30,15 +30,11 @@
 
 using namespace confsim;
 
-int
-main(int argc, char **argv)
-{
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(
-            argc, argv, "Ablation: underlying predictor", env)) {
-        return 0;
-    }
+namespace {
 
+int
+run(const ExperimentEnv &env)
+{
     std::printf("=== Ablation: confidence quality across underlying "
                 "predictors ===\n");
     std::printf("(PCxorBHR-indexed 0..16 resetting counters, 2^16 "
@@ -119,4 +115,12 @@ main(int argc, char **argv)
     std::printf("wrote %s/ablation_predictors.csv\n",
                 env.csvDir.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv, "Ablation: underlying predictor", run);
 }

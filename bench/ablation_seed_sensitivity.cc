@@ -113,16 +113,9 @@ report(const char *label, const std::vector<double> &values,
                   formatFixed(stats.max(), 5)});
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(const ExperimentEnv &env)
 {
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(
-            argc, argv, "Ablation: workload seed sensitivity", env)) {
-        return 0;
-    }
     const unsigned draws = env.fullSuite ? 5 : 2;
     const std::uint64_t branches =
         std::min<std::uint64_t>(env.branchesPerBenchmark, 1'000'000);
@@ -165,4 +158,12 @@ main(int argc, char **argv)
     std::printf("wrote %s/ablation_seed_sensitivity.csv\n",
                 env.csvDir.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv, "Ablation: workload seed sensitivity", run);
 }

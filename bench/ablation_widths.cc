@@ -14,16 +14,11 @@
 
 using namespace confsim;
 
-int
-main(int argc, char **argv)
-{
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(argc, argv,
-                                "Ablation: CIR and counter widths",
-                                env)) {
-        return 0;
-    }
+namespace {
 
+int
+run(const ExperimentEnv &env)
+{
     std::printf("=== Ablation A: CIR width (ideal reduction, PCxorBHR, "
                 "2^16 entries) ===\n\n");
     {
@@ -81,4 +76,12 @@ main(int argc, char **argv)
                        curves);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv, "Ablation: CIR and counter widths", run);
 }

@@ -44,19 +44,9 @@ thresholdPolicy(std::uint64_t buckets, std::uint64_t threshold,
     return policy;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(const ExperimentEnv &env)
 {
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(argc, argv,
-                                "Application: selective dual-path "
-                                "execution",
-                                env)) {
-        return 0;
-    }
-
     std::printf("=== Application 1: selective dual-path execution "
                 "===\n\n");
 
@@ -118,4 +108,13 @@ main(int argc, char **argv)
                 "captures >80%% of mispredictions.\n");
     std::printf("wrote %s/app_dual_path.csv\n", env.csvDir.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv,
+                      "Application: selective dual-path execution", run);
 }

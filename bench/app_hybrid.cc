@@ -22,16 +22,11 @@
 
 using namespace confsim;
 
-int
-main(int argc, char **argv)
-{
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(
-            argc, argv, "Application: confidence hybrid selector",
-            env)) {
-        return 0;
-    }
+namespace {
 
+int
+run(const ExperimentEnv &env)
+{
     std::printf("=== Application 3: hybrid predictor selection ===\n\n");
     std::printf("%-12s %9s %9s %9s %9s %9s\n", "benchmark", "bimodal",
                 "gshare", "chooser", "confsel", "oracle");
@@ -103,4 +98,14 @@ main(int argc, char **argv)
                 "chooser)\n");
     std::printf("wrote %s/app_hybrid.csv\n", env.csvDir.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv,
+                      "Application: confidence hybrid selector",
+                      run);
 }

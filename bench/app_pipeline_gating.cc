@@ -52,17 +52,9 @@ policy(std::uint64_t buckets, bool gate, unsigned threshold,
     return row;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(const ExperimentEnv &env)
 {
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(argc, argv,
-                                "Application: pipeline gating", env)) {
-        return 0;
-    }
-
     std::printf("=== Application: pipeline gating (speculation "
                 "control) ===\n\n");
     // The model fetches at most this many branches per benchmark, so
@@ -156,4 +148,12 @@ main(int argc, char **argv)
     std::printf("wrote %s/app_pipeline_gating.csv\n",
                 env.csvDir.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv, "Application: pipeline gating", run);
 }

@@ -55,18 +55,9 @@ reportConfig(const char *label, const SuiteRunResult &run,
                   std::to_string(reversals_total)});
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(const ExperimentEnv &env)
 {
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(argc, argv,
-                                "Application: prediction reverser",
-                                env)) {
-        return 0;
-    }
-
     std::printf("=== Application 4: branch prediction reverser ===\n\n");
     std::printf("%-28s %10s %10s %10s %12s\n", "configuration",
                 "base", "reversed", "buckets", "reversals");
@@ -101,4 +92,12 @@ main(int argc, char **argv)
                 "and substantial only for weak predictors.\n");
     std::printf("wrote %s/app_reverser.csv\n", env.csvDir.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv, "Application: prediction reverser", run);
 }

@@ -16,14 +16,11 @@
 
 using namespace confsim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(const ExperimentEnv &env)
 {
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(argc, argv,
-                                "Application: SMT fetch gating", env)) {
-        return 0;
-    }
     const std::uint64_t slots =
         env.fullSuite ? 2'000'000 : 200'000;
 
@@ -94,4 +91,12 @@ main(int argc, char **argv)
                 "with a high likelihood of being correct)\n");
     std::printf("wrote %s/app_smt_fetch.csv\n", env.csvDir.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv, "Application: SMT fetch gating", run);
 }

@@ -17,16 +17,11 @@
 
 using namespace confsim;
 
-int
-main(int argc, char **argv)
-{
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(argc, argv,
-                                "Fig. 2: static confidence method",
-                                env)) {
-        return 0;
-    }
+namespace {
 
+int
+run(const ExperimentEnv &env)
+{
     std::printf("=== Fig. 2: ideal static (profile-based) confidence "
                 "===\n\n");
     const auto swept =
@@ -71,4 +66,12 @@ main(int argc, char **argv)
 
     writeCurvesCsv(env.csvDir + "/fig02_static.csv", curves);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv, "Fig. 2: static confidence method", run);
 }

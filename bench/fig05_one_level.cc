@@ -21,16 +21,11 @@
 
 using namespace confsim;
 
-int
-main(int argc, char **argv)
-{
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(argc, argv,
-                                "Fig. 5: one-level dynamic methods",
-                                env)) {
-        return 0;
-    }
+namespace {
 
+int
+run(const ExperimentEnv &env)
+{
     std::printf("=== Fig. 5: one-level dynamic confidence (ideal "
                 "reduction) ===\n\n");
     const std::vector<EstimatorConfig> configs = {
@@ -84,4 +79,12 @@ main(int argc, char **argv)
                   .c_str());
     writeCurvesCsv(env.csvDir + "/fig05_one_level.csv", curves);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv, "Fig. 5: one-level dynamic methods", run);
 }

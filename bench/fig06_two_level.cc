@@ -15,16 +15,11 @@
 
 using namespace confsim;
 
-int
-main(int argc, char **argv)
-{
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(argc, argv,
-                                "Fig. 6: two-level dynamic methods",
-                                env)) {
-        return 0;
-    }
+namespace {
 
+int
+run(const ExperimentEnv &env)
+{
     std::printf("=== Fig. 6: two-level dynamic confidence (ideal "
                 "reduction) ===\n\n");
     const std::vector<EstimatorConfig> configs = {
@@ -49,4 +44,12 @@ main(int argc, char **argv)
                   .c_str());
     writeCurvesCsv(env.csvDir + "/fig06_two_level.csv", curves);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv, "Fig. 6: two-level dynamic methods", run);
 }

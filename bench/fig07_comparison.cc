@@ -17,16 +17,11 @@
 
 using namespace confsim;
 
-int
-main(int argc, char **argv)
-{
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(
-            argc, argv, "Fig. 7: best 1-level vs 2-level vs static",
-            env)) {
-        return 0;
-    }
+namespace {
 
+int
+run(const ExperimentEnv &env)
+{
     std::printf("=== Fig. 7: best one-level vs best two-level vs "
                 "static ===\n\n");
     const std::vector<EstimatorConfig> configs = {
@@ -62,4 +57,14 @@ main(int argc, char **argv)
             .c_str());
     writeCurvesCsv(env.csvDir + "/fig07_comparison.csv", curves);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv,
+                      "Fig. 7: best 1-level vs 2-level vs static",
+                      run);
 }

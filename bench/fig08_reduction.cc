@@ -19,15 +19,11 @@
 
 using namespace confsim;
 
-int
-main(int argc, char **argv)
-{
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(argc, argv,
-                                "Fig. 8: reduction functions", env)) {
-        return 0;
-    }
+namespace {
 
+int
+run(const ExperimentEnv &env)
+{
     std::printf("=== Fig. 8: reduction functions on the best one-level "
                 "method ===\n\n");
     const std::vector<EstimatorConfig> configs = {
@@ -85,4 +81,12 @@ main(int argc, char **argv)
             .c_str());
     writeCurvesCsv(env.csvDir + "/fig08_reduction.csv", curves);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv, "Fig. 8: reduction functions", run);
 }

@@ -21,15 +21,11 @@
 
 using namespace confsim;
 
-int
-main(int argc, char **argv)
-{
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(argc, argv,
-                                "Fig. 9: best/worst benchmarks", env)) {
-        return 0;
-    }
+namespace {
 
+int
+run(const ExperimentEnv &env)
+{
     std::printf("=== Fig. 9: per-benchmark variation (jpeg vs gcc) "
                 "===\n\n");
     const std::vector<EstimatorConfig> configs = {
@@ -83,4 +79,12 @@ main(int argc, char **argv)
     writeCurvesCsv(env.csvDir + "/fig09_benchmarks.csv",
                    figure_curves);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv, "Fig. 9: best/worst benchmarks", run);
 }

@@ -19,16 +19,11 @@
 
 using namespace confsim;
 
-int
-main(int argc, char **argv)
-{
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(argc, argv,
-                                "Fig. 10: small confidence tables",
-                                env)) {
-        return 0;
-    }
+namespace {
 
+int
+run(const ExperimentEnv &env)
+{
     std::printf("=== Fig. 10: small CIR tables (resetting counters, "
                 "4K gshare) ===\n\n");
     std::vector<EstimatorConfig> configs;
@@ -57,4 +52,12 @@ main(int argc, char **argv)
     std::puts(plotCurves("Fig. 10 — small CIR tables", curves).c_str());
     writeCurvesCsv(env.csvDir + "/fig10_small_tables.csv", curves);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv, "Fig. 10: small confidence tables", run);
 }

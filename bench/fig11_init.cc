@@ -17,16 +17,11 @@
 
 using namespace confsim;
 
-int
-main(int argc, char **argv)
-{
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(argc, argv,
-                                "Fig. 11: CT initialization effects",
-                                env)) {
-        return 0;
-    }
+namespace {
 
+int
+run(const ExperimentEnv &env)
+{
     std::printf("=== Fig. 11: effect of CT initial state ===\n\n");
     const std::vector<std::pair<const char *, CtInit>> inits = {
         {"one", CtInit::Ones},
@@ -56,4 +51,12 @@ main(int argc, char **argv)
                   .c_str());
     writeCurvesCsv(env.csvDir + "/fig11_init.csv", curves);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv, "Fig. 11: CT initialization effects", run);
 }

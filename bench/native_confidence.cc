@@ -23,17 +23,11 @@
 
 using namespace confsim;
 
-int
-main(int argc, char **argv)
-{
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(argc, argv,
-                                "CIR vs. native confidence headline "
-                                "table",
-                                env)) {
-        return 0;
-    }
+namespace {
 
+int
+run(const ExperimentEnv &env)
+{
     std::printf("=== CIR estimators vs. native predictor confidence "
                 "===\n\n");
     const std::vector<SweepExperimentConfig> sweep_configs = {
@@ -111,4 +105,13 @@ main(int argc, char **argv)
     printCoverageSummary(curves);
     writeCurvesCsv(env.csvDir + "/native_confidence.csv", curves);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv,
+                      "CIR vs. native confidence headline table", run);
 }

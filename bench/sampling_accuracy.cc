@@ -30,31 +30,11 @@
 
 using namespace confsim;
 
-int
-main(int argc, char **argv)
-{
-    // --check is bench-local; peel it off before the shared parser.
-    bool check = false;
-    std::vector<const char *> args;
-    args.reserve(static_cast<std::size_t>(argc));
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0) {
-            check = true;
-            continue;
-        }
-        args.push_back(argv[i]);
-    }
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(static_cast<int>(args.size()),
-                                args.data(),
-                                "sampled vs. exact replay accuracy "
-                                "table (--check: fail unless every "
-                                "95% CI contains ground truth and "
-                                "reduction >= 5x)",
-                                env)) {
-        return 0;
-    }
+namespace {
 
+int
+run(const ExperimentEnv &env, bool check)
+{
     const std::vector<SweepExperimentConfig> configs = {
         {"gshare+CIR",
          largeGshareFactory(),
@@ -164,4 +144,29 @@ main(int argc, char **argv)
                     sampled.reductionFactor());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // --check is bench-local; peel it off before the shared parser.
+    bool check = false;
+    std::vector<const char *> args;
+    args.reserve(static_cast<std::size_t>(argc));
+    for (int i = 0; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--check") == 0) {
+            check = true;
+            continue;
+        }
+        args.push_back(argv[i]);
+    }
+    return runHarness(static_cast<int>(args.size()), args.data(),
+                      "sampled vs. exact replay accuracy table (--check: "
+                      "fail unless every 95% CI contains ground truth "
+                      "and reduction >= 5x)",
+                      [check](const ExperimentEnv &env) {
+                          return run(env, check);
+                      });
 }

@@ -18,16 +18,11 @@
 
 using namespace confsim;
 
-int
-main(int argc, char **argv)
-{
-    ExperimentEnv env;
-    if (!ExperimentEnv::fromCli(argc, argv,
-                                "Table 1: resetting counter statistics",
-                                env)) {
-        return 0;
-    }
+namespace {
 
+int
+run(const ExperimentEnv &env)
+{
     std::printf("=== Table 1: statistics for resetting counter values "
                 "===\n\n");
     const std::vector<EstimatorConfig> configs = {
@@ -64,4 +59,14 @@ main(int argc, char **argv)
     }
     std::printf("wrote %s/table1_resetting.csv\n", env.csvDir.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runHarness(argc, argv,
+                      "Table 1: resetting counter statistics",
+                      run);
 }

@@ -23,7 +23,6 @@
 #include "confidence/tage_confidence.h"
 #include "metrics/confidence_curve.h"
 #include "obs/branch_profiler.h"
-#include "obs/span.h"
 #include "obs/telemetry.h"
 #include "predictor/gshare.h"
 #include "predictor/perceptron.h"
@@ -46,8 +45,6 @@ main(int argc, char **argv)
     cli.addOption("branches", "1000000", "trace length");
     cli.addOption("telemetry", "",
                   "write JSONL telemetry (manifest + events) here");
-    cli.addOption("trace-out", "",
-                  "write a Chrome/Perfetto trace-event JSON here");
     cli.addOption("branch-profile", "",
                   "write the per-branch attribution profile here "
                   "(CSV, or JSONL when the path ends in .jsonl)");
@@ -75,23 +72,18 @@ main(int argc, char **argv)
     telemetry_options.progress = cli.getFlag("progress");
     const auto telemetry = Telemetry::fromOptions(telemetry_options);
 
-    // Optional span tracing and branch attribution, same null-facade
-    // contract as telemetry: off (and free) unless a path is given.
-    SpanTracerOptions span_options;
-    span_options.path = cli.getString("trace-out");
-    const auto spans = SpanTracer::fromOptions(span_options);
+    // Optional branch attribution, same null-facade contract as
+    // telemetry: off (and free) unless a path is given.
     const std::string profile_path = cli.getString("branch-profile");
 
     // Ctrl-C / SIGTERM cancel the run cooperatively: the driver
-    // unwinds with Error{kCancelled}, telemetry and span sinks are
-    // flushed, and the process exits 128+signo instead of dying
-    // mid-write.
+    // unwinds with Error{kCancelled}, the telemetry sink is flushed,
+    // and the process exits 128+signo instead of dying mid-write.
     CancellationToken root;
     installSignalCancellation(root);
 
     DriverOptions options;
     options.cancel = &root;
-    options.spans = spans.get();
     options.profileBranches = !profile_path.empty();
     if (telemetry) {
         RunManifest manifest = RunManifest::withBuildInfo();
@@ -121,16 +113,12 @@ main(int argc, char **argv)
             throw;
         if (telemetry)
             telemetry->finish();
-        if (spans)
-            publishSpanSummary(spans->finish(), telemetry.get());
         std::fprintf(stderr, "quickstart: %s\n", e.what());
         return exitCodeForSignal(lastCancellationSignal());
     }
 
     publishBranchProfile(result.branchProfile, profile_path, {},
                          telemetry.get());
-    if (spans)
-        publishSpanSummary(spans->finish(), telemetry.get());
 
     std::printf("benchmark      : %s\n", profile.name.c_str());
     std::printf("branches       : %llu\n",

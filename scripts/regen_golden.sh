@@ -21,11 +21,14 @@ if [ ! -d "$BUILD_DIR" ]; then
 fi
 
 cmake --build "$BUILD_DIR" -j
-"./$BUILD_DIR/bench/fig05_one_level" --fast --csv-dir tests/golden
-"./$BUILD_DIR/bench/fig09_benchmarks" --fast --csv-dir tests/golden
-for harness in native_confidence ablation_predictors app_dual_path \
-        app_pipeline_gating app_smt_fetch app_reverser app_hybrid \
-        ablation_context_switch; do
+# Every harness with a golden_<harness> ctest (tests/CMakeLists.txt).
+for harness in fig02_static fig05_one_level fig06_two_level \
+        fig07_comparison fig08_reduction fig09_benchmarks \
+        fig10_small_tables fig11_init table1_resetting \
+        ablation_aliasing ablation_context_switch ablation_estimators \
+        ablation_index ablation_predictors ablation_seed_sensitivity \
+        ablation_widths native_confidence app_dual_path app_hybrid \
+        app_pipeline_gating app_reverser app_smt_fetch; do
     "./$BUILD_DIR/bench/$harness" --fast --csv-dir tests/golden
 done
 ctest --test-dir "$BUILD_DIR" -L golden --output-on-failure

@@ -11,6 +11,9 @@
 #   <results_dir>/*.txt        full terminal output per harness
 #   test_output.txt            ctest log
 #   bench_output.txt           concatenated harness output
+#
+# Timings are not part of the reproduction: confbench measures them
+# (python3 confbench/run.py --workload figure-suite --trace 1).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -30,11 +33,6 @@ for b in build/bench/*; do
     name="$(basename "$b")"
     case "$name" in
         CMakeFiles|CTestTestfile.cmake|cmake_install.cmake) continue ;;
-        micro_throughput)
-            echo "== $name =="
-            "$b" 2>&1 | tee "$RESULTS/$name.txt" \
-                | tee -a bench_output.txt
-            ;;
         *)
             echo "== $name =="
             "$b" --csv-dir "$RESULTS" 2>&1 \

@@ -1,20 +1,11 @@
 #!/usr/bin/env python3
-"""Schema validation for confsim telemetry artifacts.
+"""Schema validation for confsim telemetry JSONL streams.
 
-Two artifact kinds are validated (both documented in
-docs/observability.md):
-
-  events JSONL   (--jsonl, the default)
-      One JSON object per line. Line 1 must be the run manifest
-      (type "manifest", schema "confsim-telemetry-v1"); every later
-      line is an event with a string "type" and a numeric, monotonic
-      non-negative "t_ms". Known event types are checked for their
-      required fields.
-
-  BENCH report   (--bench)
-      A single JSON object with schema "confsim-bench-v1", an ISO
-      date, build provenance, and a non-empty "results" array of
-      {name, branches, wall_ms, ns_per_branch}.
+The format is documented in docs/observability.md. One JSON object per
+line: line 1 must be the run manifest (type "manifest", schema
+"confsim-telemetry-v1"); every later line is an event with a string
+"type" and a numeric, monotonic non-negative "t_ms". Known event types
+are checked for their required fields.
 
 A resumed run can additionally be checked against the run it resumed
 (--resume-of): both manifests must describe the same simulation input
@@ -24,7 +15,6 @@ guarantee is meaningless.
 
 Usage:
     validate_telemetry.py run.jsonl [more.jsonl ...]
-    validate_telemetry.py --bench BENCH_2026-08-06.json
     validate_telemetry.py --resume-of original.jsonl resumed.jsonl
 
 Exits 0 when every file validates, 1 on the first violation. Stdlib
@@ -33,11 +23,9 @@ only — safe to run anywhere CI has a python3.
 
 import argparse
 import json
-import re
 import sys
 
 MANIFEST_SCHEMA = "confsim-telemetry-v1"
-BENCH_SCHEMA = "confsim-bench-v1"
 
 # Required fields per event type; unknown event types are allowed
 # (the stream is extensible) but known ones must be complete.
@@ -90,7 +78,6 @@ EVENT_REQUIRED_FIELDS = {
         "total_branches", "recorded_branches", "reduction",
         "composite_mispredict_rate", "wall_ms",
     ],
-    "span_summary": ["path", "events", "threads", "dropped"],
     "branch_profile_written": [
         "path", "format", "branches", "executions", "mispredictions",
     ],
@@ -226,36 +213,6 @@ def validate_jsonl(path):
     return len(objs) - 1
 
 
-def validate_bench(path):
-    with open(path, encoding="utf-8") as stream:
-        try:
-            obj = json.load(stream)
-        except json.JSONDecodeError as err:
-            fail(path, 1, f"invalid JSON: {err}")
-    if obj.get("schema") != BENCH_SCHEMA:
-        fail(path, 1,
-             f"schema is '{obj.get('schema')}', "
-             f"expected '{BENCH_SCHEMA}'")
-    if not re.fullmatch(r"\d{4}-\d{2}-\d{2}", obj.get("date", "")):
-        fail(path, 1, f"'date' is not YYYY-MM-DD: {obj.get('date')!r}")
-    for key in ("build_type", "compiler", "cxx_standard", "benchmark",
-                "branches"):
-        if key not in obj:
-            fail(path, 1, f"missing required key '{key}'")
-    results = obj.get("results")
-    if not isinstance(results, list) or not results:
-        fail(path, 1, "'results' must be a non-empty list")
-    for i, result in enumerate(results):
-        for key in ("name", "branches", "wall_ms", "ns_per_branch"):
-            if key not in result:
-                fail(path, 1, f"result #{i} is missing '{key}'")
-        if not isinstance(result["ns_per_branch"], (int, float)) or \
-                result["ns_per_branch"] < 0:
-            fail(path, 1,
-                 f"result #{i} 'ns_per_branch' must be >= 0")
-    return len(results)
-
-
 def read_manifest(path):
     """Parse and schema-validate a JSONL file's manifest line."""
     with open(path, encoding="utf-8") as stream:
@@ -301,17 +258,12 @@ def main():
     parser = argparse.ArgumentParser(
         description="Validate confsim telemetry artifacts.")
     parser.add_argument("files", nargs="+",
-                        help="artifact files to validate")
-    parser.add_argument("--bench", action="store_true",
-                        help="files are BENCH_*.json perf reports "
-                             "(default: events JSONL)")
+                        help="telemetry JSONL files to validate")
     parser.add_argument("--resume-of", metavar="ORIGINAL",
                         help="each file is the JSONL of a resumed run; "
                              "assert its manifest simulates the same "
                              "traces as ORIGINAL's manifest")
     args = parser.parse_args()
-    if args.bench and args.resume_of:
-        parser.error("--bench and --resume-of are mutually exclusive")
 
     try:
         for path in args.files:
@@ -322,12 +274,8 @@ def main():
                       f"matches {args.resume_of} across {benches} "
                       f"benchmark(s))")
                 continue
-            if args.bench:
-                n = validate_bench(path)
-                print(f"{path}: OK ({n} result(s))")
-            else:
-                n = validate_jsonl(path)
-                print(f"{path}: OK (manifest + {n} event(s))")
+            n = validate_jsonl(path)
+            print(f"{path}: OK (manifest + {n} event(s))")
     except ValidationError as err:
         print(f"FAIL {err}", file=sys.stderr)
         return 1

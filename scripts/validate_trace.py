@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Schema validation for confsim --trace-out Chrome trace files.
+"""Schema validation for confsim's Chrome trace files.
 
-A trace file (written by SpanTracer::finish, src/obs/span.cc) is a
+A trace file (written by SpanTracer::finish, src/obs/span.cc; the
+traced confbench probe writes `<work-dir>/ckpt/sweep_trace.json`) is a
 single JSON object in the Chrome trace-event format that Perfetto and
 chrome://tracing load directly:
 
@@ -138,7 +139,7 @@ def validate_trace(path):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="Validate confsim --trace-out trace files.")
+        description="Validate confsim span trace files.")
     parser.add_argument("files", nargs="+",
                         help="trace.json files to validate")
     args = parser.parse_args()

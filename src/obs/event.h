@@ -48,7 +48,6 @@ inline constexpr const char *kSweepConfigFinished =
 inline constexpr const char *kSweepConfigFailed = "sweep_config_failed";
 inline constexpr const char *kCheckpointWriteFailed =
     "checkpoint_write_failed";
-inline constexpr const char *kSpanSummary = "span_summary";
 inline constexpr const char *kBranchProfileWritten =
     "branch_profile_written";
 inline constexpr const char *kSamplingRunFinished =

@@ -1,9 +1,9 @@
 /**
  * @file
  * Minimal JSON formatting helpers for the telemetry exporters. confsim
- * only ever *writes* JSON (JSONL event streams, run manifests,
- * BENCH_*.json perf reports), so a pair of escape/format functions is
- * all that is needed — no parser, no DOM, no dependency.
+ * only ever *writes* JSON (JSONL event streams, run manifests, span
+ * traces), so a pair of escape/format functions is all that is needed
+ * — no parser, no DOM, no dependency.
  */
 
 #ifndef CONFSIM_OBS_JSON_H

@@ -4,9 +4,9 @@
  * run — suite and per-benchmark identity (name, seed, trace length,
  * stream checksum), predictor/estimator configurations, driver knobs,
  * and build provenance (build type, compiler, language standard).
- * Every telemetry stream starts with one manifest record, so a
- * BENCH_*.json or events JSONL found on disk is a self-describing
- * artifact rather than a bag of numbers.
+ * Every telemetry stream starts with one manifest record, so an events
+ * JSONL found on disk is a self-describing artifact rather than a bag
+ * of numbers.
  */
 
 #ifndef CONFSIM_OBS_RUN_MANIFEST_H

@@ -6,10 +6,7 @@
 #include <map>
 #include <sstream>
 
-#include "obs/event.h"
 #include "obs/json.h"
-#include "obs/metrics_registry.h"
-#include "obs/telemetry.h"
 #include "util/atomic_file.h"
 
 namespace confsim {
@@ -50,14 +47,6 @@ thread_local ThreadSlot t_slot;
 std::atomic<std::uint64_t> g_nextTracerId{1};
 
 } // namespace
-
-std::unique_ptr<SpanTracer>
-SpanTracer::fromOptions(const SpanTracerOptions &options)
-{
-    if (!options.enabled())
-        return nullptr;
-    return std::make_unique<SpanTracer>(options);
-}
 
 SpanTracer::SpanTracer(SpanTracerOptions options)
     : options_(std::move(options)),
@@ -279,27 +268,6 @@ SpanTracer::finish()
     for (auto &entry : byName)
         summary_.spans.push_back(std::move(entry.second));
     return summary_;
-}
-
-void
-publishSpanSummary(const SpanTracer::Summary &summary,
-                   Telemetry *telemetry)
-{
-    if (telemetry == nullptr)
-        return;
-    telemetry->emit(TelemetryEvent(
-        events::kSpanSummary,
-        {field("path", summary.path),
-         field("events", summary.events),
-         field("threads", summary.threads),
-         field("dropped", summary.dropped),
-         field("span_names", std::uint64_t{summary.spans.size()})}));
-    MetricsRegistry &registry = telemetry->registry();
-    for (const auto &span : summary.spans) {
-        registry.increment("span." + span.name + ".count", span.count);
-        registry.setGauge("span." + span.name + ".total_ms",
-                          span.totalNs * 1e-6);
-    }
 }
 
 } // namespace confsim

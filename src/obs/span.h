@@ -8,11 +8,11 @@
  * nanoseconds) into a lock-free ring buffer owned by the emitting
  * thread, so the hot path never takes a mutex and never allocates
  * after the thread's first span. At the end of the run the tracer
- * drains every ring into a Chrome trace-event JSON file
- * (`--trace-out trace.json`) that loads directly into Perfetto
- * (https://ui.perfetto.dev) or chrome://tracing, with named threads,
- * nested duration spans, and counter tracks (decode-ring occupancy,
- * worker-pool occupancy).
+ * drains every ring into a Chrome trace-event JSON file that loads
+ * directly into Perfetto (https://ui.perfetto.dev) or chrome://tracing,
+ * with named threads, nested duration spans, and counter tracks
+ * (decode-ring occupancy, worker-pool occupancy). confbench's traced
+ * probe writes one (`sweep_trace.json`, confbench/README.md).
  *
  * The facade follows the same null-pointer contract as `Telemetry`:
  * every instrumentation site takes a `SpanTracer *` and a null tracer
@@ -39,12 +39,10 @@
 
 namespace confsim {
 
-class Telemetry;
-
-/** Configuration for SpanTracer::fromOptions. */
+/** Configuration for a SpanTracer. */
 struct SpanTracerOptions
 {
-    /** Chrome trace JSON destination; empty disables tracing. */
+    /** Chrome trace JSON destination; empty = finish() writes none. */
     std::string path;
 
     /**
@@ -53,8 +51,6 @@ struct SpanTracerOptions
      * overwritten and counted as dropped.
      */
     std::size_t ringCapacity = 1u << 15;
-
-    bool enabled() const { return !path.empty(); }
 };
 
 /**
@@ -65,10 +61,6 @@ struct SpanTracerOptions
 class SpanTracer
 {
   public:
-    /** @return a tracer, or nullptr when @p options disables tracing. */
-    static std::unique_ptr<SpanTracer>
-    fromOptions(const SpanTracerOptions &options);
-
     explicit SpanTracer(SpanTracerOptions options);
 
     /** Runs finish() if nobody did. */
@@ -209,15 +201,6 @@ class ScopedSpan
     SpanTracer *tracer_;
     const char *name_;
 };
-
-/**
- * Emit the post-run `span_summary` telemetry event and fold per-name
- * span aggregates into the metrics registry (`span.<name>.count`
- * counters, `span.<name>.total_ms` gauges). No-op when @p telemetry
- * is null.
- */
-void publishSpanSummary(const SpanTracer::Summary &summary,
-                        Telemetry *telemetry);
 
 } // namespace confsim
 

@@ -7,8 +7,7 @@
  *
  *  - JsonlTelemetrySink — machine-readable event log, one JSON object
  *    per line, manifest first. The format CI validates
- *    (scripts/validate_telemetry.py) and BENCH trajectory tooling
- *    reads.
+ *    (scripts/validate_telemetry.py).
  *  - CsvTelemetrySink — long-format CSV (t_ms,type,key,value — one row
  *    per event field) for awk/pandas consumption without a JSON
  *    parser.

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 
 #include "fault/fault_plan.h"
 #include "trace/trace_stats.h"
@@ -145,6 +146,24 @@ ExperimentEnv::fromCli(int argc, const char *const *argv,
     if (!env.faultPlan.empty())
         installFaultPlan(env.faultPlan, env.telemetryContext);
     return true;
+}
+
+int
+runHarness(int argc, const char *const *argv,
+           const std::string &description,
+           const std::function<int(const ExperimentEnv &)> &body)
+{
+    try {
+        ExperimentEnv env;
+        if (!ExperimentEnv::fromCli(argc, argv, description, env))
+            return 0;
+        return body(env);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "%s: %s\n",
+                     std::filesystem::path(argv[0]).filename().c_str(),
+                     e.what());
+        return 1;
+    }
 }
 
 BenchmarkSuite

@@ -136,6 +136,19 @@ struct ExperimentEnv
     BenchmarkSuite makeSuite() const;
 };
 
+/**
+ * The main every bench harness returns through: parse the standard
+ * options (ExperimentEnv::fromCli) and run @p body on them. An
+ * exception that escapes parsing or @p body unwinds @p body's scope
+ * first, so a CsvWriter left open publishes nothing and telemetry
+ * flushes; it is then printed as "<program>: <message>" on stderr.
+ *
+ * @return 0 after --help, else @p body's status, or 1 after an error.
+ */
+int runHarness(int argc, const char *const *argv,
+               const std::string &description,
+               const std::function<int(const ExperimentEnv &)> &body);
+
 /** A labelled estimator configuration. */
 struct EstimatorConfig
 {

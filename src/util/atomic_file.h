@@ -7,7 +7,7 @@
  * restarted run) only ever observes either the previous complete file
  * or the new complete file — never a truncated artifact. This is the
  * same discipline databases use for their write-ahead segments, applied
- * here to checkpoints, telemetry sinks, CSV exports, and BENCH reports.
+ * here to checkpoints, telemetry sinks, CSV exports, and span traces.
  */
 
 #ifndef CONFSIM_UTIL_ATOMIC_FILE_H

@@ -1,11 +1,12 @@
 #include "util/csv.h"
 
 #include <cstdio>
+#include <exception>
 
 namespace confsim {
 
 CsvWriter::CsvWriter(const std::string &path)
-    : out_(path)
+    : out_(path), uncaughtAtOpen_(std::uncaught_exceptions())
 {}
 
 void
@@ -27,6 +28,9 @@ CsvWriter::close()
 
 CsvWriter::~CsvWriter()
 {
+    // Unwinding: out_'s destructor abandons the temporary.
+    if (std::uncaught_exceptions() > uncaughtAtOpen_)
+        return;
     // commit() can fatal() (throw); destructors must not. A failure
     // here leaves no temporary behind and the destination untouched.
     try {

@@ -21,6 +21,7 @@ namespace confsim {
  * Output is crash-safe: rows accumulate in a `.tmp` sibling and the
  * destination appears (atomically, complete) only at close(), so an
  * interrupted run never leaves a truncated CSV under the final name.
+ * A writer whose scope an exception leaves publishes nothing.
  */
 class CsvWriter
 {
@@ -31,9 +32,13 @@ class CsvWriter
     /** Write a row of pre-formatted cells. */
     void writeRow(const std::vector<std::string> &cells);
 
-    /** Publish the file atomically; also performed by the destructor. */
+    /** Publish the file atomically. */
     void close();
 
+    /**
+     * close() on a normal scope exit; when an exception unwinds the
+     * scope the rows are incomplete, so the `.tmp` is removed instead.
+     */
     ~CsvWriter();
 
     CsvWriter(const CsvWriter &) = delete;
@@ -43,6 +48,7 @@ class CsvWriter
     static std::string escapeCell(const std::string &cell);
 
     AtomicFileWriter out_;
+    int uncaughtAtOpen_; //!< std::uncaught_exceptions() at construction
 };
 
 } // namespace confsim

@@ -1,7 +1,7 @@
 # Run one bench harness at --fast into a scratch directory and require
-# its CSV to equal the frozen fixture byte for byte.
+# each of its CSVs to equal the frozen fixture byte for byte.
 #
-#   cmake -DHARNESS=<binary> -DCSV=<name>.csv -DGOLDEN_DIR=<dir>
+#   cmake -DHARNESS=<binary> "-DCSVS=<a>.csv;<b>.csv" -DGOLDEN_DIR=<dir>
 #         -DOUT_DIR=<scratch dir> -P compare_harness.cmake
 file(REMOVE_RECURSE "${OUT_DIR}")
 file(MAKE_DIRECTORY "${OUT_DIR}")
@@ -12,11 +12,13 @@ execute_process(
 if(NOT status EQUAL 0)
     message(FATAL_ERROR "${HARNESS} --fast failed: ${status}")
 endif()
-execute_process(
-    COMMAND "${CMAKE_COMMAND}" -E compare_files
-            "${OUT_DIR}/${CSV}" "${GOLDEN_DIR}/${CSV}"
-    RESULT_VARIABLE differ)
-if(NOT differ EQUAL 0)
-    message(FATAL_ERROR
-        "${OUT_DIR}/${CSV} differs from ${GOLDEN_DIR}/${CSV}")
-endif()
+foreach(csv IN LISTS CSVS)
+    execute_process(
+        COMMAND "${CMAKE_COMMAND}" -E compare_files
+                "${OUT_DIR}/${csv}" "${GOLDEN_DIR}/${csv}"
+        RESULT_VARIABLE differ)
+    if(NOT differ EQUAL 0)
+        message(FATAL_ERROR
+            "${OUT_DIR}/${csv} differs from ${GOLDEN_DIR}/${csv}")
+    endif()
+endforeach()

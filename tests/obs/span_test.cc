@@ -14,8 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/telemetry.h"
-
 // Global allocation counter for the zero-allocation contract test.
 // Counting (not forbidding) keeps this safe for the rest of the test
 // binary, which allocates freely.
@@ -90,11 +88,6 @@ countOccurrences(const std::string &haystack, const std::string &needle)
          pos = haystack.find(needle, pos + needle.size()))
         ++count;
     return count;
-}
-
-TEST(SpanTest, FromOptionsIsNullWhenPathEmpty)
-{
-    EXPECT_EQ(SpanTracer::fromOptions(SpanTracerOptions{}), nullptr);
 }
 
 TEST(SpanTest, DisabledTracerAllocatesNothing)
@@ -269,30 +262,6 @@ TEST(SpanTest, LongNamesTruncateToMaxName)
     EXPECT_EQ(events[0].name,
               longName.substr(0, SpanTracer::kMaxName));
     std::remove(options.path.c_str());
-}
-
-TEST(SpanTest, PublishSpanSummaryEmitsTelemetryEvent)
-{
-    const std::string trace_path = tempTracePath("publish");
-    const std::string jsonl_path =
-        ::testing::TempDir() + "/confsim_span_publish.jsonl";
-    SpanTracerOptions options;
-    options.path = trace_path;
-    SpanTracer tracer(options);
-    {
-        ScopedSpan span(&tracer, "published.span");
-    }
-    TelemetryOptions telemetry_options;
-    telemetry_options.jsonlPath = jsonl_path;
-    auto telemetry = Telemetry::fromOptions(telemetry_options);
-    ASSERT_NE(telemetry, nullptr);
-    publishSpanSummary(tracer.finish(), telemetry.get());
-    telemetry.reset(); // flush
-    const std::string jsonl = readWholeFile(jsonl_path);
-    EXPECT_NE(jsonl.find("span_summary"), std::string::npos);
-    EXPECT_NE(jsonl.find("published.span"), std::string::npos);
-    std::remove(trace_path.c_str());
-    std::remove(jsonl_path.c_str());
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 #include "util/string_utils.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -118,6 +119,18 @@ TEST_F(CsvWriterTest, UnwritablePathIsFatal)
     // path needs a parent that is a regular file, not a missing one.
     std::ofstream(path_) << "not a directory";
     EXPECT_THROW(CsvWriter(path_ + "/x.csv"), std::runtime_error);
+}
+
+TEST_F(CsvWriterTest, WriterLeftByAThrowPublishesNothing)
+{
+    try {
+        CsvWriter csv(path_);
+        csv.writeRow({"header"});
+        throw std::runtime_error("the run failed");
+    } catch (const std::runtime_error &) {
+    }
+    EXPECT_FALSE(std::filesystem::exists(path_));
+    EXPECT_FALSE(std::filesystem::exists(path_ + ".tmp"));
 }
 
 } // namespace
