@@ -14,8 +14,7 @@
  *
  * The punchline mirrors the sampling-methodology literature: moderate
  * stream corruption moves the misprediction rate long before it breaks
- * the confidence *ranking*, so JRS-style estimators fail gracefully —
- * which is what makes continue-on-error compositing (RunPolicy) sound.
+ * the confidence *ranking*, so JRS-style estimators fail gracefully.
  *
  * Build & run:
  *   cmake -B build && cmake --build build

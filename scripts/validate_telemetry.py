@@ -30,23 +30,19 @@ MANIFEST_SCHEMA = "confsim-telemetry-v1"
 # Required fields per event type; unknown event types are allowed
 # (the stream is extensible) but known ones must be complete.
 EVENT_REQUIRED_FIELDS = {
-    "suite_run_started": ["benchmarks", "error_mode", "max_attempts"],
-    "suite_run_finished": ["wall_ms", "degraded", "failed_benchmarks"],
+    "suite_run_started": ["benchmarks", "configs", "watchdog_ms"],
+    "suite_run_finished": ["wall_ms", "failed_benchmarks"],
     "benchmark_started": ["benchmark"],
     "benchmark_finished": [
-        "benchmark", "wall_ms", "attempts", "branches", "mispredicts",
+        "benchmark", "wall_ms", "branches", "mispredicts",
         "mispredict_rate",
     ],
-    "benchmark_retry": ["benchmark", "attempt", "error"],
     "watchdog_timeout": ["benchmark", "error"],
     # fault_injected comes in two shapes, dispatched on "kind" in
     # validate_event: trace-source injection carries the record index,
     # plan-based injection (kind "plan.<site>", fault/fault_plan.h)
     # carries the action/config/occurrence that fired.
     "fault_injected": ["benchmark", "kind"],
-    "sweep_config_failed": [
-        "benchmark", "config", "at_branch", "category", "error",
-    ],
     "checkpoint_write_failed": ["benchmark", "at_branch", "error"],
     "corrupt_chunk_skipped": [
         "benchmark", "what", "chunk", "dropped_records",

@@ -10,8 +10,8 @@
  * (inner stream, FaultSpec) pair always produces the identical faulty
  * stream — reset() replays it bit-for-bit.
  *
- * Two uses: end-to-end testing of the I/O hardening and RunPolicy error
- * isolation, and the robustness ablation in
+ * Two uses: end-to-end testing of the I/O hardening and the suite
+ * runner's fail-fast path, and the robustness ablation in
  * examples/robustness_ablation.cc showing how the paper's confidence
  * estimators degrade when the branch stream itself is corrupted.
  */

@@ -7,9 +7,9 @@
  * trace recovery — reports through this one shape.
  *
  * Field values are carried pre-formatted as strings plus a kind tag,
- * which keeps the sinks trivial (JSONL quotes strings, CSV quotes
- * everything) without dragging in a variant/JSON value type. The
- * `field()` overloads do the formatting at the emission site.
+ * which keeps the sinks trivial (JSONL quotes strings only) without
+ * dragging in a variant/JSON value type. The `field()` overloads do
+ * the formatting at the emission site.
  */
 
 #ifndef CONFSIM_OBS_EVENT_H
@@ -31,7 +31,6 @@ inline constexpr const char *kSuiteRunStarted = "suite_run_started";
 inline constexpr const char *kSuiteRunFinished = "suite_run_finished";
 inline constexpr const char *kBenchmarkStarted = "benchmark_started";
 inline constexpr const char *kBenchmarkFinished = "benchmark_finished";
-inline constexpr const char *kBenchmarkRetry = "benchmark_retry";
 inline constexpr const char *kWatchdogTimeout = "watchdog_timeout";
 inline constexpr const char *kFaultInjected = "fault_injected";
 inline constexpr const char *kCorruptChunkSkipped =
@@ -45,7 +44,6 @@ inline constexpr const char *kSweepRunStarted = "sweep_run_started";
 inline constexpr const char *kSweepRunFinished = "sweep_run_finished";
 inline constexpr const char *kSweepConfigFinished =
     "sweep_config_finished";
-inline constexpr const char *kSweepConfigFailed = "sweep_config_failed";
 inline constexpr const char *kCheckpointWriteFailed =
     "checkpoint_write_failed";
 inline constexpr const char *kBranchProfileWritten =
@@ -146,11 +144,17 @@ struct TelemetryEvent
     std::string
     toJson() const
     {
-        std::string out = "{\"type\":" + jsonString(type) +
-                          ",\"t_ms\":" + jsonNumber(tMs);
-        for (const auto &f : fields)
-            out += "," + jsonString(f.key) + ":" + f.jsonValue();
-        out += "}";
+        std::string out = "{\"type\":";
+        out += jsonString(type);
+        out += ",\"t_ms\":";
+        out += jsonNumber(tMs);
+        for (const auto &f : fields) {
+            out += ',';
+            out += jsonString(f.key);
+            out += ':';
+            out += f.jsonValue();
+        }
+        out += '}';
         return out;
     }
 };

@@ -46,7 +46,10 @@ jsonEscape(const std::string &s)
 inline std::string
 jsonString(const std::string &s)
 {
-    return "\"" + jsonEscape(s) + "\"";
+    std::string out(1, '"');
+    out += jsonEscape(s);
+    out += '"';
+    return out;
 }
 
 /**

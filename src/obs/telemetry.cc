@@ -12,10 +12,6 @@ Telemetry::Telemetry(TelemetryOptions options)
         sinks_.push_back(
             std::make_unique<JsonlTelemetrySink>(options_.jsonlPath));
     }
-    if (!options_.csvPath.empty()) {
-        sinks_.push_back(
-            std::make_unique<CsvTelemetrySink>(options_.csvPath));
-    }
     if (options_.progress) {
         sinks_.push_back(std::make_unique<StderrProgressSink>(
             options_.heartbeatEveryBenchmarks));

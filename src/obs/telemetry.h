@@ -31,7 +31,6 @@ namespace confsim {
 struct TelemetryOptions
 {
     std::string jsonlPath; //!< "" = no JSONL sink
-    std::string csvPath;   //!< "" = no CSV sink
     bool progress = false; //!< stderr heartbeat sink
 
     /** Heartbeat period, in finished benchmarks. */
@@ -41,7 +40,7 @@ struct TelemetryOptions
     bool
     enabled() const
     {
-        return !jsonlPath.empty() || !csvPath.empty() || progress;
+        return !jsonlPath.empty() || progress;
     }
 };
 
@@ -88,7 +87,9 @@ class Telemetry
     /**
      * Emit a metrics_snapshot event from the registry and flush all
      * sinks. Idempotent; also invoked by the destructor so a telemetry
-     * file is complete even on early exit.
+     * file is complete even on early exit. A JSONL file is published
+     * only if setManifest() ran: a run that failed before its manifest
+     * leaves no file rather than one that is not manifest-first.
      */
     void finish();
 

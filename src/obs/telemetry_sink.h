@@ -2,19 +2,15 @@
  * @file
  * Telemetry output backends. A TelemetrySink consumes the structured
  * event stream (obs/event.h) plus one leading RunManifest; the
- * implementations here cover the three consumers a simulation campaign
+ * implementations here cover the two consumers a simulation campaign
  * has:
  *
  *  - JsonlTelemetrySink — machine-readable event log, one JSON object
  *    per line, manifest first. The format CI validates
  *    (scripts/validate_telemetry.py).
- *  - CsvTelemetrySink — long-format CSV (t_ms,type,key,value — one row
- *    per event field) for awk/pandas consumption without a JSON
- *    parser.
  *  - StderrProgressSink — human heartbeat for long suite runs: one
  *    stderr line every N finished benchmarks, counted per suite run
- *    from its suite_run_started event, plus retry/timeout/fault
- *    notices.
+ *    from its suite_run_started event, plus watchdog notices.
  *
  * Sinks are driven by Telemetry (obs/telemetry.h), which serializes
  * calls, so implementations need no locking of their own.
@@ -57,7 +53,12 @@ class TelemetrySink
     virtual void close() {}
 };
 
-/** JSON-lines sink: manifest object first, then one object per event. */
+/**
+ * JSON-lines sink: manifest object first, then one object per event.
+ * close() publishes the file only if it received its manifest, and
+ * otherwise abandons the `.tmp`: a log without its manifest is not a
+ * telemetry file.
+ */
 class JsonlTelemetrySink : public TelemetrySink
 {
   public:
@@ -71,30 +72,7 @@ class JsonlTelemetrySink : public TelemetrySink
 
   private:
     AtomicFileWriter out_;
-};
-
-/**
- * Long-format CSV sink. Header row "t_ms,type,key,value"; the manifest
- * is one row per scalar manifest property (type "manifest"), each
- * event one row per field (events without fields still get one row
- * with an empty key), RFC-4180 quoting throughout.
- */
-class CsvTelemetrySink : public TelemetrySink
-{
-  public:
-    /** Open the `.tmp` sibling of @p path; calls fatal() on failure. */
-    explicit CsvTelemetrySink(const std::string &path);
-
-    void writeManifest(const RunManifest &manifest) override;
-    void writeEvent(const TelemetryEvent &event) override;
-    void flush() override;
-    void close() override;
-
-  private:
-    void row(double t_ms, const std::string &type,
-             const std::string &key, const std::string &value);
-
-    AtomicFileWriter out_;
+    bool hasManifest_ = false;
 };
 
 /** Heartbeat sink for interactive/long runs; writes to stderr. */

@@ -12,7 +12,7 @@
  * per-static-branch profile see the prediction's correctness; the
  * predictor and the history registers see the outcome).
  *
- * Checkpointing, retries, fault sites, and telemetry belong to the
+ * Checkpointing, fault sites, and telemetry belong to the
  * sweep engine and the suite runner, which run the same kernel.
  */
 

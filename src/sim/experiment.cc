@@ -100,8 +100,6 @@ ExperimentEnv::fromCli(int argc, const char *const *argv,
                   "cancelled cooperatively on expiry (0 = unlimited)");
     cli.addOption("telemetry", "",
                   "write JSONL telemetry (manifest + events) here");
-    cli.addOption("telemetry-csv", "",
-                  "write long-format CSV telemetry here");
     cli.addFlag("progress", "stderr heartbeat while the suite runs");
     cli.addOption("heartbeat", "1",
                   "heartbeat period, in finished benchmarks");
@@ -138,7 +136,6 @@ ExperimentEnv::fromCli(int argc, const char *const *argv,
             env.faultPlan = plan;
     }
     env.telemetry.jsonlPath = cli.getString("telemetry");
-    env.telemetry.csvPath = cli.getString("telemetry-csv");
     env.telemetry.progress = cli.getFlag("progress");
     env.telemetry.heartbeatEveryBenchmarks =
         static_cast<unsigned>(cli.getUnsigned("heartbeat"));

@@ -113,7 +113,7 @@ struct ExperimentEnv
      */
     std::uint64_t warmupRegions = ~0ull;
 
-    /** Telemetry knobs (--telemetry/--telemetry-csv/--progress). */
+    /** Telemetry knobs (--telemetry/--progress). */
     TelemetryOptions telemetry;
 
     /**
@@ -125,7 +125,7 @@ struct ExperimentEnv
 
     /**
      * Parse standard bench options (--branches, --csv-dir, --fast,
-     * --telemetry, --telemetry-csv, --progress, --heartbeat).
+     * --telemetry, --progress, --heartbeat).
      * @return false if --help was printed (caller should exit 0).
      */
     static bool fromCli(int argc, const char *const *argv,

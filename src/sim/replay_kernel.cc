@@ -3,7 +3,6 @@
 #include <thread>
 
 #include "ckpt/checkpoint.h"
-#include "sim/run_policy.h"
 #include "util/crc32.h"
 #include "util/status.h"
 
@@ -57,9 +56,10 @@ ReplayGuard::checkNow(std::uint64_t at_records) const
     if (cancel != nullptr)
         cancel->throwIfCancelled("sweep shard");
     if (hasDeadline && Clock::now() > deadline) {
-        throw WatchdogTimeout("sweep exceeded its wall-clock budget of " +
-                              std::to_string(limitMs) + " ms after " +
-                              std::to_string(at_records) + " records");
+        throw Error(ErrorCategory::kTimeout,
+                    "sweep exceeded its wall-clock budget of " +
+                        std::to_string(limitMs) + " ms after " +
+                        std::to_string(at_records) + " records");
     }
 }
 
@@ -70,9 +70,9 @@ ReplayGuard::park() const
     for (;;) {
         checkNow(0);
         if (Clock::now() > cap) {
-            throw WatchdogTimeout(
-                "injected hang exceeded its 30 s safety cap with "
-                "no watchdog or cancellation configured");
+            throw Error(ErrorCategory::kTimeout,
+                        "injected hang exceeded its 30 s safety cap with "
+                        "no watchdog or cancellation configured");
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }

@@ -95,9 +95,11 @@ struct DriverOptions
     /**
      * Wall-clock budget for one run in milliseconds; 0 = unlimited.
      * Checked cooperatively every few thousand records; on expiry the
-     * run throws WatchdogTimeout (run_policy.h) so a hung or runaway
-     * benchmark unwinds instead of wedging its worker thread. Never
+     * run throws Error{kTimeout} so a hung or runaway benchmark
+     * unwinds instead of wedging its worker thread. Never
      * fires on a run that finishes in time, so results are unaffected.
+     * A suite run gives each benchmark this budget, clipped to what is
+     * left of RunPolicy::deadlineMs.
      */
     std::uint64_t wallClockLimitMs = 0;
 
@@ -106,7 +108,8 @@ struct DriverOptions
      * never cancelled. Polled at the same amortized stride as the
      * watchdog; when cancelled the run throws Error{kCancelled} so
      * fail-fast teardown and suite deadlines unwind in-flight work
-     * cleanly. The token must outlive the run.
+     * cleanly. A suite run chains its own teardown token to this one.
+     * The token must outlive the run.
      */
     const CancellationToken *cancel = nullptr;
 
@@ -238,20 +241,6 @@ struct SweepConfigResult
      * equal a plain replay's estimatorStats.
      */
     std::vector<SweepSlotStats> slotStats;
-
-    /**
-     * Empty on success. With SweepOptions::isolateConfigFailures set,
-     * a failed configuration carries its error here (counts frozen at
-     * the last completed batch) while the other configurations'
-     * results remain bit-exact and trustworthy.
-     */
-    std::string error;
-
-    /** Taxonomy category of `error` (meaningful only when failed()). */
-    ErrorCategory errorCategory = ErrorCategory::kInternal;
-
-    /** @return true when this configuration failed mid-sweep. */
-    bool failed() const { return !error.empty(); }
 
     /** @return overall misprediction rate. */
     double

@@ -505,14 +505,6 @@ SamplingEngine::SamplingEngine(std::vector<SweepConfiguration> configs,
               "the sampling engine owns the recording plan; "
               "SamplingOptions::sweep.recordingPlan must be null");
     }
-    if (options_.sweep.isolateConfigFailures) {
-        // A failed configuration keeps the slot logs it recorded up to
-        // the failure; estimates built from them would pass as valid.
-        fatal(ErrorCategory::kConfig,
-              "sampled runs cannot isolate configuration failures; "
-              "SamplingOptions::sweep.isolateConfigFailures must be "
-              "false");
-    }
     if (options_.sweep.pool != nullptr) {
         fatal(ErrorCategory::kConfig,
               "the sampling engine schedules its own passes; "
@@ -565,11 +557,7 @@ SamplingEngine::runSuite(const SuiteRunner &runner)
         if (result.perBenchmark[bench].regions != 0)
             estimateTrace(selections[bench], pass, result.perBenchmark[bench]);
     };
-    // Fail-fast, and cancellable through the caller's token.
-    RunPolicy policy;
-    policy.cancel = driver_.cancel;
-    (void)runner.runPasses(configs_, driver_, options_.sweep, policy,
-                           hooks);
+    (void)runner.runPasses(configs_, driver_, options_.sweep, {}, hooks);
 
     for (const SamplingBenchmarkResult &bench_result :
          result.perBenchmark) {
@@ -619,10 +607,12 @@ SamplingEngine::runSuite(const SuiteRunner &runner)
                 composite.estimatorNames.size();
             composite.coverageSubsamples.resize(num_estimators);
             composite.pvnSubsamples.resize(num_estimators);
+            std::vector<double> coverage(num_estimators);
+            std::vector<double> pvn(num_estimators);
             for (std::size_t r = 0; r < r_min; ++r) {
                 double rate = 0.0;
-                std::vector<double> coverage(num_estimators, 0.0);
-                std::vector<double> pvn(num_estimators, 0.0);
+                std::fill(coverage.begin(), coverage.end(), 0.0);
+                std::fill(pvn.begin(), pvn.end(), 0.0);
                 std::size_t benches = 0;
                 for (const auto &bench : result.perBenchmark) {
                     if (bench.perConfig.empty())
@@ -678,9 +668,7 @@ SamplingEngine::runSuite(const SuiteRunner &runner)
             events::kSuiteRunFinished,
             {field("wall_ms", result.wallMs),
              field("composite_mispredict_rate", composite_rate),
-             field("degraded", false),
-             field("failed_benchmarks", std::uint64_t{0}),
-             field("survivors", static_cast<std::uint64_t>(suite.size()))}));
+             field("failed_benchmarks", std::uint64_t{0})}));
         driver_.telemetry->emit(TelemetryEvent(
             events::kSamplingRunFinished,
             {field("benchmarks",

@@ -112,9 +112,7 @@ struct SamplingOptions
      *  one replay's shard count, runSuite() as the suite's worker
      *  budget W, which runSweep's rule spends on min(W, benchmarks)
      *  passes (SweepOptions). recordingPlan and pool are owned by the
-     *  engine and must be left null, and isolateConfigFailures must
-     *  stay false (a failed configuration would leave partial slot
-     *  logs behind). */
+     *  engine and must be left null. */
     SweepOptions sweep;
 };
 
@@ -206,8 +204,8 @@ class SamplingEngine
      * @param configs Attached configurations (as SweepEngine's).
      * @param driver Simulation knobs shared by all configurations.
      * @param options Sampling knobs; fatal(kConfig) on invalid values
-     *        at construction, on a caller-owned recording plan or
-     *        worker pool, and on isolateConfigFailures.
+     *        at construction and on a caller-owned recording plan or
+     *        worker pool.
      */
     SamplingEngine(std::vector<SweepConfiguration> configs,
                    DriverOptions driver, SamplingOptions options);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <functional>
 #include <thread>
 
 #include "ckpt/checkpoint_store.h"
@@ -36,9 +35,10 @@ elapsedMsSince(std::chrono::steady_clock::time_point start)
 
 /**
  * Shared cancellation/deadline state for one suite run. The token is
- * chained to the policy's external token (never mutated by us), so
- * cancel() here — fail-fast teardown — propagates to every benchmark's
- * driver/sweep poll site without touching the caller's object.
+ * chained to the caller's DriverOptions::cancel (never mutated by us),
+ * so cancel() here — fail-fast teardown — propagates to every
+ * benchmark's driver/sweep poll site without touching the caller's
+ * object.
  */
 struct SuiteContext
 {
@@ -46,10 +46,10 @@ struct SuiteContext
     std::chrono::steady_clock::time_point start;
     std::uint64_t deadlineMs = 0;
 
-    explicit SuiteContext(const RunPolicy &policy)
-        : token(policy.cancel),
+    SuiteContext(const CancellationToken *cancel, std::uint64_t deadline_ms)
+        : token(cancel),
           start(std::chrono::steady_clock::now()),
-          deadlineMs(policy.deadlineMs)
+          deadlineMs(deadline_ms)
     {}
 
     bool hasDeadline() const { return deadlineMs != 0; }
@@ -65,10 +65,9 @@ struct SuiteContext
         return deadlineMs - static_cast<std::uint64_t>(used);
     }
 
-    /** Clip one attempt's per-benchmark watchdog to the remaining suite
-     *  budget, so deadline expiry surfaces as a cooperative
-     *  WatchdogTimeout inside the record loop rather than needing a
-     *  reaper thread. */
+    /** Clip one pass's per-benchmark watchdog to the remaining suite
+     *  budget, so deadline expiry surfaces as a cooperative kTimeout
+     *  inside the record loop rather than needing a reaper thread. */
     std::uint64_t
     clipWatchdogMs(std::uint64_t watchdog_ms) const
     {
@@ -80,52 +79,6 @@ struct SuiteContext
         return std::min(watchdog_ms, remaining);
     }
 };
-
-/**
- * Deterministic backoff before retry attempt @p attempt + 1 of the
- * benchmark named @p name: retryBackoffMs * 2^(attempt-1), jittered
- * into [0.75x, 1.25x] with a seed derived from the name and attempt so
- * concurrent retries decorrelate without making runs irreproducible.
- */
-std::uint64_t
-backoffDelayMs(std::uint64_t base, unsigned attempt,
-               const std::string &name)
-{
-    if (base == 0)
-        return 0;
-    const unsigned shift = std::min(attempt - 1, 16u);
-    const std::uint64_t exponential = base << shift;
-    const std::uint64_t seed =
-        std::hash<std::string>{}(name) ^
-        (0x9e3779b97f4a7c15ULL * (attempt + 1));
-    const std::uint64_t span = exponential / 2;
-    const std::uint64_t low = exponential - exponential / 4;
-    return low + (span == 0 ? 0 : seed % (span + 1));
-}
-
-/**
- * Sleep the category-aware retry backoff, capped by the remaining
- * suite budget and interruptible by cancellation. @return false when
- * the caller should stop retrying (cancelled, or budget exhausted).
- */
-bool
-sleepBeforeRetry(const RunPolicy &policy, const SuiteContext &ctx,
-                 unsigned attempt, const std::string &name,
-                 SpanTracer *spans)
-{
-    std::uint64_t delay =
-        backoffDelayMs(policy.retryBackoffMs, attempt, name);
-    if (ctx.hasDeadline()) {
-        const std::uint64_t remaining = ctx.remainingMs();
-        if (remaining == 0)
-            return false;
-        delay = std::min(delay, remaining);
-    }
-    if (delay == 0)
-        return !ctx.token.cancelled();
-    ScopedSpan span(spans, "retry.backoff");
-    return interruptibleSleepMs(&ctx.token, delay);
-}
 
 /** How a run spends its worker budget. */
 struct PassSchedule
@@ -258,6 +211,11 @@ doneComponentName(std::size_t config)
 /** Version of a `cfg<i>:result` payload (2 added the fingerprint). */
 constexpr std::uint32_t kDoneVersion = 2;
 
+/** The attempt count a version-2 payload carries. Every benchmark runs
+ *  once; loading skips the field, so version-2 markers that recorded
+ *  more attempts still resume. */
+constexpr std::uint64_t kDoneAttempts = 1;
+
 /** configFingerprint() of @p config over freshly built components. */
 std::uint32_t
 fingerprintOf(const SweepConfiguration &config, const DriverOptions &options)
@@ -302,7 +260,7 @@ serializeDoneMarker(const std::vector<SweepConfiguration> &configs,
         out.putU64(result.branches);
         out.putU64(result.mispredicts);
         out.putF64(result.mispredictRate);
-        out.putU64(result.attempts);
+        out.putU64(kDoneAttempts);
         out.putU64(result.estimatorNames.size());
         for (const auto &name : result.estimatorNames)
             out.putString(name);
@@ -360,7 +318,7 @@ deserializeDoneMarker(const Checkpoint &ckpt,
         result.branches = in.getU64();
         result.mispredicts = in.getU64();
         result.mispredictRate = in.getF64();
-        result.attempts = static_cast<unsigned>(in.getU64());
+        (void)in.getU64(); // attempts
         const std::uint64_t names = in.getU64();
         result.estimatorNames.reserve(names);
         for (std::uint64_t i = 0; i < names; ++i)
@@ -397,14 +355,6 @@ benchmarkResults(SweepRunResult &pass, std::size_t bench,
         SweepConfigResult &config_result = pass.perConfig[c];
         BenchmarkRunResult &bench_result = results[c];
         bench_result.name = bench_name;
-        if (config_result.failed()) {
-            // Isolated per-config failure: only this configuration's
-            // composite degrades; the other configurations' results
-            // from the same pass are bit-exact.
-            bench_result.error = config_result.error;
-            bench_result.errorCategory = config_result.errorCategory;
-            continue;
-        }
         bench_result.branches = config_result.branches;
         bench_result.mispredicts = config_result.mispredicts;
         bench_result.mispredictRate = config_result.mispredictRate();
@@ -426,40 +376,27 @@ benchmarkResults(SweepRunResult &pass, std::size_t bench,
 }
 
 /**
- * Record a finished pass in its benchmark's store. A fully healthy
- * pass leaves a done-marker carrying every configuration's result, so
- * a resumed run skips the benchmark; a pass with an isolated
- * configuration failure re-simulates on resume. Mid-run generations
- * are dead weight either way.
+ * Record a finished pass in its benchmark's store: a done-marker
+ * carrying every configuration's result, so a resumed run skips the
+ * benchmark. Mid-run generations are dead weight from here on.
  */
 void
 completeStore(CheckpointStore &store,
               const std::vector<SweepConfiguration> &configs,
               const std::vector<std::uint32_t> &fingerprints,
-              std::vector<BenchmarkRunResult> &results, unsigned attempts)
+              const std::vector<BenchmarkRunResult> &results)
 {
-    const bool healthy =
-        std::none_of(results.begin(), results.end(),
-                     [](const BenchmarkRunResult &r) { return r.failed(); });
-    if (healthy) {
-        for (auto &result : results)
-            result.attempts = attempts;
-        store.writeCompleted(
-            serializeDoneMarker(configs, fingerprints, results));
-    }
+    store.writeCompleted(serializeDoneMarker(configs, fingerprints, results));
     store.removeGenerations();
 }
 
 /**
  * Fill a suite result's composites (Section 1.2 equal-weight) from its
  * per-benchmark entries: the per-estimator equal-weight curves, the
- * re-weighted static profile, the composite misprediction rate, and
- * the degraded flag. Shared by the sequential and sweep paths so both
- * composite identically. @return the survivor count.
+ * re-weighted static profile and the composite misprediction rate.
  */
-std::size_t
-computeComposites(SuiteRunResult &result, bool profile_static,
-                  std::size_t suite_size)
+void
+computeComposites(SuiteRunResult &result, bool profile_static)
 {
     // A benchmark that ran but recorded nothing (e.g. the warmup
     // window covers the whole trace) has no rate or bucket mass to
@@ -467,38 +404,27 @@ computeComposites(SuiteRunResult &result, bool profile_static,
     // the composite rate and trip EqualWeightComposite's zero-refs
     // check. Exclude it from every composite and mark the result
     // degraded-composite instead.
-    const auto zero_record = [](const BenchmarkRunResult &b) {
-        return !b.failed() && b.branches == 0;
+    const auto recorded = [](const BenchmarkRunResult &b) {
+        return b.branches != 0;
     };
 
     double rate_sum = 0.0;
-    std::size_t survivors = 0;
     std::size_t counted = 0;
     for (const auto &bench_result : result.perBenchmark) {
-        if (!bench_result.failed()) {
-            ++survivors;
-            if (!zero_record(bench_result)) {
-                rate_sum += bench_result.mispredictRate;
-                ++counted;
-            } else {
-                ++result.zeroRecordBenchmarks;
-            }
+        if (recorded(bench_result)) {
+            rate_sum += bench_result.mispredictRate;
+            ++counted;
+        } else {
+            ++result.zeroRecordBenchmarks;
         }
     }
-    result.degraded = survivors != suite_size;
-    result.compositeDegraded =
-        result.degraded || counted != suite_size;
+    result.compositeDegraded = result.zeroRecordBenchmarks != 0;
 
-    // Composites are equal-weight over the surviving recorded subset.
-    const BenchmarkRunResult *first_ok = nullptr;
-    for (const auto &bench_result : result.perBenchmark) {
-        if (!bench_result.failed() && !zero_record(bench_result)) {
-            first_ok = &bench_result;
-            break;
-        }
-    }
-    if (first_ok == nullptr)
-        return survivors;
+    // Composites are equal-weight over the recorded subset.
+    const auto first_ok = std::find_if(result.perBenchmark.begin(),
+                                       result.perBenchmark.end(), recorded);
+    if (first_ok == result.perBenchmark.end())
+        return;
 
     result.estimatorNames = first_ok->estimatorNames;
     // Empty after a planned pass, whose records went to slot logs.
@@ -507,7 +433,7 @@ computeComposites(SuiteRunResult &result, bool profile_static,
         EqualWeightComposite composite(
             first_ok->estimatorStats[e].numBuckets());
         for (const auto &bench_result : result.perBenchmark) {
-            if (!bench_result.failed() && !zero_record(bench_result))
+            if (recorded(bench_result))
                 composite.add(bench_result.estimatorStats[e]);
         }
         result.compositeEstimatorStats.push_back(composite.result());
@@ -516,7 +442,7 @@ computeComposites(SuiteRunResult &result, bool profile_static,
     if (profile_static) {
         constexpr double kCommonMass = 1e6;
         for (const auto &bench_result : result.perBenchmark) {
-            if (bench_result.failed() || zero_record(bench_result))
+            if (!recorded(bench_result))
                 continue;
             const double refs = bench_result.staticStats.totalRefs();
             if (refs > 0.0) {
@@ -529,7 +455,6 @@ computeComposites(SuiteRunResult &result, bool profile_static,
     result.compositeMispredictRate =
         counted == 0 ? 0.0
                      : rate_sum / static_cast<double>(counted);
-    return survivors;
 }
 
 } // namespace
@@ -559,15 +484,11 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
               "runSweep builds its own worker pool; leave "
               "SweepOptions::pool unset");
     }
-    const bool fail_fast = policy.errorMode == ErrorMode::kFailFast;
-    if (hooks.plan && (!fail_fast || policy.checkpoint.enabled())) {
+    if (hooks.plan && policy.checkpoint.enabled()) {
         fatal(ErrorCategory::kConfig,
-              "planned passes run fail-fast and without checkpoints");
+              "planned passes run without checkpoints");
     }
-    if (policy.watchdogMs != 0)
-        options.wallClockLimitMs = policy.watchdogMs;
-    const unsigned max_attempts = std::max(1u, policy.maxAttempts);
-    SuiteContext ctx(policy);
+    SuiteContext ctx(options.cancel, policy.deadlineMs);
     Telemetry *const telemetry = options.telemetry;
 
     // An inline pass replays on its benchmark thread: no pool task, no
@@ -576,10 +497,6 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
         resolveSchedule(sweep.threads, suite_.size(), configs.size());
     std::unique_ptr<SweepWorkerPool> pool;
     SweepOptions engine_sweep = sweep;
-    // Continue-on-error isolates failures at configuration granularity
-    // too: one configuration's fault freezes only that configuration
-    // while the rest of the pass stays bit-exact (sweep_engine.h).
-    engine_sweep.isolateConfigFailures = !fail_fast;
     if (schedule.shard) {
         pool = std::make_unique<SweepWorkerPool>(schedule.workers);
         engine_sweep.pool = pool.get();
@@ -593,20 +510,22 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
             {field("benchmarks",
                    static_cast<std::uint64_t>(suite_.size())),
              field("configs", static_cast<std::uint64_t>(configs.size())),
-             field("error_mode",
-                   fail_fast ? "fail_fast" : "continue_on_error"),
-             field("max_attempts",
-                   static_cast<std::uint64_t>(max_attempts)),
              field("watchdog_ms", options.wallClockLimitMs),
              field("parallel", schedule.passes > 1)}));
     }
 
-    // Every benchmark produces an outcome — per-configuration results,
-    // or an error. Error isolation, retries, watchdog handling, and
-    // checkpoint/resume are all per-benchmark, so outcomes are
-    // independent and may be computed concurrently; runSweep merges
-    // them in suite order.
+    // Every benchmark produces an outcome, or a failure: why its pass
+    // failed ("" = it did not), with the category. Checkpoint/resume
+    // and the watchdog are per benchmark, so outcomes are independent
+    // and may be computed concurrently; runSweep merges them in suite
+    // order.
+    struct Failure
+    {
+        std::string error;
+        ErrorCategory category = ErrorCategory::kInternal;
+    };
     std::vector<PassOutcome> outcomes(suite_.size());
+    std::vector<Failure> failures(suite_.size());
 
     // One sweep pass over @p bench, resumed from the newest generation
     // that restores under this configuration list.
@@ -642,9 +561,10 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
         std::unique_ptr<TraceSource> source = build_source();
         if (store != nullptr && policy.checkpoint.resume) {
             // Newest valid generation wins; a generation that decodes
-            // but does not restore under this configuration falls back
-            // one generation (the engine rebuilds its states on every
-            // run, so only the source needs refreshing here).
+            // but does not restore under this configuration (kCheckpoint)
+            // falls back one generation (the engine rebuilds its states
+            // on every run, so only the source needs refreshing here).
+            // A failure after the restore fails the pass like any other.
             for (const std::uint64_t gen : store->generations()) {
                 std::optional<Checkpoint> ckpt = store->load(gen);
                 if (!ckpt.has_value())
@@ -654,9 +574,9 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
                     emitRestored(telemetry, bench_name, gen,
                                  ckpt->branches);
                     return pass;
-                } catch (const WatchdogTimeout &) {
-                    throw;
-                } catch (const std::exception &e) {
+                } catch (const Error &e) {
+                    if (e.category() != ErrorCategory::kCheckpoint)
+                        throw;
                     if (telemetry != nullptr) {
                         telemetry->emit(TelemetryEvent(
                             events::kCheckpointCorrupt,
@@ -672,13 +592,11 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
         return engine.run(*source);
     };
 
-    // The benchmark's attempts under the policy: exceptions become the
-    // outcome's error, transient failures get bounded retries with
-    // exponential backoff, and terminal categories — watchdog
-    // timeouts, cancellation, configuration errors — fail immediately.
-    const auto run_attempts = [&](std::size_t bench,
-                                  const std::string &bench_name,
-                                  PassOutcome &outcome) {
+    // The benchmark's results: restored from its done-marker, or
+    // simulated once. Any error propagates to run_bench.
+    const auto simulate = [&](std::size_t bench,
+                              const std::string &bench_name,
+                              PassOutcome &outcome) {
         DriverOptions run_options = options;
         run_options.telemetryLabel = bench_name;
         run_options.cancel = &ctx.token;
@@ -689,8 +607,7 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
             for (const auto &config : configs)
                 fingerprints.push_back(fingerprintOf(config, options));
             store = std::make_unique<CheckpointStore>(
-                policy.checkpoint.directory, bench_name,
-                policy.checkpoint.keepGenerations);
+                policy.checkpoint.directory, bench_name);
             wireStoreTelemetry(*store, telemetry, bench_name);
             store->setSpanTracer(options.spans);
             if (policy.checkpoint.resume) {
@@ -698,7 +615,6 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
                     try {
                         outcome.perConfig = deserializeDoneMarker(
                             *done, configs, fingerprints);
-                        outcome.attempts = outcome.perConfig[0].attempts;
                         emitRestored(telemetry, bench_name, 0,
                                      done->branches);
                         return;
@@ -721,88 +637,35 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
             }
         }
 
-        for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-            outcome.attempts = attempt;
-            // Cancelled (fail-fast teardown, external token) or
-            // deadline-starved benchmarks stop before simulating.
-            if (ctx.token.cancelled()) {
-                outcome.error = "sweep pass cancelled";
-                outcome.category = ErrorCategory::kCancelled;
-                outcome.cancelled = true;
-                break;
-            }
-            if (ctx.hasDeadline() && ctx.remainingMs() == 0) {
-                outcome.error = "suite deadline of " +
-                                std::to_string(ctx.deadlineMs) +
-                                " ms exhausted";
-                outcome.category = ErrorCategory::kCancelled;
-                outcome.cancelled = true;
-                break;
-            }
-            run_options.wallClockLimitMs =
-                ctx.clipWatchdogMs(options.wallClockLimitMs);
-            outcome.error.clear();
-            outcome.category = ErrorCategory::kInternal;
-            outcome.cancelled = false;
-            bool retryable = false;
-            try {
-                SweepRunResult pass =
-                    run_pass(bench, bench_name, run_options, store.get());
-                if (hooks.finish)
-                    hooks.finish(bench, pass);
-                outcome.perConfig = benchmarkResults(
-                    pass, bench, bench_name, options.profileStatic);
-                if (store != nullptr)
-                    completeStore(*store, configs, fingerprints,
-                                  outcome.perConfig, attempt);
-                break;
-            } catch (const WatchdogTimeout &e) {
-                outcome.error = e.what();
-                outcome.category = ErrorCategory::kTimeout;
-                if (telemetry != nullptr) {
-                    telemetry->emit(TelemetryEvent(
-                        events::kWatchdogTimeout,
-                        {field("benchmark", bench_name),
-                         field("attempt",
-                               static_cast<std::uint64_t>(attempt)),
-                         field("error", outcome.error)}));
-                    telemetry->registry().increment(
-                        "suite.watchdog_timeouts");
-                }
-                break; // terminal: re-running a blown budget loses too
-            } catch (const std::exception &e) {
-                outcome.error = e.what();
-                outcome.category = categoryOf(e);
-                outcome.cancelled =
-                    outcome.category == ErrorCategory::kCancelled;
-                retryable = isRetryable(e);
-            } catch (...) {
-                outcome.error = "unknown exception";
-                retryable = true;
-            }
-            if (!retryable)
-                break;
-            if (attempt < max_attempts) {
-                if (telemetry != nullptr) {
-                    telemetry->emit(TelemetryEvent(
-                        events::kBenchmarkRetry,
-                        {field("benchmark", bench_name),
-                         field("attempt",
-                               static_cast<std::uint64_t>(attempt)),
-                         field("error", outcome.error)}));
-                    telemetry->registry().increment("suite.retries");
-                }
-                if (!sleepBeforeRetry(policy, ctx, attempt, bench_name,
-                                      options.spans))
-                    break; // cancelled (or budget gone) mid-backoff
-            }
+        // Cancelled (fail-fast teardown, external token) or
+        // deadline-starved benchmarks stop before simulating.
+        if (ctx.token.cancelled())
+            throw Error(ErrorCategory::kCancelled, "sweep pass cancelled");
+        if (ctx.hasDeadline() && ctx.remainingMs() == 0) {
+            throw Error(ErrorCategory::kCancelled,
+                        "suite deadline of " +
+                            std::to_string(ctx.deadlineMs) +
+                            " ms exhausted");
         }
+        run_options.wallClockLimitMs =
+            ctx.clipWatchdogMs(options.wallClockLimitMs);
+        SweepRunResult pass =
+            run_pass(bench, bench_name, run_options, store.get());
+        if (hooks.finish)
+            hooks.finish(bench, pass);
+        outcome.perConfig = benchmarkResults(pass, bench, bench_name,
+                                             options.profileStatic);
+        if (store != nullptr)
+            completeStore(*store, configs, fingerprints, outcome.perConfig);
     };
 
-    // Run one benchmark and report it. benchmark_finished is emitted as
-    // each benchmark completes, so progress sinks (stderr heartbeat)
-    // see results live during parallel runs; for multi-config sweeps
-    // its counts are the first configuration's.
+    // Run one benchmark and report it. A failure becomes the
+    // benchmark's Failure and, unless it is a cancellation, cancels
+    // the run token so sibling passes (and queued ones) unwind instead
+    // of simulating doomed work. benchmark_finished is emitted as each
+    // benchmark completes, so progress sinks (stderr heartbeat) see
+    // results live during parallel runs; for multi-config sweeps its
+    // counts are the first configuration's.
     const auto run_bench = [&](std::size_t bench) {
         const std::string bench_name = suite_.profile(bench).name;
         const std::string span_name = "bench:" + bench_name;
@@ -814,46 +677,57 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
                 {field("benchmark", bench_name)}));
         }
         PassOutcome &outcome = outcomes[bench];
-        run_attempts(bench, bench_name, outcome);
+        Failure &failure = failures[bench];
+        try {
+            simulate(bench, bench_name, outcome);
+        } catch (const std::exception &e) {
+            failure.error = e.what();
+            failure.category = categoryOf(e);
+        } catch (...) {
+            failure.error = "unknown exception";
+        }
         outcome.wallMs = elapsedMsSince(start);
+        const bool failed = !failure.error.empty();
+        if (failed && failure.category != ErrorCategory::kCancelled)
+            ctx.token.cancel();
         if (telemetry == nullptr)
             return;
-        BenchmarkRunResult summary;
-        summary.error = outcome.error;
-        summary.errorCategory = outcome.category;
-        if (outcome.error.empty()) {
+        MetricsRegistry &registry = telemetry->registry();
+        if (failed && failure.category == ErrorCategory::kTimeout) {
+            telemetry->emit(TelemetryEvent(
+                events::kWatchdogTimeout,
+                {field("benchmark", bench_name),
+                 field("error", failure.error)}));
+            registry.increment("suite.watchdog_timeouts");
+        }
+        std::uint64_t branches = 0;
+        std::uint64_t mispredicts = 0;
+        double mispredict_rate = 0.0;
+        if (!failed) {
             const BenchmarkRunResult &first = outcome.perConfig.front();
-            summary.branches = first.branches;
-            summary.mispredicts = first.mispredicts;
-            summary.mispredictRate = first.mispredictRate;
-            summary.error = first.error;
-            summary.errorCategory = first.errorCategory;
+            branches = first.branches;
+            mispredicts = first.mispredicts;
+            mispredict_rate = first.mispredictRate;
         }
         telemetry->emit(TelemetryEvent(
             events::kBenchmarkFinished,
             {field("benchmark", bench_name),
              field("wall_ms", outcome.wallMs),
-             field("attempts",
-                   static_cast<std::uint64_t>(outcome.attempts)),
-             field("branches", summary.branches),
-             field("mispredicts", summary.mispredicts),
-             field("mispredict_rate", summary.mispredictRate),
-             field("error", summary.error),
+             field("branches", branches),
+             field("mispredicts", mispredicts),
+             field("mispredict_rate", mispredict_rate),
+             field("error", failure.error),
              field("error_category",
-                   summary.failed() ? toString(summary.errorCategory)
-                                    : "")}));
-        MetricsRegistry &registry = telemetry->registry();
+                   failed ? toString(failure.category) : "")}));
         registry.increment("suite.benchmarks");
         registry.observe("suite.bench_wall_ms", outcome.wallMs);
-        if (summary.failed())
+        if (failed)
             registry.increment("suite.failures");
     };
 
     // Benchmark pipelining: schedule.passes scheduler threads (just
     // the calling thread for one pass) pull benchmark indices; the
     // replay work itself runs inline on them or on the shared pool.
-    // Exceptions escaping a benchmark (e.g. a fatal store failure)
-    // become that benchmark's error.
     std::atomic<std::size_t> next{0};
     const auto pump = [&] {
         for (;;) {
@@ -861,22 +735,7 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
                 next.fetch_add(1, std::memory_order_relaxed);
             if (bench >= suite_.size())
                 return;
-            try {
-                run_bench(bench);
-            } catch (const std::exception &e) {
-                outcomes[bench].error = e.what();
-                outcomes[bench].category = categoryOf(e);
-                outcomes[bench].cancelled =
-                    outcomes[bench].category == ErrorCategory::kCancelled;
-            } catch (...) {
-                outcomes[bench].error = "unknown exception";
-            }
-            // Fail-fast teardown: the first real failure cancels the
-            // run token so sibling passes (and queued ones) unwind
-            // instead of simulating doomed work.
-            if (fail_fast && !outcomes[bench].error.empty() &&
-                !outcomes[bench].cancelled)
-                ctx.token.cancel();
+            run_bench(bench);
         }
     };
     if (schedule.passes == 1) {
@@ -902,53 +761,44 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
         }
     }
 
-    // Fail-fast surfaces the root cause: the first non-cancelled
-    // failure in suite order (cancelled entries are teardown
-    // collateral; when every failure is a cancellation — external
-    // cancel or suite deadline — the first of those is the cause).
-    if (fail_fast) {
-        const PassOutcome *culprit = nullptr;
-        std::size_t culprit_bench = 0;
-        for (std::size_t bench = 0;
-             bench < suite_.size() && culprit == nullptr; ++bench) {
-            if (!outcomes[bench].error.empty() &&
-                !outcomes[bench].cancelled) {
-                culprit = &outcomes[bench];
-                culprit_bench = bench;
-            }
-        }
-        for (std::size_t bench = 0;
-             bench < suite_.size() && culprit == nullptr; ++bench) {
-            if (!outcomes[bench].error.empty()) {
-                culprit = &outcomes[bench];
-                culprit_bench = bench;
-            }
-        }
-        if (culprit != nullptr) {
-            if (telemetry != nullptr) {
-                std::uint64_t failures = 0;
-                for (const auto &outcome : outcomes)
-                    failures += outcome.error.empty() ? 0 : 1;
-                telemetry->emit(TelemetryEvent(
-                    events::kSuiteRunFinished,
-                    {field("wall_ms", elapsedMsSince(ctx.start)),
-                     field("degraded", true),
-                     field("failed_benchmarks", failures),
-                     field("survivors", std::uint64_t{0}),
-                     field("error", culprit->error)}));
-                // Flush now: if the caller doesn't catch the fatal()
-                // exception, std::terminate skips unwinding and
-                // buffered sink tails (including the event above)
-                // would be lost.
-                telemetry->finish();
-            }
-            fatal(culprit->category,
-                  "benchmark '" + suite_.profile(culprit_bench).name +
-                      "' failed: " + culprit->error);
-        }
-    }
+    // Surface the root cause: the first non-cancelled failure in suite
+    // order (cancelled entries are teardown collateral; when every
+    // failure is a cancellation — external cancel or suite deadline —
+    // the first of those is the cause).
+    const auto first_failure = [&](bool skip_cancelled) {
+        return std::find_if(
+            failures.begin(), failures.end(), [&](const Failure &f) {
+                return !f.error.empty() &&
+                       !(skip_cancelled &&
+                         f.category == ErrorCategory::kCancelled);
+            });
+    };
+    auto culprit = first_failure(true);
+    if (culprit == failures.end())
+        culprit = first_failure(false);
+    if (culprit == failures.end())
+        return outcomes;
 
-    return outcomes;
+    if (telemetry != nullptr) {
+        const auto failed_benchmarks = std::count_if(
+            failures.begin(), failures.end(),
+            [](const Failure &f) { return !f.error.empty(); });
+        telemetry->emit(TelemetryEvent(
+            events::kSuiteRunFinished,
+            {field("wall_ms", elapsedMsSince(ctx.start)),
+             field("failed_benchmarks",
+                   static_cast<std::uint64_t>(failed_benchmarks)),
+             field("error", culprit->error)}));
+        // Flush now: if the caller doesn't catch the fatal() exception,
+        // std::terminate skips unwinding and buffered sink tails
+        // (including the event above) would be lost.
+        telemetry->finish();
+    }
+    const std::size_t culprit_bench =
+        static_cast<std::size_t>(culprit - failures.begin());
+    fatal(culprit->category, "benchmark '" +
+                                 suite_.profile(culprit_bench).name +
+                                 "' failed: " + culprit->error);
 }
 
 SweepSuiteResult
@@ -976,24 +826,12 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
         PassOutcome &outcome = outcomes[bench];
         const double wall_share =
             outcome.wallMs / static_cast<double>(configs.size());
-        if (!outcome.error.empty()) {
-            // Every configuration consumed the same pass, so the
-            // benchmark is failed for all of them.
-            outcome.perConfig.assign(configs.size(), BenchmarkRunResult{});
-            for (auto &failed : outcome.perConfig) {
-                failed.name = suite_.profile(bench).name;
-                failed.error = outcome.error;
-                failed.errorCategory = outcome.category;
-                failed.cancelled = outcome.cancelled;
-            }
-        }
         const std::uint64_t tag = static_cast<std::uint64_t>(bench)
                                   << 48;
         for (std::size_t c = 0; c < configs.size(); ++c) {
             BenchmarkRunResult &bench_result = outcome.perConfig[c];
-            bench_result.attempts = outcome.attempts;
             bench_result.wallMs = wall_share;
-            if (options.profileBranches && !bench_result.failed()) {
+            if (options.profileBranches) {
                 result.perConfig[c].branchProfile.mergeFrom(
                     bench_result.branchProfile, tag);
             }
@@ -1002,30 +840,22 @@ SuiteRunner::runSweep(const std::vector<SweepConfiguration> &configs,
         }
     }
 
-    std::size_t survivors = 0;
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        const std::size_t config_survivors = computeComposites(
-            result.perConfig[c], options.profileStatic, suite_.size());
-        if (c == 0)
-            survivors = config_survivors;
-        result.perConfig[c].wallMs = elapsedMsSince(sweep_start);
+    for (SuiteRunResult &config_result : result.perConfig) {
+        computeComposites(config_result, options.profileStatic);
+        config_result.wallMs = elapsedMsSince(sweep_start);
     }
     result.wallMs = elapsedMsSince(sweep_start);
     if (telemetry != nullptr) {
-        // Suite-level counts are the first configuration's; per-config
-        // degradation is visible in each sweep_config_* event.
+        // Suite-level counts are the first configuration's.
         const SuiteRunResult &first = result.perConfig.front();
         telemetry->emit(TelemetryEvent(
             events::kSuiteRunFinished,
             {field("wall_ms", result.wallMs),
              field("composite_mispredict_rate",
                    first.compositeMispredictRate),
-             field("degraded", result.degraded()),
-             field("failed_benchmarks",
-                   static_cast<std::uint64_t>(first.failedBenchmarks())),
+             field("failed_benchmarks", std::uint64_t{0}),
              field("zero_record_benchmarks",
-                   static_cast<std::uint64_t>(first.zeroRecordBenchmarks)),
-             field("survivors", static_cast<std::uint64_t>(survivors))}));
+                   static_cast<std::uint64_t>(first.zeroRecordBenchmarks))}));
         telemetry->registry().observe("suite.wall_ms", result.wallMs);
     }
     return result;

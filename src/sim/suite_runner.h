@@ -8,12 +8,12 @@
  * per-benchmark results and the equal-dynamic-branch-weight composite
  * of Section 1.2.
  *
- * Benchmark tasks are error-isolated: a failure inside one benchmark
- * (corrupt trace, watchdog timeout, estimator bug) is caught into that
- * benchmark's BenchmarkRunResult::error instead of tearing down the
- * thread pool. A RunPolicy chooses whether the suite run then throws
- * (fail-fast, the default) or composites over the survivors with the
- * result flagged degraded (continue-on-error). See docs/robustness.md.
+ * A suite run fails fast: the first benchmark failure (corrupt trace,
+ * watchdog timeout, estimator bug) cancels the passes still running
+ * and throws with its category, since an equal-weight composite over
+ * part of the suite is not the paper's figure. Checkpoint/resume
+ * (RunPolicy::checkpoint) keeps the benchmarks that finished. See
+ * docs/robustness.md.
  */
 
 #ifndef CONFSIM_SIM_SUITE_RUNNER_H
@@ -51,38 +51,12 @@ struct BenchmarkRunResult
     /** Estimator names, from this run's own estimator instances. */
     std::vector<std::string> estimatorNames;
 
-    /** Why this benchmark failed; empty on success. */
-    std::string error;
-
-    /** Taxonomy category of `error` (meaningful only when failed()). */
-    ErrorCategory errorCategory = ErrorCategory::kInternal;
-
     /**
-     * True when the failure was a cooperative cancellation — external
-     * CancellationToken, fail-fast sibling teardown, or the suite
-     * deadline budget expiring before this benchmark started — rather
-     * than a fault of the benchmark itself. Fail-fast reporting skips
-     * cancelled entries so the error it surfaces is always the root
-     * cause, not the teardown it triggered.
-     */
-    bool cancelled = false;
-
-    /**
-     * Attempts consumed: 1 when the benchmark succeeded (or failed
-     * terminally) on the first try, > 1 only when RunPolicy retries
-     * fired. Every result a suite run returns has attempts >= 1.
-     */
-    unsigned attempts = 1;
-
-    /**
-     * Wall-clock time spent on this benchmark, across all attempts
-     * (trace generation + simulation), shared equally among the
-     * configurations of a multi-config sweep.
+     * Wall-clock time spent on this benchmark (trace generation +
+     * simulation), shared equally among the configurations of a
+     * multi-config sweep.
      */
     double wallMs = 0.0;
-
-    /** @return true iff this benchmark produced no usable result. */
-    bool failed() const { return !error.empty(); }
 };
 
 /** Results of a full suite run. */
@@ -106,18 +80,13 @@ struct SuiteRunResult
      * DriverOptions::profileBranches). Keys are
      * (benchmark index << 48) | pc — the same tagging scheme as
      * compositeStaticStats — so its totals are the exact sums of the
-     * surviving benchmarks' counts.
+     * benchmarks' counts.
      */
     BranchProfile branchProfile;
 
-    /** Equal-weight composite misprediction rate (over survivors). */
+    /** Equal-weight composite misprediction rate (over the benchmarks
+     *  that recorded branches). */
     double compositeMispredictRate = 0.0;
-
-    /**
-     * True iff any benchmark failed, i.e. the composites cover only a
-     * surviving subset of the suite (RunPolicy continue-on-error).
-     */
-    bool degraded = false;
 
     /**
      * Benchmarks that ran successfully but recorded zero branches
@@ -130,24 +99,13 @@ struct SuiteRunResult
 
     /**
      * True iff the composites cover fewer benchmarks than the suite
-     * holds, whether through failures (degraded) or zero-record
-     * exclusions. Consumers that require full-suite composites should
-     * check this, not just degraded.
+     * holds because of zero-record exclusions. Consumers that require
+     * full-suite composites should check this.
      */
     bool compositeDegraded = false;
 
     /** Wall-clock time of the whole suite run. */
     double wallMs = 0.0;
-
-    /** @return how many benchmarks failed. */
-    std::size_t
-    failedBenchmarks() const
-    {
-        std::size_t n = 0;
-        for (const auto &bench : perBenchmark)
-            n += bench.failed() ? 1 : 0;
-        return n;
-    }
 };
 
 /** Builds a fresh predictor for one benchmark run. */
@@ -163,9 +121,9 @@ using EstimatorSetFactory =
  * benchmark index and the freshly built generator; whatever it returns
  * is what the replay consumes. Used to substitute trace-file readers
  * for generators and to inject faults (FaultInjectingTraceSource) in
- * robustness tests. Called once per trace pass of an attempt (twice
- * for a sampled benchmark: pre-pass and replay), possibly
- * concurrently — must be thread-safe.
+ * robustness tests. Called once per trace pass (twice for a sampled
+ * benchmark: pre-pass and replay, and once more per generation a
+ * resume falls back), possibly concurrently — must be thread-safe.
  */
 using SourceWrapper = std::function<std::unique_ptr<TraceSource>(
     std::size_t bench, std::unique_ptr<TraceSource> inner)>;
@@ -186,17 +144,6 @@ struct SweepSuiteResult
     std::vector<SuiteRunResult> perConfig;
     std::vector<std::string> labels; //!< configuration labels
     double wallMs = 0.0; //!< wall time of the whole sweep
-
-    /** @return true iff any configuration's result is degraded. */
-    bool
-    degraded() const
-    {
-        for (const auto &config : perConfig) {
-            if (config.degraded)
-                return true;
-        }
-        return false;
-    }
 };
 
 /** Runs configurations across a benchmark suite. */
@@ -206,21 +153,17 @@ class SuiteRunner
     /** What one benchmark's pass left behind (see runPasses()). */
     struct PassOutcome
     {
-        std::string error; //!< empty on success
-        ErrorCategory category = ErrorCategory::kInternal;
-        bool cancelled = false; //!< see BenchmarkRunResult::cancelled
-        unsigned attempts = 1;
-        double wallMs = 0.0; //!< across all attempts
+        double wallMs = 0.0;
 
-        /** Per-configuration results; empty when the pass failed. */
+        /** Per-configuration results. */
         std::vector<BenchmarkRunResult> perConfig;
     };
 
     /**
      * Per-benchmark hooks that turn runPasses() into a sampled suite
      * run (SamplingEngine::runSuite). Both run on the benchmark's pass
-     * thread once per attempt, concurrently for different benchmarks;
-     * an exception from either fails the attempt like a replay error.
+     * thread once, concurrently for different benchmarks; an exception
+     * from either fails the pass like a replay error.
      */
     struct PassHooks
     {
@@ -253,13 +196,13 @@ class SuiteRunner
      * when profiling).
      *
      * @param make_predictor Fresh-predictor factory (called once per
-     *        benchmark attempt, possibly concurrently — must be
-     *        thread-safe, which stateless lambdas trivially are).
+     *        benchmark, possibly concurrently — must be thread-safe,
+     *        which stateless lambdas trivially are).
      * @param make_estimators Fresh-estimator-set factory (same rule).
-     * @param options Driver knobs shared by all benchmarks.
-     * @param policy Fault-tolerance policy. The default fail-fast
-     *        policy throws on the first (suite-order) failure, so
-     *        existing callers see the pre-RunPolicy behaviour.
+     * @param options Driver knobs shared by all benchmarks, among them
+     *        the run's cancel token and per-benchmark watchdog.
+     * @param policy Checkpoint and deadline policy. Any benchmark
+     *        failure throws (see runPasses()).
      */
     SuiteRunResult run(const PredictorFactory &make_predictor,
                        const EstimatorSetFactory &make_estimators,
@@ -285,16 +228,12 @@ class SuiteRunner
      * configurations recover the real cost); the undivided time is
      * observed once per benchmark as the suite.bench_wall_ms metric.
      *
-     * Error isolation is per benchmark: a failure anywhere in a
-     * benchmark's pass outside one configuration's replay marks that
-     * benchmark failed for every configuration (all configurations
-     * consumed the same pass); under continue-on-error a failure inside
-     * one configuration's replay fails only that configuration, with
-     * its error category. Checkpointing, when enabled, snapshots the
-     * whole sweep per benchmark into a store labelled with the
-     * benchmark name; resume restores finished benchmarks from their
-     * done-markers (one `cfg<i>:result` per configuration) and
-     * interrupted ones from the newest valid generation. The
+     * A failure in any configuration fails the benchmark's pass, and
+     * with it the run (runPasses()). Checkpointing, when enabled,
+     * snapshots the whole sweep per benchmark into a store labelled
+     * with the benchmark name; resume restores finished benchmarks
+     * from their done-markers (one `cfg<i>:result` per configuration)
+     * and interrupted ones from the newest valid generation. The
      * suite_run_* and benchmark_* telemetry events come from here.
      *
      * @param configs Attached configurations (factories follow the
@@ -304,7 +243,7 @@ class SuiteRunner
      *        When passes shard, runSweep creates and owns one worker
      *        pool sized from SweepOptions::threads; a caller-set
      *        SweepOptions::pool is rejected with Error{kConfig}.
-     * @param policy Fault-tolerance policy (see run()).
+     * @param policy Checkpoint and deadline policy (see run()).
      * @param hooks Per-benchmark hooks (runPasses()); under a plan
      *        hook the results carry no estimator statistics.
      */
@@ -315,17 +254,18 @@ class SuiteRunner
 
     /**
      * The pass scheduler under runSweep(): one sweep pass per
-     * benchmark, with its retries, checkpoint store, deadline and
-     * watchdog, the suite_run_started and benchmark_* events, and the
+     * benchmark, with its checkpoint store, deadline and watchdog, the
+     * suite_run_started and benchmark_* events, and the
      * sweep.pool_workers / sweep.bench_parallel gauges. Passes run
-     * concurrently by runSweep()'s rule. Under a fail-fast
-     * policy the first failure in suite order (its root cause, not
-     * the teardown it triggered) throws with its category.
+     * concurrently by runSweep()'s rule, and each benchmark runs once.
+     * The run fails fast: a failed pass cancels the run's token (a
+     * child of DriverOptions::cancel), so running and queued passes
+     * unwind, and the first failure in suite order (its root cause,
+     * not the teardown it triggered) throws with its category.
      *
      * @param hooks Optional per-benchmark plan and finish hooks; a
-     *        plan hook requires a fail-fast policy without
-     *        checkpointing (Error{kConfig}), since a sampled pass can
-     *        neither isolate a failed configuration nor resume.
+     *        plan hook refuses checkpointing (Error{kConfig}), since a
+     *        sampled pass cannot resume.
      * @return one outcome per benchmark, in suite order.
      */
     std::vector<PassOutcome>

@@ -1,6 +1,5 @@
 #include "sim/sweep_engine.h"
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -14,7 +13,6 @@
 #include "fault/fault_plan.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
-#include "sim/run_policy.h"
 #include "util/cancellation.h"
 #include "util/error.h"
 #include "util/running_stats.h"
@@ -586,42 +584,59 @@ SweepEngine::runImpl(TraceSource &source,
     std::uint64_t consumed = 0;  // all records, shared cursor
 
     if (resume_from != nullptr) {
-        const CheckpointComponent *meta =
-            resume_from->find("sweep:meta");
-        if (meta == nullptr)
-            fatal(ErrorCategory::kCheckpoint, "checkpoint has no sweep:meta component");
-        if (meta->version != 1) {
-            fatal(ErrorCategory::kCheckpoint, "sweep:meta is version " +
-                  std::to_string(meta->version) + ", expected 1");
-        }
-        StateReader in(meta->payload);
-        in.expectU64(driver_.bhrBits, "checkpoint BHR width");
-        in.expectU64(driver_.gcirBits, "checkpoint GCIR width");
-        in.expectU64(configs_.size(), "checkpoint config count");
-        in.expectU64(driver_.profileStatic ? 1 : 0,
-                     "checkpoint static-profile flag");
-        if (!in.atEnd())
-            fatal(ErrorCategory::kCheckpoint, "sweep:meta has unconsumed bytes");
+        // Whatever stops the restore means this checkpoint does not
+        // restore into this engine and source, so it surfaces as
+        // kCheckpoint: a caller may fall back a generation on that,
+        // and on nothing the replay below throws.
+        try {
+            const CheckpointComponent *meta =
+                resume_from->find("sweep:meta");
+            if (meta == nullptr) {
+                fatal(ErrorCategory::kCheckpoint,
+                      "checkpoint has no sweep:meta component");
+            }
+            if (meta->version != 1) {
+                fatal(ErrorCategory::kCheckpoint,
+                      "sweep:meta is version " +
+                          std::to_string(meta->version) + ", expected 1");
+            }
+            StateReader in(meta->payload);
+            in.expectU64(driver_.bhrBits, "checkpoint BHR width");
+            in.expectU64(driver_.gcirBits, "checkpoint GCIR width");
+            in.expectU64(configs_.size(), "checkpoint config count");
+            in.expectU64(driver_.profileStatic ? 1 : 0,
+                         "checkpoint static-profile flag");
+            if (!in.atEnd()) {
+                fatal(ErrorCategory::kCheckpoint,
+                      "sweep:meta has unconsumed bytes");
+            }
 
-        for (std::size_t c = 0; c < states_.size(); ++c)
-            states_[c]->kernel->restore(*resume_from, cfgPrefix(c),
-                                        states_[c]->fingerprint);
+            for (std::size_t c = 0; c < states_.size(); ++c)
+                states_[c]->kernel->restore(*resume_from, cfgPrefix(c),
+                                            states_[c]->fingerprint);
 
-        simulated = resume_from->branches;
-        if (resume_from->find("source") != nullptr) {
-            resume_from->restoreComponent("source", source);
-        } else {
-            BranchRecord skipped;
-            for (std::uint64_t i = 0; i < resume_from->watermark;
-                 ++i) {
-                if (!source.next(skipped)) {
-                    fatal(ErrorCategory::kTrace, "trace ended after " + std::to_string(i) +
-                          " record(s), before the resume watermark " +
-                          std::to_string(resume_from->watermark));
+            simulated = resume_from->branches;
+            if (resume_from->find("source") != nullptr) {
+                resume_from->restoreComponent("source", source);
+            } else {
+                BranchRecord skipped;
+                for (std::uint64_t i = 0; i < resume_from->watermark;
+                     ++i) {
+                    if (!source.next(skipped)) {
+                        fatal(ErrorCategory::kCheckpoint,
+                              "trace ended after " + std::to_string(i) +
+                                  " record(s), before the resume "
+                                  "watermark " +
+                                  std::to_string(resume_from->watermark));
+                    }
                 }
             }
+            consumed = resume_from->watermark;
+        } catch (const std::exception &e) {
+            if (categoryOf(e) == ErrorCategory::kCheckpoint)
+                throw;
+            throw Error(ErrorCategory::kCheckpoint, e.what());
         }
-        consumed = resume_from->watermark;
     }
 
     // Parallelism: a shared pool (if provided) or an engine-owned one.
@@ -671,49 +686,17 @@ SweepEngine::runImpl(TraceSource &source,
     RunningStats batch_ns;
     RunningStats stall_ns;
 
-    const bool isolate = sweep_.isolateConfigFailures;
-    std::atomic<bool> config_failed{false};
-
-    // Shard-level fault isolation: a configuration whose replay (or
-    // injected fault) throws a retryable/internal error is marked
-    // failed and skipped from then on; the remaining configurations
-    // never see a perturbed replay order, so their results stay
-    // bit-exact. Timeouts and cancellation always fail the pass.
+    // One configuration's share of a batch. Any error — the replay's
+    // or an injected fault's — fails the whole pass.
     const auto replayConfig = [&](std::size_t c,
                                   const RecordBatch &batch) {
-        ReplayKernel &kernel = *states_[c]->kernel;
-        if (kernel.result().failed())
-            return;
-        try {
-            FaultInjector &injector = FaultInjector::instance();
-            if (injector.armed() &&
-                injector.fire(FaultSite::kShardReplay,
-                              driver_.telemetryLabel,
-                              c) == FaultAction::kHang) {
-                guard.park();
-            }
-            kernel.replay(batch, guard);
-        } catch (const std::exception &e) {
-            const ErrorCategory category = categoryOf(e);
-            if (!isolate || category == ErrorCategory::kTimeout ||
-                category == ErrorCategory::kCancelled) {
-                throw;
-            }
-            kernel.result().error = e.what();
-            kernel.result().errorCategory = category;
-            config_failed.store(true, std::memory_order_relaxed);
-            if (driver_.telemetry != nullptr) {
-                driver_.telemetry->registry().increment(
-                    "sweep.config_failed");
-                driver_.telemetry->emit(TelemetryEvent(
-                    events::kSweepConfigFailed,
-                    {field("benchmark", driver_.telemetryLabel),
-                     field("config", configs_[c].label),
-                     field("at_branch", kernel.simulated()),
-                     field("category", std::string(toString(category))),
-                     field("error", std::string(e.what()))}));
-            }
+        FaultInjector &injector = FaultInjector::instance();
+        if (injector.armed() &&
+            injector.fire(FaultSite::kShardReplay, driver_.telemetryLabel,
+                          c) == FaultAction::kHang) {
+            guard.park();
         }
+        states_[c]->kernel->replay(batch, guard);
     };
 
     // Contiguous config shards, one task per shard per batch. runAll
@@ -801,13 +784,7 @@ SweepEngine::runImpl(TraceSource &source,
         ++result.batches;
 
         checkWatchdog(consumed);
-        // Once any configuration has failed, later checkpoints would
-        // freeze a mixed-health sweep; skip them so every published
-        // generation snapshots a fully healthy pass and resuming any of
-        // them is bit-exact. The slot must still be released to unblock
-        // the producer's barrier.
-        if (slot->checkpointDue &&
-            !config_failed.load(std::memory_order_relaxed))
+        if (slot->checkpointDue)
             writeCheckpoint(source, result, consumed, simulated);
         ring.release(*slot);
     }
@@ -855,8 +832,6 @@ SweepEngine::runImpl(TraceSource &source,
 
     if (telemetry != nullptr) {
         for (const auto &config : result.perConfig) {
-            if (config.failed())
-                continue; // its sweep_config_failed event already fired
             telemetry->emit(TelemetryEvent(
                 events::kSweepConfigFinished,
                 {field("benchmark", driver_.telemetryLabel),

@@ -197,19 +197,6 @@ struct SweepOptions
     SweepWorkerPool *pool = nullptr;
 
     /**
-     * Per-configuration failure isolation. When set, a configuration
-     * whose replay throws a retryable/internal error is marked failed
-     * (SweepConfigResult::error) and dropped from subsequent batches
-     * while the surviving configurations continue bit-exactly; the
-     * engine also stops writing further sweep checkpoints (previously
-     * written generations stay valid and resumable). Watchdog
-     * timeouts and cancellation always fail the whole pass.
-     * SuiteRunner::runSweep() sets this for kContinueOnError
-     * policies, mirroring benchmark-level isolation.
-     */
-    bool isolateConfigFailures = false;
-
-    /**
      * Optional region-granular recording plan (non-owning; must
      * outlive the run). Null replays and records everything — the
      * exact-simulation default. See SweepRecordingPlan.

@@ -16,10 +16,7 @@
 #define CONFSIM_UTIL_CANCELLATION_H
 
 #include <atomic>
-#include <chrono>
-#include <cstdint>
 #include <string>
-#include <thread>
 
 #include "util/error.h"
 
@@ -67,26 +64,6 @@ class CancellationToken
     std::atomic<bool> cancelled_{false};
     const CancellationToken *parent_ = nullptr;
 };
-
-/**
- * Sleep for @p ms, waking early if @p cancel (nullable) is cancelled.
- * Used by retry backoff so fail-fast teardown is never stuck behind a
- * backoff sleep. @return false when the sleep was interrupted.
- */
-inline bool
-interruptibleSleepMs(const CancellationToken *cancel, std::uint64_t ms)
-{
-    using Clock = std::chrono::steady_clock;
-    const auto deadline = Clock::now() + std::chrono::milliseconds(ms);
-    while (Clock::now() < deadline) {
-        if (cancel != nullptr && cancel->cancelled())
-            return false;
-        const auto remaining = deadline - Clock::now();
-        const auto slice = std::chrono::milliseconds(10);
-        std::this_thread::sleep_for(remaining < slice ? remaining : slice);
-    }
-    return true;
-}
 
 } // namespace confsim
 

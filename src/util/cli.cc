@@ -52,7 +52,7 @@ CliParser::parse(int argc, const char *const *argv)
         if (it->second.isFlag) {
             if (has_value)
                 fatal("flag --" + name + " does not take a value");
-            it->second.value = "1";
+            it->second.value.assign(1, '1');
         } else {
             if (!has_value) {
                 if (i + 1 >= argc)

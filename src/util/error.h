@@ -3,9 +3,9 @@
  * Structured error taxonomy for the simulator.
  *
  * Every unrecoverable condition raised by library code carries an
- * ErrorCategory so policy layers (retry loops, degraded-sweep handling,
- * CI smoke checks) can react to the *kind* of failure instead of
- * pattern-matching message strings:
+ * ErrorCategory so callers (the suite runner's failure report, exit
+ * codes, CI smoke checks) can react to the *kind* of failure instead
+ * of pattern-matching message strings:
  *
  *   - kTrace       trace decode/IO failure (corrupt or truncated input)
  *   - kCheckpoint  checkpoint container/serialization failure
@@ -16,11 +16,6 @@
  *   - kCancelled   cooperative cancellation (fail-fast teardown, suite
  *                  deadline budget, external CancellationToken)
  *   - kInternal    simulator invariant violation / unclassified failure
- *
- * retryable() encodes the retry policy contract: transient environment
- * and input failures may be retried by RunPolicy::maxAttempts, while
- * timeouts, cancellation, and configuration errors are terminal (a
- * retry would deterministically fail again or violate teardown).
  *
  * Error derives from std::runtime_error so every pre-taxonomy
  * `catch (const std::runtime_error &)` site keeps working unchanged.
@@ -72,20 +67,6 @@ class Error : public std::runtime_error
 
     ErrorCategory category() const { return category_; }
 
-    /** True when a fresh attempt could plausibly succeed. */
-    bool
-    retryable() const
-    {
-        switch (category_) {
-        case ErrorCategory::kTimeout:
-        case ErrorCategory::kConfig:
-        case ErrorCategory::kCancelled:
-            return false;
-        default:
-            return true;
-        }
-    }
-
   private:
     ErrorCategory category_;
 };
@@ -97,16 +78,6 @@ categoryOf(const std::exception &e)
 {
     const auto *err = dynamic_cast<const Error *>(&e);
     return err != nullptr ? err->category() : ErrorCategory::kInternal;
-}
-
-/** Retry eligibility of any exception. Non-Error exceptions stay
- *  retryable, preserving the pre-taxonomy behavior where every
- *  non-watchdog failure consumed a RunPolicy attempt. */
-inline bool
-isRetryable(const std::exception &e)
-{
-    const auto *err = dynamic_cast<const Error *>(&e);
-    return err == nullptr || err->retryable();
 }
 
 /** Categorized counterpart of fatal() in util/status.h: identical

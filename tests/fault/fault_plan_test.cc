@@ -4,10 +4,9 @@
  * error taxonomy (util/error.h), and cooperative cancellation
  * (util/cancellation.h): grammar round-trips, one-shot per-scope
  * firing, action-to-category mapping, observer delivery, RAII
- * disarming, retryability contracts, and token chaining.
+ * disarming, and token chaining.
  */
 
-#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -124,7 +123,6 @@ TEST(FaultInjector, ActionsMapOntoTaxonomy)
             FAIL() << "expected injected ENOSPC";
         } catch (const Error &e) {
             EXPECT_EQ(e.category(), ErrorCategory::kResource);
-            EXPECT_TRUE(e.retryable());
             EXPECT_NE(std::string(e.what()).find("ENOSPC"),
                       std::string::npos);
         }
@@ -207,22 +205,12 @@ TEST(FaultInjector, ScopedPlanDisarmsOnDestruction)
               FaultAction::kNone);
 }
 
-TEST(ErrorTaxonomy, RetryableContract)
-{
-    EXPECT_TRUE(Error(ErrorCategory::kTrace, "x").retryable());
-    EXPECT_TRUE(Error(ErrorCategory::kCheckpoint, "x").retryable());
-    EXPECT_TRUE(Error(ErrorCategory::kResource, "x").retryable());
-    EXPECT_TRUE(Error(ErrorCategory::kInternal, "x").retryable());
-    EXPECT_FALSE(Error(ErrorCategory::kTimeout, "x").retryable());
-    EXPECT_FALSE(Error(ErrorCategory::kConfig, "x").retryable());
-    EXPECT_FALSE(Error(ErrorCategory::kCancelled, "x").retryable());
-}
-
-TEST(ErrorTaxonomy, NonErrorExceptionsStayRetryableInternal)
+TEST(ErrorTaxonomy, NonErrorExceptionsAreInternal)
 {
     const std::runtime_error legacy("pre-taxonomy failure");
     EXPECT_EQ(categoryOf(legacy), ErrorCategory::kInternal);
-    EXPECT_TRUE(isRetryable(legacy));
+    EXPECT_EQ(categoryOf(Error(ErrorCategory::kTrace, "x")),
+              ErrorCategory::kTrace);
 }
 
 TEST(ErrorTaxonomy, CategorizedFatalKeepsMessageText)
@@ -256,7 +244,6 @@ TEST(Cancellation, TokenChainsToParent)
     } catch (const Error &e) {
         EXPECT_EQ(e.category(), ErrorCategory::kCancelled);
         EXPECT_STREQ(e.what(), "sweep shard cancelled");
-        EXPECT_FALSE(e.retryable());
     }
 }
 
@@ -267,23 +254,6 @@ TEST(Cancellation, ChildCancelDoesNotPropagateUp)
     child.cancel();
     EXPECT_TRUE(child.cancelled());
     EXPECT_FALSE(parent.cancelled());
-}
-
-TEST(Cancellation, InterruptibleSleepWakesEarly)
-{
-    CancellationToken token;
-    token.cancel();
-    const auto start = std::chrono::steady_clock::now();
-    EXPECT_FALSE(interruptibleSleepMs(&token, 10'000));
-    const auto elapsed = std::chrono::duration_cast<
-        std::chrono::milliseconds>(std::chrono::steady_clock::now() -
-                                   start);
-    EXPECT_LT(elapsed.count(), 1'000);
-
-    // Uninterrupted sleeps complete (and a null token is allowed).
-    EXPECT_TRUE(interruptibleSleepMs(nullptr, 1));
-    CancellationToken calm;
-    EXPECT_TRUE(interruptibleSleepMs(&calm, 1));
 }
 
 } // namespace

@@ -6,23 +6,22 @@
  * (fault/fault_plan.h) and checks the three invariants the robustness
  * design promises:
  *
- *  1. Survivors are bit-exact: a fault in one configuration (or one
- *     checkpoint write) never perturbs any other configuration's
- *     results — they match independent sequential SimulationDriver
- *     runs without tolerance.
- *  2. Fault accounting is exact: every installed rule that could fire
- *     did fire exactly once, at the scope/key/occurrence it named, and
- *     nothing else was injected.
- *  3. Checkpoints stay crash-safe: an injected write failure loses
- *     freshness, never resumability — every generation on disk resumes
- *     bit-exactly.
+ *  1. A fault fails fast: a configuration's fault fails its whole pass
+ *     (and a suite run) with the injected error, while a checkpoint
+ *     write fault costs freshness only and leaves results bit-exact
+ *     against independent sequential SimulationDriver runs.
+ *  2. Fault accounting is exact: a rule fires at most once, at the
+ *     scope/key/occurrence it named, and nothing else is injected.
+ *  3. Checkpoints stay crash-safe: a failed pass or an injected write
+ *     failure loses freshness, never resumability — every generation
+ *     on disk resumes bit-exactly.
  *
  * The seeded schedule test runs 20 randomized fault plans over the
  * pipelined engine; the deterministic tests pin each fault site,
- * cancellation path, retry interaction, and the suite deadline budget
- * individually. Benchmarks are scheduled serially (a worker budget
- * of 1 runs one pass at a time) wherever a plan must fire in a known
- * scope — the one-shot rule semantics documented in fault_plan.h.
+ * cancellation path, and the suite deadline budget individually.
+ * Benchmarks are scheduled serially (a worker budget of 1 runs one
+ * pass at a time) wherever a plan must fire in a known scope — the
+ * one-shot rule semantics documented in fault_plan.h.
  */
 
 #include <algorithm>
@@ -146,7 +145,6 @@ expectConfigMatches(const DriverResult &sequential,
                     const std::string &context)
 {
     SCOPED_TRACE(context);
-    EXPECT_FALSE(sweep.failed()) << sweep.error;
     EXPECT_EQ(sequential.branches, sweep.branches);
     EXPECT_EQ(sequential.mispredicts, sweep.mispredicts);
     EXPECT_EQ(sequential.contextSwitches, sweep.contextSwitches);
@@ -188,42 +186,11 @@ nextRand(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-TEST(ChaosSweep, ShardFaultIsolatesSingleConfig)
-{
-    const std::vector<Family> families = chaosFamilies();
-    Telemetry telemetry{TelemetryOptions{}};
-    DriverOptions options;
-    options.telemetry = &telemetry;
-
-    SweepOptions sweep;
-    sweep.threads = 2;
-    sweep.isolateConfigFailures = true;
-
-    ScopedFaultPlan scoped("shard:cfg=1,batch=2:throw");
-    SweepEngine engine(familyConfigs(families), options, sweep);
-    auto source = freshSource();
-    const SweepRunResult result = engine.run(*source);
-
-    ASSERT_EQ(result.perConfig.size(), families.size());
-    EXPECT_TRUE(result.perConfig[1].failed());
-    EXPECT_NE(result.perConfig[1].error.find("injected fault"),
-              std::string::npos);
-    for (const std::size_t c : {std::size_t{0}, std::size_t{2},
-                                std::size_t{3}}) {
-        expectConfigMatches(runSequential(families[c], DriverOptions{}),
-                            result.perConfig[c],
-                            families[c].label + " survivor");
-    }
-    EXPECT_EQ(FaultInjector::instance().injectedCount(), 1u);
-    EXPECT_EQ(telemetry.registry().counter("sweep.config_failed"), 1u);
-}
-
 TEST(ChaosSweep, ShardFaultWithoutIsolationFailsRun)
 {
     const std::vector<Family> families = chaosFamilies();
     SweepOptions sweep;
     sweep.threads = 1;
-    sweep.isolateConfigFailures = false;
 
     ScopedFaultPlan scoped("shard:cfg=0,batch=1:crash");
     SweepEngine engine(familyConfigs(families), DriverOptions{},
@@ -421,14 +388,13 @@ TEST(ChaosSweep, ExternalCancellationUnwindsSweep)
         FAIL() << "expected cancellation to unwind the pass";
     } catch (const Error &e) {
         EXPECT_EQ(e.category(), ErrorCategory::kCancelled);
-        EXPECT_FALSE(e.retryable());
     }
 }
 
 TEST(ChaosSweep, SeededChaosSchedulesSurvivorsBitExact)
 {
     const std::vector<Family> families = chaosFamilies();
-    // References computed once; every seed's survivors must hit them.
+    // References computed once; every resumed generation must hit them.
     std::vector<DriverResult> references;
     references.reserve(families.size());
     for (const auto &family : families)
@@ -440,7 +406,7 @@ TEST(ChaosSweep, SeededChaosSchedulesSurvivorsBitExact)
 
         // Randomized schedule: 1-2 shard faults on distinct configs
         // within the first twelve batches (every config replays at
-        // least 20, so they always fire — some seeds checkpoint
+        // least 20, so the first always fires — some seeds checkpoint
         // before the fault lands, some fail first), plus — on even
         // seeds — an ENOSPC on the first checkpoint write.
         const std::size_t first_cfg = nextRand(rng) % families.size();
@@ -464,7 +430,6 @@ TEST(ChaosSweep, SeededChaosSchedulesSurvivorsBitExact)
             spec += ";ckpt:write=1:enospc";
 
         SweepOptions sweep;
-        sweep.isolateConfigFailures = true;
         sweep.threads = 1u << (nextRand(rng) % 3); // 1, 2, or 4
         sweep.decodeAhead = 1 + nextRand(rng) % 3;
         sweep.batchSize =
@@ -473,12 +438,15 @@ TEST(ChaosSweep, SeededChaosSchedulesSurvivorsBitExact)
 
         const std::filesystem::path dir = scratchDir(
             "chaos_seed_" + std::to_string(seed));
-        // keepGenerations exceeds the worst-case write count so the
+        // Room for every generation a pass can write, so the
         // generations-on-disk == successful-writes assertion below
         // never trips over pruning.
         CheckpointStore store(dir.string(), "chaos", 16);
+        std::uint64_t written = 0;
+        store.setEventHook([&written](const CheckpointStoreEvent &event) {
+            written += event.kind == CheckpointStoreEvent::Kind::Written;
+        });
 
-        SweepRunResult result;
         std::vector<FaultHit> hits;
         {
             ScopedFaultPlan scoped(spec);
@@ -486,12 +454,21 @@ TEST(ChaosSweep, SeededChaosSchedulesSurvivorsBitExact)
                                DriverOptions{}, sweep);
             engine.checkpointEvery(2'000, &store);
             auto source = freshSource();
-            result = engine.run(*source);
+            try {
+                (void)engine.run(*source);
+                ADD_FAILURE() << "the faulted pass completed";
+            } catch (const Error &e) {
+                EXPECT_NE(std::string(e.what()).find("injected fault"),
+                          std::string::npos)
+                    << e.what();
+            }
             hits = FaultInjector::instance().hits();
         }
 
-        // Exact accounting: every shard rule fired once on its target
-        // config; the checkpoint rule fired iff a write was attempted.
+        // Exact accounting: the pass fails at the first shard fault,
+        // so a second rule fires only if its batch comes no later;
+        // every shard hit lands on a targeted config, and the
+        // checkpoint rule fires iff a write was attempted.
         std::size_t shard_hits = 0;
         bool ckpt_hit = false;
         for (const FaultHit &hit : hits) {
@@ -505,45 +482,25 @@ TEST(ChaosSweep, SeededChaosSchedulesSurvivorsBitExact)
                 ckpt_hit = true;
             }
         }
-        EXPECT_EQ(shard_hits, shard_cfgs.size());
-        EXPECT_EQ(hits.size(),
-                  shard_cfgs.size() + (ckpt_hit ? 1u : 0u));
+        EXPECT_GE(shard_hits, 1u);
+        EXPECT_LE(shard_hits, shard_cfgs.size());
         if (!with_ckpt_fault) {
             EXPECT_FALSE(ckpt_hit);
         }
         if (with_ckpt_fault && !ckpt_hit) {
-            // The schedule failed every due config before the first
-            // write became due — then no write may have happened.
-            EXPECT_EQ(result.checkpointsWritten, 0u);
+            // The pass failed before the first write became due — then
+            // no write may have happened.
+            EXPECT_EQ(written, 0u);
         }
         // Published generations are exactly the successful writes.
-        EXPECT_EQ(result.checkpointsWritten,
-                  store.generations().size());
+        EXPECT_EQ(written, store.generations().size());
 
-        // Exactly the targeted configs failed; survivors bit-exact.
-        for (std::size_t c = 0; c < families.size(); ++c) {
-            const bool targeted =
-                std::find(shard_cfgs.begin(), shard_cfgs.end(), c) !=
-                shard_cfgs.end();
-            if (targeted) {
-                EXPECT_TRUE(result.perConfig[c].failed())
-                    << families[c].label;
-                EXPECT_NE(result.perConfig[c].error.find(
-                              "injected fault"),
-                          std::string::npos);
-            } else {
-                expectConfigMatches(references[c],
-                                    result.perConfig[c],
-                                    families[c].label);
-            }
-        }
-
-        // Every published generation snapshots a fully healthy pass:
-        // resuming the newest one (fault plan cleared) completes all
+        // Every published generation snapshots a pass that had not
+        // failed yet: resuming it (fault plan cleared) completes all
         // configurations bit-exactly.
-        if (!store.generations().empty()) {
-            const auto ckpt = store.loadLatestValid();
-            ASSERT_TRUE(ckpt.has_value());
+        for (const std::uint64_t gen : store.generations()) {
+            const auto ckpt = store.load(gen);
+            ASSERT_TRUE(ckpt.has_value()) << "generation " << gen;
             SweepEngine resumed_engine(familyConfigs(families),
                                        DriverOptions{}, sweep);
             auto resumed_source = freshSource();
@@ -552,7 +509,9 @@ TEST(ChaosSweep, SeededChaosSchedulesSurvivorsBitExact)
             for (std::size_t c = 0; c < families.size(); ++c) {
                 expectConfigMatches(references[c],
                                     resumed.perConfig[c],
-                                    families[c].label + " resumed");
+                                    families[c].label +
+                                        " resumed from generation " +
+                                        std::to_string(gen));
             }
         }
     }
@@ -568,74 +527,6 @@ serialSweep()
     return sweep;
 }
 
-TEST(ChaosSuite, ContinueOnErrorDegradesOnlyFaultedConfig)
-{
-    const std::vector<Family> families = {chaosFamilies()[0],
-                                          chaosFamilies()[2]};
-    SuiteRunner runner(BenchmarkSuite::ibsSmall(8'000));
-
-    const SweepSuiteResult reference =
-        runner.runSweep(familyConfigs(families), DriverOptions{},
-                        serialSweep(), RunPolicy::continueOnError());
-    ASSERT_FALSE(reference.degraded());
-
-    // The one-shot rule fires in the first scheduled benchmark
-    // (suite order, one pass at a time): config 1's first batch.
-    ScopedFaultPlan scoped("shard:cfg=1,batch=1:throw");
-    const SweepSuiteResult result =
-        runner.runSweep(familyConfigs(families), DriverOptions{},
-                        serialSweep(), RunPolicy::continueOnError());
-
-    ASSERT_EQ(result.perConfig.size(), 2u);
-    EXPECT_FALSE(result.perConfig[0].degraded);
-    EXPECT_TRUE(result.perConfig[1].degraded);
-    EXPECT_TRUE(result.degraded());
-
-    const auto &faulted = result.perConfig[1].perBenchmark;
-    ASSERT_EQ(faulted.size(), 3u);
-    EXPECT_TRUE(faulted[0].failed());
-    EXPECT_NE(faulted[0].error.find("injected fault"),
-              std::string::npos);
-    EXPECT_FALSE(faulted[1].failed());
-    EXPECT_FALSE(faulted[2].failed());
-
-    // Bit-exactness: the healthy config everywhere, and the faulted
-    // config's untouched benchmarks, match the fault-free run.
-    for (std::size_t c = 0; c < 2; ++c) {
-        for (std::size_t b = 0; b < 3; ++b) {
-            if (c == 1 && b == 0)
-                continue;
-            SCOPED_TRACE("config " + std::to_string(c) +
-                         " benchmark " + std::to_string(b));
-            const BenchmarkRunResult &expected =
-                reference.perConfig[c].perBenchmark[b];
-            const BenchmarkRunResult &actual =
-                result.perConfig[c].perBenchmark[b];
-            EXPECT_EQ(expected.branches, actual.branches);
-            EXPECT_EQ(expected.mispredicts, actual.mispredicts);
-            ASSERT_EQ(expected.estimatorStats.size(),
-                      actual.estimatorStats.size());
-            for (std::size_t e = 0;
-                 e < expected.estimatorStats.size(); ++e) {
-                const BucketStats &es = expected.estimatorStats[e];
-                const BucketStats &as = actual.estimatorStats[e];
-                ASSERT_EQ(es.numBuckets(), as.numBuckets());
-                for (std::uint64_t bucket = 0;
-                     bucket < es.numBuckets(); ++bucket) {
-                    EXPECT_EQ(es[bucket].refs, as[bucket].refs);
-                    EXPECT_EQ(es[bucket].mispredicts,
-                              as[bucket].mispredicts);
-                }
-            }
-        }
-    }
-
-    // The healthy config's composites are NOT degraded — only the
-    // faulted config composites over a survivor subset.
-    EXPECT_EQ(reference.perConfig[0].compositeMispredictRate,
-              result.perConfig[0].compositeMispredictRate);
-}
-
 TEST(ChaosSuite, FailFastSurfacesInjectedFault)
 {
     const std::vector<Family> families = {chaosFamilies()[1]};
@@ -644,7 +535,7 @@ TEST(ChaosSuite, FailFastSurfacesInjectedFault)
     ScopedFaultPlan scoped("shard:cfg=0,batch=1:crash");
     try {
         runner.runSweep(familyConfigs(families), DriverOptions{},
-                        serialSweep(), RunPolicy::failFast());
+                        serialSweep());
         FAIL() << "expected fail-fast to throw on the injected crash";
     } catch (const Error &e) {
         EXPECT_EQ(e.category(), ErrorCategory::kInternal);
@@ -654,105 +545,36 @@ TEST(ChaosSuite, FailFastSurfacesInjectedFault)
     }
 }
 
-TEST(ChaosSuite, RetryRecoversOneShotTransientFault)
-{
-    const std::vector<Family> families = {chaosFamilies()[0],
-                                          chaosFamilies()[3]};
-    SuiteRunner runner(BenchmarkSuite::ibsSmall(8'000));
-    Telemetry telemetry{TelemetryOptions{}};
-    DriverOptions options;
-    options.telemetry = &telemetry;
-
-    const SweepSuiteResult reference =
-        runner.runSweep(familyConfigs(families), DriverOptions{},
-                        serialSweep(), RunPolicy::continueOnError());
-
-    // One-shot decode fault + one retry = a transient failure the
-    // policy absorbs: attempt 1 throws kTrace, attempt 2 runs clean.
-    RunPolicy policy = RunPolicy::failFast();
-    policy.maxAttempts = 2;
-    policy.retryBackoffMs = 1;
-
-    ScopedFaultPlan scoped("decode:batch=1:throw");
-    const SweepSuiteResult result = runner.runSweep(
-        familyConfigs(families), options, serialSweep(), policy);
-
-    EXPECT_EQ(telemetry.registry().counter("suite.retries"), 1u);
-    EXPECT_FALSE(result.degraded());
-    ASSERT_EQ(result.perConfig.size(), reference.perConfig.size());
-    for (std::size_t c = 0; c < reference.perConfig.size(); ++c) {
-        for (std::size_t b = 0;
-             b < reference.perConfig[c].perBenchmark.size(); ++b) {
-            SCOPED_TRACE("config " + std::to_string(c) +
-                         " benchmark " + std::to_string(b));
-            EXPECT_EQ(
-                reference.perConfig[c].perBenchmark[b].mispredicts,
-                result.perConfig[c].perBenchmark[b].mispredicts);
-            EXPECT_EQ(reference.perConfig[c].perBenchmark[b].branches,
-                      result.perConfig[c].perBenchmark[b].branches);
-        }
-    }
-}
-
-TEST(ChaosSuite, WatchdogTimeoutIsNeverRetried)
-{
-    const std::vector<Family> families = {chaosFamilies()[0]};
-    // A trace far too long for the watchdog budget: every benchmark
-    // times out; maxAttempts=3 must not re-run blown budgets.
-    SuiteRunner runner(BenchmarkSuite::ibsSmall(50'000'000));
-    Telemetry telemetry{TelemetryOptions{}};
-    DriverOptions options;
-    options.telemetry = &telemetry;
-
-    RunPolicy policy = RunPolicy::continueOnError();
-    policy.watchdogMs = 50;
-    policy.maxAttempts = 3;
-
-    const SweepSuiteResult result = runner.runSweep(
-        familyConfigs(families), options, serialSweep(), policy);
-
-    const auto &benches = result.perConfig[0].perBenchmark;
-    ASSERT_EQ(benches.size(), 3u);
-    for (const BenchmarkRunResult &bench : benches) {
-        EXPECT_TRUE(bench.failed()) << bench.name;
-        EXPECT_EQ(bench.errorCategory, ErrorCategory::kTimeout)
-            << bench.name;
-    }
-    EXPECT_EQ(telemetry.registry().counter("suite.retries"), 0u);
-    EXPECT_EQ(telemetry.registry().counter("suite.watchdog_timeouts"),
-              3u);
-}
-
 TEST(ChaosSuite, DeadlineCancelsRemainingBenchmarks)
 {
     const std::vector<Family> families = {chaosFamilies()[0]};
     SuiteRunner runner(BenchmarkSuite::ibsSmall(50'000'000));
-
-    RunPolicy policy = RunPolicy::continueOnError();
+    Telemetry telemetry{TelemetryOptions{}};
+    DriverOptions options;
+    options.telemetry = &telemetry;
+    RunPolicy policy;
     policy.deadlineMs = 30;
 
     const auto start = std::chrono::steady_clock::now();
-    const SweepSuiteResult result = runner.runSweep(
-        familyConfigs(families), DriverOptions{}, serialSweep(),
-        policy);
+    try {
+        (void)runner.runSweep(familyConfigs(families), options,
+                              serialSweep(), policy);
+        FAIL() << "expected the deadline to fail the run";
+    } catch (const Error &e) {
+        // The budget beats every benchmark: whichever was in flight
+        // hits its clipped watchdog (kTimeout), the rest never start
+        // (kCancelled), and the run throws the root cause.
+        EXPECT_TRUE(e.category() == ErrorCategory::kTimeout ||
+                    e.category() == ErrorCategory::kCancelled)
+            << e.what();
+    }
     const auto elapsed =
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - start);
-
-    // The budget beats every benchmark: whichever was in flight hits
-    // its clipped watchdog (kTimeout), the rest never start
-    // (kCancelled) — and the suite returns quickly either way.
-    const auto &benches = result.perConfig[0].perBenchmark;
-    ASSERT_EQ(benches.size(), 3u);
-    for (const BenchmarkRunResult &bench : benches) {
-        EXPECT_TRUE(bench.failed()) << bench.name;
-        EXPECT_TRUE(bench.errorCategory == ErrorCategory::kTimeout ||
-                    bench.errorCategory == ErrorCategory::kCancelled)
-            << bench.name << ": " << bench.error;
-    }
-    EXPECT_TRUE(benches.back().cancelled) << benches.back().error;
-    EXPECT_TRUE(result.degraded());
     EXPECT_LT(elapsed.count(), 30'000);
+    // Every benchmark reported, and none finished.
+    EXPECT_EQ(telemetry.registry().counter("suite.benchmarks"), 3u);
+    EXPECT_EQ(telemetry.registry().counter("suite.failures"), 3u);
 }
 
 TEST(ChaosSuite, PreCancelledTokenMarksEverythingCancelled)
@@ -761,33 +583,22 @@ TEST(ChaosSuite, PreCancelledTokenMarksEverythingCancelled)
     SuiteRunner runner(BenchmarkSuite::ibsSmall(8'000));
     CancellationToken token;
     token.cancel();
+    Telemetry telemetry{TelemetryOptions{}};
+    DriverOptions options;
+    options.cancel = &token;
+    options.telemetry = &telemetry;
 
-    // Continue-on-error: every benchmark is marked cancelled, nothing
-    // simulates, the suite returns degraded.
-    RunPolicy tolerant = RunPolicy::continueOnError();
-    tolerant.cancel = &token;
-    const SweepSuiteResult result = runner.runSweep(
-        familyConfigs(families), DriverOptions{}, serialSweep(),
-        tolerant);
-    for (const BenchmarkRunResult &bench :
-         result.perConfig[0].perBenchmark) {
-        EXPECT_TRUE(bench.failed()) << bench.name;
-        EXPECT_TRUE(bench.cancelled) << bench.name;
-        EXPECT_EQ(bench.errorCategory, ErrorCategory::kCancelled);
-    }
-    EXPECT_TRUE(result.degraded());
-
-    // Fail-fast: the run throws kCancelled (the fallback culprit when
-    // every failure is a cancellation).
-    RunPolicy strict = RunPolicy::failFast();
-    strict.cancel = &token;
+    // The run throws kCancelled (the fallback culprit when every
+    // failure is a cancellation), and nothing simulates.
     try {
-        runner.runSweep(familyConfigs(families), DriverOptions{},
-                        serialSweep(), strict);
+        (void)runner.runSweep(familyConfigs(families), options,
+                              serialSweep());
         FAIL() << "expected the pre-cancelled run to throw";
     } catch (const Error &e) {
         EXPECT_EQ(e.category(), ErrorCategory::kCancelled);
     }
+    EXPECT_EQ(telemetry.registry().counter("suite.failures"), 3u);
+    EXPECT_EQ(telemetry.registry().counter("sweep.runs"), 0u);
 }
 
 } // namespace

@@ -1,15 +1,16 @@
 /**
  * @file
- * End-to-end checkpoint/resume acceptance tests: a suite run is killed
- * mid-benchmark (by an injected source fault, or by cancelling its
- * RunPolicy token), then resumed from its on-disk checkpoints, and the
- * recovered results must be BIT-EXACT against an uninterrupted
- * reference run — for a gshare + one-level configuration and for a
- * hybrid + two-level one. Corrupting the newest generation
- * must be detected, reported through telemetry, and recovered by
- * falling back one generation; completed benchmarks must be reused
- * from their done-markers without any re-simulation — for every
- * configuration of a multi-config sweep too.
+ * End-to-end checkpoint/resume acceptance tests: each benchmark is
+ * killed mid-run (by an injected source fault, or by cancelling its
+ * DriverOptions token) in its own one-benchmark fail-fast run over a
+ * shared checkpoint directory, then the whole suite resumes from the
+ * on-disk checkpoints, and the recovered results must be BIT-EXACT
+ * against an uninterrupted reference run — for a gshare + one-level
+ * configuration and for a hybrid + two-level one. Corrupting the
+ * newest generation must be detected, reported through telemetry, and
+ * recovered by falling back one generation; completed benchmarks must
+ * be reused from their done-markers without any re-simulation — for
+ * every configuration of a multi-config sweep too.
  *
  * The checkpoint directory honours CONFSIM_CKPT_TEST_DIR (used by the
  * CI kill-resume job to upload the directory as an artifact when a
@@ -34,7 +35,9 @@
 #include "sim/suite_runner.h"
 #include "sim/sweep_engine.h"
 #include "fault/fault_injection.h"
+#include "fault/fault_plan.h"
 #include "util/cancellation.h"
+#include "util/error.h"
 
 namespace confsim {
 namespace {
@@ -130,11 +133,11 @@ class CancelAfterSource : public TraceSource
     std::uint64_t delivered_ = 0;
 };
 
-/** How runKillResume() stops the checkpointed run. */
+/** How killEach() stops each checkpointed run. */
 enum class Interruption
 {
     kSourceFault, //!< the source throws after kKillAfter records
-    kCancel,      //!< the run's RunPolicy::cancel token is cancelled then
+    kCancel,      //!< the run's DriverOptions::cancel token is cancelled then
 };
 
 class CheckpointResumeTest : public ::testing::Test
@@ -206,11 +209,9 @@ class CheckpointResumeTest : public ::testing::Test
     }
 
     RunPolicy
-    checkpointed(bool resume,
-                 ErrorMode mode = ErrorMode::kFailFast) const
+    checkpointed(bool resume) const
     {
         RunPolicy policy;
-        policy.errorMode = mode;
         policy.checkpoint.directory = dir_;
         policy.checkpoint.everyBranches = kEvery;
         policy.checkpoint.resume = resume;
@@ -260,7 +261,6 @@ class CheckpointResumeTest : public ::testing::Test
             const auto &w = want.perBenchmark[i];
             SCOPED_TRACE(w.name);
             EXPECT_EQ(g.name, w.name);
-            EXPECT_FALSE(g.failed()) << g.error;
             EXPECT_EQ(g.branches, w.branches);
             EXPECT_EQ(g.mispredicts, w.mispredicts);
             EXPECT_EQ(g.mispredictRate, w.mispredictRate);
@@ -280,12 +280,50 @@ class CheckpointResumeTest : public ::testing::Test
         }
         EXPECT_EQ(got.compositeMispredictRate,
                   want.compositeMispredictRate);
-        EXPECT_FALSE(got.degraded);
     }
 
     /**
-     * Stop a checkpointed run mid-benchmark by @p interruption, resume
-     * it, and compare against the clean reference.
+     * Stop each benchmark after kKillAfter records by @p interruption,
+     * in its own one-benchmark fail-fast run over the shared checkpoint
+     * directory, so every benchmark leaves rotating checkpoint
+     * generations behind. Each run must throw its interruption.
+     */
+    void
+    killEach(const PredictorFactory &make_predictor,
+             const EstimatorSetFactory &make_estimators,
+             Interruption interruption)
+    {
+        for (const auto &name : names_) {
+            SCOPED_TRACE(name);
+            CancellationToken token;
+            DriverOptions options;
+            SuiteRunner killed_runner(
+                BenchmarkSuite::ibsSubset({name}, kBranches));
+            if (interruption == Interruption::kSourceFault) {
+                killed_runner.setSourceWrapper(faultWrapper(kKillAfter));
+            } else {
+                killed_runner.setSourceWrapper(cancelWrapper(token));
+                options.cancel = &token;
+            }
+            try {
+                (void)killed_runner.run(make_predictor, make_estimators,
+                                        options, checkpointed(false));
+                ADD_FAILURE() << "the killed run completed";
+            } catch (const Error &e) {
+                EXPECT_EQ(e.category(),
+                          interruption == Interruption::kCancel
+                              ? ErrorCategory::kCancelled
+                              : ErrorCategory::kTrace)
+                    << e.what();
+            }
+            ASSERT_FALSE(filesWithPrefix(name + ".g").empty())
+                << "killed run left no checkpoints for " << name;
+        }
+    }
+
+    /**
+     * Kill every benchmark by @p interruption (killEach()), resume the
+     * whole suite, and compare against the clean reference.
      */
     void
     runKillResume(const PredictorFactory &make_predictor,
@@ -298,28 +336,7 @@ class CheckpointResumeTest : public ::testing::Test
         const SuiteRunResult reference =
             reference_runner.run(make_predictor, make_estimators);
 
-        // Killed run: every benchmark stops after kKillAfter records,
-        // leaving rotating checkpoint generations behind.
-        CancellationToken token;
-        RunPolicy policy = checkpointed(false, ErrorMode::kContinueOnError);
-        SuiteRunner killed_runner(suite_);
-        if (interruption == Interruption::kSourceFault) {
-            killed_runner.setSourceWrapper(faultWrapper(kKillAfter));
-        } else {
-            killed_runner.setSourceWrapper(cancelWrapper(token));
-            policy.cancel = &token;
-        }
-        const SuiteRunResult killed = killed_runner.run(
-            make_predictor, make_estimators, {}, policy);
-        EXPECT_EQ(killed.failedBenchmarks(), names_.size());
-        for (const auto &bench : killed.perBenchmark) {
-            EXPECT_EQ(bench.cancelled,
-                      interruption == Interruption::kCancel)
-                << bench.name;
-        }
-        for (const auto &name : names_)
-            ASSERT_FALSE(filesWithPrefix(name + ".g").empty())
-                << "killed run left no checkpoints for " << name;
+        killEach(make_predictor, make_estimators, interruption);
 
         // Resumed run: picks up from the newest intact generation.
         SuiteRunner resumed_runner(suite_);
@@ -349,9 +366,6 @@ TEST_F(CheckpointResumeTest, BitExactResumeHybridTwoLevel)
 
 TEST_F(CheckpointResumeTest, CancelledRunResumesBitExact)
 {
-    // One benchmark, so the cancel lands at a fixed record count.
-    names_ = {"groff"};
-    suite_ = BenchmarkSuite::ibsSubset(names_, kBranches);
     runKillResume(gshareFactory(), oneLevelFactory(),
                   Interruption::kCancel);
 }
@@ -363,11 +377,8 @@ TEST_F(CheckpointResumeTest, CorruptGenerationFallsBackAndReports)
     const SuiteRunResult reference =
         reference_runner.run(gshareFactory(), oneLevelFactory());
 
-    SuiteRunner killed_runner(suite_);
-    killed_runner.setSourceWrapper(faultWrapper(kKillAfter));
-    (void)killed_runner.run(
-        gshareFactory(), oneLevelFactory(), {},
-        checkpointed(false, ErrorMode::kContinueOnError));
+    killEach(gshareFactory(), oneLevelFactory(),
+             Interruption::kSourceFault);
 
     // Damage groff's NEWEST generation; the older one must carry the
     // resume (the fall-back-one-generation rule).
@@ -383,6 +394,7 @@ TEST_F(CheckpointResumeTest, CorruptGenerationFallsBackAndReports)
         const auto telemetry =
             Telemetry::fromOptions(telemetry_options);
         ASSERT_NE(telemetry, nullptr);
+        telemetry->setManifest(RunManifest::withBuildInfo());
         DriverOptions options;
         options.telemetry = telemetry.get();
         SuiteRunner resumed_runner(suite_);
@@ -412,6 +424,34 @@ TEST_F(CheckpointResumeTest, CorruptGenerationFallsBackAndReports)
     EXPECT_TRUE(saw_corrupt);
     EXPECT_TRUE(saw_restored);
     EXPECT_TRUE(saw_written);
+}
+
+TEST_F(CheckpointResumeTest, FaultAfterRestoreFailsTheResume)
+{
+    // A generation that restored is not damaged because the replay
+    // after it fails: the resumed run fails fast with the fault, and
+    // does not blame the generation and run the benchmark again from
+    // an older one or from scratch (where a one-shot fault would not
+    // fire again).
+    killEach(gshareFactory(), oneLevelFactory(),
+             Interruption::kSourceFault);
+    Telemetry telemetry{TelemetryOptions{}};
+    DriverOptions options;
+    options.telemetry = &telemetry;
+    SuiteRunner resumed_runner(suite_);
+    resumed_runner.setSourceWrapper(faultWrapper(0));
+    ScopedFaultPlan scoped("decode:batch=3:throw");
+    try {
+        (void)resumed_runner.run(gshareFactory(), oneLevelFactory(),
+                                 options, checkpointed(true));
+        FAIL() << "the faulted resume completed";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kTrace) << e.what();
+        EXPECT_NE(std::string(e.what()).find("injected fault"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(telemetry.registry().counter("ckpt.corrupt"), 0u);
 }
 
 TEST_F(CheckpointResumeTest, DoneMarkerSkipsCompletedBenchmarks)

@@ -1,7 +1,8 @@
 # Run app_dual_path with a flag a planned run refuses, after it has
 # opened its CSV and telemetry sink. The harness must exit with a
 # nonzero status (not an abort), print the error, and leave neither
-# its CSV nor any `.tmp` file behind.
+# its CSV, nor a telemetry file (the refusal comes before the run
+# sets its manifest), nor any `.tmp` file behind.
 #
 #   cmake -DHARNESS=<app_dual_path> -DOUT_DIR=<scratch dir>
 #         -P harness_error_exit.cmake
@@ -22,7 +23,8 @@ if(NOT stderr MATCHES "--checkpoint-dir does not apply to a planned run")
     message(FATAL_ERROR "the error is missing from stderr: '${stderr}'")
 endif()
 file(GLOB_RECURSE leftovers "${OUT_DIR}/*.tmp")
-if(leftovers OR EXISTS "${OUT_DIR}/app_dual_path.csv")
+if(leftovers OR EXISTS "${OUT_DIR}/app_dual_path.csv"
+        OR EXISTS "${OUT_DIR}/t.jsonl")
     file(GLOB_RECURSE files RELATIVE "${OUT_DIR}" "${OUT_DIR}/*")
     message(FATAL_ERROR "the failed run left files behind: ${files}")
 endif()

@@ -134,9 +134,10 @@ TEST(SpanTraceIntegration, PipelinedSweepEmitsNestedNamedSpans)
     std::map<std::string, std::string> thread_of_span;
     for (const auto &event : events) {
         auto ts_it = last_ts.find(event.tid);
-        if (ts_it != last_ts.end())
+        if (ts_it != last_ts.end()) {
             EXPECT_GE(event.tsNs, ts_it->second)
                 << "timestamps regress on tid " << event.tid;
+        }
         last_ts[event.tid] = event.tsNs;
         names.insert(event.name);
         if (event.phase == 'B') {

@@ -545,7 +545,6 @@ expectSuiteResultsIdentical(const SweepSuiteResult &expected,
             const BenchmarkRunResult &eb = ec.perBenchmark[b];
             const BenchmarkRunResult &ab = ac.perBenchmark[b];
             EXPECT_EQ(eb.name, ab.name);
-            EXPECT_EQ(eb.error, ab.error);
             EXPECT_EQ(eb.branches, ab.branches);
             EXPECT_EQ(eb.mispredicts, ab.mispredicts);
             EXPECT_EQ(eb.mispredictRate, ab.mispredictRate);
@@ -570,7 +569,7 @@ expectSuiteResultsIdentical(const SweepSuiteResult &expected,
         }
         EXPECT_EQ(ec.compositeMispredictRate,
                   ac.compositeMispredictRate);
-        EXPECT_EQ(ec.degraded, ac.degraded);
+        EXPECT_EQ(ec.compositeDegraded, ac.compositeDegraded);
         ASSERT_EQ(ec.compositeEstimatorStats.size(),
                   ac.compositeEstimatorStats.size());
         for (std::size_t e = 0;

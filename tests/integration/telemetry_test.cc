@@ -2,9 +2,9 @@
  * @file
  * End-to-end telemetry tests: a full nine-benchmark suite run with a
  * fault-injecting trace source must leave a JSONL stream holding the
- * run manifest, per-benchmark timings and attempt counts, and one
- * fault_injected event per injected fault; retries and corrupt-chunk
- * recovery must likewise surface as events.
+ * run manifest, per-benchmark timings, and one fault_injected event
+ * per injected fault; corrupt-chunk recovery must likewise surface as
+ * events.
  */
 
 #include <cstdio>
@@ -154,15 +154,15 @@ TEST_F(TelemetryIntegrationTest, FullSuiteWithFaultsLeavesCompleteLog)
               9u);
     EXPECT_EQ(
         countContaining(lines, "\"type\":\"benchmark_finished\""), 9u);
-    EXPECT_EQ(countContaining(lines, "\"survivors\":9"), 1u);
+    EXPECT_EQ(countContaining(lines, "\"failed_benchmarks\":0"), 1u);
 
-    // Every benchmark_finished reports a first-try success and timing.
+    // Every benchmark_finished reports a success and timing.
     for (const auto &line : lines) {
         if (line.find("\"type\":\"benchmark_finished\"") ==
             std::string::npos) {
             continue;
         }
-        EXPECT_NE(line.find("\"attempts\":1"), std::string::npos)
+        EXPECT_NE(line.find("\"error\":\"\""), std::string::npos)
             << line;
         EXPECT_NE(line.find("\"wall_ms\":"), std::string::npos);
         EXPECT_NE(line.find("\"mispredict_rate\":"),
@@ -200,61 +200,6 @@ TEST_F(TelemetryIntegrationTest, FullSuiteWithFaultsLeavesCompleteLog)
     EXPECT_NE(snapshot.find("\"sweep.runs\":9"), std::string::npos);
 }
 
-TEST_F(TelemetryIntegrationTest, RetriesSurfaceAsEvents)
-{
-    const std::string log = tempPath(".jsonl");
-    const BenchmarkSuite suite =
-        BenchmarkSuite::ibsSubset({"jpeg", "groff"}, 5000);
-    {
-        TelemetryOptions telemetry_options;
-        telemetry_options.jsonlPath = log;
-        const auto telemetry = Telemetry::fromOptions(telemetry_options);
-        SuiteRunner runner(suite);
-        runner.setSourceWrapper(
-            [](std::size_t bench, std::unique_ptr<TraceSource> inner)
-                -> std::unique_ptr<TraceSource> {
-                if (bench != 1)
-                    return inner;
-                FaultSpec spec;
-                spec.failAfter = 1000; // deterministic hard failure
-                return std::make_unique<FaultInjectingTraceSource>(
-                    std::move(inner), spec);
-            });
-        DriverOptions options;
-        options.telemetry = telemetry.get();
-        RunPolicy policy;
-        policy.errorMode = ErrorMode::kContinueOnError;
-        policy.maxAttempts = 2;
-        const auto result = runner.run(makePredictor(),
-                                       makeEstimators(), options,
-                                       policy);
-        EXPECT_TRUE(result.degraded);
-        ASSERT_EQ(result.perBenchmark.size(), 2u);
-        EXPECT_EQ(result.perBenchmark[1].attempts, 2u);
-        telemetry->finish();
-    }
-
-    const auto lines = readLines(log);
-    EXPECT_EQ(countContaining(lines, "\"type\":\"benchmark_retry\""),
-              1u);
-    // One hard_fail fault event per attempt.
-    EXPECT_EQ(countContaining(lines, "\"kind\":\"hard_fail\""), 2u);
-    // The failed benchmark reports both attempts and its error.
-    bool saw_failed = false;
-    for (const auto &line : lines) {
-        if (line.find("\"type\":\"benchmark_finished\"") !=
-                std::string::npos &&
-            line.find("\"benchmark\":\"groff\"") !=
-                std::string::npos) {
-            saw_failed = true;
-            EXPECT_NE(line.find("\"attempts\":2"), std::string::npos);
-            EXPECT_NE(line.find("injected fault"), std::string::npos);
-        }
-    }
-    EXPECT_TRUE(saw_failed);
-    EXPECT_EQ(countContaining(lines, "\"degraded\":true"), 1u);
-}
-
 TEST_F(TelemetryIntegrationTest, CorruptChunkRecoveryEmitsSkipEvents)
 {
     const std::string log = tempPath(".jsonl");
@@ -278,6 +223,7 @@ TEST_F(TelemetryIntegrationTest, CorruptChunkRecoveryEmitsSkipEvents)
         TelemetryOptions telemetry_options;
         telemetry_options.jsonlPath = log;
         const auto telemetry = Telemetry::fromOptions(telemetry_options);
+        telemetry->setManifest(RunManifest::withBuildInfo());
         SuiteRunner runner(suite);
         runner.setSourceWrapper(
             [&trace](std::size_t, std::unique_ptr<TraceSource>)
@@ -289,7 +235,7 @@ TEST_F(TelemetryIntegrationTest, CorruptChunkRecoveryEmitsSkipEvents)
         options.telemetry = telemetry.get();
         const auto result =
             runner.run(makePredictor(), makeEstimators(), options);
-        EXPECT_FALSE(result.degraded);
+        EXPECT_FALSE(result.compositeDegraded);
         telemetry->finish();
     }
 

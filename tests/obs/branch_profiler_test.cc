@@ -235,6 +235,7 @@ TEST(BranchProfileTest, PublishWritesFileAndEmitsEvent)
     telemetry_options.jsonlPath = telemetry_path;
     auto telemetry = Telemetry::fromOptions(telemetry_options);
     ASSERT_NE(telemetry, nullptr);
+    telemetry->setManifest(RunManifest::withBuildInfo());
 
     // Format dispatch on the path suffix; empty path is a no-op.
     publishBranchProfile(profile, "", {}, telemetry.get());

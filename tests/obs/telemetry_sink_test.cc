@@ -3,6 +3,7 @@
 #include "obs/telemetry.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -145,34 +146,6 @@ TEST_F(SinkFileTest, ManifestIsWrittenOnlyOnce)
     EXPECT_EQ(manifests, 1u);
 }
 
-TEST_F(SinkFileTest, CsvSinkEmitsLongFormatRows)
-{
-    const std::string path = tempPath(".csv");
-    {
-        TelemetryOptions options;
-        options.csvPath = path;
-        Telemetry telemetry(options);
-        telemetry.setManifest(sampleManifest());
-        telemetry.emit(TelemetryEvent(
-            events::kBenchmarkFinished,
-            {field("benchmark", "jpeg"), field("wall_ms", 1.25)}));
-        telemetry.finish();
-    }
-    const auto lines = readLines(path);
-    ASSERT_GE(lines.size(), 4u);
-    EXPECT_EQ(lines[0], "t_ms,type,key,value");
-    // Manifest rows precede event rows.
-    EXPECT_NE(lines[1].find("manifest"), std::string::npos);
-    bool found_wall = false;
-    for (const auto &line : lines) {
-        if (line.find("benchmark_finished,wall_ms,1.25") !=
-            std::string::npos) {
-            found_wall = true;
-        }
-    }
-    EXPECT_TRUE(found_wall);
-}
-
 TEST_F(SinkFileTest, FinishSnapshotCarriesRegistryMetrics)
 {
     const std::string path = tempPath(".jsonl");
@@ -180,17 +153,37 @@ TEST_F(SinkFileTest, FinishSnapshotCarriesRegistryMetrics)
         TelemetryOptions options;
         options.jsonlPath = path;
         Telemetry telemetry(options);
+        telemetry.setManifest(sampleManifest());
         telemetry.registry().increment("demo.count", 42);
         telemetry.registry().observe("demo.ms", 2.0);
         telemetry.finish();
         telemetry.finish(); // idempotent
     }
     const auto lines = readLines(path);
-    ASSERT_EQ(lines.size(), 1u);
-    EXPECT_NE(lines[0].find("\"type\":\"metrics_snapshot\""),
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_NE(lines[0].find("\"type\":\"manifest\""), std::string::npos);
+    EXPECT_NE(lines[1].find("\"type\":\"metrics_snapshot\""),
               std::string::npos);
-    EXPECT_NE(lines[0].find("\"demo.count\":42"), std::string::npos);
-    EXPECT_NE(lines[0].find("\"demo.ms.mean\":2"), std::string::npos);
+    EXPECT_NE(lines[1].find("\"demo.count\":42"), std::string::npos);
+    EXPECT_NE(lines[1].find("\"demo.ms.mean\":2"), std::string::npos);
+}
+
+TEST_F(SinkFileTest, NoManifestPublishesNoFile)
+{
+    // A run that fails before it sets its manifest (say, on a refused
+    // flag) has no telemetry file to publish: a JSONL stream whose
+    // first record is not the manifest would fail schema validation.
+    const std::string path = tempPath(".jsonl");
+    {
+        TelemetryOptions options;
+        options.jsonlPath = path;
+        Telemetry telemetry(options);
+        telemetry.emit(TelemetryEvent(events::kBenchmarkFinished,
+                                      {field("benchmark", "jpeg")}));
+        telemetry.registry().increment("demo.count", 42);
+    } // the destructor finishes
+    EXPECT_FALSE(std::filesystem::exists(path));
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 TEST(StderrProgressSinkTest, CountRestartsAtEachSuiteRun)

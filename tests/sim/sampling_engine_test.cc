@@ -327,20 +327,6 @@ TEST(SamplingEngineTest, InvalidOptionsAreFatal)
                  std::runtime_error);
 }
 
-TEST(SamplingEngineTest, RejectsIsolatedConfigFailures)
-{
-    // An isolated failure keeps the slot data recorded up to the
-    // throw; estimates built from it would look like a valid result.
-    SamplingOptions options;
-    options.sweep.isolateConfigFailures = true;
-    try {
-        SamplingEngine engine(oneConfig(), DriverOptions{}, options);
-        FAIL() << "isolateConfigFailures was accepted";
-    } catch (const Error &e) {
-        EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
-    }
-}
-
 /** Options that sample a few 500-branch regions of short traces. */
 SamplingOptions
 smallSuiteOptions(unsigned threads)
@@ -406,6 +392,7 @@ TEST(SamplingEngineTest, SuiteClosesTheSchedulersSuiteRunEvent)
         TelemetryOptions telemetry_options;
         telemetry_options.jsonlPath = log;
         Telemetry telemetry(telemetry_options);
+        telemetry.setManifest(RunManifest::withBuildInfo());
         DriverOptions driver;
         driver.telemetry = &telemetry;
         SuiteRunner runner(

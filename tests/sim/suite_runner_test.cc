@@ -17,6 +17,7 @@
 #include "obs/telemetry.h"
 #include "sim/experiment.h"
 #include "trace/vector_trace_source.h"
+#include "util/cancellation.h"
 #include "util/error.h"
 
 namespace confsim {
@@ -70,15 +71,6 @@ TEST(SuiteRunnerTest, RunsEveryBenchmark)
     for (const auto &bench : result.perBenchmark) {
         EXPECT_EQ(bench.branches, 20000u);
         EXPECT_GT(bench.mispredicts, 0u);
-    }
-}
-
-TEST(SuiteRunnerTest, AttemptsIsOneOnFirstTrySuccess)
-{
-    const auto result = runSmall(5000);
-    for (const auto &bench : result.perBenchmark) {
-        EXPECT_TRUE(bench.error.empty());
-        EXPECT_EQ(bench.attempts, 1u) << bench.name;
         EXPECT_GT(bench.wallMs, 0.0) << bench.name;
     }
     EXPECT_GT(result.wallMs, 0.0);
@@ -168,13 +160,11 @@ TEST(SuiteRunnerTest, ZeroRecordBenchmarkExcludedFromComposites)
         runner.run(smallPredictor(), smallEstimators(), options);
 
     ASSERT_EQ(result.perBenchmark.size(), 2u);
-    EXPECT_TRUE(result.perBenchmark[0].error.empty());
     EXPECT_EQ(result.perBenchmark[0].branches, 0u);
     EXPECT_GT(result.perBenchmark[1].branches, 0u);
 
     // Nothing failed, but the composites cover only the recorded
     // benchmark — flagged via the degraded-composite marker.
-    EXPECT_FALSE(result.degraded);
     EXPECT_EQ(result.zeroRecordBenchmarks, 1u);
     EXPECT_TRUE(result.compositeDegraded);
     EXPECT_NEAR(result.compositeMispredictRate,
@@ -194,11 +184,8 @@ TEST(SuiteRunnerTest, AllZeroRecordBenchmarksGiveZeroComposite)
     const auto result =
         runner.run(smallPredictor(), smallEstimators(), options);
 
-    for (const auto &bench : result.perBenchmark) {
-        EXPECT_TRUE(bench.error.empty()) << bench.name;
+    for (const auto &bench : result.perBenchmark)
         EXPECT_EQ(bench.branches, 0u) << bench.name;
-    }
-    EXPECT_FALSE(result.degraded);
     EXPECT_EQ(result.zeroRecordBenchmarks, 2u);
     EXPECT_TRUE(result.compositeDegraded);
     EXPECT_EQ(result.compositeMispredictRate, 0.0);
@@ -225,7 +212,6 @@ TEST(SuiteRunnerTest, SweepZeroRecordBenchmarkExcludedFromComposites)
     for (const auto &config_result : sweep.perConfig) {
         ASSERT_EQ(config_result.perBenchmark.size(), 2u);
         EXPECT_EQ(config_result.perBenchmark[0].branches, 0u);
-        EXPECT_FALSE(config_result.degraded);
         EXPECT_EQ(config_result.zeroRecordBenchmarks, 1u);
         EXPECT_TRUE(config_result.compositeDegraded);
         EXPECT_NEAR(
@@ -274,7 +260,7 @@ TEST(SuiteRunnerTest, NullPredictorFactoryIsFatal)
 }
 
 // ---------------------------------------------------------------------
-// RunPolicy: error isolation, retries, watchdog.
+// The failure path: fail fast, the watchdog and cancellation.
 
 /** Wrap benchmark @p faulty_bench so its stream throws mid-run. */
 SourceWrapper
@@ -301,182 +287,45 @@ TEST(SuiteRunnerTest, FailFastThrowsOnInjectedFault)
                  std::runtime_error);
 }
 
-TEST(SuiteRunnerTest, ContinueOnErrorIsolatesTheFailure)
-{
-    SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"},
-                                                 5000));
-    runner.setSourceWrapper(failingWrapper(0));
-    const auto result =
-        runner.run(smallPredictor(), smallEstimators(), {},
-                   RunPolicy::continueOnError());
-
-    ASSERT_EQ(result.perBenchmark.size(), 2u);
-    EXPECT_TRUE(result.perBenchmark[0].failed());
-    EXPECT_NE(result.perBenchmark[0].error.find("injected fault"),
-              std::string::npos);
-    EXPECT_FALSE(result.perBenchmark[1].failed());
-    EXPECT_TRUE(result.degraded);
-    EXPECT_EQ(result.failedBenchmarks(), 1u);
-
-    // Composites cover exactly the surviving benchmark.
-    EXPECT_DOUBLE_EQ(result.compositeMispredictRate,
-                     result.perBenchmark[1].mispredictRate);
-    ASSERT_EQ(result.compositeEstimatorStats.size(), 1u);
-    EXPECT_NEAR(result.compositeEstimatorStats[0].totalRefs(), 1e6,
-                1.0);
-    ASSERT_EQ(result.estimatorNames.size(), 1u);
-    EXPECT_EQ(result.estimatorNames[0], "1lvl-PCxorBHR-reset16-4096");
-}
-
-TEST(SuiteRunnerTest, AllBenchmarksFailingGivesEmptyComposites)
-{
-    // When every benchmark fails under continue-on-error the composite
-    // pass has zero survivors; it must report a clean degenerate
-    // result (zero rate, empty composites), never NaN from a 0/0.
-    SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"},
-                                                 5000));
-    runner.setSourceWrapper(
-        [](std::size_t, std::unique_ptr<TraceSource> inner)
-            -> std::unique_ptr<TraceSource> {
-            FaultSpec spec;
-            spec.failAfter = 500;
-            return std::make_unique<FaultInjectingTraceSource>(
-                std::move(inner), spec);
-        });
-    const auto result =
-        runner.run(smallPredictor(), smallEstimators(), {},
-                   RunPolicy::continueOnError());
-
-    ASSERT_EQ(result.perBenchmark.size(), 2u);
-    EXPECT_TRUE(result.perBenchmark[0].failed());
-    EXPECT_TRUE(result.perBenchmark[1].failed());
-    EXPECT_TRUE(result.degraded);
-    EXPECT_EQ(result.failedBenchmarks(), 2u);
-    EXPECT_FALSE(std::isnan(result.compositeMispredictRate));
-    EXPECT_DOUBLE_EQ(result.compositeMispredictRate, 0.0);
-    EXPECT_TRUE(result.estimatorNames.empty());
-    EXPECT_TRUE(result.compositeEstimatorStats.empty());
-    EXPECT_EQ(result.compositeStaticStats.size(), 0u);
-}
-
-TEST(SuiteRunnerTest, ContinueOnErrorWithoutFailuresIsNotDegraded)
-{
-    const auto fail_fast = runSmall(5000);
-    SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"},
-                                                 5000));
-    DriverOptions options;
-    options.profileStatic = true;
-    const auto lenient =
-        runner.run(smallPredictor(), smallEstimators(), options,
-                   RunPolicy::continueOnError());
-
-    EXPECT_FALSE(lenient.degraded);
-    EXPECT_EQ(lenient.failedBenchmarks(), 0u);
-    // Bit-identical to the default policy when nothing fails.
-    ASSERT_EQ(lenient.perBenchmark.size(),
-              fail_fast.perBenchmark.size());
-    for (std::size_t i = 0; i < lenient.perBenchmark.size(); ++i) {
-        EXPECT_EQ(lenient.perBenchmark[i].mispredicts,
-                  fail_fast.perBenchmark[i].mispredicts);
-        EXPECT_EQ(lenient.perBenchmark[i].branches,
-                  fail_fast.perBenchmark[i].branches);
-    }
-    EXPECT_DOUBLE_EQ(lenient.compositeMispredictRate,
-                     fail_fast.compositeMispredictRate);
-}
-
-TEST(SuiteRunnerTest, RetriesRecoverTransientFailures)
-{
-    SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg"}, 2000));
-    auto first_attempts = std::make_shared<std::atomic<int>>(0);
-    runner.setSourceWrapper(
-        [first_attempts](std::size_t,
-                         std::unique_ptr<TraceSource> inner)
-            -> std::unique_ptr<TraceSource> {
-            if (first_attempts->fetch_add(1) == 0) {
-                FaultSpec spec;
-                spec.failAfter = 100; // transient: first attempt only
-                return std::make_unique<FaultInjectingTraceSource>(
-                    std::move(inner), spec);
-            }
-            return inner;
-        });
-
-    RunPolicy policy = RunPolicy::continueOnError();
-    policy.maxAttempts = 3;
-    const auto result =
-        runner.run(smallPredictor(), smallEstimators(), {}, policy);
-    ASSERT_EQ(result.perBenchmark.size(), 1u);
-    EXPECT_FALSE(result.perBenchmark[0].failed());
-    EXPECT_EQ(result.perBenchmark[0].attempts, 2u);
-    EXPECT_FALSE(result.degraded);
-}
-
-TEST(SuiteRunnerTest, PersistentFailureExhaustsAttempts)
-{
-    SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg"}, 2000));
-    runner.setSourceWrapper(failingWrapper(0));
-    RunPolicy policy = RunPolicy::continueOnError();
-    policy.maxAttempts = 3;
-    const auto result =
-        runner.run(smallPredictor(), smallEstimators(), {}, policy);
-    ASSERT_EQ(result.perBenchmark.size(), 1u);
-    EXPECT_TRUE(result.perBenchmark[0].failed());
-    EXPECT_EQ(result.perBenchmark[0].attempts, 3u);
-}
-
 TEST(SuiteRunnerTest, WatchdogMarksHungBenchmarkFailed)
 {
     // A 1 ms budget on a multi-million-branch benchmark must trip the
-    // watchdog; the benchmark is marked failed, not wedged, and the
-    // timeout is not retried (attempts stays 1 despite maxAttempts).
+    // watchdog: the run unwinds instead of wedging, and throws the
+    // timeout with its category.
     SuiteRunner runner(
         BenchmarkSuite::ibsSubset({"jpeg"}, 20'000'000));
-    RunPolicy policy = RunPolicy::continueOnError();
-    policy.watchdogMs = 1;
-    policy.maxAttempts = 3;
-    const auto result =
-        runner.run(smallPredictor(), smallEstimators(), {}, policy);
-    ASSERT_EQ(result.perBenchmark.size(), 1u);
-    EXPECT_TRUE(result.perBenchmark[0].failed());
-    EXPECT_NE(result.perBenchmark[0].error.find("wall-clock"),
-              std::string::npos);
-    EXPECT_EQ(result.perBenchmark[0].attempts, 1u);
-    EXPECT_TRUE(result.degraded);
-    EXPECT_EQ(result.compositeEstimatorStats.size(), 0u);
+    Telemetry telemetry{TelemetryOptions{}};
+    DriverOptions options;
+    options.wallClockLimitMs = 1;
+    options.telemetry = &telemetry;
+    try {
+        (void)runner.run(smallPredictor(), smallEstimators(), options);
+        FAIL() << "the hung benchmark finished";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kTimeout) << e.what();
+        EXPECT_NE(std::string(e.what()).find("wall-clock"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(telemetry.registry().counter("suite.watchdog_timeouts"),
+              1u);
 }
 
-TEST(SuiteRunnerTest, SweepReportsAttemptsAfterRetry)
+TEST(SuiteRunnerTest, DriverCancelTokenStopsTheRun)
 {
-    // The first attempt's source fails; the retry succeeds. Every
-    // configuration's result must report both attempts.
-    SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg"}, 2000));
-    auto first_attempts = std::make_shared<std::atomic<int>>(0);
-    runner.setSourceWrapper(
-        [first_attempts](std::size_t,
-                         std::unique_ptr<TraceSource> inner)
-            -> std::unique_ptr<TraceSource> {
-            if (first_attempts->fetch_add(1) == 0) {
-                FaultSpec spec;
-                spec.failAfter = 100;
-                return std::make_unique<FaultInjectingTraceSource>(
-                    std::move(inner), spec);
-            }
-            return inner;
-        });
-    std::vector<SweepConfiguration> configs;
-    configs.push_back({"a", smallPredictor(), smallEstimators()});
-    configs.push_back({"b", smallPredictor(), smallEstimators()});
-
-    RunPolicy policy = RunPolicy::continueOnError();
-    policy.maxAttempts = 3;
-    const auto sweep =
-        runner.runSweep(configs, DriverOptions{}, SweepOptions{}, policy);
-    ASSERT_EQ(sweep.perConfig.size(), 2u);
-    for (const auto &config_result : sweep.perConfig) {
-        ASSERT_EQ(config_result.perBenchmark.size(), 1u);
-        EXPECT_FALSE(config_result.perBenchmark[0].failed());
-        EXPECT_EQ(config_result.perBenchmark[0].attempts, 2u);
+    // DriverOptions::cancel is the run's one cancel input: the
+    // scheduler chains its teardown token to it, so a cancelled caller
+    // token stops every pass.
+    SuiteRunner runner(BenchmarkSuite::ibsSmall(50'000));
+    CancellationToken token;
+    token.cancel();
+    DriverOptions options;
+    options.cancel = &token;
+    try {
+        (void)runner.run(smallPredictor(), smallEstimators(), options);
+        FAIL() << "a cancelled run completed";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kCancelled) << e.what();
     }
 }
 
@@ -505,8 +354,10 @@ class ResourceFailingEstimator : public ConfidenceEstimator
     std::uint64_t updates_ = 0;
 };
 
-TEST(SuiteRunnerTest, SweepIsolatedConfigFailureKeepsItsCategory)
+TEST(SuiteRunnerTest, SweepConfigFailureFailsTheRunWithItsCategory)
 {
+    // One configuration's error fails the whole pass, and the run
+    // throws it with the configuration's category.
     SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg"}, 5000));
     std::vector<SweepConfiguration> configs;
     configs.push_back({"healthy", smallPredictor(), smallEstimators()});
@@ -517,16 +368,15 @@ TEST(SuiteRunnerTest, SweepIsolatedConfigFailureKeepsItsCategory)
              return out;
          }});
 
-    const auto sweep = runner.runSweep(configs, DriverOptions{},
-                                       SweepOptions{},
-                                       RunPolicy::continueOnError());
-    ASSERT_EQ(sweep.perConfig.size(), 2u);
-    EXPECT_FALSE(sweep.perConfig[0].perBenchmark[0].failed());
-    const BenchmarkRunResult &failed = sweep.perConfig[1].perBenchmark[0];
-    EXPECT_TRUE(failed.failed());
-    EXPECT_NE(failed.error.find("table allocation failed"),
-              std::string::npos);
-    EXPECT_EQ(failed.errorCategory, ErrorCategory::kResource);
+    try {
+        (void)runner.runSweep(configs, DriverOptions{}, SweepOptions{});
+        FAIL() << "the failing configuration's run returned";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kResource);
+        EXPECT_NE(std::string(e.what()).find("table allocation failed"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(SuiteRunnerTest, SweepRejectsCallerSetPool)
@@ -588,11 +438,10 @@ TEST(SuiteRunnerTest, AutoScheduleOverlapsBenchmarksBeforeShards)
               sweep(nine, 0));
 }
 
-TEST(SuiteRunnerTest, PlannedPassesRejectIsolationAndCheckpoints)
+TEST(SuiteRunnerTest, PlannedPassesRejectCheckpoints)
 {
-    // A planned pass's slot logs survive neither an isolated
-    // configuration failure nor a resume, so runPasses refuses those
-    // policies before any plan hook runs.
+    // A planned pass's slot logs do not survive a resume, so runPasses
+    // refuses a checkpointing policy before any plan hook runs.
     SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg"}, 2000));
     bool planned = false;
     SuiteRunner::PassHooks hooks;
@@ -604,16 +453,13 @@ TEST(SuiteRunnerTest, PlannedPassesRejectIsolationAndCheckpoints)
     };
     RunPolicy checkpointed;
     checkpointed.checkpoint.directory = ::testing::TempDir();
-    for (const RunPolicy &policy :
-         {RunPolicy::continueOnError(), checkpointed}) {
-        try {
-            (void)runner.runPasses(
-                {{"a", smallPredictor(), smallEstimators()}},
-                DriverOptions{}, SweepOptions{}, policy, hooks);
-            ADD_FAILURE() << "a planned pass accepted the policy";
-        } catch (const Error &e) {
-            EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
-        }
+    try {
+        (void)runner.runPasses({{"a", smallPredictor(), smallEstimators()}},
+                               DriverOptions{}, SweepOptions{},
+                               checkpointed, hooks);
+        ADD_FAILURE() << "a planned pass accepted checkpointing";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
     }
     EXPECT_FALSE(planned);
 }
