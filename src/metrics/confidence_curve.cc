@@ -8,22 +8,42 @@
 
 namespace confsim {
 
+void
+sortWorstFirst(std::vector<KeyedBucketCounts> &counts)
+{
+    struct Ranked
+    {
+        double rate;
+        KeyedBucketCounts entry;
+    };
+    std::vector<Ranked> ranked;
+    ranked.reserve(counts.size());
+    for (const KeyedBucketCounts &entry : counts) {
+        if (entry.counts.refs <= 0.0)
+            continue;
+        ranked.push_back({entry.counts.rate(), entry});
+    }
+    std::sort(ranked.begin(), ranked.end(),
+              [](const Ranked &a, const Ranked &b) {
+                  if (a.rate != b.rate)
+                      return a.rate > b.rate;
+                  return a.entry.bucket < b.entry.bucket;
+              });
+    counts.clear();
+    for (const Ranked &r : ranked)
+        counts.push_back(r.entry);
+}
+
 ConfidenceCurve
 ConfidenceCurve::fromCounts(std::vector<KeyedBucketCounts> counts)
 {
-    // Drop unreferenced buckets, then sort by rate descending.
-    std::erase_if(counts, [](const KeyedBucketCounts &entry) {
-        return entry.counts.refs <= 0.0;
-    });
-    std::sort(counts.begin(), counts.end(),
-              [](const KeyedBucketCounts &a, const KeyedBucketCounts &b) {
-                  const double ra = a.counts.rate();
-                  const double rb = b.counts.rate();
-                  if (ra != rb)
-                      return ra > rb;
-                  return a.bucket < b.bucket;
-              });
+    sortWorstFirst(counts);
+    return fromSorted(counts);
+}
 
+ConfidenceCurve
+ConfidenceCurve::fromSorted(const std::vector<KeyedBucketCounts> &counts)
+{
     ConfidenceCurve curve;
     for (const auto &entry : counts) {
         curve.totalRefs_ += entry.counts.refs;

@@ -33,17 +33,28 @@ struct CurvePoint
     double mispredFraction = 0.0; //!< cumulative mispred fraction (Y)
 };
 
+/**
+ * Drop the zero-ref entries of @p counts and sort the rest worst-first:
+ * misprediction rate descending, ties broken by bucket id ascending
+ * (a total order, since ids are distinct). Every curve accumulates in
+ * this order. Each entry's rate is computed once, not per comparison.
+ */
+void sortWorstFirst(std::vector<KeyedBucketCounts> &counts);
+
 /** Sorted cumulative misprediction-coverage curve. */
 class ConfidenceCurve
 {
   public:
     /**
-     * Build the curve from per-bucket counts: sort by bucket
-     * misprediction rate descending (ties broken by bucket id for
-     * determinism), then accumulate. Zero-ref buckets are dropped.
+     * Build the curve from per-bucket counts: sortWorstFirst(), then
+     * accumulate.
      */
     static ConfidenceCurve
     fromCounts(std::vector<KeyedBucketCounts> counts);
+
+    /** Build the curve from counts already in sortWorstFirst() order. */
+    static ConfidenceCurve
+    fromSorted(const std::vector<KeyedBucketCounts> &counts);
 
     /** Convenience: build from a dense accumulator. */
     static ConfidenceCurve fromBucketStats(const BucketStats &stats);

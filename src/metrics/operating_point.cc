@@ -12,22 +12,10 @@ namespace confsim {
 OperatingPoint
 operatingPointAt(std::vector<KeyedBucketCounts> keyed, double ref_fraction)
 {
-    std::erase_if(keyed, [](const KeyedBucketCounts &k) {
-        return k.counts.refs <= 0.0;
-    });
+    sortWorstFirst(keyed);
     OperatingPoint point;
     point.coverage =
-        ConfidenceCurve::fromCounts(keyed).mispredCoverageAt(ref_fraction);
-
-    std::sort(keyed.begin(), keyed.end(),
-              [](const KeyedBucketCounts &a,
-                 const KeyedBucketCounts &b) {
-                  const double ra = a.counts.rate();
-                  const double rb = b.counts.rate();
-                  if (ra != rb)
-                      return ra > rb;
-                  return a.bucket < b.bucket;
-              });
+        ConfidenceCurve::fromSorted(keyed).mispredCoverageAt(ref_fraction);
 
     double total_refs = 0.0;
     std::uint64_t max_bucket = 0;

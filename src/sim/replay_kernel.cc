@@ -143,24 +143,57 @@ ReplayKernel::replay(const RecordBatch &batch, const ReplayGuard &guard)
             continue;
 
         // Resolve the recording plan's mode at region boundaries (a
-        // function of `simulated_` only). Fast-forwarded regions do no
-        // predictor/estimator work; only the cursor and the
-        // context-switch phase advance.
+        // function of `simulated_` only). No kSkip region gets here:
+        // skipTo() moves the cursor over them.
         if (plan_ != nullptr) {
             if (planLeft_ == 0) {
                 planSlot_ =
                     plan_->slotForRegion(simulated_ / plan_->regionBranches);
                 planLeft_ = plan_->regionBranches;
+                if (planSlot_ == SweepRecordingPlan::kSkip) {
+                    fatal(ErrorCategory::kInternal,
+                          "a record of skipped region " +
+                              std::to_string(simulated_ /
+                                             plan_->regionBranches) +
+                              " reached the replay kernel");
+                }
             }
             --planLeft_;
         }
-        if (plan_ == nullptr || planSlot_ != SweepRecordingPlan::kSkip)
-            recordStep(record, profile);
+        recordStep(record, profile);
         ++simulated_;
 
         if (options_.contextSwitchInterval != 0 && --untilSwitch_ == 0)
             contextSwitch();
     }
+}
+
+void
+ReplayKernel::skipTo(std::uint64_t branch)
+{
+    if (branch <= simulated_)
+        return;
+    const std::uint64_t gap = branch - simulated_;
+    simulated_ = branch;
+    if (plan_ != nullptr) {
+        const std::uint64_t into = branch % plan_->regionBranches;
+        planSlot_ = plan_->slotForRegion(branch / plan_->regionBranches);
+        planLeft_ = into == 0 ? 0 : plan_->regionBranches - into;
+    }
+
+    const std::uint64_t interval = options_.contextSwitchInterval;
+    if (interval == 0)
+        return;
+    if (gap < untilSwitch_) {
+        untilSwitch_ -= gap;
+        return;
+    }
+    // The gap crosses 1 + past / interval switch boundaries. With no
+    // work between them, one flush leaves what all of them would.
+    const std::uint64_t past = gap - untilSwitch_;
+    contextSwitch();
+    result_.contextSwitches += past / interval;
+    untilSwitch_ = interval - past % interval;
 }
 
 void

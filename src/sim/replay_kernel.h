@@ -161,16 +161,21 @@ struct DriverOptions
  *  - kWarmOnly: **functional warming** — predictor/estimator state
  *    updates normally but nothing is recorded, keeping the state a
  *    sampled region sees identical to a full replay's;
- *  - kSkip: **fast-forward** — no predictor or estimator work at all;
- *    only the branch cursor and context-switch phase advance. This is
- *    the wall-clock lever: state diverges, so plans place a kWarmOnly
- *    window before each detailed region to re-converge it.
+ *  - kSkip: **fast-forward** — no record of the region is batched or
+ *    reaches a kernel. The sweep engine's reader restores the newest
+ *    source snapshot at or before the next worked region and reads
+ *    forward from there, and each kernel moves its cursor and
+ *    context-switch clock over the gap in O(1)
+ *    (ReplayKernel::skipTo). This is the wall-clock lever: state
+ *    diverges, so plans place a kWarmOnly window before each
+ *    detailed region to re-converge it.
  *
  * The plan is indexed purely by each configuration's private count of
  * simulated conditional branches, so results are bit-exact at any
  * thread count, batch size, or decode-ahead depth — the same contract
- * as every other sweep knob. Plans compose with neither checkpointing
- * nor resume (fatal at run time): nothing checkpoints a sampled run.
+ * as every other sweep knob — and whether or not the source can
+ * restore snapshots. Plans compose with neither checkpointing nor
+ * resume (fatal at run time): nothing checkpoints a sampled run.
  */
 struct SweepRecordingPlan
 {
@@ -188,6 +193,29 @@ struct SweepRecordingPlan
 
     /** Number of detailed slots (slot ids are < numSlots). */
     std::uint32_t numSlots = 0;
+
+    /** A saved trace-source state (TraceSource::saveState). */
+    struct SourceSnapshot
+    {
+        std::uint64_t branch = 0; //!< conditionals read before it
+        std::size_t offset = 0;   //!< first byte in snapshotBytes
+        std::size_t size = 0;     //!< bytes
+    };
+
+    /**
+     * Source snapshots at region boundaries and at the trace's end,
+     * ascending by branch, which the replay restores to jump over
+     * kSkip regions. A snapshot at branch b was saved right after the
+     * source delivered its b-th conditional, the last one once the
+     * source was exhausted. The sampling pre-pass
+     * fills them when its source is checkpointable; with none, or
+     * from a replay source that is not, the replay reads forward
+     * through each gap instead, with identical results.
+     */
+    std::vector<SourceSnapshot> snapshots;
+
+    /** Every snapshot's bytes, in one buffer. */
+    std::vector<std::uint8_t> snapshotBytes;
 
     /** @return the mode for @p region (past-the-end warms only). */
     std::uint32_t
@@ -334,8 +362,22 @@ class alignas(64) ReplayKernel
                  std::string label, const DriverOptions &options,
                  const SweepRecordingPlan *plan = nullptr);
 
-    /** Run the record step over every record of @p batch. */
+    /**
+     * Run the record step over every record of @p batch. Under a
+     * recording plan the batch must hold no record of a kSkip region
+     * (the sweep engine's reader seeks over them; see skipTo()).
+     */
     void replay(const RecordBatch &batch, const ReplayGuard &guard);
+
+    /**
+     * Move the cursor over the skipped conditionals up to @p branch
+     * (no-op unless @p branch is ahead), in O(1): the plan cursor
+     * follows, and each context-switch boundary the gap crosses is
+     * counted, with one power-on flush standing for them all, since
+     * nothing runs between them. Results equal stepping each skipped
+     * record through the kernel with no predictor or estimator work.
+     */
+    void skipTo(std::uint64_t branch);
 
     /**
      * Add this configuration's checkpoint components under @p prefix:

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "ckpt/state_io.h"
 #include "metrics/operating_point.h"
 #include "obs/telemetry.h"
 #include "sim/suite_runner.h"
@@ -36,16 +37,33 @@ struct RegionFeatures
  *  both want "small enough to stream at memory speed"). */
 constexpr std::size_t kProxyEntries = 4096;
 
+/** Regions between source snapshots (docs/performance.md measures the
+ *  choice). */
+constexpr std::uint64_t kSnapshotRegions = 1;
+
 /**
  * One streaming pass: segment into regions of @p region_branches
  * conditionals and score each with the proxy features. The pass is a
  * pure function of the trace — no seeds — so features (and therefore
- * strata) are identical however the replay is parallelized.
+ * strata) are identical however the replay is parallelized. With
+ * @p skips set, a checkpointable source is snapshotted into @p plan
+ * every kSnapshotRegions regions and at the trace's end, so the
+ * replay can jump over the regions the plan will skip.
  */
 std::vector<RegionFeatures>
 prePass(TraceSource &source, std::uint64_t region_branches,
-        std::uint64_t &total_branches)
+        std::uint64_t &total_branches, bool skips,
+        SweepRecordingPlan &plan)
 {
+    const bool snapshotting = skips && source.checkpointable();
+    StateWriter snapshot_bytes;
+    const auto snapshot = [&] {
+        const std::size_t offset = snapshot_bytes.bytes().size();
+        source.saveState(snapshot_bytes);
+        plan.snapshots.push_back({total_branches, offset,
+                                  snapshot_bytes.bytes().size() - offset});
+    };
+
     std::vector<RegionFeatures> regions;
     // 2-bit saturating counters, weakly taken; predict taken >= 2.
     std::vector<std::uint8_t> counters(kProxyEntries, 2);
@@ -91,6 +109,8 @@ prePass(TraceSource &source, std::uint64_t region_branches,
             current = RegionFeatures{};
             current_misses = 0;
             ++epoch;
+            if (snapshotting && regions.size() % kSnapshotRegions == 0)
+                snapshot();
         }
     }
     if (current.branches > 0) {
@@ -98,6 +118,10 @@ prePass(TraceSource &source, std::uint64_t region_branches,
                             static_cast<double>(current.branches);
         regions.push_back(current);
     }
+    if (snapshotting && (plan.snapshots.empty() ||
+                         plan.snapshots.back().branch != total_branches))
+        snapshot();
+    plan.snapshotBytes = snapshot_bytes.take();
     return regions;
 }
 
@@ -339,15 +363,16 @@ SweepRecordingPlan
 planTrace(TraceSource &source, const SamplingOptions &options,
           Selection &sel, SamplingBenchmarkResult &out)
 {
-    // Pass 1: features.
+    // Pass 1: features and source snapshots.
+    SweepRecordingPlan plan;
+    plan.regionBranches = options.regionBranches;
     const Clock::time_point prepass_start = Clock::now();
-    const std::vector<RegionFeatures> features =
-        prePass(source, options.regionBranches, out.totalBranches);
+    const std::vector<RegionFeatures> features = prePass(
+        source, options.regionBranches, out.totalBranches,
+        options.warmupRegions != SamplingOptions::kWarmAll, plan);
     out.prePassMs = elapsedMsSince(prepass_start);
     out.regions = features.size();
 
-    SweepRecordingPlan plan;
-    plan.regionBranches = options.regionBranches;
     if (features.empty())
         return plan; // empty trace: zero estimates, nothing to record
 
@@ -532,6 +557,16 @@ SamplingEngine::runTrace(const std::string &name,
     SweepEngine engine(configs_, driver_, sweep);
     estimateTrace(sel, engine.run(*make_source()), out);
     return out;
+}
+
+SweepRecordingPlan
+SamplingEngine::recordingPlan(const std::string &name,
+                              TraceSource &source) const
+{
+    Selection sel;
+    SamplingBenchmarkResult out;
+    out.name = name;
+    return planTrace(source, options_, sel, out);
 }
 
 SamplingRunResult

@@ -33,9 +33,12 @@
  *     SweepRecordingPlan: sampled regions log their records into
  *     per-(stratum, subsample) slots, regions ahead of a sample warm
  *     functionally, and (when warmupRegions is bounded) everything
- *     else fast-forwards. The replay keeps only the slot logs and the
- *     recorded counts (sim/replay_kernel.h), and the estimates are
- *     built from the logs as soon as the replay ends.
+ *     else is skipped: the pre-pass saved the source's state at every
+ *     region boundary, so the replay restores the one before each
+ *     next worked region instead of generating the gap. The replay
+ *     keeps only the slot logs and the recorded counts
+ *     (sim/replay_kernel.h), and the estimates are built from the
+ *     logs as soon as the replay ends.
  *
  * A sampled suite (runSuite) runs each benchmark as one pass on
  * SuiteRunner::runPasses, the scheduler under runSweep: a plan hook
@@ -217,6 +220,15 @@ class SamplingEngine
      */
     SamplingBenchmarkResult runTrace(const std::string &name,
                                      const SourceFactory &make_source);
+
+    /**
+     * The recording plan runTrace() would replay @p source under:
+     * steps 1-4 on the calling thread, with @p name seeding the
+     * selection. Lets a caller replay the plan through a SweepEngine
+     * itself and read the slot logs and per-configuration counts.
+     */
+    SweepRecordingPlan recordingPlan(const std::string &name,
+                                     TraceSource &source) const;
 
     /**
      * Sample every benchmark of @p runner's suite (honouring its

@@ -1,9 +1,11 @@
 #include "sim/sweep_engine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
+#include <iterator>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -163,6 +165,15 @@ namespace {
  * serialized (or when its watermark is recorded), which is what makes
  * pipelined checkpoint/resume bit-exact.
  *
+ * Under a recording plan the ring is the replay's one plan-following
+ * reader: a batch ends where a worked span (a run of regions that are
+ * not kSkip) ends, and before the next batch the source seeks to the
+ * next worked region. It restores the plan's newest source snapshot at
+ * or before that region, when the source can restore one, and reads
+ * forward from there; skipped records are never batched. Each slot
+ * carries the cursor its first record starts at, so kernels skip the
+ * same gap (ReplayKernel::skipTo).
+ *
  * A decode error is published in order as an error slot: the consumer
  * replays every batch decoded before it, then rethrows.
  */
@@ -172,6 +183,7 @@ class DecodeAheadRing
     struct Slot
     {
         RecordBatch batch;
+        std::uint64_t firstBranch = 0; //!< cursor at the first record
         std::uint64_t consumedAfter = 0;
         std::uint64_t simulatedAfter = 0;
         bool checkpointDue = false;
@@ -181,12 +193,13 @@ class DecodeAheadRing
     DecodeAheadRing(TraceSource &source, std::size_t depth,
                     std::size_t batch_size, std::uint64_t consumed,
                     std::uint64_t simulated, std::uint64_t ckpt_every,
-                    std::string scope,
+                    const SweepRecordingPlan *plan, std::string scope,
                     const CancellationToken *cancel,
                     SpanTracer *spans)
-        : source_(source), ckptEvery_(ckpt_every), scope_(std::move(scope)),
-          cancel_(cancel), spans_(spans), consumed_(consumed),
-          simulated_(simulated)
+        : source_(source), ckptEvery_(ckpt_every), plan_(plan),
+          scope_(std::move(scope)), cancel_(cancel), spans_(spans),
+          consumed_(consumed), simulated_(simulated),
+          spanEnd_(plan == nullptr ? kNoEnd : simulated)
     {
         nextCkpt_ = ckptEvery_ == 0
                         ? 0
@@ -276,11 +289,80 @@ class DecodeAheadRing
         return barrierWaitNs_;
     }
 
+    /** @return the cursor at the end of the trace, skipped conditionals
+     *  included (call once next() has returned nullptr). */
+    std::uint64_t
+    endBranch()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return simulated_;
+    }
+
   private:
+    static constexpr std::uint64_t kNoEnd = ~std::uint64_t{0};
+
     /**
-     * Refill @p slot from the source and advance the cursors and the
-     * checkpoint cadence. Cancellation and injected decode faults
-     * become the slot's error. @return false at end of stream.
+     * At the end of a worked span: move the source to the next region
+     * that is not kSkip (or, past the plan's last one, to the end of
+     * the trace) and find where that span ends.
+     */
+    void
+    seekNextSpan()
+    {
+        const std::vector<std::uint32_t> &slots = plan_->regionSlots;
+        std::uint64_t region = simulated_ / plan_->regionBranches;
+        while (region < slots.size() &&
+               slots[region] == SweepRecordingPlan::kSkip)
+            ++region;
+        seek(region * plan_->regionBranches);
+        std::uint64_t end = region;
+        while (end < slots.size() && slots[end] != SweepRecordingPlan::kSkip)
+            ++end;
+        spanEnd_ = end < slots.size() ? end * plan_->regionBranches : kNoEnd;
+    }
+
+    /**
+     * Position the source right after its @p target-th conditional, or
+     * at its end if it holds fewer: restore the newest snapshot at or
+     * before @p target that is ahead of the cursor, then read forward.
+     */
+    void
+    seek(std::uint64_t target)
+    {
+        const std::vector<SweepRecordingPlan::SourceSnapshot> &snapshots =
+            plan_->snapshots;
+        auto newest = std::upper_bound(
+            snapshots.begin(), snapshots.end(), target,
+            [](std::uint64_t branch,
+               const SweepRecordingPlan::SourceSnapshot &snapshot) {
+                return branch < snapshot.branch;
+            });
+        if (newest != snapshots.begin() && source_.checkpointable() &&
+            std::prev(newest)->branch > simulated_) {
+            const SweepRecordingPlan::SourceSnapshot &snapshot =
+                *std::prev(newest);
+            StateReader in(plan_->snapshotBytes.data() + snapshot.offset,
+                           snapshot.size);
+            source_.loadState(in);
+            if (!in.atEnd()) {
+                fatal(ErrorCategory::kInternal,
+                      "source snapshot at branch " +
+                          std::to_string(snapshot.branch) +
+                          " has unconsumed bytes");
+            }
+            simulated_ = snapshot.branch;
+        }
+        BranchRecord record;
+        while (simulated_ < target && source_.next(record))
+            simulated_ += record.isConditional();
+    }
+
+    /**
+     * Refill @p slot from the source, first seeking over the skipped
+     * regions after a worked span, and advance the cursors and the
+     * checkpoint cadence. Cancellation, injected decode faults and
+     * failed seeks become the slot's error. @return false at end of
+     * stream.
      */
     bool
     fill(Slot &slot)
@@ -295,7 +377,10 @@ class DecodeAheadRing
             FaultInjector &injector = FaultInjector::instance();
             if (injector.armed())
                 injector.fire(FaultSite::kDecodeBatch, scope_);
-            got = slot.batch.refill(source_);
+            if (simulated_ == spanEnd_)
+                seekNextSpan();
+            slot.firstBranch = simulated_;
+            got = slot.batch.refill(source_, spanEnd_ - simulated_);
         } catch (...) {
             slot.error = std::current_exception();
             slot.batch.clear();
@@ -379,11 +464,13 @@ class DecodeAheadRing
 
     TraceSource &source_;
     const std::uint64_t ckptEvery_;
+    const SweepRecordingPlan *const plan_;
     const std::string scope_;
     const CancellationToken *const cancel_;
     SpanTracer *const spans_;
-    std::uint64_t consumed_;
-    std::uint64_t simulated_;
+    std::uint64_t consumed_;  //!< records batched
+    std::uint64_t simulated_; //!< the cursor: conditionals read or skipped
+    std::uint64_t spanEnd_;   //!< where the worked span ends (kNoEnd)
     std::uint64_t nextCkpt_ = 0;
     RunningStats barrierWaitNs_; //!< guarded by mu_
 
@@ -545,6 +632,19 @@ SweepEngine::runImpl(TraceSource &source,
                           std::to_string(plan->numSlots) + ")");
             }
         }
+        std::uint64_t previous = 0;
+        for (const SweepRecordingPlan::SourceSnapshot &snapshot :
+             plan->snapshots) {
+            const std::size_t bytes = plan->snapshotBytes.size();
+            if (snapshot.branch < previous || snapshot.offset > bytes ||
+                snapshot.size > bytes - snapshot.offset) {
+                fatal(ErrorCategory::kConfig,
+                      "recording plan snapshot at branch " +
+                          std::to_string(snapshot.branch) +
+                          " is out of order or outside snapshotBytes");
+            }
+            previous = snapshot.branch;
+        }
         if (ckptEvery_ != 0 || resume_from != nullptr) {
             fatal(ErrorCategory::kConfig,
                   "a recording plan composes with neither "
@@ -686,17 +786,19 @@ SweepEngine::runImpl(TraceSource &source,
     RunningStats batch_ns;
     RunningStats stall_ns;
 
-    // One configuration's share of a batch. Any error — the replay's
-    // or an injected fault's — fails the whole pass.
+    // One configuration's share of a batch, after the gap a planned
+    // replay skipped before it. Any error — the replay's or an injected
+    // fault's — fails the whole pass.
     const auto replayConfig = [&](std::size_t c,
-                                  const RecordBatch &batch) {
+                                  const DecodeAheadRing::Slot &slot) {
         FaultInjector &injector = FaultInjector::instance();
         if (injector.armed() &&
             injector.fire(FaultSite::kShardReplay, driver_.telemetryLabel,
                           c) == FaultAction::kHang) {
             guard.park();
         }
-        states_[c]->kernel->replay(batch, guard);
+        states_[c]->kernel->skipTo(slot.firstBranch);
+        states_[c]->kernel->replay(slot.batch, guard);
     };
 
     // Contiguous config shards, one task per shard per batch. runAll
@@ -715,13 +817,13 @@ SweepEngine::runImpl(TraceSource &source,
     // wall x shards is the pipeline-occupancy headline.
     SpanTracer *const spans = driver_.spans;
     std::vector<std::uint64_t> shard_busy_ns(shard_count, 0);
-    const auto broadcast = [&](const RecordBatch &batch) {
+    const auto broadcast = [&](const DecodeAheadRing::Slot &slot) {
         if (pool == nullptr || shard_count <= 1) {
             const Clock::time_point s0 = Clock::now();
             {
                 ScopedSpan replay_span(spans, "shard.replay");
                 for (std::size_t c = 0; c < states_.size(); ++c)
-                    replayConfig(c, batch);
+                    replayConfig(c, slot);
             }
             shard_busy_ns[0] += static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -744,7 +846,7 @@ SweepEngine::runImpl(TraceSource &source,
                 {
                     ScopedSpan replay_span(spans, "shard.replay");
                     for (std::size_t c = begin; c < end; ++c)
-                        replayConfig(c, batch);
+                        replayConfig(c, slot);
                 }
                 shard_busy_ns[s] += static_cast<std::uint64_t>(
                     std::chrono::duration_cast<
@@ -762,8 +864,9 @@ SweepEngine::runImpl(TraceSource &source,
     // at any depth; at depth >= 2 its producer thread keeps it topped
     // up while shards replay (see DecodeAheadRing).
     DecodeAheadRing ring(source, decode_ahead, sweep_.batchSize, consumed,
-                         simulated, ckptEvery_, driver_.telemetryLabel,
-                         guard.cancel, spans);
+                         simulated, ckptEvery_, plan,
+                         driver_.telemetryLabel, guard.cancel, spans);
+    std::uint64_t delivered = simulated; // conditionals batched
     for (;;) {
         const Clock::time_point w0 = Clock::now();
         DecodeAheadRing::Slot *slot = ring.next();
@@ -774,13 +877,14 @@ SweepEngine::runImpl(TraceSource &source,
             break;
 
         const Clock::time_point t0 = Clock::now();
-        broadcast(slot->batch);
+        broadcast(*slot);
         batch_ns.add(
             std::chrono::duration<double, std::nano>(Clock::now() - t0)
                 .count());
 
         consumed = slot->consumedAfter;
         simulated = slot->simulatedAfter;
+        delivered += slot->batch.conditionals();
         ++result.batches;
 
         checkWatchdog(consumed);
@@ -789,6 +893,10 @@ SweepEngine::runImpl(TraceSource &source,
         ring.release(*slot);
     }
     const RunningStats barrier_wait_ns = ring.barrierWaitStats();
+    // A trailing skipped gap still runs every switch clock to the end.
+    const std::uint64_t end_branch = ring.endBranch();
+    for (auto &state : states_)
+        state->kernel->skipTo(end_branch);
 
     // Harvest the engine-owned pool's occupancy before retiring it;
     // a shared pool's occupancy is reported by its owner instead.
@@ -798,7 +906,7 @@ SweepEngine::runImpl(TraceSource &source,
     owned_pool.reset();
 
     result.records = consumed;
-    result.branches = simulated;
+    result.branches = delivered;
     // The states themselves (predictors, estimators, history
     // replicas) stay alive until the next run() or destruction, so
     // callers holding component pointers from the factories can still

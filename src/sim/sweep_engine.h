@@ -212,8 +212,13 @@ struct SweepRunResult
     /** Per-configuration results (configuration order preserved). */
     std::vector<SweepConfigResult> perConfig;
 
-    std::uint64_t records = 0;  //!< records consumed from the source
-    std::uint64_t branches = 0; //!< conditional branches simulated
+    /** Records batched for the kernels (with a resumed run's
+     *  watermark). A planned replay batches only its worked regions'
+     *  records: skipped ones are restored over or read and dropped. */
+    std::uint64_t records = 0;
+    /** Conditional branches among @ref records (with a resumed run's
+     *  cursor). */
+    std::uint64_t branches = 0;
     std::uint64_t batches = 0;  //!< broadcast batches processed
     double wallMs = 0.0;        //!< wall time of the run() call
     /** Total time the replay side waited on trace decode. With

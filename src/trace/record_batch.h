@@ -45,18 +45,22 @@ class RecordBatch
     }
 
     /**
-     * Replace the buffer contents with the next records of @p source.
+     * Replace the buffer contents with the next records of @p source,
+     * stopping after the @p max_conditionals-th conditional record (a
+     * planned replay's worked span ends there).
      *
      * @return the number of records buffered; 0 iff the source is
-     *         exhausted. A short (non-zero) count means the source
-     *         ended inside this batch.
+     *         exhausted or @p max_conditionals is 0. A short
+     *         (non-zero) count means the source ended inside this
+     *         batch or the conditional limit was reached.
      */
     std::size_t
-    refill(TraceSource &source)
+    refill(TraceSource &source,
+           std::uint64_t max_conditionals = ~std::uint64_t{0})
     {
         size_ = 0;
         conditionals_ = 0;
-        while (size_ < capacity_) {
+        while (size_ < capacity_ && conditionals_ < max_conditionals) {
             if (!source.next(records_[size_]))
                 break;
             if (records_[size_].isConditional())

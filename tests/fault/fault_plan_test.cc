@@ -1,10 +1,10 @@
 /**
  * @file
- * Unit tests for the fault plane (fault/fault_plan.h), the structured
- * error taxonomy (util/error.h), and cooperative cancellation
- * (util/cancellation.h): grammar round-trips, one-shot per-scope
- * firing, action-to-category mapping, observer delivery, RAII
- * disarming, and token chaining.
+ * Unit tests for the fault plane (fault/fault_plan.h) and the
+ * structured error taxonomy (util/error.h): grammar round-trips,
+ * one-shot per-scope firing, action-to-category mapping, observer
+ * delivery, and RAII disarming. Cancellation tokens are tested in
+ * tests/util/cancellation_test.cc.
  */
 
 #include <stdexcept>
@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault_plan.h"
-#include "util/cancellation.h"
 #include "util/error.h"
 
 namespace confsim {
@@ -226,34 +225,6 @@ TEST(ErrorTaxonomy, CategorizedFatalKeepsMessageText)
     // see categorized errors.
     EXPECT_THROW(fatal(ErrorCategory::kConfig, "bad flag"),
                  std::runtime_error);
-}
-
-TEST(Cancellation, TokenChainsToParent)
-{
-    CancellationToken parent;
-    CancellationToken child(&parent);
-    EXPECT_FALSE(child.cancelled());
-    EXPECT_NO_THROW(child.throwIfCancelled("work"));
-
-    parent.cancel();
-    EXPECT_TRUE(child.cancelled());
-    EXPECT_FALSE(parent.cancelled() && false); // parent unaffected API
-    try {
-        child.throwIfCancelled("sweep shard");
-        FAIL() << "expected Error{kCancelled}";
-    } catch (const Error &e) {
-        EXPECT_EQ(e.category(), ErrorCategory::kCancelled);
-        EXPECT_STREQ(e.what(), "sweep shard cancelled");
-    }
-}
-
-TEST(Cancellation, ChildCancelDoesNotPropagateUp)
-{
-    CancellationToken parent;
-    CancellationToken child(&parent);
-    child.cancel();
-    EXPECT_TRUE(child.cancelled());
-    EXPECT_FALSE(parent.cancelled());
 }
 
 } // namespace

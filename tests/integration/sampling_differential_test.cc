@@ -6,11 +6,14 @@
  * contract: given one seed, region selections AND estimates must be
  * bit-identical however the replay is parallelized (worker threads,
  * which set how many benchmark passes overlap and how each shards,
- * decode-ahead depth, batch size). And against the differential
- * harness's exact ground truth, the 95% CIs must do their job: contain
- * the full-replay misprediction rate, per benchmark and composite.
+ * decode-ahead depth, batch size), and whether the replay jumps over
+ * skipped regions by restoring source snapshots or reads through
+ * them. And against the differential harness's exact ground truth,
+ * the 95% CIs must do their job: contain the full-replay
+ * misprediction rate, per benchmark and composite.
  */
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "sim/experiment.h"
 #include "sim/sampling_engine.h"
 #include "sim/suite_runner.h"
+#include "workload/workload_generator.h"
 
 namespace confsim {
 namespace {
@@ -181,6 +185,161 @@ TEST(SamplingDifferentialTest,
     three.sweep.threads = 3;
     expectIdentical(runSampled(one, threeBenchmarks()),
                     runSampled(three, threeBenchmarks()));
+}
+
+/**
+ * A source that cannot snapshot: checkpointable() stays false, so a
+ * planned replay over it reads forward through every skipped gap.
+ */
+class ForwardOnlySource : public TraceSource
+{
+  public:
+    explicit ForwardOnlySource(std::unique_ptr<TraceSource> inner)
+        : inner_(std::move(inner))
+    {}
+
+    bool next(BranchRecord &record) override { return inner_->next(record); }
+    void reset() override { inner_->reset(); }
+
+  private:
+    std::unique_ptr<TraceSource> inner_;
+};
+
+void
+hideSnapshots(SuiteRunner &runner)
+{
+    runner.setSourceWrapper(
+        [](std::size_t, std::unique_ptr<TraceSource> inner)
+            -> std::unique_ptr<TraceSource> {
+            return std::make_unique<ForwardOnlySource>(std::move(inner));
+        });
+}
+
+/** A 2-region warming window; switches every 4500 branches, which
+ *  neither divides the 2000-branch regions nor fits in the window,
+ *  after a 3000-branch warmup. */
+SamplingOptions
+boundedOptions()
+{
+    SamplingOptions options = baseOptions();
+    options.warmupRegions = 2;
+    return options;
+}
+
+DriverOptions
+switchingDriver()
+{
+    DriverOptions driver;
+    driver.warmupBranches = 3000;
+    driver.contextSwitchInterval = 4500;
+    return driver;
+}
+
+/** Each benchmark's bounded-window plan and the replay run under it. */
+struct PlannedPass
+{
+    SweepRecordingPlan plan;
+    SweepRunResult replay;
+};
+
+/** The replays a bounded-window sampled suite over @p runner runs. */
+std::vector<PlannedPass>
+plannedPasses(const SuiteRunner &runner)
+{
+    const SamplingEngine engine(sampledConfigs(), switchingDriver(),
+                                boundedOptions());
+    std::vector<PlannedPass> passes(runner.suite().size());
+    SuiteRunner::PassHooks hooks;
+    hooks.plan = [&](std::size_t bench, TraceSource &source) {
+        passes[bench].plan = engine.recordingPlan(
+            runner.suite().profile(bench).name, source);
+        return passes[bench].plan;
+    };
+    hooks.finish = [&](std::size_t bench, const SweepRunResult &pass) {
+        passes[bench].replay = pass;
+    };
+    SweepOptions sweep;
+    sweep.threads = 2;
+    (void)runner.runPasses(sampledConfigs(), switchingDriver(), sweep, {},
+                           hooks);
+    return passes;
+}
+
+TEST(SamplingDifferentialTest, SeekingOverSkippedRegionsNeverChangesResults)
+{
+    SuiteRunner seeking(threeBenchmarks());
+    SuiteRunner reading(threeBenchmarks());
+    hideSnapshots(reading);
+
+    SamplingEngine engine(sampledConfigs(), switchingDriver(),
+                          boundedOptions());
+    expectIdentical(engine.runSuite(seeking), engine.runSuite(reading));
+
+    const std::vector<PlannedPass> seeks = plannedPasses(seeking);
+    const std::vector<PlannedPass> reads = plannedPasses(reading);
+    for (std::size_t b = 0; b < seeks.size(); ++b) {
+        SCOPED_TRACE(seeking.suite().profile(b).name);
+        EXPECT_FALSE(seeks[b].plan.snapshots.empty());
+        EXPECT_TRUE(reads[b].plan.snapshots.empty());
+        const SweepRunResult &seek = seeks[b].replay;
+        const SweepRunResult &read = reads[b].replay;
+        EXPECT_EQ(seek.records, read.records);
+        EXPECT_EQ(seek.branches, read.branches);
+        ASSERT_EQ(seek.perConfig.size(), read.perConfig.size());
+        for (std::size_t c = 0; c < seek.perConfig.size(); ++c) {
+            const SweepConfigResult &a = seek.perConfig[c];
+            const SweepConfigResult &z = read.perConfig[c];
+            SCOPED_TRACE(a.label);
+            EXPECT_GT(a.contextSwitches, 0u);
+            EXPECT_EQ(a.contextSwitches, z.contextSwitches);
+            EXPECT_EQ(a.branches, z.branches);
+            EXPECT_EQ(a.mispredicts, z.mispredicts);
+            ASSERT_EQ(a.slotStats.size(), z.slotStats.size());
+            for (std::size_t slot = 0; slot < a.slotStats.size(); ++slot) {
+                EXPECT_EQ(a.slotStats[slot].branches,
+                          z.slotStats[slot].branches);
+                EXPECT_EQ(a.slotStats[slot].mispredicts,
+                          z.slotStats[slot].mispredicts);
+                EXPECT_EQ(a.slotStats[slot].estimatorLogs,
+                          z.slotStats[slot].estimatorLogs)
+                    << "slot " << slot;
+            }
+        }
+    }
+}
+
+TEST(SamplingDifferentialTest, PlannedReplayBatchesOnlyWorkedRegions)
+{
+    SuiteRunner runner(threeBenchmarks());
+    const std::vector<PlannedPass> passes = plannedPasses(runner);
+    for (std::size_t b = 0; b < passes.size(); ++b) {
+        const BenchmarkProfile &profile = runner.suite().profile(b);
+        SCOPED_TRACE(profile.name);
+        // Generated IBS traces hold conditionals only, so the worked
+        // regions' records are their conditionals.
+        const SweepRecordingPlan &plan = passes[b].plan;
+        const std::uint64_t total = 100000;
+        std::uint64_t worked = 0;
+        for (std::size_t r = 0; r < plan.regionSlots.size(); ++r) {
+            if (plan.regionSlots[r] != SweepRecordingPlan::kSkip) {
+                worked += std::min(plan.regionBranches,
+                                   total - r * plan.regionBranches);
+            }
+        }
+        const SweepRunResult &planned = passes[b].replay;
+        EXPECT_LT(worked, total / 2);
+        EXPECT_EQ(planned.records, worked);
+        EXPECT_EQ(planned.branches, worked);
+
+        SweepEngine unplanned_engine(sampledConfigs(), switchingDriver(),
+                                     SweepOptions{});
+        WorkloadGenerator workload(profile, total);
+        const SweepRunResult unplanned = unplanned_engine.run(workload);
+        EXPECT_EQ(unplanned.records, total);
+        EXPECT_LE(planned.batches * 2, unplanned.batches)
+            << planned.batches << " planned batches against "
+            << unplanned.batches;
+    }
 }
 
 TEST(SamplingDifferentialTest, CiContainsExactGroundTruth)

@@ -4,7 +4,8 @@
  * a sweep result. A planned replay keeps the aggregate branch and
  * mispredict counts and one 4-byte `(bucket << 1) | mispredicted` log
  * entry per recorded branch and estimator, and no dense
- * per-estimator bank.
+ * per-estimator bank. A plan's source snapshots must lie inside their
+ * buffer, in branch order.
  */
 
 #include <bit>
@@ -164,6 +165,27 @@ TEST(PlannedReplayTest, RejectsBucketIdsWiderThan31Bits)
     try {
         (void)replayJpeg(wide_config((std::uint64_t{1} << 31) + 1), &plan);
         FAIL() << "a 2^31 + 1 bucket estimator replayed under a plan";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
+    }
+}
+
+TEST(PlannedReplayTest, RejectsSnapshotsOutsideTheirBuffer)
+{
+    const SweepConfiguration config = twoEstimatorConfig();
+    SweepRecordingPlan plan = fullCoveragePlan();
+    plan.snapshotBytes.assign(16, 0);
+    plan.snapshots.push_back({kRegionBranches, 8, 9});
+    try {
+        (void)replayJpeg(config, &plan);
+        FAIL() << "a snapshot past the end of its buffer replayed";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
+    }
+    plan.snapshots = {{2 * kRegionBranches, 0, 8}, {kRegionBranches, 8, 8}};
+    try {
+        (void)replayJpeg(config, &plan);
+        FAIL() << "snapshots out of branch order replayed";
     } catch (const Error &e) {
         EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
     }

@@ -133,6 +133,48 @@ struct PinnedValue
     std::uint64_t bits;
 };
 
+/** Every estimate of @p est, named as the pinned tables name them. */
+std::vector<std::pair<std::string, double>>
+namedEstimates(const SamplingConfigEstimate &est, const std::string &prefix)
+{
+    std::vector<std::pair<std::string, double>> actual = {
+        {prefix + "rate.mean", est.mispredictRate.mean},
+        {prefix + "rate.ciHalf", est.mispredictRate.ciHalf}};
+    for (std::size_t e = 0; e < est.coverageAt20.size(); ++e) {
+        const std::string name = prefix + "est" + std::to_string(e) + ".";
+        actual.push_back({name + "coverage.mean", est.coverageAt20[e].mean});
+        actual.push_back({name + "coverage.ciHalf",
+                          est.coverageAt20[e].ciHalf});
+        actual.push_back({name + "pvn.mean", est.pvnAt20[e].mean});
+        actual.push_back({name + "pvn.ciHalf", est.pvnAt20[e].ciHalf});
+    }
+    return actual;
+}
+
+/** Expect @p actual's bit patterns to equal @p recorded's; a mismatch
+ *  prints the current values in the table's format. */
+void
+expectBitPatterns(const std::vector<std::pair<std::string, double>> &actual,
+                  const std::vector<PinnedValue> &recorded)
+{
+    std::string table;
+    for (const auto &[name, value] : actual) {
+        char line[96];
+        std::snprintf(line, sizeof(line),
+                      "        {\"%s\", 0x%016" PRIx64 "},\n",
+                      name.c_str(), std::bit_cast<std::uint64_t>(value));
+        table += line;
+    }
+    ASSERT_EQ(actual.size(), recorded.size()) << table;
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+        EXPECT_EQ(actual[i].first, recorded[i].name);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[i].second),
+                  recorded[i].bits)
+            << actual[i].first << " = " << actual[i].second << "\n"
+            << table;
+    }
+}
+
 TEST(SamplingEngineTest, EstimatesMatchRecordedBitPatterns)
 {
     // 60 regions at a 20% rate give 12 picks for 4 strata x 5
@@ -154,53 +196,121 @@ TEST(SamplingEngineTest, EstimatesMatchRecordedBitPatterns)
     ASSERT_EQ(est.rateSubsamples.size(), 5u);
     ASSERT_EQ(est.coverageAt20.size(), 2u);
 
-    std::vector<std::pair<std::string, double>> actual = {
-        {"rate.mean", est.mispredictRate.mean},
-        {"rate.ciHalf", est.mispredictRate.ciHalf}};
-    for (std::size_t e = 0; e < est.coverageAt20.size(); ++e) {
-        const std::string prefix = "est" + std::to_string(e) + ".";
-        actual.push_back({prefix + "coverage.mean",
-                          est.coverageAt20[e].mean});
-        actual.push_back({prefix + "coverage.ciHalf",
-                          est.coverageAt20[e].ciHalf});
-        actual.push_back({prefix + "pvn.mean", est.pvnAt20[e].mean});
-        actual.push_back({prefix + "pvn.ciHalf", est.pvnAt20[e].ciHalf});
-    }
-
     // Recorded from the implementation that kept a dense BucketStats
     // per slot and estimator (commit 614fffb), with this table empty:
     //   build/tests/sim_test
     //     --gtest_filter=SamplingEngineTest.EstimatesMatchRecordedBitPatterns
     // A mismatch prints the current values in this table's format.
-    const std::vector<PinnedValue> recorded = {
-        {"rate.mean", 0x3fadfc733bf02982},
-        {"rate.ciHalf", 0x3f8ca68ab4224979},
-        {"est0.coverage.mean", 0x3feecf694d64b40d},
-        {"est0.coverage.ciHalf", 0x3f9ef2ad409f1a97},
-        {"est0.pvn.mean", 0x3fdcfa1062c8a206},
-        {"est0.pvn.ciHalf", 0x3fcbfedbf945d69f},
-        {"est1.coverage.mean", 0x3fd40759ff56fffe},
-        {"est1.coverage.ciHalf", 0x3fbfb147e992bd56},
-        {"est1.pvn.mean", 0x3fcebde65fd601e8},
-        {"est1.pvn.ciHalf", 0x3fbee2958edd1b3d},
-    };
+    expectBitPatterns(namedEstimates(est, ""),
+                      {
+                          {"rate.mean", 0x3fadfc733bf02982},
+                          {"rate.ciHalf", 0x3f8ca68ab4224979},
+                          {"est0.coverage.mean", 0x3feecf694d64b40d},
+                          {"est0.coverage.ciHalf", 0x3f9ef2ad409f1a97},
+                          {"est0.pvn.mean", 0x3fdcfa1062c8a206},
+                          {"est0.pvn.ciHalf", 0x3fcbfedbf945d69f},
+                          {"est1.coverage.mean", 0x3fd40759ff56fffe},
+                          {"est1.coverage.ciHalf", 0x3fbfb147e992bd56},
+                          {"est1.pvn.mean", 0x3fcebde65fd601e8},
+                          {"est1.pvn.ciHalf", 0x3fbee2958edd1b3d},
+                      });
+}
 
-    std::string table;
-    for (const auto &[name, value] : actual) {
-        char line[96];
-        std::snprintf(line, sizeof(line),
-                      "        {\"%s\", 0x%016" PRIx64 "},\n",
-                      name.c_str(), std::bit_cast<std::uint64_t>(value));
-        table += line;
+/** One configuration's pinned replay counts. */
+struct PinnedCounts
+{
+    std::uint64_t branches;
+    std::uint64_t mispredicts;
+    std::uint64_t contextSwitches;
+};
+
+TEST(SamplingEngineTest, SkippedRegionsKeepRecordedContextSwitches)
+{
+    // A bounded window skips most regions. The 2300-branch switch
+    // interval does not divide the 1000-branch regions, so switches
+    // land inside skipped gaps, and it is longer than the 2-region
+    // warming window, so whether a gap flushed shows in the state a
+    // sampled region starts from. The warmup ends inside region 2,
+    // and the trace's last, partial region (60) is skipped, so the
+    // switch clock must still run to the trace's end.
+    DriverOptions driver;
+    driver.warmupBranches = 2500;
+    driver.contextSwitchInterval = 2300;
+    SamplingOptions options;
+    options.sampleRate = 0.2;
+    options.regionBranches = 1000;
+    options.strata = 4;
+    options.subsamples = 5;
+    options.warmupRegions = 2;
+    options.seed = 7;
+    constexpr std::uint64_t kBranches = 60500;
+    std::vector<SweepConfiguration> configs = oneConfig();
+    configs.push_back(twoEstimatorConfig().front());
+    configs.back().makePredictor = [] {
+        return std::make_unique<GsharePredictor>(65536, 16);
+    };
+    SamplingEngine engine(configs, driver, options);
+
+    const SamplingBenchmarkResult result =
+        engine.runTrace("jpeg", jpegSource(kBranches));
+    ASSERT_EQ(result.regions, 61u);
+    ASSERT_EQ(result.sampledRegions, 12u);
+    ASSERT_NE(result.sampledRegionIds.back(), 60u);
+    ASSERT_EQ(result.perConfig.size(), 2u);
+
+    // The same plan replayed by hand, for its per-configuration counts.
+    WorkloadGenerator planned(ibsProfile("jpeg"), kBranches);
+    const SweepRecordingPlan plan = engine.recordingPlan("jpeg", planned);
+    ASSERT_EQ(plan.regionSlots.size(), 61u);
+    ASSERT_EQ(plan.regionSlots.back(), SweepRecordingPlan::kSkip);
+    SweepOptions sweep;
+    sweep.recordingPlan = &plan;
+    SweepEngine replay_engine(configs, driver, sweep);
+    WorkloadGenerator workload(ibsProfile("jpeg"), kBranches);
+    const SweepRunResult replay = replay_engine.run(workload);
+    ASSERT_EQ(replay.perConfig.size(), 2u);
+
+    // Recorded with the per-record replay loop, which stepped every
+    // skipped record through the kernel (commit f3e3ebf), with these
+    // tables zeroed:
+    //   build/tests/sim_test --gtest_filter=SamplingEngineTest.SkippedRegionsKeepRecordedContextSwitches
+    // A mismatch prints the current values in the estimate table's
+    // format.
+    const PinnedCounts counts[] = {
+        {10500, 859, 26},
+        {10500, 666, 26},
+    };
+    for (std::size_t c = 0; c < replay.perConfig.size(); ++c) {
+        SCOPED_TRACE(replay.perConfig[c].label);
+        EXPECT_EQ(replay.perConfig[c].branches, counts[c].branches);
+        EXPECT_EQ(replay.perConfig[c].mispredicts, counts[c].mispredicts);
+        EXPECT_EQ(replay.perConfig[c].contextSwitches,
+                  counts[c].contextSwitches);
+        EXPECT_EQ(replay.perConfig[c].branches, result.recordedBranches);
     }
-    ASSERT_EQ(actual.size(), recorded.size()) << table;
-    for (std::size_t i = 0; i < actual.size(); ++i) {
-        EXPECT_EQ(actual[i].first, recorded[i].name);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[i].second),
-                  recorded[i].bits)
-            << actual[i].first << " = " << actual[i].second << "\n"
-            << table;
-    }
+    std::vector<std::pair<std::string, double>> actual =
+        namedEstimates(result.perConfig[0], "cfg0.");
+    for (const auto &named : namedEstimates(result.perConfig[1], "cfg1."))
+        actual.push_back(named);
+    expectBitPatterns(actual,
+                      {
+                          {"cfg0.rate.mean", 0x3fb6360bbeff849d},
+                          {"cfg0.rate.ciHalf", 0x3fae292770d8bea9},
+                          {"cfg0.est0.coverage.mean", 0x3feb74cc2be689aa},
+                          {"cfg0.est0.coverage.ciHalf", 0x3fcc9815b2be9db0},
+                          {"cfg0.est0.pvn.mean", 0x3fd781ecb1b57578},
+                          {"cfg0.est0.pvn.ciHalf", 0x3fb3aac4e212fb98},
+                          {"cfg1.rate.mean", 0x3fb1f2f75e161a88},
+                          {"cfg1.rate.ciHalf", 0x3fb2557301e0788e},
+                          {"cfg1.est0.coverage.mean", 0x3feb79760de80595},
+                          {"cfg1.est0.coverage.ciHalf", 0x3fced2823cc071a4},
+                          {"cfg1.est0.pvn.mean", 0x3fd0926703085330},
+                          {"cfg1.est0.pvn.ciHalf", 0x3fc1457699e82a40},
+                          {"cfg1.est1.coverage.mean", 0x3fddce53435eaf68},
+                          {"cfg1.est1.coverage.ciHalf", 0x3fb88bc592727332},
+                          {"cfg1.est1.pvn.mean", 0x3fc708de9da8a823},
+                          {"cfg1.est1.pvn.ciHalf", 0x3fc2c12c24561e3c},
+                      });
 }
 
 TEST(SamplingEngineTest, SelectionAndEstimatesAreDeterministic)

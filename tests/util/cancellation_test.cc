@@ -53,8 +53,16 @@ TEST(CancellationTokenTest, ChildObservesParentCancel)
     CancellationToken parent;
     CancellationToken child(&parent);
     EXPECT_FALSE(child.cancelled());
+    EXPECT_NO_THROW(child.throwIfCancelled("sweep shard"));
     parent.cancel();
     EXPECT_TRUE(child.cancelled());
+    try {
+        child.throwIfCancelled("sweep shard");
+        FAIL() << "expected Error{kCancelled}";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kCancelled);
+        EXPECT_STREQ(e.what(), "sweep shard cancelled");
+    }
 }
 
 TEST(CancellationTokenTest, ChildCancelNeverPropagatesUp)
