@@ -12,7 +12,7 @@ runReverser(const BucketStats &stats, double rate_threshold,
         static_cast<std::uint64_t>(stats.totalMispredicts());
     result.reversedMispredicts = result.baseMispredicts;
     for (std::uint64_t b = 0; b < stats.numBuckets(); ++b) {
-        const BucketCounts &counts = stats[b];
+        const BucketCounts counts = stats[b];
         if (counts.refs < min_bucket_refs ||
             counts.rate() <= rate_threshold)
             continue;

@@ -3,9 +3,10 @@
  * Byte-level primitives for checkpoint serialization.
  *
  * StateWriter appends fixed-width little-endian values to a growable
- * byte buffer; StateReader consumes them back with hard bounds checks.
- * Every multi-byte value is packed explicitly byte-by-byte so the
- * encoding is identical across hosts regardless of endianness, and
+ * byte buffer; StateReader consumes them back with hard bounds checks,
+ * one append or one check per value. Every multi-byte value is packed
+ * explicitly by shifts so the encoding is identical across hosts
+ * regardless of endianness, and
  * doubles travel as their IEEE-754 bit patterns so a restored
  * accumulator is bit-exact, not merely "close".
  *
@@ -34,24 +35,9 @@ class StateWriter
 {
   public:
     void putU8(std::uint8_t v) { bytes_.push_back(v); }
-
-    void putU16(std::uint16_t v)
-    {
-        putU8(static_cast<std::uint8_t>(v));
-        putU8(static_cast<std::uint8_t>(v >> 8));
-    }
-
-    void putU32(std::uint32_t v)
-    {
-        putU16(static_cast<std::uint16_t>(v));
-        putU16(static_cast<std::uint16_t>(v >> 16));
-    }
-
-    void putU64(std::uint64_t v)
-    {
-        putU32(static_cast<std::uint32_t>(v));
-        putU32(static_cast<std::uint32_t>(v >> 32));
-    }
+    void putU16(std::uint16_t v) { put(v); }
+    void putU32(std::uint32_t v) { put(v); }
+    void putU64(std::uint64_t v) { put(v); }
 
     void putBool(bool v) { putU8(v ? 1 : 0); }
 
@@ -80,6 +66,19 @@ class StateWriter
     std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
   private:
+    /** Append @p v's little-endian bytes in one step. */
+    template <typename T>
+    void
+    put(T v)
+    {
+        std::uint8_t le[sizeof(T)];
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        const std::size_t at = bytes_.size();
+        bytes_.resize(at + sizeof(T));
+        std::memcpy(bytes_.data() + at, le, sizeof(T));
+    }
+
     std::vector<std::uint8_t> bytes_;
 };
 
@@ -103,26 +102,9 @@ class StateReader
         return data_[pos_++];
     }
 
-    std::uint16_t getU16()
-    {
-        const std::uint16_t lo = getU8();
-        const std::uint16_t hi = getU8();
-        return static_cast<std::uint16_t>(lo | (hi << 8));
-    }
-
-    std::uint32_t getU32()
-    {
-        const std::uint32_t lo = getU16();
-        const std::uint32_t hi = getU16();
-        return lo | (hi << 16);
-    }
-
-    std::uint64_t getU64()
-    {
-        const std::uint64_t lo = getU32();
-        const std::uint64_t hi = getU32();
-        return lo | (hi << 32);
-    }
+    std::uint16_t getU16() { return get<std::uint16_t>(); }
+    std::uint32_t getU32() { return get<std::uint32_t>(); }
+    std::uint64_t getU64() { return get<std::uint64_t>(); }
 
     bool getBool() { return getU8() != 0; }
 
@@ -161,6 +143,19 @@ class StateReader
     bool atEnd() const { return pos_ == size_; }
 
   private:
+    /** Consume one little-endian value after a single bounds check. */
+    template <typename T>
+    T
+    get()
+    {
+        need(sizeof(T));
+        T v = 0;
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            v = static_cast<T>(v | T{data_[pos_ + i]} << (8 * i));
+        pos_ += sizeof(T);
+        return v;
+    }
+
     void need(std::size_t n) const
     {
         if (size_ - pos_ < n)

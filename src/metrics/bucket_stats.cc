@@ -1,54 +1,100 @@
 #include "metrics/bucket_stats.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "ckpt/state_helpers.h"
 
 #include "util/status.h"
 
 namespace confsim {
 
+namespace {
+
+/**
+ * Sum one field over a bank. Integer tallies add up in 64 bits: every
+ * partial sum is an integer below 2^53, so the result is the double an
+ * accumulation of the converted tallies gives, bit for bit.
+ */
+template <typename Total, typename Entry, typename Field>
+double
+sumOf(const std::vector<Entry> &entries, Field Entry::*field)
+{
+    Total total = 0;
+    for (const Entry &entry : entries)
+        total += entry.*field;
+    return static_cast<double>(total);
+}
+
+/** @return true iff @p v converts to a tally and back bit for bit. */
+bool
+isTally(double v)
+{
+    return v >= 0.0 && v < 4294967296.0 && v == std::floor(v) &&
+           !std::signbit(v);
+}
+
+} // namespace
+
 BucketStats::BucketStats(std::uint64_t num_buckets)
-    : counts_(num_buckets)
+    : tallies_(num_buckets)
 {
     if (num_buckets == 0)
         fatal("BucketStats requires at least one bucket");
 }
 
 void
+BucketStats::recordMass(std::uint64_t bucket, bool mispredicted)
+{
+    BucketCounts &entry = masses_[bucket];
+    entry.refs += 1.0;
+    entry.mispredicts += static_cast<double>(mispredicted);
+}
+
+void
 BucketStats::addWeighted(const BucketStats &other, double weight)
 {
-    if (other.counts_.size() != counts_.size())
+    if (other.numBuckets() != numBuckets())
         fatal("cannot merge BucketStats with different bucket spaces");
-    for (std::size_t b = 0; b < counts_.size(); ++b) {
-        counts_[b].refs += other.counts_[b].refs * weight;
-        counts_[b].mispredicts += other.counts_[b].mispredicts * weight;
+    if (masses_.empty()) {
+        masses_.reserve(tallies_.size());
+        for (const Tally &entry : tallies_) {
+            masses_.push_back({static_cast<double>(entry.refs),
+                               static_cast<double>(entry.mispredicts)});
+        }
+        std::vector<Tally>().swap(tallies_);
+    }
+    for (std::size_t b = 0; b < masses_.size(); ++b) {
+        const BucketCounts add = other[b];
+        masses_[b].refs += add.refs * weight;
+        masses_[b].mispredicts += add.mispredicts * weight;
     }
 }
 
 double
 BucketStats::totalRefs() const
 {
-    double total = 0.0;
-    for (const auto &entry : counts_)
-        total += entry.refs;
-    return total;
+    return masses_.empty()
+               ? sumOf<std::uint64_t>(tallies_, &Tally::refs)
+               : sumOf<double>(masses_, &BucketCounts::refs);
 }
 
 double
 BucketStats::totalMispredicts() const
 {
-    double total = 0.0;
-    for (const auto &entry : counts_)
-        total += entry.mispredicts;
-    return total;
+    return masses_.empty()
+               ? sumOf<std::uint64_t>(tallies_, &Tally::mispredicts)
+               : sumOf<double>(masses_, &BucketCounts::mispredicts);
 }
 
 std::vector<KeyedBucketCounts>
 BucketStats::nonEmpty() const
 {
     std::vector<KeyedBucketCounts> out;
-    for (std::size_t b = 0; b < counts_.size(); ++b) {
-        if (counts_[b].refs > 0.0)
-            out.push_back({b, counts_[b]});
+    for (std::uint64_t b = 0; b < numBuckets(); ++b) {
+        const BucketCounts counts = (*this)[b];
+        if (counts.refs > 0.0)
+            out.push_back({b, counts});
     }
     return out;
 }
@@ -56,8 +102,9 @@ BucketStats::nonEmpty() const
 void
 BucketStats::clear()
 {
-    for (auto &entry : counts_)
-        entry = BucketCounts{};
+    const std::uint64_t num_buckets = numBuckets();
+    std::vector<BucketCounts>().swap(masses_);
+    tallies_.assign(num_buckets, Tally{});
 }
 
 void
@@ -118,15 +165,17 @@ EqualWeightComposite::add(const BucketStats &benchmark_stats)
 void
 BucketStats::saveState(StateWriter &out) const
 {
-    out.putU64(counts_.size());
+    const auto listed = [](const BucketCounts &entry) {
+        return entry.refs != 0.0 || entry.mispredicts != 0.0;
+    };
+    out.putU64(numBuckets());
     std::uint64_t non_empty = 0;
-    for (const auto &entry : counts_)
-        if (entry.refs != 0.0 || entry.mispredicts != 0.0)
-            ++non_empty;
+    for (std::uint64_t bucket = 0; bucket < numBuckets(); ++bucket)
+        non_empty += listed((*this)[bucket]);
     out.putU64(non_empty);
-    for (std::uint64_t bucket = 0; bucket < counts_.size(); ++bucket) {
-        const BucketCounts &entry = counts_[bucket];
-        if (entry.refs == 0.0 && entry.mispredicts == 0.0)
+    for (std::uint64_t bucket = 0; bucket < numBuckets(); ++bucket) {
+        const BucketCounts entry = (*this)[bucket];
+        if (!listed(entry))
             continue;
         out.putU64(bucket);
         out.putF64(entry.refs);
@@ -137,16 +186,38 @@ BucketStats::saveState(StateWriter &out) const
 void
 BucketStats::loadState(StateReader &in)
 {
-    in.expectU64(counts_.size(), "bucket-space size");
-    counts_.assign(counts_.size(), BucketCounts{});
+    const std::uint64_t num_buckets = numBuckets();
+    in.expectU64(num_buckets, "bucket-space size");
     const std::uint64_t non_empty = in.getU64();
+    // Each entry is 24 payload bytes, which bounds a corrupt count.
+    std::vector<KeyedBucketCounts> entries;
+    entries.reserve(std::min<std::uint64_t>(non_empty, in.remaining() / 24));
+    bool tallies = true;
     for (std::uint64_t i = 0; i < non_empty; ++i) {
-        const std::uint64_t bucket = in.getU64();
-        if (bucket >= counts_.size())
+        KeyedBucketCounts entry;
+        entry.bucket = in.getU64();
+        if (entry.bucket >= num_buckets)
             fatal("bucket id out of range in checkpoint");
-        counts_[bucket].refs = in.getF64();
-        counts_[bucket].mispredicts = in.getF64();
+        entry.counts.refs = in.getF64();
+        entry.counts.mispredicts = in.getF64();
+        tallies = tallies && isTally(entry.counts.refs) &&
+                  isTally(entry.counts.mispredicts);
+        entries.push_back(entry);
     }
+
+    if (tallies) {
+        clear();
+        for (const KeyedBucketCounts &entry : entries) {
+            tallies_[entry.bucket] = {
+                static_cast<std::uint32_t>(entry.counts.refs),
+                static_cast<std::uint32_t>(entry.counts.mispredicts)};
+        }
+        return;
+    }
+    std::vector<Tally>().swap(tallies_);
+    masses_.assign(num_buckets, BucketCounts{});
+    for (const KeyedBucketCounts &entry : entries)
+        masses_[entry.bucket] = entry.counts;
 }
 
 void

@@ -11,8 +11,11 @@
  * averaged "so that each benchmark, in effect, executes the same number
  * of conditional branches").
  *
- * Counts are stored as doubles so weighted composites reuse the same
- * types; raw per-benchmark recording uses exact integer increments.
+ * A bank that only record() has filled holds each bucket as two 4-byte
+ * integer tallies (8 B a bucket); a bank that addWeighted() has written
+ * into, a composite, holds two doubles. Readers see doubles either way,
+ * and a tally converts to exactly the double an accumulator of 1.0
+ * increments would hold, so the form never changes a result.
  */
 
 #ifndef CONFSIM_METRICS_BUCKET_STATS_H
@@ -20,6 +23,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ckpt/state_io.h"
@@ -47,7 +51,15 @@ struct KeyedBucketCounts
     BucketCounts counts;
 };
 
-/** Dense accumulator for estimators with a bounded bucket space. */
+/**
+ * Dense accumulator for estimators with a bounded bucket space.
+ *
+ * Its form follows from how it was filled: integer tallies while only
+ * record() has written it, doubles once addWeighted() has (clear()
+ * returns it to tallies). A tally holds at most 2^32 - 1; the replay
+ * kernel refuses a run before any of its banks could record more
+ * branches than that (ReplayKernel::replay).
+ */
 class BucketStats
 {
   public:
@@ -55,29 +67,48 @@ class BucketStats
     explicit BucketStats(std::uint64_t num_buckets);
 
     /**
-     * Record one prediction in @p bucket. Adds the flag (0.0 or 1.0)
-     * rather than branching on it: the sums are the same, and the host
-     * does not branch on the simulated outcome.
+     * Record one prediction in @p bucket. Adds the flag rather than
+     * branching on it: the host does not branch on the simulated
+     * outcome.
      */
     void
     record(std::uint64_t bucket, bool mispredicted)
     {
-        auto &entry = counts_[bucket];
-        entry.refs += 1.0;
-        entry.mispredicts += static_cast<double>(mispredicted);
+        if (!masses_.empty()) [[unlikely]] {
+            recordMass(bucket, mispredicted);
+            return;
+        }
+        Tally &entry = tallies_[bucket];
+        ++entry.refs;
+        entry.mispredicts += mispredicted;
     }
 
-    /** Merge @p other scaled by @p weight (for compositing). */
+    /**
+     * Merge @p other scaled by @p weight (for compositing). This bank
+     * holds doubles from here on.
+     */
     void addWeighted(const BucketStats &other, double weight);
 
     /** @return counts of bucket @p bucket. */
-    const BucketCounts &operator[](std::uint64_t bucket) const
+    BucketCounts
+    operator[](std::uint64_t bucket) const
     {
-        return counts_[bucket];
+        if (!masses_.empty())
+            return masses_[bucket];
+        const Tally entry = tallies_[bucket];
+        return {static_cast<double>(entry.refs),
+                static_cast<double>(entry.mispredicts)};
     }
 
     /** @return bucket-space size. */
-    std::uint64_t numBuckets() const { return counts_.size(); }
+    std::uint64_t
+    numBuckets() const
+    {
+        return masses_.empty() ? tallies_.size() : masses_.size();
+    }
+
+    /** @return true iff the bank holds doubles (addWeighted() wrote it). */
+    bool weighted() const { return !masses_.empty(); }
 
     /** @return sum of refs over all buckets. */
     double totalRefs() const;
@@ -96,21 +127,37 @@ class BucketStats
     /** @return all non-empty buckets with their ids. */
     std::vector<KeyedBucketCounts> nonEmpty() const;
 
-    /** Zero all counts. */
+    /** Zero all counts; the bank holds tallies again. */
     void clear();
 
     /**
      * Checkpoint the accumulated counts. Sparse encoding (only
-     * non-empty buckets) with the bucket-space size as a guard;
-     * doubles travel as bit patterns so restores are bit-exact.
+     * non-empty buckets) with the bucket-space size as a guard; every
+     * count travels as a double's bit pattern, so restores are
+     * bit-exact in either form.
      */
     void saveState(StateWriter &out) const;
 
-    /** Restore a saveState() snapshot into a same-sized stats. */
+    /**
+     * Restore a saveState() snapshot into a same-sized stats. A
+     * snapshot whose counts are all integers below 2^32 restores to
+     * tallies; any other (a composite's) restores to doubles.
+     */
     void loadState(StateReader &in);
 
   private:
-    std::vector<BucketCounts> counts_;
+    /** One bucket of a bank only record() has filled. */
+    struct Tally
+    {
+        std::uint32_t refs = 0;
+        std::uint32_t mispredicts = 0;
+    };
+
+    void recordMass(std::uint64_t bucket, bool mispredicted);
+
+    /** Exactly one of the two is sized: tallies_ until addWeighted(). */
+    std::vector<Tally> tallies_;
+    std::vector<BucketCounts> masses_;
 };
 
 /** Sparse accumulator for unbounded keys (per-PC static profiling). */
@@ -177,7 +224,10 @@ class EqualWeightComposite
     void add(const BucketStats &benchmark_stats);
 
     /** @return the composite (valid after >= 1 add). */
-    const BucketStats &result() const { return composite_; }
+    const BucketStats &result() const & { return composite_; }
+
+    /** @return the composite, moved out of a finished compositor. */
+    BucketStats result() && { return std::move(composite_); }
 
   private:
     BucketStats composite_;

@@ -14,7 +14,7 @@ buildCounterTable(const BucketStats &stats)
     double cum_refs = 0.0;
     double cum_mispredicts = 0.0;
     for (std::uint64_t value = 0; value < stats.numBuckets(); ++value) {
-        const BucketCounts &counts = stats[value];
+        const BucketCounts counts = stats[value];
         cum_refs += counts.refs;
         cum_mispredicts += counts.mispredicts;
 

@@ -61,11 +61,7 @@ AgreePredictor::update(std::uint64_t pc, bool taken)
     const auto [it, inserted] = bias_.try_emplace(pc, taken);
     const bool bias = it->second;
 
-    auto &counter = agreeTable_[indexOf(pc)];
-    if (taken == bias)
-        counter.increment();
-    else
-        counter.decrement();
+    agreeTable_[indexOf(pc)].step(taken == bias);
     history_.recordOutcome(taken);
     (void)inserted;
 }

@@ -40,11 +40,7 @@ BimodalPredictor::predict(std::uint64_t pc) const
 void
 BimodalPredictor::update(std::uint64_t pc, bool taken)
 {
-    auto &counter = table_[indexOf(pc)];
-    if (taken)
-        counter.increment();
-    else
-        counter.decrement();
+    table_[indexOf(pc)].step(taken);
 }
 
 std::uint64_t

@@ -47,11 +47,7 @@ GselectPredictor::predict(std::uint64_t pc) const
 void
 GselectPredictor::update(std::uint64_t pc, bool taken)
 {
-    auto &counter = table_[indexOf(pc)];
-    if (taken)
-        counter.increment();
-    else
-        counter.decrement();
+    table_[indexOf(pc)].step(taken);
     history_.recordOutcome(taken);
 }
 

@@ -59,11 +59,7 @@ GsharePredictor::predict(std::uint64_t pc) const
 void
 GsharePredictor::update(std::uint64_t pc, bool taken)
 {
-    auto &counter = table_[indexOf(pc)];
-    if (taken)
-        counter.increment();
-    else
-        counter.decrement();
+    table_[indexOf(pc)].step(taken);
     history_.recordOutcome(taken);
 }
 

@@ -40,13 +40,8 @@ HybridPredictor::update(std::uint64_t pc, bool taken)
     const bool p2 = second_->predict(pc);
 
     // Train the chooser only on disagreement, toward the correct one.
-    if (p1 != p2) {
-        auto &counter = chooser_[pc >> 2];
-        if (p2 == taken)
-            counter.increment();
-        else
-            counter.decrement();
-    }
+    if (p1 != p2)
+        chooser_[pc >> 2].step(p2 == taken);
 
     first_->update(pc, taken);
     second_->update(pc, taken);

@@ -114,11 +114,7 @@ TwoLevelPredictor::predict(std::uint64_t pc) const
 void
 TwoLevelPredictor::update(std::uint64_t pc, bool taken)
 {
-    auto &counter = counterFor(pc);
-    if (taken)
-        counter.increment();
-    else
-        counter.decrement();
+    counterFor(pc).step(taken);
     historyFor(pc).shiftIn(taken);
 }
 

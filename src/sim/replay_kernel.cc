@@ -1,5 +1,6 @@
 #include "sim/replay_kernel.h"
 
+#include <limits>
 #include <thread>
 
 #include "ckpt/checkpoint.h"
@@ -15,6 +16,10 @@ constexpr std::uint32_t kMetaVersion = 2;
 
 /** Largest bucket space whose ids fit a slot log entry's 31 bits. */
 constexpr std::uint64_t kMaxPlannedBuckets = std::uint64_t{1} << 31;
+
+/** Most branches a dense bank's 4-byte tallies can count. */
+constexpr std::uint64_t kMaxRecorded =
+    std::numeric_limits<std::uint32_t>::max();
 
 } // namespace
 
@@ -134,6 +139,18 @@ ReplayKernel::replay(const RecordBatch &batch, const ReplayGuard &guard)
     // the bucket the step already computed).
     BranchProfile *const profile =
         result_.branchProfile.enabled() ? &result_.branchProfile : nullptr;
+    // No bucket of a dense bank holds more than the recorded branches,
+    // so a batch that cannot take them past the tallies' limit cannot
+    // wrap one.
+    if (!result_.estimatorStats.empty() &&
+        result_.branches + batch.conditionals() > kMaxRecorded) {
+        fatal(ErrorCategory::kConfig,
+              "configuration '" + result_.label + "' has recorded " +
+                  std::to_string(result_.branches) + " branches, and " +
+                  std::to_string(batch.conditionals()) +
+                  " more could pass the " + std::to_string(kMaxRecorded) +
+                  " a bucket statistics tally counts");
+    }
     for (const BranchRecord &record : batch) {
         if (guarded && (++guardTick_ % kGuardStride) == 0)
             guard.checkNow(simulated_);

@@ -366,6 +366,9 @@ class alignas(64) ReplayKernel
      * Run the record step over every record of @p batch. Under a
      * recording plan the batch must hold no record of a kSkip region
      * (the sweep engine's reader seeks over them; see skipTo()).
+     * Without a plan, a batch whose conditionals would take the
+     * recorded branches past 2^32 - 1, the most a dense bank's tally
+     * counts, throws Error{kConfig} before recording any of them.
      */
     void replay(const RecordBatch &batch, const ReplayGuard &guard);
 

@@ -436,7 +436,8 @@ computeComposites(SuiteRunResult &result, bool profile_static)
             if (recorded(bench_result))
                 composite.add(bench_result.estimatorStats[e]);
         }
-        result.compositeEstimatorStats.push_back(composite.result());
+        result.compositeEstimatorStats.push_back(
+            std::move(composite).result());
     }
 
     if (profile_static) {

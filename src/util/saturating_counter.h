@@ -18,8 +18,8 @@
 namespace confsim {
 
 /**
- * An integer counter clamped to [0, max]. increment()/decrement() saturate
- * at the extremes instead of wrapping.
+ * An integer counter clamped to [0, max]. step() saturates at the
+ * extremes instead of wrapping.
  *
  * The maximum is a runtime parameter (not a template parameter) because
  * the paper sweeps counter ranges (0..15 vs 0..16) and experiments
@@ -42,19 +42,17 @@ class SaturatingCounter
             fatal("SaturatingCounter max must be in [1, 255]");
     }
 
-    /** Increment, saturating at max. @return the new value. */
+    /**
+     * Train toward max if @p up, else toward 0, saturating at both
+     * ends. The direction is data, not a branch: the host does not
+     * branch on a simulated outcome it cannot learn.
+     * @return the new value.
+     */
     std::uint32_t
-    increment()
+    step(bool up)
     {
-        value_ += value_ < max_;
-        return value_;
-    }
-
-    /** Decrement, saturating at 0. @return the new value. */
-    std::uint32_t
-    decrement()
-    {
-        value_ -= value_ > 0;
+        value_ += up & (value_ < max_);
+        value_ -= !up & (value_ > 0);
         return value_;
     }
 

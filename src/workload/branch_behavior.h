@@ -91,11 +91,15 @@ class BranchBehavior
     virtual std::unique_ptr<BranchBehavior> clone() const = 0;
 
     /**
-     * Checkpoint mutable state. Most behaviours are stateless (all
-     * their variation comes from the shared Rng, which the workload
-     * generator checkpoints); loop position and pattern phase are
-     * the exceptions and override these.
+     * @return true iff the behaviour carries state of its own. Most
+     * are stateless (all their variation comes from the shared Rng,
+     * which the workload generator checkpoints): their reset(),
+     * saveState() and loadState() do nothing. Loop position and
+     * pattern phase are the exceptions.
      */
+    virtual bool stateful() const { return false; }
+
+    /** Checkpoint mutable state (nothing unless stateful()). */
     virtual void saveState(StateWriter &out) const { (void)out; }
 
     /** Restore a saveState() snapshot. */
@@ -146,6 +150,7 @@ class LoopBehavior : public BranchBehavior
     bool nextOutcome(const WorkloadContext &ctx, Rng &rng) override;
     void reset() override;
     std::unique_ptr<BranchBehavior> clone() const override;
+    bool stateful() const override { return true; }
 
     void
     saveState(StateWriter &out) const override
@@ -184,6 +189,7 @@ class PatternBehavior : public BranchBehavior
     bool nextOutcome(const WorkloadContext &ctx, Rng &rng) override;
     void reset() override { phase_ = 0; }
     std::unique_ptr<BranchBehavior> clone() const override;
+    bool stateful() const override { return true; }
 
     void
     saveState(StateWriter &out) const override

@@ -39,6 +39,11 @@ SyntheticCfg::SyntheticCfg(const BenchmarkProfile &profile)
         if (block.fallNext >= blocks_.size())
             block.fallNext = static_cast<std::uint32_t>(wrap);
     }
+
+    for (std::size_t b = 0; b < blocks_.size(); ++b) {
+        if (blocks_[b].behavior->stateful())
+            statefulBlocks_.push_back(static_cast<std::uint32_t>(b));
+    }
 }
 
 std::size_t
@@ -233,25 +238,24 @@ SyntheticCfg::buildConstruct(unsigned depth, Rng &rng)
 void
 SyntheticCfg::resetBehaviors()
 {
-    for (auto &block : blocks_)
-        block.behavior->reset();
+    for (const std::uint32_t b : statefulBlocks_)
+        blocks_[b].behavior->reset();
 }
-
 
 void
 SyntheticCfg::saveBehaviorStates(StateWriter &out) const
 {
     out.putU64(blocks_.size());
-    for (const CfgBlock &block : blocks_)
-        block.behavior->saveState(out);
+    for (const std::uint32_t b : statefulBlocks_)
+        blocks_[b].behavior->saveState(out);
 }
 
 void
 SyntheticCfg::loadBehaviorStates(StateReader &in)
 {
     in.expectU64(blocks_.size(), "CFG block count");
-    for (CfgBlock &block : blocks_)
-        block.behavior->loadState(in);
+    for (const std::uint32_t b : statefulBlocks_)
+        blocks_[b].behavior->loadState(in);
 }
 
 } // namespace confsim

@@ -58,10 +58,10 @@ class SyntheticCfg
     /** @return number of basic blocks (== static conditional branches). */
     std::size_t numBlocks() const { return blocks_.size(); }
 
-    /** @return block @p index (mutable: behaviours are stateful). */
-    CfgBlock &block(std::size_t index) { return blocks_[index]; }
-
-    /** @return block @p index. */
+    /**
+     * @return block @p index. The graph is fixed once built; its
+     * behaviours still step (and keep state) through `behavior`.
+     */
     const CfgBlock &block(std::size_t index) const
     {
         return blocks_[index];
@@ -70,7 +70,11 @@ class SyntheticCfg
     /** Restore every behaviour to its initial state. */
     void resetBehaviors();
 
-    /** Checkpoint every behaviour's state (block-count guarded). */
+    /**
+     * Checkpoint every behaviour's state (block-count guarded). Only
+     * stateful behaviours write anything, so the walk visits just
+     * their blocks, in block order.
+     */
     void saveBehaviorStates(StateWriter &out) const;
 
     /** Restore a saveBehaviorStates() snapshot. */
@@ -97,6 +101,7 @@ class SyntheticCfg
 
     BenchmarkProfile profile_;
     std::vector<CfgBlock> blocks_;
+    std::vector<std::uint32_t> statefulBlocks_; //!< ascending
     std::uint64_t nextPc_;
 };
 

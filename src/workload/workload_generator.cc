@@ -30,7 +30,7 @@ WorkloadGenerator::next(BranchRecord &record)
     if (emitted_ >= length_)
         return false;
 
-    CfgBlock &block = cfg_.block(currentBlock_);
+    const CfgBlock &block = cfg_.block(currentBlock_);
 
     // Optional leading non-conditional transfer of the current block;
     // it is emitted once, before the block's conditional branch, and

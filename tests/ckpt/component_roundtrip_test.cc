@@ -33,11 +33,11 @@
 #include "predictor/gshare.h"
 #include "predictor/hybrid.h"
 #include "predictor/perceptron.h"
-#include "predictor/static_predictor.h"
 #include "predictor/tage.h"
 #include "predictor/two_level.h"
 #include "sim/suite_runner.h"
 #include "sim/sweep_engine.h"
+#include "support/static_predictor.h"
 #include "fault/fault_injection.h"
 #include "trace/vector_trace_source.h"
 #include "util/error.h"

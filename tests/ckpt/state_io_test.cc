@@ -76,6 +76,26 @@ TEST(StateIoTest, LittleEndianEncoding)
     EXPECT_EQ(out.bytes()[3], 0x01);
 }
 
+TEST(StateIoTest, EveryWidthIsLittleEndian)
+{
+    StateWriter out;
+    out.putU16(0x0102u);
+    out.putU64(0x0102030405060708ull);
+    const std::vector<std::uint8_t> want = {0x02, 0x01, 0x08, 0x07,
+                                            0x06, 0x05, 0x04, 0x03,
+                                            0x02, 0x01};
+    EXPECT_EQ(out.bytes(), want);
+
+    StateReader in(out.bytes());
+    EXPECT_EQ(in.getU16(), 0x0102u);
+    // A value that does not fit fails before consuming any of it.
+    StateReader truncated(out.bytes().data() + 2, 7);
+    EXPECT_THROW(truncated.getU64(), std::runtime_error);
+    EXPECT_EQ(truncated.remaining(), 7u);
+    EXPECT_EQ(in.getU64(), 0x0102030405060708ull);
+    EXPECT_TRUE(in.atEnd());
+}
+
 TEST(StateIoTest, TruncatedBufferThrows)
 {
     StateWriter out;

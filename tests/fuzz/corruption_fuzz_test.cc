@@ -33,6 +33,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "ckpt/checkpoint.h"
@@ -71,16 +73,24 @@ writeBytes(const std::filesystem::path &path,
     ASSERT_TRUE(out.good()) << path;
 }
 
-/** Write the reference CBT2 trace once and return its bytes. */
+/**
+ * Write the reference CBT2 trace once and return its bytes. The file
+ * is named per process: ctest runs each test of this file in its own
+ * process, in parallel, and a shared name let one process read the
+ * file while another rewrote it.
+ */
 const std::vector<std::uint8_t> &
 pristineTraceBytes()
 {
     static const std::vector<std::uint8_t> bytes = [] {
-        const auto path = tempPath("fuzz_pristine.cbt2");
+        const auto path = tempPath("fuzz_pristine_" +
+                                   std::to_string(::getpid()) + ".cbt2");
         const auto suite = BenchmarkSuite::ibsSmall(kTraceBranches);
         const auto source = suite.makeGenerator(0);
         writeTraceFile(*source, path.string(), TraceFormat::kCbt2);
-        return readFileBytes(path.string());
+        std::vector<std::uint8_t> written = readFileBytes(path.string());
+        std::filesystem::remove(path);
+        return written;
     }();
     return bytes;
 }

@@ -2,10 +2,47 @@
 
 #include "metrics/bucket_stats.h"
 
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace confsim {
 namespace {
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
+/** A double-accumulator bank, written without BucketStats. */
+struct ReferenceBank
+{
+    std::vector<double> refs;
+    std::vector<double> mispredicts;
+};
+
+/** Record the same pseudo-random stream into @p stats and a reference. */
+ReferenceBank
+recordStream(BucketStats &stats, std::uint64_t seed, int records)
+{
+    ReferenceBank ref{std::vector<double>(stats.numBuckets(), 0.0),
+                      std::vector<double>(stats.numBuckets(), 0.0)};
+    Rng rng(seed);
+    for (int i = 0; i < records; ++i) {
+        const std::uint64_t bucket = rng.nextBelow(stats.numBuckets());
+        const bool mispredicted = rng.nextBernoulli(0.1);
+        stats.record(bucket, mispredicted);
+        ref.refs[bucket] += 1.0;
+        ref.mispredicts[bucket] += static_cast<double>(mispredicted);
+    }
+    return ref;
+}
 
 TEST(BucketStatsTest, RecordAccumulates)
 {
@@ -81,6 +118,157 @@ TEST(BucketStatsTest, ClearZeroes)
     EXPECT_DOUBLE_EQ(stats.totalRefs(), 0.0);
 }
 
+TEST(BucketStatsTest, RecordedTalliesReadBackAsTheSameDoubles)
+{
+    BucketStats stats(64);
+    const ReferenceBank ref = recordStream(stats, 7, 5000);
+    EXPECT_FALSE(stats.weighted());
+    double total = 0.0;
+    for (std::uint64_t b = 0; b < stats.numBuckets(); ++b) {
+        EXPECT_EQ(bitsOf(stats[b].refs), bitsOf(ref.refs[b]));
+        EXPECT_EQ(bitsOf(stats[b].mispredicts), bitsOf(ref.mispredicts[b]));
+        total += ref.refs[b];
+    }
+    EXPECT_EQ(bitsOf(stats.totalRefs()), bitsOf(total));
+}
+
+TEST(BucketStatsTest, AddWeightedIntoARecordedBankKeepsItsCounts)
+{
+    BucketStats bank(3);
+    bank.record(0, true);
+    bank.record(0, false);
+    bank.record(2, false);
+    BucketStats other(3);
+    other.record(0, true);
+    other.record(1, true);
+    bank.addWeighted(other, 0.3);
+    EXPECT_TRUE(bank.weighted());
+    EXPECT_FALSE(other.weighted());
+    EXPECT_EQ(bitsOf(bank[0].refs), bitsOf(2.0 + 1.0 * 0.3));
+    EXPECT_EQ(bitsOf(bank[0].mispredicts), bitsOf(1.0 + 1.0 * 0.3));
+    EXPECT_EQ(bitsOf(bank[1].refs), bitsOf(0.0 + 1.0 * 0.3));
+    EXPECT_EQ(bitsOf(bank[2].refs), bitsOf(1.0 + 0.0 * 0.3));
+    // Recording into a weighted bank adds whole counts to its masses.
+    bank.record(1, false);
+    EXPECT_EQ(bitsOf(bank[1].refs), bitsOf(0.3 + 1.0));
+}
+
+TEST(BucketStatsTest, ClearReturnsAWeightedBankToCounts)
+{
+    BucketStats bank(2);
+    BucketStats other(2);
+    other.record(1, true);
+    bank.addWeighted(other, 0.5);
+    ASSERT_TRUE(bank.weighted());
+    bank.clear();
+    EXPECT_FALSE(bank.weighted());
+    EXPECT_EQ(bank.numBuckets(), 2u);
+    EXPECT_DOUBLE_EQ(bank.totalRefs(), 0.0);
+    bank.record(1, true);
+    EXPECT_DOUBLE_EQ(bank[1].refs, 1.0);
+    EXPECT_DOUBLE_EQ(bank[1].mispredicts, 1.0);
+}
+
+TEST(BucketStatsTest, SavedTalliesKeepTheDoubleEncoding)
+{
+    BucketStats stats(8);
+    stats.record(5, true);
+    stats.record(5, false);
+    stats.record(1, false);
+    StateWriter expected;
+    expected.putU64(8);
+    expected.putU64(2);
+    expected.putU64(1);
+    expected.putF64(1.0);
+    expected.putF64(0.0);
+    expected.putU64(5);
+    expected.putF64(2.0);
+    expected.putF64(1.0);
+    StateWriter out;
+    stats.saveState(out);
+    EXPECT_EQ(out.bytes(), expected.bytes());
+}
+
+TEST(BucketStatsTest, IntegralPayloadRestoresToTallies)
+{
+    StateWriter payload;
+    payload.putU64(4);
+    payload.putU64(2);
+    payload.putU64(0);
+    payload.putF64(4294967295.0); // the largest tally
+    payload.putF64(3.0);
+    payload.putU64(3);
+    payload.putF64(7.0);
+    payload.putF64(0.0);
+    BucketStats stats(4);
+    stats.addWeighted(stats, 1.0); // start from the other form
+    StateReader in(payload.bytes());
+    stats.loadState(in);
+    EXPECT_TRUE(in.atEnd());
+    EXPECT_FALSE(stats.weighted());
+    EXPECT_DOUBLE_EQ(stats[0].refs, 4294967295.0);
+    EXPECT_DOUBLE_EQ(stats[0].mispredicts, 3.0);
+    EXPECT_DOUBLE_EQ(stats[3].refs, 7.0);
+    EXPECT_DOUBLE_EQ(stats[1].refs, 0.0);
+    StateWriter again;
+    stats.saveState(again);
+    EXPECT_EQ(again.bytes(), payload.bytes());
+}
+
+TEST(BucketStatsTest, NonIntegralPayloadRestoresToDoubles)
+{
+    // A mass too large for a tally, and one negative zero.
+    for (const double odd : {2.5, 4294967296.0, -0.0}) {
+        StateWriter payload;
+        payload.putU64(2);
+        payload.putU64(1);
+        payload.putU64(1);
+        payload.putF64(odd);
+        payload.putF64(1.0);
+        BucketStats stats(2);
+        StateReader in(payload.bytes());
+        stats.loadState(in);
+        EXPECT_TRUE(stats.weighted()) << odd;
+        EXPECT_EQ(bitsOf(stats[1].refs), bitsOf(odd));
+        StateWriter again;
+        stats.saveState(again);
+        EXPECT_EQ(again.bytes(), payload.bytes()) << odd;
+    }
+}
+
+TEST(BucketStatsTest, CompositePayloadRoundTripsBitExactly)
+{
+    BucketStats a(16);
+    recordStream(a, 3, 900);
+    EqualWeightComposite composite(16);
+    composite.add(a);
+    StateWriter out;
+    composite.result().saveState(out);
+    BucketStats restored(16);
+    StateReader in(out.bytes());
+    restored.loadState(in);
+    EXPECT_TRUE(restored.weighted());
+    for (std::uint64_t b = 0; b < 16; ++b) {
+        EXPECT_EQ(bitsOf(restored[b].refs),
+                  bitsOf(composite.result()[b].refs));
+        EXPECT_EQ(bitsOf(restored[b].mispredicts),
+                  bitsOf(composite.result()[b].mispredicts));
+    }
+}
+
+TEST(BucketStatsTest, OutOfRangeBucketInPayloadIsFatal)
+{
+    StateWriter payload;
+    payload.putU64(2);
+    payload.putU64(1);
+    payload.putU64(2);
+    payload.putF64(1.0);
+    payload.putF64(0.0);
+    BucketStats stats(2);
+    StateReader in(payload.bytes());
+    EXPECT_THROW(stats.loadState(in), std::runtime_error);
+}
+
 TEST(SparseBucketStatsTest, RecordAndAggregate)
 {
     SparseBucketStats stats;
@@ -129,6 +317,43 @@ TEST(EqualWeightCompositeTest, EachComponentContributesEqualMass)
     // Composite rate = average of the two rates (the paper's
     // equal-weight averaging).
     EXPECT_NEAR(out.overallRate(), 0.055, 1e-9);
+}
+
+TEST(EqualWeightCompositeTest, MatchesADoubleAccumulatorBitForBit)
+{
+    constexpr std::uint64_t kBuckets = 256;
+    std::vector<BucketStats> banks;
+    std::vector<ReferenceBank> refs;
+    const int records[] = {4000, 25000, 700};
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        banks.emplace_back(kBuckets);
+        refs.push_back(recordStream(banks.back(), 11 + i, records[i]));
+    }
+
+    // Section 1.2's rule over the doubles the old accumulator held:
+    // each benchmark scaled to a total mass of 1e6, summed in order.
+    std::vector<double> want_refs(kBuckets, 0.0);
+    std::vector<double> want_misses(kBuckets, 0.0);
+    for (const ReferenceBank &ref : refs) {
+        double total = 0.0;
+        for (const double r : ref.refs)
+            total += r;
+        const double weight = 1e6 / total;
+        for (std::uint64_t b = 0; b < kBuckets; ++b) {
+            want_refs[b] += ref.refs[b] * weight;
+            want_misses[b] += ref.mispredicts[b] * weight;
+        }
+    }
+
+    EqualWeightComposite composite(kBuckets);
+    for (const BucketStats &bank : banks)
+        composite.add(bank);
+    const BucketStats out = std::move(composite).result();
+    EXPECT_TRUE(out.weighted());
+    for (std::uint64_t b = 0; b < kBuckets; ++b) {
+        EXPECT_EQ(bitsOf(out[b].refs), bitsOf(want_refs[b])) << b;
+        EXPECT_EQ(bitsOf(out[b].mispredicts), bitsOf(want_misses[b])) << b;
+    }
 }
 
 TEST(EqualWeightCompositeTest, EmptyComponentIsFatal)

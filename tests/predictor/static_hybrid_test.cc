@@ -1,7 +1,6 @@
 /** @file Unit tests for static predictors and the McFarling hybrid. */
 
 #include "predictor/hybrid.h"
-#include "predictor/static_predictor.h"
 
 #include <memory>
 
@@ -9,6 +8,7 @@
 
 #include "predictor/bimodal.h"
 #include "predictor/gshare.h"
+#include "support/static_predictor.h"
 
 namespace confsim {
 namespace {

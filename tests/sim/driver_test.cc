@@ -6,7 +6,7 @@
 
 #include "confidence/one_level.h"
 #include "predictor/bimodal.h"
-#include "predictor/static_predictor.h"
+#include "support/static_predictor.h"
 #include "trace/vector_trace_source.h"
 
 namespace confsim {

@@ -10,16 +10,16 @@ namespace {
 TEST(SaturatingCounterTest, SaturatesHigh)
 {
     SaturatingCounter c(3, 2);
-    EXPECT_EQ(c.increment(), 3u);
-    EXPECT_EQ(c.increment(), 3u);
+    EXPECT_EQ(c.step(true), 3u);
+    EXPECT_EQ(c.step(true), 3u);
     EXPECT_TRUE(c.isMax());
 }
 
 TEST(SaturatingCounterTest, SaturatesLow)
 {
     SaturatingCounter c(3, 1);
-    EXPECT_EQ(c.decrement(), 0u);
-    EXPECT_EQ(c.decrement(), 0u);
+    EXPECT_EQ(c.step(false), 0u);
+    EXPECT_EQ(c.step(false), 0u);
     EXPECT_TRUE(c.isMin());
 }
 
@@ -34,11 +34,11 @@ TEST(SaturatingCounterTest, TwoBitPredictionThreshold)
     // Standard 2-bit scheme: 0, 1 -> not taken; 2, 3 -> taken.
     SaturatingCounter c(3, 0);
     EXPECT_FALSE(c.predictsTaken());
-    c.increment();
+    c.step(true);
     EXPECT_FALSE(c.predictsTaken());
-    c.increment();
+    c.step(true);
     EXPECT_TRUE(c.predictsTaken());
-    c.increment();
+    c.step(true);
     EXPECT_TRUE(c.predictsTaken());
 }
 
@@ -64,7 +64,7 @@ TEST(SaturatingCounterTest, ZeroToSixteenRange)
     // The paper's confidence counters count 0..16.
     SaturatingCounter c(16, 0);
     for (int i = 0; i < 16; ++i)
-        c.increment();
+        c.step(true);
     EXPECT_TRUE(c.isMax());
     EXPECT_EQ(c.value(), 16u);
 }
@@ -75,18 +75,34 @@ TEST(SaturatingCounterTest, ByteStorageSaturatesAt255)
     // and the value must clamp there rather than wrap to 0.
     SaturatingCounter c(255, 250);
     for (int i = 0; i < 10; ++i)
-        c.increment();
+        c.step(true);
     EXPECT_EQ(c.value(), 255u);
     EXPECT_TRUE(c.isMax());
     EXPECT_TRUE(c.predictsTaken());
     c.set(1000);
     EXPECT_EQ(c.value(), 255u);
     for (int i = 0; i < 300; ++i)
-        c.decrement();
+        c.step(false);
     EXPECT_EQ(c.value(), 0u);
     EXPECT_TRUE(c.isMin());
     EXPECT_EQ(SaturatingCounter(255, 999).value(), 255u);
     EXPECT_EQ(sizeof(SaturatingCounter), 2u);
+}
+
+TEST(SaturatingCounterTest, StepMovesOneTowardItsDirectionAndSaturates)
+{
+    for (std::uint32_t max = 1; max <= 255; ++max) {
+        for (std::uint32_t value = 0; value <= max; ++value) {
+            for (const bool up : {false, true}) {
+                SaturatingCounter c(max, value);
+                const std::uint32_t want =
+                    up ? (value == max ? max : value + 1)
+                       : (value == 0 ? 0 : value - 1);
+                EXPECT_EQ(c.step(up), want);
+                EXPECT_EQ(c.value(), want);
+            }
+        }
+    }
 }
 
 TEST(SaturatingCounterTest, RejectsCeilingOutsideOneByte)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "workload/workload_generator.h"
+
 namespace confsim {
 namespace {
 
@@ -146,6 +148,36 @@ TEST(SyntheticCfgTest, IbsProfilesAllBuild)
     for (const auto &profile : ibsProfiles()) {
         SyntheticCfg cfg(profile);
         EXPECT_GE(cfg.numBlocks(), profile.targetBlocks) << profile.name;
+    }
+}
+
+TEST(SyntheticCfgTest, SnapshotOfStatefulBlocksEqualsAFullWalk)
+{
+    std::vector<BenchmarkProfile> profiles = ibsProfiles();
+    profiles.push_back(testProfile(400, 9)); // has pattern behaviours
+    for (const BenchmarkProfile &profile : profiles) {
+        WorkloadGenerator gen(profile, 50'000);
+        BranchRecord record;
+        for (int i = 0; i < 20'000; ++i)
+            ASSERT_TRUE(gen.next(record));
+        const SyntheticCfg &cfg = gen.cfg();
+
+        StateWriter every;
+        every.putU64(cfg.numBlocks());
+        for (std::size_t b = 0; b < cfg.numBlocks(); ++b)
+            cfg.block(b).behavior->saveState(every);
+        StateWriter walked;
+        cfg.saveBehaviorStates(walked);
+        EXPECT_EQ(walked.bytes(), every.bytes()) << profile.name;
+
+        // The snapshot restores into a fresh graph and saves the same.
+        SyntheticCfg fresh(profile);
+        StateReader in(walked.bytes());
+        fresh.loadBehaviorStates(in);
+        EXPECT_TRUE(in.atEnd()) << profile.name;
+        StateWriter again;
+        fresh.saveBehaviorStates(again);
+        EXPECT_EQ(again.bytes(), walked.bytes()) << profile.name;
     }
 }
 
