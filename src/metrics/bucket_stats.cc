@@ -37,18 +37,93 @@ isTally(double v)
 } // namespace
 
 BucketStats::BucketStats(std::uint64_t num_buckets)
-    : tallies_(num_buckets)
+    : numBuckets_(num_buckets), tallies_(num_buckets)
 {
     if (num_buckets == 0)
         fatal("BucketStats requires at least one bucket");
 }
 
+template <typename Visit>
 void
-BucketStats::recordMass(std::uint64_t bucket, bool mispredicted)
+BucketStats::forEachListed(Visit &&visit) const
 {
+    if (packed()) {
+        std::size_t next = 0;
+        for (std::size_t w = 0; w < present_.size(); ++w) {
+            for (std::uint64_t bits = present_[w]; bits != 0;
+                 bits &= bits - 1) {
+                visit(w * 64 + static_cast<std::uint64_t>(
+                                   std::countr_zero(bits)),
+                      countsOf(packed_[next++]));
+            }
+        }
+        return;
+    }
+    for (std::uint64_t bucket = 0; bucket < numBuckets_; ++bucket) {
+        const BucketCounts counts = (*this)[bucket];
+        if (counts.refs != 0.0 || counts.mispredicts != 0.0)
+            visit(bucket, counts);
+    }
+}
+
+void
+BucketStats::release()
+{
+    std::vector<Tally>().swap(tallies_);
+    std::vector<BucketCounts>().swap(masses_);
+    std::vector<std::uint64_t>().swap(present_);
+    std::vector<std::uint32_t>().swap(rank_);
+    std::vector<Tally>().swap(packed_);
+}
+
+void
+BucketStats::recordSlow(std::uint64_t bucket, bool mispredicted)
+{
+    if (masses_.empty()) {
+        // Packed: expand back to dense tallies, then record as usual.
+        std::vector<Tally> tallies(numBuckets_);
+        std::size_t next = 0;
+        forEachListed([&](std::uint64_t b, const BucketCounts &) {
+            tallies[b] = packed_[next++];
+        });
+        release();
+        tallies_ = std::move(tallies);
+        record(bucket, mispredicted);
+        return;
+    }
     BucketCounts &entry = masses_[bucket];
     entry.refs += 1.0;
     entry.mispredicts += static_cast<double>(mispredicted);
+}
+
+void
+BucketStats::pack()
+{
+    if (tallies_.empty() || numBuckets_ > (std::uint64_t{1} << 32))
+        return;
+    const std::size_t words = (numBuckets_ + 63) / 64;
+    std::vector<std::uint64_t> present(words, 0);
+    std::vector<std::uint32_t> rank(words, 0);
+    std::uint32_t listed = 0;
+    for (std::uint64_t bucket = 0; bucket < numBuckets_; ++bucket) {
+        if (bucket % 64 == 0)
+            rank[bucket / 64] = listed;
+        const Tally entry = tallies_[bucket];
+        if (entry.refs != 0 || entry.mispredicts != 0) {
+            present[bucket / 64] |= std::uint64_t{1} << (bucket % 64);
+            ++listed;
+        }
+    }
+    std::vector<Tally> entries;
+    entries.reserve(listed);
+    for (const Tally &entry : tallies_) {
+        if (entry.refs != 0 || entry.mispredicts != 0)
+            entries.push_back(entry);
+    }
+    release();
+    present_ = std::move(present);
+    rank_ = std::move(rank);
+    packed_ = std::move(entries);
 }
 
 void
@@ -57,54 +132,53 @@ BucketStats::addWeighted(const BucketStats &other, double weight)
     if (other.numBuckets() != numBuckets())
         fatal("cannot merge BucketStats with different bucket spaces");
     if (masses_.empty()) {
-        masses_.reserve(tallies_.size());
-        for (const Tally &entry : tallies_) {
-            masses_.push_back({static_cast<double>(entry.refs),
-                               static_cast<double>(entry.mispredicts)});
-        }
-        std::vector<Tally>().swap(tallies_);
+        std::vector<BucketCounts> masses(numBuckets_);
+        forEachListed([&](std::uint64_t bucket, const BucketCounts &counts) {
+            masses[bucket] = counts;
+        });
+        release();
+        masses_ = std::move(masses);
     }
-    for (std::size_t b = 0; b < masses_.size(); ++b) {
-        const BucketCounts add = other[b];
-        masses_[b].refs += add.refs * weight;
-        masses_[b].mispredicts += add.mispredicts * weight;
-    }
+    other.forEachListed(
+        [&](std::uint64_t bucket, const BucketCounts &counts) {
+            masses_[bucket].refs += counts.refs * weight;
+            masses_[bucket].mispredicts += counts.mispredicts * weight;
+        });
 }
 
 double
 BucketStats::totalRefs() const
 {
-    return masses_.empty()
-               ? sumOf<std::uint64_t>(tallies_, &Tally::refs)
-               : sumOf<double>(masses_, &BucketCounts::refs);
+    if (!masses_.empty())
+        return sumOf<double>(masses_, &BucketCounts::refs);
+    return sumOf<std::uint64_t>(packed() ? packed_ : tallies_, &Tally::refs);
 }
 
 double
 BucketStats::totalMispredicts() const
 {
-    return masses_.empty()
-               ? sumOf<std::uint64_t>(tallies_, &Tally::mispredicts)
-               : sumOf<double>(masses_, &BucketCounts::mispredicts);
+    if (!masses_.empty())
+        return sumOf<double>(masses_, &BucketCounts::mispredicts);
+    return sumOf<std::uint64_t>(packed() ? packed_ : tallies_,
+                                &Tally::mispredicts);
 }
 
 std::vector<KeyedBucketCounts>
 BucketStats::nonEmpty() const
 {
     std::vector<KeyedBucketCounts> out;
-    for (std::uint64_t b = 0; b < numBuckets(); ++b) {
-        const BucketCounts counts = (*this)[b];
+    forEachListed([&](std::uint64_t bucket, const BucketCounts &counts) {
         if (counts.refs > 0.0)
-            out.push_back({b, counts});
-    }
+            out.push_back({bucket, counts});
+    });
     return out;
 }
 
 void
 BucketStats::clear()
 {
-    const std::uint64_t num_buckets = numBuckets();
-    std::vector<BucketCounts>().swap(masses_);
-    tallies_.assign(num_buckets, Tally{});
+    release();
+    tallies_.assign(numBuckets_, Tally{});
 }
 
 void
@@ -165,22 +239,15 @@ EqualWeightComposite::add(const BucketStats &benchmark_stats)
 void
 BucketStats::saveState(StateWriter &out) const
 {
-    const auto listed = [](const BucketCounts &entry) {
-        return entry.refs != 0.0 || entry.mispredicts != 0.0;
-    };
     out.putU64(numBuckets());
-    std::uint64_t non_empty = 0;
-    for (std::uint64_t bucket = 0; bucket < numBuckets(); ++bucket)
-        non_empty += listed((*this)[bucket]);
-    out.putU64(non_empty);
-    for (std::uint64_t bucket = 0; bucket < numBuckets(); ++bucket) {
-        const BucketCounts entry = (*this)[bucket];
-        if (!listed(entry))
-            continue;
+    std::uint64_t listed = 0;
+    forEachListed([&](std::uint64_t, const BucketCounts &) { ++listed; });
+    out.putU64(listed);
+    forEachListed([&](std::uint64_t bucket, const BucketCounts &counts) {
         out.putU64(bucket);
-        out.putF64(entry.refs);
-        out.putF64(entry.mispredicts);
-    }
+        out.putF64(counts.refs);
+        out.putF64(counts.mispredicts);
+    });
 }
 
 void
@@ -214,7 +281,7 @@ BucketStats::loadState(StateReader &in)
         }
         return;
     }
-    std::vector<Tally>().swap(tallies_);
+    release();
     masses_.assign(num_buckets, BucketCounts{});
     for (const KeyedBucketCounts &entry : entries)
         masses_[entry.bucket] = entry.counts;

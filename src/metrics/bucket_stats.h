@@ -11,16 +11,18 @@
  * averaged "so that each benchmark, in effect, executes the same number
  * of conditional branches").
  *
- * A bank that only record() has filled holds each bucket as two 4-byte
- * integer tallies (8 B a bucket); a bank that addWeighted() has written
- * into, a composite, holds two doubles. Readers see doubles either way,
- * and a tally converts to exactly the double an accumulator of 1.0
+ * A bank that record() fills holds each bucket as two 4-byte integer
+ * tallies (8 B a bucket); a finished bank keeps the tallies of only the
+ * buckets it touched; a bank that addWeighted() has written into, a
+ * composite, holds two doubles. Readers see doubles in every form, and
+ * a tally converts to exactly the double an accumulator of 1.0
  * increments would hold, so the form never changes a result.
  */
 
 #ifndef CONFSIM_METRICS_BUCKET_STATS_H
 #define CONFSIM_METRICS_BUCKET_STATS_H
 
+#include <bit>
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
@@ -54,11 +56,20 @@ struct KeyedBucketCounts
 /**
  * Dense accumulator for estimators with a bounded bucket space.
  *
- * Its form follows from how it was filled: integer tallies while only
- * record() has written it, doubles once addWeighted() has (clear()
- * returns it to tallies). A tally holds at most 2^32 - 1; the replay
- * kernel refuses a run before any of its banks could record more
- * branches than that (ReplayKernel::replay).
+ * Its form follows from how it was filled:
+ *  - dense tallies while record() writes it: two uint32_t per bucket;
+ *  - packed tallies once pack() has run (the replay kernel packs every
+ *    bank it hands over): one presence bit per bucket, the count of
+ *    listed buckets before each 64-bucket word, and the listed
+ *    buckets' tallies in bucket order, so a bank that touched 1 in 8
+ *    of its buckets takes 15% of the dense bytes;
+ *  - dense doubles once addWeighted() has written it (a composite).
+ *
+ * Every reader works on every form. record() or addWeighted() into a
+ * packed bank first expands it to dense tallies, and clear() returns
+ * any bank to them. A tally holds at most 2^32 - 1; the replay kernel
+ * refuses a run before any of its banks could record more branches
+ * than that (ReplayKernel::replay).
  */
 class BucketStats
 {
@@ -74,8 +85,8 @@ class BucketStats
     void
     record(std::uint64_t bucket, bool mispredicted)
     {
-        if (!masses_.empty()) [[unlikely]] {
-            recordMass(bucket, mispredicted);
+        if (tallies_.empty()) [[unlikely]] {
+            recordSlow(bucket, mispredicted);
             return;
         }
         Tally &entry = tallies_[bucket];
@@ -85,7 +96,9 @@ class BucketStats
 
     /**
      * Merge @p other scaled by @p weight (for compositing). This bank
-     * holds doubles from here on.
+     * holds doubles from here on. Only @p other's listed buckets are
+     * read: an untouched one would add 0 * weight, which changes no
+     * mass but -0.0 (for a finite weight).
      */
     void addWeighted(const BucketStats &other, double weight);
 
@@ -93,22 +106,34 @@ class BucketStats
     BucketCounts
     operator[](std::uint64_t bucket) const
     {
+        if (!tallies_.empty())
+            return countsOf(tallies_[bucket]);
         if (!masses_.empty())
             return masses_[bucket];
-        const Tally entry = tallies_[bucket];
-        return {static_cast<double>(entry.refs),
-                static_cast<double>(entry.mispredicts)};
+        const std::uint64_t word = present_[bucket / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (bucket % 64);
+        if ((word & bit) == 0)
+            return {};
+        return countsOf(packed_[rank_[bucket / 64] +
+                                std::popcount(word & (bit - 1))]);
     }
 
     /** @return bucket-space size. */
-    std::uint64_t
-    numBuckets() const
-    {
-        return masses_.empty() ? tallies_.size() : masses_.size();
-    }
+    std::uint64_t numBuckets() const { return numBuckets_; }
 
     /** @return true iff the bank holds doubles (addWeighted() wrote it). */
     bool weighted() const { return !masses_.empty(); }
+
+    /**
+     * Keep only the listed buckets' tallies: those with a non-zero
+     * count, which are the ones saveState() writes. A no-op unless the
+     * bank holds dense tallies (and on a bank of more than 2^32
+     * buckets, whose word ranks would not fit 32 bits).
+     */
+    void pack();
+
+    /** @return true iff the bank holds packed tallies (pack() ran). */
+    bool packed() const { return !present_.empty(); }
 
     /** @return sum of refs over all buckets. */
     double totalRefs() const;
@@ -127,37 +152,58 @@ class BucketStats
     /** @return all non-empty buckets with their ids. */
     std::vector<KeyedBucketCounts> nonEmpty() const;
 
-    /** Zero all counts; the bank holds tallies again. */
+    /** Zero all counts; the bank holds dense tallies again. */
     void clear();
 
     /**
      * Checkpoint the accumulated counts. Sparse encoding (only
      * non-empty buckets) with the bucket-space size as a guard; every
      * count travels as a double's bit pattern, so restores are
-     * bit-exact in either form.
+     * bit-exact in every form.
      */
     void saveState(StateWriter &out) const;
 
     /**
      * Restore a saveState() snapshot into a same-sized stats. A
      * snapshot whose counts are all integers below 2^32 restores to
-     * tallies; any other (a composite's) restores to doubles.
+     * dense tallies; any other (a composite's) restores to doubles.
      */
     void loadState(StateReader &in);
 
   private:
-    /** One bucket of a bank only record() has filled. */
+    /** One bucket of a bank record() fills. */
     struct Tally
     {
         std::uint32_t refs = 0;
         std::uint32_t mispredicts = 0;
     };
 
-    void recordMass(std::uint64_t bucket, bool mispredicted);
+    static BucketCounts
+    countsOf(Tally entry)
+    {
+        return {static_cast<double>(entry.refs),
+                static_cast<double>(entry.mispredicts)};
+    }
 
-    /** Exactly one of the two is sized: tallies_ until addWeighted(). */
+    void recordSlow(std::uint64_t bucket, bool mispredicted);
+
+    /** Call @p visit(bucket, counts) on each listed bucket, in order. */
+    template <typename Visit> void forEachListed(Visit &&visit) const;
+
+    /** Free every form's storage (the bank is then in no form). */
+    void release();
+
+    std::uint64_t numBuckets_;
+    /** Exactly one form is held: tallies_ sized (dense tallies),
+     *  masses_ sized (doubles), or present_ sized (packed). */
     std::vector<Tally> tallies_;
     std::vector<BucketCounts> masses_;
+    /** Packed: bit b % 64 of word b / 64 is set iff bucket b is listed. */
+    std::vector<std::uint64_t> present_;
+    /** Packed: listed buckets before each word of present_. */
+    std::vector<std::uint32_t> rank_;
+    /** Packed: the listed buckets' tallies, in bucket order. */
+    std::vector<Tally> packed_;
 };
 
 /** Sparse accumulator for unbounded keys (per-PC static profiling). */

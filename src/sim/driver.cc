@@ -24,7 +24,7 @@ SimulationDriver::run(TraceSource &source)
     while (batch.refill(source) != 0)
         kernel.replay(batch, guard);
 
-    DriverResult result{std::move(kernel.result())};
+    DriverResult result{kernel.takeResult()};
     result.wallMs =
         std::chrono::duration<double, std::milli>(Clock::now() - start)
             .count();

@@ -339,6 +339,14 @@ ReplayKernel::save(Checkpoint &ckpt, const std::string &prefix,
         ckpt.addState(prefix + "static_profile", 1, result_.staticProfile);
 }
 
+SweepConfigResult
+ReplayKernel::takeResult()
+{
+    for (BucketStats &stats : result_.estimatorStats)
+        stats.pack();
+    return std::move(result_);
+}
+
 void
 ReplayKernel::restore(const Checkpoint &ckpt, const std::string &prefix,
                       std::uint32_t fingerprint)

@@ -410,6 +410,13 @@ class alignas(64) ReplayKernel
     /** @return the accumulating result. */
     SweepConfigResult &result() { return result_; }
 
+    /**
+     * Hand the finished result over: every dense bank is packed to the
+     * buckets it touched (BucketStats::pack()), then the result is
+     * moved out, so the kernel holds none afterwards.
+     */
+    SweepConfigResult takeResult();
+
   private:
     void recordStep(const BranchRecord &record, BranchProfile *profile);
     void contextSwitch();

@@ -86,6 +86,7 @@ struct PassSchedule
     unsigned workers = 1; //!< the budget W
     unsigned passes = 1;  //!< benchmark passes in flight
     bool shard = false;   //!< passes shard over one shared W-worker pool
+    bool producer = true; //!< passes decode ahead on a producer thread
 };
 
 /**
@@ -95,7 +96,11 @@ struct PassSchedule
  * min(W, benchmarks) passes run at once, so whole benchmarks overlap
  * first. Passes that fill the budget replay inline on their benchmark
  * threads; fewer passes than W shard a multi-configuration sweep over
- * one shared W-worker pool, min(W, configs) shards each.
+ * one shared W-worker pool, min(W, configs) shards each. A pass
+ * decodes ahead on a producer thread (SweepOptions::decodeAhead)
+ * unless the passes fill a budget that covers every hardware thread:
+ * then no CPU is left for the producers, and each pass refills its
+ * batches itself (depth 1).
  */
 PassSchedule
 resolveSchedule(unsigned threads, std::size_t benchmarks,
@@ -104,12 +109,13 @@ resolveSchedule(unsigned threads, std::size_t benchmarks,
     PassSchedule schedule;
     if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
         return schedule;
-    schedule.workers =
-        threads != 0 ? threads
-                     : std::max(1u, std::thread::hardware_concurrency());
+    const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
+    schedule.workers = threads != 0 ? threads : cpus;
     schedule.passes = static_cast<unsigned>(
         std::clamp<std::size_t>(benchmarks, 1, schedule.workers));
     schedule.shard = schedule.passes < schedule.workers && configs >= 2;
+    schedule.producer =
+        schedule.passes < schedule.workers || schedule.workers < cpus;
     return schedule;
 }
 
@@ -328,6 +334,7 @@ deserializeDoneMarker(const Checkpoint &ckpt,
         for (std::uint64_t i = 0; i < stats_count; ++i) {
             BucketStats stats(in.getU64());
             stats.loadState(in);
+            stats.pack();
             result.estimatorStats.push_back(std::move(stats));
         }
         result.staticStats.loadState(in);
@@ -504,6 +511,8 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
     } else {
         engine_sweep.threads = 1;
     }
+    if (!schedule.producer)
+        engine_sweep.decodeAhead = 1;
 
     if (telemetry != nullptr) {
         telemetry->emit(TelemetryEvent(

@@ -913,7 +913,7 @@ SweepEngine::runImpl(TraceSource &source,
     // inspect or serialize the final trained state.
     result.perConfig.reserve(states_.size());
     for (auto &state : states_)
-        result.perConfig.push_back(std::move(state->kernel->result()));
+        result.perConfig.push_back(state->kernel->takeResult());
 
     result.wallMs = std::chrono::duration<double, std::milli>(
                         Clock::now() - run_start)

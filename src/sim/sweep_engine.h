@@ -182,7 +182,10 @@ struct SweepOptions
      * synchronously between broadcasts (the pre-pipelining engine);
      * 0 = default depth. Pure performance knob — results, checkpoint
      * cadence, and resume behaviour are bit-identical at any depth.
-     * CONFSIM_SEQUENTIAL forces 1.
+     * CONFSIM_SEQUENTIAL forces 1, and so do SuiteRunner::runSweep()
+     * and SamplingEngine::runSuite() for passes that fill a worker
+     * budget covering every hardware thread (no CPU is left for a
+     * producer).
      */
     std::size_t decodeAhead = kDefaultDecodeAhead;
 

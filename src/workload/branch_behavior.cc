@@ -98,7 +98,8 @@ bool
 PatternBehavior::nextOutcome(const WorkloadContext &, Rng &)
 {
     const bool out = pattern_[phase_];
-    phase_ = (phase_ + 1) % pattern_.size();
+    if (++phase_ == pattern_.size())
+        phase_ = 0;
     return out;
 }
 

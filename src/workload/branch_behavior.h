@@ -200,7 +200,14 @@ class PatternBehavior : public BranchBehavior
     void
     loadState(StateReader &in) override
     {
-        phase_ = static_cast<std::size_t>(in.getU64());
+        const std::uint64_t phase = in.getU64();
+        if (phase >= pattern_.size()) {
+            fatal(ErrorCategory::kCheckpoint,
+                  "pattern phase " + std::to_string(phase) +
+                      " out of range in checkpoint (pattern of " +
+                      std::to_string(pattern_.size()) + ")");
+        }
+        phase_ = static_cast<std::size_t>(phase);
     }
 
   private:

@@ -105,7 +105,14 @@ WorkloadGenerator::loadState(StateReader &in)
     runtimeRng_.setStateWords(words);
     context_.reset();
     context_.setHistory(in.getU64());
-    currentBlock_ = in.getU32();
+    const std::uint32_t block = in.getU32();
+    if (block >= cfg_.numBlocks()) {
+        fatal(ErrorCategory::kCheckpoint,
+              "generator block " + std::to_string(block) +
+                  " out of range in checkpoint (" +
+                  std::to_string(cfg_.numBlocks()) + " blocks)");
+    }
+    currentBlock_ = block;
     emitted_ = in.getU64();
     entryEventPending_ = in.getBool();
     cfg_.loadBehaviorStates(in);

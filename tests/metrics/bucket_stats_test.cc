@@ -3,10 +3,13 @@
 #include "metrics/bucket_stats.h"
 
 #include <cstring>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "metrics/confidence_curve.h"
 #include "util/rng.h"
 
 namespace confsim {
@@ -42,6 +45,115 @@ recordStream(BucketStats &stats, std::uint64_t seed, int records)
         ref.mispredicts[bucket] += static_cast<double>(mispredicted);
     }
     return ref;
+}
+
+/**
+ * A bank of @p buckets in which @p touched distinct, randomly chosen
+ * buckets (and the last bucket too, if @p last) each record 1-40
+ * predictions.
+ */
+BucketStats
+touchedBank(std::uint64_t buckets, std::uint64_t touched,
+            std::uint64_t seed, bool last = false)
+{
+    BucketStats bank(buckets);
+    Rng rng(seed);
+    std::vector<std::uint64_t> ids(buckets);
+    std::iota(ids.begin(), ids.end(), std::uint64_t{0});
+    // A partial Fisher-Yates shuffle: ids[0, touched) is the subset.
+    for (std::uint64_t i = 0; i < touched; ++i)
+        std::swap(ids[i], ids[i + rng.nextBelow(buckets - i)]);
+    if (last)
+        ids.insert(ids.begin() + static_cast<std::ptrdiff_t>(touched),
+                   buckets - 1);
+    for (std::uint64_t i = 0; i < touched + (last ? 1 : 0); ++i) {
+        const std::uint64_t records = 1 + rng.nextBelow(40);
+        for (std::uint64_t r = 0; r < records; ++r)
+            bank.record(ids[i], rng.nextBernoulli(0.2));
+    }
+    return bank;
+}
+
+/** @return @p stats packed (a copy; @p stats keeps its form). */
+BucketStats
+packedCopy(const BucketStats &stats)
+{
+    BucketStats packed = stats;
+    packed.pack();
+    return packed;
+}
+
+std::vector<std::uint8_t>
+savedBytes(const BucketStats &stats)
+{
+    StateWriter out;
+    stats.saveState(out);
+    return out.bytes();
+}
+
+/** Every reader of @p got returns the same bits as of @p want. */
+void
+expectSameReads(const BucketStats &got, const BucketStats &want)
+{
+    ASSERT_EQ(got.numBuckets(), want.numBuckets());
+    for (std::uint64_t b = 0; b < want.numBuckets(); ++b) {
+        ASSERT_EQ(bitsOf(got[b].refs), bitsOf(want[b].refs)) << b;
+        ASSERT_EQ(bitsOf(got[b].mispredicts), bitsOf(want[b].mispredicts))
+            << b;
+    }
+    const std::vector<KeyedBucketCounts> got_keyed = got.nonEmpty();
+    const std::vector<KeyedBucketCounts> want_keyed = want.nonEmpty();
+    ASSERT_EQ(got_keyed.size(), want_keyed.size());
+    for (std::size_t i = 0; i < want_keyed.size(); ++i) {
+        EXPECT_EQ(got_keyed[i].bucket, want_keyed[i].bucket);
+        EXPECT_EQ(bitsOf(got_keyed[i].counts.refs),
+                  bitsOf(want_keyed[i].counts.refs));
+        EXPECT_EQ(bitsOf(got_keyed[i].counts.mispredicts),
+                  bitsOf(want_keyed[i].counts.mispredicts));
+    }
+    EXPECT_EQ(bitsOf(got.totalRefs()), bitsOf(want.totalRefs()));
+    EXPECT_EQ(bitsOf(got.totalMispredicts()),
+              bitsOf(want.totalMispredicts()));
+    EXPECT_EQ(savedBytes(got), savedBytes(want));
+    const ConfidenceCurve got_curve = ConfidenceCurve::fromBucketStats(got);
+    const ConfidenceCurve want_curve =
+        ConfidenceCurve::fromBucketStats(want);
+    ASSERT_EQ(got_curve.points().size(), want_curve.points().size());
+    for (std::size_t i = 0; i < want_curve.points().size(); ++i) {
+        const CurvePoint &g = got_curve.points()[i];
+        const CurvePoint &w = want_curve.points()[i];
+        EXPECT_EQ(g.bucket, w.bucket);
+        EXPECT_EQ(bitsOf(g.bucketRate), bitsOf(w.bucketRate));
+        EXPECT_EQ(bitsOf(g.refFraction), bitsOf(w.refFraction));
+        EXPECT_EQ(bitsOf(g.mispredFraction), bitsOf(w.mispredFraction));
+    }
+}
+
+/** One packing case: a bank shape and how many buckets it touched. */
+struct PackCase
+{
+    std::string name;
+    std::uint64_t buckets;
+    std::uint64_t touched;
+    bool last;
+};
+
+std::vector<PackCase>
+packCases()
+{
+    std::vector<PackCase> cases;
+    // Spread over the paper's 16-bit space (about one per word), and
+    // crowded into two words plus two buckets.
+    for (const std::uint64_t touched : {0, 1, 63, 64, 65}) {
+        cases.push_back({"sparse-" + std::to_string(touched), 65536,
+                         touched, false});
+        cases.push_back({"crowded-" + std::to_string(touched), 130,
+                         touched, false});
+    }
+    cases.push_back({"every-bucket", 1000, 1000, false});
+    cases.push_back({"last-bucket", 65536, 40, true});
+    cases.push_back({"17-buckets", 17, 9, false});
+    return cases;
 }
 
 TEST(BucketStatsTest, RecordAccumulates)
@@ -267,6 +379,118 @@ TEST(BucketStatsTest, OutOfRangeBucketInPayloadIsFatal)
     BucketStats stats(2);
     StateReader in(payload.bytes());
     EXPECT_THROW(stats.loadState(in), std::runtime_error);
+}
+
+TEST(PackedBucketStatsTest, EveryReaderSeesTheDenseBank)
+{
+    std::uint64_t seed = 100;
+    for (const PackCase &c : packCases()) {
+        SCOPED_TRACE(c.name);
+        const BucketStats dense = touchedBank(c.buckets, c.touched, ++seed,
+                                              c.last);
+        const BucketStats packed = packedCopy(dense);
+        EXPECT_FALSE(dense.packed());
+        EXPECT_TRUE(packed.packed());
+        EXPECT_FALSE(packed.weighted());
+        expectSameReads(packed, dense);
+    }
+}
+
+TEST(PackedBucketStatsTest, CompositeOverPackedInputsEqualsDense)
+{
+    for (const std::uint64_t buckets : {std::uint64_t{65536},
+                                        std::uint64_t{17}}) {
+        SCOPED_TRACE(buckets);
+        std::vector<BucketStats> dense;
+        for (std::uint64_t i = 0; i < 3; ++i)
+            dense.push_back(touchedBank(buckets, buckets / (2 + i), 7 + i));
+        EqualWeightComposite from_dense(buckets);
+        EqualWeightComposite from_packed(buckets);
+        for (const BucketStats &bank : dense) {
+            from_dense.add(bank);
+            from_packed.add(packedCopy(bank));
+        }
+        EXPECT_TRUE(from_packed.result().weighted());
+        expectSameReads(from_packed.result(), from_dense.result());
+    }
+}
+
+TEST(PackedBucketStatsTest, RecordIntoAPackedBankExpandsIt)
+{
+    BucketStats dense = touchedBank(300, 65, 5);
+    BucketStats packed = packedCopy(dense);
+    const std::vector<KeyedBucketCounts> touched = dense.nonEmpty();
+    // Into a touched bucket, an untouched one and the last one.
+    for (const std::uint64_t bucket :
+         {touched.front().bucket, touched.back().bucket + 1,
+          std::uint64_t{299}}) {
+        dense.record(bucket, true);
+        packed.record(bucket, true);
+    }
+    EXPECT_FALSE(packed.packed());
+    EXPECT_FALSE(packed.weighted());
+    expectSameReads(packed, dense);
+    packed.record(7, false); // dense tallies again: the fast path
+    dense.record(7, false);
+    expectSameReads(packed, dense);
+}
+
+TEST(PackedBucketStatsTest, AddWeightedIntoAPackedBankEqualsDense)
+{
+    const BucketStats other = touchedBank(200, 70, 9);
+    for (const bool other_packed : {false, true}) {
+        SCOPED_TRACE(other_packed);
+        BucketStats dense = touchedBank(200, 64, 8);
+        BucketStats packed = packedCopy(dense);
+        const BucketStats &source = other_packed ? packedCopy(other) : other;
+        dense.addWeighted(other, 0.3);
+        packed.addWeighted(source, 0.3);
+        EXPECT_FALSE(packed.packed());
+        EXPECT_TRUE(packed.weighted());
+        expectSameReads(packed, dense);
+    }
+}
+
+TEST(PackedBucketStatsTest, ClearReturnsAPackedBankToDenseTallies)
+{
+    BucketStats packed = packedCopy(touchedBank(130, 65, 4));
+    packed.clear();
+    EXPECT_FALSE(packed.packed());
+    EXPECT_FALSE(packed.weighted());
+    expectSameReads(packed, BucketStats(130));
+    packed.record(129, true);
+    EXPECT_DOUBLE_EQ(packed[129].mispredicts, 1.0);
+}
+
+TEST(PackedBucketStatsTest, PackLeavesOtherFormsAlone)
+{
+    BucketStats composite(64);
+    composite.addWeighted(touchedBank(64, 10, 3), 0.5);
+    const std::vector<std::uint8_t> before = savedBytes(composite);
+    composite.pack();
+    EXPECT_TRUE(composite.weighted());
+    EXPECT_FALSE(composite.packed());
+    EXPECT_EQ(savedBytes(composite), before);
+
+    BucketStats packed = packedCopy(touchedBank(64, 10, 3));
+    const std::vector<std::uint8_t> packed_bytes = savedBytes(packed);
+    packed.pack();
+    EXPECT_TRUE(packed.packed());
+    EXPECT_EQ(savedBytes(packed), packed_bytes);
+}
+
+TEST(PackedBucketStatsTest, PackedPayloadRestoresToDenseTallies)
+{
+    const BucketStats dense = touchedBank(65536, 65, 12, true);
+    const BucketStats packed = packedCopy(dense);
+    BucketStats restored(65536);
+    const std::vector<std::uint8_t> bytes = savedBytes(packed);
+    StateReader in(bytes);
+    restored.loadState(in);
+    EXPECT_TRUE(in.atEnd());
+    EXPECT_FALSE(restored.packed());
+    EXPECT_FALSE(restored.weighted());
+    expectSameReads(restored, dense);
 }
 
 TEST(SparseBucketStatsTest, RecordAndAggregate)

@@ -2,11 +2,8 @@
 
 #include "obs/span.h"
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,52 +11,7 @@
 
 #include <gtest/gtest.h>
 
-// Global allocation counter for the zero-allocation contract test.
-// Counting (not forbidding) keeps this safe for the rest of the test
-// binary, which allocates freely.
-namespace {
-std::atomic<std::uint64_t> g_allocation_count{0};
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-    void *p = std::malloc(size == 0 ? 1 : size);
-    if (p == nullptr)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
+#include "obs/counting_new.h"
 
 namespace confsim {
 namespace {
@@ -96,13 +48,11 @@ TEST(SpanTest, DisabledTracerAllocatesNothing)
     // null tracer must not allocate (and, structurally, cannot read
     // the clock — there is no tracer to read it from).
     SpanTracer *tracer = nullptr;
-    const std::uint64_t before =
-        g_allocation_count.load(std::memory_order_relaxed);
+    const std::uint64_t before = allocationCount();
     for (int i = 0; i < 10000; ++i) {
         ScopedSpan span(tracer, "disabled.span");
     }
-    const std::uint64_t after =
-        g_allocation_count.load(std::memory_order_relaxed);
+    const std::uint64_t after = allocationCount();
     EXPECT_EQ(before, after);
 }
 

@@ -70,6 +70,20 @@ TEST(DriverTest, EstimatorStatsMatchPredictorAccuracy)
     EXPECT_DOUBLE_EQ(stats[2].mispredicts, 1.0);
 }
 
+TEST(DriverTest, HandsOverPackedBucketStats)
+{
+    StaticPredictor pred(StaticPolicy::AlwaysTaken);
+    OneLevelCounterConfidence est(IndexScheme::Pc, 64,
+                                  CounterKind::Resetting, 4, 0);
+    VectorTraceSource source(
+        repeated(0x1000, {true, true, false, true, true}));
+    SimulationDriver driver(pred, {&est});
+    const auto result = driver.run(source);
+    ASSERT_EQ(result.estimatorStats.size(), 1u);
+    EXPECT_TRUE(result.estimatorStats[0].packed());
+    EXPECT_EQ(result.estimatorStats[0].nonEmpty().size(), 3u);
+}
+
 TEST(DriverTest, StaticProfileCollectsPerPcCounts)
 {
     StaticPredictor pred(StaticPolicy::AlwaysTaken);

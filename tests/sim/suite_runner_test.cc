@@ -4,8 +4,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <thread>
 
 #include "sim/sweep_engine.h"
 
@@ -438,6 +441,58 @@ TEST(SuiteRunnerTest, AutoScheduleOverlapsBenchmarksBeforeShards)
               sweep(nine, 0));
 }
 
+TEST(SuiteRunnerTest, PassesFillingEveryCpuRefillTheirOwnBatches)
+{
+    // A decode-ahead producer pays off only on a CPU no pass uses:
+    // passes that fill a budget covering every hardware thread refill
+    // their own batches (ring depth 1); a budget that leaves a CPU
+    // free keeps the producers.
+    if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
+        GTEST_SKIP() << "CONFSIM_SEQUENTIAL replaces the rule";
+    const BenchmarkSuite nine = BenchmarkSuite::ibs(2000);
+    const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
+    if (cpus > nine.size())
+        GTEST_SKIP() << "more hardware threads than benchmarks";
+    // The decode_ahead of every sweep_run_started at budget @p threads.
+    const auto depths = [&](unsigned threads) {
+        const std::string log = ::testing::TempDir() +
+                                "/confsim_decode_ahead_" +
+                                std::to_string(threads) + ".jsonl";
+        {
+            TelemetryOptions telemetry_options;
+            telemetry_options.jsonlPath = log;
+            Telemetry telemetry(telemetry_options);
+            telemetry.setManifest(RunManifest::withBuildInfo());
+            DriverOptions options;
+            options.telemetry = &telemetry;
+            SweepOptions knobs;
+            knobs.threads = threads;
+            (void)SuiteRunner(nine).runSweep(
+                {{"run", smallPredictor(), smallEstimators()}}, options,
+                knobs);
+            telemetry.finish();
+        }
+        std::vector<std::uint64_t> out;
+        std::ifstream in(log);
+        const std::string key = "\"decode_ahead\":";
+        for (std::string line; std::getline(in, line);) {
+            const std::size_t at = line.find(key);
+            if (at != std::string::npos)
+                out.push_back(std::stoull(line.substr(at + key.size())));
+        }
+        std::remove(log.c_str());
+        return out;
+    };
+    const std::vector<std::uint64_t> inline_depth(nine.size(), 1);
+    EXPECT_EQ(depths(cpus), inline_depth);
+    EXPECT_EQ(depths(0), inline_depth);
+    if (cpus >= 2) {
+        EXPECT_EQ(depths(cpus - 1),
+                  std::vector<std::uint64_t>(
+                      nine.size(), SweepOptions::kDefaultDecodeAhead));
+    }
+}
+
 TEST(SuiteRunnerTest, PlannedPassesRejectCheckpoints)
 {
     // A planned pass's slot logs do not survive a resume, so runPasses
@@ -555,6 +610,46 @@ TEST(SuiteRunnerTest, SharedCheckpointDirectoryKeepsRunsApart)
     const SuiteRunResult served =
         runner.run(smallPredictor(), smallEstimators(), options, policy);
     expectSameResults(served, fresh);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SuiteRunnerTest, ResultsHoldPackedBucketStatsFreshAndResumed)
+{
+    // Every per-benchmark bank a suite result holds keeps only the
+    // buckets it touched, whether its pass just ran or its done-marker
+    // was restored; the composites stay dense doubles.
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        "suite_runner_packed_ckpt";
+    std::filesystem::remove_all(dir);
+    SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"},
+                                                 5000));
+    RunPolicy policy;
+    policy.checkpoint.directory = dir.string();
+    const auto expect_packed = [](const SuiteRunResult &result) {
+        for (const BenchmarkRunResult &bench : result.perBenchmark) {
+            ASSERT_FALSE(bench.estimatorStats.empty());
+            for (const BucketStats &stats : bench.estimatorStats)
+                EXPECT_TRUE(stats.packed()) << bench.name;
+        }
+        ASSERT_FALSE(result.compositeEstimatorStats.empty());
+        for (const BucketStats &composite : result.compositeEstimatorStats)
+            EXPECT_TRUE(composite.weighted());
+    };
+
+    const SuiteRunResult fresh =
+        runner.run(smallPredictor(), smallEstimators(), {}, policy);
+    expect_packed(fresh);
+
+    Telemetry telemetry{TelemetryOptions{}};
+    DriverOptions options;
+    options.telemetry = &telemetry;
+    policy.checkpoint.resume = true;
+    const SuiteRunResult resumed =
+        runner.run(smallPredictor(), smallEstimators(), options, policy);
+    EXPECT_EQ(telemetry.registry().counter("ckpt.restored"), 2u);
+    expect_packed(resumed);
+    expectSameResults(resumed, fresh);
     std::filesystem::remove_all(dir);
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/error.h"
+
 namespace confsim {
 namespace {
 
@@ -140,6 +142,32 @@ TEST(PatternBehaviorTest, ResetRestartsPhase)
     PatternBehavior pattern({true, false});
     EXPECT_TRUE(pattern.nextOutcome(ctx, rng));
     pattern.reset();
+    EXPECT_TRUE(pattern.nextOutcome(ctx, rng));
+}
+
+TEST(PatternBehaviorTest, RestoreRejectsAPhasePastThePattern)
+{
+    // The phase indexes the pattern, so a checkpoint must not set it
+    // past the end; the last phase restores and resumes there.
+    WorkloadContext ctx;
+    Rng rng(17);
+    PatternBehavior pattern({true, true, false});
+    for (const std::uint64_t phase : {std::uint64_t{3}, ~std::uint64_t{0}}) {
+        StateWriter out;
+        out.putU64(phase);
+        StateReader in(out.bytes());
+        try {
+            pattern.loadState(in);
+            ADD_FAILURE() << "phase " << phase << " restored";
+        } catch (const Error &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::kCheckpoint) << phase;
+        }
+    }
+    StateWriter out;
+    out.putU64(2);
+    StateReader in(out.bytes());
+    pattern.loadState(in);
+    EXPECT_FALSE(pattern.nextOutcome(ctx, rng));
     EXPECT_TRUE(pattern.nextOutcome(ctx, rng));
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "trace/trace_stats.h"
+#include "util/error.h"
 
 namespace confsim {
 namespace {
@@ -80,6 +81,48 @@ TEST(WorkloadGeneratorTest, ResetReplaysIdenticalStream)
         ++i;
     }
     EXPECT_EQ(i, first.size());
+}
+
+TEST(WorkloadGeneratorTest, RestoreRejectsABlockPastTheGraph)
+{
+    // The current block indexes the CFG, so a checkpoint must not set
+    // it past the last block.
+    WorkloadGenerator gen(testProfile(), 2000);
+    BranchRecord record;
+    for (int i = 0; i < 100; ++i)
+        ASSERT_TRUE(gen.next(record));
+    StateWriter out;
+    gen.saveState(out);
+    // The block id follows four RNG words and the history word.
+    constexpr std::size_t kBlockOffset = 5 * 8;
+    const auto num_blocks =
+        static_cast<std::uint32_t>(gen.cfg().numBlocks());
+    for (const std::uint32_t block : {num_blocks, ~std::uint32_t{0}}) {
+        std::vector<std::uint8_t> bytes = out.bytes();
+        for (std::size_t i = 0; i < 4; ++i) {
+            bytes[kBlockOffset + i] =
+                static_cast<std::uint8_t>(block >> (8 * i));
+        }
+        WorkloadGenerator fresh(testProfile(), 2000);
+        StateReader in(bytes);
+        try {
+            fresh.loadState(in);
+            ADD_FAILURE() << "block " << block << " restored";
+        } catch (const Error &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::kCheckpoint) << block;
+        }
+    }
+    // The unpatched snapshot restores and resumes the same stream.
+    WorkloadGenerator fresh(testProfile(), 2000);
+    StateReader in(out.bytes());
+    fresh.loadState(in);
+    EXPECT_TRUE(in.atEnd());
+    BranchRecord want;
+    BranchRecord got;
+    while (gen.next(want)) {
+        ASSERT_TRUE(fresh.next(got));
+        ASSERT_EQ(got, want);
+    }
 }
 
 TEST(WorkloadGeneratorTest, TargetMatchesTakenSuccessorPc)
