@@ -44,8 +44,10 @@ run(const ExperimentEnv &env, bool check)
     std::printf("=== statistical sampling vs. exact replay ===\n\n");
     std::printf("sample rate %.0f%%, %u strata, %u subsamples, "
                 "regions of %llu branches\n\n",
-                100.0 * env.sampleRate, env.strata, env.subsamples,
-                static_cast<unsigned long long>(env.regionBranches));
+                100.0 * env.sampling.sampleRate, env.sampling.strata,
+                env.sampling.subsamples,
+                static_cast<unsigned long long>(
+                    env.sampling.regionBranches));
 
     const SweepSuiteResult exact = runSuiteExperiment(env, configs);
     const SamplingRunResult sampled =
@@ -168,5 +170,6 @@ main(int argc, char **argv)
                       "and reduction >= 5x)",
                       [check](const ExperimentEnv &env) {
                           return run(env, check);
-                      });
+                      },
+                      /*sampled=*/true);
 }

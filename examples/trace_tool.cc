@@ -15,7 +15,7 @@
  *   ./build/examples/trace_tool gen /tmp/gcc.cbt --benchmark real_gcc
  *   ./build/examples/trace_tool stats /tmp/gcc.cbt
  *   ./build/examples/trace_tool text /tmp/gcc.cbt /tmp/gcc.txt
- *   ./build/examples/trace_tool checkpoint inspect ckpt/groff.g000003.ckpt
+ *   ./build/examples/trace_tool checkpoint inspect ckpt/groff.*.g000003.ckpt
  *   ./build/examples/trace_tool profile /tmp/profile.csv --top 20
  */
 
@@ -44,20 +44,9 @@ cmdGen(const CliParser &cli)
         return 1;
     }
     const std::string out = cli.positional()[1];
-    const std::string format_name = cli.getString("format");
-    TraceFormat format;
-    if (format_name == "cbt1") {
-        format = TraceFormat::kCbt1;
-    } else if (format_name == "cbt2") {
-        format = TraceFormat::kCbt2;
-    } else {
-        std::printf("unknown --format '%s' (cbt1|cbt2)\n",
-                    format_name.c_str());
-        return 1;
-    }
     WorkloadGenerator gen(ibsProfile(cli.getString("benchmark")),
                           cli.getUnsigned("branches"));
-    const std::uint64_t n = writeTraceFile(gen, out, format);
+    const std::uint64_t n = writeTraceFile(gen, out);
     std::printf("wrote %llu records to %s\n",
                 static_cast<unsigned long long>(n), out.c_str());
     return 0;
@@ -75,8 +64,6 @@ cmdStats(const CliParser &cli)
                                   : RecoveryMode::kStrict;
     TraceFileReader reader(cli.positional()[1], mode);
     const TraceStats stats = collectTraceStats(reader);
-    std::printf("format           : CBT%d\n",
-                static_cast<int>(reader.format()));
     std::printf("records          : %llu\n",
                 static_cast<unsigned long long>(stats.totalRecords));
     if (reader.droppedRecords() != 0)
@@ -368,8 +355,6 @@ main(int argc, char **argv)
     CliParser cli("branch trace generation and inspection tool");
     cli.addOption("benchmark", "groff", "IBS workload name (for gen)");
     cli.addOption("branches", "1000000", "trace length (for gen)");
-    cli.addOption("format", "cbt2",
-                  "output trace format, cbt1|cbt2 (for gen)");
     cli.addFlag("recover",
                 "skip corrupt chunks instead of aborting (for stats)");
     cli.addOption("top", "10",

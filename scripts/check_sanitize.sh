@@ -7,7 +7,8 @@
 #                      trace I/O error paths and suite-runner fault
 #                      handling with memory checking.
 #   thread             TSan over the concurrency-heavy suites: the
-#                      sweep and sampling differential harnesses and
+#                      sweep and sampling differential harnesses, the
+#                      suite runner's schedule and shared pool, and
 #                      the chaos tests, so fault injection,
 #                      cancellation, and fail-fast teardown are checked
 #                      for data races — plus the TAGE/perceptron
@@ -50,7 +51,7 @@ if [[ "$MODE" == "thread" && $# -eq 0 ]]; then
     # plus the predictor property wall (no predictor state is shared
     # between shards; each shard owns its predictors and their memos).
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-        -R 'SweepDifferential|SamplingDifferential|Chaos|Tage|Perceptron'
+        -R 'SweepDifferential|SamplingDifferential|Chaos|Tage|Perceptron|SuiteRunner'
 else
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" "$@"
 fi

@@ -6,7 +6,7 @@
  * sinks. With no plan installed every hook is a single relaxed atomic
  * load, so production runs pay nothing.
  *
- * Grammar (CLI `--fault-plan` / env `CONFSIM_FAULT_PLAN`):
+ * Grammar (CLI `--fault-plan`):
  *
  *   plan    := rule (';' rule)*
  *   rule    := site ':' trigger [':' action]

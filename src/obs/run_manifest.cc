@@ -61,7 +61,6 @@ RunManifest::toJson() const
     out += "]";
     out += ",\"bhr_bits\":" + std::to_string(bhrBits);
     out += ",\"gcir_bits\":" + std::to_string(gcirBits);
-    out += ",\"warmup_branches\":" + std::to_string(warmupBranches);
     out += ",\"context_switch_interval\":" +
            std::to_string(contextSwitchInterval);
     out += ",\"build_type\":" + jsonString(buildType);

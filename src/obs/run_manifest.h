@@ -52,7 +52,6 @@ struct RunManifest
     // Driver knobs that affect results.
     unsigned bhrBits = 0;
     unsigned gcirBits = 0;
-    std::uint64_t warmupBranches = 0;
     std::uint64_t contextSwitchInterval = 0;
 
     // Build provenance, defaulted from compile-time facts.

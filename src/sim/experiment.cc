@@ -1,7 +1,6 @@
 #include "sim/experiment.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 
 #include "fault/fault_plan.h"
@@ -59,7 +58,7 @@ installFaultPlan(const std::string &spec,
 bool
 ExperimentEnv::fromCli(int argc, const char *const *argv,
                        const std::string &description,
-                       ExperimentEnv &env)
+                       ExperimentEnv &env, bool sampled)
 {
     CliParser cli(description);
     cli.addOption("branches", "2000000",
@@ -76,24 +75,26 @@ ExperimentEnv::fromCli(int argc, const char *const *argv,
     cli.addOption("sweep-threads", "0",
                   "suite worker budget: min(N, benchmarks) passes run "
                   "at once (0 = hardware concurrency)");
-    cli.addOption("sample-rate", "0.1",
-                  "sampled-replay region fraction in (0, 1]");
-    cli.addOption("region-branches", "10000",
-                  "conditional branches per sampling region");
-    cli.addOption("strata", "4",
-                  "quantile strata for sampled replay");
-    cli.addOption("subsamples", "5",
-                  "repeated-subsampling groups (error-bar "
-                  "resolution)");
-    cli.addOption("sample-seed", "24301",
-                  "region-selection seed for sampled replay");
-    cli.addOption("warmup-regions", "",
-                  "functional-warming window in regions before each "
-                  "sample (unset = warm every non-sampled region)");
+    if (sampled) {
+        cli.addOption("sample-rate", "0.1",
+                      "sampled-replay region fraction in (0, 1]");
+        cli.addOption("region-branches", "10000",
+                      "conditional branches per sampling region");
+        cli.addOption("strata", "4",
+                      "quantile strata for sampled replay");
+        cli.addOption("subsamples", "5",
+                      "repeated-subsampling groups (error-bar "
+                      "resolution)");
+        cli.addOption("sample-seed", "24301",
+                      "region-selection seed for sampled replay");
+        cli.addOption("warmup-regions", "",
+                      "functional-warming window in regions before "
+                      "each sample (unset = warm every non-sampled "
+                      "region)");
+    }
     cli.addOption("fault-plan", "",
                   "deterministic fault schedule, e.g. "
-                  "'ckpt:write=1:enospc;shard:cfg=2:throw' (env "
-                  "CONFSIM_FAULT_PLAN when unset; see "
+                  "'ckpt:write=1:enospc;shard:cfg=2:throw' (see "
                   "fault/fault_plan.h)");
     cli.addOption("deadline-ms", "0",
                   "suite wall-clock budget; in-flight work is "
@@ -121,20 +122,20 @@ ExperimentEnv::fromCli(int argc, const char *const *argv,
               "--resume requires --checkpoint-dir");
     env.sweepThreads =
         static_cast<unsigned>(cli.getUnsigned("sweep-threads"));
-    env.sampleRate = cli.getDouble("sample-rate");
-    env.regionBranches = cli.getUnsigned("region-branches");
-    env.strata = static_cast<std::uint32_t>(cli.getUnsigned("strata"));
-    env.subsamples =
-        static_cast<std::uint32_t>(cli.getUnsigned("subsamples"));
-    env.sampleSeed = cli.getUnsigned("sample-seed");
-    if (!cli.getString("warmup-regions").empty())
-        env.warmupRegions = cli.getUnsigned("warmup-regions");
+    if (sampled) {
+        SamplingOptions &sampling = env.sampling;
+        sampling.sampleRate = cli.getDouble("sample-rate");
+        sampling.regionBranches = cli.getUnsigned("region-branches");
+        sampling.strata =
+            static_cast<std::uint32_t>(cli.getUnsigned("strata"));
+        sampling.subsamples =
+            static_cast<std::uint32_t>(cli.getUnsigned("subsamples"));
+        sampling.seed = cli.getUnsigned("sample-seed");
+        if (!cli.getString("warmup-regions").empty())
+            sampling.warmupRegions = cli.getUnsigned("warmup-regions");
+    }
     env.deadlineMs = cli.getUnsigned("deadline-ms");
     env.faultPlan = cli.getString("fault-plan");
-    if (env.faultPlan.empty()) {
-        if (const char *plan = std::getenv("CONFSIM_FAULT_PLAN"))
-            env.faultPlan = plan;
-    }
     env.telemetry.jsonlPath = cli.getString("telemetry");
     env.telemetry.progress = cli.getFlag("progress");
     env.telemetry.heartbeatEveryBenchmarks =
@@ -148,11 +149,12 @@ ExperimentEnv::fromCli(int argc, const char *const *argv,
 int
 runHarness(int argc, const char *const *argv,
            const std::string &description,
-           const std::function<int(const ExperimentEnv &)> &body)
+           const std::function<int(const ExperimentEnv &)> &body,
+           bool sampled)
 {
     try {
         ExperimentEnv env;
-        if (!ExperimentEnv::fromCli(argc, argv, description, env))
+        if (!ExperimentEnv::fromCli(argc, argv, description, env, sampled))
             return 0;
         return body(env);
     } catch (const std::exception &e) {
@@ -315,7 +317,6 @@ experimentOptions(const ExperimentEnv &env, const BenchmarkSuite &suite,
         manifest.estimators.push_back(config.make()->name());
     manifest.bhrBits = options.bhrBits;
     manifest.gcirBits = options.gcirBits;
-    manifest.warmupBranches = options.warmupBranches;
     manifest.contextSwitchInterval = options.contextSwitchInterval;
     constexpr std::uint64_t kChecksumRecords = 4096;
     for (std::size_t i = 0; i < suite.size(); ++i) {
@@ -405,13 +406,7 @@ runSampledSuiteExperiment(const ExperimentEnv &env,
 {
     refuseCheckpointAndDeadline(env, "a sampled run");
     const SuiteRunner runner(env.makeSuite());
-    SamplingOptions sampling;
-    sampling.sampleRate = env.sampleRate;
-    sampling.regionBranches = env.regionBranches;
-    sampling.strata = env.strata;
-    sampling.subsamples = env.subsamples;
-    sampling.seed = env.sampleSeed;
-    sampling.warmupRegions = env.warmupRegions;
+    SamplingOptions sampling = env.sampling;
     sampling.sweep.threads = env.sweepThreads;
 
     SamplingEngine engine(sweepConfigurations(configs),

@@ -76,9 +76,8 @@ struct ExperimentEnv
     unsigned sweepThreads = 0;
 
     /**
-     * Deterministic fault schedule (--fault-plan, or the
-     * CONFSIM_FAULT_PLAN environment variable when the flag is not
-     * given); "" = no faults. Grammar in fault/fault_plan.h.
+     * Deterministic fault schedule (--fault-plan); "" = no faults.
+     * Grammar in fault/fault_plan.h.
      * fromCli() arms the process-wide FaultInjector with the parsed
      * plan and wires an observer that counts fault.injected.<site>
      * and emits fault_injected telemetry events.
@@ -91,27 +90,16 @@ struct ExperimentEnv
      */
     std::uint64_t deadlineMs = 0;
 
-    /** Sampled-replay region fraction (--sample-rate), in (0, 1]. */
-    double sampleRate = 0.1;
-
-    /** Conditionals per sampling region (--region-branches). */
-    std::uint64_t regionBranches = 10'000;
-
-    /** Quantile strata for sampled replay (--strata). */
-    std::uint32_t strata = 4;
-
-    /** Repeated-subsampling groups (--subsamples). */
-    std::uint32_t subsamples = 5;
-
-    /** Region-selection seed (--sample-seed). */
-    std::uint64_t sampleSeed = 0x5eed;
-
     /**
-     * Functional-warming window in regions (--warmup-regions);
-     * SamplingOptions::kWarmAll (the default) warms every non-sampled
-     * region instead of fast-forwarding.
+     * Sampling knobs of a sampled harness: --sample-rate,
+     * --region-branches, --strata, --subsamples, --sample-seed and
+     * --warmup-regions (unset = SamplingOptions::kWarmAll). Only a
+     * harness that runHarness() parses as sampled registers these
+     * flags; elsewhere they are unknown options and this keeps its
+     * defaults. Its sweep knobs are not read: the worker budget is
+     * sweepThreads.
      */
-    std::uint64_t warmupRegions = ~0ull;
+    SamplingOptions sampling;
 
     /** Telemetry knobs (--telemetry/--progress). */
     TelemetryOptions telemetry;
@@ -125,12 +113,13 @@ struct ExperimentEnv
 
     /**
      * Parse standard bench options (--branches, --csv-dir, --fast,
-     * --telemetry, --progress, --heartbeat).
+     * --telemetry, --progress, --heartbeat), plus the sampling flags
+     * when @p sampled.
      * @return false if --help was printed (caller should exit 0).
      */
     static bool fromCli(int argc, const char *const *argv,
                         const std::string &description,
-                        ExperimentEnv &env);
+                        ExperimentEnv &env, bool sampled = false);
 
     /** @return the configured IBS suite (full or reduced). */
     BenchmarkSuite makeSuite() const;
@@ -143,11 +132,14 @@ struct ExperimentEnv
  * first, so a CsvWriter left open publishes nothing and telemetry
  * flushes; it is then printed as "<program>: <message>" on stderr.
  *
+ * @param sampled Set by a harness that runs runSampledSuiteExperiment:
+ *        only its CLI takes the sampling flags (ExperimentEnv::sampling).
  * @return 0 after --help, else @p body's status, or 1 after an error.
  */
 int runHarness(int argc, const char *const *argv,
                const std::string &description,
-               const std::function<int(const ExperimentEnv &)> &body);
+               const std::function<int(const ExperimentEnv &)> &body,
+               bool sampled = false);
 
 /** A labelled estimator configuration. */
 struct EstimatorConfig
@@ -242,12 +234,10 @@ runSuiteExperiment(const ExperimentEnv &env,
 /**
  * Statistically sample the environment's suite instead of replaying it
  * exactly (sim/sampling_engine.h): stratified ranked-set region
- * selection at env.sampleRate with env.subsamples repeated subsamples,
- * yielding misprediction-rate / coverage@20% / PVN estimates with
- * standard errors and 95% CIs. Sampling knobs come from env.sampleRate
- * / env.regionBranches / env.strata / env.subsamples / env.sampleSeed
- * / env.warmupRegions; the worker budget is env.sweepThreads, spent by
- * runSuiteExperiment's rule. A sampled run neither checkpoints nor
+ * selection by env.sampling, yielding misprediction-rate /
+ * coverage@20% / PVN estimates with standard errors and 95% CIs. The
+ * worker budget is env.sweepThreads, spent by runSuiteExperiment's
+ * rule. A sampled run neither checkpoints nor
  * keeps a deadline, so env.checkpointDir, env.resume or
  * env.deadlineMs fails with Error{kConfig} naming the flag. Emits the
  * sampling_run_finished telemetry event when telemetry is attached.

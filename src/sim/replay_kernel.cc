@@ -28,14 +28,20 @@ configFingerprint(const BranchPredictor &predictor,
                   const std::vector<ConfidenceEstimator *> &estimators,
                   const DriverOptions &options)
 {
+    // The fixed bytes stand where a warmup window and two switch-flush
+    // flags once were (0, true, true: record everything, flush both),
+    // so fingerprints, checkpoints and done-markers keep their bytes.
+    // They go in as bytes: putU64(0) here trips a false GCC 12
+    // -Warray-bounds error in StateWriter::put under -Werror.
+    constexpr std::uint8_t kNoWarmup[8] = {};
+    constexpr std::uint8_t kFlushBoth[2] = {1, 1};
     StateWriter out;
     out.putU64(options.bhrBits);
     out.putU64(options.gcirBits);
     out.putBool(options.profileStatic);
-    out.putU64(options.warmupBranches);
+    out.putBytes(kNoWarmup, sizeof kNoWarmup);
     out.putU64(options.contextSwitchInterval);
-    out.putBool(options.flushPredictorOnSwitch);
-    out.putBool(options.flushEstimatorsOnSwitch);
+    out.putBytes(kFlushBoth, sizeof kFlushBoth);
     out.putString(predictor.name());
     predictor.saveState(out);
     out.putU64(estimators.size());
@@ -224,8 +230,7 @@ ReplayKernel::recordStep(const BranchRecord &record, BranchProfile *profile)
     const bool correct = (predicted == record.taken);
     const bool mispredicted = !correct;
     const bool recording =
-        simulated_ >= options_.warmupBranches &&
-        (plan_ == nullptr || planSlot_ != SweepRecordingPlan::kWarmOnly);
+        plan_ == nullptr || planSlot_ != SweepRecordingPlan::kWarmOnly;
     SweepSlotStats *const slot =
         recording && plan_ != nullptr ? &result_.slotStats[planSlot_]
                                       : nullptr;
@@ -281,12 +286,9 @@ ReplayKernel::contextSwitch()
     // Section 5.4: restore the microarchitectural structures to their
     // power-on state; accumulated statistics are never cleared.
     untilSwitch_ = options_.contextSwitchInterval;
-    if (options_.flushPredictorOnSwitch)
-        predictor_->reset();
-    if (options_.flushEstimatorsOnSwitch) {
-        for (auto *estimator : estimators_)
-            estimator->reset();
-    }
+    predictor_->reset();
+    for (auto *estimator : estimators_)
+        estimator->reset();
     bhr_.reset();
     gcir_.clear();
     ++result_.contextSwitches;

@@ -54,43 +54,19 @@ struct DriverOptions
     bool profileStatic = false; //!< collect per-static-branch profile
 
     /**
-     * Branches simulated before statistics collection begins. The
-     * structures still train during warmup; only the counters/curves
-     * exclude it. 0 = record from the first branch (the paper runs
-     * benchmarks "to their full length" and reports everything,
-     * including the initial-state effects Fig. 11 studies).
+     * Model context switches: every this many branches the predictor,
+     * the confidence estimators and the architectural BHR/GCIR go back
+     * to their power-on state. 0 = never switch. Section 5.4 motivates
+     * this knob: the choice of CT initialization matters exactly
+     * because tables restart after context switches.
      *
-     * Warmup is purely a statistics exclusion window on the first
-     * warmupBranches simulated conditionals: it does not delay,
-     * reset, or otherwise interact with the context-switch clock
-     * below. (Pinned by tests/sim/warmup_context_switch_test.cc.)
-     */
-    std::uint64_t warmupBranches = 0;
-
-    /**
-     * Model context switches: every this many branches the predictor
-     * and/or confidence structures are flushed back to their power-on
-     * state (per the flags below) and the architectural BHR/GCIR are
-     * cleared. 0 = never switch. Section 5.4 motivates this knob: the
-     * choice of CT initialization matters exactly because tables
-     * restart after context switches.
-     *
-     * Composition with warmup, exactly: the interval counts EVERY
-     * simulated conditional branch, warmup included (the OS does not
-     * pause the scheduler while a predictor warms up), so with
-     * warmupBranches > contextSwitchInterval the first flushes land
-     * inside the warmup window. A switch fires AFTER the triggering
-     * branch has fully trained the predictor, estimators, BHR, and
-     * GCIR, and never clears accumulated statistics — only modeled
-     * hardware state. (Pinned by warmup_context_switch_test.cc.)
+     * The interval counts every simulated conditional branch. A switch
+     * fires AFTER the triggering branch has fully trained the
+     * predictor, estimators, BHR, and GCIR, and never clears
+     * accumulated statistics — only modeled hardware state. (Pinned by
+     * tests/sim/context_switch_test.cc.)
      */
     std::uint64_t contextSwitchInterval = 0;
-
-    /** Flush the branch predictor at a context switch. */
-    bool flushPredictorOnSwitch = true;
-
-    /** Flush the confidence estimators at a context switch. */
-    bool flushEstimatorsOnSwitch = true;
 
     /**
      * Wall-clock budget for one run in milliseconds; 0 = unlimited.
@@ -174,8 +150,9 @@ struct DriverOptions
  * simulated conditional branches, so results are bit-exact at any
  * thread count, batch size, or decode-ahead depth — the same contract
  * as every other sweep knob — and whether or not the source can
- * restore snapshots. Plans compose with neither checkpointing nor
- * resume (fatal at run time): nothing checkpoints a sampled run.
+ * restore snapshots. A plan is a SweepEngine::run() argument and
+ * composes with no checkpointing (fatal at run time); resume() takes
+ * none: nothing checkpoints a sampled run.
  */
 struct SweepRecordingPlan
 {
@@ -320,12 +297,11 @@ struct ReplayGuard
  * CRC-32 fingerprint of one configuration's identity: the predictor's
  * and every estimator's name, the estimators' bucket counts, the
  * components' saveState() bytes, and the DriverOptions fields that
- * shape simulated statistics (BHR/GCIR widths, static profiling,
- * warmup, the context-switch interval and its flush flags). Call it on
- * freshly built components. Checkpoint entries carry it, so a store
- * shared by configurations with the same label (every
- * SuiteRunner::run() is labelled `run`) never restores one
- * configuration's state or results into another.
+ * shape simulated statistics (BHR/GCIR widths, static profiling, the
+ * context-switch interval). Call it on freshly built components.
+ * Checkpoint entries carry it, so a store shared by configurations
+ * with the same label (every SuiteRunner::run() is labelled `run`)
+ * never restores one configuration's state or results into another.
  */
 std::uint32_t
 configFingerprint(const BranchPredictor &predictor,
@@ -353,7 +329,7 @@ class alignas(64) ReplayKernel
      * @param label Configuration label (results and checkpoints).
      * @param options Simulation knobs; must outlive the kernel.
      * @param plan Optional recording plan (not owned); null records
-     *        every branch past warmup into dense estimatorStats. Under
+     *        every branch into dense estimatorStats. Under
      *        a plan an estimator with more than 2^31 buckets throws
      *        Error{kConfig}: its ids would not fit a 4-byte slot log.
      */

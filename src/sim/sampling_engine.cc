@@ -41,6 +41,9 @@ constexpr std::size_t kProxyEntries = 4096;
  *  choice). */
 constexpr std::uint64_t kSnapshotRegions = 1;
 
+/** Ranked-set candidate draws per pick (1 would be plain random). */
+constexpr std::size_t kRankSetSize = 3;
+
 /**
  * One streaming pass: segment into regions of @p region_branches
  * conditionals and score each with the proxy features. The pass is a
@@ -227,7 +230,7 @@ selectRegions(const std::vector<RegionFeatures> &regions,
         }
     }
 
-    // Ranked-set sampling per stratum: each pick draws rankSetSize
+    // Ranked-set sampling per stratum: each pick draws kRankSetSize
     // candidates, ranks them by the secondary feature (working-set
     // size), and keeps the candidate whose rank cycles across picks.
     Rng rng(seed);
@@ -235,8 +238,8 @@ selectRegions(const std::vector<RegionFeatures> &regions,
         auto &pool = pools[s];
         for (std::uint64_t i = 0; i < budget[s] && !pool.empty();
              ++i) {
-            const std::size_t m = std::min<std::size_t>(
-                options.rankSetSize, pool.size());
+            const std::size_t m =
+                std::min<std::size_t>(kRankSetSize, pool.size());
             std::vector<std::uint64_t> candidates;
             candidates.reserve(m);
             for (std::size_t c = 0; c < m; ++c) {
@@ -523,18 +526,6 @@ SamplingEngine::SamplingEngine(std::vector<SweepConfiguration> configs,
         fatal(ErrorCategory::kConfig, "--strata must be >= 1");
     if (options_.subsamples == 0)
         fatal(ErrorCategory::kConfig, "--subsamples must be >= 1");
-    if (options_.rankSetSize == 0)
-        fatal(ErrorCategory::kConfig, "rank-set size must be >= 1");
-    if (options_.sweep.recordingPlan != nullptr) {
-        fatal(ErrorCategory::kConfig,
-              "the sampling engine owns the recording plan; "
-              "SamplingOptions::sweep.recordingPlan must be null");
-    }
-    if (options_.sweep.pool != nullptr) {
-        fatal(ErrorCategory::kConfig,
-              "the sampling engine schedules its own passes; "
-              "SamplingOptions::sweep.pool must be null");
-    }
 }
 
 SamplingBenchmarkResult
@@ -552,10 +543,8 @@ SamplingEngine::runTrace(const std::string &name,
         return out;
 
     // Pass 2: one planned sweep replay.
-    SweepOptions sweep = options_.sweep;
-    sweep.recordingPlan = &plan;
-    SweepEngine engine(configs_, driver_, sweep);
-    estimateTrace(sel, engine.run(*make_source()), out);
+    SweepEngine engine(configs_, driver_, options_.sweep);
+    estimateTrace(sel, engine.run(*make_source(), &plan), out);
     return out;
 }
 

@@ -21,7 +21,7 @@
  *     the between-region variance the estimator must average over is
  *     within-stratum only.
  *  3. **Ranked-set sample**: within each stratum, each pick draws
- *     rankSetSize candidate regions, ranks them by working-set size,
+ *     three candidate regions, ranks them by working-set size,
  *     and keeps the candidate whose rank cycles across picks — RSS
  *     spreads picks across the secondary feature's range, beating
  *     plain random sampling at equal budget.
@@ -95,9 +95,6 @@ struct SamplingOptions
     /** Repeated-subsampling groups (>= 2 for usable error bars). */
     std::uint32_t subsamples = 5;
 
-    /** Ranked-set candidate draws per pick (1 = plain random). */
-    std::uint32_t rankSetSize = 3;
-
     /** Selection seed; same seed, same selections and estimates. */
     std::uint64_t seed = 0x5eed;
 
@@ -114,8 +111,7 @@ struct SamplingOptions
     /** Scheduling and replay tuning: runTrace() reads threads as
      *  one replay's shard count, runSuite() as the suite's worker
      *  budget W, which runSweep's rule spends on min(W, benchmarks)
-     *  passes (SweepOptions). recordingPlan and pool are owned by the
-     *  engine and must be left null. */
+     *  passes (SweepOptions). */
     SweepOptions sweep;
 };
 
@@ -207,8 +203,7 @@ class SamplingEngine
      * @param configs Attached configurations (as SweepEngine's).
      * @param driver Simulation knobs shared by all configurations.
      * @param options Sampling knobs; fatal(kConfig) on invalid values
-     *        at construction and on a caller-owned recording plan or
-     *        worker pool.
+     *        at construction.
      */
     SamplingEngine(std::vector<SweepConfiguration> configs,
                    DriverOptions driver, SamplingOptions options);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 #include "ckpt/checkpoint_store.h"
@@ -21,6 +20,14 @@ namespace confsim {
 SuiteRunner::SuiteRunner(BenchmarkSuite suite)
     : suite_(std::move(suite))
 {}
+
+std::string
+checkpointLabel(const BenchmarkSuite &suite, std::size_t bench)
+{
+    const BenchmarkProfile &profile = suite.profile(bench);
+    return profile.name + ".seed" + std::to_string(profile.seed) +
+           ".branches" + std::to_string(suite.makeGenerator(bench)->length());
+}
 
 namespace {
 
@@ -85,35 +92,37 @@ struct PassSchedule
 {
     unsigned workers = 1; //!< the budget W
     unsigned passes = 1;  //!< benchmark passes in flight
-    bool shard = false;   //!< passes shard over one shared W-worker pool
+    unsigned poolWorkers = 0; //!< shared pool size; 0 = passes replay inline
     bool producer = true; //!< passes decode ahead on a producer thread
 };
 
 /**
  * The one schedule rule. W is SweepOptions::threads (0 = one per
- * hardware thread; CONFSIM_SEQUENTIAL forces 1) and, unlike a lone
- * engine's thread count, is not capped at the configuration count.
- * min(W, benchmarks) passes run at once, so whole benchmarks overlap
- * first. Passes that fill the budget replay inline on their benchmark
- * threads; fewer passes than W shard a multi-configuration sweep over
- * one shared W-worker pool, min(W, configs) shards each. A pass
- * decodes ahead on a producer thread (SweepOptions::decodeAhead)
- * unless the passes fill a budget that covers every hardware thread:
- * then no CPU is left for the producers, and each pass refills its
- * batches itself (depth 1).
+ * hardware thread) and, unlike a lone engine's thread count, is not
+ * capped at the configuration count. min(W, benchmarks) passes run at
+ * once, so whole benchmarks overlap first. Passes that fill the budget
+ * replay inline on their benchmark threads; fewer passes than W shard
+ * a multi-configuration sweep over one shared pool, min(W, configs)
+ * shards each. The pool holds min(W, passes x configs) workers, as
+ * many as those shards can keep busy, so a large W starts no idle
+ * threads. A pass decodes ahead on a producer thread
+ * (SweepOptions::decodeAhead) unless the passes fill a budget that
+ * covers every hardware thread: then no CPU is left for the
+ * producers, and each pass refills its batches itself (depth 1).
  */
 PassSchedule
 resolveSchedule(unsigned threads, std::size_t benchmarks,
                 std::size_t configs)
 {
     PassSchedule schedule;
-    if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
-        return schedule;
     const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
     schedule.workers = threads != 0 ? threads : cpus;
     schedule.passes = static_cast<unsigned>(
         std::clamp<std::size_t>(benchmarks, 1, schedule.workers));
-    schedule.shard = schedule.passes < schedule.workers && configs >= 2;
+    if (schedule.passes < schedule.workers && configs >= 2) {
+        schedule.poolWorkers = static_cast<unsigned>(std::min<std::size_t>(
+            schedule.workers, schedule.passes * configs));
+    }
     schedule.producer =
         schedule.passes < schedule.workers || schedule.workers < cpus;
     return schedule;
@@ -405,12 +414,11 @@ completeStore(CheckpointStore &store,
 void
 computeComposites(SuiteRunResult &result, bool profile_static)
 {
-    // A benchmark that ran but recorded nothing (e.g. the warmup
-    // window covers the whole trace) has no rate or bucket mass to
-    // contribute; folding it in would average a meaningless 0.0 into
-    // the composite rate and trip EqualWeightComposite's zero-refs
-    // check. Exclude it from every composite and mark the result
-    // degraded-composite instead.
+    // A benchmark that ran but recorded nothing (an empty trace) has
+    // no rate or bucket mass to contribute; folding it in would
+    // average a meaningless 0.0 into the composite rate and trip
+    // EqualWeightComposite's zero-refs check. Exclude it from every
+    // composite and mark the result degraded-composite instead.
     const auto recorded = [](const BenchmarkRunResult &b) {
         return b.branches != 0;
     };
@@ -487,11 +495,6 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
         fatal(ErrorCategory::kConfig,
               "runSweep needs at least one configuration");
     }
-    if (sweep.pool != nullptr) {
-        fatal(ErrorCategory::kConfig,
-              "runSweep builds its own worker pool; leave "
-              "SweepOptions::pool unset");
-    }
     if (hooks.plan && policy.checkpoint.enabled()) {
         fatal(ErrorCategory::kConfig,
               "planned passes run without checkpoints");
@@ -505,12 +508,10 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
         resolveSchedule(sweep.threads, suite_.size(), configs.size());
     std::unique_ptr<SweepWorkerPool> pool;
     SweepOptions engine_sweep = sweep;
-    if (schedule.shard) {
-        pool = std::make_unique<SweepWorkerPool>(schedule.workers);
-        engine_sweep.pool = pool.get();
-    } else {
+    if (schedule.poolWorkers != 0)
+        pool = std::make_unique<SweepWorkerPool>(schedule.poolWorkers);
+    else
         engine_sweep.threads = 1;
-    }
     if (!schedule.producer)
         engine_sweep.decodeAhead = 1;
 
@@ -559,13 +560,11 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
             return source;
         };
 
-        SweepOptions pass_sweep = engine_sweep;
-        SweepRecordingPlan plan;
+        SweepEngine engine(configs, run_options, engine_sweep, pool.get());
         if (hooks.plan) {
-            plan = hooks.plan(bench, *build_source());
-            pass_sweep.recordingPlan = &plan;
+            const SweepRecordingPlan plan = hooks.plan(bench, *build_source());
+            return engine.run(*build_source(), &plan);
         }
-        SweepEngine engine(configs, run_options, pass_sweep);
         if (store != nullptr)
             engine.checkpointEvery(policy.checkpoint.everyBranches, store);
         std::unique_ptr<TraceSource> source = build_source();
@@ -617,7 +616,7 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
             for (const auto &config : configs)
                 fingerprints.push_back(fingerprintOf(config, options));
             store = std::make_unique<CheckpointStore>(
-                policy.checkpoint.directory, bench_name);
+                policy.checkpoint.directory, checkpointLabel(suite_, bench));
             wireStoreTelemetry(*store, telemetry, bench_name);
             store->setSpanTracer(options.spans);
             if (policy.checkpoint.resume) {

@@ -90,7 +90,7 @@ struct SuiteRunResult
 
     /**
      * Benchmarks that ran successfully but recorded zero branches
-     * (e.g. the warmup window covered the whole trace). They are
+     * (an empty trace, e.g. a trace file with no records). They are
      * excluded from every composite — averaging their meaningless
      * 0.0 rate or compositing their empty bucket mass would corrupt
      * the result — and flagged via compositeDegraded instead.
@@ -131,6 +131,15 @@ using SourceWrapper = std::function<std::unique_ptr<TraceSource>(
 struct SweepConfiguration;
 struct SweepOptions;
 struct SweepRunResult;
+
+/**
+ * The checkpoint store label of @p suite's benchmark @p bench: its
+ * name, its profile's seed and its resolved trace length, e.g.
+ * `jpeg.seed<S>.branches200000`. A suite run's store for the benchmark
+ * writes `<label>.g<N>.ckpt` generations and a `<label>.done.ckpt`
+ * marker, so a resume restores only checkpoints of the same trace.
+ */
+std::string checkpointLabel(const BenchmarkSuite &suite, std::size_t bench);
 
 /**
  * Results of a multi-configuration sweep over a suite: one full
@@ -191,9 +200,7 @@ class SuiteRunner
      * it is scheduled by the same rule as every sweep (one pass per
      * benchmark, min(W, benchmarks) at once, W = hardware threads).
      * Results are merged in suite order, so the output is
-     * bit-identical to a sequential run. Set the CONFSIM_SEQUENTIAL
-     * environment variable to force single-threaded execution (e.g.
-     * when profiling).
+     * bit-identical to a sequential run.
      *
      * @param make_predictor Fresh-predictor factory (called once per
      *        benchmark, possibly concurrently — must be thread-safe,
@@ -218,8 +225,9 @@ class SuiteRunner
      * worker budget W and the only input to the schedule: min(W,
      * benchmarks) passes run at once, replaying inline when they fill
      * the budget; fewer passes shard a multi-configuration sweep over
-     * one shared W-worker pool (decode runs ahead of replay per
-     * SweepOptions::decodeAhead). Results — including output order
+     * one shared pool of min(W, passes x configurations) workers
+     * (decode runs ahead of replay per SweepOptions::decodeAhead).
+     * Results — including output order
      * and composites — are bit-exact with run() called once per
      * configuration at any knob setting.
      *
@@ -230,19 +238,19 @@ class SuiteRunner
      *
      * A failure in any configuration fails the benchmark's pass, and
      * with it the run (runPasses()). Checkpointing, when enabled,
-     * snapshots the whole sweep per benchmark into a store labelled
-     * with the benchmark name; resume restores finished benchmarks
-     * from their done-markers (one `cfg<i>:result` per configuration)
-     * and interrupted ones from the newest valid generation. The
-     * suite_run_* and benchmark_* telemetry events come from here.
+     * snapshots the whole sweep per benchmark into a store labelled by
+     * checkpointLabel(), which names the benchmark's trace; resume
+     * restores finished benchmarks from their done-markers (one
+     * `cfg<i>:result` per configuration) and interrupted ones from the
+     * newest valid generation, of the same trace only. The suite_run_*
+     * and benchmark_* telemetry events come from here.
      *
      * @param configs Attached configurations (factories follow the
      *        same thread-safety rule as run()).
      * @param options Driver knobs shared by all configurations.
      * @param sweep Sweep thread/batch/pipelining tuning knobs.
-     *        When passes shard, runSweep creates and owns one worker
-     *        pool sized from SweepOptions::threads; a caller-set
-     *        SweepOptions::pool is rejected with Error{kConfig}.
+     *        When passes shard, runSweep creates and owns their one
+     *        worker pool.
      * @param policy Checkpoint and deadline policy (see run()).
      * @param hooks Per-benchmark hooks (runPasses()); under a plan
      *        hook the results carry no estimator statistics.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <iterator>
 #include <mutex>
@@ -490,11 +489,6 @@ class DecodeAheadRing
 unsigned
 resolveThreads(unsigned requested, std::size_t configs)
 {
-    // CONFSIM_SEQUENTIAL forces single-threaded operation everywhere
-    // (same escape hatch SuiteRunner honours) — results are identical
-    // either way, this only aids debugging under a debugger/sanitizer.
-    if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
-        return 1;
     unsigned threads = requested;
     if (threads == 0) {
         threads = std::thread::hardware_concurrency();
@@ -514,8 +508,6 @@ resolveThreads(unsigned requested, std::size_t configs)
 std::size_t
 resolveDecodeAhead(std::size_t requested)
 {
-    if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
-        return 1;
     return requested == 0 ? SweepOptions::kDefaultDecodeAhead
                           : requested;
 }
@@ -523,8 +515,10 @@ resolveDecodeAhead(std::size_t requested)
 } // namespace
 
 SweepEngine::SweepEngine(std::vector<SweepConfiguration> configs,
-                         DriverOptions driver, SweepOptions sweep)
-    : configs_(std::move(configs)), driver_(driver), sweep_(sweep)
+                         DriverOptions driver, SweepOptions sweep,
+                         SweepWorkerPool *pool)
+    : configs_(std::move(configs)), driver_(driver), sweep_(sweep),
+      pool_(pool)
 {
     if (configs_.empty())
         fatal(ErrorCategory::kConfig, "SweepEngine needs at least one configuration");
@@ -549,15 +543,15 @@ SweepEngine::checkpointEvery(std::uint64_t n_branches,
 }
 
 SweepRunResult
-SweepEngine::run(TraceSource &source)
+SweepEngine::run(TraceSource &source, const SweepRecordingPlan *plan)
 {
-    return runImpl(source, nullptr);
+    return runImpl(source, nullptr, plan);
 }
 
 SweepRunResult
 SweepEngine::resume(TraceSource &source, const Checkpoint &from)
 {
-    return runImpl(source, &from);
+    return runImpl(source, &from, nullptr);
 }
 
 void
@@ -609,14 +603,14 @@ SweepEngine::writeCheckpoint(TraceSource &source,
 
 SweepRunResult
 SweepEngine::runImpl(TraceSource &source,
-                     const Checkpoint *resume_from)
+                     const Checkpoint *resume_from,
+                     const SweepRecordingPlan *plan)
 {
     using Clock = std::chrono::steady_clock;
     const Clock::time_point run_start = Clock::now();
 
     SweepRunResult result;
 
-    const SweepRecordingPlan *const plan = sweep_.recordingPlan;
     if (plan != nullptr) {
         if (plan->regionBranches == 0) {
             fatal(ErrorCategory::kConfig,
@@ -645,11 +639,10 @@ SweepEngine::runImpl(TraceSource &source,
             }
             previous = snapshot.branch;
         }
-        if (ckptEvery_ != 0 || resume_from != nullptr) {
+        if (ckptEvery_ != 0) {
             fatal(ErrorCategory::kConfig,
-                  "a recording plan composes with neither "
-                  "checkpointing nor resume: nothing checkpoints a "
-                  "sampled run");
+                  "a recording plan does not compose with "
+                  "checkpointing: nothing checkpoints a sampled run");
         }
     }
 
@@ -742,7 +735,7 @@ SweepEngine::runImpl(TraceSource &source,
     // Parallelism: a shared pool (if provided) or an engine-owned one.
     // Either way shards never exceed the configuration count — a batch
     // is split into min(workers, configs) contiguous config ranges.
-    SweepWorkerPool *pool = sweep_.pool;
+    SweepWorkerPool *pool = pool_;
     std::unique_ptr<SweepWorkerPool> owned_pool;
     if (pool == nullptr) {
         const unsigned threads =

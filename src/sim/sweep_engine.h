@@ -31,10 +31,11 @@
  *    the source quiescent exactly at the checkpointed record, so
  *    serialized cursors (and watermark replay) are identical to the
  *    synchronous engine's.
- *  - **Shared worker pool**: engines can share one globally sized
- *    SweepWorkerPool, letting SuiteRunner::runSweep() pipeline
- *    multiple benchmarks' sharded sweep passes concurrently instead
- *    of leaving cores idle whenever configs < hardware threads.
+ *  - **Shared worker pool**: engines can share one SweepWorkerPool
+ *    (a constructor argument), letting SuiteRunner::runSweep()
+ *    pipeline multiple benchmarks' sharded sweep passes concurrently
+ *    instead of leaving cores idle whenever configs < hardware
+ *    threads.
  *
  * Checkpoints are taken at the first batch boundary at or after each
  * checkpointEvery() multiple of simulated branches; resume is
@@ -160,15 +161,16 @@ struct SweepOptions
      * Worker threads to shard configurations across; 0 = one per
      * hardware thread, capped at the configuration count. 1 runs
      * inline on the calling thread. Thread count never changes
-     * results. Ignored when @ref pool is set (the shared pool's size
-     * governs; shards are still capped at the configuration count).
+     * results. Ignored by an engine built on a shared pool (the pool's
+     * size governs; shards are still capped at the configuration
+     * count).
      *
      * SuiteRunner::runSweep() and SamplingEngine::runSuite() read it
      * as the whole run's worker budget W instead, the only input to
-     * their schedule (CONFSIM_SEQUENTIAL forces 1): min(W, benchmarks)
-     * passes run at once, inline when they fill the budget, otherwise
-     * sharding a multi-configuration sweep over one shared W-worker
-     * pool.
+     * their schedule: min(W, benchmarks) passes run at once, inline
+     * when they fill the budget, otherwise sharding a
+     * multi-configuration sweep over one shared pool of
+     * min(W, passes x configurations) workers.
      */
     unsigned threads = 0;
 
@@ -182,29 +184,11 @@ struct SweepOptions
      * synchronously between broadcasts (the pre-pipelining engine);
      * 0 = default depth. Pure performance knob — results, checkpoint
      * cadence, and resume behaviour are bit-identical at any depth.
-     * CONFSIM_SEQUENTIAL forces 1, and so do SuiteRunner::runSweep()
-     * and SamplingEngine::runSuite() for passes that fill a worker
-     * budget covering every hardware thread (no CPU is left for a
-     * producer).
+     * SuiteRunner::runSweep() and SamplingEngine::runSuite() force 1
+     * for passes that fill a worker budget covering every hardware
+     * thread (no CPU is left for a producer).
      */
     std::size_t decodeAhead = kDefaultDecodeAhead;
-
-    /**
-     * Optional shared worker pool (non-owning). When set, the engine
-     * broadcasts batches through it instead of creating a private
-     * pool, so several engines can share globally sized parallelism.
-     * The pool must outlive every run()/resume() call.
-     * SuiteRunner::runSweep() sets this to the pool it owns and
-     * rejects a caller-set one with Error{kConfig}.
-     */
-    SweepWorkerPool *pool = nullptr;
-
-    /**
-     * Optional region-granular recording plan (non-owning; must
-     * outlive the run). Null replays and records everything — the
-     * exact-simulation default. See SweepRecordingPlan.
-     */
-    const SweepRecordingPlan *recordingPlan = nullptr;
 
     static constexpr std::size_t kDefaultDecodeAhead = 3;
 };
@@ -253,20 +237,36 @@ class SweepEngine
     /**
      * @param configs Attached configurations (>= 1).
      * @param driver Simulation knobs shared by every configuration
-     *        (BHR/GCIR widths, warmup, context-switch modelling,
-     *        static profiling, telemetry).
+     *        (BHR/GCIR widths, context-switch modelling, static
+     *        profiling, telemetry).
      * @param sweep Thread/batch tuning knobs.
+     * @param pool Optional shared worker pool (not owned; must outlive
+     *        every run()/resume() call). When set, the engine
+     *        broadcasts batches through it instead of building a
+     *        private pool from SweepOptions::threads, so several
+     *        engines share one pool (SuiteRunner::runSweep()).
      */
     SweepEngine(std::vector<SweepConfiguration> configs,
-                DriverOptions driver = {}, SweepOptions sweep = {});
+                DriverOptions driver = {}, SweepOptions sweep = {},
+                SweepWorkerPool *pool = nullptr);
 
     ~SweepEngine();
 
     SweepEngine(const SweepEngine &) = delete;
     SweepEngine &operator=(const SweepEngine &) = delete;
 
-    /** Consume @p source to exhaustion, feeding every configuration. */
-    SweepRunResult run(TraceSource &source);
+    /**
+     * Consume @p source to exhaustion, feeding every configuration.
+     *
+     * @param plan Optional region-granular recording plan (not owned;
+     *        must outlive the call). Null replays and records
+     *        everything — the exact-simulation default. A plan is
+     *        validated here (Error{kConfig}) and refuses
+     *        checkpointEvery(): nothing checkpoints a sampled run. See
+     *        SweepRecordingPlan.
+     */
+    SweepRunResult run(TraceSource &source,
+                       const SweepRecordingPlan *plan = nullptr);
 
     /**
      * Continue a sweep from @p from (a checkpoint this engine's
@@ -294,7 +294,8 @@ class SweepEngine
 
   private:
     SweepRunResult runImpl(TraceSource &source,
-                           const Checkpoint *resume_from);
+                           const Checkpoint *resume_from,
+                           const SweepRecordingPlan *plan);
     void writeCheckpoint(TraceSource &source, SweepRunResult &result,
                          std::uint64_t consumed,
                          std::uint64_t simulated);
@@ -302,6 +303,7 @@ class SweepEngine
     std::vector<SweepConfiguration> configs_;
     DriverOptions driver_;
     SweepOptions sweep_;
+    SweepWorkerPool *pool_;
     std::uint64_t ckptEvery_ = 0;
     CheckpointStore *ckptStore_ = nullptr;
     std::vector<std::unique_ptr<ConfigState>> states_;

@@ -11,11 +11,11 @@ namespace confsim {
 
 namespace {
 
-constexpr std::array<char, 4> kMagic1 = {'C', 'B', 'T', '1'};
-constexpr std::array<char, 4> kMagic2 = {'C', 'B', 'T', '2'};
+constexpr std::array<char, 4> kMagic = {'C', 'B', 'T', '2'};
+/** The retired, unchecksummed format's magic; refused by name. */
+constexpr std::array<char, 4> kRetiredMagic = {'C', 'B', 'T', '1'};
 constexpr std::array<char, 4> kChunkMarker = {'C', 'H', 'N', 'K'};
-constexpr std::size_t kHeader1Size = 12;
-constexpr std::size_t kHeader2Size = 16;
+constexpr std::size_t kHeaderSize = 16;
 
 /**
  * Upper bound a well-formed chunk payload can have: kChunkRecords
@@ -33,21 +33,17 @@ writeLe32(std::ofstream &out, std::uint32_t value)
 
 } // namespace
 
-TraceWriter::TraceWriter(const std::string &path, TraceFormat format)
-    : out_(path, std::ios::binary), path_(path), format_(format)
+TraceWriter::TraceWriter(const std::string &path)
+    : out_(path, std::ios::binary), path_(path)
 {
     if (!out_)
         fatal(ErrorCategory::kTrace, "cannot open trace file for writing: " + path);
-    const auto &magic =
-        format_ == TraceFormat::kCbt1 ? kMagic1 : kMagic2;
-    out_.write(magic.data(), magic.size());
-    // Placeholder count (and, for CBT2, its CRC); patched by finish().
+    out_.write(kMagic.data(), kMagic.size());
+    // Placeholder count and its CRC; patched by finish().
     const std::uint64_t zero = 0;
     out_.write(reinterpret_cast<const char *>(&zero), sizeof(zero));
-    if (format_ == TraceFormat::kCbt2) {
-        writeLe32(out_, 0);
-        chunk_.reserve(kChunkRecords * 4);
-    }
+    writeLe32(out_, 0);
+    chunk_.reserve(kChunkRecords * 4);
 }
 
 void
@@ -66,15 +62,11 @@ TraceWriter::append(const BranchRecord &record)
         (static_cast<std::uint8_t>(record.type) << 1);
     prevPcWord_ = pc_word;
     ++count_;
-    if (format_ == TraceFormat::kCbt2) {
-        chunk_.push_back(static_cast<char>(flags));
-        // flushChunk() restarts the delta chain, so it must run after
-        // prevPcWord_ is updated for this record.
-        if (++chunkRecords_ == kChunkRecords)
-            flushChunk();
-    } else {
-        out_.put(static_cast<char>(flags));
-    }
+    chunk_.push_back(static_cast<char>(flags));
+    // flushChunk() restarts the delta chain, so it must run after
+    // prevPcWord_ is updated for this record.
+    if (++chunkRecords_ == kChunkRecords)
+        flushChunk();
 }
 
 void
@@ -107,12 +99,10 @@ void
 TraceWriter::finishImpl()
 {
     finished_ = true;
-    if (format_ == TraceFormat::kCbt2)
-        flushChunk();
-    out_.seekp(kMagic1.size());
+    flushChunk();
+    out_.seekp(kMagic.size());
     out_.write(reinterpret_cast<const char *>(&count_), sizeof(count_));
-    if (format_ == TraceFormat::kCbt2)
-        writeLe32(out_, crc32(&count_, sizeof(count_)));
+    writeLe32(out_, crc32(&count_, sizeof(count_)));
     out_.close();
     if (!out_)
         fatal(ErrorCategory::kTrace, "error finalizing trace file: " + path_);
@@ -133,19 +123,11 @@ TraceWriter::~TraceWriter()
 void
 TraceWriter::appendVarint(std::uint64_t value)
 {
-    if (format_ == TraceFormat::kCbt2) {
-        while (value >= 0x80) {
-            chunk_.push_back(static_cast<char>((value & 0x7F) | 0x80));
-            value >>= 7;
-        }
-        chunk_.push_back(static_cast<char>(value));
-    } else {
-        while (value >= 0x80) {
-            out_.put(static_cast<char>((value & 0x7F) | 0x80));
-            value >>= 7;
-        }
-        out_.put(static_cast<char>(value));
+    while (value >= 0x80) {
+        chunk_.push_back(static_cast<char>((value & 0x7F) | 0x80));
+        value >>= 7;
     }
+    chunk_.push_back(static_cast<char>(value));
 }
 
 TraceFileReader::TraceFileReader(const std::string &path,
@@ -164,31 +146,26 @@ TraceFileReader::readHeader()
     in_.read(magic.data(), magic.size());
     if (!in_)
         fatal(ErrorCategory::kTrace, "not a CBT trace file (short header): " + path_);
-    if (magic == kMagic1) {
-        format_ = TraceFormat::kCbt1;
-    } else if (magic == kMagic2) {
-        format_ = TraceFormat::kCbt2;
-    } else {
-        fatal(ErrorCategory::kTrace, "not a CBT1/CBT2 trace file: " + path_);
+    if (magic == kRetiredMagic) {
+        fatal(ErrorCategory::kTrace,
+              "CBT1 is a retired trace format without checksums; "
+              "re-record the trace as CBT2: " + path_);
     }
+    if (magic != kMagic)
+        fatal(ErrorCategory::kTrace, "not a CBT2 trace file: " + path_);
     in_.read(reinterpret_cast<char *>(&count_), sizeof(count_));
+    std::uint32_t header_crc = 0;
+    in_.read(reinterpret_cast<char *>(&header_crc), sizeof(header_crc));
     if (!in_)
         fatal(ErrorCategory::kTrace, "truncated trace header: " + path_);
-    if (format_ == TraceFormat::kCbt2) {
-        std::uint32_t header_crc = 0;
-        in_.read(reinterpret_cast<char *>(&header_crc),
-                 sizeof(header_crc));
-        if (!in_)
-            fatal(ErrorCategory::kTrace, "truncated trace header: " + path_);
-        if (crc32(&count_, sizeof(count_)) != header_crc) {
-            if (mode_ == RecoveryMode::kStrict) {
-                fatal(ErrorCategory::kTrace, "corrupt trace header (record-count CRC "
-                      "mismatch): " + path_);
-            }
-            // Recoverable: read what the chunks hold and account for
-            // drops from per-chunk counts instead of the header.
-            countTrusted_ = false;
+    if (crc32(&count_, sizeof(count_)) != header_crc) {
+        if (mode_ == RecoveryMode::kStrict) {
+            fatal(ErrorCategory::kTrace, "corrupt trace header (record-count CRC "
+                  "mismatch): " + path_);
         }
+        // Recoverable: read what the chunks hold and account for
+        // drops from per-chunk counts instead of the header.
+        countTrusted_ = false;
     }
 }
 
@@ -211,40 +188,6 @@ TraceFileReader::next(BranchRecord &record)
 {
     if (exhausted_)
         return false;
-    return format_ == TraceFormat::kCbt1 ? nextCbt1(record)
-                                         : nextCbt2(record);
-}
-
-bool
-TraceFileReader::nextCbt1(BranchRecord &record)
-{
-    if (produced_ >= count_) {
-        exhausted_ = true;
-        return false;
-    }
-    const std::int64_t pc_delta = zigZagDecode(readVarintStream());
-    const std::uint64_t pc_word =
-        prevPcWord_ + static_cast<std::uint64_t>(pc_delta);
-    const std::int64_t target_delta = zigZagDecode(readVarintStream());
-    const std::uint64_t target_word =
-        pc_word + static_cast<std::uint64_t>(target_delta);
-    const int flags = in_.get();
-    if (flags < 0) {
-        fatal(ErrorCategory::kTrace, "truncated trace record " + std::to_string(produced_) +
-              " in " + path_);
-    }
-    record.pc = pc_word << 2;
-    record.target = target_word << 2;
-    record.taken = (flags & 1) != 0;
-    record.type = static_cast<BranchType>((flags >> 1) & 0x3);
-    prevPcWord_ = pc_word;
-    ++produced_;
-    return true;
-}
-
-bool
-TraceFileReader::nextCbt2(BranchRecord &record)
-{
     for (;;) {
         if (chunkRecordsLeft_ > 0) {
             if (decodeFromChunk(record)) {
@@ -435,8 +378,7 @@ void
 TraceFileReader::reset()
 {
     in_.clear();
-    in_.seekg(static_cast<std::streamoff>(
-        format_ == TraceFormat::kCbt1 ? kHeader1Size : kHeader2Size));
+    in_.seekg(static_cast<std::streamoff>(kHeaderSize));
     produced_ = 0;
     prevPcWord_ = 0;
     exhausted_ = false;
@@ -445,30 +387,6 @@ TraceFileReader::reset()
     chunkRecordsLeft_ = 0;
     chunkIndex_ = 0;
     dropped_ = 0;
-}
-
-std::uint64_t
-TraceFileReader::readVarintStream()
-{
-    std::uint64_t value = 0;
-    unsigned shift = 0;
-    unsigned bytes = 0;
-    for (;;) {
-        const int byte = in_.get();
-        if (byte < 0) {
-            fatal(ErrorCategory::kTrace, "truncated varint in record " +
-                  std::to_string(produced_) + " of " + path_);
-        }
-        if (++bytes > 10) {
-            fatal(ErrorCategory::kTrace, "overlong varint (> 10 bytes) in record " +
-                  std::to_string(produced_) + " of " + path_);
-        }
-        value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-        if ((byte & 0x80) == 0)
-            break;
-        shift += 7;
-    }
-    return value;
 }
 
 TextTraceReader::TextTraceReader(const std::string &path)
@@ -526,10 +444,9 @@ TextTraceReader::reset()
 }
 
 std::uint64_t
-writeTraceFile(TraceSource &source, const std::string &path,
-               TraceFormat format)
+writeTraceFile(TraceSource &source, const std::string &path)
 {
-    TraceWriter writer(path, format);
+    TraceWriter writer(path);
     BranchRecord record;
     std::uint64_t n = 0;
     while (source.next(record)) {

@@ -1,26 +1,26 @@
 /**
  * @file
- * Binary branch-trace file formats (".cbt" — conditional branch trace).
+ * The binary branch-trace file format (".cbt" — conditional branch
+ * trace), CBT2:
  *
- * CBT1 (legacy, still fully readable):
- *   header:  magic "CBT1" (4 bytes), record count (LE u64)
- *   records: per record —
- *     varint  zig-zag delta of (pc >> 2) from previous record's pc >> 2
- *     varint  zig-zag delta of (target >> 2) from this record's pc >> 2
- *     u8      flags: bit0 = taken, bits1-2 = BranchType
- *
- * CBT2 (default, checksummed):
  *   header:  magic "CBT2" (4 bytes), record count (LE u64),
  *            CRC32 of the count field (LE u32)
- *   chunks:  records are grouped into chunks of up to kChunkRecords;
- *            the per-record encoding is identical to CBT1 but the PC
- *            delta chain restarts at every chunk boundary so one lost
- *            chunk cannot corrupt the next. Each chunk is:
+ *   chunks:  records are grouped into chunks of up to kChunkRecords,
+ *            and the PC delta chain restarts at every chunk boundary
+ *            so one lost chunk cannot corrupt the next. Each chunk is:
  *     u32     sync marker "CHNK"
  *     u32     payload size in bytes (LE)
  *     u32     record count in this chunk (LE)
  *     bytes   payload (the encoded records)
  *     u32     CRC32 of the payload (LE)
+ *   records: per record, in the payload —
+ *     varint  zig-zag delta of (pc >> 2) from previous record's pc >> 2
+ *     varint  zig-zag delta of (target >> 2) from this record's pc >> 2
+ *     u8      flags: bit0 = taken, bits1-2 = BranchType
+ *
+ * The retired CBT1 format carried no checksums. A file with its magic
+ * fails with Error{kTrace} naming the format, so one flipped magic
+ * byte cannot make the reader decode a CBT2 file without its checks.
  *
  * A flipped bit anywhere in a chunk fails the footer CRC; a flipped bit
  * in the chunk header fails the marker, the size bound, or the
@@ -47,13 +47,6 @@
 
 namespace confsim {
 
-/** On-disk trace format version. */
-enum class TraceFormat : std::uint8_t
-{
-    kCbt1 = 1, //!< legacy: no integrity checking
-    kCbt2 = 2, //!< chunked with per-chunk CRC32 footers (default)
-};
-
 /** How TraceFileReader reacts to corruption. */
 enum class RecoveryMode : std::uint8_t
 {
@@ -61,16 +54,15 @@ enum class RecoveryMode : std::uint8_t
     kSkipCorrupt = 1 //!< resync at the next chunk; count dropped records
 };
 
-/** Streaming writer for the binary trace formats. */
+/** Streaming writer for the binary trace format. */
 class TraceWriter
 {
   public:
-    /** Records per CBT2 chunk (the CRC/resync granularity). */
+    /** Records per chunk (the CRC/resync granularity). */
     static constexpr std::uint64_t kChunkRecords = 4096;
 
     /** Open @p path; calls fatal() on failure. */
-    explicit TraceWriter(const std::string &path,
-                         TraceFormat format = TraceFormat::kCbt2);
+    explicit TraceWriter(const std::string &path);
 
     /** Append one record. */
     void append(const BranchRecord &record);
@@ -96,25 +88,22 @@ class TraceWriter
 
     std::ofstream out_;
     std::string path_;
-    TraceFormat format_;
-    std::vector<char> chunk_;         //!< CBT2: pending chunk payload
-    std::uint64_t chunkRecords_ = 0;  //!< CBT2: records in chunk_
+    std::vector<char> chunk_;         //!< pending chunk payload
+    std::uint64_t chunkRecords_ = 0;  //!< records in chunk_
     std::uint64_t count_ = 0;
     std::uint64_t prevPcWord_ = 0;
     bool finished_ = false;
 };
 
-/** Streaming reader for the binary trace formats; a TraceSource. */
+/** Streaming reader for the binary trace format; a TraceSource. */
 class TraceFileReader : public TraceSource
 {
   public:
     /**
-     * Open @p path; calls fatal() on open or header errors. The format
-     * (CBT1 vs CBT2) is detected from the magic.
+     * Open @p path; calls fatal() on open or header errors, among them
+     * a magic other than "CBT2".
      *
-     * @param mode Corruption handling; kSkipCorrupt only changes
-     *        behaviour for CBT2 files (CBT1 has no redundancy to
-     *        recover with, so it is always strict).
+     * @param mode Corruption handling.
      */
     explicit TraceFileReader(const std::string &path,
                              RecoveryMode mode = RecoveryMode::kStrict);
@@ -124,9 +113,6 @@ class TraceFileReader : public TraceSource
 
     /** @return total records promised by the header. */
     std::uint64_t recordCount() const { return count_; }
-
-    /** @return the detected on-disk format. */
-    TraceFormat format() const { return format_; }
 
     /**
      * @return records lost to corruption (kSkipCorrupt only).
@@ -156,26 +142,21 @@ class TraceFileReader : public TraceSource
   private:
     void readHeader();
     void skipped(const std::string &what, std::uint64_t dropped);
-    bool nextCbt1(BranchRecord &record);
-    bool nextCbt2(BranchRecord &record);
     bool loadNextChunk();
     bool resyncToMarker();
     void corrupt(const std::string &what);
-    std::uint64_t readVarintStream();
-    std::uint64_t readVarintChunk();
     bool decodeFromChunk(BranchRecord &record);
 
     std::ifstream in_;
     std::string path_;
     RecoveryMode mode_;
-    TraceFormat format_ = TraceFormat::kCbt1;
     std::uint64_t count_ = 0;
     bool countTrusted_ = true;
     std::uint64_t produced_ = 0;
     std::uint64_t prevPcWord_ = 0;
     bool exhausted_ = false;
 
-    // CBT2 chunk state.
+    // Chunk state.
     std::vector<char> chunk_;
     std::size_t chunkPos_ = 0;
     std::uint64_t chunkRecordsLeft_ = 0;
@@ -188,8 +169,7 @@ class TraceFileReader : public TraceSource
  * Copy every record of @p source to a binary trace file.
  * @return the number of records written.
  */
-std::uint64_t writeTraceFile(TraceSource &source, const std::string &path,
-                             TraceFormat format = TraceFormat::kCbt2);
+std::uint64_t writeTraceFile(TraceSource &source, const std::string &path);
 
 /** Write @p source to the debug text format ("pc target taken type"). */
 std::uint64_t writeTextTrace(TraceSource &source, const std::string &path);

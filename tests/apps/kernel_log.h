@@ -60,7 +60,6 @@ kernelReplay(TraceSource &source,
 {
     SweepOptions sweep;
     sweep.threads = 1;
-    sweep.recordingPlan = plan;
     SweepEngine engine({{"app", make_predictor,
                          [make_estimator] {
                              std::vector<std::unique_ptr<ConfidenceEstimator>>
@@ -69,7 +68,7 @@ kernelReplay(TraceSource &source,
                              return out;
                          }}},
                        DriverOptions{}, sweep);
-    SweepRunResult pass = engine.run(source);
+    SweepRunResult pass = engine.run(source, plan);
     return std::move(pass.perConfig.at(0));
 }
 

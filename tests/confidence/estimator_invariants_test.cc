@@ -175,9 +175,9 @@ TEST(EstimatorInvariants, BucketTotalsSumToRecordedBranches)
 {
     // Every prediction lands in exactly one bucket: the driver's
     // per-estimator totals must equal its recorded branch count,
-    // exactly, with and without a warmup exclusion window.
-    for (const std::uint64_t warmup : {std::uint64_t{0},
-                                       std::uint64_t{5'000}}) {
+    // exactly, with and without context switches.
+    for (const std::uint64_t interval : {std::uint64_t{0},
+                                         std::uint64_t{5'000}}) {
         auto named = allEstimators();
         std::vector<ConfidenceEstimator *> raw;
         raw.reserve(named.size());
@@ -186,7 +186,7 @@ TEST(EstimatorInvariants, BucketTotalsSumToRecordedBranches)
 
         GsharePredictor predictor(4096, 12);
         DriverOptions options;
-        options.warmupBranches = warmup;
+        options.contextSwitchInterval = interval;
         SimulationDriver driver(predictor, raw, options);
         const auto suite = BenchmarkSuite::ibsSmall(kBranches);
         const auto source = suite.makeGenerator(1);
@@ -194,8 +194,8 @@ TEST(EstimatorInvariants, BucketTotalsSumToRecordedBranches)
 
         ASSERT_GT(result.branches, 0u);
         for (std::size_t e = 0; e < raw.size(); ++e) {
-            SCOPED_TRACE(named[e].label + " warmup=" +
-                         std::to_string(warmup));
+            SCOPED_TRACE(named[e].label + " interval=" +
+                         std::to_string(interval));
             EXPECT_EQ(result.estimatorStats[e].totalRefs(),
                       static_cast<double>(result.branches));
             EXPECT_EQ(result.estimatorStats[e].totalMispredicts(),

@@ -2,15 +2,13 @@
  * @file
  * Seeded corruption fuzzing over the two on-disk container formats.
  *
- * CBT2 traces: every byte past the 4-byte magic is covered by an
- * integrity check — the header count by its CRC, each chunk header by
- * the marker / size-bound / record-count cross-checks, each payload
- * (and its CRC footer) by the per-chunk CRC32. So a single-byte flip
- * anywhere in that region must make a kStrict reader throw — never
- * crash, never silently deliver altered records. The magic itself is
- * excluded from fuzzing because a flip there can legitimately alias to
- * the legacy "CBT1" magic, reinterpreting the file as the unchecked
- * format rather than damaging this one.
+ * CBT2 traces: every byte is covered by a check — the magic by the
+ * reader's refusal of anything but "CBT2" (the retired "CBT1" magic
+ * included), the header count by its CRC, each chunk header by the
+ * marker / size-bound / record-count cross-checks, each payload (and
+ * its CRC footer) by the per-chunk CRC32. So a single-byte flip
+ * anywhere must make a kStrict reader throw — never crash, never
+ * silently deliver altered records.
  *
  * kSkipCorrupt is held to an exact accounting contract: a flip
  * confined to one chunk's payload+CRC region drops exactly that
@@ -87,7 +85,7 @@ pristineTraceBytes()
                                    std::to_string(::getpid()) + ".cbt2");
         const auto suite = BenchmarkSuite::ibsSmall(kTraceBranches);
         const auto source = suite.makeGenerator(0);
-        writeTraceFile(*source, path.string(), TraceFormat::kCbt2);
+        writeTraceFile(*source, path.string());
         std::vector<std::uint8_t> written = readFileBytes(path.string());
         std::filesystem::remove(path);
         return written;
@@ -162,16 +160,8 @@ TEST(TraceCorruptionFuzz, StrictReaderAlwaysErrorsNeverCrashes)
     EXPECT_EQ(drainFile(path, RecoveryMode::kStrict).size(),
               TraceFileReader(path.string()).recordCount());
 
-    Rng rng(0xF00DF00Du);
-    constexpr int kFlips = 200;
-    for (int i = 0; i < kFlips; ++i) {
-        // Skip the 4 magic bytes (see file comment); everything else
-        // is fair game, header and chunk bytes alike.
-        const std::size_t offset =
-            4 + static_cast<std::size_t>(
-                    rng.nextBelow(pristine.size() - 4));
-        const auto mask =
-            static_cast<std::uint8_t>(1 + rng.nextBelow(255));
+    const auto expectRejected = [&](std::size_t offset, std::uint8_t mask,
+                                    const std::string &flip) {
         std::vector<std::uint8_t> mutated = pristine;
         mutated[offset] ^= mask;
         writeBytes(path, mutated);
@@ -183,9 +173,25 @@ TEST(TraceCorruptionFuzz, StrictReaderAlwaysErrorsNeverCrashes)
             threw = true;
         }
         EXPECT_TRUE(threw)
-            << "flip #" << i << " at offset " << offset << " (mask 0x"
-            << std::hex << int(mask) << std::dec
+            << flip << " at offset " << offset << " (mask 0x" << std::hex
+            << int(mask) << std::dec
             << ") was silently accepted in kStrict mode";
+    };
+
+    // Every flip of every magic byte, the one to "CBT1" among them.
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+        for (unsigned mask = 1; mask < 256; ++mask)
+            expectRejected(offset, static_cast<std::uint8_t>(mask), "magic");
+    }
+
+    Rng rng(0xF00DF00Du);
+    constexpr int kFlips = 200;
+    for (int i = 0; i < kFlips; ++i) {
+        const std::size_t offset =
+            static_cast<std::size_t>(rng.nextBelow(pristine.size()));
+        const auto mask =
+            static_cast<std::uint8_t>(1 + rng.nextBelow(255));
+        expectRejected(offset, mask, "flip #" + std::to_string(i));
     }
 }
 

@@ -121,12 +121,21 @@ TEST(BranchProfileIntegration, ProfilingIsBitExactNeutral)
 
 TEST(BranchProfileIntegration, WarmupGatesProfileLikeTheAggregates)
 {
+    // A planned replay whose first region only warms: it trains the
+    // structures but records nothing, on both sides identically.
     DriverOptions options;
     options.profileBranches = true;
-    options.warmupBranches = 5'000;
-    const DriverResult result = runSequential(options);
-    ASSERT_GT(result.branches, 0u);
-    // Warmup branches are excluded from both sides identically.
+    SweepRecordingPlan plan;
+    plan.regionBranches = 5'000;
+    plan.numSlots = 1;
+    plan.regionSlots.assign(kBranches / plan.regionBranches, 0);
+    plan.regionSlots.front() = SweepRecordingPlan::kWarmOnly;
+    SweepEngine engine({{"cfg", testPredictor(), testEstimators()}},
+                       options);
+    auto source = BenchmarkSuite::ibsSmall(kBranches).makeGenerator(0);
+    const SweepRunResult run = engine.run(*source, &plan);
+    const SweepConfigResult &result = run.perConfig.front();
+    EXPECT_EQ(result.branches, kBranches - plan.regionBranches);
     EXPECT_EQ(result.branchProfile.totalExecutions(), result.branches);
     EXPECT_EQ(result.branchProfile.totalMispredictions(),
               result.mispredicts);

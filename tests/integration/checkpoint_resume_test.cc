@@ -218,6 +218,18 @@ class CheckpointResumeTest : public ::testing::Test
         return policy;
     }
 
+    /** The checkpoint store label of benchmark @p name. */
+    std::string
+    label(const std::string &name) const
+    {
+        for (std::size_t bench = 0; bench < suite_.size(); ++bench) {
+            if (suite_.profile(bench).name == name)
+                return checkpointLabel(suite_, bench);
+        }
+        ADD_FAILURE() << name << " is not in the suite";
+        return name;
+    }
+
     /** Files in the checkpoint dir whose name starts with @p prefix. */
     std::vector<std::string>
     filesWithPrefix(const std::string &prefix) const
@@ -316,7 +328,7 @@ class CheckpointResumeTest : public ::testing::Test
                               : ErrorCategory::kTrace)
                     << e.what();
             }
-            ASSERT_FALSE(filesWithPrefix(name + ".g").empty())
+            ASSERT_FALSE(filesWithPrefix(label(name) + ".g").empty())
                 << "killed run left no checkpoints for " << name;
         }
     }
@@ -348,8 +360,8 @@ class CheckpointResumeTest : public ::testing::Test
 
         // Completion replaced the generations with done-markers.
         for (const auto &name : names_) {
-            EXPECT_TRUE(filesWithPrefix(name + ".g").empty());
-            EXPECT_EQ(filesWithPrefix(name + ".done").size(), 1u);
+            EXPECT_TRUE(filesWithPrefix(label(name) + ".g").empty());
+            EXPECT_EQ(filesWithPrefix(label(name) + ".done").size(), 1u);
         }
     }
 };
@@ -382,7 +394,7 @@ TEST_F(CheckpointResumeTest, CorruptGenerationFallsBackAndReports)
 
     // Damage groff's NEWEST generation; the older one must carry the
     // resume (the fall-back-one-generation rule).
-    const auto groff_gens = filesWithPrefix("groff.g");
+    const auto groff_gens = filesWithPrefix(label("groff") + ".g");
     ASSERT_GE(groff_gens.size(), 2u);
     corruptFile(groff_gens.back()); // zero-padded => sorted = numeric
 
@@ -462,8 +474,8 @@ TEST_F(CheckpointResumeTest, DoneMarkerSkipsCompletedBenchmarks)
     const SuiteRunResult first = first_runner.run(
         gshareFactory(), oneLevelFactory(), {}, checkpointed(false));
     for (const auto &name : names_) {
-        ASSERT_EQ(filesWithPrefix(name + ".done").size(), 1u);
-        ASSERT_TRUE(filesWithPrefix(name + ".g").empty());
+        ASSERT_EQ(filesWithPrefix(label(name) + ".done").size(), 1u);
+        ASSERT_TRUE(filesWithPrefix(label(name) + ".g").empty());
     }
 
     // Poisoned resume: any attempt to actually simulate dies on the
@@ -490,14 +502,14 @@ TEST_F(CheckpointResumeTest, SweepDoneMarkersCarryEveryConfiguration)
     const SweepSuiteResult first =
         first_runner.runSweep(configs, {}, sweep, checkpointed(false));
     for (const auto &name : names_) {
-        ASSERT_EQ(filesWithPrefix(name + ".done").size(), 1u);
-        ASSERT_TRUE(filesWithPrefix(name + ".g").empty());
+        ASSERT_EQ(filesWithPrefix(label(name) + ".done").size(), 1u);
+        ASSERT_TRUE(filesWithPrefix(label(name) + ".g").empty());
     }
 
     // A done-marker in an older layout does not decode: that benchmark
     // re-simulates, the other is served from its marker.
     {
-        CheckpointStore store(dir_, "jpeg");
+        CheckpointStore store(dir_, label("jpeg"));
         Checkpoint legacy;
         legacy.label = "jpeg";
         legacy.add("suite:result", 1, {});

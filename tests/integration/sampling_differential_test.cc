@@ -216,8 +216,7 @@ hideSnapshots(SuiteRunner &runner)
 }
 
 /** A 2-region warming window; switches every 4500 branches, which
- *  neither divides the 2000-branch regions nor fits in the window,
- *  after a 3000-branch warmup. */
+ *  neither divides the 2000-branch regions nor fits in the window. */
 SamplingOptions
 boundedOptions()
 {
@@ -230,7 +229,6 @@ DriverOptions
 switchingDriver()
 {
     DriverOptions driver;
-    driver.warmupBranches = 3000;
     driver.contextSwitchInterval = 4500;
     return driver;
 }

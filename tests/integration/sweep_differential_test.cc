@@ -232,28 +232,15 @@ TEST(SweepDifferential, BatchSizeNeverChangesResults)
     }
 }
 
-TEST(SweepDifferential, WarmupAndContextSwitchCombosBitExact)
+TEST(SweepDifferential, ContextSwitchIntervalsBitExact)
 {
     const Family family = differentialFamilyNamed("counter_saturating");
-    struct Combo
-    {
-        std::uint64_t warmup;
-        std::uint64_t interval;
-        bool flushPredictor;
-        bool flushEstimators;
-    };
-    const Combo combos[] = {
-        {0, 0, true, true},       {1000, 0, true, true},
-        {0, 777, true, true},     {500, 500, true, true},
-        {2000, 700, false, true}, {100, 1, true, false},
-    };
-    for (const Combo &combo : combos) {
+    for (const std::uint64_t interval :
+         {std::uint64_t{0}, std::uint64_t{1000}, std::uint64_t{777},
+          std::uint64_t{500}, std::uint64_t{700}, std::uint64_t{1}}) {
         DriverOptions options;
         options.profileStatic = true;
-        options.warmupBranches = combo.warmup;
-        options.contextSwitchInterval = combo.interval;
-        options.flushPredictorOnSwitch = combo.flushPredictor;
-        options.flushEstimatorsOnSwitch = combo.flushEstimators;
+        options.contextSwitchInterval = interval;
 
         const SequentialRun reference =
             runSequential(family, options, 20'000);
@@ -266,11 +253,9 @@ TEST(SweepDifferential, WarmupAndContextSwitchCombosBitExact)
         auto source = freshSource(20'000);
         const SweepRunResult result = engine.run(*source);
         for (std::size_t c = 0; c < 2; ++c) {
-            expectIdentical(
-                reference.result, result.perConfig[c],
-                "warmup=" + std::to_string(combo.warmup) +
-                    " interval=" + std::to_string(combo.interval) +
-                    " config " + std::to_string(c));
+            expectIdentical(reference.result, result.perConfig[c],
+                            "interval=" + std::to_string(interval) +
+                                " config " + std::to_string(c));
         }
     }
 }
@@ -426,12 +411,11 @@ TEST(SweepDifferential, SharedPoolWithSurplusWorkersBitExact)
 
     SweepWorkerPool pool(6);
     SweepOptions sweep;
-    sweep.pool = &pool;
     sweep.decodeAhead = 3;
 
     // Two engines sharing one pool back to back, as runSweep does.
     for (int pass = 0; pass < 2; ++pass) {
-        SweepEngine engine(familyConfigs(families), options, sweep);
+        SweepEngine engine(familyConfigs(families), options, sweep, &pool);
         auto source = freshSource();
         const SweepRunResult result = engine.run(*source);
         ASSERT_EQ(result.perConfig.size(), families.size());

@@ -2,8 +2,8 @@
  * @file
  * Differential test of the replay kernel against the independent
  * reference model (reference_model.h). Every case draws a random trace,
- * predictor and estimator geometry, warmup length, and context-switch
- * interval from its seed, runs both SimulationDriver and the model over
+ * predictor and estimator geometry, and context-switch interval from
+ * its seed, runs both SimulationDriver and the model over
  * the same records, and requires identical branch, misprediction,
  * context-switch, and per-bucket counts. The native predictors (TAGE,
  * the perceptron) and their confidence estimators are checked branch
@@ -183,12 +183,8 @@ TEST(ReferenceDifferential, KernelMatchesReferenceModelOnRandomCases)
 
         reference::Options model_options;
         model_options.bhrBits = static_cast<unsigned>(rng.range(1, 20));
-        model_options.warmup =
-            rng.chance(30) ? 0 : rng.range(0, trace.size() / 2);
         model_options.switchInterval =
             rng.chance(35) ? 0 : rng.range(1, trace.size() / 2);
-        model_options.flushPredictor = rng.chance(60);
-        model_options.flushEstimators = rng.chance(60);
 
         std::vector<reference::Estimator> model_estimators;
         for (const auto &spec : specs)
@@ -207,10 +203,7 @@ TEST(ReferenceDifferential, KernelMatchesReferenceModelOnRandomCases)
         }
         DriverOptions options;
         options.bhrBits = model_options.bhrBits;
-        options.warmupBranches = model_options.warmup;
         options.contextSwitchInterval = model_options.switchInterval;
-        options.flushPredictorOnSwitch = model_options.flushPredictor;
-        options.flushEstimatorsOnSwitch = model_options.flushEstimators;
         SimulationDriver driver(predictor, estimators, options);
         VectorTraceSource source(trace);
         const DriverResult actual = driver.run(source);

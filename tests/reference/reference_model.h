@@ -20,10 +20,9 @@
  *  - Two-level: the level-1 CIR indexes a level-2 CIR table whose
  *    pattern is the bucket; level 2 trains with the pre-update level-1
  *    CIR.
- *  - Warmup excludes the first branches from the statistics only; a
- *    context switch after every `interval` conditional branches
- *    (warmup included) restores the chosen structures to power-on
- *    state and clears the BHR.
+ *  - A context switch after every `interval` conditional branches
+ *    restores the predictor and every estimator to power-on state and
+ *    clears the BHR.
  *  - The native predictors the repo compares against the paper's
  *    estimators, TAGE and the perceptron, and their built-in
  *    confidence buckets: see Tage and Perceptron below, written from
@@ -206,10 +205,7 @@ struct Estimator
 struct Options
 {
     unsigned bhrBits = 16;
-    std::uint64_t warmup = 0;
     std::uint64_t switchInterval = 0; //!< 0 = never
-    bool flushPredictor = true;
-    bool flushEstimators = true;
 };
 
 /** Per-bucket statistics: references and mispredictions. */
@@ -242,17 +238,12 @@ simulate(const std::vector<BranchRecord> &trace, Gshare predictor,
         if (record.type != BranchType::Conditional)
             continue;
         const bool correct = predictor.predict(record.pc) == record.taken;
-        const bool counted = seen >= options.warmup;
-        if (counted) {
-            ++result.branches;
-            result.mispredicts += correct ? 0 : 1;
-        }
+        ++result.branches;
+        result.mispredicts += correct ? 0 : 1;
         for (std::size_t e = 0; e < estimators.size(); ++e) {
             const std::uint64_t b = estimators[e].bucket(record.pc, bhr);
-            if (counted) {
-                ++result.buckets[e][b].refs;
-                result.buckets[e][b].mispredicts += correct ? 0 : 1;
-            }
+            ++result.buckets[e][b].refs;
+            result.buckets[e][b].mispredicts += correct ? 0 : 1;
             estimators[e].train(record.pc, bhr, correct);
         }
         predictor.train(record.pc, record.taken);
@@ -261,12 +252,9 @@ simulate(const std::vector<BranchRecord> &trace, Gshare predictor,
         ++seen;
         if (options.switchInterval != 0 &&
             seen % options.switchInterval == 0) {
-            if (options.flushPredictor)
-                predictor.powerOn();
-            if (options.flushEstimators) {
-                for (Estimator &estimator : estimators)
-                    estimator.powerOn();
-            }
+            predictor.powerOn();
+            for (Estimator &estimator : estimators)
+                estimator.powerOn();
             bhr = 0;
             ++result.contextSwitches;
         }

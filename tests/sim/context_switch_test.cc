@@ -1,25 +1,22 @@
 /**
  * @file
- * Regression tests pinning how `warmupBranches` exclusion and
- * `contextSwitchInterval` flushes compose in the driver.
+ * Regression tests pinning how `contextSwitchInterval` flushes compose
+ * with the record step in the driver.
  *
- * The documented order (sim/driver.h):
+ * The documented order (DriverOptions::contextSwitchInterval):
  *
- *  - The warmup window is an exclusion on STATISTICS only: branches
- *    [0, warmupBranches) train every structure but are not counted in
- *    branches/mispredicts/bucket stats/static profile.
- *  - The context-switch interval counts EVERY simulated conditional
- *    branch, warmup included — the OS does not pause the scheduler
- *    while a predictor warms up.
+ *  - The context-switch interval counts every simulated conditional
+ *    branch; other records do not tick it.
  *  - A switch fires AFTER the triggering branch has fully trained
- *    (predictor, estimators, BHR, GCIR), flushes per the flags, and
- *    never clears accumulated statistics.
+ *    (predictor, estimators, BHR, GCIR), returns the predictor, the
+ *    estimators and both history registers to their power-on state,
+ *    and never clears accumulated statistics.
  *
- * Each test replays the same trace through a hand-rolled reference
- * loop that encodes exactly this order, then asserts the driver
- * matches bit-for-bit across W<S, W=S, W>S, and S=1 compositions. A
- * discrepancy here means the driver's loop order drifted from the
- * documentation.
+ * The first test replays the same trace through a hand-rolled
+ * reference loop that encodes exactly this order, then asserts the
+ * driver matches bit-for-bit at several intervals, S = 1 and no
+ * switches included. A discrepancy here means the driver's loop order
+ * drifted from the documentation.
  */
 
 #include <cstdint>
@@ -72,7 +69,6 @@ referenceRun(TraceSource &source, const DriverOptions &options)
     ctx.bhrBits = options.bhrBits;
     ctx.gcirBits = options.gcirBits;
 
-    std::uint64_t simulated = 0;
     std::uint64_t since_switch = 0;
     BranchRecord record;
     while (source.next(record)) {
@@ -85,35 +81,23 @@ referenceRun(TraceSource &source, const DriverOptions &options)
         const bool correct =
             predictor.predict(record.pc) == record.taken;
 
-        // Warmup is a statistics exclusion only: the window is the
-        // first warmupBranches SIMULATED branches, [0, W).
-        const bool recording = simulated >= options.warmupBranches;
-        if (recording) {
-            ++result.branches;
-            if (!correct)
-                ++result.mispredicts;
-            result.stats.record(estimator.bucketOf(ctx), !correct);
-            result.profile.record(record.pc, !correct, record.taken);
-        } else {
-            // Not recorded — but the estimator still reads its bucket
-            // (the driver queries unconditionally) and still trains.
-            estimator.bucketOf(ctx);
-        }
+        ++result.branches;
+        if (!correct)
+            ++result.mispredicts;
+        result.stats.record(estimator.bucketOf(ctx), !correct);
+        result.profile.record(record.pc, !correct, record.taken);
         estimator.update(ctx, correct, record.taken);
         predictor.update(record.pc, record.taken);
         bhr.recordOutcome(record.taken);
         gcir.shiftIn(!correct);
-        ++simulated;
 
-        // The switch clock ticks on every simulated branch — warmup
-        // included — and fires after the branch finished training.
+        // The switch clock ticks on every simulated branch and fires
+        // after the branch finished training.
         if (options.contextSwitchInterval != 0 &&
             ++since_switch == options.contextSwitchInterval) {
             since_switch = 0;
-            if (options.flushPredictorOnSwitch)
-                predictor.reset();
-            if (options.flushEstimatorsOnSwitch)
-                estimator.reset();
+            predictor.reset();
+            estimator.reset();
             bhr.reset();
             gcir.clear();
             ++result.contextSwitches;
@@ -170,68 +154,34 @@ expectSameAsReference(const DriverOptions &options,
     }
 }
 
-TEST(WarmupContextSwitch, ComposeInDocumentedOrder)
+TEST(ContextSwitch, ComposeInDocumentedOrder)
 {
-    struct Combo
-    {
-        std::uint64_t warmup;
-        std::uint64_t interval;
-        const char *label;
-    };
-    const Combo combos[] = {
-        {1'000, 3'000, "W<S"},     {2'500, 2'500, "W=S"},
-        {5'000, 1'500, "W>S"},     {1'000, 1, "S=1"},
-        {0, 2'000, "no warmup"},   {3'000, 0, "no switches"},
-    };
-    for (const Combo &combo : combos) {
+    for (const std::uint64_t interval :
+         {std::uint64_t{3'000}, std::uint64_t{2'500}, std::uint64_t{1'500},
+          std::uint64_t{1}, std::uint64_t{2'000}, std::uint64_t{0}}) {
         DriverOptions options;
         options.profileStatic = true;
-        options.warmupBranches = combo.warmup;
-        options.contextSwitchInterval = combo.interval;
-        expectSameAsReference(options, combo.label);
+        options.contextSwitchInterval = interval;
+        expectSameAsReference(options,
+                              "interval " + std::to_string(interval));
     }
 }
 
-TEST(WarmupContextSwitch, FlushFlagsComposeWithWarmup)
+TEST(ContextSwitch, SwitchClockCountsEveryConditional)
 {
-    const bool flags[][2] = {
-        {true, true}, {true, false}, {false, true}, {false, false}};
-    for (const auto &flag : flags) {
+    // The trace interleaves calls, returns and jumps with its
+    // conditionals; only the conditionals tick the clock, so a run
+    // makes floor(conditionals / S) switches.
+    for (const std::uint64_t interval :
+         {std::uint64_t{1'000}, std::uint64_t{7}}) {
         DriverOptions options;
-        options.warmupBranches = 2'000;
-        options.contextSwitchInterval = 900;
-        options.flushPredictorOnSwitch = flag[0];
-        options.flushEstimatorsOnSwitch = flag[1];
-        expectSameAsReference(
-            options, std::string("flushPredictor=") +
-                         (flag[0] ? "1" : "0") + " flushEstimators=" +
-                         (flag[1] ? "1" : "0"));
+        options.contextSwitchInterval = interval;
+        auto source = freshSource();
+        const DriverResult result = driverRun(*source, options);
+        EXPECT_EQ(result.branches, kBranches);
+        EXPECT_EQ(result.contextSwitches, kBranches / interval)
+            << "interval " << interval;
     }
-}
-
-TEST(WarmupContextSwitch, SwitchClockTicksThroughWarmup)
-{
-    // With W > S the first switches happen INSIDE the warmup window:
-    // the interval counts warmup branches too. floor(N / S) switches
-    // total, independent of W.
-    DriverOptions options;
-    options.warmupBranches = 6'000;
-    options.contextSwitchInterval = 1'000;
-    auto source = freshSource();
-    const DriverResult result = driverRun(*source, options);
-
-    const std::uint64_t simulated =
-        result.branches + options.warmupBranches;
-    EXPECT_EQ(result.contextSwitches,
-              simulated / options.contextSwitchInterval);
-    // And warmup excluded exactly W branches from the counters.
-    auto full_source = freshSource();
-    DriverOptions no_warmup = options;
-    no_warmup.warmupBranches = 0;
-    const DriverResult full = driverRun(*full_source, no_warmup);
-    EXPECT_EQ(full.branches,
-              result.branches + options.warmupBranches);
-    EXPECT_EQ(full.contextSwitches, result.contextSwitches);
 }
 
 } // namespace

@@ -147,36 +147,6 @@ TEST(DriverTest, MultipleEstimatorsRunIndependently)
 }
 
 
-TEST(DriverTest, WarmupExcludesEarlyBranchesFromStats)
-{
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    DriverOptions options;
-    options.warmupBranches = 3;
-    // 5 branches: first 3 (T, N, T) are warmup; recorded: N, N.
-    VectorTraceSource source(
-        repeated(0x1000, {true, false, true, false, false}));
-    SimulationDriver driver(pred, {}, options);
-    const auto result = driver.run(source);
-    EXPECT_EQ(result.branches, 2u);
-    EXPECT_EQ(result.mispredicts, 2u);
-}
-
-TEST(DriverTest, WarmupStillTrainsStructures)
-{
-    // The predictor must have learned during warmup: a bimodal
-    // predictor sees 10 not-taken warmup branches, so the recorded
-    // region is predicted correctly from its first branch.
-    BimodalPredictor pred(256);
-    DriverOptions options;
-    options.warmupBranches = 10;
-    VectorTraceSource source(
-        repeated(0x1000, std::vector<bool>(20, false)));
-    SimulationDriver driver(pred, {}, options);
-    const auto result = driver.run(source);
-    EXPECT_EQ(result.branches, 10u);
-    EXPECT_EQ(result.mispredicts, 0u);
-}
-
 TEST(DriverTest, ContextSwitchFlushesPredictor)
 {
     // A bimodal predictor fully trained to not-taken would predict the
@@ -209,7 +179,6 @@ TEST(DriverTest, ContextSwitchFlushesEstimators)
                                   CounterKind::Resetting, 16, 0);
     DriverOptions options;
     options.contextSwitchInterval = 8;
-    options.flushPredictorOnSwitch = false;
     VectorTraceSource source(
         repeated(0x1000, std::vector<bool>(32, true)));
     SimulationDriver driver(pred, {&est}, options);
@@ -220,23 +189,6 @@ TEST(DriverTest, ContextSwitchFlushesEstimators)
     for (std::uint64_t b = 8; b <= 16; ++b)
         EXPECT_DOUBLE_EQ(stats[b].refs, 0.0) << b;
     EXPECT_DOUBLE_EQ(stats[0].refs, 4.0); // one per window
-}
-
-TEST(DriverTest, SelectiveFlushLeavesEstimatorsAlone)
-{
-    StaticPredictor pred(StaticPolicy::AlwaysTaken);
-    OneLevelCounterConfidence est(IndexScheme::Pc, 64,
-                                  CounterKind::Resetting, 16, 0);
-    DriverOptions options;
-    options.contextSwitchInterval = 8;
-    options.flushEstimatorsOnSwitch = false;
-    VectorTraceSource source(
-        repeated(0x1000, std::vector<bool>(32, true)));
-    SimulationDriver driver(pred, {&est}, options);
-    const auto result = driver.run(source);
-    // Without estimator flushes the counter keeps climbing past 8.
-    const BucketStats &stats = result.estimatorStats[0];
-    EXPECT_GT(stats[10].refs, 0.0);
 }
 
 } // namespace

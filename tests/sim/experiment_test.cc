@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -44,6 +46,45 @@ TEST(ExperimentEnvTest, RetiredSchedulingFlagsAreUnknown)
                 << e.what();
         }
     }
+}
+
+TEST(ExperimentEnvTest, SamplingFlagsBelongToTheSampledHarness)
+{
+    const char *const flags[][2] = {
+        {"--sample-rate", "0.25"}, {"--region-branches", "2000"},
+        {"--strata", "3"},         {"--subsamples", "4"},
+        {"--sample-seed", "7"},    {"--warmup-regions", "2"}};
+    // An exact harness does not know them.
+    for (const auto &flag : flags) {
+        ExperimentEnv env;
+        const char *argv[] = {"bench", flag[0], flag[1]};
+        try {
+            (void)ExperimentEnv::fromCli(3, argv, "test", env);
+            ADD_FAILURE() << flag[0] << " was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("unknown option ") +
+                                                 flag[0]),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    // A sampled one fills env.sampling from them.
+    std::vector<const char *> argv = {"bench"};
+    for (const auto &flag : flags) {
+        argv.push_back(flag[0]);
+        argv.push_back(flag[1]);
+    }
+    ExperimentEnv env;
+    ASSERT_TRUE(ExperimentEnv::fromCli(static_cast<int>(argv.size()),
+                                       argv.data(), "test", env,
+                                       /*sampled=*/true));
+    EXPECT_EQ(env.sampling.sampleRate, 0.25);
+    EXPECT_EQ(env.sampling.regionBranches, 2000u);
+    EXPECT_EQ(env.sampling.strata, 3u);
+    EXPECT_EQ(env.sampling.subsamples, 4u);
+    EXPECT_EQ(env.sampling.seed, 7u);
+    EXPECT_EQ(env.sampling.warmupRegions, 2u);
 }
 
 TEST(ExperimentEnvTest, SuiteSizeFollowsFullFlag)
@@ -130,8 +171,6 @@ TEST_F(ExperimentRunTest, OneConfigRunSpendsTheWorkerBudget)
 {
     // A one-configuration run is scheduled like any sweep: its budget
     // is --sweep-threads, not a fixed single thread.
-    if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
-        GTEST_SKIP() << "CONFSIM_SEQUENTIAL forces a budget of 1";
     (void)sharedResult();
     EXPECT_EQ(sharedEnv().telemetryContext->registry().gauge(
                   "sweep.pool_workers"),

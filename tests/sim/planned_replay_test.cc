@@ -54,11 +54,9 @@ SweepConfigResult
 replayJpeg(const SweepConfiguration &config,
            const SweepRecordingPlan *plan)
 {
-    SweepOptions sweep;
-    sweep.recordingPlan = plan;
-    SweepEngine engine({config}, DriverOptions{}, sweep);
+    SweepEngine engine({config}, DriverOptions{}, SweepOptions{});
     WorkloadGenerator workload(ibsProfile("jpeg"), kBranches);
-    SweepRunResult result = engine.run(workload);
+    SweepRunResult result = engine.run(workload, plan);
     return std::move(result.perConfig.at(0));
 }
 

@@ -2,18 +2,20 @@
 
 #include "sim/suite_runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "sim/sweep_engine.h"
 
 #include <gtest/gtest.h>
 
+#include "ckpt/checkpoint.h"
 #include "confidence/one_level.h"
 #include "predictor/gshare.h"
 #include "fault/fault_injection.h"
@@ -104,50 +106,23 @@ TEST(SuiteRunnerTest, CompositeStatsGiveEqualMassPerBenchmark)
     EXPECT_NEAR(composite.totalRefs(), 2e6, 1.0);
 }
 
-/** Truncates the wrapped source after a fixed number of records. */
-class TruncatingSource : public TraceSource
+/** A trace without records. */
+class EmptySource : public TraceSource
 {
   public:
-    TruncatingSource(std::unique_ptr<TraceSource> inner,
-                     std::uint64_t limit)
-        : inner_(std::move(inner)), limit_(limit)
-    {
-    }
-
-    bool
-    next(BranchRecord &record) override
-    {
-        if (produced_ >= limit_ || !inner_->next(record))
-            return false;
-        ++produced_;
-        return true;
-    }
-
-    void
-    reset() override
-    {
-        inner_->reset();
-        produced_ = 0;
-    }
-
-  private:
-    std::unique_ptr<TraceSource> inner_;
-    std::uint64_t limit_ = 0;
-    std::uint64_t produced_ = 0;
+    bool next(BranchRecord &) override { return false; }
+    void reset() override {}
 };
 
-/** Truncate benchmark 0 below the warmup window: it completes without
- * error but records zero branches. */
+/** Empty benchmark 0's trace (every benchmark's with @p all): it
+ * completes without error but records zero branches. */
 SourceWrapper
-truncateFirstBenchmark(std::uint64_t limit)
+emptyTraces(bool all = false)
 {
-    return [limit](std::size_t bench,
-                   std::unique_ptr<TraceSource> inner)
+    return [all](std::size_t bench, std::unique_ptr<TraceSource> inner)
                -> std::unique_ptr<TraceSource> {
-        if (bench == 0) {
-            return std::make_unique<TruncatingSource>(std::move(inner),
-                                                      limit);
-        }
+        if (bench == 0 || all)
+            return std::make_unique<EmptySource>();
         return inner;
     };
 }
@@ -156,11 +131,8 @@ TEST(SuiteRunnerTest, ZeroRecordBenchmarkExcludedFromComposites)
 {
     SuiteRunner runner(
         BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"}, 5000));
-    runner.setSourceWrapper(truncateFirstBenchmark(500));
-    DriverOptions options;
-    options.warmupBranches = 1000;
-    const auto result =
-        runner.run(smallPredictor(), smallEstimators(), options);
+    runner.setSourceWrapper(emptyTraces());
+    const auto result = runner.run(smallPredictor(), smallEstimators());
 
     ASSERT_EQ(result.perBenchmark.size(), 2u);
     EXPECT_EQ(result.perBenchmark[0].branches, 0u);
@@ -182,10 +154,8 @@ TEST(SuiteRunnerTest, AllZeroRecordBenchmarksGiveZeroComposite)
 {
     SuiteRunner runner(
         BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"}, 2000));
-    DriverOptions options;
-    options.warmupBranches = 10000; // warmup covers the whole trace
-    const auto result =
-        runner.run(smallPredictor(), smallEstimators(), options);
+    runner.setSourceWrapper(emptyTraces(true));
+    const auto result = runner.run(smallPredictor(), smallEstimators());
 
     for (const auto &bench : result.perBenchmark)
         EXPECT_EQ(bench.branches, 0u) << bench.name;
@@ -200,16 +170,14 @@ TEST(SuiteRunnerTest, SweepZeroRecordBenchmarkExcludedFromComposites)
 {
     SuiteRunner runner(
         BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"}, 5000));
-    runner.setSourceWrapper(truncateFirstBenchmark(500));
-    DriverOptions options;
-    options.warmupBranches = 1000;
+    runner.setSourceWrapper(emptyTraces());
     std::vector<SweepConfiguration> configs;
     configs.push_back(
         {"a", smallPredictor(), smallEstimators()});
     configs.push_back(
         {"b", smallPredictor(), smallEstimators()});
     const auto sweep =
-        runner.runSweep(configs, options, SweepOptions{});
+        runner.runSweep(configs, DriverOptions{}, SweepOptions{});
 
     ASSERT_EQ(sweep.perConfig.size(), 2u);
     for (const auto &config_result : sweep.perConfig) {
@@ -382,31 +350,11 @@ TEST(SuiteRunnerTest, SweepConfigFailureFailsTheRunWithItsCategory)
     }
 }
 
-TEST(SuiteRunnerTest, SweepRejectsCallerSetPool)
-{
-    // runSweep always builds and owns its worker pool; a pool handed
-    // in through SweepOptions is a configuration error, not used.
-    SuiteRunner runner(BenchmarkSuite::ibsSubset({"jpeg"}, 2000));
-    SweepWorkerPool pool(2);
-    SweepOptions sweep;
-    sweep.pool = &pool;
-    try {
-        runner.runSweep({{"a", smallPredictor(), smallEstimators()}},
-                        DriverOptions{}, sweep);
-        FAIL() << "runSweep accepted a caller-set pool";
-    } catch (const Error &e) {
-        EXPECT_EQ(e.category(), ErrorCategory::kConfig);
-    }
-    EXPECT_EQ(pool.occupancyStats().count(), 0u);
-}
-
 TEST(SuiteRunnerTest, AutoScheduleOverlapsBenchmarksBeforeShards)
 {
     // The worker budget W goes to whole-benchmark passes first:
     // min(W, benchmarks) passes whatever the configuration count, and
     // run() follows the same rule as a default runSweep.
-    if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
-        GTEST_SKIP() << "CONFSIM_SEQUENTIAL replaces the rule";
     const std::vector<SweepConfiguration> configs = {
         {"a", smallPredictor(), smallEstimators()},
         {"b", smallPredictor(), smallEstimators()},
@@ -447,8 +395,6 @@ TEST(SuiteRunnerTest, PassesFillingEveryCpuRefillTheirOwnBatches)
     // passes that fill a budget covering every hardware thread refill
     // their own batches (ring depth 1); a budget that leaves a CPU
     // free keeps the producers.
-    if (std::getenv("CONFSIM_SEQUENTIAL") != nullptr)
-        GTEST_SKIP() << "CONFSIM_SEQUENTIAL replaces the rule";
     const BenchmarkSuite nine = BenchmarkSuite::ibs(2000);
     const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
     if (cpus > nine.size())
@@ -651,6 +597,117 @@ TEST(SuiteRunnerTest, ResultsHoldPackedBucketStatsFreshAndResumed)
     expect_packed(resumed);
     expectSameResults(resumed, fresh);
     std::filesystem::remove_all(dir);
+}
+
+/** A fresh checkpoint directory under the test temp dir. */
+std::filesystem::path
+freshCheckpointDir(const std::string &name)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / name;
+    std::filesystem::remove_all(dir);
+    return dir;
+}
+
+TEST(SuiteRunnerTest, DoneMarkerOfAnotherTraceLengthIsNotRestored)
+{
+    // A store names its benchmark's trace: resuming at 10,000 branches
+    // from a 20,000-branch run's done-marker simulates afresh.
+    const std::filesystem::path dir =
+        freshCheckpointDir("suite_runner_length_done");
+    RunPolicy policy;
+    policy.checkpoint.directory = dir.string();
+    DriverOptions options;
+    options.profileStatic = true;
+    (void)SuiteRunner(BenchmarkSuite::ibsSubset({"jpeg"}, 20'000))
+        .run(smallPredictor(), smallEstimators(), options, policy);
+
+    const SuiteRunner shorter(BenchmarkSuite::ibsSubset({"jpeg"}, 10'000));
+    const SuiteRunResult fresh =
+        shorter.run(smallPredictor(), smallEstimators(), options);
+    policy.checkpoint.resume = true;
+    const SuiteRunResult resumed =
+        shorter.run(smallPredictor(), smallEstimators(), options, policy);
+    EXPECT_EQ(resumed.perBenchmark.at(0).branches, 10'000u);
+    expectSameResults(resumed, fresh);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SuiteRunnerTest, GenerationOfAnotherTraceLengthIsNotRestored)
+{
+    // Kill a 20,000-branch run after its newest generation passed
+    // branch 10,000; a resume at 10,000 branches must not restore it.
+    // Every run reads through the same decorator, so the generations'
+    // source state would restore into the shorter run's source.
+    const auto failingAfter = [](std::uint64_t records) -> SourceWrapper {
+        return [records](std::size_t, std::unique_ptr<TraceSource> inner)
+                   -> std::unique_ptr<TraceSource> {
+            FaultSpec spec;
+            spec.failAfter = records;
+            return std::make_unique<FaultInjectingTraceSource>(
+                std::move(inner), spec);
+        };
+    };
+    const std::filesystem::path dir =
+        freshCheckpointDir("suite_runner_length_generation");
+    RunPolicy policy;
+    policy.checkpoint.directory = dir.string();
+    policy.checkpoint.everyBranches = 2'000;
+    DriverOptions options;
+    options.profileStatic = true;
+    SuiteRunner killed(BenchmarkSuite::ibsSubset({"jpeg"}, 20'000));
+    killed.setSourceWrapper(failingAfter(18'000));
+    EXPECT_THROW(
+        killed.run(smallPredictor(), smallEstimators(), options, policy),
+        Error);
+    std::uint64_t newest = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() == ".ckpt")
+            newest = std::max(newest,
+                              readCheckpointFile(entry.path().string()).branches);
+    }
+    ASSERT_GT(newest, 10'000u);
+
+    SuiteRunner shorter(BenchmarkSuite::ibsSubset({"jpeg"}, 10'000));
+    shorter.setSourceWrapper(failingAfter(0));
+    const SuiteRunResult fresh =
+        shorter.run(smallPredictor(), smallEstimators(), options);
+    policy.checkpoint.resume = true;
+    const SuiteRunResult resumed =
+        shorter.run(smallPredictor(), smallEstimators(), options, policy);
+    EXPECT_EQ(resumed.perBenchmark.at(0).branches, 10'000u);
+    expectSameResults(resumed, fresh);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SuiteRunnerTest, SharedPoolStopsAtPassesTimesConfigurations)
+{
+    // One pass of two configurations keeps at most two pool workers
+    // busy, so a budget of 32 starts no idle ones. The budget still
+    // reads 32 (sweep.pool_workers).
+    const std::filesystem::path tasks = "/proc/self/task";
+    if (!std::filesystem::exists(tasks))
+        GTEST_SKIP() << "no " << tasks << " to count threads in";
+    constexpr unsigned kBudget = 32;
+    std::ptrdiff_t threads = 0;
+    SuiteRunner::PassHooks hooks;
+    hooks.finish = [&](std::size_t, const SweepRunResult &) {
+        // The pass's pool is alive until the run returns.
+        threads = std::distance(std::filesystem::directory_iterator(tasks),
+                                std::filesystem::directory_iterator{});
+    };
+    Telemetry telemetry{TelemetryOptions{}};
+    DriverOptions options;
+    options.telemetry = &telemetry;
+    SweepOptions sweep;
+    sweep.threads = kBudget;
+    (void)SuiteRunner(BenchmarkSuite::ibsSubset({"jpeg"}, 2000))
+        .runSweep({{"a", smallPredictor(), smallEstimators()},
+                   {"b", smallPredictor(), smallEstimators()}},
+                  options, sweep, {}, hooks);
+    EXPECT_GT(threads, 0);
+    EXPECT_LT(threads, static_cast<std::ptrdiff_t>(kBudget));
+    EXPECT_EQ(telemetry.registry().gauge("sweep.pool_workers"), kBudget);
 }
 
 TEST(SweepEngineTest, NativeEstimatorOnForeignPredictorIsConfigError)

@@ -1,4 +1,4 @@
-/** @file Round-trip and robustness tests for the binary trace formats. */
+/** @file Round-trip and robustness tests for the binary trace format. */
 
 #include "trace/trace_io.h"
 
@@ -10,6 +10,7 @@
 
 #include "trace/vector_trace_source.h"
 #include "util/crc32.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace confsim {
@@ -323,80 +324,69 @@ TEST_F(TraceIoTest, TextReaderMissingFileIsFatal)
 }
 
 // ---------------------------------------------------------------------
-// CBT1 compatibility.
+// Hand-built files: the decoder's guards behind a valid CRC.
 
-TEST_F(TraceIoTest, Cbt1RoundTripStillWorks)
+/** One chunk of a hand-built CBT2 file. */
+struct RawChunk
 {
-    const auto records = randomRecords(5000, 11);
-    VectorTraceSource source(records);
-    EXPECT_EQ(writeTraceFile(source, path_, TraceFormat::kCbt1), 5000u);
+    std::uint32_t records;
+    std::vector<char> payload;
+};
 
-    TraceFileReader reader(path_);
-    EXPECT_EQ(reader.format(), TraceFormat::kCbt1);
-    EXPECT_EQ(reader.recordCount(), 5000u);
-    BranchRecord out;
-    for (const auto &expected : records) {
-        ASSERT_TRUE(reader.next(out));
-        ASSERT_EQ(out, expected);
-    }
-    EXPECT_FALSE(reader.next(out));
-    EXPECT_EQ(reader.droppedRecords(), 0u);
-}
-
-TEST_F(TraceIoTest, Cbt1EncodingIsByteStable)
+/** A CBT2 file whose header and chunk CRCs all verify. */
+std::vector<char>
+cbt2File(std::uint64_t header_count, const std::vector<RawChunk> &chunks)
 {
-    // The legacy on-disk encoding must never drift: header is magic +
-    // LE count, then varint zig-zag deltas + flags per record.
-    BranchRecord r;
-    r.pc = 0x47939C;
-    r.target = 0x47ACCC;
-    r.taken = false;
-    r.type = BranchType::Unconditional;
-    VectorTraceSource source({r});
-    writeTraceFile(source, path_, TraceFormat::kCbt1);
-
-    const std::vector<char> expected = {
-        'C', 'B', 'T', '1',
-        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-        '\xce', '\x93', '\x8f', '\x01', // zz(pc >> 2)
-        '\x98', '\x19',                 // zz((target - pc) >> 2)
-        0x02,                           // flags: not taken, type 1
+    std::vector<char> bytes = {'C', 'B', 'T', '2'};
+    const auto append = [&bytes](const void *data, std::size_t size) {
+        const auto *p = static_cast<const char *>(data);
+        bytes.insert(bytes.end(), p, p + size);
     };
-    EXPECT_EQ(readFileBytes(path_), expected);
+    append(&header_count, sizeof header_count);
+    const std::uint32_t count_crc = crc32(&header_count, sizeof header_count);
+    append(&count_crc, sizeof count_crc);
+    for (const RawChunk &chunk : chunks) {
+        append("CHNK", 4);
+        const auto size = static_cast<std::uint32_t>(chunk.payload.size());
+        append(&size, sizeof size);
+        append(&chunk.records, sizeof chunk.records);
+        append(chunk.payload.data(), chunk.payload.size());
+        const std::uint32_t crc =
+            crc32(chunk.payload.data(), chunk.payload.size());
+        append(&crc, sizeof crc);
+    }
+    return bytes;
 }
 
-TEST_F(TraceIoTest, Cbt1ToCbt2RoundTripCompatibility)
+TEST_F(TraceIoTest, RetiredCbt1MagicIsFatal)
 {
-    const auto records = randomRecords(6000, 13);
-    VectorTraceSource source(records);
-    writeTraceFile(source, path_, TraceFormat::kCbt1);
+    // One byte separates the two magics; the reader must not decode a
+    // checksummed file as the retired, unchecked format.
+    VectorTraceSource source(randomRecords(5000, 11));
+    writeTraceFile(source, path_);
+    auto bytes = readFileBytes(path_);
+    ASSERT_EQ(bytes[3], '2');
+    bytes[3] = '1';
+    writeFileBytes(path_, bytes);
 
-    const std::string path2 =
-        ::testing::TempDir() + "/confsim_io_test_up.cbt";
-    {
-        TraceFileReader legacy(path_);
-        EXPECT_EQ(writeTraceFile(legacy, path2), 6000u);
+    try {
+        TraceFileReader reader(path_);
+        BranchRecord record;
+        while (reader.next(record)) {
+        }
+        FAIL() << "a CBT1 magic was read";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kTrace);
+        EXPECT_NE(std::string(e.what()).find("CBT1"), std::string::npos)
+            << e.what();
     }
-    TraceFileReader upgraded(path2);
-    EXPECT_EQ(upgraded.format(), TraceFormat::kCbt2);
-    BranchRecord out;
-    for (const auto &expected : records) {
-        ASSERT_TRUE(upgraded.next(out));
-        ASSERT_EQ(out, expected);
-    }
-    EXPECT_FALSE(upgraded.next(out));
-    std::remove(path2.c_str());
 }
 
 TEST_F(TraceIoTest, OverlongVarintIsFatal)
 {
-    // CBT1 body of eleven continuation bytes: > 10-byte varint bound.
-    std::vector<char> bytes = {'C', 'B', 'T', '1',
-                               0x01, 0x00, 0x00, 0x00,
-                               0x00, 0x00, 0x00, 0x00};
-    for (int i = 0; i < 11; ++i)
-        bytes.push_back('\x80');
-    writeFileBytes(path_, bytes);
+    // A one-record chunk of eleven continuation bytes: past the
+    // 10-byte varint bound.
+    writeFileBytes(path_, cbt2File(1, {{1, std::vector<char>(11, '\x80')}}));
 
     TraceFileReader reader(path_);
     BranchRecord record;
@@ -412,13 +402,11 @@ TEST_F(TraceIoTest, OverlongVarintIsFatal)
 
 TEST_F(TraceIoTest, TruncatedRecordErrorNamesRecordIndex)
 {
-    const auto records = randomRecords(100, 5);
-    VectorTraceSource source(records);
-    writeTraceFile(source, path_, TraceFormat::kCbt1);
-
-    auto bytes = readFileBytes(path_);
-    bytes.resize(bytes.size() / 2);
-    writeFileBytes(path_, bytes);
+    // Record 0 decodes (a 3-byte PC delta, a 1-byte target delta,
+    // flags); record 1 ends inside its first varint.
+    writeFileBytes(path_,
+                   cbt2File(2, {{2, {'\x80', '\x80', '\x01', '\x02', '\x01',
+                                     '\x82'}}}));
 
     TraceFileReader reader(path_);
     BranchRecord record;
@@ -427,7 +415,7 @@ TEST_F(TraceIoTest, TruncatedRecordErrorNamesRecordIndex)
         }
         FAIL() << "truncation not detected";
     } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("record"),
+        EXPECT_NE(std::string(e.what()).find("record 1"),
                   std::string::npos)
             << e.what();
         EXPECT_NE(std::string(e.what()).find(path_),
