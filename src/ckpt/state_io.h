@@ -20,6 +20,7 @@
 #ifndef CONFSIM_CKPT_STATE_IO_H
 #define CONFSIM_CKPT_STATE_IO_H
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -34,7 +35,7 @@ namespace confsim {
 class StateWriter
 {
   public:
-    void putU8(std::uint8_t v) { bytes_.push_back(v); }
+    void putU8(std::uint8_t v) { put(v); }
     void putU16(std::uint16_t v) { put(v); }
     void putU32(std::uint32_t v) { put(v); }
     void putU64(std::uint64_t v) { put(v); }
@@ -53,13 +54,13 @@ class StateWriter
     void putString(const std::string &s)
     {
         putU32(static_cast<std::uint32_t>(s.size()));
-        bytes_.insert(bytes_.end(), s.begin(), s.end());
+        putBytes(s.data(), s.size());
     }
 
     void putBytes(const void *data, std::size_t size)
     {
-        const auto *p = static_cast<const std::uint8_t *>(data);
-        bytes_.insert(bytes_.end(), p, p + size);
+        if (size != 0)
+            std::memcpy(extend(size), data, size);
     }
 
     const std::vector<std::uint8_t> &bytes() const { return bytes_; }
@@ -74,9 +75,34 @@ class StateWriter
         std::uint8_t le[sizeof(T)];
         for (std::size_t i = 0; i < sizeof(T); ++i)
             le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        std::memcpy(extend(sizeof(T)), le, sizeof(T));
+    }
+
+    /**
+     * Lengthen the buffer by @p n bytes; @return where they start.
+     * Every append comes here, and only reserveFor() allocates, out
+     * of line: when GCC 12 at -O3 sees a vector's reallocation inline
+     * with sizes it can fold, it reports false -Warray-bounds and
+     * -Wstringop-overflow errors (on putU64(0) after a run of appends,
+     * on an insert into a fresh vector). The size is read after any
+     * growth, so resize() extends in place by the constant @p n and
+     * its zero fill stays inline.
+     */
+    std::uint8_t *
+    extend(std::size_t n)
+    {
+        if (bytes_.capacity() - bytes_.size() < n) [[unlikely]]
+            reserveFor(n);
         const std::size_t at = bytes_.size();
-        bytes_.resize(at + sizeof(T));
-        std::memcpy(bytes_.data() + at, le, sizeof(T));
+        bytes_.resize(at + n);
+        return bytes_.data() + at;
+    }
+
+    /** Make room for @p n more bytes, at least doubling the capacity. */
+    [[gnu::noinline]] void
+    reserveFor(std::size_t n)
+    {
+        bytes_.reserve(std::max(2 * bytes_.capacity(), bytes_.size() + n));
     }
 
     std::vector<std::uint8_t> bytes_;

@@ -18,10 +18,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "ckpt/state_io.h"
+#include "util/flat_map.h"
 
 namespace confsim {
 
@@ -57,82 +56,11 @@ class StaticBranchProfile
         }
     };
 
-    /** One profiled branch: `first` is its PC, `second` its counts. */
-    using Slot = std::pair<std::uint64_t, Entry>;
-
     /**
-     * The profiled branches, keyed by PC. They sit densely in
-     * first-seen order; a flat open-addressing index (power-of-two
-     * size, multiplicative hash of the whole PC, linear probing, at
-     * most half full) maps each PC to its position, so a lookup is a
-     * multiply, a shift and two loads, with no division and no node
-     * to chase.
-     *
-     * Reads like a const std::unordered_map: range-for over (pc, entry)
-     * pairs, find(), at() and size(). Iteration follows first-seen
-     * order.
+     * The profiled branches, keyed by PC, in first-seen order (the
+     * flat open-addressing map SparseBucketStats uses too).
      */
-    class Table
-    {
-      public:
-        using key_type = std::uint64_t; //!< for saveSortedMap()
-        using const_iterator = std::vector<Slot>::const_iterator;
-
-        const_iterator begin() const { return slots_.begin(); }
-        const_iterator end() const { return slots_.end(); }
-
-        /** @return the branch at @p pc, or end(). */
-        const_iterator
-        find(std::uint64_t pc) const
-        {
-            const std::uint32_t at = lookup(pc);
-            return at == 0 ? end() : begin() + (at - 1);
-        }
-
-        /** @return the counts at @p pc. @throws std::out_of_range */
-        const Entry &at(std::uint64_t pc) const;
-
-        /** @return number of profiled branches. */
-        std::size_t size() const { return slots_.size(); }
-
-      private:
-        friend class StaticBranchProfile;
-
-        /** @return the index bucket holding @p pc, or the free one. */
-        std::size_t
-        bucketOf(std::uint64_t pc) const
-        {
-            const std::size_t wrap = index_.size() - 1;
-            std::size_t i = static_cast<std::size_t>(
-                (pc * 0x9E3779B97F4A7C15u) >> shift_);
-            while (index_[i] != 0 && slots_[index_[i] - 1].first != pc)
-                i = (i + 1) & wrap;
-            return i;
-        }
-
-        /** @return @p pc's position + 1, or 0 when absent. */
-        std::uint32_t
-        lookup(std::uint64_t pc) const
-        {
-            return index_.empty() ? 0 : index_[bucketOf(pc)];
-        }
-
-        /** @return the counts at @p pc, added empty if absent. */
-        Entry &
-        findOrInsert(std::uint64_t pc)
-        {
-            const std::uint32_t at = lookup(pc);
-            if (at != 0) [[likely]]
-                return slots_[at - 1].second;
-            return insert(pc);
-        }
-
-        Entry &insert(std::uint64_t pc);
-
-        std::vector<Slot> slots_;          //!< first-seen order
-        std::vector<std::uint32_t> index_; //!< position + 1; 0 = free
-        unsigned shift_ = 64;              //!< 64 - log2(index_.size())
-    };
+    using Table = FlatMap<Entry>;
 
     /**
      * Record one dynamic execution of the branch at @p pc. The counts
@@ -141,7 +69,7 @@ class StaticBranchProfile
     void
     record(std::uint64_t pc, bool mispredicted, bool taken = false)
     {
-        Entry &entry = entries_.findOrInsert(pc);
+        Entry &entry = entries_[pc];
         ++entry.executions;
         entry.mispredictions += mispredicted;
         entry.takenCount += taken;

@@ -1,6 +1,7 @@
 #include "metrics/bucket_stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "ckpt/state_helpers.h"

@@ -22,13 +22,13 @@
 #ifndef CONFSIM_METRICS_BUCKET_STATS_H
 #define CONFSIM_METRICS_BUCKET_STATS_H
 
-#include <bit>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "ckpt/state_io.h"
+#include "util/bits.h"
+#include "util/flat_map.h"
 
 namespace confsim {
 
@@ -115,7 +115,7 @@ class BucketStats
         if ((word & bit) == 0)
             return {};
         return countsOf(packed_[rank_[bucket / 64] +
-                                std::popcount(word & (bit - 1))]);
+                                popcount(word & (bit - 1))]);
     }
 
     /** @return bucket-space size. */
@@ -206,7 +206,10 @@ class BucketStats
     std::vector<Tally> packed_;
 };
 
-/** Sparse accumulator for unbounded keys (per-PC static profiling). */
+/**
+ * Sparse accumulator for unbounded keys (per-PC static profiling), on
+ * the flat map the static branch profile uses.
+ */
 class SparseBucketStats
 {
   public:
@@ -237,7 +240,7 @@ class SparseBucketStats
     double totalRefs() const;
     double totalMispredicts() const;
 
-    /** @return all buckets with their ids (unordered). */
+    /** @return all buckets with their ids, in first-seen order. */
     std::vector<KeyedBucketCounts> nonEmpty() const;
 
     void clear() { counts_.clear(); }
@@ -249,7 +252,7 @@ class SparseBucketStats
     void loadState(StateReader &in);
 
   private:
-    std::unordered_map<std::uint64_t, BucketCounts> counts_;
+    FlatMap<BucketCounts> counts_;
 };
 
 /**

@@ -28,20 +28,17 @@ configFingerprint(const BranchPredictor &predictor,
                   const std::vector<ConfidenceEstimator *> &estimators,
                   const DriverOptions &options)
 {
-    // The fixed bytes stand where a warmup window and two switch-flush
+    // The constants stand where a warmup window and two switch-flush
     // flags once were (0, true, true: record everything, flush both),
     // so fingerprints, checkpoints and done-markers keep their bytes.
-    // They go in as bytes: putU64(0) here trips a false GCC 12
-    // -Warray-bounds error in StateWriter::put under -Werror.
-    constexpr std::uint8_t kNoWarmup[8] = {};
-    constexpr std::uint8_t kFlushBoth[2] = {1, 1};
     StateWriter out;
     out.putU64(options.bhrBits);
     out.putU64(options.gcirBits);
     out.putBool(options.profileStatic);
-    out.putBytes(kNoWarmup, sizeof kNoWarmup);
+    out.putU64(0);
     out.putU64(options.contextSwitchInterval);
-    out.putBytes(kFlushBoth, sizeof kFlushBoth);
+    out.putBool(true);
+    out.putBool(true);
     out.putString(predictor.name());
     predictor.saveState(out);
     out.putU64(estimators.size());

@@ -68,11 +68,20 @@ xorFold(std::uint64_t value, unsigned width)
     return out;
 }
 
-/** Count the number of set bits (used by the ones-count reduction). */
+/**
+ * Count the number of set bits (the ones-count reduction, a packed
+ * bank's rank). A branch-free SWAR count: on a baseline x86-64 target
+ * (no POPCNT) std::popcount is a call into libgcc, this is a handful
+ * of inline shifts, masks and one multiply.
+ */
 constexpr unsigned
 popcount(std::uint64_t value)
 {
-    return static_cast<unsigned>(std::popcount(value));
+    value -= (value >> 1) & 0x5555555555555555u;
+    value = (value & 0x3333333333333333u) +
+            ((value >> 2) & 0x3333333333333333u);
+    value = (value + (value >> 4)) & 0x0F0F0F0F0F0F0F0Fu;
+    return static_cast<unsigned>((value * 0x0101010101010101u) >> 56);
 }
 
 /** @return true iff @p value is a power of two (and non-zero). */

@@ -3,13 +3,16 @@
 #include "metrics/bucket_stats.h"
 
 #include <cstring>
+#include <map>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "metrics/confidence_curve.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace confsim {
@@ -515,6 +518,172 @@ TEST(SparseBucketStatsTest, AddWeighted)
     EXPECT_DOUBLE_EQ(a.totalRefs(), 100.0 + 10.0 + 50.0);
     EXPECT_DOUBLE_EQ(a.totalMispredicts(), 10.0 + 10.0);
     EXPECT_EQ(a.size(), 2u);
+}
+
+/** @return the bytes a hex string spells. */
+std::vector<std::uint8_t>
+fromHex(const std::string &hex)
+{
+    std::vector<std::uint8_t> out;
+    for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+        out.push_back(static_cast<std::uint8_t>(
+            std::stoul(hex.substr(i, 2), nullptr, 16)));
+    return out;
+}
+
+std::vector<std::uint8_t>
+savedBytes(const SparseBucketStats &stats)
+{
+    StateWriter out;
+    stats.saveState(out);
+    return out.bytes();
+}
+
+/** Every key's counts, keyed for comparison. */
+std::map<std::uint64_t, std::pair<double, double>>
+keyedCounts(const SparseBucketStats &stats)
+{
+    std::map<std::uint64_t, std::pair<double, double>> out;
+    for (const KeyedBucketCounts &entry : stats.nonEmpty()) {
+        EXPECT_TRUE(out.emplace(entry.bucket,
+                                std::make_pair(entry.counts.refs,
+                                               entry.counts.mispredicts))
+                        .second)
+            << "key " << entry.bucket << " listed twice";
+    }
+    return out;
+}
+
+/**
+ * Recorded from the unordered_map implementation this table replaced:
+ * the sorted-key payload of a few keys, among them 0 and a
+ * benchmark-tagged PC.
+ */
+TEST(SparseBucketStatsTest, SaveStateBytesArePinned)
+{
+    SparseBucketStats stats;
+    stats.record(0xDEADBEEF, true);
+    stats.record(0xDEADBEEF, false);
+    stats.recordAggregate(0x42, 10.0, 3.0);
+    stats.recordAggregate((std::uint64_t{3} << 48) | 0x400100, 0.5, 0.25);
+    stats.record(0, false);
+    EXPECT_EQ(savedBytes(stats),
+              fromHex("0400000000000000"
+                      "0000000000000000000000000000f03f0000000000000000"
+                      "420000000000000000000000000024400000000000000840"
+                      "efbeadde000000000000000000000040000000000000f03f"
+                      "0001400000000300000000000000e03f000000000000d03f"));
+}
+
+/** 5,000 keys grow the index from 64 to 16,384 buckets. */
+TEST(SparseBucketStatsTest, GrowsThroughSeveralRehashes)
+{
+    SparseBucketStats stats;
+    std::vector<std::uint64_t> keys;
+    std::uint64_t x = 12345;
+    for (int i = 0; i < 5000; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        keys.push_back(x);
+        for (std::uint64_t r = 0; r <= x % 7; ++r)
+            stats.record(x, x % 3 == 0);
+    }
+    EXPECT_EQ(stats.size(), 5000u);
+    EXPECT_EQ(stats.totalRefs(), 19721.0);
+    EXPECT_EQ(stats.totalMispredicts(), 6612.0);
+    // Size and CRC of the payload the unordered_map implementation
+    // wrote for the same records.
+    const std::vector<std::uint8_t> bytes = savedBytes(stats);
+    EXPECT_EQ(bytes.size(), 120'008u);
+    EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x9DA4B11Du);
+
+    // Every key is found again after the last rehash: one more
+    // record each adds no key and one reference.
+    const auto before = keyedCounts(stats);
+    for (const std::uint64_t key : keys)
+        stats.record(key, false);
+    EXPECT_EQ(stats.size(), 5000u);
+    const auto after = keyedCounts(stats);
+    ASSERT_EQ(after.size(), before.size());
+    for (const auto &[key, counts] : before) {
+        EXPECT_EQ(after.at(key).first, counts.first + 1.0) << key;
+        EXPECT_EQ(after.at(key).second, counts.second) << key;
+    }
+}
+
+TEST(SparseBucketStatsTest, LookupsAfterEachRehashFindEveryKey)
+{
+    // Keys shaped like the suite's tagged PCs, plus the extremes.
+    std::vector<std::uint64_t> keys = {0, ~std::uint64_t{0}};
+    for (std::uint64_t i = 0; i < 300; ++i)
+        keys.push_back(((i % 9) << 48) | (0x400000 + 4 * i));
+    SparseBucketStats stats;
+    std::map<std::uint64_t, std::pair<double, double>> want;
+    for (std::size_t n = 0; n < keys.size(); ++n) {
+        const double refs = static_cast<double>(n + 1);
+        stats.recordAggregate(keys[n], refs, 1.0);
+        want[keys[n]] = {refs, 1.0};
+        // Past 32, 64, 128 and 256 keys the index doubles; every key
+        // so far must still resolve to its own entry.
+        if (n == 32 || n == 64 || n == 128 || n == 256) {
+            for (std::size_t k = 0; k <= n; ++k)
+                stats.recordAggregate(keys[k], 0.0, 0.0);
+            EXPECT_EQ(stats.size(), n + 1);
+            EXPECT_EQ(keyedCounts(stats), want) << "after " << n + 1;
+        }
+    }
+    EXPECT_EQ(keyedCounts(stats), want);
+}
+
+TEST(SparseBucketStatsTest, NonEmptyListsKeysInFirstSeenOrder)
+{
+    SparseBucketStats stats;
+    const std::vector<std::uint64_t> keys = {900, 3, 0x7FFF'0000'0000, 42};
+    for (const std::uint64_t key : keys)
+        stats.record(key, false);
+    stats.record(3, true);
+    std::vector<std::uint64_t> listed;
+    for (const KeyedBucketCounts &entry : stats.nonEmpty())
+        listed.push_back(entry.bucket);
+    EXPECT_EQ(listed, keys);
+}
+
+/**
+ * The suite composite: each benchmark's keys carry its own tag, so
+ * every composite entry is one product. Bytes recorded from the
+ * unordered_map implementation.
+ */
+TEST(SparseBucketStatsTest, AddWeightedOverDisjointKeys)
+{
+    SparseBucketStats a;
+    a.recordAggregate(0x100, 3.0, 1.0);
+    a.recordAggregate(0x104, 7.0, 0.0);
+    SparseBucketStats b;
+    b.recordAggregate((std::uint64_t{1} << 48) | 0x100, 5.0, 5.0);
+    SparseBucketStats composite;
+    composite.addWeighted(a, 1e6 / 10.0);
+    composite.addWeighted(b, 1e6 / 5.0);
+    EXPECT_EQ(composite.size(), 3u);
+    EXPECT_EQ(savedBytes(composite),
+              fromHex("0300000000000000"
+                      "000100000000000000000000804f124100000000006af840"
+                      "040100000000000000000000c05c25410000000000000000"
+                      "00010000000001000000000080842e410000000080842e41"));
+}
+
+TEST(SparseBucketStatsTest, LoadStateRestoresTheSameBytes)
+{
+    SparseBucketStats stats;
+    for (std::uint64_t i = 0; i < 200; ++i)
+        stats.recordAggregate(i * 0x1000'0001ull, 1.0 + i, 0.5 * i);
+    const std::vector<std::uint8_t> bytes = savedBytes(stats);
+    SparseBucketStats restored;
+    restored.record(7, true); // replaced by the restore
+    StateReader in(bytes);
+    restored.loadState(in);
+    EXPECT_TRUE(in.atEnd());
+    EXPECT_EQ(restored.size(), 200u);
+    EXPECT_EQ(savedBytes(restored), bytes);
+    EXPECT_EQ(keyedCounts(restored), keyedCounts(stats));
 }
 
 TEST(EqualWeightCompositeTest, EachComponentContributesEqualMass)

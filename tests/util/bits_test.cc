@@ -2,6 +2,8 @@
 
 #include "util/bits.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace confsim {
@@ -68,6 +70,36 @@ TEST(BitsTest, Popcount)
     EXPECT_EQ(popcount(0), 0u);
     EXPECT_EQ(popcount(0xFFFF), 16u);
     EXPECT_EQ(popcount(0x8000'0000'0000'0001ull), 2u);
+}
+
+/** Set bits counted one at a time. */
+unsigned
+bitByBitCount(std::uint64_t value)
+{
+    unsigned count = 0;
+    for (unsigned bit = 0; bit < 64; ++bit)
+        count += static_cast<unsigned>((value >> bit) & 1);
+    return count;
+}
+
+TEST(BitsTest, PopcountMatchesBitByBitCount)
+{
+    static_assert(popcount(~std::uint64_t{0}) == 64);
+    std::vector<std::uint64_t> values = {
+        0, ~std::uint64_t{0},
+        0x5555'5555'5555'5555ull, 0xAAAA'AAAA'AAAA'AAAAull,
+        0x3333'3333'3333'3333ull, 0xCCCC'CCCC'CCCC'CCCCull,
+        0x0F0F'0F0F'0F0F'0F0Full, 0xF0F0'F0F0'F0F0'F0F0ull,
+        0x00FF'00FF'00FF'00FFull, 0xFF00'FF00'FF00'FF00ull,
+        0x0000'FFFF'0000'FFFFull, 0xFFFF'0000'FFFF'0000ull,
+        0x0000'0000'FFFF'FFFFull, 0xFFFF'FFFF'0000'0000ull};
+    for (unsigned bit = 0; bit < 64; ++bit) {
+        values.push_back(std::uint64_t{1} << bit);
+        values.push_back(~(std::uint64_t{1} << bit));
+        values.push_back(mask(bit));
+    }
+    for (const std::uint64_t value : values)
+        EXPECT_EQ(popcount(value), bitByBitCount(value)) << std::hex << value;
 }
 
 TEST(BitsTest, PowerOfTwoPredicates)
