@@ -102,24 +102,34 @@ BucketStats::pack()
 {
     if (tallies_.empty() || numBuckets_ > (std::uint64_t{1} << 32))
         return;
+    // Each presence word comes from compares and its rank from a
+    // popcount, so no step branches on a tally; the copy then visits
+    // only the listed buckets.
     const std::size_t words = (numBuckets_ + 63) / 64;
-    std::vector<std::uint64_t> present(words, 0);
-    std::vector<std::uint32_t> rank(words, 0);
+    std::vector<std::uint64_t> present(words);
+    std::vector<std::uint32_t> rank(words);
     std::uint32_t listed = 0;
-    for (std::uint64_t bucket = 0; bucket < numBuckets_; ++bucket) {
-        if (bucket % 64 == 0)
-            rank[bucket / 64] = listed;
-        const Tally entry = tallies_[bucket];
-        if (entry.refs != 0 || entry.mispredicts != 0) {
-            present[bucket / 64] |= std::uint64_t{1} << (bucket % 64);
-            ++listed;
+    for (std::size_t w = 0; w < words; ++w) {
+        const Tally *word = tallies_.data() + w * 64;
+        const std::size_t width =
+            std::min<std::uint64_t>(64, numBuckets_ - w * 64);
+        std::uint64_t bits = 0;
+        for (std::size_t i = 0; i < width; ++i) {
+            const bool touched = (word[i].refs | word[i].mispredicts) != 0;
+            bits |= static_cast<std::uint64_t>(touched) << i;
         }
+        present[w] = bits;
+        rank[w] = listed;
+        listed += static_cast<std::uint32_t>(popcount(bits));
     }
     std::vector<Tally> entries;
     entries.reserve(listed);
-    for (const Tally &entry : tallies_) {
-        if (entry.refs != 0 || entry.mispredicts != 0)
-            entries.push_back(entry);
+    for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = present[w]; bits != 0; bits &= bits - 1) {
+            entries.push_back(
+                tallies_[w * 64 + static_cast<std::size_t>(
+                                      std::countr_zero(bits))]);
+        }
     }
     release();
     present_ = std::move(present);

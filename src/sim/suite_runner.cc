@@ -25,8 +25,11 @@ std::string
 checkpointLabel(const BenchmarkSuite &suite, std::size_t bench)
 {
     const BenchmarkProfile &profile = suite.profile(bench);
+    const std::uint64_t branches = suite.branchesPerBenchmark() != 0
+                                       ? suite.branchesPerBenchmark()
+                                       : profile.defaultLength;
     return profile.name + ".seed" + std::to_string(profile.seed) +
-           ".branches" + std::to_string(suite.makeGenerator(bench)->length());
+           ".branches" + std::to_string(branches);
 }
 
 namespace {

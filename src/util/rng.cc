@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/status.h"
-
 namespace confsim {
 
 namespace {
@@ -20,12 +18,6 @@ splitMix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -37,43 +29,6 @@ Rng::Rng(std::uint64_t seed)
         word = splitMix64(s);
 }
 
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-double
-Rng::nextDouble()
-{
-    // 53 high bits -> uniform double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t
-Rng::nextBelow(std::uint64_t bound)
-{
-    if (bound == 0)
-        panic("Rng::nextBelow called with bound == 0");
-    // Rejection sampling to remove modulo bias.
-    const std::uint64_t threshold = (~bound + 1) % bound;
-    for (;;) {
-        const std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
 std::int64_t
 Rng::nextInRange(std::int64_t lo, std::int64_t hi)
 {
@@ -81,16 +36,6 @@ Rng::nextInRange(std::int64_t lo, std::int64_t hi)
         panic("Rng::nextInRange called with lo > hi");
     const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
     return lo + static_cast<std::int64_t>(nextBelow(span));
-}
-
-bool
-Rng::nextBernoulli(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return nextDouble() < p;
 }
 
 std::uint64_t

@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/status.h"
+
 namespace confsim {
 
 /**
@@ -33,23 +35,66 @@ class Rng
     /** Seed the generator; the same seed always yields the same stream. */
     explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-    /** @return the next raw 64-bit output. */
-    std::uint64_t next();
+    /**
+     * @return the next raw 64-bit output. This and the three draws
+     * below are inline, so a caller's constant bound or probability
+     * folds into its call site.
+     */
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+
+        return result;
+    }
 
     /** @return a double uniformly distributed in [0, 1). */
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        // 53 high bits -> uniform double in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /**
      * @return an integer uniformly distributed in [0, bound)
      * using rejection sampling (unbiased). @pre bound > 0.
      */
-    std::uint64_t nextBelow(std::uint64_t bound);
+    std::uint64_t
+    nextBelow(std::uint64_t bound)
+    {
+        if (bound == 0)
+            panic("Rng::nextBelow called with bound == 0");
+        // Rejection sampling to remove modulo bias.
+        const std::uint64_t threshold = (~bound + 1) % bound;
+        for (;;) {
+            const std::uint64_t r = next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
 
     /** @return an integer uniformly distributed in [lo, hi] inclusive. */
     std::int64_t nextInRange(std::int64_t lo, std::int64_t hi);
 
     /** @return true with probability @p p (clamped to [0, 1]). */
-    bool nextBernoulli(double p);
+    bool
+    nextBernoulli(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return nextDouble() < p;
+    }
 
     /**
      * Sample a geometric distribution: the number of failures before the
@@ -76,6 +121,12 @@ class Rng
     void setStateWords(const std::array<std::uint64_t, 4> &words);
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t state_[4];
 };
 

@@ -3,6 +3,7 @@
 #include "ckpt/state_io.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/status.h"
@@ -17,14 +18,16 @@ SyntheticCfg::SyntheticCfg(const BenchmarkProfile &profile)
 
     Rng rng(profile.seed * 0x9E3779B97F4A7C15ULL + 0x1234567);
 
+    // The last construct overshoots the target by a few dozen blocks (at
+    // most 72 over the IBS profiles at 300 seeds); more regrows once.
+    blocks_.reserve(profile.targetBlocks + 128);
     while (blocks_.size() < profile_.targetBlocks)
         buildConstruct(0, rng);
 
     // Outer wrap: the program is an infinite loop over its whole body.
     // A heavily-taken latch returning to block 0; both successors point
     // back so exhaustion is impossible.
-    const std::size_t wrap =
-        emitBlock(std::make_unique<BiasedBehavior>(0.999), rng);
+    const std::size_t wrap = emitBlock(BranchBehavior::biased(0.999), rng);
     blocks_[wrap].takenNext = 0;
     blocks_[wrap].fallNext = 0;
     blocks_[wrap].isLoopLatch = true;
@@ -32,23 +35,26 @@ SyntheticCfg::SyntheticCfg(const BenchmarkProfile &profile)
     // Every successor index emitted as "one past the current end" during
     // construction now resolves to the wrap block or earlier; clamp any
     // residual out-of-range indices (possible when an if-merge pointed
-    // past the final construct).
+    // past the final construct). The taken target's PC is then fixed.
     for (auto &block : blocks_) {
         if (block.takenNext >= blocks_.size())
             block.takenNext = static_cast<std::uint32_t>(wrap);
         if (block.fallNext >= blocks_.size())
             block.fallNext = static_cast<std::uint32_t>(wrap);
+        block.takenPc = blocks_[block.takenNext].branchPc;
     }
 
+    statefulBlocks_.reserve(static_cast<std::size_t>(std::count_if(
+        blocks_.begin(), blocks_.end(),
+        [](const CfgBlock &block) { return block.behavior.stateful(); })));
     for (std::size_t b = 0; b < blocks_.size(); ++b) {
-        if (blocks_[b].behavior->stateful())
+        if (blocks_[b].behavior.stateful())
             statefulBlocks_.push_back(static_cast<std::uint32_t>(b));
     }
 }
 
 std::size_t
-SyntheticCfg::emitBlock(std::unique_ptr<BranchBehavior> behavior,
-                        Rng &rng)
+SyntheticCfg::emitBlock(const BranchBehavior &behavior, Rng &rng)
 {
     // Blocks are 3..12 instructions; the conditional branch is the last
     // instruction. Word-sized (4-byte) instructions as on the MIPS/Alpha
@@ -57,9 +63,7 @@ SyntheticCfg::emitBlock(std::unique_ptr<BranchBehavior> behavior,
     const std::uint64_t branch_pc = nextPc_ + (block_insts - 1) * 4;
     nextPc_ += block_insts * 4;
 
-    CfgBlock block;
-    block.branchPc = branch_pc;
-    block.behavior = std::move(behavior);
+    CfgBlock block{.branchPc = branch_pc, .behavior = behavior};
     // A small fraction of blocks begin with a non-conditional control
     // transfer (call / return / jump), used only when the profile asks
     // for structurally realistic traces. The roll is drawn
@@ -78,11 +82,11 @@ SyntheticCfg::emitBlock(std::unique_ptr<BranchBehavior> behavior,
     // Default: fall through to the next block either way; callers patch.
     block.takenNext = index + 1;
     block.fallNext = index + 1;
-    blocks_.push_back(std::move(block));
+    blocks_.push_back(block);
     return index;
 }
 
-std::unique_ptr<BranchBehavior>
+BranchBehavior
 SyntheticCfg::sampleNonLoopBehavior(Rng &rng)
 {
     const BehaviorMix &mix = profile_.mix;
@@ -102,39 +106,33 @@ SyntheticCfg::sampleNonLoopBehavior(Rng &rng)
 
     if (take(mix.stronglyBiased)) {
         const double p = 0.9965 + 0.0030 * rng.nextDouble();
-        return std::make_unique<BiasedBehavior>(
-            rng.nextBernoulli(0.5) ? p : 1.0 - p);
+        return BranchBehavior::biased(rng.nextBernoulli(0.5) ? p : 1.0 - p);
     }
     if (take(mix.moderateBiased)) {
         const double p = 0.90 + 0.08 * rng.nextDouble();
-        return std::make_unique<BiasedBehavior>(
-            rng.nextBernoulli(0.5) ? p : 1.0 - p);
+        return BranchBehavior::biased(rng.nextBernoulli(0.5) ? p : 1.0 - p);
     }
     if (take(mix.weaklyBiased)) {
         const double p = 0.60 + 0.25 * rng.nextDouble();
-        return std::make_unique<BiasedBehavior>(
-            rng.nextBernoulli(0.5) ? p : 1.0 - p);
+        return BranchBehavior::biased(rng.nextBernoulli(0.5) ? p : 1.0 - p);
     }
     if (take(mix.correlated)) {
         const unsigned num_taps = 1 + static_cast<unsigned>(
-            rng.nextBelow(3));
-        std::vector<unsigned> taps;
+            rng.nextBelow(BranchBehavior::kMaxTaps));
+        std::array<unsigned, BranchBehavior::kMaxTaps> taps{};
         for (unsigned i = 0; i < num_taps; ++i) {
             // Mostly shallow taps; ~72% land in [12, 16), which a
             // 16-deep history captures but a 12-deep one cannot — one
             // source of the paper's 64K-vs-4K predictor gap.
-            if (rng.nextBernoulli(0.72)) {
-                taps.push_back(12 + static_cast<unsigned>(
-                    rng.nextBelow(4)));
-            } else {
-                taps.push_back(static_cast<unsigned>(
-                    rng.nextBelow(10)));
-            }
+            if (rng.nextBernoulli(0.72))
+                taps[i] = 12 + static_cast<unsigned>(rng.nextBelow(4));
+            else
+                taps[i] = static_cast<unsigned>(rng.nextBelow(10));
         }
         const auto op = static_cast<CorrelationOp>(rng.nextBelow(3));
-        return std::make_unique<HistoryCorrelatedBehavior>(
-            std::move(taps), op, profile_.correlationNoise,
-            rng.nextBernoulli(0.5));
+        return BranchBehavior::historyCorrelated(
+            std::span(taps.data(), num_taps), op,
+            profile_.correlationNoise, rng.nextBernoulli(0.5));
     }
     if (take(mix.pattern)) {
         // Short structured patterns only (T^a N^b with period <= 4).
@@ -147,21 +145,20 @@ SyntheticCfg::sampleNonLoopBehavior(Rng &rng)
         const std::size_t nt_run = 1 + rng.nextBelow(4 - taken_run > 0
                                                          ? 4 - taken_run
                                                          : 1);
-        std::vector<bool> pattern;
+        std::array<bool, 4> pattern{};
         const bool invert = rng.nextBernoulli(0.5);
-        for (std::size_t i = 0; i < taken_run; ++i)
-            pattern.push_back(!invert);
-        for (std::size_t i = 0; i < nt_run; ++i)
-            pattern.push_back(invert);
-        return std::make_unique<PatternBehavior>(std::move(pattern));
+        std::fill_n(pattern.begin(), taken_run, !invert);
+        std::fill_n(pattern.begin() + taken_run, nt_run, invert);
+        return BranchBehavior::pattern(
+            std::span(pattern.data(), taken_run + nt_run));
     }
     // Chain: echo a recent outcome.
     const unsigned depth = 1 + static_cast<unsigned>(rng.nextBelow(13));
-    return std::make_unique<ChainBehavior>(
-        depth, rng.nextBernoulli(0.5), profile_.correlationNoise);
+    return BranchBehavior::chain(depth, rng.nextBernoulli(0.5),
+                                 profile_.correlationNoise);
 }
 
-std::unique_ptr<BranchBehavior>
+BranchBehavior
 SyntheticCfg::sampleLoopBehavior(unsigned depth, Rng &rng)
 {
     // Per-loop mean trip count jitters around the profile mean.
@@ -178,15 +175,14 @@ SyntheticCfg::sampleLoopBehavior(unsigned depth, Rng &rng)
     // counts (array widths) are stable and outer ones are data sized.
     if (depth <= 1) {
         if (rng.nextBernoulli(profile_.geometricLoopFraction))
-            return std::make_unique<LoopBehavior>(
-                mean, TripCountModel::Geometric);
+            return BranchBehavior::loop(mean, TripCountModel::Geometric);
         const std::uint32_t jitter =
             std::max<std::uint32_t>(1, mean / 10);
         if (rng.nextBernoulli(0.1) && jitter < mean)
-            return std::make_unique<LoopBehavior>(
-                mean, TripCountModel::Jittered, jitter);
+            return BranchBehavior::loop(mean, TripCountModel::Jittered,
+                                        jitter);
     }
-    return std::make_unique<LoopBehavior>(mean, TripCountModel::Fixed);
+    return BranchBehavior::loop(mean, TripCountModel::Fixed);
 }
 
 void
@@ -239,7 +235,7 @@ void
 SyntheticCfg::resetBehaviors()
 {
     for (const std::uint32_t b : statefulBlocks_)
-        blocks_[b].behavior->reset();
+        blocks_[b].behavior.reset();
 }
 
 void
@@ -247,7 +243,7 @@ SyntheticCfg::saveBehaviorStates(StateWriter &out) const
 {
     out.putU64(blocks_.size());
     for (const std::uint32_t b : statefulBlocks_)
-        blocks_[b].behavior->saveState(out);
+        blocks_[b].behavior.saveState(out);
 }
 
 void
@@ -255,7 +251,7 @@ SyntheticCfg::loadBehaviorStates(StateReader &in)
 {
     in.expectU64(blocks_.size(), "CFG block count");
     for (const std::uint32_t b : statefulBlocks_)
-        blocks_[b].behavior->loadState(in);
+        blocks_[b].behavior.loadState(in);
 }
 
 } // namespace confsim

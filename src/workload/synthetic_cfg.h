@@ -3,10 +3,11 @@
  * Synthetic control-flow graph.
  *
  * A benchmark profile is expanded (deterministically from its seed) into
- * a graph of basic blocks, each terminated by one conditional branch with
- * an attached BranchBehavior. Loops become back edges, ifs become forward
- * skips over a sub-region, and the last block wraps to the first so the
- * walk can produce arbitrarily long traces.
+ * a graph of basic blocks, each terminated by one conditional branch
+ * whose BranchBehavior the block holds by value, so a graph is one
+ * array. Loops become back edges, ifs become forward skips over a
+ * sub-region, and the last block wraps to the first so the walk can
+ * produce arbitrarily long traces.
  *
  * Executing the graph — rather than sampling branches independently —
  * is what gives the dynamic stream coherent global-history context:
@@ -18,7 +19,6 @@
 #define CONFSIM_WORKLOAD_SYNTHETIC_CFG_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "ckpt/state_io.h"
@@ -37,13 +37,17 @@ enum class BlockEvent : std::uint8_t
     Unconditional, //!< the block starts with a direct jump
 };
 
-/** One basic block: a conditional branch plus its two successors. */
+/**
+ * One basic block: a conditional branch plus its two successors, and
+ * the branch's behaviour held by value.
+ */
 struct CfgBlock
 {
     std::uint64_t branchPc = 0;   //!< address of the terminating branch
+    std::uint64_t takenPc = 0;    //!< the taken target: takenNext's branchPc
     std::uint32_t takenNext = 0;  //!< successor block if taken
     std::uint32_t fallNext = 0;   //!< successor block if not taken
-    std::unique_ptr<BranchBehavior> behavior; //!< outcome model
+    BranchBehavior behavior;      //!< outcome model and its state
     bool isLoopLatch = false;     //!< taken edge is a back edge
     BlockEvent entryEvent = BlockEvent::None; //!< optional leading CTI
 };
@@ -58,13 +62,17 @@ class SyntheticCfg
     /** @return number of basic blocks (== static conditional branches). */
     std::size_t numBlocks() const { return blocks_.size(); }
 
-    /**
-     * @return block @p index. The graph is fixed once built; its
-     * behaviours still step (and keep state) through `behavior`.
-     */
+    /** @return block @p index. The graph is fixed once built. */
     const CfgBlock &block(std::size_t index) const
     {
         return blocks_[index];
+    }
+
+    /** Step block @p index's behaviour; @return its next outcome. */
+    bool
+    nextOutcome(std::size_t index, const WorkloadContext &ctx, Rng &rng)
+    {
+        return blocks_[index].behavior.nextOutcome(ctx, rng);
     }
 
     /** Restore every behaviour to its initial state. */
@@ -88,16 +96,14 @@ class SyntheticCfg
     void buildConstruct(unsigned depth, Rng &rng);
 
     /** Append a block with @p behavior; successors patched by caller. */
-    std::size_t emitBlock(std::unique_ptr<BranchBehavior> behavior,
-                          Rng &rng);
+    std::size_t emitBlock(const BranchBehavior &behavior, Rng &rng);
 
     /** Sample a non-loop behaviour from the profile mix. */
-    std::unique_ptr<BranchBehavior> sampleNonLoopBehavior(Rng &rng);
+    BranchBehavior sampleNonLoopBehavior(Rng &rng);
 
     /** Sample a loop-latch behaviour; @p depth is the loop nesting
      *  depth (unpredictable trip counts only at depth <= 1). */
-    std::unique_ptr<BranchBehavior> sampleLoopBehavior(unsigned depth,
-                                                       Rng &rng);
+    BranchBehavior sampleLoopBehavior(unsigned depth, Rng &rng);
 
     BenchmarkProfile profile_;
     std::vector<CfgBlock> blocks_;

@@ -54,11 +54,12 @@ WorkloadGenerator::next(BranchRecord &record)
         return true;
     }
 
-    const bool taken = block.behavior->nextOutcome(context_, runtimeRng_);
+    const bool taken =
+        cfg_.nextOutcome(currentBlock_, context_, runtimeRng_);
     context_.recordOutcome(taken);
 
     record.pc = block.branchPc;
-    record.target = cfg_.block(block.takenNext).branchPc;
+    record.target = block.takenPc;
     record.taken = taken;
     record.type = BranchType::Conditional;
 

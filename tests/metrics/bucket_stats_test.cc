@@ -384,6 +384,82 @@ TEST(BucketStatsTest, OutOfRangeBucketInPayloadIsFatal)
     EXPECT_THROW(stats.loadState(in), std::runtime_error);
 }
 
+/**
+ * The packed form, built bucket by bucket: a presence bit per listed
+ * bucket, the listed count before each 64-bucket word, and the listed
+ * buckets' counts in bucket order.
+ */
+struct ReferencePack
+{
+    std::vector<std::uint64_t> present;
+    std::vector<std::uint64_t> rank;
+    std::vector<BucketCounts> entries;
+
+    explicit ReferencePack(const BucketStats &dense)
+        : present((dense.numBuckets() + 63) / 64),
+          rank(present.size())
+    {
+        for (std::uint64_t b = 0; b < dense.numBuckets(); ++b) {
+            if (b % 64 == 0)
+                rank[b / 64] = entries.size();
+            const BucketCounts counts = dense[b];
+            if (counts.refs != 0.0 || counts.mispredicts != 0.0) {
+                present[b / 64] |= std::uint64_t{1} << (b % 64);
+                entries.push_back(counts);
+            }
+        }
+    }
+
+    /** @return bucket @p b's counts, read through the pack. */
+    BucketCounts
+    operator[](std::uint64_t b) const
+    {
+        const std::uint64_t word = present[b / 64];
+        if ((word >> (b % 64) & 1) == 0)
+            return {};
+        std::uint64_t before = 0;
+        for (std::uint64_t i = 0; i < b % 64; ++i)
+            before += word >> i & 1;
+        return entries[rank[b / 64] + before];
+    }
+};
+
+TEST(BucketStatsTest, PackMatchesAScalarReferencePack)
+{
+    std::vector<std::pair<std::string, BucketStats>> banks;
+    banks.emplace_back("empty", BucketStats(65536));
+    banks.emplace_back("full", touchedBank(65536, 65536, 21));
+    BucketStats alternating(65536);
+    for (std::uint64_t b = 0; b < 65536; b += 2) {
+        for (std::uint64_t r = 0; r < 1 + b % 5; ++r)
+            alternating.record(b, r % 3 == 0);
+    }
+    banks.emplace_back("alternating", std::move(alternating));
+    banks.emplace_back("17-buckets", touchedBank(17, 9, 22, true));
+    for (const auto &[name, dense] : banks) {
+        SCOPED_TRACE(name);
+        const ReferencePack reference(dense);
+        const BucketStats packed = packedCopy(dense);
+        ASSERT_TRUE(packed.packed());
+        for (std::uint64_t b = 0; b < dense.numBuckets(); ++b) {
+            ASSERT_EQ(bitsOf(packed[b].refs), bitsOf(reference[b].refs))
+                << b;
+            ASSERT_EQ(bitsOf(packed[b].mispredicts),
+                      bitsOf(reference[b].mispredicts))
+                << b;
+        }
+        const std::vector<KeyedBucketCounts> listed = packed.nonEmpty();
+        ASSERT_EQ(listed.size(), reference.entries.size());
+        for (std::size_t i = 0; i < listed.size(); ++i) {
+            EXPECT_EQ(bitsOf(listed[i].counts.refs),
+                      bitsOf(reference.entries[i].refs));
+            EXPECT_EQ(bitsOf(listed[i].counts.mispredicts),
+                      bitsOf(reference.entries[i].mispredicts));
+        }
+        expectSameReads(packed, dense);
+    }
+}
+
 TEST(PackedBucketStatsTest, EveryReaderSeesTheDenseBank)
 {
     std::uint64_t seed = 100;

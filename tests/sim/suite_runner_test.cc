@@ -518,6 +518,23 @@ expectSameResults(const SuiteRunResult &actual,
     }
 }
 
+TEST(SuiteRunnerTest, CheckpointLabelNamesTheTrace)
+{
+    // The suite's length, or each profile's default when it is 0.
+    EXPECT_EQ(checkpointLabel(BenchmarkSuite::ibsSmall(20'000), 1),
+              "real_gcc.seed16.branches20000");
+    EXPECT_EQ(checkpointLabel(BenchmarkSuite::ibs(0), 2),
+              "jpeg.seed13.branches2000000");
+    const BenchmarkSuite suite = BenchmarkSuite::ibs(0);
+    for (std::size_t bench = 0; bench < suite.size(); ++bench) {
+        EXPECT_EQ(checkpointLabel(suite, bench),
+                  suite.profile(bench).name + ".seed" +
+                      std::to_string(suite.profile(bench).seed) +
+                      ".branches" +
+                      std::to_string(suite.makeGenerator(bench)->length()));
+    }
+}
+
 TEST(SuiteRunnerTest, SharedCheckpointDirectoryKeepsRunsApart)
 {
     // Every run() labels its configuration `run`, so two runs over

@@ -2,6 +2,8 @@
 
 #include "workload/branch_behavior.h"
 
+#include <array>
+
 #include <gtest/gtest.h>
 
 #include "util/error.h"
@@ -34,7 +36,7 @@ TEST(BiasedBehaviorTest, FrequencyMatchesProbability)
 {
     WorkloadContext ctx;
     Rng rng(5);
-    BiasedBehavior biased(0.8);
+    BranchBehavior biased = BranchBehavior::biased(0.8);
     int taken = 0;
     const int n = 50000;
     for (int i = 0; i < n; ++i)
@@ -44,8 +46,8 @@ TEST(BiasedBehaviorTest, FrequencyMatchesProbability)
 
 TEST(BiasedBehaviorTest, RejectsBadProbability)
 {
-    EXPECT_THROW(BiasedBehavior(-0.1), std::runtime_error);
-    EXPECT_THROW(BiasedBehavior(1.1), std::runtime_error);
+    EXPECT_THROW(BranchBehavior::biased(-0.1), std::runtime_error);
+    EXPECT_THROW(BranchBehavior::biased(1.1), std::runtime_error);
 }
 
 TEST(LoopBehaviorTest, FixedTripPattern)
@@ -53,7 +55,7 @@ TEST(LoopBehaviorTest, FixedTripPattern)
     // Trip 4: T T T N, repeating.
     WorkloadContext ctx;
     Rng rng(9);
-    LoopBehavior loop(4, TripCountModel::Fixed);
+    BranchBehavior loop = BranchBehavior::loop(4, TripCountModel::Fixed);
     for (int pass = 0; pass < 3; ++pass) {
         EXPECT_TRUE(loop.nextOutcome(ctx, rng));
         EXPECT_TRUE(loop.nextOutcome(ctx, rng));
@@ -66,7 +68,7 @@ TEST(LoopBehaviorTest, TripOneNeverIterates)
 {
     WorkloadContext ctx;
     Rng rng(9);
-    LoopBehavior loop(1, TripCountModel::Fixed);
+    BranchBehavior loop = BranchBehavior::loop(1, TripCountModel::Fixed);
     for (int i = 0; i < 5; ++i)
         EXPECT_FALSE(loop.nextOutcome(ctx, rng));
 }
@@ -75,7 +77,8 @@ TEST(LoopBehaviorTest, JitteredStaysInRange)
 {
     WorkloadContext ctx;
     Rng rng(11);
-    LoopBehavior loop(10, TripCountModel::Jittered, 2);
+    BranchBehavior loop =
+        BranchBehavior::loop(10, TripCountModel::Jittered, 2);
     for (int pass = 0; pass < 200; ++pass) {
         int trip = 0;
         while (loop.nextOutcome(ctx, rng))
@@ -90,7 +93,8 @@ TEST(LoopBehaviorTest, GeometricMeanApproximatelyCorrect)
 {
     WorkloadContext ctx;
     Rng rng(13);
-    LoopBehavior loop(8, TripCountModel::Geometric);
+    BranchBehavior loop =
+        BranchBehavior::loop(8, TripCountModel::Geometric);
     double total = 0.0;
     const int passes = 20000;
     for (int pass = 0; pass < passes; ++pass) {
@@ -106,7 +110,7 @@ TEST(LoopBehaviorTest, ResetReArms)
 {
     WorkloadContext ctx;
     Rng rng(15);
-    LoopBehavior loop(3, TripCountModel::Fixed);
+    BranchBehavior loop = BranchBehavior::loop(3, TripCountModel::Fixed);
     EXPECT_TRUE(loop.nextOutcome(ctx, rng));
     loop.reset();
     // After reset the loop starts a fresh trip: T T N.
@@ -117,9 +121,9 @@ TEST(LoopBehaviorTest, ResetReArms)
 
 TEST(LoopBehaviorTest, RejectsBadParameters)
 {
-    EXPECT_THROW(LoopBehavior(0, TripCountModel::Fixed),
+    EXPECT_THROW(BranchBehavior::loop(0, TripCountModel::Fixed),
                  std::runtime_error);
-    EXPECT_THROW(LoopBehavior(4, TripCountModel::Jittered, 4),
+    EXPECT_THROW(BranchBehavior::loop(4, TripCountModel::Jittered, 4),
                  std::runtime_error);
 }
 
@@ -127,7 +131,8 @@ TEST(PatternBehaviorTest, ReplaysCyclically)
 {
     WorkloadContext ctx;
     Rng rng(17);
-    PatternBehavior pattern({true, true, false});
+    BranchBehavior pattern =
+        BranchBehavior::pattern(std::array{true, true, false});
     for (int pass = 0; pass < 4; ++pass) {
         EXPECT_TRUE(pattern.nextOutcome(ctx, rng));
         EXPECT_TRUE(pattern.nextOutcome(ctx, rng));
@@ -139,7 +144,8 @@ TEST(PatternBehaviorTest, ResetRestartsPhase)
 {
     WorkloadContext ctx;
     Rng rng(17);
-    PatternBehavior pattern({true, false});
+    BranchBehavior pattern =
+        BranchBehavior::pattern(std::array{true, false});
     EXPECT_TRUE(pattern.nextOutcome(ctx, rng));
     pattern.reset();
     EXPECT_TRUE(pattern.nextOutcome(ctx, rng));
@@ -151,7 +157,8 @@ TEST(PatternBehaviorTest, RestoreRejectsAPhasePastThePattern)
     // past the end; the last phase restores and resumes there.
     WorkloadContext ctx;
     Rng rng(17);
-    PatternBehavior pattern({true, true, false});
+    BranchBehavior pattern =
+        BranchBehavior::pattern(std::array{true, true, false});
     for (const std::uint64_t phase : {std::uint64_t{3}, ~std::uint64_t{0}}) {
         StateWriter out;
         out.putU64(phase);
@@ -173,14 +180,34 @@ TEST(PatternBehaviorTest, RestoreRejectsAPhasePastThePattern)
 
 TEST(PatternBehaviorTest, EmptyPatternIsFatal)
 {
-    EXPECT_THROW(PatternBehavior({}), std::runtime_error);
+    EXPECT_THROW(BranchBehavior::pattern({}), std::runtime_error);
+}
+
+TEST(PatternBehaviorTest, PatternLongerThanAWordIsFatal)
+{
+    // The directions are the bits of one word: the first and the last
+    // of the longest pattern are taken.
+    constexpr unsigned kLongest = BranchBehavior::kMaxPatternLength;
+    std::array<bool, kLongest + 1> directions{};
+    directions[0] = true;
+    directions[kLongest - 1] = true;
+    EXPECT_THROW(BranchBehavior::pattern(directions), std::runtime_error);
+    WorkloadContext ctx;
+    Rng rng(17);
+    BranchBehavior longest =
+        BranchBehavior::pattern(std::span(directions.data(), kLongest));
+    for (int pass = 0; pass < 2; ++pass) {
+        for (unsigned i = 0; i < kLongest; ++i)
+            EXPECT_EQ(longest.nextOutcome(ctx, rng), directions[i]) << i;
+    }
 }
 
 TEST(HistoryCorrelatedTest, ParityFollowsTaps)
 {
     WorkloadContext ctx;
     Rng rng(19);
-    HistoryCorrelatedBehavior parity({0, 1}, CorrelationOp::Parity, 0.0);
+    BranchBehavior parity = BranchBehavior::historyCorrelated(
+        std::array{0u, 1u}, CorrelationOp::Parity, 0.0);
     ctx.recordOutcome(true);
     ctx.recordOutcome(false); // history (newest first): 0, 1
     EXPECT_TRUE(parity.nextOutcome(ctx, rng)); // 0 xor 1 = 1
@@ -197,12 +224,14 @@ TEST(HistoryCorrelatedTest, MajorityAndAnd)
     ctx.recordOutcome(true);
     ctx.recordOutcome(true);
     ctx.recordOutcome(false); // newest first: 0, 1, 1
-    HistoryCorrelatedBehavior maj({0, 1, 2}, CorrelationOp::Majority,
-                                  0.0);
+    BranchBehavior maj = BranchBehavior::historyCorrelated(
+        std::array{0u, 1u, 2u}, CorrelationOp::Majority, 0.0);
     EXPECT_TRUE(maj.nextOutcome(ctx, rng)); // two of three taken
-    HistoryCorrelatedBehavior all({0, 1, 2}, CorrelationOp::And, 0.0);
+    BranchBehavior all = BranchBehavior::historyCorrelated(
+        std::array{0u, 1u, 2u}, CorrelationOp::And, 0.0);
     EXPECT_FALSE(all.nextOutcome(ctx, rng)); // newest is not taken
-    HistoryCorrelatedBehavior all12({1, 2}, CorrelationOp::And, 0.0);
+    BranchBehavior all12 = BranchBehavior::historyCorrelated(
+        std::array{1u, 2u}, CorrelationOp::And, 0.0);
     EXPECT_TRUE(all12.nextOutcome(ctx, rng));
 }
 
@@ -211,10 +240,10 @@ TEST(HistoryCorrelatedTest, InvertFlips)
     WorkloadContext ctx;
     Rng rng(29);
     ctx.recordOutcome(true);
-    HistoryCorrelatedBehavior plain({0}, CorrelationOp::Parity, 0.0,
-                                    false);
-    HistoryCorrelatedBehavior inverted({0}, CorrelationOp::Parity, 0.0,
-                                       true);
+    BranchBehavior plain = BranchBehavior::historyCorrelated(
+        std::array{0u}, CorrelationOp::Parity, 0.0, false);
+    BranchBehavior inverted = BranchBehavior::historyCorrelated(
+        std::array{0u}, CorrelationOp::Parity, 0.0, true);
     EXPECT_TRUE(plain.nextOutcome(ctx, rng));
     EXPECT_FALSE(inverted.nextOutcome(ctx, rng));
 }
@@ -223,7 +252,8 @@ TEST(HistoryCorrelatedTest, NoiseFlipsAtConfiguredRate)
 {
     WorkloadContext ctx;
     Rng rng(31);
-    HistoryCorrelatedBehavior noisy({0}, CorrelationOp::Parity, 0.2);
+    BranchBehavior noisy = BranchBehavior::historyCorrelated(
+        std::array{0u}, CorrelationOp::Parity, 0.2);
     ctx.recordOutcome(true); // functional outcome always "taken"
     int flips = 0;
     const int n = 50000;
@@ -234,45 +264,40 @@ TEST(HistoryCorrelatedTest, NoiseFlipsAtConfiguredRate)
 
 TEST(HistoryCorrelatedTest, RejectsDeepTapsAndBadNoise)
 {
-    EXPECT_THROW(
-        HistoryCorrelatedBehavior({16}, CorrelationOp::Parity, 0.0),
-        std::runtime_error);
-    EXPECT_THROW(
-        HistoryCorrelatedBehavior({}, CorrelationOp::Parity, 0.0),
-        std::runtime_error);
-    EXPECT_THROW(
-        HistoryCorrelatedBehavior({0}, CorrelationOp::Parity, 1.5),
-        std::runtime_error);
+    EXPECT_THROW(BranchBehavior::historyCorrelated(
+                     std::array{16u}, CorrelationOp::Parity, 0.0),
+                 std::runtime_error);
+    EXPECT_THROW(BranchBehavior::historyCorrelated(
+                     {}, CorrelationOp::Parity, 0.0),
+                 std::runtime_error);
+    EXPECT_THROW(BranchBehavior::historyCorrelated(
+                     std::array{0u}, CorrelationOp::Parity, 1.5),
+                 std::runtime_error);
+}
+
+TEST(HistoryCorrelatedTest, RejectsMoreThanThreeTaps)
+{
+    EXPECT_THROW(BranchBehavior::historyCorrelated(
+                     std::array{0u, 1u, 2u, 3u}, CorrelationOp::Parity,
+                     0.0),
+                 std::runtime_error);
 }
 
 TEST(ChainBehaviorTest, EchoesPastOutcome)
 {
     WorkloadContext ctx;
     Rng rng(37);
-    ChainBehavior chain(1, false, 0.0);
+    BranchBehavior chain = BranchBehavior::chain(1, false, 0.0);
     ctx.recordOutcome(true);
     ctx.recordOutcome(false); // depth 1 = second most recent = taken
     EXPECT_TRUE(chain.nextOutcome(ctx, rng));
-    ChainBehavior inverted(1, true, 0.0);
+    BranchBehavior inverted = BranchBehavior::chain(1, true, 0.0);
     EXPECT_FALSE(inverted.nextOutcome(ctx, rng));
 }
 
 TEST(ChainBehaviorTest, RejectsDeepChain)
 {
-    EXPECT_THROW(ChainBehavior(16, false, 0.0), std::runtime_error);
-}
-
-TEST(CloneTest, ClonesAreIndependentAndFresh)
-{
-    WorkloadContext ctx;
-    Rng rng(41);
-    LoopBehavior loop(3, TripCountModel::Fixed);
-    EXPECT_TRUE(loop.nextOutcome(ctx, rng)); // advance original
-    auto clone = loop.clone();
-    // Clone starts a fresh trip: T T N.
-    EXPECT_TRUE(clone->nextOutcome(ctx, rng));
-    EXPECT_TRUE(clone->nextOutcome(ctx, rng));
-    EXPECT_FALSE(clone->nextOutcome(ctx, rng));
+    EXPECT_THROW(BranchBehavior::chain(16, false, 0.0), std::runtime_error);
 }
 
 } // namespace

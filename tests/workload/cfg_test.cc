@@ -36,7 +36,8 @@ TEST(SyntheticCfgTest, AllSuccessorsInRange)
     for (std::size_t b = 0; b < cfg.numBlocks(); ++b) {
         EXPECT_LT(cfg.block(b).takenNext, cfg.numBlocks());
         EXPECT_LT(cfg.block(b).fallNext, cfg.numBlocks());
-        EXPECT_NE(cfg.block(b).behavior, nullptr);
+        EXPECT_EQ(cfg.block(b).takenPc,
+                  cfg.block(cfg.block(b).takenNext).branchPc);
     }
 }
 
@@ -165,7 +166,7 @@ TEST(SyntheticCfgTest, SnapshotOfStatefulBlocksEqualsAFullWalk)
         StateWriter every;
         every.putU64(cfg.numBlocks());
         for (std::size_t b = 0; b < cfg.numBlocks(); ++b)
-            cfg.block(b).behavior->saveState(every);
+            cfg.block(b).behavior.saveState(every);
         StateWriter walked;
         cfg.saveBehaviorStates(walked);
         EXPECT_EQ(walked.bytes(), every.bytes()) << profile.name;
