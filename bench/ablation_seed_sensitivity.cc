@@ -37,7 +37,8 @@ struct Draw
 };
 
 Draw
-runDraw(std::uint64_t seed_offset, std::uint64_t branches)
+runDraw(const ExperimentEnv &env, std::uint64_t seed_offset,
+        std::uint64_t branches)
 {
     // Redraw every benchmark program by shifting its seed; all other
     // profile statistics are unchanged.
@@ -45,55 +46,26 @@ runDraw(std::uint64_t seed_offset, std::uint64_t branches)
     for (auto &profile : profiles)
         profile.seed += seed_offset * 1000;
 
-    std::vector<EstimatorConfig> configs = {
-        oneLevelIdealConfig(IndexScheme::Pc),
-        oneLevelIdealConfig(IndexScheme::PcXorBhr),
-        oneLevelCounterConfig(IndexScheme::PcXorBhr,
-                              CounterKind::Resetting),
+    const auto swept = runSuiteExperiment(
+        env,
+        {{"run",
+          largeGshareFactory(),
+          {oneLevelIdealConfig(IndexScheme::Pc),
+           oneLevelIdealConfig(IndexScheme::PcXorBhr),
+           oneLevelCounterConfig(IndexScheme::PcXorBhr,
+                                 CounterKind::Resetting)}}},
+        {}, BenchmarkSuite(std::move(profiles), branches));
+    const SuiteRunResult &result = swept.perConfig.front();
+    const auto coverage = [&result](std::size_t estimator) {
+        return compositeCurve(result, estimator, "")
+            .curve.mispredCoverageAt(0.20);
     };
 
-    DriverOptions options;
-    options.profileStatic = false;
-    EstimatorSetFactory make_estimators = [&configs] {
-        std::vector<std::unique_ptr<ConfidenceEstimator>> out;
-        for (const auto &config : configs)
-            out.push_back(config.make());
-        return out;
-    };
-
-    // SuiteRunner resolves canonical profiles by name, so drive the
-    // shifted profiles directly with the core driver + compositing.
     Draw draw;
-    std::vector<BucketStats> composites;
-    for (std::size_t e = 0; e < configs.size(); ++e)
-        composites.emplace_back(configs[e].make()->numBuckets());
-    double rate_sum = 0.0;
-    for (const auto &profile : profiles) {
-        WorkloadGenerator gen(profile, branches);
-        auto predictor = largeGshareFactory()();
-        auto estimators = make_estimators();
-        std::vector<ConfidenceEstimator *> raw;
-        for (auto &est : estimators)
-            raw.push_back(est.get());
-        SimulationDriver driver(*predictor, raw, options);
-        const auto result = driver.run(gen);
-        rate_sum += result.mispredictRate();
-        for (std::size_t e = 0; e < configs.size(); ++e) {
-            composites[e].addWeighted(
-                result.estimatorStats[e],
-                1e6 / result.estimatorStats[e].totalRefs());
-        }
-    }
-    draw.mispredictRate = rate_sum / profiles.size();
-    const double pc = ConfidenceCurve::fromBucketStats(composites[0])
-                          .mispredCoverageAt(0.20);
-    draw.idealCoverage =
-        ConfidenceCurve::fromBucketStats(composites[1])
-            .mispredCoverageAt(0.20);
-    draw.resetCoverage =
-        ConfidenceCurve::fromBucketStats(composites[2])
-            .mispredCoverageAt(0.20);
-    draw.xorMinusPc = draw.idealCoverage - pc;
+    draw.mispredictRate = result.compositeMispredictRate;
+    draw.idealCoverage = coverage(1);
+    draw.resetCoverage = coverage(2);
+    draw.xorMinusPc = draw.idealCoverage - coverage(0);
     return draw;
 }
 
@@ -129,7 +101,7 @@ run(const ExperimentEnv &env)
     std::vector<double> resets;
     std::vector<double> margins;
     for (unsigned d = 0; d < draws; ++d) {
-        const Draw draw = runDraw(d, branches);
+        const Draw draw = runDraw(env, d, branches);
         std::printf("draw %u: rate %.2f%%, ideal@20 %.1f%%, reset@20 "
                     "%.1f%%, xor-pc margin %.1f\n",
                     d, 100.0 * draw.mispredictRate,

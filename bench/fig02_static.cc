@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "confidence/branch_classes.h"
 #include "sim/experiment.h"
@@ -24,8 +25,21 @@ run(const ExperimentEnv &env)
 {
     std::printf("=== Fig. 2: ideal static (profile-based) confidence "
                 "===\n\n");
-    const auto swept =
-        runSuiteExperiment(env, {{"run", largeGshareFactory(), {}}});
+    // Branch-class breakdown: which taken-rate bands carry the
+    // mispredictions the static method localizes? Computed on the first
+    // suite benchmark's profile as an illustration, which its pass's
+    // finish hook reads before the run keeps only bucket counts; the
+    // curve uses the full composite.
+    std::string classes;
+    SuiteRunner::PassHooks hooks;
+    hooks.finish = [&classes](std::size_t bench, const SweepRunResult &pass) {
+        if (bench == 0) {
+            classes = renderBranchClassTable(
+                classifyProfile(pass.perConfig.front().staticProfile));
+        }
+    };
+    const auto swept = runSuiteExperiment(
+        env, {{"run", largeGshareFactory(), {}}}, hooks);
     const SuiteRunResult &result = swept.perConfig.front();
     printMispredictionRates(result);
 
@@ -45,24 +59,12 @@ run(const ExperimentEnv &env)
     std::puts(plotCurves("Fig. 2 — static confidence method", curves)
                   .c_str());
 
-    // Branch-class breakdown: which taken-rate bands carry the
-    // mispredictions the static method localizes? (Computed on the
-    // first suite benchmark's profile as an illustration; the curve
-    // above uses the full composite.)
-    {
-        const auto suite = env.makeSuite();
-        auto gen = suite.makeGenerator(0);
-        auto predictor = largeGshareFactory()();
-        DriverOptions options;
-        options.profileStatic = true;
-        SimulationDriver driver(*predictor, {}, options);
-        const auto run = driver.run(*gen);
-        std::printf("branch classes for '%s':\n%s\n",
-                    suite.profile(0).name.c_str(),
-                    renderBranchClassTable(
-                        classifyProfile(run.staticProfile))
-                        .c_str());
-    }
+    // A benchmark restored from its done-marker replays nothing, so it
+    // has no profile to break down.
+    std::printf("branch classes for '%s':\n%s\n",
+                result.perBenchmark.front().name.c_str(),
+                classes.empty() ? "(restored from a checkpoint; no profile)"
+                                : classes.c_str());
 
     writeCurvesCsv(env.csvDir + "/fig02_static.csv", curves);
     return 0;

@@ -8,16 +8,15 @@
 #                      handling with memory checking.
 #   thread             TSan over the concurrency-heavy suites: the
 #                      sweep and sampling differential harnesses, the
-#                      suite runner's schedule and shared pool, and
-#                      the chaos tests, so fault injection,
-#                      cancellation, and fail-fast teardown are checked
-#                      for data races — plus the TAGE/perceptron
-#                      predictor shard. TAGE and the perceptron memoize
-#                      their last lookup, so predict() writes: each
-#                      sweep shard must own its configurations'
-#                      predictors and their memos, which the sampling
-#                      differential's TAGE config checks across thread
-#                      counts.
+#                      suite runner's pass threads, and the chaos
+#                      tests, so fault injection, cancellation, and
+#                      fail-fast teardown are checked for data races —
+#                      plus the TAGE/perceptron predictor shard. TAGE
+#                      and the perceptron memoize their last lookup, so
+#                      predict() writes: each pass must own its
+#                      configurations' predictors and their memos,
+#                      which the sampling differential's TAGE config
+#                      checks across worker budgets.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -53,13 +53,12 @@ EVENT_REQUIRED_FIELDS = {
     "checkpoint_restored": ["benchmark", "generation", "at_branch"],
     "checkpoint_corrupt": ["benchmark", "generation", "error"],
     "sweep_run_started": [
-        "benchmark", "configs", "threads", "batch_size",
-        "decode_ahead", "resumed",
+        "benchmark", "configs", "batch_size", "resumed",
     ],
     "sweep_run_finished": [
-        "benchmark", "configs", "threads", "records", "branches",
-        "batches", "wall_ms", "decode_stall_ms",
-        "ns_per_branch_update", "checkpoints_written",
+        "benchmark", "configs", "records", "branches", "batches",
+        "wall_ms", "decode_stall_ms", "ns_per_branch_update",
+        "checkpoints_written",
     ],
     "sweep_config_finished": [
         "benchmark", "config", "branches", "mispredicts",
@@ -142,12 +141,6 @@ def validate_event(path, lineno, obj):
             fail(path, lineno,
                  f"sweep_run_finished 'shard_busy_frac' must be a "
                  f"number in [0, 1], got {busy!r}")
-        wait = obj.get("barrier_wait_ms")
-        if wait is not None and (
-                not isinstance(wait, (int, float)) or wait < 0):
-            fail(path, lineno,
-                 f"sweep_run_finished 'barrier_wait_ms' must be a "
-                 f"non-negative number, got {wait!r}")
     if obj["type"] == "sampling_run_finished":
         rate = obj.get("sample_rate")
         if not isinstance(rate, (int, float)) or not 0.0 < rate <= 1.0:
@@ -162,8 +155,8 @@ def validate_event(path, lineno, obj):
                  f"sampling_run_finished recorded_branches "
                  f"{recorded} exceeds total_branches {total}")
     if obj["type"] == "metrics_snapshot":
-        # The snapshot is flat: metric names are field keys. The sweep
-        # occupancy metrics, when present, have hard ranges.
+        # The snapshot is flat: metric names are field keys. The
+        # replay share, when present, has a hard range.
         busy = obj.get("sweep.shard_busy_frac")
         if busy is not None and (
                 not isinstance(busy, (int, float)) or
@@ -171,14 +164,6 @@ def validate_event(path, lineno, obj):
             fail(path, lineno,
                  f"metric 'sweep.shard_busy_frac' must be in [0, 1], "
                  f"got {busy!r}")
-        for key in ("sweep.barrier_wait_ns.count",
-                    "sweep.barrier_wait_ns.mean"):
-            value = obj.get(key)
-            if value is not None and (
-                    not isinstance(value, (int, float)) or value < 0):
-                fail(path, lineno,
-                     f"metric '{key}' must be a non-negative number, "
-                     f"got {value!r}")
 
 
 def validate_jsonl(path):

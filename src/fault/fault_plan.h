@@ -1,10 +1,10 @@
 /**
  * @file
  * Deterministic fault plane: a parsed FaultPlan armes the process-wide
- * FaultInjector, whose hooks are compiled into the decode-ahead
- * producer, sweep worker shards, CheckpointStore writes, and telemetry
- * sinks. With no plan installed every hook is a single relaxed atomic
- * load, so production runs pay nothing.
+ * FaultInjector, whose hooks are compiled into the sweep engine's batch
+ * refills and per-configuration replays, CheckpointStore writes, and
+ * telemetry sinks. With no plan installed every hook is a single
+ * relaxed atomic load, so production runs pay nothing.
  *
  * Grammar (CLI `--fault-plan`):
  *
@@ -18,7 +18,8 @@
  * where a scope is one benchmark run / one checkpoint store label):
  *
  *   decode:batch=N          fail decoding the Nth record batch
- *   shard:cfg=C[,batch=N]   fail config C's Nth replayed batch (N=1)
+ *   shard:cfg=C[,batch=N]   fail config C's Nth replayed batch (N=1);
+ *                           fires as the pass replays that batch into C
  *   ckpt:write=N            fail the Nth checkpoint-store write
  *   sink:flush[=N]          fail the Nth telemetry sink flush (N=1)
  *

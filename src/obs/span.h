@@ -10,9 +10,9 @@
  * after the thread's first span. At the end of the run the tracer
  * drains every ring into a Chrome trace-event JSON file that loads
  * directly into Perfetto (https://ui.perfetto.dev) or chrome://tracing,
- * with named threads, nested duration spans, and counter tracks
- * (decode-ring occupancy, worker-pool occupancy). confbench's traced
- * probe writes one (`sweep_trace.json`, confbench/README.md).
+ * with named threads, nested duration spans, and counter tracks.
+ * confbench's traced probe writes one (`sweep_trace.json`,
+ * confbench/README.md).
  *
  * The facade follows the same null-pointer contract as `Telemetry`:
  * every instrumentation site takes a `SpanTracer *` and a null tracer
@@ -112,9 +112,9 @@ class SpanTracer
     /**
      * Drain all rings, write the Chrome trace JSON, and return the
      * aggregate summary. Must only run while emitting threads are
-     * quiescent (the instrumented pipelines all join their workers
-     * before the tracer is finished). Idempotent: the second call
-     * returns the first call's summary without rewriting the file.
+     * quiescent (a suite run joins its pass threads before it
+     * returns). Idempotent: the second call returns the first call's
+     * summary without rewriting the file.
      */
     Summary finish();
 

@@ -17,8 +17,8 @@
  * A ReplayKernel holds one configuration's replay state: the borrowed
  * predictor and estimators, private BHR/GCIR replicas, the
  * context-switch clock, the recording-plan cursor, the result, and the
- * slot logs. It is single-threaded; the sweep engine gives each worker
- * shard its own kernels.
+ * slot logs. It is single-threaded; the sweep engine replays each
+ * configuration's kernel on the thread that runs its pass.
  */
 
 #ifndef CONFSIM_SIM_REPLAY_KERNEL_H
@@ -104,7 +104,7 @@ struct DriverOptions
     /**
      * Execution-span tracer (obs/span.h); null = tracing off, at the
      * cost of one null test per instrumented scope. The sweep engine
-     * emits per-batch pipeline spans and checkpoint writes.
+     * emits per-batch refill and replay spans and checkpoint writes.
      */
     SpanTracer *spans = nullptr;
 
@@ -148,8 +148,8 @@ struct DriverOptions
  *
  * The plan is indexed purely by each configuration's private count of
  * simulated conditional branches, so results are bit-exact at any
- * thread count, batch size, or decode-ahead depth — the same contract
- * as every other sweep knob — and whether or not the source can
+ * worker budget or batch size — the same contract as every other
+ * sweep knob — and whether or not the source can
  * restore snapshots. A plan is a SweepEngine::run() argument and
  * composes with no checkpointing (fatal at run time); resume() takes
  * none: nothing checkpoints a sampled run.
@@ -312,9 +312,9 @@ configFingerprint(const BranchPredictor &predictor,
  * One configuration's record step and replay state.
  *
  * Cache-line aligned: the record step writes the kernel's fields on
- * every branch, and a sweep's shards replay their kernels on different
- * threads, so no two kernels (or a kernel and another configuration's
- * state) may share a 64-byte line.
+ * every branch, and a suite's concurrent passes replay their kernels
+ * on different threads, so no two kernels (or a kernel and another
+ * pass's state) may share a 64-byte line.
  */
 class alignas(64) ReplayKernel
 {

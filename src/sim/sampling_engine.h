@@ -42,11 +42,13 @@
  *
  * A sampled suite (runSuite) runs each benchmark as one pass on
  * SuiteRunner::runPasses, the scheduler under runSweep: a plan hook
- * does steps 1-4 on the pass's thread, the pass replays, and a finish
- * hook turns the slot logs into the benchmark's estimates. Benchmarks
- * therefore overlap, pre-pass and estimates included, on one worker
- * budget (SweepOptions::threads, runSweep's schedule rule), and share
- * the scheduler's fail-fast teardown and telemetry.
+ * does steps 1-4 on the pass's thread, the pass replays on the same
+ * thread, and a finish hook turns the slot logs into the benchmark's
+ * estimates. Benchmarks therefore overlap, pre-pass and estimates
+ * included, on min(W, benchmarks) pass threads (SweepOptions::threads
+ * is the worker budget W), and share the scheduler's fail-fast
+ * teardown and telemetry. runTrace() runs one trace on the calling
+ * thread.
  *
  * Estimates are stratified means — per subsample, stratum rates are
  * combined with pre-pass branch-count weights, renormalized over the
@@ -58,9 +60,8 @@
  * pre-pass is a fixed function of the trace, selection uses a private
  * Rng seeded per benchmark, and replay inherits the sweep engine's
  * bit-exactness contract, so selections AND estimates are
- * bit-identical at any thread count, benchmark overlap, batch size,
- * or decode-ahead depth (pinned by
- * tests/integration/sampling_differential_test.cc).
+ * bit-identical at any worker budget, benchmark overlap or batch size
+ * (pinned by tests/integration/sampling_differential_test.cc).
  */
 
 #ifndef CONFSIM_SIM_SAMPLING_ENGINE_H
@@ -108,10 +109,8 @@ struct SamplingOptions
      */
     std::uint64_t warmupRegions = kWarmAll;
 
-    /** Scheduling and replay tuning: runTrace() reads threads as
-     *  one replay's shard count, runSuite() as the suite's worker
-     *  budget W, which runSweep's rule spends on min(W, benchmarks)
-     *  passes (SweepOptions). */
+    /** Batch size, and runSuite()'s worker budget W, which runSweep's
+     *  rule spends on min(W, benchmarks) passes (SweepOptions). */
     SweepOptions sweep;
 };
 

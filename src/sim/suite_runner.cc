@@ -90,47 +90,6 @@ struct SuiteContext
     }
 };
 
-/** How a run spends its worker budget. */
-struct PassSchedule
-{
-    unsigned workers = 1; //!< the budget W
-    unsigned passes = 1;  //!< benchmark passes in flight
-    unsigned poolWorkers = 0; //!< shared pool size; 0 = passes replay inline
-    bool producer = true; //!< passes decode ahead on a producer thread
-};
-
-/**
- * The one schedule rule. W is SweepOptions::threads (0 = one per
- * hardware thread) and, unlike a lone engine's thread count, is not
- * capped at the configuration count. min(W, benchmarks) passes run at
- * once, so whole benchmarks overlap first. Passes that fill the budget
- * replay inline on their benchmark threads; fewer passes than W shard
- * a multi-configuration sweep over one shared pool, min(W, configs)
- * shards each. The pool holds min(W, passes x configs) workers, as
- * many as those shards can keep busy, so a large W starts no idle
- * threads. A pass decodes ahead on a producer thread
- * (SweepOptions::decodeAhead) unless the passes fill a budget that
- * covers every hardware thread: then no CPU is left for the
- * producers, and each pass refills its batches itself (depth 1).
- */
-PassSchedule
-resolveSchedule(unsigned threads, std::size_t benchmarks,
-                std::size_t configs)
-{
-    PassSchedule schedule;
-    const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
-    schedule.workers = threads != 0 ? threads : cpus;
-    schedule.passes = static_cast<unsigned>(
-        std::clamp<std::size_t>(benchmarks, 1, schedule.workers));
-    if (schedule.passes < schedule.workers && configs >= 2) {
-        schedule.poolWorkers = static_cast<unsigned>(std::min<std::size_t>(
-            schedule.workers, schedule.passes * configs));
-    }
-    schedule.producer =
-        schedule.passes < schedule.workers || schedule.workers < cpus;
-    return schedule;
-}
-
 /**
  * Forward fault-injection and corrupt-chunk-skip notifications from a
  * benchmark's trace source into the telemetry event stream. Only the
@@ -505,18 +464,14 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
     SuiteContext ctx(options.cancel, policy.deadlineMs);
     Telemetry *const telemetry = options.telemetry;
 
-    // An inline pass replays on its benchmark thread: no pool task, no
-    // per-batch barrier.
-    const PassSchedule schedule =
-        resolveSchedule(sweep.threads, suite_.size(), configs.size());
-    std::unique_ptr<SweepWorkerPool> pool;
-    SweepOptions engine_sweep = sweep;
-    if (schedule.poolWorkers != 0)
-        pool = std::make_unique<SweepWorkerPool>(schedule.poolWorkers);
-    else
-        engine_sweep.threads = 1;
-    if (!schedule.producer)
-        engine_sweep.decodeAhead = 1;
+    // The one schedule rule: min(W, benchmarks) passes at once, each
+    // reading and replaying its benchmark's trace on its own thread.
+    const unsigned workers =
+        sweep.threads != 0
+            ? sweep.threads
+            : std::max(1u, std::thread::hardware_concurrency());
+    const unsigned passes = static_cast<unsigned>(
+        std::clamp<std::size_t>(suite_.size(), 1, workers));
 
     if (telemetry != nullptr) {
         telemetry->emit(TelemetryEvent(
@@ -525,7 +480,7 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
                    static_cast<std::uint64_t>(suite_.size())),
              field("configs", static_cast<std::uint64_t>(configs.size())),
              field("watchdog_ms", options.wallClockLimitMs),
-             field("parallel", schedule.passes > 1)}));
+             field("parallel", passes > 1)}));
     }
 
     // Every benchmark produces an outcome, or a failure: why its pass
@@ -563,7 +518,7 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
             return source;
         };
 
-        SweepEngine engine(configs, run_options, engine_sweep, pool.get());
+        SweepEngine engine(configs, run_options, sweep);
         if (hooks.plan) {
             const SweepRecordingPlan plan = hooks.plan(bench, *build_source());
             return engine.run(*build_source(), &plan);
@@ -737,9 +692,8 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
             registry.increment("suite.failures");
     };
 
-    // Benchmark pipelining: schedule.passes scheduler threads (just
-    // the calling thread for one pass) pull benchmark indices; the
-    // replay work itself runs inline on them or on the shared pool.
+    // `passes` pass threads (just the calling thread for one pass)
+    // pull benchmark indices in suite order.
     std::atomic<std::size_t> next{0};
     const auto pump = [&] {
         for (;;) {
@@ -750,27 +704,23 @@ SuiteRunner::runPasses(const std::vector<SweepConfiguration> &configs,
             run_bench(bench);
         }
     };
-    if (schedule.passes == 1) {
+    if (passes == 1) {
         pump();
     } else {
-        std::vector<std::thread> schedulers;
-        schedulers.reserve(schedule.passes);
-        for (unsigned s = 0; s < schedule.passes; ++s)
-            schedulers.emplace_back(pump);
-        for (auto &thread : schedulers)
+        std::vector<std::thread> pass_threads;
+        pass_threads.reserve(passes);
+        for (unsigned p = 0; p < passes; ++p)
+            pass_threads.emplace_back(pump);
+        for (auto &thread : pass_threads)
             thread.join();
     }
 
     if (telemetry != nullptr) {
         MetricsRegistry &registry = telemetry->registry();
         registry.setGauge("sweep.pool_workers",
-                          static_cast<double>(schedule.workers));
+                          static_cast<double>(workers));
         registry.setGauge("sweep.bench_parallel",
-                          static_cast<double>(schedule.passes));
-        if (pool != nullptr) {
-            registry.mergeStats("sweep.pool_occupancy",
-                                pool->occupancyStats());
-        }
+                          static_cast<double>(passes));
     }
 
     // Surface the root cause: the first non-cancelled failure in suite

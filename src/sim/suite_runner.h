@@ -8,6 +8,13 @@
  * per-benchmark results and the equal-dynamic-branch-weight composite
  * of Section 1.2.
  *
+ * Each benchmark is one pass: one thread reads its trace once and
+ * replays every batch through every configuration (sim/sweep_engine.h).
+ * A run spends its worker budget W (SweepOptions::threads) on
+ * min(W, benchmarks) pass threads, each taking the next benchmark in
+ * suite order when it finishes one; a pass never spans threads, so a
+ * budget above the benchmark count leaves its surplus unused.
+ *
  * A suite run fails fast: the first benchmark failure (corrupt trace,
  * watchdog timeout, estimator bug) cancels the passes still running
  * and throws with its category, since an equal-weight composite over
@@ -223,12 +230,8 @@ class SuiteRunner
      * trace is generated/decoded exactly once per benchmark regardless
      * of configuration count. SweepOptions::threads is the whole run's
      * worker budget W and the only input to the schedule: min(W,
-     * benchmarks) passes run at once, replaying inline when they fill
-     * the budget; fewer passes shard a multi-configuration sweep over
-     * one shared pool of min(W, passes x configurations) workers
-     * (decode runs ahead of replay per SweepOptions::decodeAhead).
-     * Results — including output order
-     * and composites — are bit-exact with run() called once per
+     * benchmarks) pass threads run at once. Results — including output
+     * order and composites — are bit-exact with run() called once per
      * configuration at any knob setting.
      *
      * Per-configuration BenchmarkRunResult::wallMs carries an equal
@@ -248,9 +251,7 @@ class SuiteRunner
      * @param configs Attached configurations (factories follow the
      *        same thread-safety rule as run()).
      * @param options Driver knobs shared by all configurations.
-     * @param sweep Sweep thread/batch/pipelining tuning knobs.
-     *        When passes shard, runSweep creates and owns their one
-     *        worker pool.
+     * @param sweep The worker budget W and the batch size.
      * @param policy Checkpoint and deadline policy (see run()).
      * @param hooks Per-benchmark hooks (runPasses()); under a plan
      *        hook the results carry no estimator statistics.
@@ -264,8 +265,9 @@ class SuiteRunner
      * The pass scheduler under runSweep(): one sweep pass per
      * benchmark, with its checkpoint store, deadline and watchdog, the
      * suite_run_started and benchmark_* events, and the
-     * sweep.pool_workers / sweep.bench_parallel gauges. Passes run
-     * concurrently by runSweep()'s rule, and each benchmark runs once.
+     * sweep.pool_workers (W) / sweep.bench_parallel (passes) gauges.
+     * Passes run concurrently by runSweep()'s rule, and each benchmark
+     * runs once.
      * The run fails fast: a failed pass cancels the run's token (a
      * child of DriverOptions::cancel), so running and queued passes
      * unwind, and the first failure in suite order (its root cause,

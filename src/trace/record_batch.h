@@ -3,15 +3,11 @@
  * Replayable record batch over a TraceSource.
  *
  * The sweep engine (sim/sweep_engine.h) decodes or generates each
- * benchmark trace exactly once and broadcasts the records to many
- * attached configurations. The unit of that broadcast is a RecordBatch:
+ * benchmark trace exactly once and replays the records through many
+ * attached configurations. The unit of that replay is a RecordBatch:
  * a fixed-capacity, contiguous buffer of BranchRecords that one
  * refill() drains from the source and every configuration then replays
- * independently (read-only, so concurrent replay from worker shards
- * needs no synchronization). The engine's decode-ahead mode keeps a
- * small ring of these batches: a producer thread refills slots while
- * workers replay earlier ones — each batch still has exactly one
- * writer at a time.
+ * in turn, read-only, on the thread that refilled it.
  *
  * The batch size trades decode amortization against cache footprint:
  * a batch should comfortably fit in L2 together with one

@@ -1,9 +1,10 @@
 /**
  * @file
  * Cooperative cancellation. A CancellationToken is a shared flag that
- * long-running loops (sequential driver, sweep shards, decode-ahead
- * producer, worker pool queues) poll at a coarse stride; cancel() makes
- * every poller unwind promptly with Error{kCancelled}.
+ * long-running loops (the replay kernel's record loop, the sweep
+ * engine's batch refills, the suite runner's pass threads) poll at a
+ * coarse stride; cancel() makes every poller unwind promptly with
+ * Error{kCancelled}.
  *
  * Tokens can be chained: a child constructed with a parent pointer
  * reports cancelled when either itself or the parent is cancelled. The

@@ -1,7 +1,7 @@
 /**
  * @file
  * Streaming summary statistics (Welford's algorithm). Used by the
- * metrics registry, the sweep engine's pool-occupancy accounting and
+ * metrics registry, the sweep engine's batch and refill timing and
  * the seed-sensitivity harness (bench/ablation_seed_sensitivity).
  */
 

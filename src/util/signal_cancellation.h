@@ -5,7 +5,7 @@
  * installSignalCancellation() registers handlers for SIGINT and SIGTERM
  * that cancel one process-wide CancellationToken. Every cooperative
  * poll site already threaded through the simulator (driver record
- * loops, sweep shards, decode producers, the suite scheduler) then
+ * loops, sweep batch refills, the suite runner's pass threads) then
  * unwinds with Error{kCancelled}, so Ctrl-C produces a clean
  * teardown — telemetry sinks flushed, atomic-file temporaries cleaned
  * up, checkpoints left in a resumable state — instead of an abrupt

@@ -43,6 +43,14 @@ class BenchmarkSuite
     ibsSubset(const std::vector<std::string> &names,
               std::uint64_t branches_per_benchmark);
 
+    /**
+     * A suite of arbitrary @p profiles (e.g. IBS profiles with shifted
+     * seeds), each run for @p length branches (0 = profile default).
+     * fatal() on an empty list.
+     */
+    BenchmarkSuite(std::vector<BenchmarkProfile> profiles,
+                   std::uint64_t length);
+
     /** @return the number of benchmarks. */
     std::size_t size() const { return profiles_.size(); }
 
@@ -63,9 +71,6 @@ class BenchmarkSuite
     std::uint64_t branchesPerBenchmark() const { return length_; }
 
   private:
-    BenchmarkSuite(std::vector<BenchmarkProfile> profiles,
-                   std::uint64_t length);
-
     std::vector<BenchmarkProfile> profiles_;
     std::uint64_t length_;
 };

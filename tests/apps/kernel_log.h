@@ -58,16 +58,13 @@ kernelReplay(TraceSource &source,
                  &make_estimator,
              const SweepRecordingPlan *plan = nullptr)
 {
-    SweepOptions sweep;
-    sweep.threads = 1;
     SweepEngine engine({{"app", make_predictor,
                          [make_estimator] {
                              std::vector<std::unique_ptr<ConfidenceEstimator>>
                                  out;
                              out.push_back(make_estimator());
                              return out;
-                         }}},
-                       DriverOptions{}, sweep);
+                         }}});
     SweepRunResult pass = engine.run(source, plan);
     return std::move(pass.perConfig.at(0));
 }

@@ -148,8 +148,6 @@ TEST(BranchProfileIntegration, SweepReplicaMatchesSequential)
     const DriverResult reference = runSequential(options);
 
     SweepOptions sweep;
-    sweep.threads = 2;
-    sweep.decodeAhead = 3;
     sweep.batchSize = 777;
     std::vector<SweepConfiguration> configs;
     for (int c = 0; c < 3; ++c)

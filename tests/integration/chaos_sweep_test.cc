@@ -17,7 +17,7 @@
  *     on disk resumes bit-exactly.
  *
  * The seeded schedule test runs 20 randomized fault plans over the
- * pipelined engine; the deterministic tests pin each fault site,
+ * sweep engine; the deterministic tests pin each fault site,
  * cancellation path, and the suite deadline budget individually.
  * Benchmarks are scheduled serially (a worker budget of 1 runs one
  * pass at a time) wherever a plan must fire in a known scope — the
@@ -189,12 +189,8 @@ nextRand(std::uint64_t &state)
 TEST(ChaosSweep, ShardFaultWithoutIsolationFailsRun)
 {
     const std::vector<Family> families = chaosFamilies();
-    SweepOptions sweep;
-    sweep.threads = 1;
-
     ScopedFaultPlan scoped("shard:cfg=0,batch=1:crash");
-    SweepEngine engine(familyConfigs(families), DriverOptions{},
-                       sweep);
+    SweepEngine engine(familyConfigs(families), DriverOptions{});
     auto source = freshSource();
     try {
         engine.run(*source);
@@ -216,12 +212,9 @@ TEST(ChaosSweep, CheckpointWriteFaultDegradesFreshnessNotResults)
     DriverOptions options;
     options.telemetry = &telemetry;
 
-    SweepOptions sweep;
-    sweep.threads = 2;
-
     CheckpointStore store(dir.string(), "chaos", 8);
     ScopedFaultPlan scoped("ckpt:write=2:enospc");
-    SweepEngine engine(familyConfigs(families), options, sweep);
+    SweepEngine engine(familyConfigs(families), options);
     engine.checkpointEvery(4'000, &store);
     auto source = freshSource();
     const SweepRunResult result = engine.run(*source);
@@ -244,8 +237,7 @@ TEST(ChaosSweep, CheckpointWriteFaultDegradesFreshnessNotResults)
     for (const std::uint64_t gen : store.generations()) {
         const auto ckpt = store.load(gen);
         ASSERT_TRUE(ckpt.has_value()) << "generation " << gen;
-        SweepEngine resumed_engine(familyConfigs(families),
-                                   DriverOptions{}, sweep);
+        SweepEngine resumed_engine(familyConfigs(families));
         auto resumed_source = freshSource();
         const SweepRunResult resumed =
             resumed_engine.resume(*resumed_source, *ckpt);
@@ -266,9 +258,7 @@ TEST(ChaosSweep, DecodeFaultFailsPassButCheckpointsResume)
     const std::vector<Family> families = {chaosFamilies()[1],
                                           chaosFamilies()[3]};
     SweepOptions sweep;
-    sweep.threads = 2;
     sweep.batchSize = 512;
-    sweep.decodeAhead = 3;
 
     CheckpointStore store(dir.string(), "chaos", 4);
     {
@@ -327,11 +317,8 @@ expectHangUnwinds(HangTrigger trigger, ErrorCategory expected)
         options.wallClockLimitMs = 300;
     else
         options.cancel = &token;
-    SweepOptions sweep;
-    sweep.threads = 1;
-
     ScopedFaultPlan scoped("shard:cfg=0,batch=2:hang");
-    SweepEngine engine(familyConfigs(families), options, sweep);
+    SweepEngine engine(familyConfigs(families), options);
     auto source = freshSource();
     const auto start = std::chrono::steady_clock::now();
     std::jthread canceller;
@@ -377,11 +364,8 @@ TEST(ChaosSweep, ExternalCancellationUnwindsSweep)
     token.cancel();
     DriverOptions options;
     options.cancel = &token;
-    SweepOptions sweep;
-    sweep.threads = 2;
-    sweep.decodeAhead = 3;
 
-    SweepEngine engine(familyConfigs(families), options, sweep);
+    SweepEngine engine(familyConfigs(families), options);
     auto source = freshSource();
     try {
         engine.run(*source);
@@ -430,8 +414,6 @@ TEST(ChaosSweep, SeededChaosSchedulesSurvivorsBitExact)
             spec += ";ckpt:write=1:enospc";
 
         SweepOptions sweep;
-        sweep.threads = 1u << (nextRand(rng) % 3); // 1, 2, or 4
-        sweep.decodeAhead = 1 + nextRand(rng) % 3;
         sweep.batchSize =
             std::vector<std::size_t>{256, 512, 1000}[nextRand(rng) %
                                                      3];
@@ -523,7 +505,6 @@ serialSweep()
 {
     SweepOptions sweep;
     sweep.threads = 1;
-    sweep.decodeAhead = 1;
     return sweep;
 }
 

@@ -8,8 +8,8 @@
  * registry existed each test file carried its own hard-coded family
  * list, so a new predictor or estimator could silently skip the
  * harness. Now there is exactly one list: add a family here and every
- * differential combo — single/multi-thread, batch-size invariance,
- * decode-ahead depth, checkpoint kill-and-resume — covers it
+ * differential combo — one engine or two concurrent passes,
+ * batch-size invariance, checkpoint kill-and-resume — covers it
  * automatically.
  *
  * Geometries are small (test scale) where a family has a knob: the

@@ -4,9 +4,8 @@
  *
  * The sampling engine inherits the sweep engine's bit-exactness
  * contract: given one seed, region selections AND estimates must be
- * bit-identical however the replay is parallelized (worker threads,
- * which set how many benchmark passes overlap and how each shards,
- * decode-ahead depth, batch size), and whether the replay jumps over
+ * bit-identical whatever the worker budget (how many benchmark passes
+ * overlap) or batch size, and whether the replay jumps over
  * skipped regions by restoring source snapshots or reads through
  * them. And against the differential harness's exact ground truth,
  * the 95% CIs must do their job: contain the full-replay
@@ -79,14 +78,14 @@ baseOptions()
     return options;
 }
 
-/** Two benchmarks: at 4 threads, two passes sharding over one pool. */
+/** Two benchmarks: at a budget of 4, two passes at once. */
 BenchmarkSuite
 twoBenchmarks()
 {
     return BenchmarkSuite::ibsSubset({"jpeg", "real_gcc"}, 100000);
 }
 
-/** Three benchmarks: at 3 threads, three inline passes. */
+/** Three benchmarks: at a budget of 3, three passes at once. */
 BenchmarkSuite
 threeBenchmarks()
 {
@@ -150,15 +149,6 @@ TEST(SamplingDifferentialTest, ThreadCountNeverChangesEstimates)
     three.sweep.threads = 3;
     expectIdentical(runSampled(one, threeBenchmarks()),
                     runSampled(three, threeBenchmarks()));
-}
-
-TEST(SamplingDifferentialTest, DecodeAheadNeverChangesEstimates)
-{
-    SamplingOptions sync = baseOptions();
-    sync.sweep.decodeAhead = 1;
-    SamplingOptions deep = baseOptions();
-    deep.sweep.decodeAhead = 4;
-    expectIdentical(runSampled(sync), runSampled(deep));
 }
 
 TEST(SamplingDifferentialTest, BatchSizeNeverChangesEstimates)

@@ -10,15 +10,16 @@
  * every (predictor, estimator) family in the shared registry
  * (family_registry.h) through both paths and compare without
  * tolerance — a family added to the registry can never silently skip
- * this wall. Thread count and batch size are varied to prove they
- * never leak into results, and sweep checkpoints are round-tripped to
- * prove resume is bit-exact too.
+ * this wall. Batch size, the suite's worker budget and concurrent
+ * passes are varied to prove they never leak into results, and sweep
+ * checkpoints are round-tripped to prove resume is bit-exact too.
  */
 
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -168,9 +169,7 @@ TEST(SweepDifferential, AllFamiliesBitExactSingleThread)
     DriverOptions options;
     options.profileStatic = true;
 
-    SweepOptions sweep;
-    sweep.threads = 1;
-    SweepEngine engine(familyConfigs(families), options, sweep);
+    SweepEngine engine(familyConfigs(families), options);
     auto source = freshSource();
     const SweepRunResult result = engine.run(*source);
 
@@ -185,23 +184,37 @@ TEST(SweepDifferential, AllFamiliesBitExactSingleThread)
 
 TEST(SweepDifferential, AllFamiliesBitExactMultiThread)
 {
+    // Two engines replaying every family at once, each on its own
+    // thread as two suite passes do: they share no state, so both
+    // match the sequential runs exactly.
     const std::vector<Family> families = allFamilies();
     DriverOptions options;
     options.profileStatic = true;
 
     SweepOptions sweep;
-    sweep.threads = 4;
     sweep.batchSize = 1000; // not a divisor of the trace length
-    SweepEngine engine(familyConfigs(families), options, sweep);
-    auto source = freshSource();
-    const SweepRunResult result = engine.run(*source);
+    std::vector<SweepRunResult> results(2);
+    {
+        std::vector<std::jthread> passes;
+        for (SweepRunResult &result : results) {
+            passes.emplace_back([&] {
+                SweepEngine engine(familyConfigs(families), options,
+                                   sweep);
+                auto source = freshSource();
+                result = engine.run(*source);
+            });
+        }
+    }
 
-    ASSERT_EQ(result.perConfig.size(), families.size());
     for (std::size_t c = 0; c < families.size(); ++c) {
         const SequentialRun reference =
             runSequential(families[c], options);
-        expectIdentical(reference.result, result.perConfig[c],
-                        families[c].label + " (4 threads)");
+        for (std::size_t pass = 0; pass < results.size(); ++pass) {
+            ASSERT_EQ(results[pass].perConfig.size(), families.size());
+            expectIdentical(reference.result, results[pass].perConfig[c],
+                            families[c].label + " (pass " +
+                                std::to_string(pass) + ")");
+        }
     }
 }
 
@@ -216,7 +229,6 @@ TEST(SweepDifferential, BatchSizeNeverChangesResults)
          {std::size_t{1}, std::size_t{7}, std::size_t{101},
           std::size_t{4096}}) {
         SweepOptions sweep;
-        sweep.threads = 2;
         sweep.batchSize = batch_size;
         SweepEngine engine(familyConfigs({family, family}), options,
                            sweep);
@@ -246,7 +258,6 @@ TEST(SweepDifferential, ContextSwitchIntervalsBitExact)
             runSequential(family, options, 20'000);
 
         SweepOptions sweep;
-        sweep.threads = 2;
         sweep.batchSize = 333;
         SweepEngine engine(familyConfigs({family, family}), options,
                            sweep);
@@ -291,9 +302,7 @@ TEST(SweepDifferential, FinalComponentBytesMatchSequential)
             return owned;
         };
 
-        SweepOptions sweep;
-        sweep.threads = 1;
-        SweepEngine engine({config}, options, sweep);
+        SweepEngine engine({config}, options);
         auto source = freshSource();
         engine.run(*source);
 
@@ -319,19 +328,16 @@ TEST(SweepDifferential, CheckpointResumeIsBitExact)
         differentialFamilyNamed("perceptron_margin")};
     DriverOptions options;
     options.profileStatic = true;
-    SweepOptions sweep;
-    sweep.threads = 2;
 
     // Uninterrupted reference sweep.
-    SweepEngine reference_engine(familyConfigs(families), options,
-                                 sweep);
+    SweepEngine reference_engine(familyConfigs(families), options);
     auto reference_source = freshSource();
     const SweepRunResult reference =
         reference_engine.run(*reference_source);
 
     // Checkpointed sweep: write generations mid-run...
     CheckpointStore store(dir.string(), "sweep-test", 2);
-    SweepEngine first_engine(familyConfigs(families), options, sweep);
+    SweepEngine first_engine(familyConfigs(families), options);
     first_engine.checkpointEvery(20'000, &store);
     auto first_source = freshSource();
     const SweepRunResult first = first_engine.run(*first_source);
@@ -341,8 +347,7 @@ TEST(SweepDifferential, CheckpointResumeIsBitExact)
     // and compare against the uninterrupted run.
     const auto ckpt = store.loadLatestValid();
     ASSERT_TRUE(ckpt.has_value());
-    SweepEngine resumed_engine(familyConfigs(families), options,
-                               sweep);
+    SweepEngine resumed_engine(familyConfigs(families), options);
     auto resumed_source = freshSource();
     const SweepRunResult resumed =
         resumed_engine.resume(*resumed_source, *ckpt);
@@ -354,150 +359,6 @@ TEST(SweepDifferential, CheckpointResumeIsBitExact)
         SCOPED_TRACE(families[c].label);
         EXPECT_EQ(expected.branches, actual.branches);
         EXPECT_EQ(expected.mispredicts, actual.mispredicts);
-        ASSERT_EQ(expected.estimatorStats.size(),
-                  actual.estimatorStats.size());
-        for (std::size_t e = 0; e < expected.estimatorStats.size();
-             ++e) {
-            const BucketStats &eb = expected.estimatorStats[e];
-            const BucketStats &ab = actual.estimatorStats[e];
-            ASSERT_EQ(eb.numBuckets(), ab.numBuckets());
-            for (std::uint64_t b = 0; b < eb.numBuckets(); ++b) {
-                EXPECT_EQ(eb[b].refs, ab[b].refs);
-                EXPECT_EQ(eb[b].mispredicts, ab[b].mispredicts);
-            }
-        }
-    }
-}
-
-TEST(SweepDifferential, DecodeAheadDepthNeverChangesResults)
-{
-    const Family family = differentialFamilyNamed("two_level");
-    DriverOptions options;
-    options.profileStatic = true;
-    const SequentialRun reference = runSequential(family, options);
-
-    for (const std::size_t depth :
-         {std::size_t{1}, std::size_t{2}, std::size_t{3},
-          std::size_t{5}}) {
-        SweepOptions sweep;
-        sweep.threads = 2;
-        sweep.batchSize = 777; // not a divisor of the trace length
-        sweep.decodeAhead = depth;
-        SweepEngine engine(familyConfigs({family, family}), options,
-                           sweep);
-        auto source = freshSource();
-        const SweepRunResult result = engine.run(*source);
-        ASSERT_EQ(result.perConfig.size(), 2u);
-        for (std::size_t c = 0; c < 2; ++c) {
-            expectIdentical(reference.result, result.perConfig[c],
-                            "decode-ahead " + std::to_string(depth) +
-                                " config " + std::to_string(c));
-        }
-    }
-}
-
-TEST(SweepDifferential, SharedPoolWithSurplusWorkersBitExact)
-{
-    // More pool workers than configurations: the engine must cap its
-    // shards at the config count and leave the surplus workers idle
-    // (they exist to serve other benchmarks' concurrent passes), with
-    // results identical to a lone engine.
-    const std::vector<Family> families = {
-        differentialFamilyNamed("one_level_ones_pcxorbhr"),
-        differentialFamilyNamed("tage_provider"),
-        differentialFamilyNamed("unaliased")};
-    DriverOptions options;
-    options.profileStatic = true;
-
-    SweepWorkerPool pool(6);
-    SweepOptions sweep;
-    sweep.decodeAhead = 3;
-
-    // Two engines sharing one pool back to back, as runSweep does.
-    for (int pass = 0; pass < 2; ++pass) {
-        SweepEngine engine(familyConfigs(families), options, sweep, &pool);
-        auto source = freshSource();
-        const SweepRunResult result = engine.run(*source);
-        ASSERT_EQ(result.perConfig.size(), families.size());
-        for (std::size_t c = 0; c < families.size(); ++c) {
-            const SequentialRun reference =
-                runSequential(families[c], options);
-            expectIdentical(reference.result, result.perConfig[c],
-                            families[c].label + " (shared pool pass " +
-                                std::to_string(pass) + ")");
-        }
-    }
-    EXPECT_GT(pool.occupancyStats().count(), 0u);
-}
-
-TEST(SweepDifferential, CheckpointResumeWithDecodeAheadBitExact)
-{
-    // Checkpoints written by the pipelined engine (producer paused at
-    // the checkpoint barrier) must resume bit-exactly — including
-    // when the resuming engine uses a *different* decode-ahead depth.
-    const std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) /
-        "sweep_resume_decode_ahead";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-
-    const std::vector<Family> families = {
-        differentialFamilyNamed("perceptron_margin"),
-        differentialFamilyNamed("counter_half_reset")};
-    DriverOptions options;
-    options.profileStatic = true;
-
-    // Reference: synchronous-refill engine, uninterrupted.
-    SweepOptions sync_sweep;
-    sync_sweep.threads = 2;
-    sync_sweep.decodeAhead = 1;
-    SweepEngine reference_engine(familyConfigs(families), options,
-                                 sync_sweep);
-    auto reference_source = freshSource();
-    const SweepRunResult reference =
-        reference_engine.run(*reference_source);
-
-    // Checkpoint cadence must be depth-independent too: count the
-    // synchronous engine's generations, then the pipelined engine's.
-    CheckpointStore sync_store(dir.string(), "sweep-sync", 4);
-    SweepEngine sync_ckpt_engine(familyConfigs(families), options,
-                                 sync_sweep);
-    sync_ckpt_engine.checkpointEvery(20'000, &sync_store);
-    auto sync_ckpt_source = freshSource();
-    const SweepRunResult sync_ckpt =
-        sync_ckpt_engine.run(*sync_ckpt_source);
-
-    SweepOptions ring_sweep;
-    ring_sweep.threads = 2;
-    ring_sweep.decodeAhead = 3;
-    CheckpointStore store(dir.string(), "sweep-ring", 4);
-    SweepEngine first_engine(familyConfigs(families), options,
-                             ring_sweep);
-    first_engine.checkpointEvery(20'000, &store);
-    auto first_source = freshSource();
-    const SweepRunResult first = first_engine.run(*first_source);
-    ASSERT_GT(first.checkpointsWritten, 0u);
-    EXPECT_EQ(first.checkpointsWritten, sync_ckpt.checkpointsWritten);
-
-    const auto ckpt = store.loadLatestValid();
-    ASSERT_TRUE(ckpt.has_value());
-    SweepOptions resume_sweep;
-    resume_sweep.threads = 2;
-    resume_sweep.decodeAhead = 2; // differs from the writing engine
-    SweepEngine resumed_engine(familyConfigs(families), options,
-                               resume_sweep);
-    auto resumed_source = freshSource();
-    const SweepRunResult resumed =
-        resumed_engine.resume(*resumed_source, *ckpt);
-
-    ASSERT_EQ(reference.perConfig.size(), resumed.perConfig.size());
-    for (std::size_t c = 0; c < reference.perConfig.size(); ++c) {
-        const SweepConfigResult &expected = reference.perConfig[c];
-        const SweepConfigResult &actual = resumed.perConfig[c];
-        SCOPED_TRACE(families[c].label);
-        EXPECT_EQ(expected.branches, actual.branches);
-        EXPECT_EQ(expected.mispredicts, actual.mispredicts);
-        EXPECT_EQ(expected.contextSwitches, actual.contextSwitches);
         ASSERT_EQ(expected.estimatorStats.size(),
                   actual.estimatorStats.size());
         for (std::size_t e = 0; e < expected.estimatorStats.size();
@@ -576,10 +437,9 @@ expectSuiteResultsIdentical(const SweepSuiteResult &expected,
 TEST(SweepDifferential, WorkerBudgetScheduleNeverChangesResults)
 {
     // Every worker budget W over the three-benchmark suite against one
-    // synchronous single-threaded pass at a time: W = 2-3 runs inline
-    // passes, W = 4 and 8 shard three passes over a shared pool.
-    // Identical outputs, identical suite ordering, identical
-    // composites.
+    // pass at a time: W = 2 runs two passes at once, W = 3 and up all
+    // three, and W = 8 leaves five of its workers unused. Identical
+    // outputs, identical suite ordering, identical composites.
     const std::vector<Family> families = {
         differentialFamilyNamed("counter_resetting"),
         differentialFamilyNamed("tage_provider")};
@@ -590,7 +450,6 @@ TEST(SweepDifferential, WorkerBudgetScheduleNeverChangesResults)
 
     SweepOptions sequential;
     sequential.threads = 1;
-    sequential.decodeAhead = 1;
     const SweepSuiteResult reference = runner.runSweep(
         familyConfigs(families), options, sequential, RunPolicy{});
 
